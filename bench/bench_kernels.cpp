@@ -1,7 +1,6 @@
 // Micro-benchmarks of the O(|V|+|E|) kernels behind the paper's "linear
 // runtime per iteration" claim (Figure 10b), extended with the
-// level-parallel variants and the redundant-analysis elimination of the
-// OGWS hot loop.
+// level-parallel variants.
 //
 //   bench_kernels [--profile NAME] [--threads CSV] [--min-ms N] [--json FILE]
 //
@@ -11,13 +10,11 @@
 // the speedup against the serial pass. Two serial rows compare the LRS
 // sweep modes on a steady-state re-solve (perturb ~1% of μ, re-solve from
 // the fixpoint): "lrs_sweep_dense" vs "lrs_sweep_worklist", the worklist
-// row's speedup column anchored to dense. Two additional serial rows
-// measure one OGWS iteration's
-// analysis sequence with the pre-elimination redundancy ("ogws_iteration_
-// legacy": the dual re-runs a full load pass with a fresh allocation, as the
-// old loop did) against the current fused sequence — the single-thread win
-// the redundancy fix buys on its own. The multiplier-update step A4/A5 is
-// identical in both sequences and excluded.
+// row's speedup column anchored to dense. A last serial row times one OGWS
+// iteration's analysis sequence ("ogws_iteration", the multiplier update
+// excluded). Every row that runs LRS names its sweep mode explicitly, so a
+// change of the library default leaves the rows' meaning alone: lrs_solve
+// and ogws_iteration time the dense Figure-8 sweep.
 //
 // --json writes the machine-readable BENCH_kernels.json (schema
 // lrsizer-bench-kernels-v1: git SHA, per-kernel ns, speedups) that CI
@@ -143,6 +140,7 @@ Instance make_instance(const std::string& profile) {
   core::OgwsOptions warmup;
   warmup.max_iterations = 8;
   warmup.record_history = false;
+  warmup.lrs.sweep = core::SweepMode::kDense;  // the snapshot every row starts from
   core::OgwsControl control;
   control.capture_warm_start = true;
   const auto warm = core::run_ogws(elab.circuit, coupling, bounds, warmup, control);
@@ -270,6 +268,7 @@ int main(int argc, char** argv) {
 
   core::LrsWorkspace lrs_ws;
   core::LrsOptions lrs_options;
+  lrs_options.sweep = core::SweepMode::kDense;
   const double beta = inst.multipliers.beta;
   const core::NoiseMultipliers gamma(inst.multipliers.gamma);
   std::vector<double> x = circuit.sizes();
@@ -370,68 +369,12 @@ int main(int argc, char** argv) {
            1e9,
        1.0});
 
-  // ---- the redundancy elimination, measured on one OGWS iteration ----
+  // ---- one OGWS iteration's analysis sequence ----
   //
-  // "legacy" replays the pre-elimination analysis sequence verbatim through
-  // the public APIs: the old run_lrs (every pass re-zeroing its load/r_up
-  // buffers and *not* handing loads back), then the old OGWS tail — a fresh
-  // load pass, a re-zeroed arrival pass, a dual that re-runs loads in a
-  // freshly allocated analysis plus the three scalar sweeps, and the scalar
-  // metrics. "fused" is the current sequence: run_lrs hands its final-x
-  // loads back, arrivals reuse them, and the dual reuses arrivals + the
-  // scalar terms. The multiplier-update step A4/A5 (identical in both) is
-  // excluded; both start from the same multipliers so the LRS pass counts
-  // match.
+  // A2, the LRS solve (whose loads arrivals reuse), the arrival pass, the
+  // scalar metrics and the dual; the multiplier update A4/A5 is excluded.
   const double mu_sink = inst.multipliers.sink_mu(circuit);
-  const auto n = static_cast<std::size_t>(circuit.num_nodes());
-  auto legacy_iteration = [&] {
-    inst.multipliers.compute_mu(circuit, inst.mu);  // A2
-    // Pre-elimination run_lrs: S1 reset, then per pass re-zeroed S2/S3
-    // analyses and the index-order sweep, loads left stale on exit.
-    for (netlist::NodeId v = circuit.first_component(); v < circuit.end_component();
-         ++v) {
-      x[static_cast<std::size_t>(v)] = circuit.lower_bound(v);
-    }
-    for (int pass = 0; pass < lrs_options.max_passes; ++pass) {
-      lrs_ws.loads.cap_delay.assign(n, 0.0);  // the old LoadAnalysis::resize
-      lrs_ws.loads.cap_prime.assign(n, 0.0);
-      lrs_ws.loads.load_in.assign(n, 0.0);
-      timing::compute_loads(circuit, inst.coupling, x, mode, lrs_ws.loads);
-      lrs_ws.r_up.assign(n, 0.0);  // the old compute_weighted_upstream entry
-      timing::compute_weighted_upstream(circuit, x, inst.mu, lrs_ws.r_up);
-      double max_rel_change = 0.0;
-      for (netlist::NodeId v = circuit.first_component();
-           v < circuit.end_component(); ++v) {
-        const auto i = static_cast<std::size_t>(v);
-        const double opt = core::optimal_resize(circuit, inst.coupling, inst.mu,
-                                                beta, gamma, x, lrs_ws.loads,
-                                                lrs_ws.r_up, v);
-        const double next =
-            std::clamp(opt, circuit.lower_bound(v), circuit.upper_bound(v));
-        max_rel_change = std::max(max_rel_change, std::abs(next - x[i]) / x[i]);
-        x[i] = next;
-      }
-      if (max_rel_change < lrs_options.tol) break;
-    }
-    // Old OGWS tail: recompute loads from scratch, re-zeroed arrivals, dual
-    // via the load-pass overload (fresh allocation + three scalar sweeps
-    // inside), then the iterate's scalar metrics.
-    lrs_ws.loads.cap_delay.assign(n, 0.0);
-    lrs_ws.loads.cap_prime.assign(n, 0.0);
-    lrs_ws.loads.load_in.assign(n, 0.0);
-    timing::compute_loads(circuit, inst.coupling, x, mode, lrs_ws.loads);
-    arrivals.delay.assign(n, 0.0);
-    arrivals.arrival.assign(n, 0.0);
-    timing::compute_arrivals(circuit, x, lrs_ws.loads, arrivals);
-    const double dual = core::lagrangian_value(circuit, inst.coupling, x, inst.mu,
-                                               mu_sink, beta, gamma, inst.bounds,
-                                               mode);
-    const double area = timing::total_area(circuit, x);
-    const double cap = timing::total_cap(circuit, x);
-    const double noise = inst.coupling.noise_linear(x);
-    g_bench_sink = dual + area + cap + noise + arrivals.critical_delay;
-  };
-  auto fused_iteration = [&] {
+  auto ogws_iteration = [&] {
     inst.multipliers.compute_mu(circuit, inst.mu);  // A2
     core::run_lrs(circuit, inst.coupling, inst.mu, beta, gamma, lrs_options, x,
                   lrs_ws);
@@ -444,11 +387,8 @@ int main(int argc, char** argv) {
         arrivals, core::LagrangianTerms{area, cap, noise});
     g_bench_sink = dual + area + cap + noise + arrivals.critical_delay;
   };
-  const double legacy_ns = seconds_per_op(args.min_ms, legacy_iteration) * 1e9;
-  const double fused_ns = seconds_per_op(args.min_ms, fused_iteration) * 1e9;
-  const double win_pct = 100.0 * (legacy_ns - fused_ns) / legacy_ns;
-  rows.push_back({"ogws_iteration_legacy", 1, legacy_ns, 1.0});
-  rows.push_back({"ogws_iteration", 1, fused_ns, legacy_ns / fused_ns});
+  rows.push_back(
+      {"ogws_iteration", 1, seconds_per_op(args.min_ms, ogws_iteration) * 1e9, 1.0});
 
   // ---- report ----
 
@@ -459,9 +399,6 @@ int main(int argc, char** argv) {
                    util::TextTable::num(row.speedup_vs_serial, 2)});
   }
   table.print(std::cout);
-  std::printf("redundancy elimination: legacy %.0f ns -> fused %.0f ns "
-              "(%.1f%% single-thread OGWS-iteration win)\n",
-              legacy_ns, fused_ns, win_pct);
 
   if (!args.json_path.empty()) {
     runtime::Json j = runtime::Json::object();
@@ -484,11 +421,6 @@ int main(int argc, char** argv) {
       kernels.push_back(entry);
     }
     j.set("kernels", kernels);
-    runtime::Json redundancy = runtime::Json::object();
-    redundancy.set("legacy_ns", legacy_ns);
-    redundancy.set("fused_ns", fused_ns);
-    redundancy.set("win_pct", win_pct);
-    j.set("redundancy", redundancy);
 
     std::ofstream out(args.json_path);
     if (!out) {

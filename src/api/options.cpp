@@ -70,13 +70,6 @@ Status check_ogws(const core::OgwsOptions& ogws) {
   if (ogws.lrs.max_passes < 1)
     return invalid("ogws.lrs.max_passes", ">= 1", ogws.lrs.max_passes);
   if (ogws.lrs.tol <= 0.0) return invalid("ogws.lrs.tol", "> 0", ogws.lrs.tol);
-  if (ogws.lrs.worklist_eps < 0.0 ||
-      (ogws.lrs.worklist_eps > 0.0 && ogws.lrs.worklist_eps >= ogws.lrs.tol)) {
-    return invalid("ogws.lrs.worklist_eps",
-                   "0 (auto) or in (0, lrs.tol) — skipped nodes must stay "
-                   "stationary within the fixpoint tolerance",
-                   ogws.lrs.worklist_eps);
-  }
   return Status::Ok();
 }
 

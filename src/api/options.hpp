@@ -106,16 +106,12 @@ class FlowOptionsBuilder {
     options_.threads = threads;
     return *this;
   }
-  /// LRS sweep strategy (dense = paper-exact default; worklist = frontier-
-  /// driven incremental sweeps, tolerance-equivalent but not bit-identical
-  /// to dense — see docs/ARCHITECTURE.md §Parallel kernels).
+  /// LRS sweep strategy (worklist = the default, frontier-driven incremental
+  /// sweeps; dense = the paper-exact Figure-8 reference, tolerance-equivalent
+  /// to worklist but not bit-identical — see docs/ARCHITECTURE.md §Parallel
+  /// kernels).
   FlowOptionsBuilder& sweep_mode(core::SweepMode mode) {
     options_.ogws.lrs.sweep = mode;
-    return *this;
-  }
-  /// Worklist dirtiness threshold (0 = auto tol/8; must stay below lrs.tol).
-  FlowOptionsBuilder& worklist_eps(double eps) {
-    options_.ogws.lrs.worklist_eps = eps;
     return *this;
   }
 

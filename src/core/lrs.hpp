@@ -18,6 +18,9 @@
 #pragma once
 
 #include <functional>
+#include <optional>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/multipliers.hpp"
@@ -58,27 +61,31 @@ struct NoiseMultipliers {
 
 /// Sweep strategy for S4 (docs/ARCHITECTURE.md §Parallel kernels).
 enum class SweepMode {
-  /// Paper Figure 8: every pass re-evaluates every component. Bit-exact
-  /// reference; the default.
+  /// Paper Figure 8: every pass re-evaluates every component. The bit-exact
+  /// reference and the oracle of the worklist's differential tests; select
+  /// it explicitly (`--sweep dense`, serve "sweep":"dense").
   kDense,
-  /// Worklist (Galois-style) mode: each pass evaluates only components whose
-  /// resize inputs — numerator term μ_i·r̂_i·C'_i, denominator (β + R_i)
-  /// terms, or a coupling neighbor's size — drifted more than worklist_eps
-  /// since the node was last evaluated; dirtiness propagates to coupling
-  /// neighbors inside the distance-2 color structure. Converges to the same
-  /// fixpoint within tolerance (the per-pass seeding scan re-checks every
-  /// component, so an empty frontier certifies ε-stationarity and stops the
-  /// sweep) but skips clean nodes, so iterates are NOT bit-identical to
-  /// kDense — opt in only where tolerance-equivalence suffices. Worklist
-  /// runs persist x and the snapshot state across calls via LrsWorkspace, so
-  /// successive OGWS iterations re-process only what the multiplier step
-  /// perturbed. At a fixed SweepMode the result is still bit-identical at
-  /// any thread count.
+  /// Worklist (Galois-style) mode, the default: each pass evaluates only
+  /// components whose resize inputs — numerator term μ_i·r̂_i·C'_i,
+  /// denominator (β + R_i) terms, or a coupling neighbor's size — drifted
+  /// more than tol/8 since the node was last evaluated; dirtiness propagates
+  /// to coupling neighbors inside the distance-2 color structure. Converges
+  /// to the same fixpoint within tolerance (the seeding step re-checks every
+  /// component whose inputs moved, so an empty frontier certifies
+  /// ε-stationarity and stops the sweep) but skips clean nodes, so iterates
+  /// are NOT bit-identical to kDense. Worklist runs persist x and the
+  /// snapshot state across calls via LrsWorkspace, so successive OGWS
+  /// iterations re-process only what the multiplier step perturbed, and a
+  /// pass after a small sweep repairs the loads and upstream resistances
+  /// instead of recomputing them. At a fixed SweepMode the result is still
+  /// bit-identical at any thread count.
   kWorklist,
 };
 
 /// Canonical lowercase name ("dense" / "worklist") — cache canon, CLI, serve.
 const char* sweep_mode_name(SweepMode mode);
+/// Inverse of sweep_mode_name; nullopt for any other string.
+std::optional<SweepMode> sweep_mode_from_name(std::string_view name);
 
 struct LrsOptions {
   int max_passes = 100;
@@ -88,11 +95,7 @@ struct LrsOptions {
   /// the incoming x (ablation A1 measures the difference).
   bool warm_start = false;
   timing::CouplingLoadMode mode = timing::CouplingLoadMode::kLocalOnly;
-  SweepMode sweep = SweepMode::kDense;
-  /// Worklist dirtiness threshold: a node re-enters the frontier when a
-  /// resize input drifts more than this (relative). 0 picks tol/8 — small
-  /// enough that skipped nodes stay stationary within tol. Must be < tol.
-  double worklist_eps = 0.0;
+  SweepMode sweep = SweepMode::kWorklist;
 };
 
 struct LrsStats {
@@ -138,8 +141,8 @@ struct LrsWorkspace {
   /// Per-pass scratch: which components the sweep evaluated (only
   /// maintained when LrsRuntime::probe is set).
   std::vector<unsigned char> processed;
-  /// Per-chunk partials of the parallel processed-count (sum) reduction.
-  std::vector<long long> count_partials;
+  /// Per-chunk partials of the parallel (processed, moved) count reductions.
+  std::vector<std::pair<long long, long long>> count_partials;
   /// Nodes whose load entries must be recomputed (exact, bit-driven — not
   /// the eps-thresholded `pending`): a resize that changed x_i bit-wise
   /// marks i and its coupling neighbors; the incremental load pass then
@@ -147,6 +150,20 @@ struct LrsWorkspace {
   /// maintained this way is bit-identical to a full compute_loads pass (see
   /// timing::compute_node_loads) at a fraction of the per-pass cost.
   std::vector<unsigned char> loads_dirty;
+  /// Components whose x changed bit-wise in a sweep since the last upstream
+  /// pass. The sweep writes only the mover's own slot (race-free under the
+  /// colored schedule); the serial upstream repair turns each into its
+  /// fanouts' `upstream_dirty` flags.
+  std::vector<unsigned char> x_moved;
+  /// Nodes whose r_up the upstream repair must recompute (exact,
+  /// bit-driven): a moved fanin, or a wire fanin whose r_up changed. The
+  /// repair keeps r_up bit-identical to a full compute_weighted_upstream
+  /// (see timing::compute_node_upstream).
+  std::vector<unsigned char> upstream_dirty;
+  /// Components whose cap_prime or r_up a repair changed since the last
+  /// seeding step — the only resize inputs that move within a call, so a
+  /// repaired pass re-checks just these.
+  std::vector<netlist::NodeId> reseed;
   /// x as this workspace's last worklist run left it. A resumed run diffs
   /// the incoming x against it (callers may legally hand back a modified x)
   /// and marks any externally changed node dirty + pending instead of
@@ -159,7 +176,8 @@ struct LrsWorkspace {
 };
 
 /// Test-only observation hooks for the worklist sweep; the dirty-set
-/// property tests replay skipped nodes against the frozen pass-start state.
+/// property tests replay skipped nodes against the frozen pass-start state
+/// and check the repaired analyses and frontier against full recomputation.
 /// Both fire on the calling thread, worklist mode only.
 struct LrsProbe {
   /// After frontier seeding, before the sweep of (0-based) `pass`: the state

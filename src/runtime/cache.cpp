@@ -119,7 +119,6 @@ Json canonical_options_json(const core::FlowOptions& o) {
   // Sweep strategy DOES split the cache (unlike threads): worklist results
   // are tolerance-equivalent to dense, not bit-identical.
   lrs.set("sweep", core::sweep_mode_name(o.ogws.lrs.sweep));
-  lrs.set("worklist_eps", o.ogws.lrs.worklist_eps);
   ogws.set("lrs", lrs);
   ogws.set("record_history", o.ogws.record_history);
   j.set("ogws", ogws);

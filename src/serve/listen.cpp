@@ -12,6 +12,7 @@
 #define LRSIZER_HAVE_SOCKETS 1
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -277,7 +278,6 @@ int listen_and_serve(const ListenOptions& listen_options, Server& server) {
   std::fflush(stderr);
 
   const int one = 1;
-  (void)one;  // only used under SO_NOSIGPIPE below
   // pfds layout: jsonl listener, then the metrics listener (when enabled),
   // then one slot per connection.
   const std::size_t conn_base = metrics_listener >= 0 ? 2 : 1;
@@ -399,6 +399,10 @@ int listen_and_serve(const ListenOptions& listen_options, Server& server) {
           // BSD/macOS counterpart of MSG_NOSIGNAL in write_line_fd.
           ::setsockopt(fd, SOL_SOCKET, SO_NOSIGPIPE, &one, sizeof(one));
 #endif
+          // Responses are small lines written back to back (accepted, then
+          // result); with Nagle's algorithm on, the second waits for the
+          // client's delayed ACK of the first — ~40 ms on every cache hit.
+          ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
           Conn conn;
           conn.fd = fd;
           conn.broken = std::make_shared<std::atomic<bool>>(false);

@@ -122,16 +122,13 @@ Status apply_request_options(const Json& overrides, core::FlowOptions* options) 
     } else if (key == "max_iterations" && is_i32) {
       builder.max_iterations(static_cast<int>(integer));
     } else if (key == "sweep" && value.is_string()) {
-      const std::string& name = value.as_string();
-      if (name == "dense") {
-        builder.sweep_mode(core::SweepMode::kDense);
-      } else if (name == "worklist") {
-        builder.sweep_mode(core::SweepMode::kWorklist);
-      } else {
+      const auto mode = core::sweep_mode_from_name(value.as_string());
+      if (!mode) {
         return Status::InvalidArgument(
-            "option \"sweep\" must be \"dense\" or \"worklist\", got \"" + name +
-            "\"");
+            "option \"sweep\" must be \"dense\" or \"worklist\", got \"" +
+            value.as_string() + "\"");
       }
+      builder.sweep_mode(*mode);
     } else {
       return Status::InvalidArgument(
           "unknown, mistyped or out-of-range option \"" + key +

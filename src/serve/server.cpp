@@ -125,7 +125,7 @@ void Server::register_metrics() {
                {},
                [this] {
                  const std::lock_guard<std::mutex> lock(mutex_);
-                 return static_cast<double>(in_flight_);
+                 return static_cast<double>(active_.size());
                },
                this);
   reg.gauge_fn("lrsizer_serve_clients", "Attached clients.", {},
@@ -287,7 +287,7 @@ StatsSnapshot Server::stats_snapshot() const {
   s.eco_jobs = eco_jobs_total_->value();
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    s.queue_depth = in_flight_;
+    s.queue_depth = active_.size();
   }
   // Latency comes from the obs histogram — the same instrument a /metrics
   // scrape renders, so the two estimates can never diverge.
@@ -308,20 +308,23 @@ StatsSnapshot Server::stats_snapshot() const {
   return s;
 }
 
-void Server::finish(const std::shared_ptr<Pending>& pending) {
+void Server::answer(const std::shared_ptr<Pending>& pending, const Json& response) {
   const auto now = std::chrono::steady_clock::now();
   const double seconds =
       std::chrono::duration<double>(now - pending->accepted_at).count();
   latency_seconds_->observe(seconds);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  active_.erase(pending->scoped_id);
-  --in_flight_;
-  queue_cost_ -= pending->cost;
-  const auto it = client_pending_.find(pending->client);
-  if (it != client_pending_.end() && --it->second <= 0) {
-    client_pending_.erase(it);
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    active_.erase(pending->scoped_id);
+    queue_cost_ -= pending->cost;
+    const auto it = client_pending_.find(pending->client);
+    if (it != client_pending_.end() && --it->second <= 0) {
+      client_pending_.erase(it);
+    }
   }
-  if (in_flight_ == 0) idle_cv_.notify_all();
+  emit(pending->client, response);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (--in_flight_ == 0) idle_cv_.notify_all();
 }
 
 void Server::drain() {
@@ -431,23 +434,23 @@ void Server::handle_size(ClientId client, SizeRequest request) {
   std::size_t depth = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    depth = in_flight_;
+    depth = active_.size();
     const auto per_client = client_pending_.find(client);
     if (draining()) {
       admit = Admit::kDraining;
     } else if (active_.count(pending->scoped_id) != 0) {
       admit = Admit::kDuplicateId;
     } else if (options_.max_pending > 0 &&
-               in_flight_ >= static_cast<std::size_t>(options_.max_pending)) {
+               depth >= static_cast<std::size_t>(options_.max_pending)) {
       admit = Admit::kBackpressure;
     } else if (options_.max_pending_per_client > 0 &&
                per_client != client_pending_.end() &&
                per_client->second >= options_.max_pending_per_client) {
       admit = Admit::kClientCap;
-    } else if (options_.max_queue_cost > 0 && in_flight_ > 0 &&
+    } else if (options_.max_queue_cost > 0 && depth > 0 &&
                queue_cost_ + pending->cost > options_.max_queue_cost) {
-      // `in_flight_ > 0`: an empty queue always admits, so one over-budget
-      // job runs alone instead of being unservable forever.
+      // `depth > 0`: an empty queue always admits, so one over-budget job
+      // runs alone instead of being unservable forever.
       admit = Admit::kQueueCost;
     } else {
       active_[pending->scoped_id] = pending;
@@ -584,26 +587,23 @@ void Server::schedule(std::shared_ptr<Pending> pending) {
       if (pending->stop.get_token().stop_requested()) {
         if (pending->timed_out.load(std::memory_order_acquire)) {
           // A deduped follower has no partial of its own to answer with.
-          emit(pending->client,
-               error_json(pending->request.id, "deadline",
-                          "deadline exceeded while waiting on a deduped "
-                          "identical job"));
           errors_total_->inc();
           timeouts_total_->inc();
+          answer(pending, error_json(pending->request.id, "deadline",
+                                     "deadline exceeded while waiting on a "
+                                     "deduped identical job"));
         } else {
-          emit(pending->client, cancelled_json(pending->request.id, nullptr));
           cancelled_total_->inc();
+          answer(pending, cancelled_json(pending->request.id, nullptr));
         }
-        finish(pending);
         return;
       }
       if (entry) {
-        emit(pending->client,
-             result_json(pending->request.id, true, entry->job,
-                         pending->request.want_sizes ? &entry->sizes : nullptr));
         results_total_->inc();
         cache_hits_total_->inc();
-        finish(pending);
+        answer(pending,
+               result_json(pending->request.id, true, entry->job,
+                           pending->request.want_sizes ? &entry->sizes : nullptr));
       } else {
         // Owner failed or was cancelled — run this job on its own. It
         // re-acquires: it may become the new owner or follow another twin.
@@ -612,12 +612,11 @@ void Server::schedule(std::shared_ptr<Pending> pending) {
     };
     switch (cache_->acquire(pending->key, &hit, on_done)) {
       case ResultCache::Acquire::kHit:
-        emit(pending->client,
-             result_json(pending->request.id, true, hit->job,
-                         pending->request.want_sizes ? &hit->sizes : nullptr));
         results_total_->inc();
         cache_hits_total_->inc();
-        finish(pending);
+        answer(pending,
+               result_json(pending->request.id, true, hit->job,
+                           pending->request.want_sizes ? &hit->sizes : nullptr));
         return;
       case ResultCache::Acquire::kFollower:
         return;
@@ -692,6 +691,7 @@ void Server::execute(const std::shared_ptr<Pending>& pending) {
   runtime::JobOutcome outcome =
       run_job(std::move(pending->request.job), controls);
 
+  Json response;
   if (outcome.ok && !outcome.cancelled) {
     CachedEntry entry;
     entry.job = runtime::job_json(outcome);
@@ -714,10 +714,9 @@ void Server::execute(const std::shared_ptr<Pending>& pending) {
     }
     std::optional<Json> trace_doc;
     if (trace) trace_doc = Json::parse(trace->dump_json());
-    emit(pending->client,
-         result_json(pending->request.id, false, entry.job,
-                     pending->request.want_sizes ? &entry.sizes : nullptr,
-                     trace_doc ? &*trace_doc : nullptr));
+    response = result_json(pending->request.id, false, entry.job,
+                           pending->request.want_sizes ? &entry.sizes : nullptr,
+                           trace_doc ? &*trace_doc : nullptr);
     results_total_->inc();
     if (pending->cacheable) cache_->publish(pending->key, std::move(entry));
   } else if (outcome.cancelled) {
@@ -734,32 +733,28 @@ void Server::execute(const std::shared_ptr<Pending>& pending) {
         if (pending->request.want_sizes) {
           sizes = runtime::sparse_sizes(*outcome.flow);
         }
-        emit(pending->client,
-             result_json(pending->request.id, false, job,
-                         pending->request.want_sizes ? &sizes : nullptr,
-                         nullptr, /*timeout=*/true));
+        response = result_json(pending->request.id, false, job,
+                               pending->request.want_sizes ? &sizes : nullptr,
+                               nullptr, /*timeout=*/true);
         results_total_->inc();
       } else {
         // Deadline fired before the sizing stage produced anything usable.
-        emit(pending->client,
-             error_json(pending->request.id, "deadline",
-                        "deadline exceeded before a partial result existed"));
+        response = error_json(pending->request.id, "deadline",
+                              "deadline exceeded before a partial result existed");
         errors_total_->inc();
       }
     } else {
       std::optional<Json> partial;
       if (outcome.ok) partial = runtime::job_json(outcome);
-      emit(pending->client,
-           cancelled_json(pending->request.id, partial ? &*partial : nullptr));
+      response = cancelled_json(pending->request.id, partial ? &*partial : nullptr);
       cancelled_total_->inc();
     }
   } else {
     if (pending->cacheable) cache_->abandon(pending->key);
-    emit(pending->client,
-         error_json(pending->request.id, "failed", outcome.error));
+    response = error_json(pending->request.id, "failed", outcome.error);
     errors_total_->inc();
   }
-  finish(pending);
+  answer(pending, response);
 }
 
 }  // namespace lrsizer::serve

@@ -222,7 +222,7 @@ class Server {
     bool cacheable = false;
     std::stop_source stop;
     std::chrono::steady_clock::time_point accepted_at;
-    /// Admission cost (logic node count), released by finish().
+    /// Admission cost (logic node count), released by answer().
     std::int64_t cost = 0;
     /// Deadline bookkeeping: armed at admission when the effective deadline
     /// is > 0. The watchdog sets timed_out *before* firing stop, so the
@@ -255,7 +255,12 @@ class Server {
   /// Run the job on the current (worker) thread and emit its terminal
   /// response; publishes/abandons the cache key for owners.
   void execute(const std::shared_ptr<Pending>& pending);
-  void finish(const std::shared_ptr<Pending>& pending);
+  /// Emit `pending`'s terminal response. Callers bump the response counters
+  /// (and publish to the cache) first, and the job leaves the queue before
+  /// the line is written, so a client that has read its answer finds it
+  /// counted, its id free and an exact repeat answered from the cache. The
+  /// drain guard (in_flight_) is released only after the write.
+  void answer(const std::shared_ptr<Pending>& pending, const runtime::Json& response);
   void handle_size(ClientId client, SizeRequest request);
   void handle_cancel(ClientId client, const std::string& id);
   /// Register `pending` with the deadline watchdog (lazily starting it).
@@ -302,8 +307,11 @@ class Server {
   mutable std::mutex mutex_;  ///< guards active_, in_flight_, queue_cost_,
                               ///< client_pending_
   std::condition_variable idle_cv_;
-  /// scoped_id -> job; ids live in per-client namespaces.
+  /// scoped_id -> job admitted but not yet answered (its size is the queue
+  /// depth); ids live in per-client namespaces.
   std::unordered_map<std::string, std::shared_ptr<Pending>> active_;
+  /// Admitted jobs whose terminal response is not yet written: active_ plus
+  /// answers mid-write. drain() waits for 0.
   std::size_t in_flight_ = 0;
   /// Σ Pending::cost of accepted-but-unfinished jobs (admission budget).
   std::int64_t queue_cost_ = 0;

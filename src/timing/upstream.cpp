@@ -11,6 +11,23 @@ constexpr std::int32_t kGrain = 64;
 
 }  // namespace
 
+// The per-node body, shared verbatim by the sequential, wavefront and
+// incremental paths so all three are bit-identical. Writes r_up[v] only;
+// reads the parents' r_up (earlier forward levels, smaller indices).
+void compute_node_upstream(const netlist::Circuit& circuit,
+                           const std::vector<double>& x,
+                           const std::vector<double>& mu,
+                           std::vector<double>& r_up, netlist::NodeId v) {
+  double acc = 0.0;
+  for (netlist::NodeId p : circuit.inputs(v)) {
+    if (p == circuit.source()) continue;  // drivers: nothing upstream
+    const auto pi = static_cast<std::size_t>(p);
+    acc += mu[pi] * circuit.resistance(p, x[pi]);
+    if (circuit.is_wire(p)) acc += r_up[pi];
+  }
+  r_up[static_cast<std::size_t>(v)] = acc;
+}
+
 void compute_weighted_upstream(const netlist::Circuit& circuit,
                                const std::vector<double>& x,
                                const std::vector<double>& mu,
@@ -25,18 +42,7 @@ void compute_weighted_upstream(const netlist::Circuit& circuit,
   // zeros (shape-keyed refill skip, see LoadAnalysis::resize).
   if (r_up.size() != n) r_up.assign(n, 0.0);
 
-  // Shared per-node body: writes r_up[v] only, reads parents' r_up (earlier
-  // forward levels).
-  auto upstream_node = [&](NodeId v) {
-    double acc = 0.0;
-    for (NodeId p : circuit.inputs(v)) {
-      if (p == circuit.source()) continue;  // drivers: nothing upstream
-      const auto pi = static_cast<std::size_t>(p);
-      acc += mu[pi] * circuit.resistance(p, x[pi]);
-      if (circuit.is_wire(p)) acc += r_up[pi];
-    }
-    r_up[static_cast<std::size_t>(v)] = acc;
-  };
+  auto upstream_node = [&](NodeId v) { compute_node_upstream(circuit, x, mu, r_up, v); };
 
   if (util::serial(exec)) {
     for (NodeId v = 1; v < circuit.sink(); ++v) upstream_node(v);

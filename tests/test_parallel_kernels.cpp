@@ -220,6 +220,7 @@ TEST(ParallelKernels, AnalysesBitIdenticalAcrossThreads) {
 TEST(ParallelKernels, LrsBitIdenticalAcrossThreads) {
   const Instance inst = make_instance("c499");
   core::LrsOptions options;
+  options.sweep = core::SweepMode::kDense;  // the Figure-8 colored sweep
 
   core::LrsWorkspace ws_serial;
   auto x_serial = inst.circuit.sizes();
@@ -409,23 +410,27 @@ void expect_same_flow(const core::FlowResult& a, const core::FlowResult& b,
 }
 
 TEST(ParallelFlow, BitIdenticalAcrossThreadsAllVariants) {
-  // The acceptance matrix: Table-1 profile x both coupling-load modes x
-  // per-net bounds on/off, threads in {1, 2, 8}.
+  // The acceptance matrix: Table-1 profile x both sweep modes x both
+  // coupling-load modes x per-net bounds on/off, threads in {1, 2, 8}.
   const auto netlist =
       netlist::generate_circuit(netlist::spec_for_profile("c432", 1));
-  for (const auto mode : {timing::CouplingLoadMode::kLocalOnly,
-                          timing::CouplingLoadMode::kPropagateUpstream}) {
-    for (const double per_net : {0.0, 0.5}) {
-      auto options = flow_options(per_net, mode);
-      options.threads = 1;
-      const auto baseline = core::run_two_stage_flow(netlist, options);
-      for (const int threads : {2, 8}) {
-        options.threads = threads;
-        const auto result = core::run_two_stage_flow(netlist, options);
-        expect_same_flow(baseline, result,
-                         "mode=" + std::to_string(static_cast<int>(mode)) +
-                             " per_net=" + std::to_string(per_net) +
-                             " threads=" + std::to_string(threads));
+  for (const auto sweep : {core::SweepMode::kWorklist, core::SweepMode::kDense}) {
+    for (const auto mode : {timing::CouplingLoadMode::kLocalOnly,
+                            timing::CouplingLoadMode::kPropagateUpstream}) {
+      for (const double per_net : {0.0, 0.5}) {
+        auto options = flow_options(per_net, mode);
+        options.ogws.lrs.sweep = sweep;
+        options.threads = 1;
+        const auto baseline = core::run_two_stage_flow(netlist, options);
+        for (const int threads : {2, 8}) {
+          options.threads = threads;
+          const auto result = core::run_two_stage_flow(netlist, options);
+          expect_same_flow(baseline, result,
+                           std::string(core::sweep_mode_name(sweep)) +
+                               " mode=" + std::to_string(static_cast<int>(mode)) +
+                               " per_net=" + std::to_string(per_net) +
+                               " threads=" + std::to_string(threads));
+        }
       }
     }
   }

@@ -17,6 +17,7 @@
 #include <cerrno>
 #endif
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -111,6 +112,22 @@ TEST(CacheKey, AnyOtherOptionInvalidatesTheKey) {
   reelab.elab.seed = 99;
   // A different elaboration is a different circuit: new warm class too.
   EXPECT_NE(runtime::cache_key(nl, reelab).warm_prefix, base.warm_prefix);
+}
+
+TEST(CacheKey, SweepModesKeepSeparateEntries) {
+  // Worklist (the default) and dense results are tolerance-equivalent, not
+  // bit-identical, so a dense request must never be answered from a
+  // worklist entry or vice versa.
+  const auto nl = netlist::generate_circuit(tiny_spec(1));
+  core::FlowOptions dense = fast_options();
+  dense.ogws.lrs.sweep = core::SweepMode::kDense;
+  const auto worklist_key = runtime::cache_key(nl, fast_options());
+  const auto dense_key = runtime::cache_key(nl, dense);
+  EXPECT_NE(worklist_key.key, dense_key.key);
+  EXPECT_EQ(worklist_key.warm_prefix, dense_key.warm_prefix);
+  EXPECT_EQ(runtime::canonical_options_json(fast_options())
+                .at("ogws").at("lrs").at("sweep").as_string(),
+            "worklist");
 }
 
 // ---- ResultCache ------------------------------------------------------------
@@ -520,6 +537,20 @@ TEST(Protocol, ParsesASizeRequestWithOverrides) {
   ASSERT_EQ(request.size.job.warm_sizes.size(), 1u);
   EXPECT_EQ(request.size.job.warm_sizes[0].first, 7);
   EXPECT_GT(request.size.job.netlist.num_gates_logic(), 0);
+}
+
+TEST(Protocol, SweepOptionSelectsDenseOverTheWorklistDefault) {
+  serve::Request request;
+  const std::string prefix = R"({"type":"size","id":"a","input":{"profile":"c17"})";
+  ASSERT_TRUE(serve::parse_request(prefix + "}", core::FlowOptions{}, &request).ok());
+  EXPECT_EQ(request.size.job.options.ogws.lrs.sweep, core::SweepMode::kWorklist);
+  ASSERT_TRUE(serve::parse_request(prefix + R"(,"options":{"sweep":"dense"}})",
+                                   core::FlowOptions{}, &request)
+                  .ok());
+  EXPECT_EQ(request.size.job.options.ogws.lrs.sweep, core::SweepMode::kDense);
+  EXPECT_FALSE(serve::parse_request(prefix + R"(,"options":{"sweep":"sparse"}})",
+                                    core::FlowOptions{}, &request)
+                   .ok());
 }
 
 TEST(Protocol, DefaultSeedFollowsTheServersElabSeed) {
@@ -1660,6 +1691,35 @@ TEST(ServeTcp, PartialLinesFromASlowWriterAssembleIntoOneRequest) {
   const auto result = client.read_until("result");
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->at("id").as_string(), "slow");
+}
+
+TEST(ServeTcp, CacheHitsAnswerWithoutWaitingForADelayedAck) {
+  // A cache hit is answered with two small writes, accepted then result.
+  // With Nagle's algorithm on, the second waits for the client's delayed
+  // ACK of the first (~40 ms on Linux); a hit itself takes about 1 ms.
+  serve::ServerOptions options;
+  options.jobs = 1;
+  TcpServer ts(options);
+  TcpClient client(ts.port.load());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.read_until("hello").has_value());
+  client.send_line(size_request("cold", "c17"));
+  ASSERT_TRUE(client.read_until("result").has_value());
+
+  std::vector<double> hit_ms;
+  for (int k = 0; k < 11; ++k) {
+    const auto t0 = std::chrono::steady_clock::now();
+    client.send_line(size_request("hit" + std::to_string(k), "c17"));
+    const auto result = client.read_until("result");
+    ASSERT_TRUE(result.has_value());
+    EXPECT_TRUE(result->at("cache_hit").as_bool());
+    hit_ms.push_back(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count());
+  }
+  const auto median = hit_ms.begin() + static_cast<std::ptrdiff_t>(hit_ms.size() / 2);
+  std::nth_element(hit_ms.begin(), median, hit_ms.end());
+  EXPECT_LT(*median, 20.0);
 }
 
 TEST(ServeTcp, OversizedLineIsRejectedWithoutBufferingOrDisconnect) {

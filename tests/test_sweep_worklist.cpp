@@ -8,8 +8,9 @@
 // The battery runs whole OGWS optimizations in both modes across ISCAS
 // profiles, seeded generator variants, both coupling-load modes and both
 // noise-bound shapes (total-only and distributed per-net), plus warm starts;
-// a probe-driven property test certifies the dirty-set logic (every skipped
-// node really was stationary), and a resume-sequence test re-checks the
+// probe-driven property tests certify the dirty-set logic (every skipped
+// node really was stationary; the repaired r_up, loads and frontier equal a
+// full recomputation at every pass start), and a resume-sequence test re-checks the
 // thread bit-determinism contract for this sweep specifically.
 //
 // Divergence margins are calibrated ~30x above measured worst cases
@@ -20,6 +21,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -36,6 +38,7 @@
 #include "netlist/levels.hpp"
 #include "runtime/pool.hpp"
 #include "timing/loads.hpp"
+#include "timing/upstream.hpp"
 #include "util/parallel.hpp"
 
 namespace {
@@ -291,6 +294,103 @@ TEST(SweepWorklist, SkippedNodesAreStationaryOnRandomizedCircuits) {
   }
 }
 
+// ---- repaired analyses and frontier equal full recomputation ---------------
+
+TEST(SweepWorklist, RepairedUpstreamAndFrontierMatchFullRecomputation) {
+  // Passes after a small sweep repair the loads and r_up below the movers and
+  // re-check only the nodes whose cap_prime or r_up changed. Both shortcuts
+  // promise exactly the full computation's result: at every pass start, r_up
+  // and the loads equal a fresh full pass at the frozen x bit for bit, and
+  // the frontier equals what a full seeding scan over every component yields.
+  struct Config {
+    const char* profile;
+    int seed;
+    timing::CouplingLoadMode mode;
+    double per_net;
+  };
+  const Config configs[] = {{"c432", 3, kLocal, 0.0}, {"c499", 1, kUpstream, 0.5}};
+  for (const auto& cfg : configs) {
+    SCOPED_TRACE(std::string(cfg.profile) + " seed " + std::to_string(cfg.seed));
+    const Problem p = build_problem(cfg.profile, cfg.seed, cfg.mode, cfg.per_net);
+    const netlist::Circuit& circuit = p.circuit;
+    auto mu = default_mu(circuit);
+    const double beta = 0.25;
+    // Per-net multipliers make the coupling coefficient differ per owner.
+    std::vector<double> gamma_net(mu.size(), 0.0);
+    for (std::size_t i = 0; i < gamma_net.size(); i += 5) gamma_net[i] = 0.05;
+    const core::NoiseMultipliers gamma =
+        cfg.per_net > 0.0 ? core::NoiseMultipliers(0.125, &gamma_net)
+                          : core::NoiseMultipliers(0.125);
+
+    core::LrsOptions options;
+    options.sweep = core::SweepMode::kWorklist;
+    options.warm_start = true;
+    options.mode = cfg.mode;
+    const double eps = options.tol / 8.0;
+    auto drifted = [eps](double a, double b) {
+      return std::abs(a - b) >
+             eps * std::max(std::abs(b), std::numeric_limits<double>::min());
+    };
+
+    core::LrsWorkspace ws;
+    std::vector<double> x(mu.size(), 1.0);
+    // The frontier as the last sweep left it (a cold call starts full).
+    std::vector<unsigned char> leftover(mu.size(), 1);
+    // Sizes at the last pass start, and how many the sweep then moved: a
+    // pass after a sweep that moved under 1% of the components repairs.
+    std::vector<double> x_at_begin;
+    const auto components = static_cast<long long>(circuit.num_components());
+    long long last_moved = 0, checked_passes = 0, repaired_passes = 0;
+
+    core::LrsProbe probe;
+    probe.on_pass_begin = [&](int pass, const std::vector<double>& x_now,
+                              const timing::LoadAnalysis& loads,
+                              const std::vector<double>& r_up,
+                              const std::vector<unsigned char>& pending) {
+      std::vector<double> fresh_r_up;
+      timing::compute_weighted_upstream(circuit, x_now, mu, fresh_r_up);
+      EXPECT_EQ(r_up, fresh_r_up) << "pass " << pass;
+      timing::LoadAnalysis fresh_loads;
+      timing::compute_loads(circuit, p.coupling, x_now, cfg.mode, fresh_loads);
+      EXPECT_EQ(loads.cap_prime, fresh_loads.cap_prime) << "pass " << pass;
+      EXPECT_EQ(loads.load_in, fresh_loads.load_in) << "pass " << pass;
+
+      for (netlist::NodeId v = circuit.first_component(); v < circuit.end_component();
+           ++v) {
+        const auto i = static_cast<std::size_t>(v);
+        const double num = ws.mu_res[i] * loads.cap_prime[i];
+        const double den = circuit.area_weight(v) +
+                           (beta + r_up[i]) * circuit.unit_cap(v) + ws.gamma_coef[i];
+        const bool expected = leftover[i] != 0 || drifted(num, ws.snap_num[i]) ||
+                              drifted(den, ws.snap_den[i]);
+        EXPECT_EQ(pending[i] != 0, expected) << "node " << v << " on pass " << pass;
+      }
+      ++checked_passes;
+      if (pass > 0 && last_moved * 100 <= components) ++repaired_passes;
+      x_at_begin = x_now;
+    };
+    probe.on_pass_end = [&](int, const std::vector<unsigned char>&) {
+      leftover = ws.pending;
+      last_moved = 0;
+      for (std::size_t i = 0; i < x.size(); ++i) last_moved += x[i] != x_at_begin[i];
+    };
+
+    core::LrsRuntime runtime;
+    runtime.probe = &probe;
+    core::run_lrs(circuit, p.coupling, mu, beta, gamma, options, x, ws, runtime);
+    // Resumed calls after sparse μ nudges, the shape of an OGWS iteration.
+    for (int round = 0; round < 4; ++round) {
+      const double f = (round % 2 == 0) ? 1.003 : 1.0 / 1.004;
+      for (std::size_t i = static_cast<std::size_t>(2 + round); i < mu.size(); i += 97) {
+        mu[i] *= f;
+      }
+      core::run_lrs(circuit, p.coupling, mu, beta, gamma, options, x, ws, runtime);
+    }
+    EXPECT_GT(repaired_passes, 0) << "no pass exercised the repairs";
+    EXPECT_GT(checked_passes, repaired_passes);
+  }
+}
+
 // ---- thread bit-determinism of resumed worklist sequences ------------------
 
 TEST(SweepWorklist, ResumedSweepsBitIdenticalAcrossThreads) {
@@ -430,20 +530,14 @@ TEST(SweepWorklist, OptionsRoundTripAndValidate) {
   EXPECT_STREQ(core::sweep_mode_name(core::SweepMode::kDense), "dense");
   EXPECT_STREQ(core::sweep_mode_name(core::SweepMode::kWorklist), "worklist");
 
+  // Worklist is the default everywhere FlowOptions{} reaches; dense stays
+  // selectable as the exact reference.
+  EXPECT_EQ(core::FlowOptions{}.ogws.lrs.sweep, core::SweepMode::kWorklist);
   core::FlowOptions out;
-  const api::Status ok = api::FlowOptionsBuilder()
-                             .sweep_mode(core::SweepMode::kWorklist)
-                             .worklist_eps(1e-5)
-                             .build(out);
+  const api::Status ok =
+      api::FlowOptionsBuilder().sweep_mode(core::SweepMode::kDense).build(out);
   ASSERT_TRUE(ok.ok()) << ok.message();
-  EXPECT_EQ(out.ogws.lrs.sweep, core::SweepMode::kWorklist);
-  EXPECT_EQ(out.ogws.lrs.worklist_eps, 1e-5);
-
-  // worklist_eps must stay strictly below the fixpoint tolerance.
-  const api::Status bad =
-      api::FlowOptionsBuilder().worklist_eps(1e-4).build(out);
-  EXPECT_EQ(bad.code(), api::StatusCode::kInvalidArgument);
-  EXPECT_NE(bad.message().find("worklist_eps"), std::string::npos);
+  EXPECT_EQ(out.ogws.lrs.sweep, core::SweepMode::kDense);
 }
 
 }  // namespace

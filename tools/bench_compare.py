@@ -7,8 +7,7 @@ Usage:
 Matches rows by (kernel, threads) and reports the ns/op delta for each;
 exits 1 when any kernel regressed by more than --threshold percent (default
 10). Rows present in only one file are listed but never fail the diff (new
-kernels appear, old ones retire). The redundancy block is compared the same
-way via its fused ns.
+kernels appear, old ones retire).
 
 --metrics restricts the comparison to kernels matching any of the given
 comma-separated glob patterns (e.g. `--metrics ogws_iteration` or
@@ -35,9 +34,6 @@ def load_rows(path):
                  f"(schema = {doc.get('schema')!r})")
     rows = {(row["kernel"], row["threads"]): row["ns_per_op"]
             for row in doc.get("kernels", [])}
-    red = doc.get("redundancy")
-    if red:
-        rows[("redundancy/fused", 1)] = red["fused_ns"]
     return doc, rows
 
 

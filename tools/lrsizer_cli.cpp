@@ -86,11 +86,11 @@ options:
   --jobs N          concurrent jobs (default: cores / --threads)
   --threads N       kernel threads per job for the sizing stage (default 1;
                     0 = hardware concurrency; results are bit-identical)
-  --sweep MODE      LRS sweep strategy: dense (paper-exact, the default) or
-                    worklist (frontier-driven incremental passes — skips
-                    nodes whose resize inputs did not move; converges to the
-                    same solution within tolerance but is not bit-identical
-                    to dense)
+  --sweep MODE      LRS sweep strategy: worklist (the default; frontier-
+                    driven incremental passes that skip nodes whose resize
+                    inputs did not move) or dense (the paper-exact Figure-8
+                    reference; same solution within tolerance, but not
+                    bit-identical to worklist)
   --seed N          generator/elaboration seed (default 1)
   --vectors N       stage-1 simulation vectors (default 32)
   --no-woss         keep the initial track order (skip stage-1 WOSS)
@@ -193,7 +193,7 @@ struct CliOptions {
   double noise_bound = 0.10;
   int jobs = 0;
   int threads = 1;
-  core::SweepMode sweep = core::SweepMode::kDense;
+  core::SweepMode sweep = core::SweepMode::kWorklist;
   int shard_index = 0;
   int shard_count = 0;   ///< 0 = unsharded
   int listen_port = -1;  ///< -1 = stdin/stdout; 0 = ephemeral TCP port
@@ -294,10 +294,9 @@ CliOptions parse_args(int argc, char** argv) {
       if (cli.threads < 0) fail("--threads must be >= 0 (0 = hardware concurrency)");
     }
     else if (arg == "--sweep") {
-      const std::string value = next_value(i);
-      if (value == "dense") cli.sweep = core::SweepMode::kDense;
-      else if (value == "worklist") cli.sweep = core::SweepMode::kWorklist;
-      else fail("--sweep must be dense or worklist");
+      const auto mode = core::sweep_mode_from_name(next_value(i));
+      if (!mode) fail("--sweep must be dense or worklist");
+      cli.sweep = *mode;
     }
     else if (arg == "--shard") {
       const std::string value = next_value(i);
