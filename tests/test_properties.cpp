@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/flow.hpp"
 #include "layout/ordering.hpp"
@@ -148,6 +149,12 @@ struct TruncCase {
   double u;
   int k;
 };
+
+// Printed by value: gtest's default byte dump would put the struct's padding
+// bytes, which are uninitialised and differ from run to run, in the test names.
+void PrintTo(const TruncCase& c, std::ostream* os) {
+  *os << "u=" << c.u << ",k=" << c.k;
+}
 
 class TruncationProperty : public ::testing::TestWithParam<TruncCase> {};
 
