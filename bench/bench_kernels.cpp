@@ -1,25 +1,22 @@
 // Micro-benchmarks of the O(|V|+|E|) kernels behind the paper's "linear
-// runtime per iteration" claim (Figure 10b), extended with the
-// level-parallel variants.
+// runtime per iteration" claim (Figure 10b).
 //
-//   bench_kernels [--profile NAME] [--threads CSV] [--min-ms N] [--json FILE]
+//   bench_kernels [--profile NAME] [--min-ms N] [--json FILE]
 //
-// For each kernel (load pass, upstream pass, arrival pass, full LRS solve,
-// OGWS dual update A4+A5) the harness times threads = 1 plus every entry of
-// --threads (default 1,2,4) on a runtime::KernelTeam, reporting ns/op and
-// the speedup against the serial pass. Two serial rows compare the LRS
-// sweep modes on a steady-state re-solve (perturb ~1% of μ, re-solve from
-// the fixpoint): "lrs_sweep_dense" vs "lrs_sweep_worklist", the worklist
-// row's speedup column anchored to dense. A last serial row times one OGWS
-// iteration's analysis sequence ("ogws_iteration", the multiplier update
-// excluded). Every row that runs LRS names its sweep mode explicitly, so a
-// change of the library default leaves the rows' meaning alone: lrs_solve
-// and ogws_iteration time the dense Figure-8 sweep.
+// One row per kernel, ns/op: the load, upstream and arrival passes, a full
+// LRS solve, the OGWS dual update A4+A5, the flow projection and the noise
+// metric. Two rows compare the LRS sweep modes on a steady-state re-solve
+// (perturb ~1% of μ, re-solve from the fixpoint): "lrs_sweep_dense" vs
+// "lrs_sweep_worklist". A last row times one OGWS iteration's analysis
+// sequence ("ogws_iteration", the multiplier update excluded). Every row
+// that runs LRS names its sweep mode explicitly, so a change of the library
+// default leaves the rows' meaning alone: lrs_solve and ogws_iteration time
+// the dense Figure-8 sweep.
 //
 // --json writes the machine-readable BENCH_kernels.json (schema
-// lrsizer-bench-kernels-v1: git SHA, per-kernel ns, speedups) that CI
-// uploads as a perf artifact; tools/bench_compare.py diffs two of them and
-// flags >10% regressions.
+// lrsizer-bench-kernels-v2: git SHA, per-kernel ns) that CI uploads as a
+// perf artifact; tools/bench_compare.py diffs two of them and flags >10%
+// regressions.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -28,8 +25,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,13 +35,11 @@
 #include "core/ogws.hpp"
 #include "core/problem.hpp"
 #include "layout/channels.hpp"
-#include "layout/coloring.hpp"
 #include "layout/neighbors.hpp"
 #include "netlist/elaborator.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/iscas_profiles.hpp"
 #include "runtime/json.hpp"
-#include "runtime/pool.hpp"
 #include "timing/arrival.hpp"
 #include "timing/loads.hpp"
 #include "timing/metrics.hpp"
@@ -64,14 +57,12 @@ using namespace lrsizer;
 
 struct Args {
   std::string profile = "c7552";  // the largest Table-1 profile
-  std::vector<int> threads = {1, 2, 4};
   double min_ms = 50.0;
   std::string json_path;
 };
 
 [[noreturn]] void usage_and_exit(int code) {
-  std::cerr << "usage: bench_kernels [--profile NAME] [--threads CSV] "
-               "[--min-ms N] [--json FILE]\n";
+  std::cerr << "usage: bench_kernels [--profile NAME] [--min-ms N] [--json FILE]\n";
   std::exit(code);
 }
 
@@ -85,16 +76,6 @@ Args parse_args(int argc, char** argv) {
     };
     if (arg == "--profile") {
       args.profile = value();
-    } else if (arg == "--threads") {
-      args.threads.clear();
-      std::stringstream ss(value());
-      std::string part;
-      while (std::getline(ss, part, ',')) {
-        const int t = std::atoi(part.c_str());
-        if (t < 1) usage_and_exit(1);
-        args.threads.push_back(t);
-      }
-      if (args.threads.empty()) usage_and_exit(1);
     } else if (arg == "--min-ms") {
       args.min_ms = std::atof(value().c_str());
       if (args.min_ms <= 0.0) usage_and_exit(1);
@@ -113,7 +94,6 @@ Args parse_args(int argc, char** argv) {
 struct Instance {
   netlist::Circuit circuit;
   layout::CouplingSet coupling;
-  netlist::LevelSchedule colors;
   core::MultiplierState multipliers;
   std::vector<double> mu;
   core::Bounds bounds;
@@ -153,9 +133,8 @@ Instance make_instance(const std::string& profile) {
   std::vector<double> mu;
   m.compute_mu(elab.circuit, mu);
 
-  auto colors = layout::build_coupling_colors(elab.circuit, coupling);
-  return Instance{std::move(elab.circuit), std::move(coupling), std::move(colors),
-                  std::move(m),            std::move(mu),       bounds};
+  return Instance{std::move(elab.circuit), std::move(coupling), std::move(m),
+                  std::move(mu), bounds};
 }
 
 /// Seconds per call: calibrate a batch size that runs >= min_ms, then take
@@ -186,9 +165,7 @@ double seconds_per_op(double min_ms, Fn&& fn) {
 
 struct Row {
   std::string kernel;
-  int threads = 1;
   double ns_per_op = 0.0;
-  double speedup_vs_serial = 1.0;
 };
 
 /// Optimization barrier for benched values (file scope so -Wunused-but-set
@@ -213,57 +190,28 @@ int main(int argc, char** argv) {
               args.profile.c_str(), circuit.num_nodes(), circuit.num_edges(),
               inst.coupling.pairs().size(), git_sha());
 
-  // Teams are built once per thread count and reused across kernels so the
-  // timings exclude thread start-up. The serial run always goes first — it
-  // anchors every speedup_vs_serial ratio.
-  std::vector<int> thread_counts = {1};
-  for (const int t : args.threads) {
-    if (std::find(thread_counts.begin(), thread_counts.end(), t) ==
-        thread_counts.end()) {
-      thread_counts.push_back(t);
-    }
-  }
-  std::vector<std::unique_ptr<runtime::KernelTeam>> teams;
-  for (const int t : thread_counts) {
-    teams.push_back(t > 1 ? std::make_unique<runtime::KernelTeam>(t) : nullptr);
-  }
-
   std::vector<Row> rows;
-  auto bench_threaded = [&](const std::string& kernel, auto&& make_fn) {
-    double serial_ns = 0.0;
-    for (std::size_t k = 0; k < thread_counts.size(); ++k) {
-      util::Executor* exec = teams[k] != nullptr ? teams[k].get() : nullptr;
-      const double ns = seconds_per_op(args.min_ms, make_fn(exec)) * 1e9;
-      if (thread_counts[k] == 1) serial_ns = ns;
-      rows.push_back({kernel, thread_counts[k], ns,
-                      serial_ns > 0.0 && ns > 0.0 ? serial_ns / ns : 1.0});
-    }
+  auto bench = [&](const std::string& kernel, auto&& fn) {
+    rows.push_back({kernel, seconds_per_op(args.min_ms, fn) * 1e9});
+    return rows.back().ns_per_op;
   };
 
-  // ---- the per-iteration kernels, serial + level-parallel ----
+  // ---- the per-iteration kernels ----
 
   timing::LoadAnalysis loads;
-  bench_threaded("loads", [&](util::Executor* exec) {
-    return [&, exec] {
-      timing::compute_loads(circuit, inst.coupling, circuit.sizes(), mode, loads,
-                            exec);
-    };
+  bench("loads", [&] {
+    timing::compute_loads(circuit, inst.coupling, circuit.sizes(), mode, loads);
   });
 
   std::vector<double> r_up;
-  bench_threaded("upstream", [&](util::Executor* exec) {
-    return [&, exec] {
-      timing::compute_weighted_upstream(circuit, circuit.sizes(), inst.mu, r_up,
-                                        exec);
-    };
+  bench("upstream", [&] {
+    timing::compute_weighted_upstream(circuit, circuit.sizes(), inst.mu, r_up);
   });
 
   timing::compute_loads(circuit, inst.coupling, circuit.sizes(), mode, loads);
   timing::ArrivalAnalysis arrivals;
-  bench_threaded("arrivals", [&](util::Executor* exec) {
-    return [&, exec] {
-      timing::compute_arrivals(circuit, circuit.sizes(), loads, arrivals, exec);
-    };
+  bench("arrivals", [&] {
+    timing::compute_arrivals(circuit, circuit.sizes(), loads, arrivals);
   });
 
   core::LrsWorkspace lrs_ws;
@@ -272,15 +220,11 @@ int main(int argc, char** argv) {
   const double beta = inst.multipliers.beta;
   const core::NoiseMultipliers gamma(inst.multipliers.gamma);
   std::vector<double> x = circuit.sizes();
-  bench_threaded("lrs_solve", [&](util::Executor* exec) {
-    const core::LrsRuntime runtime{exec, &inst.colors};
-    return [&, runtime] {
-      core::run_lrs(circuit, inst.coupling, inst.mu, beta, gamma, lrs_options, x,
-                    lrs_ws, runtime);
-    };
+  bench("lrs_solve", [&] {
+    core::run_lrs(circuit, inst.coupling, inst.mu, beta, gamma, lrs_options, x, lrs_ws);
   });
 
-  // ---- the OGWS dual step A4+A5, serial + level-parallel ----
+  // ---- the OGWS dual step A4+A5 ----
   //
   // Each op restores λ/β/γ from the warmup snapshot first: the
   // multiplicative rule compounds, so unrestored repeats would walk the
@@ -300,15 +244,13 @@ int main(int argc, char** argv) {
   const std::vector<double> lambda0 = inst.multipliers.lambda;
   const double beta0 = inst.multipliers.beta;
   const double gamma0 = inst.multipliers.gamma;
-  bench_threaded("dual_update", [&](util::Executor* exec) {
-    return [&, exec] {
-      inst.multipliers.lambda = lambda0;
-      inst.multipliers.beta = beta0;
-      inst.multipliers.gamma = gamma0;
-      core::dual_ascent_step(circuit, inst.coupling, inst.bounds, dual_options,
-                             arrivals, circuit.sizes(), cap_now, noise_now,
-                             dual_rho, dual_scales, inst.multipliers, exec);
-    };
+  bench("dual_update", [&] {
+    inst.multipliers.lambda = lambda0;
+    inst.multipliers.beta = beta0;
+    inst.multipliers.gamma = gamma0;
+    core::dual_ascent_step(circuit, inst.coupling, inst.bounds, dual_options, arrivals,
+                           circuit.sizes(), cap_now, noise_now, dual_rho, dual_scales,
+                           inst.multipliers);
   });
   inst.multipliers.lambda = lambda0;
   inst.multipliers.beta = beta0;
@@ -321,9 +263,8 @@ int main(int argc, char** argv) {
   // ~1% of the μ entries by ×1.01 — alternating with ÷1.01 so repeats stay
   // bounded — and re-solves from the previous fixpoint. Dense warm-starts
   // but still prices every component each pass; worklist re-processes only
-  // the seeded frontier. The worklist row's speedup column is
-  // dense_ns / worklist_ns (both rows are serial).
-  auto bench_sweep = [&](core::SweepMode sweep_mode) {
+  // the seeded frontier.
+  auto bench_sweep = [&](const std::string& kernel, core::SweepMode sweep_mode) {
     core::LrsOptions opts;
     opts.warm_start = true;
     opts.sweep = sweep_mode;
@@ -335,46 +276,31 @@ int main(int argc, char** argv) {
     core::run_lrs(circuit, inst.coupling, mu_local, beta, gamma, cold, x_local,
                   ws);
     std::int64_t toggle = 0;
-    return seconds_per_op(args.min_ms, [&] {
-             const double f = (toggle++ % 2 == 0) ? 1.01 : 1.0 / 1.01;
-             for (std::size_t i = 7; i < mu_local.size(); i += 97) {
-               mu_local[i] *= f;
-             }
-             core::run_lrs(circuit, inst.coupling, mu_local, beta, gamma, opts,
-                           x_local, ws);
-             g_bench_sink = x_local[x_local.size() / 2];
-           }) *
-           1e9;
+    return bench(kernel, [&] {
+      const double f = (toggle++ % 2 == 0) ? 1.01 : 1.0 / 1.01;
+      for (std::size_t i = 7; i < mu_local.size(); i += 97) {
+        mu_local[i] *= f;
+      }
+      core::run_lrs(circuit, inst.coupling, mu_local, beta, gamma, opts, x_local, ws);
+      g_bench_sink = x_local[x_local.size() / 2];
+    });
   };
-  const double dense_sweep_ns = bench_sweep(core::SweepMode::kDense);
-  const double worklist_sweep_ns = bench_sweep(core::SweepMode::kWorklist);
-  rows.push_back({"lrs_sweep_dense", 1, dense_sweep_ns, 1.0});
-  rows.push_back({"lrs_sweep_worklist", 1, worklist_sweep_ns,
-                  worklist_sweep_ns > 0.0 ? dense_sweep_ns / worklist_sweep_ns
-                                          : 1.0});
+  const double dense_sweep_ns = bench_sweep("lrs_sweep_dense", core::SweepMode::kDense);
+  const double worklist_sweep_ns =
+      bench_sweep("lrs_sweep_worklist", core::SweepMode::kWorklist);
 
-  // ---- serial-only reference kernels (Figure 10b linearity set) ----
+  // ---- reference kernels (Figure 10b linearity set) ----
 
-  rows.push_back({"flow_projection", 1,
-                  seconds_per_op(args.min_ms,
-                                 [&] { inst.multipliers.project_flow(circuit); }) *
-                      1e9,
-                  1.0});
-  rows.push_back(
-      {"noise_metric", 1,
-       seconds_per_op(args.min_ms,
-                      [&] {
-                        g_bench_sink = inst.coupling.noise_linear(circuit.sizes());
-                      }) *
-           1e9,
-       1.0});
+  bench("flow_projection", [&] { inst.multipliers.project_flow(circuit); });
+  bench("noise_metric",
+        [&] { g_bench_sink = inst.coupling.noise_linear(circuit.sizes()); });
 
   // ---- one OGWS iteration's analysis sequence ----
   //
   // A2, the LRS solve (whose loads arrivals reuse), the arrival pass, the
   // scalar metrics and the dual; the multiplier update A4/A5 is excluded.
   const double mu_sink = inst.multipliers.sink_mu(circuit);
-  auto ogws_iteration = [&] {
+  bench("ogws_iteration", [&] {
     inst.multipliers.compute_mu(circuit, inst.mu);  // A2
     core::run_lrs(circuit, inst.coupling, inst.mu, beta, gamma, lrs_options, x,
                   lrs_ws);
@@ -386,23 +312,21 @@ int main(int argc, char** argv) {
         circuit, inst.coupling, x, inst.mu, mu_sink, beta, gamma, inst.bounds,
         arrivals, core::LagrangianTerms{area, cap, noise});
     g_bench_sink = dual + area + cap + noise + arrivals.critical_delay;
-  };
-  rows.push_back(
-      {"ogws_iteration", 1, seconds_per_op(args.min_ms, ogws_iteration) * 1e9, 1.0});
+  });
 
   // ---- report ----
 
-  util::TextTable table({"kernel", "threads", "ns/op", "speedup"});
+  util::TextTable table({"kernel", "ns/op"});
   for (const auto& row : rows) {
-    table.add_row({row.kernel, util::TextTable::integer(row.threads),
-                   util::TextTable::num(row.ns_per_op, 0),
-                   util::TextTable::num(row.speedup_vs_serial, 2)});
+    table.add_row({row.kernel, util::TextTable::num(row.ns_per_op, 0)});
   }
   table.print(std::cout);
+  std::printf("worklist sweep: %.2fx over dense on the same re-solve\n",
+              dense_sweep_ns / worklist_sweep_ns);
 
   if (!args.json_path.empty()) {
     runtime::Json j = runtime::Json::object();
-    j.set("schema", "lrsizer-bench-kernels-v1");
+    j.set("schema", "lrsizer-bench-kernels-v2");
     j.set("git_sha", git_sha());
     j.set("profile", args.profile);
     j.set("hardware_concurrency",
@@ -415,9 +339,7 @@ int main(int argc, char** argv) {
     for (const auto& row : rows) {
       runtime::Json entry = runtime::Json::object();
       entry.set("kernel", row.kernel);
-      entry.set("threads", static_cast<std::int64_t>(row.threads));
       entry.set("ns_per_op", row.ns_per_op);
-      entry.set("speedup_vs_serial", row.speedup_vs_serial);
       kernels.push_back(entry);
     }
     j.set("kernels", kernels);

@@ -115,9 +115,6 @@ Status validate_options(const core::FlowOptions& options) {
     return invalid("bound_factors.per_net_noise", ">= 0 (0 disables per-net bounds)",
                    factors.per_net_noise);
 
-  if (options.threads < 0)
-    return invalid("threads", ">= 0 (0 = hardware concurrency, 1 = serial)",
-                   options.threads);
   if (options.initial_size <= 0.0)
     return invalid("initial_size", "> 0", options.initial_size);
   if (options.initial_size < options.tech.min_size ||

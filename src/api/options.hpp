@@ -100,16 +100,10 @@ class FlowOptionsBuilder {
     options_.initial_size = size;
     return *this;
   }
-  /// Intra-job kernel threads (1 = serial, 0 = hardware concurrency);
-  /// bit-identical results at any value.
-  FlowOptionsBuilder& threads(int threads) {
-    options_.threads = threads;
-    return *this;
-  }
   /// LRS sweep strategy (worklist = the default, frontier-driven incremental
   /// sweeps; dense = the paper-exact Figure-8 reference, tolerance-equivalent
-  /// to worklist but not bit-identical — see docs/ARCHITECTURE.md §Parallel
-  /// kernels).
+  /// to worklist but not bit-identical — see docs/ARCHITECTURE.md §Worklist
+  /// LRS).
   FlowOptionsBuilder& sweep_mode(core::SweepMode mode) {
     options_.ogws.lrs.sweep = mode;
     return *this;

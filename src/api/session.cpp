@@ -10,12 +10,10 @@
 #include "fault/fault.hpp"
 #include "layout/ordering.hpp"
 #include "obs/trace.hpp"
-#include "runtime/pool.hpp"
 #include "sim/patterns.hpp"
 #include "sim/similarity.hpp"
 #include "util/assert.hpp"
 #include "util/memtrack.hpp"
-#include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 namespace lrsizer::api {
@@ -310,17 +308,6 @@ Status SizingSession::size() {
   control.capture_warm_start = capture_warm_start_;
   control.trace = trace_;
   if (warm_.has_value()) control.warm_start = &*warm_;
-
-  // Intra-job parallelism: a caller-supplied executor wins; otherwise the
-  // session runs its own kernel team for the duration of this stage when
-  // options.threads asks for more than serial. Either way the result is
-  // bit-identical to threads = 1.
-  std::unique_ptr<runtime::KernelTeam> team;
-  control.executor = external_executor_;
-  if (control.executor == nullptr && options_.threads != 1) {
-    team = std::make_unique<runtime::KernelTeam>(options_.threads);
-    control.executor = team.get();
-  }
 
   util::WallTimer stage2_timer;
   core::OgwsResult ogws =

@@ -44,10 +44,6 @@
 #include "api/status.hpp"
 #include "core/flow.hpp"
 
-namespace lrsizer::util {
-class Executor;
-}
-
 namespace lrsizer::obs {
 class TraceSession;
 }
@@ -82,12 +78,6 @@ class SizingSession {
 
   /// Cooperative cancellation token; see the cancellation contract above.
   void set_stop_token(std::stop_token token) { stop_ = std::move(token); }
-
-  /// Kernel executor for the sizing stage's level-parallel passes (borrowed;
-  /// must outlive size()). Overrides the session's own team: without this,
-  /// size() spins up a runtime::KernelTeam of options.threads when
-  /// options.threads != 1. Results are bit-identical with any executor.
-  void set_executor(util::Executor* executor) { external_executor_ = executor; }
 
   /// Flow tracing (borrowed; must outlive the last stage call): each stage
   /// records one span, and size() additionally records one span per OGWS
@@ -179,7 +169,6 @@ class SizingSession {
 
   IterationObserver observer_;
   std::stop_token stop_;
-  util::Executor* external_executor_ = nullptr;
   obs::TraceSession* trace_ = nullptr;
   bool capture_warm_start_ = true;
   std::optional<core::OgwsWarmStart> warm_;

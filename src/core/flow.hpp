@@ -40,11 +40,9 @@ struct FlowOptions {
   OgwsOptions ogws;
   /// Initial component size (the paper's Table 1 "Init" point).
   double initial_size = 1.0;
-  /// Intra-job kernel threads for the sizing stage: the level-parallel
-  /// timing/LRS kernels run on a runtime::KernelTeam of this size. 1 =
-  /// serial (default), 0 = hardware concurrency. Results are bit-identical
-  /// for every value (docs/ARCHITECTURE.md §Parallel kernels); in a batch,
-  /// cores split as jobs × threads (runtime/batch.hpp).
+  /// Ignored: every job sizes serially (docs/ARCHITECTURE.md §Concurrency).
+  /// Kept only because perfbench/driver.cpp still assigns it; it goes
+  /// together with that line in the next benchmark change.
   int threads = 1;
 };
 

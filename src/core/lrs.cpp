@@ -5,7 +5,6 @@
 #include <limits>
 #include <optional>
 
-#include "layout/coloring.hpp"
 #include "obs/trace.hpp"
 #include "timing/upstream.hpp"
 #include "util/assert.hpp"
@@ -13,9 +12,6 @@
 namespace lrsizer::core {
 
 namespace {
-
-/// Fixed chunk size of the parallel colored sweep (Executor contract).
-constexpr std::int32_t kGrain = 32;
 
 /// Relative-change denominator floor: guards the S5 fixpoint metric against
 /// x_i == 0 (a 0/0 or y/0 there turns max_rel_change into NaN and silently
@@ -126,16 +122,6 @@ LrsStats run_lrs(const netlist::Circuit& circuit, const layout::CouplingSet& cou
     workspace.upstream_dirty.assign(x.size(), 0);
   }
 
-  util::Executor* exec = util::serial(runtime.executor) ? nullptr : runtime.executor;
-
-  // Color schedule for the parallel sweep: the caller's, or a local one.
-  std::optional<netlist::LevelSchedule> local_colors;
-  const netlist::LevelSchedule* colors = runtime.colors;
-  if (exec != nullptr && colors == nullptr) {
-    local_colors.emplace(layout::build_coupling_colors(circuit, coupling));
-    colors = &*local_colors;
-  }
-
   // Pass-invariant terms of opt_i, derived once instead of per pass per
   // node (μ, γ and the coupling coefficients are all fixed for this call).
   workspace.mu_res.assign(x.size(), 0.0);
@@ -156,9 +142,7 @@ LrsStats run_lrs(const netlist::Circuit& circuit, const layout::CouplingSet& cou
   // S4 per-component body: Theorem 5's closed-form resize (the hoisted twin
   // of optimal_resize — tests assert the fixpoint against the public
   // function). Neighbor sizes are read live (Gauss-Seidel, matching the
-  // paper's sweep); under the colored schedule every smaller-id neighbor is
-  // already updated and every larger-id neighbor is not yet — exactly the
-  // index-order semantics.
+  // paper's sweep in index order).
   auto resize_node = [&](netlist::NodeId v, bool record_snapshots) -> double {
     const auto i = static_cast<std::size_t>(v);
     double couple_nbr = 0.0;  // Σ ĉ_ij x_j
@@ -188,32 +172,8 @@ LrsStats run_lrs(const netlist::Circuit& circuit, const layout::CouplingSet& cou
 
   auto sweep = [&]() -> double {
     double max_rel_change = 0.0;
-    if (exec == nullptr) {
-      for (netlist::NodeId v = circuit.first_component();
-           v < circuit.end_component(); ++v) {
-        max_rel_change = std::max(max_rel_change, resize_node(v, false));
-      }
-      return max_rel_change;
-    }
-    for (std::int32_t c = 0; c < colors->num_levels(); ++c) {
-      const auto nodes = colors->level(c);
-      const auto count = static_cast<std::int32_t>(nodes.size());
-      // Fixed-shape max reduction: one partial per (count, kGrain) chunk,
-      // combined in chunk order — and max is exact, so the combined value is
-      // bit-identical to the sequential sweep's regardless of thread count.
-      const std::int32_t chunks = util::num_chunks(count, kGrain);
-      workspace.partials.assign(static_cast<std::size_t>(chunks), 0.0);
-      exec->run_chunks(count, kGrain, [&](std::int32_t begin, std::int32_t end) {
-        double local = 0.0;
-        for (std::int32_t k = begin; k < end; ++k) {
-          local = std::max(local,
-                           resize_node(nodes[static_cast<std::size_t>(k)], false));
-        }
-        workspace.partials[static_cast<std::size_t>(begin / kGrain)] = local;
-      });
-      for (const double partial : workspace.partials) {
-        max_rel_change = std::max(max_rel_change, partial);
-      }
+    for (netlist::NodeId v = circuit.first_component(); v < circuit.end_component(); ++v) {
+      max_rel_change = std::max(max_rel_change, resize_node(v, false));
     }
     return max_rel_change;
   };
@@ -222,12 +182,9 @@ LrsStats run_lrs(const netlist::Circuit& circuit, const layout::CouplingSet& cou
   // Evaluate node v from the frontier: clear its flag, resize with snapshot
   // recording, and when the size has drifted more than wl_eps since it last
   // flagged its neighbors, mark every coupling neighbor dirty (their
-  // Σ ĉ_ij x_j term moved). Under the order-preserving distance-2 coloring,
-  // same-color nodes share no neighbor, so the flag writes are disjoint and
-  // the parallel sweep is bit-identical to the serial ascending-index one: a
-  // flagged neighbor with a larger index lands in a later color (picked up
-  // this pass), a smaller index in an earlier color (picked up next pass) —
-  // exactly the serial semantics.
+  // Σ ĉ_ij x_j term moved). The sweep runs in ascending index order, so a
+  // flagged neighbor with a larger index is picked up this pass, a smaller
+  // index next pass.
   auto process_worklist_node = [&](netlist::NodeId v, long long& moved) -> double {
     const auto i = static_cast<std::size_t>(v);
     workspace.pending[i] = 0;
@@ -237,9 +194,7 @@ LrsStats run_lrs(const netlist::Circuit& circuit, const layout::CouplingSet& cou
     if (x[i] != x_before) {
       // Exact (bit-level) move: the incremental load pass must re-derive
       // this node and every coupling neighbor (their Σ ĉ_ij x_j term reads
-      // x_i), and the upstream repair this node's fanouts. Writes stay
-      // disjoint under the distance-2 coloring: peers of the same color
-      // share no neighbor and never write each other's slot.
+      // x_i), and the upstream repair this node's fanouts.
       ++moved;
       workspace.x_moved[i] = 1;
       workspace.loads_dirty[i] = 1;
@@ -304,48 +259,15 @@ LrsStats run_lrs(const netlist::Circuit& circuit, const layout::CouplingSet& cou
   };
 
   // One worklist pass: evaluate exactly the frontier; counts the evaluated
-  // and the (bit-wise) moved components. Fixed-shape max / sum reductions as
-  // in the dense sweep (sums of per-chunk counts are exact, so chunk order
-  // cannot change them).
+  // and the (bit-wise) moved components.
   auto worklist_sweep = [&](long long& processed_count, long long& moved_count) -> double {
     double max_rel_change = 0.0;
     processed_count = 0;
     moved_count = 0;
-    if (exec == nullptr) {
-      for (netlist::NodeId v = circuit.first_component();
-           v < circuit.end_component(); ++v) {
-        if (workspace.pending[static_cast<std::size_t>(v)] == 0) continue;
-        max_rel_change = std::max(max_rel_change, process_worklist_node(v, moved_count));
-        ++processed_count;
-      }
-      return max_rel_change;
-    }
-    for (std::int32_t c = 0; c < colors->num_levels(); ++c) {
-      const auto nodes = colors->level(c);
-      const auto count = static_cast<std::int32_t>(nodes.size());
-      const std::int32_t chunks = util::num_chunks(count, kGrain);
-      workspace.partials.assign(static_cast<std::size_t>(chunks), 0.0);
-      workspace.count_partials.assign(static_cast<std::size_t>(chunks), {0, 0});
-      exec->run_chunks(count, kGrain, [&](std::int32_t begin, std::int32_t end) {
-        double local = 0.0;
-        long long local_count = 0, local_moved = 0;
-        for (std::int32_t k = begin; k < end; ++k) {
-          const netlist::NodeId v = nodes[static_cast<std::size_t>(k)];
-          if (workspace.pending[static_cast<std::size_t>(v)] == 0) continue;
-          local = std::max(local, process_worklist_node(v, local_moved));
-          ++local_count;
-        }
-        workspace.partials[static_cast<std::size_t>(begin / kGrain)] = local;
-        workspace.count_partials[static_cast<std::size_t>(begin / kGrain)] = {
-            local_count, local_moved};
-      });
-      for (const double partial : workspace.partials) {
-        max_rel_change = std::max(max_rel_change, partial);
-      }
-      for (const auto& [processed, moved] : workspace.count_partials) {
-        processed_count += processed;
-        moved_count += moved;
-      }
+    for (netlist::NodeId v = circuit.first_component(); v < circuit.end_component(); ++v) {
+      if (workspace.pending[static_cast<std::size_t>(v)] == 0) continue;
+      max_rel_change = std::max(max_rel_change, process_worklist_node(v, moved_count));
+      ++processed_count;
     }
     return max_rel_change;
   };
@@ -388,9 +310,8 @@ LrsStats run_lrs(const netlist::Circuit& circuit, const layout::CouplingSet& cou
   // fanouts, while gates end the recursion, so the closure stays inside the
   // movers' stages. Ascending order visits every fanin first, so this is
   // bit-identical to a full compute_weighted_upstream (see
-  // timing::compute_node_upstream). Serial, like incremental_loads, so the
-  // result is the same at any thread count. A component whose r_up changed
-  // goes on `reseed`.
+  // timing::compute_node_upstream). A component whose r_up changed goes on
+  // `reseed`.
   auto incremental_upstream = [&]() {
     const netlist::NodeId sink = circuit.sink();
     auto dirty_fanouts = [&](netlist::NodeId v) {
@@ -441,7 +362,7 @@ LrsStats run_lrs(const netlist::Circuit& circuit, const layout::CouplingSet& cou
     }
     incremental_loads();
   } else {
-    timing::compute_loads(circuit, coupling, x, options.mode, workspace.loads, exec);
+    timing::compute_loads(circuit, coupling, x, options.mode, workspace.loads);
   }
 
   LrsStats stats;
@@ -469,12 +390,11 @@ LrsStats run_lrs(const netlist::Circuit& circuit, const layout::CouplingSet& cou
     if (repair) {
       incremental_upstream();
     } else {
-      timing::compute_weighted_upstream(circuit, x, mu, workspace.r_up, exec);
+      timing::compute_weighted_upstream(circuit, x, mu, workspace.r_up);
       if (worklist) std::fill(workspace.x_moved.begin(), workspace.x_moved.end(), 0);
     }
 
-    // S4: greedy closed-form resize, components in color order (= index
-    // order semantics, see above).
+    // S4: greedy closed-form resize, components in index order.
     double max_rel_change = 0.0;
     long long processed_count = 0;
     long long moved_count = 0;
@@ -507,8 +427,7 @@ LrsStats run_lrs(const netlist::Circuit& circuit, const layout::CouplingSet& cou
     if (repair) {
       incremental_loads();
     } else {
-      timing::compute_loads(circuit, coupling, x, options.mode, workspace.loads,
-                            exec);
+      timing::compute_loads(circuit, coupling, x, options.mode, workspace.loads);
       if (worklist) {
         std::fill(workspace.loads_dirty.begin(), workspace.loads_dirty.end(), 0);
       }

@@ -20,16 +20,13 @@
 #include <functional>
 #include <optional>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "core/multipliers.hpp"
 #include "core/problem.hpp"
 #include "layout/neighbors.hpp"
 #include "netlist/circuit.hpp"
-#include "netlist/levels.hpp"
 #include "timing/loads.hpp"
-#include "util/parallel.hpp"
 
 namespace lrsizer::obs {
 class TraceSession;
@@ -59,7 +56,7 @@ struct NoiseMultipliers {
   }
 };
 
-/// Sweep strategy for S4 (docs/ARCHITECTURE.md §Parallel kernels).
+/// Sweep strategy for S4 (docs/ARCHITECTURE.md §Worklist LRS).
 enum class SweepMode {
   /// Paper Figure 8: every pass re-evaluates every component. The bit-exact
   /// reference and the oracle of the worklist's differential tests; select
@@ -69,16 +66,14 @@ enum class SweepMode {
   /// components whose resize inputs — numerator term μ_i·r̂_i·C'_i,
   /// denominator (β + R_i) terms, or a coupling neighbor's size — drifted
   /// more than tol/8 since the node was last evaluated; dirtiness propagates
-  /// to coupling neighbors inside the distance-2 color structure. Converges
-  /// to the same fixpoint within tolerance (the seeding step re-checks every
-  /// component whose inputs moved, so an empty frontier certifies
-  /// ε-stationarity and stops the sweep) but skips clean nodes, so iterates
-  /// are NOT bit-identical to kDense. Worklist runs persist x and the
+  /// to coupling neighbors. Converges to the same fixpoint within tolerance
+  /// (the seeding step re-checks every component whose inputs moved, so an
+  /// empty frontier certifies ε-stationarity and stops the sweep) but skips
+  /// clean nodes, so iterates are NOT bit-identical to kDense. Worklist runs persist x and the
   /// snapshot state across calls via LrsWorkspace, so successive OGWS
   /// iterations re-process only what the multiplier step perturbed, and a
   /// pass after a small sweep repairs the loads and upstream resistances
-  /// instead of recomputing them. At a fixed SweepMode the result is still
-  /// bit-identical at any thread count.
+  /// instead of recomputing them.
   kWorklist,
 };
 
@@ -112,8 +107,6 @@ struct LrsStats {
 struct LrsWorkspace {
   timing::LoadAnalysis loads;
   std::vector<double> r_up;
-  /// Per-chunk partials of the parallel max-relative-change reduction.
-  std::vector<double> partials;
   /// Pass-invariant per-node terms of Theorem 5's opt_i, hoisted out of the
   /// sweep at the start of every run_lrs call (they depend only on μ, γ and
   /// the coupling constants, never on x): numerator coefficient μ_i·r̂_i and
@@ -141,8 +134,6 @@ struct LrsWorkspace {
   /// Per-pass scratch: which components the sweep evaluated (only
   /// maintained when LrsRuntime::probe is set).
   std::vector<unsigned char> processed;
-  /// Per-chunk partials of the parallel (processed, moved) count reductions.
-  std::vector<std::pair<long long, long long>> count_partials;
   /// Nodes whose load entries must be recomputed (exact, bit-driven — not
   /// the eps-thresholded `pending`): a resize that changed x_i bit-wise
   /// marks i and its coupling neighbors; the incremental load pass then
@@ -151,9 +142,8 @@ struct LrsWorkspace {
   /// timing::compute_node_loads) at a fraction of the per-pass cost.
   std::vector<unsigned char> loads_dirty;
   /// Components whose x changed bit-wise in a sweep since the last upstream
-  /// pass. The sweep writes only the mover's own slot (race-free under the
-  /// colored schedule); the serial upstream repair turns each into its
-  /// fanouts' `upstream_dirty` flags.
+  /// pass; the upstream repair turns each into its fanouts'
+  /// `upstream_dirty` flags.
   std::vector<unsigned char> x_moved;
   /// Nodes whose r_up the upstream repair must recompute (exact,
   /// bit-driven): a moved fanin, or a wire fanin whose r_up changed. The
@@ -178,7 +168,7 @@ struct LrsWorkspace {
 /// Test-only observation hooks for the worklist sweep; the dirty-set
 /// property tests replay skipped nodes against the frozen pass-start state
 /// and check the repaired analyses and frontier against full recomputation.
-/// Both fire on the calling thread, worklist mode only.
+/// Both fire in worklist mode only.
 struct LrsProbe {
   /// After frontier seeding, before the sweep of (0-based) `pass`: the state
   /// the sweep will read and the frontier it will honor.
@@ -192,18 +182,9 @@ struct LrsProbe {
       on_pass_end;
 };
 
-/// Out-of-band execution context for run_lrs — nothing in here changes the
-/// result (bit-determinism contract, docs/ARCHITECTURE.md §Parallel kernels).
+/// Out-of-band observation hooks for run_lrs — nothing in here changes the
+/// result.
 struct LrsRuntime {
-  /// Kernel executor for the level-parallel analyses and the colored sweep;
-  /// nullptr (or threads() == 1) runs serial.
-  util::Executor* executor = nullptr;
-  /// Color schedule from layout::build_coupling_colors for the parallel
-  /// Gauss-Seidel sweep; borrowed, must match (circuit, coupling). Only
-  /// consulted when `executor` is parallel — run_lrs builds a local one when
-  /// needed and none is supplied, so hot callers (run_ogws) should pass the
-  /// schedule they built once.
-  const netlist::LevelSchedule* colors = nullptr;
   /// Flow tracing: one span per LRS pass (sweep) when set. nullptr (the
   /// default) costs a single pointer test per pass — see obs/trace.hpp.
   obs::TraceSession* trace = nullptr;

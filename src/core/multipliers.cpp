@@ -7,14 +7,6 @@
 
 namespace lrsizer::core {
 
-namespace {
-
-/// Chunk size of the parallel multiplier passes (fixed — the Executor
-/// determinism contract keys chunk shapes to (n, grain) only).
-constexpr std::int32_t kGrain = 64;
-
-}  // namespace
-
 MultiplierState::MultiplierState(const netlist::Circuit& circuit)
     : lambda(static_cast<std::size_t>(circuit.num_edges()), 0.0) {}
 
@@ -35,14 +27,12 @@ void MultiplierState::clamp_nonnegative() {
   for (double& v : gamma_net) v = std::max(v, 0.0);
 }
 
-void MultiplierState::project_flow(const netlist::Circuit& circuit,
-                                   util::Executor* exec) {
-  // Per-node body, shared by the sequential and wavefront paths so the two
-  // are bit-identical. Rescales only node v's in-edges; reads only v's
-  // out-edges, which are final before v runs under either order (out-edges of
-  // v are in-edges of downstream nodes — higher index, earlier reverse level;
-  // sink edges are never rescaled).
-  auto project_node = [&](netlist::NodeId v) {
+void MultiplierState::project_flow(const netlist::Circuit& circuit) {
+  // Reverse topological order = descending node index (index contract). Each
+  // node rescales only its in-edges and reads only its out-edges, which are
+  // in-edges of higher-index nodes and so already final (sink edges are never
+  // rescaled).
+  for (netlist::NodeId v = circuit.sink() - 1; v >= 1; --v) {
     double out_sum = 0.0;
     for (netlist::EdgeId e : circuit.output_edges(v)) {
       out_sum += lambda[static_cast<std::size_t>(e)];
@@ -57,53 +47,24 @@ void MultiplierState::project_flow(const netlist::Circuit& circuit,
       const double share = out_sum / static_cast<double>(in_edges.size());
       for (netlist::EdgeId e : in_edges) lambda[static_cast<std::size_t>(e)] = share;
     }
-  };
-
-  if (util::serial(exec)) {
-    // Reverse topological order = descending node index (index contract).
-    for (netlist::NodeId v = circuit.sink() - 1; v >= 1; --v) project_node(v);
-    return;
-  }
-  // Wavefront order: a node's fanout all lives in earlier reverse levels, so
-  // each level is embarrassingly parallel.
-  const netlist::LevelSchedule& schedule = circuit.reverse_levels();
-  for (std::int32_t l = 0; l < schedule.num_levels(); ++l) {
-    const auto nodes = schedule.level(l);
-    exec->run_chunks(static_cast<std::int32_t>(nodes.size()), kGrain,
-                     [&](std::int32_t begin, std::int32_t end) {
-                       for (std::int32_t k = begin; k < end; ++k) {
-                         project_node(nodes[static_cast<std::size_t>(k)]);
-                       }
-                     });
   }
 }
 
 void MultiplierState::compute_mu(const netlist::Circuit& circuit,
-                                 std::vector<double>& mu,
-                                 util::Executor* exec) const {
+                                 std::vector<double>& mu) const {
   const auto n = static_cast<std::size_t>(circuit.num_nodes());
   mu.assign(n, 0.0);
   // Gather over the in-edge CSR. In-edge lists store ascending EdgeIds (the
   // builder emits them sorted), which is exactly the order an ascending edge
-  // scatter would accumulate into each node — so this form, serial or
-  // chunked, is bit-identical to the historical scatter loop. Every node
-  // writes only its own slot, so no level schedule is needed.
-  auto gather_node = [&](netlist::NodeId v) {
+  // scatter would accumulate into each node — so this form is bit-identical
+  // to the historical scatter loop.
+  for (netlist::NodeId v = 0; v < circuit.num_nodes(); ++v) {
     double sum = 0.0;
     for (netlist::EdgeId e : circuit.input_edges(v)) {
       sum += lambda[static_cast<std::size_t>(e)];
     }
     mu[static_cast<std::size_t>(v)] = sum;
-  };
-
-  if (util::serial(exec)) {
-    for (netlist::NodeId v = 0; v < circuit.num_nodes(); ++v) gather_node(v);
-    return;
   }
-  exec->run_chunks(circuit.num_nodes(), kGrain,
-                   [&](std::int32_t begin, std::int32_t end) {
-                     for (std::int32_t k = begin; k < end; ++k) gather_node(k);
-                   });
 }
 
 double MultiplierState::sink_mu(const netlist::Circuit& circuit) const {

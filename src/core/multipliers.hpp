@@ -20,7 +20,6 @@
 
 #include "netlist/circuit.hpp"
 #include "util/memtrack.hpp"
-#include "util/parallel.hpp"
 
 namespace lrsizer::core {
 
@@ -44,17 +43,12 @@ class MultiplierState {
   void clamp_nonnegative();
 
   /// A5: restore flow conservation (see header comment). λ must be >= 0.
-  /// With a non-serial executor the pass runs over the reverse-level
-  /// wavefronts (a node's out-edges are in-edges of strictly earlier levels,
-  /// so they are final when the node rescales); each node writes only its own
-  /// in-edge slots, so the result is bit-identical to the serial pass.
-  void project_flow(const netlist::Circuit& circuit, util::Executor* exec = nullptr);
+  void project_flow(const netlist::Circuit& circuit);
 
   /// μ_i = Σ_{j ∈ input(i)} λ_ji for every node (source gets 0). Gathers per
   /// node over the in-edge CSR (ascending EdgeId, the same accumulation order
-  /// as an edge scatter), so the parallel path is bit-identical.
-  void compute_mu(const netlist::Circuit& circuit, std::vector<double>& mu,
-                  util::Executor* exec = nullptr) const;
+  /// as an edge scatter).
+  void compute_mu(const netlist::Circuit& circuit, std::vector<double>& mu) const;
 
   /// Σ of sink in-edge multipliers (the -μ_sink·A0 constant of LRS₂).
   double sink_mu(const netlist::Circuit& circuit) const;

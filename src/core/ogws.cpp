@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
+#include <utility>
 
 #include "core/lagrangian.hpp"
-#include "layout/coloring.hpp"
 #include "obs/trace.hpp"
 #include "timing/arrival.hpp"
 #include "timing/metrics.hpp"
@@ -23,10 +22,6 @@ double relative_violation(double value, double bound) {
   return (value - bound) / bound;
 }
 
-/// Chunk size of the parallel dual-step loops (fixed — the Executor
-/// determinism contract keys chunk shapes to (n, grain) only).
-constexpr std::int32_t kDualGrain = 64;
-
 }  // namespace
 
 void dual_ascent_step(const netlist::Circuit& circuit,
@@ -35,27 +30,11 @@ void dual_ascent_step(const netlist::Circuit& circuit,
                       const timing::ArrivalAnalysis& arrivals,
                       const std::vector<double>& x, double cap, double noise,
                       double rho, const DualScales& scales,
-                      MultiplierState& multipliers, util::Executor* exec) {
-  if (util::serial(exec)) exec = nullptr;
+                      MultiplierState& multipliers) {
   const bool per_net = bounds.per_net_enabled();
 
-  // Chunked node-range dispatcher. Every body writes only slots owned by its
-  // node (its in-edge λ entries, its own γ_net) and reads only the frozen
-  // arrival analysis / iterate, so chunk execution order cannot change the
-  // result — the parallel path is bit-identical to the serial one.
-  auto for_nodes = [&](netlist::NodeId first, netlist::NodeId last, auto&& body) {
-    const auto count = static_cast<std::int32_t>(last - first);
-    if (exec == nullptr) {
-      for (std::int32_t k = 0; k < count; ++k) body(first + k);
-      return;
-    }
-    exec->run_chunks(count, kDualGrain, [&](std::int32_t begin, std::int32_t end) {
-      for (std::int32_t k = begin; k < end; ++k) body(first + k);
-    });
-  };
-
   if (options.step_rule == StepRule::kSubgradient) {
-    for_nodes(1, circuit.num_nodes(), [&](netlist::NodeId v) {
+    for (netlist::NodeId v = 1; v < circuit.num_nodes(); ++v) {
       const auto in_nodes = circuit.inputs(v);
       const auto in_edges = circuit.input_edges(v);
       for (std::size_t idx = 0; idx < in_edges.size(); ++idx) {
@@ -72,20 +51,19 @@ void dual_ascent_step(const netlist::Circuit& circuit,
         multipliers.lambda[static_cast<std::size_t>(in_edges[idx])] +=
             rho * scales.lambda_scale * (slack / bounds.delay_s);
       }
-    });
+    }
     multipliers.beta += rho * scales.beta_scale * relative_violation(cap, bounds.cap_f);
     multipliers.gamma +=
         rho * scales.gamma_scale * relative_violation(noise, bounds.noise_f);
     if (per_net) {
-      for_nodes(circuit.first_component(), circuit.end_component(),
-                [&](netlist::NodeId v) {
-                  const auto i = static_cast<std::size_t>(v);
-                  const double bound_i = bounds.per_net_noise_f[i];
-                  if (bound_i <= 0.0) return;
-                  multipliers.gamma_net[i] +=
-                      rho * (scales.area_ref / bound_i) *
-                      relative_violation(coupling.owned_noise_linear(v, x), bound_i);
-                });
+      for (netlist::NodeId v = circuit.first_component(); v < circuit.end_component(); ++v) {
+        const auto i = static_cast<std::size_t>(v);
+        const double bound_i = bounds.per_net_noise_f[i];
+        if (bound_i <= 0.0) continue;
+        multipliers.gamma_net[i] +=
+            rho * (scales.area_ref / bound_i) *
+            relative_violation(coupling.owned_noise_linear(v, x), bound_i);
+      }
     }
   } else {
     // Multiplicative: every multiplier scales by (its constraint ratio)^ρ.
@@ -94,7 +72,7 @@ void dual_ascent_step(const netlist::Circuit& circuit,
     auto pow_clamped = [rho](double ratio) {
       return std::pow(std::clamp(ratio, 0.05, 20.0), rho);
     };
-    for_nodes(1, circuit.num_nodes(), [&](netlist::NodeId v) {
+    for (netlist::NodeId v = 1; v < circuit.num_nodes(); ++v) {
       const auto in_nodes = circuit.inputs(v);
       const auto in_edges = circuit.input_edges(v);
       for (std::size_t idx = 0; idx < in_edges.size(); ++idx) {
@@ -110,7 +88,7 @@ void dual_ascent_step(const netlist::Circuit& circuit,
         multipliers.lambda[static_cast<std::size_t>(in_edges[idx])] *=
             pow_clamped(ratio);
       }
-    });
+    }
     // β and γ start at 0; seed them from their scale the first time their
     // constraint is violated, then update multiplicatively.
     const double cap_ratio = cap / bounds.cap_f;
@@ -124,22 +102,21 @@ void dual_ascent_step(const netlist::Circuit& circuit,
     multipliers.beta *= pow_clamped(cap_ratio);
     multipliers.gamma *= pow_clamped(noise_ratio);
     if (per_net) {
-      for_nodes(circuit.first_component(), circuit.end_component(),
-                [&](netlist::NodeId v) {
-                  const auto i = static_cast<std::size_t>(v);
-                  const double bound_i = bounds.per_net_noise_f[i];
-                  if (bound_i <= 0.0) return;
-                  const double ratio = coupling.owned_noise_linear(v, x) / bound_i;
-                  double& g = multipliers.gamma_net[i];
-                  if (g <= 0.0 && ratio > 1.0) g = 1e-3 * scales.area_ref / bound_i;
-                  g *= pow_clamped(ratio);
-                });
+      for (netlist::NodeId v = circuit.first_component(); v < circuit.end_component(); ++v) {
+        const auto i = static_cast<std::size_t>(v);
+        const double bound_i = bounds.per_net_noise_f[i];
+        if (bound_i <= 0.0) continue;
+        const double ratio = coupling.owned_noise_linear(v, x) / bound_i;
+        double& g = multipliers.gamma_net[i];
+        if (g <= 0.0 && ratio > 1.0) g = 1e-3 * scales.area_ref / bound_i;
+        g *= pow_clamped(ratio);
+      }
     }
   }
 
   // A5: nonnegativity + flow conservation.
   multipliers.clamp_nonnegative();
-  multipliers.project_flow(circuit, exec);
+  multipliers.project_flow(circuit);
 }
 
 OgwsResult run_ogws(const netlist::Circuit& circuit,
@@ -195,19 +172,8 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
   LrsWorkspace workspace;
   timing::ArrivalAnalysis arrivals;
 
-  // Kernel-execution context: serial by default; with a parallel executor
-  // the analyses and the LRS sweep run level-parallel (bit-identical). The
-  // coupling color schedule is built once per run — it depends only on the
-  // coupling graph, which is fixed here.
-  util::Executor* exec = util::serial(control.executor) ? nullptr : control.executor;
   LrsRuntime lrs_runtime;
   lrs_runtime.trace = control.trace;
-  std::optional<netlist::LevelSchedule> colors;
-  if (exec != nullptr) {
-    lrs_runtime.executor = exec;
-    colors.emplace(layout::build_coupling_colors(circuit, coupling));
-    lrs_runtime.colors = &*colors;
-  }
 
   // Max relative violation over every relaxed constraint at iterate `xs`.
   auto max_rel_violation = [&](const std::vector<double>& xs, double delay,
@@ -231,9 +197,8 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
   // Area + max violation of `xs`, refreshing the workspace analyses (reused
   // buffers — no allocation after the first call).
   auto evaluate_sizes = [&](const std::vector<double>& xs) {
-    timing::compute_loads(circuit, coupling, xs, options.lrs.mode, workspace.loads,
-                          exec);
-    timing::compute_arrivals(circuit, xs, workspace.loads, arrivals, exec);
+    timing::compute_loads(circuit, coupling, xs, options.lrs.mode, workspace.loads);
+    timing::compute_arrivals(circuit, xs, workspace.loads, arrivals);
     const double area = timing::total_area(circuit, xs);
     const double violation =
         max_rel_violation(xs, arrivals.critical_delay, timing::total_cap(circuit, xs),
@@ -317,7 +282,7 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
     }
 
     // A2: node weights from edge multipliers.
-    multipliers.compute_mu(circuit, mu, exec);
+    multipliers.compute_mu(circuit, mu);
 
     // A3: inner minimization + arrival times of the sized circuit. run_lrs
     // hands back workspace.loads at the final x (hand-back contract in
@@ -326,7 +291,7 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
     const LrsStats lrs_stats =
         run_lrs(circuit, coupling, mu, multipliers.beta, noise_duals(),
                 options.lrs, x, workspace, lrs_runtime);
-    timing::compute_arrivals(circuit, x, workspace.loads, arrivals, exec);
+    timing::compute_arrivals(circuit, x, workspace.loads, arrivals);
 
     // Metrics of this iterate. The dual reuses the arrival analysis's Elmore
     // delays and these scalar terms instead of re-deriving any of them.
@@ -403,11 +368,10 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
     }
 
     // A4 + A5: multiplier step, ρ_k = step0 / sqrt(k) (ρ_k → 0, Σ ρ_k = ∞),
-    // then nonnegativity + flow conservation. Runs level-parallel on `exec`
-    // (bit-identical to serial).
+    // then nonnegativity + flow conservation.
     const double rho = options.step0 / std::sqrt(static_cast<double>(k));
     dual_ascent_step(circuit, coupling, bounds, options, arrivals, x, cap, noise,
-                     rho, scales, multipliers, exec);
+                     rho, scales, multipliers);
 
     iterate.seconds = iter_timer.seconds();
     if (options.record_history) result.history.back().seconds = iterate.seconds;
@@ -425,10 +389,6 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
                                 util::vector_bytes(workspace.loads.cap_prime) +
                                 util::vector_bytes(workspace.loads.load_in) +
                                 util::vector_bytes(workspace.r_up));
-  // The parallel-only color schedule is deliberately NOT tracked: the
-  // working-set numbers must be bit-identical at every thread count
-  // (determinism contract), and the schedule is O(components) scratch that
-  // exists only while this call runs.
   tracker.add("ogws/arrivals", util::vector_bytes(arrivals.delay) +
                                    util::vector_bytes(arrivals.arrival));
   result.workspace_bytes = tracker.tracked_bytes();

@@ -34,7 +34,6 @@
 #include "netlist/circuit.hpp"
 #include "timing/arrival.hpp"
 #include "util/memtrack.hpp"
-#include "util/parallel.hpp"
 
 namespace lrsizer::core {
 
@@ -93,20 +92,15 @@ struct DualScales {
 /// One OGWS dual step (A4 + A5): update every multiplier from the iterate's
 /// constraint residuals under `options.step_rule` with step size `rho`, then
 /// clamp at 0 and re-project λ onto flow conservation. `arrivals` and the
-/// scalar totals `cap`/`noise` must describe the iterate `x`. With a
-/// non-serial executor the per-edge and per-net updates run chunked (each
-/// node writes only its own in-edge λ / its own γ_net slot and reads frozen
-/// analyses) and the projection runs over the reverse-level wavefronts —
-/// bit-identical to the serial path at any thread count. Exposed separately
-/// from run_ogws so the kernel bench can time it in isolation.
+/// scalar totals `cap`/`noise` must describe the iterate `x`. Exposed
+/// separately from run_ogws so the kernel bench can time it in isolation.
 void dual_ascent_step(const netlist::Circuit& circuit,
                       const layout::CouplingSet& coupling, const Bounds& bounds,
                       const OgwsOptions& options,
                       const timing::ArrivalAnalysis& arrivals,
                       const std::vector<double>& x, double cap, double noise,
                       double rho, const DualScales& scales,
-                      MultiplierState& multipliers,
-                      util::Executor* exec = nullptr);
+                      MultiplierState& multipliers);
 
 /// Restartable OGWS state: the sizes of a prior run's returned iterate plus
 /// the multiplier vector at its best dual. Seeding a fresh run with this
@@ -150,12 +144,6 @@ struct OgwsControl {
   /// set_capture_warm_start(false) for fire-and-forget harnesses — the
   /// paper-reproduction benches opt out in bench_common.hpp.
   bool capture_warm_start = false;
-  /// Kernel executor for the level-parallel timing/LRS passes (borrowed;
-  /// must outlive the call). nullptr or threads() == 1 runs serial. Results
-  /// are bit-identical either way (docs/ARCHITECTURE.md §Parallel kernels),
-  /// which is why this lives in the out-of-band control block and not the
-  /// options.
-  util::Executor* executor = nullptr;
   /// Flow tracing (obs/trace.hpp): one span per OGWS iteration — with dual
   /// value, max KKT violation and nodes-moved metadata — and per LRS pass,
   /// recorded into this session. nullptr (the default) disables tracing at

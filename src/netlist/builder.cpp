@@ -225,11 +225,7 @@ Circuit CircuitBuilder::finalize() {
     }
   }
 
-  // Wavefront schedules for the level-parallel kernels; derived data, so
-  // built after the graph is complete and validated.
   c.validate();
-  c.forward_levels_ = build_forward_levels(c);
-  c.reverse_levels_ = build_reverse_levels(c);
   return c;
 }
 

@@ -49,7 +49,6 @@ void Circuit::account_memory(util::MemoryTracker& tracker) const {
                            util::vector_bytes(in_nodes_) + util::vector_bytes(in_edges_);
   tracker.add("circuit/nodes", node_bytes);
   tracker.add("circuit/edges", edge_bytes);
-  tracker.add("circuit/levels", forward_levels_.bytes() + reverse_levels_.bytes());
 }
 
 void Circuit::validate() const {

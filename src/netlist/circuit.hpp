@@ -17,10 +17,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
-#include "netlist/levels.hpp"
 #include "netlist/types.hpp"
 #include "util/memtrack.hpp"
 
@@ -107,16 +107,6 @@ class Circuit {
   NodeId edge_from(EdgeId e) const { return edge_from_[static_cast<std::size_t>(e)]; }
   NodeId edge_to(EdgeId e) const { return edge_to_[static_cast<std::size_t>(e)]; }
 
-  // ---- level schedules -----------------------------------------------------
-
-  /// Forward wavefronts over nodes 1..sink-1 (inputs in strictly earlier
-  /// levels); precomputed by the builder, drives the level-parallel forward
-  /// passes (arrivals, upstream resistance).
-  const LevelSchedule& forward_levels() const { return forward_levels_; }
-  /// Reverse wavefronts (outputs in strictly earlier levels); drives the
-  /// level-parallel load pass.
-  const LevelSchedule& reverse_levels() const { return reverse_levels_; }
-
   // ---- misc ---------------------------------------------------------------
 
   const TechParams& tech() const { return tech_; }
@@ -159,10 +149,6 @@ class Circuit {
   std::vector<std::int32_t> in_offset_;
   std::vector<NodeId> in_nodes_;
   std::vector<EdgeId> in_edges_;
-
-  // Precomputed wavefront schedules (see levels.hpp), built by finalize().
-  LevelSchedule forward_levels_;
-  LevelSchedule reverse_levels_;
 };
 
 }  // namespace lrsizer::netlist

@@ -12,8 +12,8 @@
 // unaffected either way: tracing only reads optimizer state, never writes
 // it.
 //
-// Thread-safety: record() appends under a mutex (parallel kernels and batch
-// workers may trace concurrently into one session); timestamps come from one
+// Thread-safety: record() appends under a mutex (batch workers may trace
+// concurrently into one session); timestamps come from one
 // steady_clock origin per session, so spans from every thread share a
 // timeline. Thread ids are mapped to small dense ints in first-seen order.
 #pragma once

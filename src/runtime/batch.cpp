@@ -9,7 +9,6 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -263,26 +262,8 @@ BatchResult run_batch(std::vector<BatchJob> jobs, ThreadPool& pool,
   return result;
 }
 
-namespace {
-
-/// Auto worker count: split the cores across jobs × intra-job threads (see
-/// BatchOptions::jobs). Sized by the *largest* per-job thread request so a
-/// mixed batch never oversubscribes while its widest job runs.
-int default_workers(const std::vector<BatchJob>& jobs) {
-  const int hw =
-      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  int max_threads = 1;
-  for (const auto& job : jobs) {
-    const int t = job.options.threads <= 0 ? hw : job.options.threads;
-    max_threads = std::max(max_threads, t);
-  }
-  return std::max(1, hw / max_threads);
-}
-
-}  // namespace
-
 BatchResult run_batch(std::vector<BatchJob> jobs, const BatchOptions& options) {
-  ThreadPool pool(options.jobs > 0 ? options.jobs : default_workers(jobs));
+  ThreadPool pool(options.jobs);  // 0 = hardware concurrency
   return run_batch(std::move(jobs), pool, options);
 }
 

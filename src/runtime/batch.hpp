@@ -102,11 +102,8 @@ std::vector<std::pair<std::int32_t, double>> sparse_sizes(
     const core::FlowResult& flow);
 
 struct BatchOptions {
-  /// Concurrent jobs (pool workers). 0 = auto: hardware concurrency divided
-  /// by the largest per-job FlowOptions::threads in the batch, so cores
-  /// split as jobs × intra-job kernel threads instead of oversubscribing
-  /// (e.g. 8 cores with threads = 4 jobs runs 2 jobs at a time). An explicit
-  /// value is taken as-is.
+  /// Concurrent jobs (pool workers); each job runs serially on its worker.
+  /// 0 = auto: hardware concurrency. An explicit value is taken as-is.
   int jobs = 0;
   /// Drop each job's full FlowResult (circuit/coupling/history) after
   /// summarizing, keeping only JobOutcome::summary. Saves memory on large

@@ -116,15 +116,14 @@ Json canonical_options_json(const core::FlowOptions& o) {
   lrs.set("tol", o.ogws.lrs.tol);
   lrs.set("warm_start", o.ogws.lrs.warm_start);
   lrs.set("mode", load_mode_name(o.ogws.lrs.mode));
-  // Sweep strategy DOES split the cache (unlike threads): worklist results
-  // are tolerance-equivalent to dense, not bit-identical.
+  // Sweep strategy splits the cache: worklist results are
+  // tolerance-equivalent to dense, not bit-identical.
   lrs.set("sweep", core::sweep_mode_name(o.ogws.lrs.sweep));
   ogws.set("lrs", lrs);
   ogws.set("record_history", o.ogws.record_history);
   j.set("ogws", ogws);
   j.set("initial_size", o.initial_size);
-  // FlowOptions::threads intentionally absent: bit-identical results at any
-  // thread count, so it must not split the cache.
+  // FlowOptions::threads is ignored by the solver, so it stays out.
   return j;
 }
 

@@ -8,10 +8,8 @@
 //   netlist_hash(logic netlist)  ×  canonical(FlowOptions)
 //
 // where the canonical form covers every option that can change the flow's
-// outcome and deliberately excludes `FlowOptions::threads` — results are
-// bit-identical at any thread count (docs/ARCHITECTURE.md §Parallel
-// kernels), so a cached result answers requests at any parallelism. Any
-// other option field invalidates the key.
+// outcome; `FlowOptions::threads`, which the solver ignores, is left out.
+// Any other option field invalidates the key.
 //
 // A cached entry stores the completed job's report JSON (the
 // `lrsizer-batch-v1` job object, served back verbatim so cache hits are
@@ -53,8 +51,7 @@ namespace lrsizer::runtime {
 
 /// Canonical JSON form of every outcome-affecting FlowOptions field, in a
 /// fixed key order with shortest-round-trip numbers — byte-equal canon means
-/// flow-equivalent options. `threads` is excluded by the bit-determinism
-/// contract.
+/// flow-equivalent options. The ignored `threads` field is excluded.
 Json canonical_options_json(const core::FlowOptions& options);
 
 struct CacheKey {

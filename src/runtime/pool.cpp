@@ -2,32 +2,7 @@
 
 #include <algorithm>
 
-#include "util/assert.hpp"
-
 namespace lrsizer::runtime {
-
-namespace {
-
-/// Polite busy-wait hint while spinning on an atomic.
-inline void cpu_pause() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__) || defined(__arm__)
-  asm volatile("yield");
-#else
-  std::this_thread::yield();
-#endif
-}
-
-/// Backing store of kernel_rounds_total(); relaxed — a diagnostic counter,
-/// never a synchronization point.
-std::atomic<std::uint64_t> g_kernel_rounds{0};
-
-}  // namespace
-
-std::uint64_t kernel_rounds_total() {
-  return g_kernel_rounds.load(std::memory_order_relaxed);
-}
 
 ThreadPool::ThreadPool(int num_workers) {
   if (num_workers <= 0) {
@@ -125,127 +100,6 @@ void ThreadPool::worker_loop(int self) {
 void ThreadPool::wait_idle() {
   std::unique_lock<std::mutex> lock(sleep_mutex_);
   idle_cv_.wait(lock, [this] { return pending_ == 0 && active_ == 0; });
-}
-
-// ---- KernelTeam -------------------------------------------------------------
-
-KernelTeam::KernelTeam(int threads) {
-  if (threads <= 0) {
-    threads = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  }
-  workers_.reserve(static_cast<std::size_t>(threads - 1));
-  for (int i = 1; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-KernelTeam::~KernelTeam() {
-  {
-    std::lock_guard<std::mutex> lock(park_mutex_);
-    stop_.store(true, std::memory_order_relaxed);
-  }
-  park_cv_.notify_all();
-  for (auto& worker : workers_) worker.join();
-}
-
-void KernelTeam::participate(std::uint64_t round) {
-  for (;;) {
-    std::uint64_t s = state_.load(std::memory_order_acquire);
-    if ((s >> kRoundShift) != round) return;  // superseded
-    const auto chunks = static_cast<std::int32_t>(s & kFieldMask);
-    const auto chunk = static_cast<std::int32_t>((s >> kNextShift) & kFieldMask);
-    if (chunk >= chunks) return;  // exhausted (count from the SAME snapshot)
-    // The CAS is the claim; see the state_ packing comment in pool.hpp for
-    // why guard + claim on one word makes round transitions race-free.
-    if (!state_.compare_exchange_weak(s, s + (std::uint64_t{1} << kNextShift),
-                                      std::memory_order_acq_rel,
-                                      std::memory_order_relaxed)) {
-      continue;
-    }
-    const std::int32_t grain = grain_.load(std::memory_order_relaxed);
-    const std::int32_t begin = chunk * grain;
-    const std::int32_t end =
-        std::min(n_.load(std::memory_order_relaxed), begin + grain);
-    (*fn_.load(std::memory_order_relaxed))(begin, end);
-    done_.fetch_add(1, std::memory_order_release);
-  }
-}
-
-void KernelTeam::worker_loop() {
-  std::uint64_t last_round = 0;
-  for (;;) {
-    const std::uint64_t seen = state_.load(std::memory_order_acquire) >> kRoundShift;
-    if (seen != last_round) {
-      last_round = seen;
-      participate(seen);
-      continue;
-    }
-    if (stop_.load(std::memory_order_relaxed)) return;
-    // Spin briefly — between the back-to-back wavefronts of a hot kernel the
-    // next round lands within microseconds — then park on the cv.
-    bool fresh = false;
-    for (int spin = 0; spin < 2048 && !fresh; ++spin) {
-      cpu_pause();
-      if ((spin & 63) == 63) std::this_thread::yield();
-      fresh = (state_.load(std::memory_order_acquire) >> kRoundShift) != last_round ||
-              stop_.load(std::memory_order_relaxed);
-    }
-    if (fresh) continue;
-    std::unique_lock<std::mutex> lock(park_mutex_);
-    ++parked_;
-    park_cv_.wait(lock, [&] {
-      return stop_.load(std::memory_order_relaxed) ||
-             (state_.load(std::memory_order_acquire) >> kRoundShift) != last_round;
-    });
-    --parked_;
-  }
-}
-
-void KernelTeam::run_chunks(std::int32_t n, std::int32_t grain, util::ChunkFn fn) {
-  LRSIZER_ASSERT(grain > 0);
-  if (n <= 0) return;
-  std::int32_t chunks = util::num_chunks(n, grain);
-  if (chunks > kMaxChunks) {
-    // Coarsen to fit the 16-bit chunks field. Deterministic in n alone, so
-    // chunk shapes stay thread-count-invariant (Executor contract).
-    grain = (n + kMaxChunks - 1) / kMaxChunks;
-    chunks = util::num_chunks(n, grain);
-  }
-  if (chunks <= 1 || workers_.empty()) {
-    fn(0, n);
-    return;
-  }
-  g_kernel_rounds.fetch_add(1, std::memory_order_relaxed);
-
-  // Publish the round: descriptor first, then the packed
-  // (round, next = 0, chunks) word (release) that workers acquire.
-  fn_.store(&fn, std::memory_order_relaxed);
-  n_.store(n, std::memory_order_relaxed);
-  grain_.store(grain, std::memory_order_relaxed);
-  done_.store(0, std::memory_order_relaxed);
-  const std::uint64_t round =
-      (state_.load(std::memory_order_relaxed) >> kRoundShift) + 1;
-  state_.store((round << kRoundShift) | static_cast<std::uint64_t>(chunks),
-               std::memory_order_release);
-  bool wake = false;
-  {
-    // The critical section orders the round publication against any worker
-    // mid-way into parking: it either sees the new round in its wait
-    // predicate (evaluated under this mutex) or has already registered in
-    // parked_ and gets the notify below.
-    std::lock_guard<std::mutex> lock(park_mutex_);
-    wake = parked_ > 0;
-  }
-  if (wake) park_cv_.notify_all();
-  participate(round);
-  // Bounded-latency wait: helpers are mid-chunk, so completion is normally
-  // microseconds away — but yield periodically in case a helper lost its
-  // core (oversubscribed batches are legal, see BatchOptions::jobs).
-  for (int spin = 0; done_.load(std::memory_order_acquire) != chunks; ++spin) {
-    cpu_pause();
-    if ((spin & 63) == 63) std::this_thread::yield();
-  }
-  fn_.store(nullptr, std::memory_order_relaxed);
 }
 
 }  // namespace lrsizer::runtime

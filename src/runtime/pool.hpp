@@ -1,7 +1,5 @@
-// Thread-level execution engines: the job-level work-stealing ThreadPool and
-// the below-job-level KernelTeam.
-//
-// ThreadPool: fixed-size pool with per-worker FIFO deques and work stealing.
+// The job-level execution engine: a fixed-size ThreadPool with per-worker
+// FIFO deques and work stealing.
 // Submission round-robins tasks across the workers' deques; each worker
 // drains its own deque front-to-back (FIFO, so batch jobs start in submit
 // order) and, when empty, steals from the back of a sibling's deque. Results
@@ -9,12 +7,8 @@
 // propagate to the caller at .get().
 //
 // The pool is the execution engine of the batch-flow layer (runtime/batch);
-// it is deliberately generic so future subsystems (sharded sweeps, async
-// serving) can reuse it.
-//
-// KernelTeam: the util::Executor implementation behind the level-parallel
-// timing/LRS kernels — see its class comment for why it is not built on the
-// deque pool.
+// it is deliberately generic so other subsystems (async serving) can reuse
+// it. Each job itself runs serially (docs/ARCHITECTURE.md §Concurrency).
 #pragma once
 
 #include <atomic>
@@ -30,15 +24,7 @@
 #include <utility>
 #include <vector>
 
-#include "util/parallel.hpp"
-
 namespace lrsizer::runtime {
-
-/// Process-wide count of KernelTeam chunk rounds dispatched to helpers
-/// (serial/inline rounds are not counted). Relaxed monotonic counter shared
-/// by every team in the process — the source of the lrsizer_kernel_rounds_total
-/// metric (obs/registry.hpp counter_fn).
-std::uint64_t kernel_rounds_total();
 
 class ThreadPool {
  public:
@@ -102,83 +88,6 @@ class ThreadPool {
 
   std::atomic<std::uint64_t> next_queue_{0};
   std::atomic<std::int64_t> steals_{0};
-};
-
-/// The intra-job counterpart of ThreadPool: a persistent team of
-/// threads - 1 helper workers executing the fixed-shape chunk rounds of the
-/// level-parallel kernels (util::Executor).
-///
-/// Why not the deque pool: one OGWS iteration dispatches hundreds of
-/// wavefront rounds, each microseconds of work. The pool's per-task
-/// mutex + future + condition-variable round trip costs more than such a
-/// round; the team instead publishes each round through one atomic
-/// generation word, workers claim chunks by CAS, and everyone spins briefly
-/// (then parks) between rounds — dispatch latency is sub-microsecond while
-/// the kernels are hot.
-///
-/// Determinism: the team only changes *who* executes a chunk, never the
-/// chunk boundaries (fixed by (n, grain) per the Executor contract), so
-/// kernel output is bit-identical at any team size.
-///
-/// One team per running job; the caller participates, so a team constructed
-/// with `threads` occupies exactly `threads` cores while a round runs.
-/// run_chunks must only be called from one thread at a time (the sizing
-/// session's thread). Chunk functions must not throw.
-class KernelTeam final : public util::Executor {
- public:
-  /// threads <= 0 means std::thread::hardware_concurrency (min 1);
-  /// threads == 1 spawns no workers and runs every round inline.
-  explicit KernelTeam(int threads = 0);
-  ~KernelTeam() override;
-
-  KernelTeam(const KernelTeam&) = delete;
-  KernelTeam& operator=(const KernelTeam&) = delete;
-
-  int threads() const override { return static_cast<int>(workers_.size()) + 1; }
-  void run_chunks(std::int32_t n, std::int32_t grain, util::ChunkFn fn) override;
-
- private:
-  // state_ packs (round << 32) | (next_chunk << 16) | num_chunks — round
-  // identity, claim cursor AND chunk count in ONE word, so the
-  // exhausted-guard and the claim CAS always act on a single consistent
-  // snapshot. (With the count in a separate field, a worker lagging behind
-  // a round transition could pass the guard against the *next* round's
-  // larger count while the round bits still read as current, and claim a
-  // phantom chunk.) A claim can therefore only succeed while its round is
-  // current and in-bounds, which also pins the descriptor below: the caller
-  // cannot finish the round — and so cannot rewrite it — until every
-  // claimed chunk's done_ increment lands.
-  static constexpr int kRoundShift = 32;
-  static constexpr int kNextShift = 16;
-  static constexpr std::uint64_t kFieldMask = 0xffff;  ///< next/chunk fields
-  /// Max chunks per round (the 16-bit chunks field); run_chunks coarsens
-  /// the grain — deterministically, as a function of n alone — when a call
-  /// would exceed it.
-  static constexpr std::int32_t kMaxChunks = static_cast<std::int32_t>(kFieldMask);
-
-  void worker_loop();
-  /// Claim-and-execute chunks of `round` until the round is exhausted or
-  /// superseded.
-  void participate(std::uint64_t round);
-
-  // Round descriptor; written by the caller before the state_ release store
-  // publishes the round, read by workers only after a successful claim.
-  // Atomics (relaxed) rather than plain fields because a lagging worker may
-  // still harmlessly *load* them while the caller writes the next round's
-  // values — the single-word claim protocol guarantees it can never act on
-  // what it read, but the read itself must stay defined.
-  std::atomic<const util::ChunkFn*> fn_{nullptr};
-  std::atomic<std::int32_t> n_{0};
-  std::atomic<std::int32_t> grain_{0};
-
-  alignas(64) std::atomic<std::uint64_t> state_{0};
-  alignas(64) std::atomic<std::int32_t> done_{0};
-
-  std::atomic<bool> stop_{false};
-  std::mutex park_mutex_;
-  std::condition_variable park_cv_;
-  int parked_ = 0;  ///< guarded by park_mutex_
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace lrsizer::runtime

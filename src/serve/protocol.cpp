@@ -118,7 +118,8 @@ Status apply_request_options(const Json& overrides, core::FlowOptions* options) 
     } else if (key == "initial_size" && is_number) {
       builder.initial_size(value.as_number());
     } else if (key == "threads" && is_i32) {
-      builder.threads(static_cast<int>(integer));
+      // Accepted and ignored: jobs size serially. Protocol v3 clients may
+      // still send it.
     } else if (key == "max_iterations" && is_i32) {
       builder.max_iterations(static_cast<int>(integer));
     } else if (key == "sweep" && value.is_string()) {

@@ -80,7 +80,8 @@ api::Status parse_request(const std::string& line,
 
 /// Override `options` fields from a request "options" object. Accepted keys
 /// (matching the CLI flags): vectors, use_woss, delay_bound, power_bound,
-/// noise_bound, per_net_noise_bound, initial_size, threads, max_iterations.
+/// noise_bound, per_net_noise_bound, initial_size, max_iterations, sweep.
+/// An integer "threads" is accepted and ignored (jobs size serially).
 /// Seeds are NOT an options key — the request-level "seed" field is the one
 /// seed knob (it covers generation and elaboration together, so two
 /// requests with equal seeds always mean the same circuit). Unknown keys

@@ -184,11 +184,6 @@ void Server::register_metrics() {
       "lrsizer_pool_steals_total",
       "Tasks a pool worker stole from a sibling's deque.", {},
       [this] { return static_cast<double>(pool_.steal_count()); }, this);
-  reg.counter_fn(
-      "lrsizer_kernel_rounds_total",
-      "KernelTeam chunk rounds dispatched to helper threads (process-wide).",
-      {}, [] { return static_cast<double>(runtime::kernel_rounds_total()); },
-      this);
 }
 
 Server::ClientId Server::add_client(Sink sink) {

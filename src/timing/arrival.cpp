@@ -6,16 +6,8 @@
 
 namespace lrsizer::timing {
 
-namespace {
-
-/// Fixed chunk size of the parallel arrival pass (Executor contract).
-constexpr std::int32_t kGrain = 64;
-
-}  // namespace
-
 void compute_arrivals(const netlist::Circuit& circuit, const std::vector<double>& x,
-                      const LoadAnalysis& loads, ArrivalAnalysis& out,
-                      util::Executor* exec) {
+                      const LoadAnalysis& loads, ArrivalAnalysis& out) {
   using netlist::NodeId;
 
   const auto n = static_cast<std::size_t>(circuit.num_nodes());
@@ -24,9 +16,8 @@ void compute_arrivals(const netlist::Circuit& circuit, const std::vector<double>
   out.resize(n);
 
   const NodeId sink = circuit.sink();
-  // Shared per-node body (see compute_loads): writes v's slots only, reads
-  // parents' arrivals — complete under index order and wavefront order alike.
-  auto arrive_node = [&](NodeId v) {
+  // Index order is topological, so the parents' arrivals are final.
+  for (NodeId v = 1; v < sink; ++v) {
     const auto i = static_cast<std::size_t>(v);
     out.delay[i] = circuit.resistance(v, x[i]) * loads.cap_delay[i];
     double max_in = 0.0;
@@ -34,21 +25,6 @@ void compute_arrivals(const netlist::Circuit& circuit, const std::vector<double>
       max_in = std::max(max_in, out.arrival[static_cast<std::size_t>(p)]);
     }
     out.arrival[i] = max_in + out.delay[i];
-  };
-
-  if (util::serial(exec)) {
-    for (NodeId v = 1; v < sink; ++v) arrive_node(v);
-  } else {
-    const netlist::LevelSchedule& schedule = circuit.forward_levels();
-    for (std::int32_t l = 0; l < schedule.num_levels(); ++l) {
-      const auto nodes = schedule.level(l);
-      exec->run_chunks(static_cast<std::int32_t>(nodes.size()), kGrain,
-                       [&](std::int32_t begin, std::int32_t end) {
-                         for (std::int32_t k = begin; k < end; ++k) {
-                           arrive_node(nodes[static_cast<std::size_t>(k)]);
-                         }
-                       });
-    }
   }
 
   out.critical_delay = 0.0;

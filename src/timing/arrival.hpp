@@ -12,7 +12,6 @@
 
 #include "netlist/circuit.hpp"
 #include "timing/loads.hpp"
-#include "util/parallel.hpp"
 
 namespace lrsizer::timing {
 
@@ -31,12 +30,9 @@ struct ArrivalAnalysis {
   }
 };
 
-/// One topological sweep; O(|V| + |E|). With a parallel `exec`, runs
-/// wavefront-by-wavefront over `circuit.forward_levels()` — bit-identical to
-/// the serial pass at any thread count.
+/// One topological sweep; O(|V| + |E|).
 void compute_arrivals(const netlist::Circuit& circuit, const std::vector<double>& x,
-                      const LoadAnalysis& loads, ArrivalAnalysis& out,
-                      util::Executor* exec = nullptr);
+                      const LoadAnalysis& loads, ArrivalAnalysis& out);
 
 /// Nodes of one critical path, source-side first (excludes source/sink).
 std::vector<netlist::NodeId> critical_path(const netlist::Circuit& circuit,

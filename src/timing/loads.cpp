@@ -4,18 +4,10 @@
 
 namespace lrsizer::timing {
 
-namespace {
-
-/// Chunk size of the parallel load pass (fixed — the Executor determinism
-/// contract keys reduction/chunk shapes to (n, grain) only).
-constexpr std::int32_t kGrain = 64;
-
-}  // namespace
-
-// The per-node body, shared verbatim by the sequential, wavefront and
-// incremental (compute_node_loads) paths so all three are bit-identical.
-// Writes only node v's slots; reads only the children's load_in (complete
-// before v under any of those orders) and x.
+// The per-node body, shared verbatim by the full sweep and the incremental
+// (compute_node_loads) path so both are bit-identical. Writes only node v's
+// slots; reads only the children's load_in (complete before v in descending
+// order) and x.
 void compute_node_loads(const netlist::Circuit& circuit,
                         const layout::CouplingSet& coupling,
                         const std::vector<double>& x, CouplingLoadMode mode,
@@ -74,34 +66,16 @@ void compute_node_loads(const netlist::Circuit& circuit,
 
 void compute_loads(const netlist::Circuit& circuit, const layout::CouplingSet& coupling,
                    const std::vector<double>& x, CouplingLoadMode mode,
-                   LoadAnalysis& out, util::Executor* exec) {
+                   LoadAnalysis& out) {
   using netlist::NodeId;
 
   const auto n = static_cast<std::size_t>(circuit.num_nodes());
   LRSIZER_ASSERT(x.size() == n);
   out.resize(n);
 
-  const NodeId sink = circuit.sink();
-  auto load_node = [&](NodeId v) {
+  // Reverse topological order = descending node index (index contract).
+  for (NodeId v = circuit.sink() - 1; v >= 1; --v) {
     compute_node_loads(circuit, coupling, x, mode, out, v);
-  };
-
-  if (util::serial(exec)) {
-    // Reverse topological order = descending node index (index contract).
-    for (NodeId v = sink - 1; v >= 1; --v) load_node(v);
-    return;
-  }
-  // Wavefront order: a node's children all live in earlier reverse levels,
-  // so each level is embarrassingly parallel.
-  const netlist::LevelSchedule& schedule = circuit.reverse_levels();
-  for (std::int32_t l = 0; l < schedule.num_levels(); ++l) {
-    const auto nodes = schedule.level(l);
-    exec->run_chunks(static_cast<std::int32_t>(nodes.size()), kGrain,
-                     [&](std::int32_t begin, std::int32_t end) {
-                       for (std::int32_t k = begin; k < end; ++k) {
-                         load_node(nodes[static_cast<std::size_t>(k)]);
-                       }
-                     });
   }
 }
 

@@ -23,7 +23,6 @@
 
 #include "layout/neighbors.hpp"
 #include "netlist/circuit.hpp"
-#include "util/parallel.hpp"
 
 namespace lrsizer::timing {
 
@@ -50,13 +49,10 @@ struct LoadAnalysis {
   }
 };
 
-/// One reverse-topological sweep; O(|V| + |E| + |pairs|). With a parallel
-/// `exec`, the sweep runs wavefront-by-wavefront over
-/// `circuit.reverse_levels()` — output is bit-identical to the serial pass
-/// at any thread count (docs/ARCHITECTURE.md §Parallel kernels).
+/// One reverse-topological sweep; O(|V| + |E| + |pairs|).
 void compute_loads(const netlist::Circuit& circuit, const layout::CouplingSet& coupling,
                    const std::vector<double>& x, CouplingLoadMode mode,
-                   LoadAnalysis& out, util::Executor* exec = nullptr);
+                   LoadAnalysis& out);
 
 /// Recompute node v's three load entries in place. This is the exact
 /// per-node body of compute_loads (the full sweep calls it), so selectively

@@ -16,19 +16,14 @@
 #include <vector>
 
 #include "netlist/circuit.hpp"
-#include "util/parallel.hpp"
 
 namespace lrsizer::timing {
 
-/// One topological sweep; O(|V| + |E|). `mu` is indexed by NodeId. With a
-/// parallel `exec`, runs wavefront-by-wavefront over
-/// `circuit.forward_levels()` — bit-identical to the serial pass at any
-/// thread count.
+/// One topological sweep; O(|V| + |E|). `mu` is indexed by NodeId.
 void compute_weighted_upstream(const netlist::Circuit& circuit,
                                const std::vector<double>& x,
                                const std::vector<double>& mu,
-                               std::vector<double>& r_up,
-                               util::Executor* exec = nullptr);
+                               std::vector<double>& r_up);
 
 /// Recompute node v's r_up entry in place. This is the exact per-node body
 /// of compute_weighted_upstream (the full sweep calls it), so re-running it

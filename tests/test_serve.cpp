@@ -87,17 +87,6 @@ TEST(NetlistHash, DifferentSeedsHashDifferent) {
 
 // ---- cache keys -------------------------------------------------------------
 
-TEST(CacheKey, ThreadsDoNotSplitTheKey) {
-  // The bit-determinism contract: any --threads value produces the same
-  // result, so it must map to the same cache key.
-  const auto nl = netlist::generate_circuit(tiny_spec(1));
-  core::FlowOptions a = fast_options();
-  core::FlowOptions b = fast_options();
-  a.threads = 1;
-  b.threads = 8;
-  EXPECT_EQ(runtime::cache_key(nl, a).key, runtime::cache_key(nl, b).key);
-}
-
 TEST(CacheKey, AnyOtherOptionInvalidatesTheKey) {
   const auto nl = netlist::generate_circuit(tiny_spec(1));
   const auto base = runtime::cache_key(nl, fast_options());
@@ -838,6 +827,42 @@ TEST(Server, DuplicateJobsAnswerFromCacheByteIdentically) {
   // Different seed = different netlist: a miss that re-runs.
   EXPECT_FALSE(by_id[2].at("cache_hit").as_bool());
   EXPECT_NE(by_id[0].at("job").dump(), by_id[2].at("job").dump());
+}
+
+TEST(Server, ThreadsOptionIsAcceptedAndIgnored) {
+  // Protocol v3 clients may still send "threads". No int32 value may reach a
+  // thread constructor, where a huge count would abort the whole server, or
+  // split the cache: the request answers exactly like the same request
+  // without the option.
+  auto serve_one = [](const std::string& request_options) {
+    Collector collector;
+    serve::ServerOptions options;
+    options.jobs = 1;
+    {
+      serve::Server server(options, collector.sink());
+      std::istringstream in(R"({"type":"size","id":"a","input":{"profile":"c17"},)"
+                            R"("options":)" + request_options + "}\n");
+      server.serve_stream(in);
+    }
+    EXPECT_TRUE(collector.of_type("error").empty());
+    const auto accepted = collector.of_type("accepted");
+    const auto results = collector.of_type("result");
+    EXPECT_EQ(accepted.size(), 1u);
+    EXPECT_EQ(results.size(), 1u);
+    if (accepted.size() != 1u || results.size() != 1u) {
+      return std::pair<std::string, std::string>();
+    }
+    Json job = results[0].at("job");
+    job.set("seconds", 0);
+    job.set("stage1_seconds", 0);
+    job.set("stage2_seconds", 0);
+    return std::pair(accepted[0].at("key").as_string(), job.dump());
+  };
+  const auto plain = serve_one(R"({"vectors":8})");
+  const auto huge = serve_one(R"({"vectors":8,"threads":2147483647})");
+  ASSERT_FALSE(plain.first.empty());
+  EXPECT_EQ(huge.first, plain.first);
+  EXPECT_EQ(huge.second, plain.second);
 }
 
 /// Inline-.bench size request (the ECO flow needs two *different* netlists

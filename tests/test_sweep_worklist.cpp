@@ -1,5 +1,5 @@
 // Differential convergence-equivalence battery for the worklist LRS sweep
-// (core::SweepMode::kWorklist, docs/ARCHITECTURE.md §Parallel kernels).
+// (core::SweepMode::kWorklist, docs/ARCHITECTURE.md §Worklist LRS).
 //
 // The worklist sweep is NOT bit-identical to the dense reference — it skips
 // ε-stationary components — so these tests pin down the equivalence that IS
@@ -10,8 +10,7 @@
 // noise-bound shapes (total-only and distributed per-net), plus warm starts;
 // probe-driven property tests certify the dirty-set logic (every skipped
 // node really was stationary; the repaired r_up, loads and frontier equal a
-// full recomputation at every pass start), and a resume-sequence test re-checks the
-// thread bit-determinism contract for this sweep specifically.
+// full recomputation at every pass start).
 //
 // Divergence margins are calibrated ~30x above measured worst cases
 // (sizes ≤ 3.1e-5 rel, area ≤ 8.3e-6 rel, identical iteration counts on all
@@ -32,14 +31,10 @@
 #include "core/ogws.hpp"
 #include "core/problem.hpp"
 #include "layout/channels.hpp"
-#include "layout/coloring.hpp"
 #include "netlist/elaborator.hpp"
 #include "netlist/generator.hpp"
-#include "netlist/levels.hpp"
-#include "runtime/pool.hpp"
 #include "timing/loads.hpp"
 #include "timing/upstream.hpp"
-#include "util/parallel.hpp"
 
 namespace {
 
@@ -388,70 +383,6 @@ TEST(SweepWorklist, RepairedUpstreamAndFrontierMatchFullRecomputation) {
     }
     EXPECT_GT(repaired_passes, 0) << "no pass exercised the repairs";
     EXPECT_GT(checked_passes, repaired_passes);
-  }
-}
-
-// ---- thread bit-determinism of resumed worklist sequences ------------------
-
-TEST(SweepWorklist, ResumedSweepsBitIdenticalAcrossThreads) {
-  const Problem p = build_problem("c499", 1, kUpstream, 0.0);
-  const auto mu0 = default_mu(p.circuit);
-
-  struct SequenceOut {
-    std::vector<std::vector<double>> xs;
-    std::vector<core::LrsStats> stats;
-    std::vector<double> load_in;
-  };
-  // Cold call + three perturbed resumes — the exact shape the OGWS loop
-  // drives — recording every intermediate x and the persisted loads.
-  auto run_sequence = [&](util::Executor* exec,
-                          const netlist::LevelSchedule* colors) {
-    SequenceOut out;
-    auto mu = mu0;
-    std::vector<double> x(mu.size(), 1.0);
-    core::LrsWorkspace ws;
-    core::LrsOptions options;
-    options.sweep = core::SweepMode::kWorklist;
-    options.warm_start = true;
-    options.mode = kUpstream;
-    core::LrsRuntime runtime;
-    runtime.executor = exec;
-    runtime.colors = colors;
-    for (int call = 0; call < 4; ++call) {
-      if (call > 0) {
-        const double f = (call % 2 == 1) ? 1.015 : 1.0 / 1.013;
-        for (std::size_t i = static_cast<std::size_t>(call); i < mu.size();
-             i += 67) {
-          mu[i] *= f;
-        }
-      }
-      out.stats.push_back(core::run_lrs(p.circuit, p.coupling, mu, 0.3,
-                                        core::NoiseMultipliers(0.1), options,
-                                        x, ws, runtime));
-      out.xs.push_back(x);
-    }
-    out.load_in = ws.loads.load_in;
-    return out;
-  };
-
-  const SequenceOut serial = run_sequence(nullptr, nullptr);
-  const auto colors = layout::build_coupling_colors(p.circuit, p.coupling);
-  for (const int threads : {2, 8}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    runtime::KernelTeam team(threads);
-    const SequenceOut par = run_sequence(&team, &colors);
-    ASSERT_EQ(serial.xs.size(), par.xs.size());
-    for (std::size_t call = 0; call < serial.xs.size(); ++call) {
-      SCOPED_TRACE("call " + std::to_string(call));
-      EXPECT_EQ(serial.xs[call], par.xs[call]);
-      EXPECT_EQ(serial.stats[call].passes, par.stats[call].passes);
-      EXPECT_EQ(serial.stats[call].nodes_processed,
-                par.stats[call].nodes_processed);
-      EXPECT_EQ(serial.stats[call].max_rel_change,
-                par.stats[call].max_rel_change);
-    }
-    // The incrementally maintained loads are part of the hand-back contract.
-    EXPECT_EQ(serial.load_in, par.load_in);
   }
 }
 

@@ -4,7 +4,7 @@
 Usage:
     tools/bench_compare.py BASELINE.json CANDIDATE.json [--threshold PCT]
 
-Matches rows by (kernel, threads) and reports the ns/op delta for each;
+Matches rows by kernel and reports the ns/op delta for each;
 exits 1 when any kernel regressed by more than --threshold percent (default
 10). Rows present in only one file are listed but never fail the diff (new
 kernels appear, old ones retire).
@@ -14,7 +14,7 @@ comma-separated glob patterns (e.g. `--metrics ogws_iteration` or
 `--metrics 'lrs_*,timing_*'`) — the shape CI's trace-disabled bench guard
 uses to pin one hot loop without flaking on unrelated kernels.
 
-The lrsizer-bench-kernels-v1 schema this consumes (and the batch/cache
+The lrsizer-bench-kernels-v2 schema this consumes (and the batch/cache
 schemas its sibling reports use) is documented in docs/SCHEMAS.md.
 
 Stdlib-only so it runs anywhere CI has a python3.
@@ -29,11 +29,10 @@ import sys
 def load_rows(path):
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("schema") != "lrsizer-bench-kernels-v1":
-        sys.exit(f"{path}: not a lrsizer-bench-kernels-v1 file "
+    if doc.get("schema") != "lrsizer-bench-kernels-v2":
+        sys.exit(f"{path}: not a lrsizer-bench-kernels-v2 file "
                  f"(schema = {doc.get('schema')!r})")
-    rows = {(row["kernel"], row["threads"]): row["ns_per_op"]
-            for row in doc.get("kernels", [])}
+    rows = {row["kernel"]: row["ns_per_op"] for row in doc.get("kernels", [])}
     return doc, rows
 
 
@@ -54,8 +53,8 @@ def main():
         patterns = [p.strip() for p in args.metrics.split(",") if p.strip()]
         selected = lambda kernel: any(  # noqa: E731
             fnmatch.fnmatch(kernel, p) for p in patterns)
-        base = {k: v for k, v in base.items() if selected(k[0])}
-        cand = {k: v for k, v in cand.items() if selected(k[0])}
+        base = {k: v for k, v in base.items() if selected(k)}
+        cand = {k: v for k, v in cand.items() if selected(k)}
         if not base and not cand:
             sys.exit(f"--metrics {args.metrics!r} matched no kernels")
     print(f"baseline  {args.baseline} (git {base_doc.get('git_sha', '?')}, "
@@ -67,29 +66,28 @@ def main():
               file=sys.stderr)
 
     regressions = []
-    width = max((len(k) for k, _ in base.keys() | cand.keys()), default=6) + 2
-    print(f"{'kernel':<{width}} {'thr':>3} {'base ns':>12} {'cand ns':>12} {'delta':>8}")
-    for key in sorted(base.keys() | cand.keys()):
-        kernel, threads = key
-        if key not in base:
-            print(f"{kernel:<{width}} {threads:>3} {'-':>12} {cand[key]:>12.0f}      new")
+    width = max((len(k) for k in base.keys() | cand.keys()), default=6) + 2
+    print(f"{'kernel':<{width}} {'base ns':>12} {'cand ns':>12} {'delta':>8}")
+    for kernel in sorted(base.keys() | cand.keys()):
+        if kernel not in base:
+            print(f"{kernel:<{width}} {'-':>12} {cand[kernel]:>12.0f}      new")
             continue
-        if key not in cand:
-            print(f"{kernel:<{width}} {threads:>3} {base[key]:>12.0f} {'-':>12}  removed")
+        if kernel not in cand:
+            print(f"{kernel:<{width}} {base[kernel]:>12.0f} {'-':>12}  removed")
             continue
-        delta = 100.0 * (cand[key] - base[key]) / base[key] if base[key] > 0 else 0.0
+        b, c = base[kernel], cand[kernel]
+        delta = 100.0 * (c - b) / b if b > 0 else 0.0
         marker = ""
         if delta > args.threshold:
             marker = "  REGRESSION"
-            regressions.append((kernel, threads, delta))
-        print(f"{kernel:<{width}} {threads:>3} {base[key]:>12.0f} "
-              f"{cand[key]:>12.0f} {delta:>+7.1f}%{marker}")
+            regressions.append((kernel, delta))
+        print(f"{kernel:<{width}} {b:>12.0f} {c:>12.0f} {delta:>+7.1f}%{marker}")
 
     if regressions:
         print(f"\n{len(regressions)} kernel(s) regressed more than "
               f"{args.threshold:.0f}%:", file=sys.stderr)
-        for kernel, threads, delta in regressions:
-            print(f"  {kernel} (threads={threads}): {delta:+.1f}%", file=sys.stderr)
+        for kernel, delta in regressions:
+            print(f"  {kernel}: {delta:+.1f}%", file=sys.stderr)
         return 1
     print("\nno regressions above threshold")
     return 0

@@ -83,9 +83,7 @@ options:
   --shard K/N       (batch/sweep) run only the global job list's indices
                     congruent to K mod N; the JSON report is annotated so
                     `lrsizer merge` can reassemble the full sweep
-  --jobs N          concurrent jobs (default: cores / --threads)
-  --threads N       kernel threads per job for the sizing stage (default 1;
-                    0 = hardware concurrency; results are bit-identical)
+  --jobs N          concurrent jobs, each sized serially (default: cores)
   --sweep MODE      LRS sweep strategy: worklist (the default; frontier-
                     driven incremental passes that skip nodes whose resize
                     inputs did not move) or dense (the paper-exact Figure-8
@@ -192,7 +190,6 @@ struct CliOptions {
   double power_bound = 0.15;
   double noise_bound = 0.10;
   int jobs = 0;
-  int threads = 1;
   core::SweepMode sweep = core::SweepMode::kWorklist;
   int shard_index = 0;
   int shard_count = 0;   ///< 0 = unsharded
@@ -289,10 +286,6 @@ CliOptions parse_args(int argc, char** argv) {
     else if (arg == "--profile") cli.sweep_profile = next_value(i);
     else if (arg == "--noise") cli.sweep_range = next_value(i);
     else if (arg == "--jobs") cli.jobs = static_cast<int>(parse_long(arg, next_value(i)));
-    else if (arg == "--threads") {
-      cli.threads = static_cast<int>(parse_long(arg, next_value(i)));
-      if (cli.threads < 0) fail("--threads must be >= 0 (0 = hardware concurrency)");
-    }
     else if (arg == "--sweep") {
       const auto mode = core::sweep_mode_from_name(next_value(i));
       if (!mode) fail("--sweep must be dense or worklist");
@@ -408,7 +401,6 @@ core::FlowOptions flow_options(const CliOptions& cli) {
   options.bound_factors.delay = cli.delay_bound;
   options.bound_factors.power = cli.power_bound;
   options.bound_factors.noise = cli.noise_bound;
-  options.threads = cli.threads;
   options.ogws.lrs.sweep = cli.sweep;
   return options;
 }
@@ -837,11 +829,10 @@ int cmd_serve(const CliOptions& cli) {
   }
   runtime::ResultCache cache(cli.cache_dir, cache_limits(cli));
   serve::ServerOptions options;
-  // Worker default mirrors run_batch's jobs × threads split.
-  const int hw =
-      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  const int threads = cli.threads <= 0 ? hw : cli.threads;
-  options.jobs = cli.jobs > 0 ? cli.jobs : std::max(1, hw / threads);
+  // Workers default to the core count, as run_batch's do.
+  options.jobs = cli.jobs > 0
+                     ? cli.jobs
+                     : std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   options.base_options = flow_options(cli);
   options.cache = &cache;
   options.cache_warm = cli.cache_warm;
