@@ -3,8 +3,9 @@
 //
 //   bench_kernels [--profile NAME] [--min-ms N] [--json FILE]
 //
-// One row per kernel, ns/op: the load, upstream and arrival passes, a full
-// LRS solve, the OGWS dual update A4+A5, the flow projection and the noise
+// One row per kernel, ns/op: stage 1's logic simulation and its channel
+// similarity matrices, the load, upstream and arrival passes, a full LRS
+// solve, the OGWS dual update A4+A5, the flow projection and the noise
 // metric. Two rows compare the LRS sweep modes on a steady-state re-solve
 // (perturb ~1% of μ, re-solve from the fixpoint): "lrs_sweep_dense" vs
 // "lrs_sweep_worklist". A last row times one OGWS iteration's analysis
@@ -29,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/flow.hpp"
 #include "core/lagrangian.hpp"
 #include "core/lrs.hpp"
 #include "core/multipliers.hpp"
@@ -40,6 +42,9 @@
 #include "netlist/generator.hpp"
 #include "netlist/iscas_profiles.hpp"
 #include "runtime/json.hpp"
+#include "sim/patterns.hpp"
+#include "sim/similarity.hpp"
+#include "sim/simulator.hpp"
 #include "timing/arrival.hpp"
 #include "timing/loads.hpp"
 #include "timing/metrics.hpp"
@@ -92,6 +97,9 @@ Args parse_args(int argc, char** argv) {
 }
 
 struct Instance {
+  netlist::LogicNetlist logic;
+  /// Per routing channel, the nets of its wires (stage 1's WOSS inputs).
+  std::vector<std::vector<std::int32_t>> channel_nets;
   netlist::Circuit circuit;
   layout::CouplingSet coupling;
   core::MultiplierState multipliers;
@@ -101,7 +109,7 @@ struct Instance {
 
 Instance make_instance(const std::string& profile) {
   const auto spec = netlist::spec_for_profile(profile, 1);
-  const auto logic = netlist::generate_circuit(spec);
+  auto logic = netlist::generate_circuit(spec);
   auto elab = netlist::elaborate(logic, netlist::TechParams{}, spec.elab);
   const auto channels =
       layout::assign_channels(elab.circuit, elab.net_of_node, logic);
@@ -109,6 +117,13 @@ Instance make_instance(const std::string& profile) {
   nopt.fold_miller = false;
   auto coupling = layout::build_coupling_set(elab.circuit, channels.channels, nopt);
   elab.circuit.set_uniform_size(1.0);
+  std::vector<std::vector<std::int32_t>> channel_nets;
+  for (const auto& tracks : channels.channels) {
+    auto& nets = channel_nets.emplace_back();
+    for (netlist::NodeId w : tracks) {
+      nets.push_back(elab.net_of_node[static_cast<std::size_t>(w)]);
+    }
+  }
 
   const auto bounds =
       core::derive_bounds(elab.circuit, coupling, elab.circuit.sizes(),
@@ -133,8 +148,8 @@ Instance make_instance(const std::string& profile) {
   std::vector<double> mu;
   m.compute_mu(elab.circuit, mu);
 
-  return Instance{std::move(elab.circuit), std::move(coupling), std::move(m),
-                  std::move(mu), bounds};
+  return Instance{std::move(logic), std::move(channel_nets), std::move(elab.circuit),
+                  std::move(coupling), std::move(m), std::move(mu), bounds};
 }
 
 /// Seconds per call: calibrate a batch size that runs >= min_ms, then take
@@ -196,6 +211,30 @@ int main(int argc, char** argv) {
     return rows.back().ns_per_op;
   };
 
+  // ---- stage 1: logic simulation and the WOSS weight matrices ----
+  //
+  // What a session's simulate_and_order() computes before ordering: one
+  // simulation of the default vector set, then one similarity matrix per
+  // routing channel over its wires' nets ("similarity_matrix" is all of
+  // them, one op).
+  const core::FlowOptions flow_defaults;
+  const auto vectors = sim::random_vectors(
+      static_cast<std::int32_t>(inst.logic.primary_inputs().size()),
+      flow_defaults.num_vectors, flow_defaults.pattern_seed);
+  bench("simulate", [&] {
+    g_bench_sink = static_cast<double>(
+        sim::simulate(inst.logic, vectors, flow_defaults.sim).total_events);
+  });
+  const sim::SimResult simulated = sim::simulate(inst.logic, vectors, flow_defaults.sim);
+  bench("similarity_matrix", [&] {
+    double sum = 0.0;
+    for (const auto& nets : inst.channel_nets) {
+      const sim::SimilarityMatrix matrix(simulated, nets);
+      if (matrix.size() > 1) sum += matrix.at(0, 1);
+    }
+    g_bench_sink = sum;
+  });
+
   // ---- the per-iteration kernels ----
 
   timing::LoadAnalysis loads;
@@ -229,9 +268,10 @@ int main(int argc, char** argv) {
   // Each op restores λ/β/γ from the warmup snapshot first: the
   // multiplicative rule compounds, so unrestored repeats would walk the
   // state away from the regime being measured. The restore is an O(|E|)
-  // copy, noise next to the pow()-heavy update itself. The arrivals/loads
-  // computed above (at the uniform start sizes) are the fixed analysis
-  // inputs; ρ is the warmup's steady-state step.
+  // copy timed with every op, a few percent of it; the rest is the per-edge
+  // ratios, pow() where a ratio is not exactly 1, and the flow projection.
+  // The arrivals/loads computed above (at the uniform start sizes) are the
+  // fixed analysis inputs; ρ is the warmup's steady-state step.
   const double area_ref =
       std::max(timing::total_area(circuit, circuit.sizes()), 1e-12);
   const core::DualScales dual_scales{area_ref, area_ref / inst.bounds.delay_s,

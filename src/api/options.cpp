@@ -84,8 +84,8 @@ Status validate_options(const core::FlowOptions& options) {
     return invalid("num_vectors", ">= 1", options.num_vectors);
   if (options.sim.vector_period < 1)
     return invalid("sim.vector_period", ">= 1", options.sim.vector_period);
-  if (options.sim.gate_delay < 0)
-    return invalid("sim.gate_delay", ">= 0", options.sim.gate_delay);
+  if (options.sim.gate_delay < 1)
+    return invalid("sim.gate_delay", ">= 1", options.sim.gate_delay);
   if (options.sim.gate_delay >= options.sim.vector_period) {
     std::ostringstream out;
     out << "sim.gate_delay (" << options.sim.gate_delay

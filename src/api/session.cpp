@@ -151,6 +151,9 @@ Status SizingSession::simulate_and_order() {
 
   double cost_initial = 0.0;
   double cost_final = 0.0;
+  // Miller weight of each wire to its successor in its channel's final
+  // order, read from the channel's WOSS weight matrix.
+  std::vector<double> successor_miller(static_cast<std::size_t>(circuit.num_nodes()), 1.0);
   std::vector<std::vector<netlist::NodeId>> orders;
   orders.reserve(channels.channels.size());
   for (const auto& tracks : channels.channels) {
@@ -181,22 +184,24 @@ Status SizingSession::simulate_and_order() {
     cost_final += layout::ordering_cost(view, order);
 
     std::vector<netlist::NodeId> track_order(static_cast<std::size_t>(n));
-    for (std::int32_t i = 0; i < n; ++i) {
-      track_order[static_cast<std::size_t>(i)] =
-          tracks[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])];
+    for (std::size_t i = 0; i < track_order.size(); ++i) {
+      track_order[i] = tracks[static_cast<std::size_t>(order[i])];
+      if (i > 0) {
+        successor_miller[static_cast<std::size_t>(track_order[i - 1])] =
+            view.at(order[i - 1], order[i]);
+      }
     }
     orders.push_back(std::move(track_order));
   }
 
   // Miller weights for the final adjacency (constants folded into ĉ_ij).
+  // build_coupling_set pairs each track with its successor, and similarity
+  // is symmetric in exact integers, so the channel matrix holds the very
+  // double a two-net matrix of the pair would compute.
   layout::MillerFn miller;
   if (options_.neighbors.fold_miller) {
-    miller = [&](netlist::NodeId a, netlist::NodeId b) {
-      const std::vector<std::int32_t> nets = {
-          elab_->net_of_node[static_cast<std::size_t>(a)],
-          elab_->net_of_node[static_cast<std::size_t>(b)]};
-      const sim::SimilarityMatrix m(simulated, nets);
-      return m.miller_weight(0, 1);
+    miller = [&](netlist::NodeId a, netlist::NodeId) {
+      return successor_miller[static_cast<std::size_t>(a)];
     };
   }
   coupling_ = layout::build_coupling_set(circuit, orders, options_.neighbors, miller);

@@ -69,6 +69,10 @@ void dual_ascent_step(const netlist::Circuit& circuit,
     // Multiplicative: every multiplier scales by (its constraint ratio)^ρ.
     // Ratios > 1 (violated) inflate, < 1 (slack) decay; positivity is
     // automatic. Driver edges use D_i/a_i (== 1 by construction).
+    // A ratio of exactly 1 skips pow(): pow(1, ρ) is exactly 1 and λ·1 = λ,
+    // so the skip keeps every bit. It holds on every driver edge and on each
+    // node's critical fanin (a_i is computed as a_j + D_i), which is most
+    // edges.
     auto pow_clamped = [rho](double ratio) {
       return std::pow(std::clamp(ratio, 0.05, 20.0), rho);
     };
@@ -85,8 +89,10 @@ void dual_ascent_step(const netlist::Circuit& circuit,
           ratio = (arrivals.arrival[j] + arrivals.delay[i]) /
                   std::max(arrivals.arrival[i], 1e-30);
         }
-        multipliers.lambda[static_cast<std::size_t>(in_edges[idx])] *=
-            pow_clamped(ratio);
+        if (ratio != 1.0) {
+          multipliers.lambda[static_cast<std::size_t>(in_edges[idx])] *=
+              pow_clamped(ratio);
+        }
       }
     }
     // β and γ start at 0; seed them from their scale the first time their

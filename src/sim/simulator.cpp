@@ -1,7 +1,6 @@
 #include "sim/simulator.hpp"
 
-#include <queue>
-#include <tuple>
+#include <deque>
 
 #include "util/assert.hpp"
 
@@ -13,10 +12,6 @@ struct Event {
   SimTime time;
   std::int32_t gate;
   int value;
-};
-
-struct EventLater {
-  bool operator()(const Event& a, const Event& b) const { return a.time > b.time; }
 };
 
 }  // namespace
@@ -71,43 +66,53 @@ SimResult simulate(const netlist::LogicNetlist& netlist,
   }
   result.horizon = static_cast<SimTime>(vectors.size()) * options.vector_period;
 
-  std::priority_queue<Event, std::vector<Event>, EventLater> events;
+  // Pending gate events, in time order. Every gate event is scheduled
+  // exactly gate_delay ticks after the tick that evaluated it, and ticks are
+  // processed in increasing order, so events enter this FIFO already sorted.
+  // Input changes are applied at each vector boundary.
+  std::deque<Event> events;
   std::vector<int> last_scheduled = value;
   std::vector<SimTime> dirty_mark(static_cast<std::size_t>(n), -1);
   std::vector<std::int32_t> dirty;
 
-  // Input changes for vectors 1..end.
-  for (std::size_t k = 1; k < vectors.size(); ++k) {
-    const SimTime t = static_cast<SimTime>(k) * options.vector_period;
-    for (std::size_t i = 0; i < pis.size(); ++i) {
-      events.push(Event{t, pis[i], vectors[k][i]});
-    }
-  }
-
-  while (!events.empty()) {
-    const SimTime t = events.top().time;
-    dirty.clear();
-    // Apply the whole time step, then evaluate affected gates once.
-    while (!events.empty() && events.top().time == t) {
-      const Event ev = events.top();
-      events.pop();
-      const auto g = static_cast<std::size_t>(ev.gate);
-      ++result.total_events;
-      if (value[g] == ev.value) continue;
-      value[g] = ev.value;
-      result.waveforms[g].add_toggle(t);
-      for (std::int32_t consumer : fanouts[g]) {
-        if (dirty_mark[static_cast<std::size_t>(consumer)] != t) {
-          dirty_mark[static_cast<std::size_t>(consumer)] = t;
-          dirty.push_back(consumer);
-        }
+  // Within one tick a net changes at most once (an input once per vector, a
+  // gate once per evaluation), so the order of a tick's events is immaterial.
+  auto apply = [&](std::int32_t gate, int v, SimTime t) {
+    const auto g = static_cast<std::size_t>(gate);
+    ++result.total_events;
+    if (value[g] == v) return;
+    value[g] = v;
+    result.waveforms[g].add_toggle(t);
+    for (std::int32_t consumer : fanouts[g]) {
+      if (dirty_mark[static_cast<std::size_t>(consumer)] != t) {
+        dirty_mark[static_cast<std::size_t>(consumer)] = t;
+        dirty.push_back(consumer);
       }
     }
+  };
+
+  std::size_t next_vector = 1;
+  while (next_vector < vectors.size() || !events.empty()) {
+    // Jump to the earlier of the next vector boundary and the next event.
+    const SimTime vector_time = static_cast<SimTime>(next_vector) * options.vector_period;
+    const bool vector_due = next_vector < vectors.size() &&
+                            (events.empty() || vector_time <= events.front().time);
+    const SimTime t = vector_due ? vector_time : events.front().time;
+    dirty.clear();
+    if (vector_due) {
+      const auto& vec = vectors[next_vector++];
+      for (std::size_t i = 0; i < pis.size(); ++i) apply(pis[i], vec[i], t);
+    }
+    while (!events.empty() && events.front().time == t) {
+      apply(events.front().gate, events.front().value, t);
+      events.pop_front();
+    }
+    // Evaluate the affected gates once, on the tick's settled values.
     for (std::int32_t g : dirty) {
       const int nv = eval_gate(g);
       if (nv != last_scheduled[static_cast<std::size_t>(g)]) {
         last_scheduled[static_cast<std::size_t>(g)] = nv;
-        events.push(Event{t + options.gate_delay, g, nv});
+        events.push_back(Event{t + options.gate_delay, g, nv});
       }
     }
   }

@@ -4,7 +4,9 @@
 // `vector_period` ticks) and records a Waveform per net. Gate propagation
 // uses a transport delay of `gate_delay` ticks, so reconvergent paths create
 // realistic glitching — exactly the behavior the similarity metric should
-// see. Events that produce no value change are suppressed.
+// see. Events that produce no value change are suppressed. With one constant
+// delay, gate events are created in time order, so pending events wait in a
+// plain FIFO.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +27,8 @@ struct SimResult {
   std::vector<Waveform> waveforms;
   /// T_D: end of the simulated window = num_vectors * vector_period.
   SimTime horizon = 0;
+  /// Events applied: every input of every vector after the first, plus
+  /// every scheduled gate output, whether or not it changed the net.
   std::int64_t total_events = 0;
 };
 

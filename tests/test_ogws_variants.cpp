@@ -1,15 +1,24 @@
 // OGWS variants: the literal additive subgradient rule, coupling-load
-// modes, differentiated gates, and a bound-factor sweep against exhaustive
-// grid search on the chain circuit.
+// modes, differentiated gates, a bound-factor sweep against exhaustive
+// grid search on the chain circuit, and the dual step's bit-equality with a
+// step that calls pow() on every multiplier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "core/flow.hpp"
 #include "core/ogws.hpp"
 #include "core/problem.hpp"
+#include "layout/channels.hpp"
+#include "netlist/elaborator.hpp"
 #include "netlist/generator.hpp"
 #include "test_helpers.hpp"
+#include "timing/arrival.hpp"
+#include "timing/loads.hpp"
 #include "timing/metrics.hpp"
 
 namespace {
@@ -145,5 +154,181 @@ INSTANTIATE_TEST_SUITE_P(DelayFactors, ChainBruteForce,
                            return "f" + std::to_string(static_cast<int>(
                                             info.param * 100));
                          });
+
+// ---- dual step: the pow(1, rho) skip keeps every bit ----------------------
+
+double relative_violation(double value, double bound) { return (value - bound) / bound; }
+
+/// core::dual_ascent_step before the multiplicative rule skipped pow() on
+/// ratios of exactly 1: every multiplier goes through pow. The oracle of the
+/// bit-equality test below; returns how many λ edges had a ratio of 1.
+int pow_everywhere_dual_step(const netlist::Circuit& circuit,
+                             const layout::CouplingSet& coupling,
+                             const core::Bounds& bounds, const core::OgwsOptions& options,
+                             const timing::ArrivalAnalysis& arrivals,
+                             const std::vector<double>& x, double cap, double noise,
+                             double rho, const core::DualScales& scales,
+                             core::MultiplierState& m) {
+  int unit_ratios = 0;
+  const bool per_net = bounds.per_net_enabled();
+  if (options.step_rule == core::StepRule::kSubgradient) {
+    for (netlist::NodeId v = 1; v < circuit.num_nodes(); ++v) {
+      const auto in_nodes = circuit.inputs(v);
+      const auto in_edges = circuit.input_edges(v);
+      for (std::size_t idx = 0; idx < in_edges.size(); ++idx) {
+        const auto j = static_cast<std::size_t>(in_nodes[idx]);
+        const auto i = static_cast<std::size_t>(v);
+        double slack = 0.0;
+        if (v == circuit.sink()) {
+          slack = arrivals.arrival[j] - bounds.delay_s;
+        } else if (circuit.is_driver(v)) {
+          slack = arrivals.delay[i] - arrivals.arrival[i];
+        } else {
+          slack = arrivals.arrival[j] + arrivals.delay[i] - arrivals.arrival[i];
+        }
+        m.lambda[static_cast<std::size_t>(in_edges[idx])] +=
+            rho * scales.lambda_scale * (slack / bounds.delay_s);
+      }
+    }
+    m.beta += rho * scales.beta_scale * relative_violation(cap, bounds.cap_f);
+    m.gamma += rho * scales.gamma_scale * relative_violation(noise, bounds.noise_f);
+    if (per_net) {
+      for (netlist::NodeId v = circuit.first_component(); v < circuit.end_component(); ++v) {
+        const auto i = static_cast<std::size_t>(v);
+        const double bound_i = bounds.per_net_noise_f[i];
+        if (bound_i <= 0.0) continue;
+        m.gamma_net[i] += rho * (scales.area_ref / bound_i) *
+                          relative_violation(coupling.owned_noise_linear(v, x), bound_i);
+      }
+    }
+  } else {
+    auto pow_clamped = [rho](double ratio) {
+      return std::pow(std::clamp(ratio, 0.05, 20.0), rho);
+    };
+    for (netlist::NodeId v = 1; v < circuit.num_nodes(); ++v) {
+      const auto in_nodes = circuit.inputs(v);
+      const auto in_edges = circuit.input_edges(v);
+      for (std::size_t idx = 0; idx < in_edges.size(); ++idx) {
+        const auto j = static_cast<std::size_t>(in_nodes[idx]);
+        const auto i = static_cast<std::size_t>(v);
+        double ratio = 1.0;
+        if (v == circuit.sink()) {
+          ratio = arrivals.arrival[j] / bounds.delay_s;
+        } else if (!circuit.is_driver(v)) {
+          ratio = (arrivals.arrival[j] + arrivals.delay[i]) /
+                  std::max(arrivals.arrival[i], 1e-30);
+        }
+        if (ratio == 1.0) ++unit_ratios;
+        m.lambda[static_cast<std::size_t>(in_edges[idx])] *= pow_clamped(ratio);
+      }
+    }
+    const double cap_ratio = cap / bounds.cap_f;
+    const double noise_ratio = noise / bounds.noise_f;
+    if (m.beta <= 0.0 && cap_ratio > 1.0) m.beta = 1e-3 * scales.beta_scale;
+    if (m.gamma <= 0.0 && noise_ratio > 1.0) m.gamma = 1e-3 * scales.gamma_scale;
+    m.beta *= pow_clamped(cap_ratio);
+    m.gamma *= pow_clamped(noise_ratio);
+    if (per_net) {
+      for (netlist::NodeId v = circuit.first_component(); v < circuit.end_component(); ++v) {
+        const auto i = static_cast<std::size_t>(v);
+        const double bound_i = bounds.per_net_noise_f[i];
+        if (bound_i <= 0.0) continue;
+        const double ratio = coupling.owned_noise_linear(v, x) / bound_i;
+        double& g = m.gamma_net[i];
+        if (g <= 0.0 && ratio > 1.0) g = 1e-3 * scales.area_ref / bound_i;
+        g *= pow_clamped(ratio);
+      }
+    }
+  }
+  m.clamp_nonnegative();
+  m.project_flow(circuit);
+  return unit_ratios;
+}
+
+/// Entries of `a` and `b` whose bit patterns differ (-1 on a length mismatch).
+int differing_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return -1;
+  int differing = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i])) ++differing;
+  }
+  return differing;
+}
+
+TEST(OgwsVariants, DualStepMatchesPowEverywhereBitForBit) {
+  for (const core::StepRule rule :
+       {core::StepRule::kMultiplicative, core::StepRule::kSubgradient}) {
+    for (const double per_net : {0.0, 0.5}) {
+      SCOPED_TRACE(std::string(rule == core::StepRule::kMultiplicative ? "multiplicative"
+                                                                        : "subgradient") +
+                   " per_net " + std::to_string(per_net));
+      const auto spec = netlist::spec_for_profile("c432", 3);
+      const auto logic = netlist::generate_circuit(spec);
+      auto elab = netlist::elaborate(logic, netlist::TechParams{}, spec.elab);
+      const auto channels = layout::assign_channels(elab.circuit, elab.net_of_node, logic);
+      const auto coupling = layout::build_coupling_set(elab.circuit, channels.channels,
+                                                       layout::NeighborOptions{});
+      netlist::Circuit& circuit = elab.circuit;
+      circuit.set_uniform_size(1.0);
+      core::BoundFactors factors;
+      factors.per_net_noise = per_net;
+      const auto bounds =
+          core::derive_bounds(circuit, coupling, circuit.sizes(), kMode, factors);
+      ASSERT_EQ(bounds.per_net_enabled(), per_net > 0.0);
+
+      // A few real iterations give multipliers and sizes off the start point.
+      core::OgwsOptions options;
+      options.step_rule = rule;
+      options.step0 = rule == core::StepRule::kMultiplicative ? 4.0 : 0.25;
+      options.max_iterations = 6;
+      core::OgwsControl control;
+      control.capture_warm_start = true;
+      const auto run = core::run_ogws(circuit, coupling, bounds, options, control);
+      const double area_ref = timing::total_area(circuit, circuit.sizes());
+      const core::DualScales scales{area_ref, area_ref / bounds.delay_s,
+                                    area_ref / bounds.cap_f, area_ref / bounds.noise_f};
+
+      core::MultiplierState state(circuit);
+      state.init_default(circuit);
+      state.lambda = run.warm.lambda;
+      state.beta = run.warm.beta;
+      state.gamma = run.warm.gamma;
+      state.gamma_net = run.warm.gamma_net;
+      const std::vector<double>& x = run.sizes;
+      timing::LoadAnalysis loads;
+      timing::compute_loads(circuit, coupling, x, kMode, loads);
+      timing::ArrivalAnalysis arrivals;
+      timing::compute_arrivals(circuit, x, loads, arrivals);
+      // One rounding step off on every 7th node, so some ratios sit a single
+      // ulp away from 1 and only an exact comparison keeps them.
+      for (netlist::NodeId v = circuit.first_component(); v < circuit.end_component(); v += 7) {
+        double& a = arrivals.arrival[static_cast<std::size_t>(v)];
+        a = std::nextafter(a, 2.0 * a);
+      }
+      const double cap = timing::total_cap(circuit, x);
+      const double noise = coupling.noise_linear(x);
+
+      for (int k = 7; k <= 10; ++k) {
+        const double rho = options.step0 / std::sqrt(static_cast<double>(k));
+        core::MultiplierState expected = state;
+        const int unit_ratios = pow_everywhere_dual_step(
+            circuit, coupling, bounds, options, arrivals, x, cap, noise, rho, scales, expected);
+        core::dual_ascent_step(circuit, coupling, bounds, options, arrivals, x, cap, noise,
+                               rho, scales, state);
+        if (rule == core::StepRule::kMultiplicative) {
+          // Both paths are exercised: most edges have a ratio of exactly 1.
+          EXPECT_GT(unit_ratios, circuit.num_edges() / 2);
+          EXPECT_LT(unit_ratios, circuit.num_edges());
+        }
+        EXPECT_EQ(differing_bits(state.lambda, expected.lambda), 0) << "step " << k;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(state.beta),
+                  std::bit_cast<std::uint64_t>(expected.beta));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(state.gamma),
+                  std::bit_cast<std::uint64_t>(expected.gamma));
+        EXPECT_EQ(differing_bits(state.gamma_net, expected.gamma_net), 0) << "step " << k;
+      }
+    }
+  }
+}
 
 }  // namespace

@@ -160,6 +160,13 @@ TEST(OptionsBuilder, RejectsInconsistentParamsWithReadableMessages) {
   EXPECT_EQ(bad_vectors.code(), api::StatusCode::kInvalidArgument);
   EXPECT_NE(bad_vectors.message().find("num_vectors"), std::string::npos);
 
+  // A zero gate delay used to pass validation and abort inside sim::simulate.
+  sim::SimOptions zero_delay;
+  zero_delay.gate_delay = 0;
+  const api::Status bad_delay = api::FlowOptionsBuilder().sim(zero_delay).build(out);
+  EXPECT_EQ(bad_delay.code(), api::StatusCode::kInvalidArgument);
+  EXPECT_NE(bad_delay.message().find("sim.gate_delay"), std::string::npos);
+
   const api::Status bad_init = api::FlowOptionsBuilder().initial_size(50.0).build(out);
   EXPECT_EQ(bad_init.code(), api::StatusCode::kInvalidArgument);
   EXPECT_NE(bad_init.message().find("initial_size"), std::string::npos);

@@ -1,10 +1,12 @@
-// SimilarityMatrix and Miller weights over simulated netlists.
+// SimilarityMatrix and Miller weights over simulated netlists, and exact
+// agreement with the pairwise Waveform::similarity reference.
 #include <gtest/gtest.h>
 
 #include "netlist/bench_parser.hpp"
 #include "sim/patterns.hpp"
 #include "sim/similarity.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -71,6 +73,78 @@ TEST(SimilarityMatrix, WaveformConstructorMatchesSimResultPath) {
   for (std::int32_t a = 0; a < 3; ++a) {
     for (std::int32_t b = 0; b < 3; ++b) {
       EXPECT_DOUBLE_EQ(from_result.at(a, b), from_waves.at(a, b));
+    }
+  }
+}
+
+// Seeded waveforms over [0, T + 8): a toggle at each tick with probability
+// `density`, plus the edge cases the bitset fill must get right — a toggle at
+// 0, at T and past T, an empty toggle list, and both initial values.
+std::vector<sim::Waveform> random_waveforms(sim::SimTime horizon, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<sim::Waveform> waves;
+  const double densities[] = {0.0, 0.01, 0.1, 0.5};
+  for (int k = 0; k < 12; ++k) {
+    sim::Waveform w(k % 2);
+    const double density = densities[k % 4];
+    for (sim::SimTime t = 0; t < horizon + 8; ++t) {
+      if (rng.bernoulli(density)) w.add_toggle(t);
+    }
+    waves.push_back(std::move(w));
+  }
+  sim::Waveform at_zero(1);
+  at_zero.add_toggle(0);
+  waves.push_back(at_zero);
+  sim::Waveform at_and_past_horizon(0);
+  at_and_past_horizon.add_toggle(horizon);
+  at_and_past_horizon.add_toggle(horizon + 3);
+  waves.push_back(at_and_past_horizon);
+  sim::Waveform last_tick(1);
+  last_tick.add_toggle(horizon - 1);
+  waves.push_back(last_tick);
+  waves.emplace_back(0);  // empty toggle list
+  waves.emplace_back(1);
+  return waves;
+}
+
+TEST(SimilarityMatrix, MatchesPairwiseWaveformSimilarityExactly) {
+  // Horizons on both sides of the 64-tick word boundary, and the default
+  // stage-1 window (32 vectors x 64 ticks) and one tick past it.
+  const sim::SimTime horizons[] = {1, 63, 64, 65, 2048, 2049};
+  std::uint64_t seed = 40;
+  for (const sim::SimTime horizon : horizons) {
+    SCOPED_TRACE("T = " + std::to_string(horizon));
+    const auto waves = random_waveforms(horizon, ++seed);
+    const auto n = static_cast<std::int32_t>(waves.size());
+
+    const sim::SimilarityMatrix from_waves(waves, horizon);
+    // The SimResult constructor over a subset of the nets, in a shuffled
+    // order with one net repeated.
+    sim::SimResult result;
+    result.waveforms = waves;
+    result.horizon = horizon;
+    const std::vector<std::int32_t> nets = {5, 0, n - 1, 12, 7, 13, 5, 14, 2, n - 2, 9};
+    const sim::SimilarityMatrix from_result(result, nets);
+
+    for (std::int32_t a = 0; a < n; ++a) {
+      for (std::int32_t b = 0; b < n; ++b) {
+        EXPECT_EQ(from_waves.at(a, b),
+                  sim::Waveform::similarity(waves[static_cast<std::size_t>(a)],
+                                            waves[static_cast<std::size_t>(b)], horizon))
+            << "waveforms " << a << ", " << b;
+      }
+    }
+    for (std::size_t a = 0; a < nets.size(); ++a) {
+      for (std::size_t b = 0; b < nets.size(); ++b) {
+        const double expected =
+            a == b ? 1.0
+                   : sim::Waveform::similarity(result.waveforms[static_cast<std::size_t>(nets[a])],
+                                               result.waveforms[static_cast<std::size_t>(nets[b])],
+                                               horizon);
+        EXPECT_EQ(from_result.at(static_cast<std::int32_t>(a), static_cast<std::int32_t>(b)),
+                  expected)
+            << "nets " << nets[a] << ", " << nets[b];
+      }
     }
   }
 }

@@ -1,7 +1,12 @@
-// Event-driven logic simulator: truth tables, propagation, glitching.
+// Event-driven logic simulator: truth tables, propagation, glitching, and
+// exact agreement with a priority-queue event loop on generated netlists.
 #include <gtest/gtest.h>
 
+#include <queue>
+#include <string>
+
 #include "netlist/bench_parser.hpp"
+#include "netlist/generator.hpp"
 #include "netlist/logic_netlist.hpp"
 #include "sim/patterns.hpp"
 #include "sim/simulator.hpp"
@@ -120,6 +125,132 @@ TEST(Simulator, DeterministicAcrossRuns) {
   const auto b = sim::simulate(logic, vectors);
   for (std::size_t i = 0; i < a.waveforms.size(); ++i) {
     EXPECT_EQ(a.waveforms[i].toggles(), b.waveforms[i].toggles());
+  }
+}
+
+// The event loop simulate() replaced: every input change of every vector is
+// queued up front in a binary heap ordered by time. Kept as the oracle for
+// the differential test below.
+sim::SimResult heap_simulate(const netlist::LogicNetlist& netlist,
+                             const std::vector<std::vector<int>>& vectors,
+                             const sim::SimOptions& options) {
+  struct Event {
+    sim::SimTime time;
+    std::int32_t gate;
+    int value;
+  };
+  struct EventLater {
+    bool operator()(const Event& a, const Event& b) const { return a.time > b.time; }
+  };
+  const std::int32_t n = netlist.num_gates_logic();
+  const auto& pis = netlist.primary_inputs();
+  std::vector<std::vector<std::int32_t>> fanouts(static_cast<std::size_t>(n));
+  for (std::int32_t g = 0; g < n; ++g) {
+    for (std::int32_t f : netlist.gate(g).fanin) {
+      fanouts[static_cast<std::size_t>(f)].push_back(g);
+    }
+  }
+  std::vector<int> value(static_cast<std::size_t>(n), 0);
+  for (std::size_t i = 0; i < pis.size(); ++i) {
+    value[static_cast<std::size_t>(pis[i])] = vectors[0][i];
+  }
+  std::vector<int> scratch;
+  auto eval_gate = [&](std::int32_t g) {
+    scratch.clear();
+    for (std::int32_t f : netlist.gate(g).fanin) {
+      scratch.push_back(value[static_cast<std::size_t>(f)]);
+    }
+    return netlist::eval_logic_op(netlist.gate(g).op, scratch);
+  };
+  for (std::int32_t g : netlist.topo_order()) {
+    if (netlist.gate(g).op != LogicOp::kInput) value[static_cast<std::size_t>(g)] = eval_gate(g);
+  }
+  sim::SimResult result;
+  for (std::int32_t g = 0; g < n; ++g) {
+    result.waveforms.emplace_back(value[static_cast<std::size_t>(g)]);
+  }
+  result.horizon = static_cast<sim::SimTime>(vectors.size()) * options.vector_period;
+
+  std::priority_queue<Event, std::vector<Event>, EventLater> events;
+  std::vector<int> last_scheduled = value;
+  std::vector<sim::SimTime> dirty_mark(static_cast<std::size_t>(n), -1);
+  std::vector<std::int32_t> dirty;
+  for (std::size_t k = 1; k < vectors.size(); ++k) {
+    const sim::SimTime t = static_cast<sim::SimTime>(k) * options.vector_period;
+    for (std::size_t i = 0; i < pis.size(); ++i) {
+      events.push(Event{t, pis[i], vectors[k][i]});
+    }
+  }
+  while (!events.empty()) {
+    const sim::SimTime t = events.top().time;
+    dirty.clear();
+    while (!events.empty() && events.top().time == t) {
+      const Event ev = events.top();
+      events.pop();
+      const auto g = static_cast<std::size_t>(ev.gate);
+      ++result.total_events;
+      if (value[g] == ev.value) continue;
+      value[g] = ev.value;
+      result.waveforms[g].add_toggle(t);
+      for (std::int32_t consumer : fanouts[g]) {
+        if (dirty_mark[static_cast<std::size_t>(consumer)] != t) {
+          dirty_mark[static_cast<std::size_t>(consumer)] = t;
+          dirty.push_back(consumer);
+        }
+      }
+    }
+    for (std::int32_t g : dirty) {
+      const int nv = eval_gate(g);
+      if (nv != last_scheduled[static_cast<std::size_t>(g)]) {
+        last_scheduled[static_cast<std::size_t>(g)] = nv;
+        events.push(Event{t + options.gate_delay, g, nv});
+      }
+    }
+  }
+  return result;
+}
+
+TEST(Simulator, MatchesHeapOracleOnGeneratedNetlists) {
+  // (64, 1) settles well inside each vector; (5, 2) and (7, 3) are shorter
+  // than the logic depth's propagation time, so one vector's glitches are
+  // still in flight when the next vector's inputs land.
+  const std::pair<sim::SimTime, sim::SimTime> timings[] = {{64, 1}, {5, 2}, {7, 3}};
+  std::vector<netlist::LogicNetlist> netlists;
+  netlists.push_back(netlist::parse_bench_string(netlist::kIscas85C17));
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    netlist::GeneratorSpec spec;
+    spec.num_gates = 60 * static_cast<std::int32_t>(seed);
+    spec.num_wires = 140 * static_cast<std::int32_t>(seed);
+    spec.num_inputs = 10;
+    spec.num_outputs = 6;
+    spec.depth = 8 + 4 * static_cast<std::int32_t>(seed);
+    spec.seed = seed;
+    netlists.push_back(netlist::generate_circuit(spec));
+  }
+  netlists.push_back(netlist::generate_circuit(netlist::spec_for_profile("c432", 5)));
+
+  std::uint64_t vector_seed = 100;
+  for (const auto& logic : netlists) {
+    const auto vectors = sim::random_vectors(
+        static_cast<std::int32_t>(logic.primary_inputs().size()), 24, ++vector_seed);
+    for (const auto& [period, delay] : timings) {
+      SCOPED_TRACE("gates " + std::to_string(logic.num_gates_logic()) + " period " +
+                   std::to_string(period) + " delay " + std::to_string(delay));
+      sim::SimOptions options;
+      options.vector_period = period;
+      options.gate_delay = delay;
+      const auto expected = heap_simulate(logic, vectors, options);
+      const auto actual = sim::simulate(logic, vectors, options);
+      EXPECT_EQ(actual.horizon, expected.horizon);
+      EXPECT_EQ(actual.total_events, expected.total_events);
+      ASSERT_EQ(actual.waveforms.size(), expected.waveforms.size());
+      for (std::size_t g = 0; g < expected.waveforms.size(); ++g) {
+        EXPECT_EQ(actual.waveforms[g].initial_value(), expected.waveforms[g].initial_value())
+            << "net " << g;
+        EXPECT_EQ(actual.waveforms[g].toggles(), expected.waveforms[g].toggles())
+            << "net " << g;
+      }
+    }
   }
 }
 
