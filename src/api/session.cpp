@@ -54,61 +54,31 @@ Status SizingSession::begin_stage(Stage expected, const char* name) {
   return Status::Ok();
 }
 
+Status SizingSession::warm_start(WarmSeed seed) {
+  if (next_ == Stage::kDone) {
+    return Status::FailedPrecondition("warm_start() after size() has no effect");
+  }
+  if (seed_.has_value()) {
+    return Status::FailedPrecondition("a warm start is already configured");
+  }
+  if (seed.empty()) {
+    return Status::InvalidArgument(
+        "warm_start() got neither size entries nor multipliers");
+  }
+  seed.multipliers.sizes.clear();  // by contract, sizes travel sparse
+  seed_ = std::move(seed);
+  return Status::Ok();
+}
+
 Status SizingSession::warm_start_from(const core::FlowResult& prior) {
-  if (next_ == Stage::kDone) {
-    return Status::FailedPrecondition("warm_start_from() after size() has no effect");
+  WarmSeed seed;
+  seed.multipliers = prior.ogws.warm;
+  const netlist::Circuit& circuit = prior.circuit;  // carries the final sizes
+  for (netlist::NodeId v = circuit.first_component(); v < circuit.end_component();
+       ++v) {
+    seed.sizes.emplace_back(v, circuit.size(v));
   }
-  if (warm_.has_value() || !warm_entries_.empty() || warm_multipliers_.has_value()) {
-    return Status::FailedPrecondition("a warm start is already configured");
-  }
-  core::OgwsWarmStart warm = prior.ogws.warm;
-  if (warm.sizes.empty()) warm.sizes = prior.ogws.sizes;
-  if (warm.sizes.empty()) {
-    return Status::InvalidArgument(
-        "prior FlowResult carries no sizes to warm-start from");
-  }
-  warm_ = std::move(warm);
-  return Status::Ok();
-}
-
-Status SizingSession::warm_start_sizes(
-    std::vector<std::pair<std::int32_t, double>> entries) {
-  if (next_ == Stage::kDone) {
-    return Status::FailedPrecondition("warm_start_sizes() after size() has no effect");
-  }
-  if (warm_.has_value() || !warm_entries_.empty() || warm_multipliers_.has_value()) {
-    return Status::FailedPrecondition("a warm start is already configured");
-  }
-  if (entries.empty()) {
-    return Status::InvalidArgument("warm_start_sizes() got an empty entry list");
-  }
-  warm_entries_ = std::move(entries);
-  return Status::Ok();
-}
-
-Status SizingSession::warm_start_eco(
-    std::vector<std::pair<std::int32_t, double>> entries,
-    core::OgwsWarmStart multipliers) {
-  if (next_ == Stage::kDone) {
-    return Status::FailedPrecondition("warm_start_eco() after size() has no effect");
-  }
-  if (warm_.has_value() || !warm_entries_.empty() || warm_multipliers_.has_value()) {
-    return Status::FailedPrecondition("a warm start is already configured");
-  }
-  const bool have_multipliers = !multipliers.lambda.empty() ||
-                                !multipliers.gamma_net.empty() ||
-                                multipliers.beta != 0.0 || multipliers.gamma != 0.0;
-  if (entries.empty() && !have_multipliers) {
-    return Status::InvalidArgument(
-        "warm_start_eco() got neither size entries nor multipliers — the "
-        "whole netlist is dirty; run cold instead");
-  }
-  warm_entries_ = std::move(entries);
-  if (have_multipliers) {
-    multipliers.sizes.clear();  // by contract, sizes travel in `entries`
-    warm_multipliers_ = std::move(multipliers);
-  }
-  return Status::Ok();
+  return warm_start(std::move(seed));
 }
 
 Status SizingSession::elaborate() {
@@ -244,11 +214,32 @@ Status SizingSession::size() {
   if (Status st = begin_stage(Stage::kSize, "size"); !st.ok()) return st;
   netlist::Circuit& circuit = elab_->circuit;
 
-  // Materialize a sparse warm start against the now-known circuit.
-  if (!warm_entries_.empty() || warm_multipliers_.has_value()) {
-    core::OgwsWarmStart warm;
-    warm.sizes = circuit.sizes();
-    for (const auto& [node, size] : warm_entries_) {
+  // Materialize the warm-start seed against the now-known circuit. The
+  // multiplier lengths are checked first: they pin down the circuit shape,
+  // so a seed from another circuit is named as such.
+  std::optional<core::OgwsWarmStart> warm;
+  if (seed_.has_value()) {
+    const auto mismatch = [](const char* what, std::size_t got, const char* unit,
+                             std::int64_t want) {
+      std::ostringstream out;
+      out << "warm-start " << what << " carry " << got
+          << " entries but the elaborated circuit has " << want << " " << unit
+          << " — was the seed produced from the same netlist and elaboration "
+             "options?";
+      return Status::InvalidArgument(out.str());
+    };
+    const core::OgwsWarmStart& m = seed_->multipliers;
+    if (!m.lambda.empty() &&
+        m.lambda.size() != static_cast<std::size_t>(circuit.num_edges())) {
+      return mismatch("multipliers", m.lambda.size(), "edges", circuit.num_edges());
+    }
+    if (!m.gamma_net.empty() &&
+        m.gamma_net.size() != static_cast<std::size_t>(circuit.num_nodes())) {
+      return mismatch("per-net multipliers", m.gamma_net.size(), "nodes",
+                      circuit.num_nodes());
+    }
+    std::vector<double> sizes = circuit.sizes();
+    for (const auto& [node, size] : seed_->sizes) {
       if (node < circuit.first_component() || node >= circuit.end_component()) {
         std::ostringstream out;
         out << "warm-start size entry names node " << node
@@ -262,48 +253,12 @@ Status SizingSession::size() {
             << ")";
         return Status::InvalidArgument(out.str());
       }
-      warm.sizes[static_cast<std::size_t>(node)] =
+      sizes[static_cast<std::size_t>(node)] =
           std::clamp(size, circuit.lower_bound(node), circuit.upper_bound(node));
     }
-    if (warm_multipliers_.has_value()) {
-      // warm_start_eco: graft the base run's multiplier state onto the
-      // materialized sizes (lengths are validated just below).
-      warm.lambda = std::move(warm_multipliers_->lambda);
-      warm.beta = warm_multipliers_->beta;
-      warm.gamma = warm_multipliers_->gamma;
-      warm.gamma_net = std::move(warm_multipliers_->gamma_net);
-      warm_multipliers_.reset();
-    }
-    warm_ = std::move(warm);
-    warm_entries_.clear();
-  }
-  if (warm_.has_value()) {
-    if (warm_->sizes.size() != static_cast<std::size_t>(circuit.num_nodes())) {
-      std::ostringstream out;
-      out << "warm-start sizes carry " << warm_->sizes.size()
-          << " entries but the elaborated circuit has " << circuit.num_nodes()
-          << " nodes — was the prior result produced from the same netlist and "
-             "elaboration options?";
-      return Status::InvalidArgument(out.str());
-    }
-    if (!warm_->lambda.empty() &&
-        warm_->lambda.size() != static_cast<std::size_t>(circuit.num_edges())) {
-      std::ostringstream out;
-      out << "warm-start multipliers carry " << warm_->lambda.size()
-          << " entries but the elaborated circuit has " << circuit.num_edges()
-          << " edges — was the prior result produced from the same netlist and "
-             "elaboration options?";
-      return Status::InvalidArgument(out.str());
-    }
-    if (!warm_->gamma_net.empty() &&
-        warm_->gamma_net.size() != static_cast<std::size_t>(circuit.num_nodes())) {
-      std::ostringstream out;
-      out << "warm-start per-net multipliers carry " << warm_->gamma_net.size()
-          << " entries but the elaborated circuit has " << circuit.num_nodes()
-          << " nodes — was the prior result produced from the same netlist and "
-             "elaboration options?";
-      return Status::InvalidArgument(out.str());
-    }
+    warm.emplace(std::move(seed_->multipliers));
+    warm->sizes = std::move(sizes);
+    seed_.reset();
   }
 
   obs::ScopedSpan span(trace_, "size", "session");
@@ -312,7 +267,7 @@ Status SizingSession::size() {
   control.stop = stop_;
   control.capture_warm_start = capture_warm_start_;
   control.trace = trace_;
-  if (warm_.has_value()) control.warm_start = &*warm_;
+  if (warm.has_value()) control.warm_start = &*warm;
 
   util::WallTimer stage2_timer;
   core::OgwsResult ogws =

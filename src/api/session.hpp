@@ -54,6 +54,20 @@ namespace lrsizer::api {
 /// (iteration number, area, dual, certificate gap, max violation, timing).
 using IterationObserver = std::function<void(const core::OgwsIterate&)>;
 
+/// A warm start for SizingSession::warm_start: sparse per-node sizes plus,
+/// optionally, the multiplier state of the run they came from.
+struct WarmSeed {
+  /// (circuit NodeId, size) entries; unlisted components keep the initial
+  /// size.
+  std::vector<std::pair<std::int32_t, double>> sizes;
+  /// λ, β, γ and per-net γ of the run the sizes came from; the dense `sizes`
+  /// member is ignored. Empty λ: the multipliers start as in a cold run.
+  /// They only fit a circuit with the same node/edge counts.
+  core::OgwsWarmStart multipliers;
+
+  bool empty() const { return sizes.empty() && multipliers.lambda.empty(); }
+};
+
 class SizingSession {
  public:
   /// Pipeline position: the next stage that run_all()/the stage calls would
@@ -94,29 +108,21 @@ class SizingSession {
   /// O(edges) multiplier copy per dual-improving iteration.
   void set_capture_warm_start(bool on) { capture_warm_start_ = on; }
 
-  /// Seed the sizing stage from a prior run's result: the prior sizes become
-  /// the incumbent iterate and the prior best-dual multipliers the starting
-  /// point, so identical options re-converge in one or two iterations and
-  /// tweaked options start from the converged neighborhood. The prior result
-  /// must come from the same netlist/elaboration (node/edge counts are
-  /// validated when size() runs). Fails once size() has run.
+  /// Seed the sizing stage: the seed's sizes become the incumbent iterate
+  /// and its multipliers, when present, the starting point of the dual
+  /// ascent. Every warm start goes through here — a sized .bench's `# size`
+  /// annotations, the serve protocol's "warm_start", ECO and cache seeds
+  /// (eco::seed_from_index) and warm_start_from(). Node ids and multiplier
+  /// lengths are validated against the elaborated circuit when size() runs.
+  /// Fails once size() has run, when a seed is already set, and on an empty
+  /// seed.
+  Status warm_start(WarmSeed seed);
+
+  /// warm_start() from a prior run's result: its final sizes plus its
+  /// best-dual multipliers, so identical options re-converge in one or two
+  /// iterations and tweaked options start from the converged neighborhood.
+  /// The prior result must come from the same netlist/elaboration.
   Status warm_start_from(const core::FlowResult& prior);
-
-  /// Warm-start from sparse per-node sizes (e.g. `# size` annotations of a
-  /// sized .bench written by the CLI): unlisted components keep the
-  /// initial size. Entries are (circuit NodeId, size); ids are validated
-  /// against the elaborated circuit when size() runs.
-  Status warm_start_sizes(std::vector<std::pair<std::int32_t, double>> entries);
-
-  /// ECO warm start (docs/ECO.md): sparse per-node sizes for the *clean*
-  /// region of an edited netlist — built by eco::seed_from_index from a
-  /// cached base run — plus, optionally, the base run's multiplier state
-  /// (`multipliers.sizes` is ignored; pass it empty). The multipliers are
-  /// only valid when the revised circuit keeps the base's node/edge counts
-  /// (e.g. op-only edits); lengths are validated when size() runs. Fails if
-  /// any warm start is already configured, like the other two seeders.
-  Status warm_start_eco(std::vector<std::pair<std::int32_t, double>> entries,
-                        core::OgwsWarmStart multipliers);
 
   // ---- stages --------------------------------------------------------------
 
@@ -171,11 +177,8 @@ class SizingSession {
   std::stop_token stop_;
   obs::TraceSession* trace_ = nullptr;
   bool capture_warm_start_ = true;
-  std::optional<core::OgwsWarmStart> warm_;
-  std::vector<std::pair<std::int32_t, double>> warm_entries_;
-  /// Multiplier state accompanying warm_entries_ (warm_start_eco only);
-  /// merged into the materialized warm start when size() runs.
-  std::optional<core::OgwsWarmStart> warm_multipliers_;
+  /// The warm_start() seed, materialized against the circuit by size().
+  std::optional<WarmSeed> seed_;
 
   // Intermediate state, populated stage by stage and moved into the final
   // FlowResult by size().

@@ -80,7 +80,7 @@ EcoSeed seed_from_index(const netlist::LogicNetlist& revised,
     // the routing-tree shape. Seed only nets that kept their node count.
     if (nodes.size() != base.sizes.size()) continue;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
-      seed.sizes.emplace_back(nodes[i], base.sizes[i]);
+      seed.warm.sizes.emplace_back(nodes[i], base.sizes[i]);
     }
     seed.reused_nodes += static_cast<std::int64_t>(nodes.size());
   }
@@ -90,10 +90,10 @@ EcoSeed seed_from_index(const netlist::LogicNetlist& revised,
   // the elaborated structure does not depend on gate ops by default).
   if (!index.lambda.empty() && index.num_nodes == elab.circuit.num_nodes() &&
       index.num_edges == elab.circuit.num_edges()) {
-    seed.multipliers.lambda = index.lambda;
-    seed.multipliers.beta = index.beta;
-    seed.multipliers.gamma = index.gamma;
-    seed.multipliers.gamma_net = index.gamma_net;
+    seed.warm.multipliers.lambda = index.lambda;
+    seed.warm.multipliers.beta = index.beta;
+    seed.warm.multipliers.gamma = index.gamma;
+    seed.warm.multipliers.gamma_net = index.gamma_net;
   }
   return seed;
 }
@@ -112,9 +112,7 @@ api::Status IncrementalSizer::resize(netlist::LogicNetlist revised,
   EcoSeed seed = seed_from_index(revised, options_, index_);
   api::SizingSession session(std::move(revised), options_);
   if (!seed.empty()) {
-    if (api::Status st = session.warm_start_eco(std::move(seed.sizes),
-                                                std::move(seed.multipliers));
-        !st.ok()) {
+    if (api::Status st = session.warm_start(std::move(seed.warm)); !st.ok()) {
       return st;
     }
   }

@@ -12,12 +12,14 @@
 //      warm-start entries; when the revised circuit keeps the base's exact
 //      node/edge counts — e.g. op-only edits, which do not change the
 //      elaborated structure — the multipliers transfer verbatim too.
-//   3. api::SizingSession::warm_start_eco() consumes the seed; OGWS starts
-//      in the converged neighborhood and re-converges in a fraction of the
+//   3. api::SizingSession::warm_start() consumes the seed; OGWS starts in
+//      the converged neighborhood and re-converges in a fraction of the
 //      cold iteration count (bench/bench_eco.cpp commits the trajectory).
 //
-// Like `--cache-warm`, an ECO-seeded run converges to an equally valid but
-// not bit-identical solution trajectory versus a cold run.
+// The same circuit under other bounds is the case with zero dirty gates: the
+// whole size vector and the multipliers transfer. That is what
+// `serve --cache-warm` does on a miss. A seeded run converges to an equally
+// valid but not bit-identical solution trajectory versus a cold run.
 //
 // IncrementalSizer bundles 2+3 for CLI/bench use; the serve loop instead
 // stores the index inside runtime::ResultCache entries and matches bases by
@@ -32,7 +34,6 @@
 #include "api/session.hpp"
 #include "api/status.hpp"
 #include "core/flow.hpp"
-#include "core/ogws.hpp"
 #include "netlist/logic_netlist.hpp"
 #include "runtime/cache.hpp"
 
@@ -47,20 +48,18 @@ runtime::EcoIndex build_eco_index(const netlist::LogicNetlist& netlist,
 
 /// What seed_from_index() recovered from the snapshot for one revision.
 struct EcoSeed {
-  /// Sparse (circuit NodeId, size) warm-start entries covering the clean
-  /// nets — food for api::SizingSession::warm_start_eco.
-  std::vector<std::pair<std::int32_t, double>> sizes;
-  /// The base run's multiplier state when the revised circuit has the same
-  /// node/edge counts; default-constructed (empty) otherwise.
-  core::OgwsWarmStart multipliers;
-  /// Circuit nodes seeded from the snapshot (= sizes.size()).
+  /// Sparse (circuit NodeId, size) entries covering the clean nets, plus the
+  /// base run's multiplier state when the revised circuit has the same
+  /// node/edge counts — food for api::SizingSession::warm_start.
+  api::WarmSeed warm;
+  /// Circuit nodes seeded from the snapshot (= warm.sizes.size()).
   std::int64_t reused_nodes = 0;
   /// Revised gates with no cone match in the base — the edits plus their
   /// fan-out cone.
   std::int32_t dirty_gates = 0;
   std::int32_t clean_gates = 0;
 
-  bool empty() const { return sizes.empty() && multipliers.empty(); }
+  bool empty() const { return warm.empty(); }
 };
 
 /// Diff `revised` against the snapshot and collect the reusable solution

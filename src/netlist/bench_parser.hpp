@@ -48,7 +48,7 @@ LogicNetlist parse_bench_string(const std::string& text);
 /// above); a line counts as an annotation only when its third token is an
 /// integer node id, so `# size ...` prose stays prose. Truncated or
 /// out-of-range annotations raise BenchParseError. Feeds
-/// api::SizingSession::warm_start_sizes / `lrsizer --warm-start`.
+/// api::SizingSession::warm_start / `lrsizer --warm-start`.
 std::vector<std::pair<std::int32_t, double>> read_size_annotations(std::istream& in);
 
 /// The real ISCAS85 c17 netlist, shipped in-tree (also in data/c17.bench).

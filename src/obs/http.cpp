@@ -1,35 +1,8 @@
 #include "obs/http.hpp"
 
-#include <cstdlib>
-
 namespace lrsizer::obs {
 
 namespace {
-
-std::string trimmed_lower(const std::string& s, std::size_t begin,
-                          std::size_t end) {
-  while (begin < end && (s[begin] == ' ' || s[begin] == '\t')) ++begin;
-  while (end > begin && (s[end - 1] == ' ' || s[end - 1] == '\t')) --end;
-  std::string out = s.substr(begin, end - begin);
-  for (char& c : out) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
-  return out;
-}
-
-/// One Accept-Encoding list entry ("gzip", "gzip;q=0.5", ...): true when it
-/// names gzip with a nonzero q-value.
-bool entry_admits_gzip(const std::string& entry) {
-  const std::size_t semi = entry.find(';');
-  const std::string coding = trimmed_lower(entry, 0, semi == std::string::npos
-                                                         ? entry.size()
-                                                         : semi);
-  if (coding != "gzip" && coding != "x-gzip") return false;
-  if (semi == std::string::npos) return true;
-  const std::string params = trimmed_lower(entry, semi + 1, entry.size());
-  if (params.rfind("q=", 0) != 0) return true;  // unknown param: keep default
-  return std::strtod(params.c_str() + 2, nullptr) > 0.0;
-}
 
 /// RFC 9110 token characters (method names).
 bool token_char(char c) {
@@ -107,52 +80,13 @@ HttpRequestParser::State HttpRequestParser::feed(const char* data,
   return state_;
 }
 
-bool HttpRequestParser::accept_gzip() const {
-  if (state_ != State::kComplete) return false;
-  // Headers were never parsed into a map (they are ignored for routing), but
-  // the raw section is still in buffer_ — scan it line by line.
-  std::size_t pos = buffer_.find("\r\n");
-  if (pos == std::string::npos) return false;
-  pos += 2;
-  while (pos < buffer_.size()) {
-    const std::size_t line_end = buffer_.find("\r\n", pos);
-    if (line_end == std::string::npos || line_end == pos) break;  // blank line
-    const std::size_t colon = buffer_.find(':', pos);
-    if (colon != std::string::npos && colon < line_end &&
-        trimmed_lower(buffer_, pos, colon) == "accept-encoding") {
-      // Comma-split the value; any admitting entry wins.
-      std::size_t entry_begin = colon + 1;
-      while (entry_begin <= line_end) {
-        std::size_t entry_end = buffer_.find(',', entry_begin);
-        if (entry_end == std::string::npos || entry_end > line_end) {
-          entry_end = line_end;
-        }
-        if (entry_admits_gzip(
-                buffer_.substr(entry_begin, entry_end - entry_begin))) {
-          return true;
-        }
-        entry_begin = entry_end + 1;
-      }
-    }
-    pos = line_end + 2;
-  }
-  return false;
-}
-
 std::string http_response(int status, const std::string& reason,
                           const std::string& content_type,
                           const std::string& body) {
-  return http_response(status, reason, content_type, body, std::string());
-}
-
-std::string http_response(int status, const std::string& reason,
-                          const std::string& content_type,
-                          const std::string& body,
-                          const std::string& extra_headers) {
   std::string out = "HTTP/1.1 " + std::to_string(status) + ' ' + reason +
                     "\r\nContent-Type: " + content_type +
                     "\r\nContent-Length: " + std::to_string(body.size()) +
-                    "\r\n" + extra_headers + "Connection: close\r\n\r\n";
+                    "\r\nConnection: close\r\n\r\n";
   out += body;
   return out;
 }

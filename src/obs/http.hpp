@@ -51,12 +51,6 @@ class HttpRequestParser {
   int error_status() const { return error_status_; }
   const std::string& error_reason() const { return error_reason_; }
 
-  /// True when the completed request's Accept-Encoding headers admit gzip:
-  /// any `gzip` (or `x-gzip`) entry whose q-value is not 0. Headers stay
-  /// buffered (they are otherwise ignored), so this is a post-hoc scan —
-  /// only meaningful in kComplete.
-  bool accept_gzip() const;
-
  private:
   State fail(int status, std::string reason) {
     state_ = State::kBad;
@@ -80,12 +74,5 @@ class HttpRequestParser {
 std::string http_response(int status, const std::string& reason,
                           const std::string& content_type,
                           const std::string& body);
-
-/// Same, with extra header lines (each "Name: value\r\n") spliced in before
-/// the blank line — the /metrics gzip path adds Content-Encoding + Vary.
-std::string http_response(int status, const std::string& reason,
-                          const std::string& content_type,
-                          const std::string& body,
-                          const std::string& extra_headers);
 
 }  // namespace lrsizer::obs

@@ -71,15 +71,8 @@ JobOutcome run_job(BatchJob job, const JobControls& controls) {
           [&observer = controls.observer, &name = outcome.name](
               const core::OgwsIterate& iterate) { observer(name, iterate); });
     }
-    if (!job.eco_warm.empty()) {
-      if (const api::Status st = session.warm_start_eco(std::move(job.warm_sizes),
-                                                        std::move(job.eco_warm));
-          !st.ok()) {
-        throw std::invalid_argument("batch job '" + job.name + "': " + st.to_string());
-      }
-    } else if (!job.warm_sizes.empty()) {
-      if (const api::Status st = session.warm_start_sizes(std::move(job.warm_sizes));
-          !st.ok()) {
+    if (!job.warm.empty()) {
+      if (const api::Status st = session.warm_start(std::move(job.warm)); !st.ok()) {
         throw std::invalid_argument("batch job '" + job.name + "': " + st.to_string());
       }
     }
@@ -124,7 +117,7 @@ std::vector<std::pair<std::int32_t, double>> sparse_sizes(
 namespace {
 
 JobOutcome run_one(BatchJob&& job, const BatchOptions& options,
-                   const CacheKey* key) {
+                   const std::string* key) {
   JobOutcome outcome = run_job(
       std::move(job), JobControls{options.stop, options.observer, options.trace});
   // Publish completed cold runs; cancelled/failed outcomes never enter the
@@ -167,38 +160,29 @@ BatchResult run_batch(std::vector<BatchJob> jobs, ThreadPool& pool,
   // Cache pre-pass (submit-order deterministic, so reports stay byte-equal
   // at any worker count): key every cacheable job, answer completed hits
   // without submitting, and collapse byte-identical in-batch duplicates
-  // onto their first occurrence. Jobs with explicit warm_sizes bypass the
-  // cache — their outcome depends on the seed sizes, not just the key.
+  // onto their first occurrence. Seeded jobs bypass the cache — their
+  // outcome depends on the seed, not just the key.
   const std::size_t n = jobs.size();
-  std::vector<CacheKey> keys(n);
+  std::vector<std::string> keys(n);
   std::vector<char> cacheable(n, 0);
   std::vector<std::shared_ptr<const CachedEntry>> hit(n);
   std::vector<std::ptrdiff_t> dup_of(n, -1);
   if (options.cache) {
     std::unordered_map<std::string, std::size_t> owner_of;
     for (std::size_t i = 0; i < n; ++i) {
-      if (!jobs[i].warm_sizes.empty() || !jobs[i].eco_warm.empty()) continue;
+      if (!jobs[i].warm.empty()) continue;
       keys[i] = cache_key(jobs[i].netlist, jobs[i].options);
       cacheable[i] = 1;
-      if ((hit[i] = options.cache->lookup(keys[i].key))) continue;
-      const auto [it, inserted] = owner_of.emplace(keys[i].key, i);
-      if (!inserted) {
-        dup_of[i] = static_cast<std::ptrdiff_t>(it->second);
-      } else if (options.cache_warm) {
-        if (const auto warm = options.cache->lookup_warm(keys[i])) {
-          // Near-identical prior result (same circuit, other options):
-          // seed from its sizes. The run stays the key's owner and is
-          // published, so later identical jobs hit.
-          jobs[i].warm_sizes = warm->sizes;
-        }
-      }
+      if ((hit[i] = options.cache->lookup(keys[i]))) continue;
+      const auto [it, inserted] = owner_of.emplace(keys[i], i);
+      if (!inserted) dup_of[i] = static_cast<std::ptrdiff_t>(it->second);
     }
   }
 
   std::vector<std::optional<std::future<JobOutcome>>> futures(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (hit[i] || dup_of[i] >= 0) continue;
-    const CacheKey* key = cacheable[i] ? &keys[i] : nullptr;
+    const std::string* key = cacheable[i] ? &keys[i] : nullptr;
     // run_batch blocks on every future below, so borrowing `options` (stop
     // token, observer, cache) by reference is safe for the workers'
     // lifetime.

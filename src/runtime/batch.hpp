@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/session.hpp"
 #include "core/flow.hpp"
 #include "netlist/logic_netlist.hpp"
 #include "runtime/cache.hpp"
@@ -35,14 +36,10 @@ struct BatchJob {
   netlist::LogicNetlist netlist;   ///< finalized input circuit
   core::FlowOptions options;
   std::uint64_t seed = 1;          ///< generator seed (0 for parsed inputs)
-  /// Sparse warm-start sizes (circuit NodeId, size) applied through
-  /// api::SizingSession::warm_start_sizes — e.g. the `# size` annotations of
-  /// a previously sized .bench. Empty: cold start.
-  std::vector<std::pair<std::int32_t, double>> warm_sizes;
-  /// ECO multiplier state accompanying warm_sizes (eco::seed_from_index).
-  /// Non-empty routes the pair through api::SizingSession::warm_start_eco
-  /// instead of warm_start_sizes; the `sizes` member is ignored.
-  core::OgwsWarmStart eco_warm;
+  /// Warm start applied through api::SizingSession::warm_start — e.g. the
+  /// `# size` annotations of a previously sized .bench, or an ECO/cache
+  /// seed (eco::seed_from_index). Empty: cold start.
+  api::WarmSeed warm;
 };
 
 /// Build a job from one of the paper's Table-1 profiles (synthesizes the
@@ -119,16 +116,10 @@ struct BatchOptions {
   /// run_batch keys every job as netlist_hash × canonical(options) before
   /// submitting: completed entries answer without running, byte-identical
   /// in-batch duplicates run once and share the outcome, and every
-  /// completed cold run is stored back. Jobs with explicit warm_sizes
-  /// bypass the cache (their outcome depends on the seed sizes, not just
-  /// the key). nullptr: no caching.
+  /// completed cold run is stored back. Seeded jobs bypass the cache
+  /// (their outcome depends on the seed, not just the key). nullptr: no
+  /// caching.
   ResultCache* cache = nullptr;
-  /// With `cache` set: on a cache miss, seed the job from the sizes of a
-  /// cached result with the same netlist + elaboration but different
-  /// solver/bound options (ResultCache::lookup_warm). Off by default —
-  /// warm-started runs converge to an equally valid but not bit-identical
-  /// trajectory, so this trades reproducibility-vs-cold for speed.
-  bool cache_warm = false;
   /// Flow tracing shared by every job in the batch (borrowed; must outlive
   /// run_batch). TraceSession::record is thread-safe and spans carry dense
   /// per-thread tids, so concurrent jobs interleave cleanly in one trace.

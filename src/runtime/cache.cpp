@@ -34,7 +34,7 @@ const char* load_mode_name(timing::CouplingLoadMode mode) {
 }
 
 /// tech + elab: everything that determines the elaborated circuit. Kept as
-/// its own object so the warm-start compatibility prefix can hash it alone.
+/// its own object because the key's `e` component hashes it alone.
 Json elab_canon(const core::FlowOptions& o) {
   Json j = Json::object();
   Json tech = Json::object();
@@ -127,15 +127,12 @@ Json canonical_options_json(const core::FlowOptions& o) {
   return j;
 }
 
-CacheKey cache_key(const netlist::LogicNetlist& nl,
-                   const core::FlowOptions& options) {
-  CacheKey key;
+std::string cache_key(const netlist::LogicNetlist& nl,
+                      const core::FlowOptions& options) {
   const std::uint64_t nh = netlist::netlist_hash(nl);
   const std::uint64_t eh = netlist::fnv1a(elab_canon(options).dump());
   const std::uint64_t oh = netlist::fnv1a(canonical_options_json(options).dump());
-  key.warm_prefix = "n" + hex16(nh) + "-e" + hex16(eh);
-  key.key = key.warm_prefix + "-o" + hex16(oh);
-  return key;
+  return "n" + hex16(nh) + "-e" + hex16(eh) + "-o" + hex16(oh);
 }
 
 namespace {
@@ -228,8 +225,6 @@ void ResultCache::erase_locked(const std::string& key) {
   if (it == entries_.end()) return;
   bytes_ -= it->second.bytes;
   lru_.erase(it->second.lru);
-  const auto warm = warm_index_.find(it->second.warm_prefix);
-  if (warm != warm_index_.end() && warm->second == key) warm_index_.erase(warm);
   for (const std::uint64_t cone : it->second.entry->eco.output_cones) {
     const auto po = po_index_.find(cone);
     if (po != po_index_.end() && po->second == key) po_index_.erase(po);
@@ -238,7 +233,6 @@ void ResultCache::erase_locked(const std::string& key) {
 }
 
 bool ResultCache::insert_locked(const std::string& key,
-                                const std::string& warm_prefix,
                                 std::shared_ptr<const CachedEntry> entry,
                                 std::vector<std::filesystem::path>* unlink) {
   const std::size_t bytes = entry_bytes(key, *entry);
@@ -250,9 +244,8 @@ bool ResultCache::insert_locked(const std::string& key,
   }
   erase_locked(key);  // overwrite: drop the old accounting first
   lru_.push_front(key);
-  entries_[key] = Slot{std::move(entry), bytes, warm_prefix, lru_.begin()};
+  entries_[key] = Slot{std::move(entry), bytes, lru_.begin()};
   bytes_ += bytes;
-  warm_index_[warm_prefix] = key;
   for (const std::uint64_t cone : entries_[key].entry->eco.output_cones) {
     po_index_[cone] = key;
   }
@@ -307,26 +300,16 @@ std::shared_ptr<const CachedEntry> ResultCache::lookup(const std::string& key) {
   return entry;
 }
 
-void ResultCache::store(const CacheKey& key, CachedEntry entry) {
+void ResultCache::store(const std::string& key, CachedEntry entry) {
   auto shared = std::make_shared<const CachedEntry>(std::move(entry));
   std::vector<std::filesystem::path> unlink;
   bool stored = false;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    stored = insert_locked(key.key, key.warm_prefix, shared, &unlink);
+    stored = insert_locked(key, shared, &unlink);
   }
-  if (stored) persist(key.key, *shared);
+  if (stored) persist(key, *shared);
   unlink_files(unlink);
-}
-
-std::shared_ptr<const CachedEntry> ResultCache::lookup_warm(const CacheKey& key) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = warm_index_.find(key.warm_prefix);
-  if (it == warm_index_.end() || it->second == key.key) return nullptr;
-  const auto entry = entries_.find(it->second);
-  if (entry == entries_.end()) return nullptr;
-  ++warm_hits_;
-  return entry->second.entry;
 }
 
 std::shared_ptr<const CachedEntry> ResultCache::lookup_eco(
@@ -352,7 +335,6 @@ std::shared_ptr<const CachedEntry> ResultCache::lookup_eco(
   const auto entry = entries_.find(*best);
   if (entry == entries_.end()) return nullptr;
   touch_locked(entry->second);
-  ++eco_hits_;
   if (base_key) *base_key = *best;
   return entry->second.entry;
 }
@@ -361,60 +343,56 @@ std::shared_ptr<const CachedEntry> ResultCache::lookup_eco_base(
     const std::string& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
   auto entry = lookup_locked(key);
-  if (entry) {
-    ++eco_hits_;
-  } else {
-    ++misses_;
-  }
+  if (!entry) ++misses_;
   return entry;
 }
 
-ResultCache::Acquire ResultCache::acquire(const CacheKey& key,
+ResultCache::Acquire ResultCache::acquire(const std::string& key,
                                           std::shared_ptr<const CachedEntry>* hit,
                                           FollowerFn on_done) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (auto entry = lookup_locked(key.key)) {
+  if (auto entry = lookup_locked(key)) {
     ++hits_;
     if (hit) *hit = std::move(entry);
     return Acquire::kHit;
   }
   ++misses_;
-  const auto it = in_flight_.find(key.key);
+  const auto it = in_flight_.find(key);
   if (it != in_flight_.end()) {
     it->second.push_back(std::move(on_done));
     return Acquire::kFollower;
   }
-  in_flight_.emplace(key.key, std::vector<FollowerFn>{});
+  in_flight_.emplace(key, std::vector<FollowerFn>{});
   return Acquire::kOwner;
 }
 
-void ResultCache::publish(const CacheKey& key, CachedEntry entry) {
+void ResultCache::publish(const std::string& key, CachedEntry entry) {
   auto shared = std::make_shared<const CachedEntry>(std::move(entry));
   std::vector<FollowerFn> followers;
   std::vector<std::filesystem::path> unlink;
   bool stored = false;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    stored = insert_locked(key.key, key.warm_prefix, shared, &unlink);
-    const auto it = in_flight_.find(key.key);
+    stored = insert_locked(key, shared, &unlink);
+    const auto it = in_flight_.find(key);
     if (it != in_flight_.end()) {
       followers = std::move(it->second);
       in_flight_.erase(it);
     }
     hits_ += followers.size();
   }
-  if (stored) persist(key.key, *shared);
+  if (stored) persist(key, *shared);
   unlink_files(unlink);
   // Followers share the owner's result even when the budget rejected the
   // store — in-flight dedupe is never evicted, only completed entries are.
   for (auto& fn : followers) fn(shared);
 }
 
-void ResultCache::abandon(const CacheKey& key) {
+void ResultCache::abandon(const std::string& key) {
   std::vector<FollowerFn> followers;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = in_flight_.find(key.key);
+    const auto it = in_flight_.find(key);
     if (it != in_flight_.end()) {
       followers = std::move(it->second);
       in_flight_.erase(it);
@@ -431,16 +409,6 @@ std::size_t ResultCache::hits() const {
 std::size_t ResultCache::misses() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return misses_;
-}
-
-std::size_t ResultCache::warm_hits() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return warm_hits_;
-}
-
-std::size_t ResultCache::eco_hits() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return eco_hits_;
 }
 
 std::size_t ResultCache::entries() const {
@@ -470,8 +438,6 @@ CacheStats ResultCache::stats() const {
   s.bytes = bytes_;
   s.hits = hits_;
   s.misses = misses_;
-  s.warm_hits = warm_hits_;
-  s.eco_hits = eco_hits_;
   s.evictions = evictions_;
   s.corrupt = corrupt_;
   return s;
@@ -544,10 +510,7 @@ std::shared_ptr<const CachedEntry> ResultCache::load_from_disk(
     // Promote to memory within the budget (mutex_ held by caller). Reads
     // never unlink files: a promotion may evict other *memory* entries, and
     // an entry too big for the budget is served without being cached.
-    const auto dash_o = key.rfind("-o");
-    const std::string prefix =
-        dash_o == std::string::npos ? key : key.substr(0, dash_o);
-    insert_locked(key, prefix, shared, nullptr);
+    insert_locked(key, shared, nullptr);
     return shared;
   } catch (const std::exception& e) {
     quarantine_locked(path, key, e.what());

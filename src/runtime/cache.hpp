@@ -13,11 +13,11 @@
 //
 // A cached entry stores the completed job's report JSON (the
 // `lrsizer-batch-v1` job object, served back verbatim so cache hits are
-// byte-identical to the original run) plus the final sparse size vector.
-// The sizes double as warm-start seeds for *near-identical* jobs: same
-// netlist and same elaboration (same circuit), different bound/solver knobs
-// (lookup_warm; opt-in, because a warm-started run converges to an equally
-// valid but not bit-identical trajectory).
+// byte-identical to the original run), the final sparse size vector (the
+// serve protocol's "want_sizes" payload) and an EcoIndex. The index is what
+// seeds *other* jobs: lookup_eco finds the entry sharing the most output
+// cones with a request — the same circuit under new bounds, or an edited
+// revision — and eco::seed_from_index turns it into a warm start.
 //
 // Completed entries are bounded by CacheLimits (LRU eviction over entry
 // count and accounted bytes, enforced in memory and — when disk-backed —
@@ -54,19 +54,12 @@ namespace lrsizer::runtime {
 /// flow-equivalent options. The ignored `threads` field is excluded.
 Json canonical_options_json(const core::FlowOptions& options);
 
-struct CacheKey {
-  /// "n<netlist-hash>-e<elab-hash>-o<options-hash>" (16 hex digits each).
-  /// The full cache key; also a valid portable file stem.
-  std::string key;
-  /// "n<netlist-hash>-e<elab-hash>": the warm-start compatibility class —
-  /// same circuit after elaboration, any solver/bound options.
-  std::string warm_prefix;
-};
-
-/// Build the cache key for (netlist, options). O(netlist) hashing; no
-/// elaboration runs.
-CacheKey cache_key(const netlist::LogicNetlist& netlist,
-                   const core::FlowOptions& options);
+/// The cache key for (netlist, options):
+/// "n<netlist-hash>-e<elab-hash>-o<options-hash>" (16 hex digits each), also
+/// a valid portable file stem. Clients hold keys as `eco_base` handles, so
+/// the format is stable. O(netlist) hashing; no elaboration runs.
+std::string cache_key(const netlist::LogicNetlist& netlist,
+                      const core::FlowOptions& options);
 
 /// Per-net solution snapshot for ECO re-sizing (docs/ECO.md). Built from a
 /// completed run by eco::build_eco_index; consumed by eco::seed_from_index,
@@ -104,7 +97,8 @@ struct EcoIndex {
 struct CachedEntry {
   /// The run's `lrsizer-batch-v1` job object (job_json), verbatim.
   Json job;
-  /// Final sizes as sparse (circuit NodeId, size) pairs — warm-start food.
+  /// Final sizes as sparse (circuit NodeId, size) pairs — the "want_sizes"
+  /// payload of a serve result.
   std::vector<std::pair<std::int32_t, double>> sizes;
   /// Optional per-net snapshot for ECO warm-starting; empty when the
   /// producer did not build one.
@@ -127,16 +121,15 @@ struct CacheLimits {
 };
 
 /// Point-in-time cache counters (see the accessors below for semantics).
-/// Hit kinds are disjoint: `hits` counts exact-key answers only, while
-/// warm/eco reuse bumps its own counter — a request that misses the exact
-/// key but warm-starts still counts one `misses`.
+/// `hits` counts exact-key answers only: finding a base that seeds another
+/// job is not a hit (the serve loop counts applied seeds itself), and a
+/// request that misses its exact key but is seeded still counts one
+/// `misses`.
 struct CacheStats {
   std::size_t entries = 0;    ///< completed entries currently held
   std::size_t bytes = 0;      ///< Σ accounted bytes of those entries
   std::size_t hits = 0;       ///< exact-key hits
   std::size_t misses = 0;
-  std::size_t warm_hits = 0;  ///< lookup_warm answers (same circuit, new knobs)
-  std::size_t eco_hits = 0;   ///< ECO base answers (lookup_eco/lookup_eco_base)
   std::size_t evictions = 0;  ///< entries removed (or rejected) for budget
   std::size_t corrupt = 0;    ///< disk entries quarantined to <key>.corrupt
 };
@@ -167,27 +160,22 @@ class ResultCache {
   std::shared_ptr<const CachedEntry> lookup(const std::string& key);
 
   /// Store a completed entry (and persist it when disk-backed). Overwrites.
-  void store(const CacheKey& key, CachedEntry entry);
+  void store(const std::string& key, CachedEntry entry);
 
-  /// Most recent completed entry with the same warm prefix but a different
-  /// full key — a near-identical job whose sizes can warm-start this one.
-  /// nullptr when none is known (memory-resident index only). A successful
-  /// answer counts one `warm_hits`.
-  std::shared_ptr<const CachedEntry> lookup_warm(const CacheKey& key);
-
-  /// ECO near-miss probe: the completed entry (with a non-empty EcoIndex)
-  /// sharing the most output cones with `output_cones`, excluding
-  /// `exclude_key` (the request's own exact key, which lookup/acquire
-  /// already covers). Memory-resident index only; nullptr when no entry
-  /// shares a single cone. On success `*base_key` (if non-null) receives the
-  /// base entry's full key and one `eco_hits` is counted.
+  /// Seed probe: the completed entry (with a non-empty EcoIndex) sharing
+  /// the most output cones with `output_cones`, excluding `exclude_key` (the
+  /// request's own exact key, which lookup/acquire already covers). The same
+  /// circuit under other options shares every cone; an edited revision
+  /// shares most. Memory-resident index only; nullptr when no entry shares a
+  /// single cone. On success `*base_key` (if non-null) receives the base
+  /// entry's full key. Counts nothing.
   std::shared_ptr<const CachedEntry> lookup_eco(
       const std::vector<std::uint64_t>& output_cones,
       const std::string& exclude_key, std::string* base_key = nullptr);
 
   /// Exact-key lookup for a client-named ECO base (`eco_base` in the serve
-  /// protocol): same search as lookup() but a success counts as an
-  /// `eco_hits`, not an exact hit — the entry seeds a different job.
+  /// protocol): same search as lookup(), but a success is not an exact hit
+  /// — the entry seeds a different job. A miss counts one `misses`.
   std::shared_ptr<const CachedEntry> lookup_eco_base(const std::string& key);
 
   // ---- in-flight dedupe ----------------------------------------------------
@@ -205,15 +193,15 @@ class ResultCache {
 
   /// Atomically: completed entry → kHit; key in flight → register follower;
   /// otherwise the caller becomes the owner.
-  Acquire acquire(const CacheKey& key, std::shared_ptr<const CachedEntry>* hit,
+  Acquire acquire(const std::string& key, std::shared_ptr<const CachedEntry>* hit,
                   FollowerFn on_done);
 
   /// Owner completed: store the entry and fire every follower with it.
-  void publish(const CacheKey& key, CachedEntry entry);
+  void publish(const std::string& key, CachedEntry entry);
 
   /// Owner failed or was cancelled: fire every follower with nullptr (each
   /// re-runs on its own) and release the key.
-  void abandon(const CacheKey& key);
+  void abandon(const std::string& key);
 
   // ---- stats ---------------------------------------------------------------
 
@@ -222,8 +210,6 @@ class ResultCache {
 
   std::size_t hits() const;    ///< lookup/acquire answered from a completed entry
   std::size_t misses() const;  ///< lookups that found nothing completed
-  std::size_t warm_hits() const;  ///< lookup_warm answers
-  std::size_t eco_hits() const;   ///< lookup_eco/lookup_eco_base answers
   std::size_t entries() const;    ///< completed entries currently held
   std::size_t bytes() const;      ///< Σ accounted bytes of those entries
   std::size_t evictions() const;  ///< entries evicted/rejected for budget
@@ -235,7 +221,6 @@ class ResultCache {
   struct Slot {
     std::shared_ptr<const CachedEntry> entry;
     std::size_t bytes = 0;
-    std::string warm_prefix;
     std::list<std::string>::iterator lru;  ///< position in lru_
   };
 
@@ -249,7 +234,7 @@ class ResultCache {
   /// returns false when the entry alone exceeds it (nothing stored). Disk
   /// files of evicted entries are appended to *unlink for removal after the
   /// lock is released.
-  bool insert_locked(const std::string& key, const std::string& warm_prefix,
+  bool insert_locked(const std::string& key,
                      std::shared_ptr<const CachedEntry> entry,
                      std::vector<std::filesystem::path>* unlink);
   void erase_locked(const std::string& key);
@@ -263,8 +248,6 @@ class ResultCache {
   std::unordered_map<std::string, Slot> entries_;
   /// Completed keys, most recently used at the front.
   std::list<std::string> lru_;
-  /// warm_prefix -> full key of the most recently completed entry.
-  std::unordered_map<std::string, std::string> warm_index_;
   /// output cone hash -> full key of the most recently completed entry whose
   /// EcoIndex fingerprint contains it (the lookup_eco vote table).
   std::unordered_map<std::uint64_t, std::string> po_index_;
@@ -272,8 +255,6 @@ class ResultCache {
   std::size_t bytes_ = 0;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
-  std::size_t warm_hits_ = 0;
-  std::size_t eco_hits_ = 0;
   std::size_t evictions_ = 0;
   std::size_t corrupt_ = 0;
 };

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include "obs/gzip.hpp"
 #include "obs/http.hpp"
 #include "obs/prometheus.hpp"
 #include "util/logging.hpp"
@@ -187,21 +186,9 @@ void respond_http(Conn& conn, Server& server) {
   } else if (req.target == "/metrics") {
     const std::string body =
         obs::render_prometheus(server.registry().snapshot());
-    // Scrapes grow with the metric surface; honor Accept-Encoding: gzip when
-    // this build has zlib. A failed compression (or a zlib-less build) falls
-    // back to the identity response — gzip here is an optimization, never a
-    // requirement.
-    std::string gzipped;
-    if (conn.parser.accept_gzip() && obs::gzip_available() &&
-        obs::gzip_compress(body, &gzipped)) {
-      response = obs::http_response(
-          200, reason_phrase(200), "text/plain; version=0.0.4; charset=utf-8",
-          gzipped, "Content-Encoding: gzip\r\nVary: Accept-Encoding\r\n");
-    } else {
-      response = obs::http_response(
-          200, reason_phrase(200), "text/plain; version=0.0.4; charset=utf-8",
-          body);
-    }
+    response = obs::http_response(
+        200, reason_phrase(200), "text/plain; version=0.0.4; charset=utf-8",
+        body);
   } else if (req.target == "/healthz") {
     // 200 while the event loop is alive and accepting work; 503 once a
     // drain begins so load balancers stop routing here while in-flight

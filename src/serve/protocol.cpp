@@ -272,7 +272,7 @@ Status parse_request(const std::string& line, const core::FlowOptions& base,
             "\"warm_start\" entries must be [node, size] pairs with an "
             "integer node id");
       }
-      request.size.job.warm_sizes.emplace_back(
+      request.size.job.warm.sizes.emplace_back(
           static_cast<std::int32_t>(node), pair.as_array()[1].as_number());
     }
   }
@@ -290,7 +290,7 @@ Status parse_request(const std::string& line, const core::FlowOptions& base,
       return Status::InvalidArgument(
           "\"eco_base\" must be a non-empty cache-key string");
     }
-    if (!request.size.job.warm_sizes.empty()) {
+    if (!request.size.job.warm.empty()) {
       return Status::InvalidArgument(
           "\"eco_base\" and \"warm_start\" are mutually exclusive — an ECO "
           "seed is a warm start");

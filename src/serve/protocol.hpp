@@ -47,8 +47,8 @@ struct SizeRequest {
   /// report, which has no trace.
   bool trace = false;
   /// Cache key of a completed base run to ECO warm-start from (docs/ECO.md).
-  /// Empty: none named — the server may still auto-detect a near-miss base
-  /// when running with --eco. Mutually exclusive with "warm_start" (an ECO
+  /// Empty: none named — the server may still probe for a base when
+  /// running with --cache-warm. Mutually exclusive with "warm_start" (an ECO
   /// seed IS a warm start). A named base that is no longer cached simply
   /// runs cold — serving caches are best-effort.
   std::string eco_base;

@@ -84,7 +84,7 @@ void Server::register_metrics() {
       "lrsizer_serve_cache_hits_total",
       "Result responses answered without running the flow (cache or dedupe).");
   const char* eco_help_jobs =
-      "Jobs warm-started from a cached ECO base (named or auto-detected).";
+      "Jobs seeded from a cached base (named eco_base or the --cache-warm probe).";
   eco_jobs_total_ = reg.counter("lrsizer_eco_jobs_total", eco_help_jobs);
   eco_reused_nodes_total_ = reg.counter(
       "lrsizer_eco_reused_nodes_total",
@@ -138,20 +138,18 @@ void Server::register_metrics() {
                [this] { return static_cast<double>(cache_->stats().bytes); },
                this);
   // Disjoint hit kinds (docs/SERVING.md §Cache semantics): exact-key
-  // answers, warm-start seeds, ECO base seeds.
+  // answers, and applied seeds with zero (warm) or some (eco) dirty gates.
   const char* cache_hits_help =
-      "Result-cache lookups answered from a completed entry, by kind "
-      "(exact, warm, eco).";
+      "Result-cache reuse by kind: exact-key answers, and applied seeds with "
+      "zero dirty gates (warm) or some (eco).";
   reg.counter_fn("lrsizer_cache_hits_total", cache_hits_help,
                  {{"kind", "exact"}},
                  [this] { return static_cast<double>(cache_->stats().hits); },
                  this);
-  reg.counter_fn(
-      "lrsizer_cache_hits_total", cache_hits_help, {{"kind", "warm"}},
-      [this] { return static_cast<double>(cache_->stats().warm_hits); }, this);
-  reg.counter_fn(
-      "lrsizer_cache_hits_total", cache_hits_help, {{"kind", "eco"}},
-      [this] { return static_cast<double>(cache_->stats().eco_hits); }, this);
+  warm_seeds_total_ =
+      reg.counter("lrsizer_cache_hits_total", cache_hits_help, {{"kind", "warm"}});
+  eco_seeds_total_ =
+      reg.counter("lrsizer_cache_hits_total", cache_hits_help, {{"kind", "eco"}});
   reg.counter_fn("lrsizer_cache_misses_total", "Result-cache lookup misses.",
                  {},
                  [this] { return static_cast<double>(cache_->stats().misses); },
@@ -295,8 +293,8 @@ StatsSnapshot Server::stats_snapshot() const {
   s.cache_bytes = cache.bytes;
   s.cache_lookup_hits = cache.hits;
   s.cache_lookup_misses = cache.misses;
-  s.cache_warm_hits = cache.warm_hits;
-  s.cache_eco_hits = cache.eco_hits;
+  s.cache_warm_hits = warm_seeds_total_->value();
+  s.cache_eco_hits = eco_seeds_total_->value();
   s.cache_evictions = cache.evictions;
   s.cache_corrupt = cache.corrupt;
   s.cache_disk = cache_->disk_backed();
@@ -509,14 +507,14 @@ void Server::handle_size(ClientId client, SizeRequest request) {
         pending->accepted_at + std::chrono::milliseconds(deadline_ms);
     arm_deadline(pending);
   }
-  // Jobs with client-supplied warm sizes bypass the cache: their outcome
-  // depends on the seed sizes, not just the key.
-  pending->cacheable = pending->request.job.warm_sizes.empty();
+  // Jobs with a client-supplied seed bypass the cache: their outcome
+  // depends on the seed, not just the key.
+  pending->cacheable = pending->request.job.warm.empty();
   if (pending->cacheable) {
     pending->key = runtime::cache_key(pending->request.job.netlist,
                                       pending->request.job.options);
   }
-  emit(client, accepted_json(id, pending->cacheable ? pending->key.key : ""));
+  emit(client, accepted_json(id, pending->cacheable ? pending->key : ""));
   schedule(std::move(pending));
 }
 
@@ -617,17 +615,18 @@ void Server::schedule(std::shared_ptr<Pending> pending) {
         return;
       case ResultCache::Acquire::kOwner: {
         runtime::BatchJob& job = pending->request.job;
-        // ECO seeding: a named base wins; otherwise (with --eco) probe for
-        // the cached entry sharing the most output cones. A named base that
+        // Seeding: a named ECO base wins; otherwise (with --cache-warm) probe
+        // for the cached entry sharing the most output cones — the same
+        // circuit under other options shares all of them. A named base that
         // is gone, or a base with nothing reusable, just runs cold.
         if (pending->eco_base.empty()) {
           std::shared_ptr<const CachedEntry> base;
           std::string base_key = pending->request.eco_base;
           if (!base_key.empty()) {
             base = cache_->lookup_eco_base(base_key);
-          } else if (options_.eco) {
+          } else if (options_.cache_warm) {
             base = cache_->lookup_eco(netlist::output_cone_hashes(job.netlist),
-                                      pending->key.key, &base_key);
+                                      pending->key, &base_key);
           }
           if (base && !base->eco.empty()) {
             eco::EcoSeed seed =
@@ -636,20 +635,14 @@ void Server::schedule(std::shared_ptr<Pending> pending) {
               pending->eco_base = base_key;
               pending->eco_reused_nodes = seed.reused_nodes;
               pending->eco_dirty_gates = seed.dirty_gates;
-              job.warm_sizes = std::move(seed.sizes);
-              job.eco_warm = std::move(seed.multipliers);
+              job.warm = std::move(seed.warm);
+              (seed.dirty_gates == 0 ? warm_seeds_total_ : eco_seeds_total_)->inc();
               eco_jobs_total_->inc();
               eco_reused_nodes_total_->inc(
                   static_cast<std::uint64_t>(seed.reused_nodes));
               eco_dirty_gates_total_->inc(
                   static_cast<std::uint64_t>(seed.dirty_gates));
             }
-          }
-        }
-        if (pending->eco_base.empty() && options_.cache_warm &&
-            job.warm_sizes.empty()) {
-          if (const auto warm = cache_->lookup_warm(pending->key)) {
-            job.warm_sizes = warm->sizes;
           }
         }
         break;

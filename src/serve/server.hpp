@@ -76,17 +76,15 @@ struct ServerOptions {
   /// Budget for the owned cache (ignored when `cache` is supplied — a
   /// borrowed cache brings its own limits).
   runtime::CacheLimits cache_limits;
-  /// On a cache miss, warm-start from a cached result with the same
-  /// netlist + elaboration but different solver/bound options (see
-  /// BatchOptions::cache_warm for the determinism trade-off).
+  /// On a cache miss, seed the job from the cached base sharing the most
+  /// output cones with the request's netlist (ResultCache::lookup_eco +
+  /// eco::seed_from_index): sizes for the clean cones, plus the base's
+  /// multipliers when the node and edge counts match (docs/ECO.md). The same
+  /// circuit under other bounds is the case with zero dirty gates. A request
+  /// naming "eco_base" uses its named base regardless of this flag. Off by
+  /// default: a seeded run converges to an equally valid but not
+  /// bit-identical solution.
   bool cache_warm = false;
-  /// On a cache miss, ECO warm-start from the cached base sharing the most
-  /// output cones with the request's netlist (ResultCache::lookup_eco),
-  /// seeding clean-net sizes and — when the circuit shape matches — the
-  /// multiplier state (docs/ECO.md). A request naming "eco_base" uses its
-  /// named base regardless of this flag. Same determinism trade-off as
-  /// cache_warm: the seeded run is not bit-identical to a cold run.
-  bool eco = false;
   /// Backpressure: with > 0, a size request arriving while this many jobs
   /// are already accepted-but-unfinished is rejected with an `overloaded`
   /// error response (the client retries after its retry_after_ms hint).
@@ -218,7 +216,7 @@ class Server {
     ClientId client = 0;
     SizeRequest request;
     std::string scoped_id;  ///< "<client>:<id>" — the active_ key
-    runtime::CacheKey key;
+    std::string key;        ///< cache key (runtime::cache_key), when cacheable
     bool cacheable = false;
     std::stop_source stop;
     std::chrono::steady_clock::time_point accepted_at;
@@ -230,8 +228,8 @@ class Server {
     bool has_deadline = false;
     std::chrono::steady_clock::time_point deadline{};
     std::atomic<bool> timed_out{false};
-    /// ECO seeding accounting (schedule() fills it, execute() embeds it as
-    /// the job's "eco" block). eco_base empty: the job was not ECO-seeded.
+    /// Seed accounting (schedule() fills it, execute() embeds it as the
+    /// job's "eco" block). eco_base empty: the job was not seeded.
     std::string eco_base;
     std::int64_t eco_reused_nodes = 0;
     std::int32_t eco_dirty_gates = 0;
@@ -285,6 +283,10 @@ class Server {
   obs::Counter* timeouts_total_ = nullptr;   ///< lrsizer_jobs_timeout_total
   obs::Counter* shed_total_ = nullptr;       ///< lrsizer_serve_shed_total
   obs::Counter* cache_hits_total_ = nullptr;
+  /// lrsizer_cache_hits_total{kind="warm"}: applied seeds, zero dirty gates
+  obs::Counter* warm_seeds_total_ = nullptr;
+  /// lrsizer_cache_hits_total{kind="eco"}: the other applied seeds
+  obs::Counter* eco_seeds_total_ = nullptr;
   obs::Counter* eco_jobs_total_ = nullptr;          ///< lrsizer_eco_jobs_total
   obs::Counter* eco_reused_nodes_total_ = nullptr;  ///< lrsizer_eco_reused_nodes_total
   obs::Counter* eco_dirty_gates_total_ = nullptr;   ///< lrsizer_eco_dirty_gates_total

@@ -41,18 +41,19 @@ struct StatsSnapshot {
   std::size_t timeouts = 0;    ///< jobs cut by their deadline (v3)
   std::size_t errors = 0;      ///< error responses (parse + job failures)
   std::size_t shed = 0;        ///< jobs rejected by admission control (v3)
-  std::size_t eco_jobs = 0;    ///< jobs warm-started from an ECO base
+  std::size_t eco_jobs = 0;    ///< seeded jobs (= cache_warm_hits + cache_eco_hits)
   // Point-in-time gauges.
   std::size_t queue_depth = 0;     ///< jobs accepted but not yet terminal
   std::size_t active_clients = 0;  ///< connected clients
-  // Result-cache counters (runtime::ResultCache::stats()). Hit kinds are
-  // disjoint: exact / warm / eco (docs/SERVING.md §Cache semantics).
+  // Result-cache counters (runtime::ResultCache::stats(), plus the server's
+  // seed counts). Hit kinds are disjoint: exact / warm / eco
+  // (docs/SERVING.md §Cache semantics).
   std::size_t cache_entries = 0;
   std::size_t cache_bytes = 0;
   std::size_t cache_lookup_hits = 0;    ///< exact-key hits
   std::size_t cache_lookup_misses = 0;
-  std::size_t cache_warm_hits = 0;      ///< lookup_warm answers
-  std::size_t cache_eco_hits = 0;       ///< ECO base answers
+  std::size_t cache_warm_hits = 0;      ///< applied seeds, zero dirty gates
+  std::size_t cache_eco_hits = 0;       ///< the other applied seeds
   std::size_t cache_evictions = 0;
   std::size_t cache_corrupt = 0;  ///< disk entries quarantined as corrupt (v3)
   bool cache_disk = false;

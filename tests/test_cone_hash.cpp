@@ -1,6 +1,6 @@
 // Fanin-cone hashes (netlist/cone_hash.hpp) against netlist_hash: what each
 // is invariant to, and the Merkle property that a single edit dirties
-// exactly its fan-out cone — the contract eco::DeltaAnalyzer builds on.
+// exactly its fan-out cone — the contract eco::seed_from_index builds on.
 #include <algorithm>
 #include <cstdint>
 #include <queue>
@@ -9,7 +9,8 @@
 
 #include <gtest/gtest.h>
 
-#include "eco/delta.hpp"
+#include "core/flow.hpp"
+#include "eco/incremental.hpp"
 #include "netlist/cone_hash.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/hash.hpp"
@@ -176,7 +177,7 @@ TEST(ConeHash, OutputConeHashesFollowPrimaryOutputOrder) {
 
 // The Merkle property on seeded generator circuits: flip one gate's op and
 // the changed cones are exactly the gate plus its transitive fan-out, and
-// DeltaAnalyzer reports the same partition with the edit as the sole root.
+// seed_from_index splits the revision into the same dirty/clean partition.
 TEST(ConeHash, SingleEditDirtiesExactlyTheFanoutConeOnGeneratedCircuits) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const LogicNetlist base =
@@ -208,21 +209,19 @@ TEST(ConeHash, SingleEditDirtiesExactlyTheFanoutConeOnGeneratedCircuits) {
     const std::set<std::int32_t> expected = fanout_closure(base, edit);
     EXPECT_EQ(changed_cones(base, revised), expected) << "seed " << seed;
 
-    const eco::DeltaAnalyzer analyzer(base);
-    const eco::Delta delta = analyzer.diff(revised);
-    EXPECT_EQ(std::set<std::int32_t>(delta.dirty.begin(), delta.dirty.end()),
-              expected)
-        << "seed " << seed;
-    EXPECT_EQ(delta.modified, std::vector<std::int32_t>{edit}) << "seed " << seed;
-    EXPECT_EQ(delta.num_clean(),
-              static_cast<std::size_t>(base.num_gates_logic()) - expected.size())
-        << "seed " << seed;
-    // Names are unique, so every clean gate matches its own index.
-    for (std::int32_t g = 0; g < revised.num_gates_logic(); ++g) {
-      if (expected.count(g) == 0) {
-        EXPECT_EQ(delta.matched_base[static_cast<std::size_t>(g)], g);
-      }
+    // The ECO seed's cone match sees the same partition. An index holding
+    // only the base's cone hashes is enough: no sizing run is needed.
+    runtime::EcoIndex index;
+    for (const std::uint64_t cone : netlist::cone_hashes(base)) {
+      index.nets.push_back({cone, {}});
     }
+    const eco::EcoSeed seed_of_revision =
+        eco::seed_from_index(revised, core::FlowOptions{}, index);
+    EXPECT_EQ(seed_of_revision.dirty_gates, static_cast<std::int32_t>(expected.size()))
+        << "seed " << seed;
+    EXPECT_EQ(seed_of_revision.clean_gates,
+              base.num_gates_logic() - static_cast<std::int32_t>(expected.size()))
+        << "seed " << seed;
   }
 }
 

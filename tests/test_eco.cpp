@@ -158,8 +158,8 @@ TEST(IncrementalSizer, UneditedNetlistReusesEverything) {
   const eco::EcoSeed seed = eco::seed_from_index(base, options, index);
   EXPECT_EQ(seed.dirty_gates, 0);
   EXPECT_EQ(seed.clean_gates, base.num_gates_logic());
-  EXPECT_FALSE(seed.multipliers.empty());
-  EXPECT_EQ(seed.reused_nodes, static_cast<std::int64_t>(seed.sizes.size()));
+  EXPECT_FALSE(seed.warm.multipliers.empty());
+  EXPECT_EQ(seed.reused_nodes, static_cast<std::int64_t>(seed.warm.sizes.size()));
   EXPECT_GT(seed.reused_nodes, 0);
 
   eco::IncrementalSizer incremental(index, options);

@@ -17,7 +17,6 @@
 #include "api/session.hpp"
 #include "core/flow.hpp"
 #include "netlist/generator.hpp"
-#include "obs/gzip.hpp"
 #include "obs/http.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/registry.hpp"
@@ -370,88 +369,6 @@ TEST(ObsHttp, ResponseHasContentLengthAndConnectionClose) {
   const std::size_t body = response.find("\r\n\r\n");
   ASSERT_NE(body, std::string::npos);
   EXPECT_EQ(response.substr(body + 4), "ok\n");
-}
-
-// ---- gzip /metrics path -----------------------------------------------------
-
-TEST(ObsHttp, AcceptGzipScansAcceptEncodingHeaders) {
-  struct Case {
-    const char* headers;
-    bool expect;
-  };
-  const Case cases[] = {
-      {"Host: x\r\n", false},                                // header absent
-      {"Accept-Encoding: gzip\r\n", true},                   // plain
-      {"accept-encoding: GZIP\r\n", true},                   // case-insensitive
-      {"Accept-Encoding: deflate, gzip;q=0.5\r\n", true},    // listed with q
-      {"Accept-Encoding: gzip;q=0\r\n", false},              // explicitly refused
-      {"Accept-Encoding: gzip; q=0.000\r\n", false},         // q with spaces
-      {"Accept-Encoding: x-gzip\r\n", true},                 // legacy alias
-      {"Accept-Encoding: deflate, br\r\n", false},           // other codings only
-      {"Accept-Encoding: mygzip\r\n", false},                // not a token match
-  };
-  for (const Case& c : cases) {
-    obs::HttpRequestParser parser;
-    const auto state = feed_string(
-        parser, std::string("GET /metrics HTTP/1.1\r\n") + c.headers + "\r\n");
-    ASSERT_EQ(state, obs::HttpRequestParser::State::kComplete) << c.headers;
-    EXPECT_EQ(parser.accept_gzip(), c.expect) << c.headers;
-  }
-}
-
-TEST(ObsGzip, CompressDecompressRoundTrip) {
-  if (!obs::gzip_available()) GTEST_SKIP() << "built without zlib";
-  // A repetitive Prometheus-shaped payload: must round-trip exactly and
-  // actually shrink.
-  std::string body;
-  for (int i = 0; i < 200; ++i) {
-    body += "lrsizer_jobs_total{status=\"ok\",profile=\"c432\"} " +
-            std::to_string(i) + "\n";
-  }
-  std::string gzipped;
-  ASSERT_TRUE(obs::gzip_compress(body, &gzipped));
-  ASSERT_GE(gzipped.size(), 2u);
-  EXPECT_EQ(static_cast<unsigned char>(gzipped[0]), 0x1f);  // gzip magic
-  EXPECT_EQ(static_cast<unsigned char>(gzipped[1]), 0x8b);
-  EXPECT_LT(gzipped.size(), body.size());
-  std::string restored;
-  ASSERT_TRUE(obs::gzip_decompress(gzipped, &restored));
-  EXPECT_EQ(restored, body);
-
-  // Garbage is rejected, not crashed on.
-  std::string out;
-  EXPECT_FALSE(obs::gzip_decompress("definitely not gzip", &out));
-}
-
-TEST(ObsHttp, MetricsScrapeRoundTripsThroughGzipResponse) {
-  if (!obs::gzip_available()) GTEST_SKIP() << "built without zlib";
-  // End-to-end shape of the serve /metrics gzip arm: negotiate via the
-  // parser, compress the exposition, splice the encoding headers, then play
-  // the client and recover the body from the response bytes.
-  obs::HttpRequestParser parser;
-  ASSERT_EQ(feed_string(parser,
-                        "GET /metrics HTTP/1.1\r\nHost: x\r\n"
-                        "Accept-Encoding: deflate, gzip\r\n\r\n"),
-            obs::HttpRequestParser::State::kComplete);
-  ASSERT_TRUE(parser.accept_gzip());
-
-  const std::string body = "# TYPE lrsizer_up gauge\nlrsizer_up 1\n";
-  std::string gzipped;
-  ASSERT_TRUE(obs::gzip_compress(body, &gzipped));
-  const std::string response = obs::http_response(
-      200, "OK", "text/plain; version=0.0.4; charset=utf-8", gzipped,
-      "Content-Encoding: gzip\r\nVary: Accept-Encoding\r\n");
-
-  EXPECT_NE(response.find("Content-Encoding: gzip\r\n"), std::string::npos);
-  EXPECT_NE(response.find("Vary: Accept-Encoding\r\n"), std::string::npos);
-  EXPECT_NE(response.find("Content-Length: " + std::to_string(gzipped.size()) +
-                          "\r\n"),
-            std::string::npos);
-  const std::size_t split = response.find("\r\n\r\n");
-  ASSERT_NE(split, std::string::npos);
-  std::string restored;
-  ASSERT_TRUE(obs::gzip_decompress(response.substr(split + 4), &restored));
-  EXPECT_EQ(restored, body);
 }
 
 // ---- tracing ----------------------------------------------------------------

@@ -312,18 +312,18 @@ void write_file(const std::filesystem::path& path, const std::string& text) {
 TEST(CacheIntegrity, ChecksummedEntriesRoundTripAndOldFilesStillLoad) {
   FaultGuard guard;
   ScratchDir dir("roundtrip");
-  const runtime::CacheKey key{"nA-eB-o1", "nA-eB"};
+  const std::string key = "nA-eB-o1";
   {
     runtime::ResultCache cache(dir.path.string());
     cache.store(key, make_entry("keep"));
   }
-  const auto file = dir.path / (key.key + ".json");
+  const auto file = dir.path / (key + ".json");
   ASSERT_TRUE(std::filesystem::exists(file));
   const std::string text = read_file(file);
   EXPECT_NE(text.find("\"checksum\""), std::string::npos);
   {
     runtime::ResultCache cache(dir.path.string());
-    const auto hit = cache.lookup(key.key);
+    const auto hit = cache.lookup(key);
     ASSERT_NE(hit, nullptr);
     EXPECT_EQ(hit->job.at("name").as_string(), "keep");
     EXPECT_EQ(cache.corrupt(), 0u);
@@ -339,7 +339,7 @@ TEST(CacheIntegrity, ChecksummedEntriesRoundTripAndOldFilesStillLoad) {
   stripped.erase(line_at, line_end - line_at + 1);
   write_file(file, stripped);
   runtime::ResultCache cache(dir.path.string());
-  const auto hit = cache.lookup(key.key);
+  const auto hit = cache.lookup(key);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->job.at("name").as_string(), "keep");
   EXPECT_EQ(cache.corrupt(), 0u);
@@ -348,14 +348,14 @@ TEST(CacheIntegrity, ChecksummedEntriesRoundTripAndOldFilesStillLoad) {
 TEST(CacheIntegrity, BitRotFailsTheChecksumAndQuarantinesTheFile) {
   FaultGuard guard;
   ScratchDir dir("bitrot");
-  const runtime::CacheKey key{"nA-eB-o1", "nA-eB"};
+  const std::string key = "nA-eB-o1";
   {
     runtime::ResultCache cache(dir.path.string());
     cache.store(key, make_entry("truth"));
   }
   // One flipped byte inside the payload: still valid JSON, wrong content —
   // exactly what schema validation alone cannot catch.
-  const auto file = dir.path / (key.key + ".json");
+  const auto file = dir.path / (key + ".json");
   std::string text = read_file(file);
   const std::size_t at = text.find("truth");
   ASSERT_NE(at, std::string::npos);
@@ -363,72 +363,72 @@ TEST(CacheIntegrity, BitRotFailsTheChecksumAndQuarantinesTheFile) {
   write_file(file, text);
 
   runtime::ResultCache cache(dir.path.string());
-  EXPECT_EQ(cache.lookup(key.key), nullptr);
+  EXPECT_EQ(cache.lookup(key), nullptr);
   EXPECT_EQ(cache.corrupt(), 1u);
   EXPECT_FALSE(std::filesystem::exists(file));
-  EXPECT_TRUE(std::filesystem::exists(dir.path / (key.key + ".corrupt")));
+  EXPECT_TRUE(std::filesystem::exists(dir.path / (key + ".corrupt")));
   // The quarantined file is out of the way: a repeat lookup is a plain
   // miss, not a second quarantine.
-  EXPECT_EQ(cache.lookup(key.key), nullptr);
+  EXPECT_EQ(cache.lookup(key), nullptr);
   EXPECT_EQ(cache.corrupt(), 1u);
   // And a re-store simply writes a fresh good entry alongside the corpse.
   cache.store(key, make_entry("fresh"));
   runtime::ResultCache reopened(dir.path.string());
-  ASSERT_NE(reopened.lookup(key.key), nullptr);
-  EXPECT_TRUE(std::filesystem::exists(dir.path / (key.key + ".corrupt")));
+  ASSERT_NE(reopened.lookup(key), nullptr);
+  EXPECT_TRUE(std::filesystem::exists(dir.path / (key + ".corrupt")));
 }
 
 TEST(CacheIntegrity, TornRenameIsQuarantinedOnTheNextRead) {
   FaultGuard guard;
   ScratchDir dir("torn");
-  const runtime::CacheKey key{"nA-eB-o1", "nA-eB"};
+  const std::string key = "nA-eB-o1";
   ASSERT_TRUE(fault::arm("cache.rename:always"));
   {
     runtime::ResultCache cache(dir.path.string());
     cache.store(key, make_entry("torn"));  // final file lands half-written
   }
   fault::reset();
-  const auto file = dir.path / (key.key + ".json");
+  const auto file = dir.path / (key + ".json");
   ASSERT_TRUE(std::filesystem::exists(file));
 
   runtime::ResultCache cache(dir.path.string());
-  EXPECT_EQ(cache.lookup(key.key), nullptr);
+  EXPECT_EQ(cache.lookup(key), nullptr);
   EXPECT_EQ(cache.corrupt(), 1u);
   EXPECT_FALSE(std::filesystem::exists(file));
-  EXPECT_TRUE(std::filesystem::exists(dir.path / (key.key + ".corrupt")));
+  EXPECT_TRUE(std::filesystem::exists(dir.path / (key + ".corrupt")));
 }
 
 TEST(CacheIntegrity, WriteFailureSkipsPersistenceWithoutFailingTheStore) {
   FaultGuard guard;
   ScratchDir dir("enospc");
-  const runtime::CacheKey key{"nA-eB-o1", "nA-eB"};
+  const std::string key = "nA-eB-o1";
   ASSERT_TRUE(fault::arm("cache.write:always"));
   runtime::ResultCache cache(dir.path.string());
   cache.store(key, make_entry("lost"));  // disk full: entry not persisted
   fault::reset();
   // The in-memory copy still serves this process...
-  ASSERT_NE(cache.lookup(key.key), nullptr);
+  ASSERT_NE(cache.lookup(key), nullptr);
   // ...but nothing (whole or torn) reached the directory.
-  EXPECT_FALSE(std::filesystem::exists(dir.path / (key.key + ".json")));
+  EXPECT_FALSE(std::filesystem::exists(dir.path / (key + ".json")));
   // A restart sees a plain miss, never a truncated entry.
   runtime::ResultCache restarted(dir.path.string());
-  EXPECT_EQ(restarted.lookup(key.key), nullptr);
+  EXPECT_EQ(restarted.lookup(key), nullptr);
   EXPECT_EQ(restarted.corrupt(), 0u);
 }
 
 TEST(CacheIntegrity, TruncatedReadIsQuarantined) {
   FaultGuard guard;
   ScratchDir dir("shortread");
-  const runtime::CacheKey key{"nA-eB-o1", "nA-eB"};
+  const std::string key = "nA-eB-o1";
   {
     runtime::ResultCache cache(dir.path.string());
     cache.store(key, make_entry("whole"));
   }
   ASSERT_TRUE(fault::arm("cache.read:always"));
   runtime::ResultCache cache(dir.path.string());
-  EXPECT_EQ(cache.lookup(key.key), nullptr);
+  EXPECT_EQ(cache.lookup(key), nullptr);
   EXPECT_EQ(cache.corrupt(), 1u);
-  EXPECT_TRUE(std::filesystem::exists(dir.path / (key.key + ".corrupt")));
+  EXPECT_TRUE(std::filesystem::exists(dir.path / (key + ".corrupt")));
 }
 
 // ---- server under injected faults -------------------------------------------

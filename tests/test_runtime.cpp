@@ -443,7 +443,7 @@ TEST(Batch, WarmSizesFeedTheSessionWarmStart) {
   auto warm_jobs = loosen(small_jobs(1));
   for (netlist::NodeId v = circuit.first_component(); v < circuit.end_component();
        ++v) {
-    warm_jobs[0].warm_sizes.emplace_back(v, circuit.size(v));
+    warm_jobs[0].warm.sizes.emplace_back(v, circuit.size(v));
   }
   auto warm = runtime::run_batch(std::move(warm_jobs), batch_options(1));
   ASSERT_TRUE(warm.jobs[0].ok);

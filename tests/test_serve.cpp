@@ -27,6 +27,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <regex>
 #include <sstream>
 #include <stdexcept>
 #include <stop_token>
@@ -93,14 +94,22 @@ TEST(CacheKey, AnyOtherOptionInvalidatesTheKey) {
   core::FlowOptions tweaked = fast_options();
   tweaked.bound_factors.noise = 0.17;
   const auto other = runtime::cache_key(nl, tweaked);
-  EXPECT_NE(base.key, other.key);
-  // Same circuit, different solver/bound knobs: same warm-start class.
-  EXPECT_EQ(base.warm_prefix, other.warm_prefix);
+  EXPECT_NE(base, other);
+  // Clients hold keys as eco_base handles and keys are the on-disk file
+  // stems, so the format is fixed: n<netlist>-e<elaboration>-o<options>.
+  EXPECT_TRUE(std::regex_match(
+      base, std::regex("n[0-9a-f]{16}-e[0-9a-f]{16}-o[0-9a-f]{16}")))
+      << base;
+  // Same circuit, different solver/bound knobs: only the o-part moves.
+  const auto circuit_part = [](const std::string& key) {
+    return key.substr(0, key.rfind("-o"));
+  };
+  EXPECT_EQ(circuit_part(base), circuit_part(other));
 
   core::FlowOptions reelab = fast_options();
   reelab.elab.seed = 99;
-  // A different elaboration is a different circuit: new warm class too.
-  EXPECT_NE(runtime::cache_key(nl, reelab).warm_prefix, base.warm_prefix);
+  // A different elaboration is a different circuit: the e-part moves too.
+  EXPECT_NE(circuit_part(runtime::cache_key(nl, reelab)), circuit_part(base));
 }
 
 TEST(CacheKey, SweepModesKeepSeparateEntries) {
@@ -112,8 +121,7 @@ TEST(CacheKey, SweepModesKeepSeparateEntries) {
   dense.ogws.lrs.sweep = core::SweepMode::kDense;
   const auto worklist_key = runtime::cache_key(nl, fast_options());
   const auto dense_key = runtime::cache_key(nl, dense);
-  EXPECT_NE(worklist_key.key, dense_key.key);
-  EXPECT_EQ(worklist_key.warm_prefix, dense_key.warm_prefix);
+  EXPECT_NE(worklist_key, dense_key);
   EXPECT_EQ(runtime::canonical_options_json(fast_options())
                 .at("ogws").at("lrs").at("sweep").as_string(),
             "worklist");
@@ -131,30 +139,35 @@ runtime::CachedEntry make_entry(const std::string& marker) {
 
 TEST(ResultCache, StoreLookupAndWarmLookup) {
   runtime::ResultCache cache;
-  runtime::CacheKey key{"nA-eB-o1", "nA-eB"};
-  runtime::CacheKey sibling{"nA-eB-o2", "nA-eB"};
-  runtime::CacheKey stranger{"nC-eD-o1", "nC-eD"};
+  const std::string key = "nA-eB-o1";
 
-  EXPECT_EQ(cache.lookup(key.key), nullptr);
+  EXPECT_EQ(cache.lookup(key), nullptr);
   EXPECT_EQ(cache.misses(), 1u);
-  cache.store(key, make_entry("first"));
-  const auto hit = cache.lookup(key.key);
+  runtime::CachedEntry entry = make_entry("first");
+  entry.eco.nets.push_back({10, {1.0}});
+  entry.eco.output_cones = {10, 20};
+  cache.store(key, std::move(entry));
+  const auto hit = cache.lookup(key);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->job.at("name").as_string(), "first");
   EXPECT_EQ(hit->sizes.size(), 2u);
   EXPECT_EQ(cache.hits(), 1u);
 
-  // Warm lookup: a *different* key in the same class finds it; the same
-  // key and an unrelated class do not.
-  ASSERT_NE(cache.lookup_warm(sibling), nullptr);
-  EXPECT_EQ(cache.lookup_warm(key), nullptr);
-  EXPECT_EQ(cache.lookup_warm(stranger), nullptr);
+  // A warm lookup is the output-cone probe: the same circuit under other
+  // options (a sibling key, every cone shared) finds the entry; the entry's
+  // own key is excluded, and a circuit sharing no cone finds nothing.
+  std::string base_key;
+  ASSERT_NE(cache.lookup_eco({10, 20}, "nA-eB-o2", &base_key), nullptr);
+  EXPECT_EQ(base_key, key);
+  EXPECT_EQ(cache.lookup_eco({10, 20}, key), nullptr);
+  EXPECT_EQ(cache.lookup_eco({30, 40}, "nC-eD-o1"), nullptr);
+  EXPECT_EQ(cache.hits(), 1u);  // finding a seed is not an exact hit
 }
 
-TEST(ResultCache, EcoLookupsVoteOnConeOverlapAndCountAsEcoHits) {
+TEST(ResultCache, EcoLookupsVoteOnConeOverlapAndCountNoHits) {
   runtime::ResultCache cache;
-  runtime::CacheKey k1{"nA-eB-o1", "nA-eB"};
-  runtime::CacheKey k2{"nC-eD-o1", "nC-eD"};
+  const std::string k1 = "nA-eB-o1";
+  const std::string k2 = "nC-eD-o1";
   auto with_cones = [](const std::string& marker,
                        std::vector<std::uint64_t> cones) {
     runtime::CachedEntry entry = make_entry(marker);
@@ -170,26 +183,26 @@ TEST(ResultCache, EcoLookupsVoteOnConeOverlapAndCountAsEcoHits) {
   auto base = cache.lookup_eco({10, 20, 31}, "", &base_key);
   ASSERT_NE(base, nullptr);
   EXPECT_EQ(base->job.at("name").as_string(), "one");
-  EXPECT_EQ(base_key, k1.key);
+  EXPECT_EQ(base_key, k1);
   // Excluding the winner (the request's own key) falls back to the runner-up.
-  base = cache.lookup_eco({10, 20, 31}, k1.key, &base_key);
+  base = cache.lookup_eco({10, 20, 31}, k1, &base_key);
   ASSERT_NE(base, nullptr);
-  EXPECT_EQ(base_key, k2.key);
+  EXPECT_EQ(base_key, k2);
   // No shared cone at all: no base.
   EXPECT_EQ(cache.lookup_eco({7, 8}, "", nullptr), nullptr);
 
-  // A client-named base resolves by exact key but counts as an ECO hit,
-  // not an exact hit — the hit kinds stay disjoint.
-  ASSERT_NE(cache.lookup_eco_base(k1.key), nullptr);
+  // A client-named base resolves by exact key, and a missing one counts a
+  // miss. No probe counts an exact hit: the base seeds a different job, and
+  // the server counts the seeds it applies.
+  ASSERT_NE(cache.lookup_eco_base(k1), nullptr);
   EXPECT_EQ(cache.lookup_eco_base("nZ-eZ-o9"), nullptr);
-  EXPECT_EQ(cache.stats().eco_hits, 3u);
   EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().warm_hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 TEST(ResultCache, InFlightDedupePublishAndAbandon) {
   runtime::ResultCache cache;
-  runtime::CacheKey key{"nA-eB-o1", "nA-eB"};
+  const std::string key = "nA-eB-o1";
 
   std::shared_ptr<const runtime::CachedEntry> hit;
   EXPECT_EQ(cache.acquire(key, &hit, nullptr),
@@ -218,7 +231,7 @@ TEST(ResultCache, InFlightDedupePublishAndAbandon) {
 
   // Abandon path: follower of a failed owner is woken with nullptr so it
   // can re-run (and becomes the new owner on re-acquire).
-  runtime::CacheKey other{"nA-eB-o9", "nA-eB"};
+  const std::string other = "nA-eB-o9";
   EXPECT_EQ(cache.acquire(other, &hit, nullptr),
             runtime::ResultCache::Acquire::kOwner);
   seen.clear();
@@ -235,13 +248,13 @@ TEST(ResultCache, DiskEntriesSurviveAcrossInstances) {
   const auto dir =
       std::filesystem::temp_directory_path() / "lrsizer_cache_test";
   std::filesystem::remove_all(dir);
-  runtime::CacheKey key{"nA-eB-o1", "nA-eB"};
+  const std::string key = "nA-eB-o1";
   {
     runtime::ResultCache cache(dir.string());
     cache.store(key, make_entry("persisted"));
   }
   runtime::ResultCache fresh(dir.string());
-  const auto hit = fresh.lookup(key.key);
+  const auto hit = fresh.lookup(key);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->job.at("name").as_string(), "persisted");
   EXPECT_EQ(hit->sizes, make_entry("persisted").sizes);
@@ -262,32 +275,32 @@ TEST(CacheEviction, LruEvictsOldestFirstAndLookupRefreshes) {
   runtime::CacheLimits limits;
   limits.max_entries = 2;
   runtime::ResultCache cache("", limits);
-  runtime::CacheKey k1{"nA-eA-o1", "nA-eA"};
-  runtime::CacheKey k2{"nB-eB-o1", "nB-eB"};
-  runtime::CacheKey k3{"nC-eC-o1", "nC-eC"};
+  const std::string k1 = "nA-eA-o1";
+  const std::string k2 = "nB-eB-o1";
+  const std::string k3 = "nC-eC-o1";
   cache.store(k1, make_entry("one"));
   cache.store(k2, make_entry("two"));
   EXPECT_EQ(cache.entries(), 2u);
   // Touch k1: it becomes most-recent, so the third store evicts k2.
-  ASSERT_NE(cache.lookup(k1.key), nullptr);
+  ASSERT_NE(cache.lookup(k1), nullptr);
   cache.store(k3, make_entry("three"));
   EXPECT_EQ(cache.entries(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_NE(cache.lookup(k1.key), nullptr);
-  EXPECT_EQ(cache.lookup(k2.key), nullptr) << "LRU entry must be the one evicted";
-  EXPECT_NE(cache.lookup(k3.key), nullptr);
+  EXPECT_NE(cache.lookup(k1), nullptr);
+  EXPECT_EQ(cache.lookup(k2), nullptr) << "LRU entry must be the one evicted";
+  EXPECT_NE(cache.lookup(k3), nullptr);
 }
 
 TEST(CacheEviction, MaxEntriesZeroStoresNothingButStillDedupes) {
   runtime::CacheLimits limits;
   limits.max_entries = 0;
   runtime::ResultCache cache("", limits);
-  runtime::CacheKey key{"nA-eA-o1", "nA-eA"};
+  const std::string key = "nA-eA-o1";
   cache.store(key, make_entry("rejected"));
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(cache.bytes(), 0u);
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.lookup(key.key), nullptr);
+  EXPECT_EQ(cache.lookup(key), nullptr);
 
   // In-flight dedupe is storage-free and must keep working at budget 0.
   std::shared_ptr<const runtime::CachedEntry> hit;
@@ -315,23 +328,23 @@ TEST(CacheEviction, MaxEntriesOneKeepsOnlyTheNewest) {
   runtime::CacheLimits limits;
   limits.max_entries = 1;
   runtime::ResultCache cache("", limits);
-  runtime::CacheKey k1{"nA-eA-o1", "nA-eA"};
-  runtime::CacheKey k2{"nB-eB-o1", "nB-eB"};
+  const std::string k1 = "nA-eA-o1";
+  const std::string k2 = "nB-eB-o1";
   cache.store(k1, make_entry("one"));
   cache.store(k2, make_entry("two"));
   EXPECT_EQ(cache.entries(), 1u);
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.lookup(k1.key), nullptr);
-  ASSERT_NE(cache.lookup(k2.key), nullptr);
+  EXPECT_EQ(cache.lookup(k1), nullptr);
+  ASSERT_NE(cache.lookup(k2), nullptr);
 }
 
 TEST(CacheEviction, ByteBudgetEvictsOldestFirstAndRejectsOversized) {
   // Calibrate one entry's accounted bytes with an unlimited cache (the
   // accounting covers key + serialized job + size pairs, so it is the same
   // for the equal-length keys below).
-  runtime::CacheKey k1{"nA-eA-o1", "nA-eA"};
-  runtime::CacheKey k2{"nB-eB-o1", "nB-eB"};
-  runtime::CacheKey k3{"nC-eC-o1", "nC-eC"};
+  const std::string k1 = "nA-eA-o1";
+  const std::string k2 = "nB-eB-o1";
+  const std::string k3 = "nC-eC-o1";
   std::size_t per_entry = 0;
   {
     runtime::ResultCache probe;
@@ -349,9 +362,9 @@ TEST(CacheEviction, ByteBudgetEvictsOldestFirstAndRejectsOversized) {
   cache.store(k3, make_entry("x"));
   EXPECT_EQ(cache.entries(), 2u);
   EXPECT_LE(cache.bytes(), limits.max_bytes);
-  EXPECT_EQ(cache.lookup(k1.key), nullptr) << "oldest entry pays for the third";
-  EXPECT_NE(cache.lookup(k2.key), nullptr);
-  EXPECT_NE(cache.lookup(k3.key), nullptr);
+  EXPECT_EQ(cache.lookup(k1), nullptr) << "oldest entry pays for the third";
+  EXPECT_NE(cache.lookup(k2), nullptr);
+  EXPECT_NE(cache.lookup(k3), nullptr);
 
   // An entry that alone exceeds the budget is rejected outright and does
   // not wipe what is already cached.
@@ -361,16 +374,16 @@ TEST(CacheEviction, ByteBudgetEvictsOldestFirstAndRejectsOversized) {
   small.store(k1, make_entry("x"));
   EXPECT_EQ(small.entries(), 0u);
   EXPECT_EQ(small.evictions(), 1u);
-  EXPECT_EQ(small.lookup(k1.key), nullptr);
+  EXPECT_EQ(small.lookup(k1), nullptr);
 }
 
 TEST(CacheEviction, InFlightRegistrationsSurviveEvictionPressure) {
   runtime::CacheLimits limits;
   limits.max_entries = 1;
   runtime::ResultCache cache("", limits);
-  runtime::CacheKey inflight{"nA-eA-o1", "nA-eA"};
-  runtime::CacheKey k2{"nB-eB-o1", "nB-eB"};
-  runtime::CacheKey k3{"nC-eC-o1", "nC-eC"};
+  const std::string inflight = "nA-eA-o1";
+  const std::string k2 = "nB-eB-o1";
+  const std::string k3 = "nC-eC-o1";
 
   std::shared_ptr<const runtime::CachedEntry> hit;
   ASSERT_EQ(cache.acquire(inflight, &hit, nullptr),
@@ -393,7 +406,7 @@ TEST(CacheEviction, InFlightRegistrationsSurviveEvictionPressure) {
   cache.publish(inflight, make_entry("landed"));
   ASSERT_NE(shared, nullptr);
   EXPECT_EQ(shared->job.at("name").as_string(), "landed");
-  ASSERT_NE(cache.lookup(inflight.key), nullptr)
+  ASSERT_NE(cache.lookup(inflight), nullptr)
       << "publish counts as most-recent, so it must survive the store";
 }
 
@@ -401,24 +414,24 @@ TEST(CacheEviction, DiskEvictionRemovesFilesAndARestartSeesAMiss) {
   const auto dir =
       std::filesystem::temp_directory_path() / "lrsizer_cache_evict_test";
   std::filesystem::remove_all(dir);
-  runtime::CacheKey k1{"nA-eA-o1", "nA-eA"};
-  runtime::CacheKey k2{"nB-eB-o1", "nB-eB"};
+  const std::string k1 = "nA-eA-o1";
+  const std::string k2 = "nB-eB-o1";
   {
     runtime::CacheLimits limits;
     limits.max_entries = 1;
     runtime::ResultCache cache(dir.string(), limits);
     cache.store(k1, make_entry("one"));
-    EXPECT_TRUE(std::filesystem::exists(dir / (k1.key + ".json")));
+    EXPECT_TRUE(std::filesystem::exists(dir / (k1 + ".json")));
     cache.store(k2, make_entry("two"));
     // Eviction unlinks the evicted entry's file, not just its memory slot.
-    EXPECT_FALSE(std::filesystem::exists(dir / (k1.key + ".json")));
-    EXPECT_TRUE(std::filesystem::exists(dir / (k2.key + ".json")));
+    EXPECT_FALSE(std::filesystem::exists(dir / (k1 + ".json")));
+    EXPECT_TRUE(std::filesystem::exists(dir / (k2 + ".json")));
   }
   // A fresh (unlimited) instance over the same directory: the evicted key
   // is gone for good, the survivor still answers.
   runtime::ResultCache fresh(dir.string());
-  EXPECT_EQ(fresh.lookup(k1.key), nullptr);
-  ASSERT_NE(fresh.lookup(k2.key), nullptr);
+  EXPECT_EQ(fresh.lookup(k1), nullptr);
+  ASSERT_NE(fresh.lookup(k2), nullptr);
   std::filesystem::remove_all(dir);
 }
 
@@ -523,8 +536,8 @@ TEST(Protocol, ParsesASizeRequestWithOverrides) {
   EXPECT_EQ(request.size.job.options.ogws.max_iterations, 40);
   EXPECT_EQ(request.size.progress_every, 5);
   EXPECT_TRUE(request.size.want_sizes);
-  ASSERT_EQ(request.size.job.warm_sizes.size(), 1u);
-  EXPECT_EQ(request.size.job.warm_sizes[0].first, 7);
+  ASSERT_EQ(request.size.job.warm.sizes.size(), 1u);
+  EXPECT_EQ(request.size.job.warm.sizes[0].first, 7);
   EXPECT_GT(request.size.job.netlist.num_gates_logic(), 0);
 }
 
@@ -866,10 +879,12 @@ TEST(Server, ThreadsOptionIsAcceptedAndIgnored) {
 }
 
 /// Inline-.bench size request (the ECO flow needs two *different* netlists
-/// that share structure, which profile inputs cannot express).
+/// that share structure, which profile inputs cannot express). A
+/// `noise_bound` of 0 keeps the server default.
 std::string bench_request(const std::string& id,
                           const netlist::LogicNetlist& netlist,
-                          const std::string& eco_base = "") {
+                          const std::string& eco_base = "",
+                          double noise_bound = 0.0) {
   Json request = Json::object();
   request.set("type", "size");
   request.set("id", id);
@@ -878,6 +893,7 @@ std::string bench_request(const std::string& id,
   request.set("input", input);
   Json options = Json::object();
   options.set("vectors", 8);
+  if (noise_bound > 0.0) options.set("noise_bound", noise_bound);
   request.set("options", options);
   request.set("sizes", true);
   if (!eco_base.empty()) request.set("eco_base", eco_base);
@@ -964,6 +980,80 @@ TEST(Server, EcoBaseSeedsFromTheNamedBaseAndRepeatsAreByteIdentical) {
   EXPECT_EQ(stats[0].at("cache").at("hits").as_number(), 1.0);
   EXPECT_EQ(stats[0].at("cache").at("eco_hits").as_number(), 1.0);
   EXPECT_EQ(stats[0].at("cache").at("warm_hits").as_number(), 0.0);
+}
+
+/// The --cache-warm script on c17: a base at the default noise bound (where
+/// c17 does not converge), the same bench at noise bound 0.2 (where it
+/// does), and a repeat of the second request. The seed probe runs at
+/// admission, so each request waits for the one before it.
+struct WarmScript {
+  std::map<std::string, Json> results;  ///< by id
+  std::string base_key;                 ///< request "a"'s accepted key
+  Json stats;
+};
+
+WarmScript run_warm_script(bool cache_warm) {
+  const netlist::LogicNetlist c17 = netlist::parse_bench_string(netlist::kIscas85C17);
+  Collector collector;
+  serve::ServerOptions options;
+  options.jobs = 1;
+  options.cache_warm = cache_warm;
+  serve::Server server(options, collector.sink());
+  for (const std::string& line :
+       {bench_request("a", c17), bench_request("b", c17, "", 0.2),
+        bench_request("c", c17, "", 0.2), std::string(R"({"type":"stats","id":"s"})")}) {
+    EXPECT_TRUE(server.handle_line(line));
+    server.drain();
+  }
+  WarmScript script;
+  for (const Json& r : collector.of_type("result")) {
+    script.results[r.at("id").as_string()] = r;
+  }
+  for (const Json& a : collector.of_type("accepted")) {
+    if (a.at("id").as_string() == "a") script.base_key = a.at("key").as_string();
+  }
+  const auto stats = collector.of_type("stats");
+  if (stats.size() == 1u) script.stats = stats[0];
+  return script;
+}
+
+TEST(Server, CacheWarmSeedsTheSameCircuitAsAnEcoWithNoDirtyGates) {
+  const WarmScript script = run_warm_script(/*cache_warm=*/true);
+  ASSERT_EQ(script.results.size(), 3u);
+  ASSERT_FALSE(script.base_key.empty());
+  EXPECT_EQ(script.results.at("a").at("job").find("eco"), nullptr);
+
+  // The new bound is seeded from the base: every gate clean, provenance in
+  // the job object, and the seeded run still converges within feas_tol.
+  const Json& warm_job = script.results.at("b").at("job");
+  EXPECT_FALSE(script.results.at("b").at("cache_hit").as_bool());
+  const Json* eco = warm_job.find("eco");
+  ASSERT_NE(eco, nullptr);
+  EXPECT_EQ(eco->at("base_hash").as_string(), script.base_key);
+  EXPECT_EQ(eco->at("dirty_nodes").as_number(), 0.0);
+  EXPECT_GT(eco->at("reused_nodes").as_number(), 0.0);
+  EXPECT_TRUE(warm_job.at("converged").as_bool());
+  EXPECT_LE(warm_job.at("max_violation").as_number(), core::OgwsOptions{}.feas_tol);
+
+  // The repeat is an exact hit with a byte-identical job payload.
+  EXPECT_TRUE(script.results.at("c").at("cache_hit").as_bool());
+  EXPECT_EQ(script.results.at("c").at("job").dump(), warm_job.dump());
+
+  // One seed with zero dirty gates: a warm hit, not an ECO hit.
+  ASSERT_TRUE(script.stats.is_object());
+  EXPECT_EQ(script.stats.at("cache").at("warm_hits").as_number(), 1.0);
+  EXPECT_EQ(script.stats.at("cache").at("eco_hits").as_number(), 0.0);
+  EXPECT_EQ(script.stats.at("jobs").at("eco").as_number(), 1.0);
+}
+
+TEST(Server, WithoutCacheWarmTheSameCircuitRunsCold) {
+  const WarmScript script = run_warm_script(/*cache_warm=*/false);
+  ASSERT_EQ(script.results.size(), 3u);
+  EXPECT_EQ(script.results.at("b").at("job").find("eco"), nullptr);
+  EXPECT_TRUE(script.results.at("c").at("cache_hit").as_bool());
+  ASSERT_TRUE(script.stats.is_object());
+  EXPECT_EQ(script.stats.at("cache").at("warm_hits").as_number(), 0.0);
+  EXPECT_EQ(script.stats.at("jobs").at("eco").as_number(), 0.0);
 }
 
 TEST(Server, CancelMidJobYieldsACancelledResponse) {

@@ -326,22 +326,24 @@ TEST(Session, SparseWarmSizesSeedTheRun) {
   ASSERT_TRUE(cold.run_all().ok());
 
   // Rebuild the sparse (node, size) list a sized .bench would carry.
-  std::vector<std::pair<std::int32_t, double>> entries;
+  api::WarmSeed seed;
   const netlist::Circuit& circuit = cold.result().circuit;
   for (netlist::NodeId v = circuit.first_component(); v < circuit.end_component();
        ++v) {
-    entries.emplace_back(v, circuit.size(v));
+    seed.sizes.emplace_back(v, circuit.size(v));
   }
 
   api::SizingSession warm(logic, c17_options());
-  ASSERT_TRUE(warm.warm_start_sizes(entries).ok());
+  ASSERT_TRUE(warm.warm_start(seed).ok());
   ASSERT_TRUE(warm.run_all().ok());
   // Sizes-only warm start (no multipliers) still cuts the iteration count.
   EXPECT_LT(warm.summary().iterations, cold.summary().iterations);
 
   // Out-of-range node ids are rejected with the offending id named.
   api::SizingSession bad(logic, c17_options());
-  ASSERT_TRUE(bad.warm_start_sizes({{99999, 1.0}}).ok());
+  api::WarmSeed out_of_range;
+  out_of_range.sizes = {{99999, 1.0}};
+  ASSERT_TRUE(bad.warm_start(out_of_range).ok());
   const api::Status status = bad.run_all();
   EXPECT_EQ(status.code(), api::StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("99999"), std::string::npos);

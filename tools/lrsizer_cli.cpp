@@ -108,14 +108,13 @@ options:
                     DIR and answer identical jobs from there (run/batch/
                     sweep/serve); without it batch/serve still dedupe
                     in-memory
-  --cache-warm      on a cache miss, warm-start from a cached result with
-                    the same circuit but different bounds/solver options
-                    (faster, but not bit-identical to a cold run)
-  --eco             (serve) on a cache miss, ECO warm-start from the cached
-                    base sharing the most output cones with the request
-                    (docs/ECO.md; same determinism trade-off as
-                    --cache-warm). Requests naming "eco_base" use their
-                    named base even without this flag.
+  --cache-warm      (serve) on a cache miss, seed the job from the cached
+                    result sharing the most output cones with the request:
+                    the same circuit under other bounds reuses every size
+                    and the multipliers, an edited revision its clean cones
+                    (docs/ECO.md). Faster, but not bit-identical to a cold
+                    run. Requests naming "eco_base" use their named base
+                    even without this flag.
   --cache-max-entries N  keep at most N completed results in the cache,
                     LRU-evicted (and unlinked from --cache-dir); 0 disables
                     result storage (default: unlimited)
@@ -201,7 +200,6 @@ struct CliOptions {
   std::int64_t default_deadline_ms = 0;
   std::vector<std::string> fault_specs;
   bool cache_warm = false;
-  bool eco = false;
   bool stats_dump = false;
   double buffer_long_wires = 0.0;  ///< threshold in um; 0 = pre-pass off
   bool shielded = false;
@@ -304,7 +302,6 @@ CliOptions parse_args(int argc, char** argv) {
     }
     else if (arg == "--cache-dir") cli.cache_dir = next_value(i);
     else if (arg == "--cache-warm") cli.cache_warm = true;
-    else if (arg == "--eco") cli.eco = true;
     else if (arg == "--buffer-long-wires") {
       // The threshold is optional: consume the next token only when it
       // parses fully as a number, so `--buffer-long-wires c432` still
@@ -474,7 +471,6 @@ runtime::BatchOptions make_batch_options(const CliOptions& cli, int jobs,
   options.jobs = jobs;
   options.stop = g_stop.get_token();
   options.cache = cache;
-  options.cache_warm = cli.cache_warm;
   options.trace = trace;
   if (cli.progress) {
     options.observer = [](const std::string& job, const core::OgwsIterate& it) {
@@ -669,12 +665,12 @@ int finish(const runtime::BatchResult& batch, const CliOptions& cli) {
 int cmd_run(const CliOptions& cli) {
   if (cli.inputs.size() != 1) fail("run expects exactly one input");
   if (cli.shard_count > 0) fail("--shard only applies to batch/sweep");
-  if (cli.eco) fail("--eco only applies to serve");
+  if (cli.cache_warm) fail("--cache-warm only applies to serve");
   std::vector<runtime::BatchJob> jobs;
   jobs.push_back(load_job(cli.inputs[0], cli));
   apply_buffering(&jobs, cli);
   if (!cli.warm_start_path.empty()) {
-    jobs[0].warm_sizes = load_warm_sizes(cli.warm_start_path);
+    jobs[0].warm.sizes = load_warm_sizes(cli.warm_start_path);
   }
   // A single run only benefits from the cache when it persists across
   // processes; without --cache-dir the run stays cache-free.
@@ -737,7 +733,7 @@ int cmd_batch(const CliOptions& cli) {
   // Warm sizes are node-id-keyed against one specific elaborated circuit;
   // silently reusing them across a heterogeneous batch would mislead.
   if (!cli.warm_start_path.empty()) fail("--warm-start only applies to 'run'");
-  if (cli.eco) fail("--eco only applies to serve");
+  if (cli.cache_warm) fail("--cache-warm only applies to serve");
   std::vector<runtime::BatchJob> jobs;
   if (!cli.profiles.empty()) {
     std::vector<std::string> names;
@@ -775,6 +771,7 @@ int cmd_batch(const CliOptions& cli) {
 
 int cmd_sweep(const CliOptions& cli) {
   if (!cli.warm_start_path.empty()) fail("--warm-start only applies to 'run'");
+  if (cli.cache_warm) fail("--cache-warm only applies to serve");
   if (cli.buffer_long_wires > 0.0) {
     fail("--buffer-long-wires only applies to run/batch");
   }
@@ -836,7 +833,6 @@ int cmd_serve(const CliOptions& cli) {
   options.base_options = flow_options(cli);
   options.cache = &cache;
   options.cache_warm = cli.cache_warm;
-  options.eco = cli.eco;
   options.max_pending = cli.max_pending;
   options.max_pending_per_client = cli.max_pending_per_client;
   options.max_queue_cost = cli.max_queue_cost;
