@@ -10,9 +10,17 @@
 // CI's eco-smoke job re-generates and uploads it, and test_eco asserts the
 // 1%-edit row's contract (ECO iterations <= 1/3 cold, same KKT tolerance)
 // with slack.
+//
+// That circuit converges cold in ~10 iterations, the easy case. The `deep`
+// block adds a depth-40 circuit that takes ~100 cold iterations and sizes
+// each request kind the serve cache seeds: the same circuit under noise
+// bound 0.11 (seeded from the 0.10 base) and 0.12 (seeded from the 0.11
+// result), and three 1% op flips seeded from the base. CI requires each
+// kind to take no more iterations seeded than cold.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -97,6 +105,99 @@ Run run_cold(const netlist::LogicNetlist& netlist,
   run.summary = session.summary();
   run.seconds = timer.seconds();
   return run;
+}
+
+/// One seeded request of the deep block and its cold twin: `netlist` sized
+/// cold and seeded from `index` under `options`, printed into `table`.
+/// `seeded_flow` receives the seeded run's result when non-null.
+runtime::Json deep_row(const char* kind, const netlist::LogicNetlist& netlist,
+                       const core::FlowOptions& options,
+                       const runtime::EcoIndex& index, util::TextTable& table,
+                       std::optional<core::FlowResult>* seeded_flow = nullptr) {
+  const Run cold = run_cold(netlist, options);
+  eco::IncrementalSizer::Result seeded;
+  const api::Status status = eco::IncrementalSizer(index, options).resize(netlist, &seeded);
+  LRSIZER_ASSERT_MSG(status.ok(), status.to_string().c_str());
+  const core::FlowSummary& warm = seeded.summary;
+  table.add_row({kind, util::TextTable::num(options.bound_factors.noise, 2),
+                 util::TextTable::integer(cold.summary.iterations),
+                 util::TextTable::integer(warm.iterations),
+                 util::TextTable::num(warm.max_violation, 4),
+                 util::TextTable::num(
+                     100.0 * (warm.area_um2 / cold.summary.area_um2 - 1.0), 2)});
+
+  runtime::Json row = runtime::Json::object();
+  row.set("kind", kind);
+  row.set("noise_bound", options.bound_factors.noise);
+  row.set("cold_iterations", static_cast<std::int64_t>(cold.summary.iterations));
+  row.set("seeded_iterations", static_cast<std::int64_t>(warm.iterations));
+  row.set("cold_max_violation", cold.summary.max_violation);
+  row.set("seeded_max_violation", warm.max_violation);
+  row.set("cold_area_um2", cold.summary.area_um2);
+  row.set("seeded_area_um2", warm.area_um2);
+  if (seeded_flow != nullptr) *seeded_flow = std::move(seeded.flow);
+  return row;
+}
+
+/// The deep block: a depth-40, 1.5k-gate circuit (generator seed 113, the
+/// first seed after serve_mix's 101-112 whose cold run takes >= 60
+/// iterations), sized cold and seeded for every request kind.
+runtime::Json deep_block() {
+  netlist::GeneratorSpec spec;
+  spec.num_gates = 1500;
+  spec.num_wires = 2700;
+  spec.num_inputs = 60;
+  spec.num_outputs = 40;
+  spec.depth = 40;
+  spec.seed = 113;
+  const netlist::LogicNetlist base = netlist::generate_circuit(spec);
+  const auto options_at = [](double noise) {
+    core::FlowOptions options = bench::paper_flow_options();
+    options.bound_factors.noise = noise;
+    return options;
+  };
+
+  api::SizingSession session(base, options_at(0.10));
+  const api::Status status = session.run_all();
+  LRSIZER_ASSERT_MSG(status.ok(), status.to_string().c_str());
+  const core::FlowSummary base_summary = session.summary();
+  const core::FlowResult base_result = session.take_result();
+  const runtime::EcoIndex base_index = eco::build_eco_index(base, base_result);
+  std::printf("\ndeep: #G=%d depth %d, %lld circuit nodes, base %d iterations\n\n",
+              base_summary.num_gates, spec.depth,
+              static_cast<long long>(base_result.circuit.num_nodes()),
+              base_summary.iterations);
+
+  util::TextTable table(
+      {"kind", "noise", "cold ite", "seeded ite", "seeded viol", "area vs cold %"});
+  runtime::Json rows = runtime::Json::array();
+  std::optional<core::FlowResult> at_011;
+  rows.push_back(deep_row("warm", base, options_at(0.11), base_index, table, &at_011));
+  rows.push_back(deep_row("warm", base, options_at(0.12),
+                          eco::build_eco_index(base, *at_011), table));
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    std::size_t edited = 0;
+    rows.push_back(deep_row("eco", flip_ops(base, 0.01, seed, &edited),
+                            options_at(0.10), base_index, table));
+  }
+  table.print(std::cout);
+
+  runtime::Json circuit = runtime::Json::object();
+  circuit.set("generator_seed", static_cast<std::int64_t>(spec.seed));
+  circuit.set("gates", static_cast<std::int64_t>(base_summary.num_gates));
+  circuit.set("wires", static_cast<std::int64_t>(base_summary.num_wires));
+  circuit.set("depth", static_cast<std::int64_t>(spec.depth));
+  circuit.set("nodes", base_result.circuit.num_nodes());
+  circuit.set("edges", base_result.circuit.num_edges());
+  runtime::Json base_doc = runtime::Json::object();
+  base_doc.set("iterations", static_cast<std::int64_t>(base_summary.iterations));
+  base_doc.set("max_violation", base_summary.max_violation);
+  base_doc.set("area_um2", base_summary.area_um2);
+  runtime::Json deep = runtime::Json::object();
+  deep.set("circuit", circuit);
+  deep.set("base", base_doc);
+  deep.set("rows", rows);
+  return deep;
 }
 
 }  // namespace
@@ -198,6 +299,7 @@ int main(int argc, char** argv) {
   base_doc.set("max_violation", base_summary.max_violation);
   doc.set("base", base_doc);
   doc.set("rows", rows);
+  doc.set("deep", deep_block());
 
   std::ofstream out(out_path);
   if (!out) {

@@ -274,6 +274,7 @@ Status SizingSession::size() {
       core::run_ogws(circuit, *coupling_, bounds_, options_.ogws, control);
   span.arg("iterations", static_cast<double>(ogws.iterations));
   span.arg("converged", ogws.converged ? 1.0 : 0.0);
+  span.arg("seeded", warm.has_value() && warm->seeds_multipliers() ? 1.0 : 0.0);
   circuit.mutable_sizes() = ogws.sizes;
   const timing::Metrics final_metrics = timing::compute_metrics(
       circuit, *coupling_, circuit.sizes(), options_.ogws.lrs.mode);

@@ -95,7 +95,7 @@ class SizingSession {
 
   /// Flow tracing (borrowed; must outlive the last stage call): each stage
   /// records one span, and size() additionally records one span per OGWS
-  /// iteration (dual, max KKT violation, nodes moved) and per LRS pass —
+  /// iteration (dual, max KKT violation, nodes moved, step) and per LRS pass —
   /// Chrome trace-event JSON via obs::TraceSession::dump_json(). nullptr
   /// (the default) disables tracing; the FlowResult is bit-identical either
   /// way (the hooks only read optimizer state).

@@ -22,6 +22,18 @@ double relative_violation(double value, double bound) {
   return (value - bound) / bound;
 }
 
+/// Step factor of a run that starts from seeded multipliers: ρ_k =
+/// kSeededStepFactor · step0/√k, which keeps ρ_k → 0 and Σρ_k = ∞. A seed
+/// starts with every constraint ratio within a few percent of 1, so at the
+/// cold ρ the multiplicative step barely moves log λ (a cold run's ratios
+/// start clamped at 20). Measured over perfbench's 12 serve_mix base
+/// circuits, with two warm and three 1% op-flip ECO requests each: seeded
+/// iterations at factors 1 / 2 / 3 / 4 / 8 were 2058 / 650 / 334 / 225 / 675
+/// for warm 0.11 and 5901 / 1769 / 1057 / 1107 / 4004 for ECO, against 1493
+/// and 3226 cold. At 3 every seeded request took fewer iterations than its
+/// cold run.
+constexpr double kSeededStepFactor = 3.0;
+
 }  // namespace
 
 void dual_ascent_step(const netlist::Circuit& circuit,
@@ -131,6 +143,11 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
   LRSIZER_ASSERT(bounds.delay_s > 0.0 && bounds.cap_f > 0.0 && bounds.noise_f > 0.0);
   const OgwsWarmStart* warm = control.warm_start;
   if (warm != nullptr && warm->empty()) warm = nullptr;
+  // A4's step size. Seeded multipliers step larger (kSeededStepFactor);
+  // cold runs and sizes-only seeds keep the Figure-9 schedule.
+  const double step0 = warm != nullptr && warm->seeds_multipliers()
+                           ? kSeededStepFactor * options.step0
+                           : options.step0;
 
   const double area_ref = std::max(timing::total_area(circuit, circuit.sizes()), 1e-12);
 
@@ -145,7 +162,7 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
   MultiplierState multipliers(circuit);
   multipliers.init_default(circuit);
   for (double& v : multipliers.lambda) v *= lambda_scale;
-  if (warm != nullptr && !warm->lambda.empty()) {
+  if (warm != nullptr && warm->seeds_multipliers()) {
     LRSIZER_ASSERT_MSG(warm->lambda.size() == multipliers.lambda.size(),
                        "warm-start lambda does not match the circuit's edge count");
     multipliers.lambda = warm->lambda;
@@ -231,8 +248,9 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
   std::uint64_t span_begin_us = 0;
   // One span per iteration, closing at the same points the observer fires.
   // The iteration metadata mirrors the observer's iterate plus the traced
-  // nodes-moved count (x vs. the pre-LRS snapshot).
-  auto record_iteration_span = [&](const OgwsIterate& it) {
+  // nodes-moved count (x vs. the pre-LRS snapshot) and `rho`, the step
+  // applied after the iteration (0 on the converging one, which takes none).
+  auto record_iteration_span = [&](const OgwsIterate& it, double rho) {
     if (control.trace == nullptr) return;
     std::size_t moved = 0;
     for (std::size_t i = 0; i < x.size(); ++i) {
@@ -245,7 +263,8 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
                            {"max_kkt_violation", it.max_violation},
                            {"nodes_moved", static_cast<double>(moved)},
                            {"lrs_passes", static_cast<double>(it.lrs_passes)},
-                           {"rel_gap", it.rel_gap}});
+                           {"rel_gap", it.rel_gap},
+                           {"rho", rho}});
   };
 
   if (warm != nullptr && !warm->sizes.empty()) {
@@ -368,20 +387,20 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
       result.converged = true;
       iterate.seconds = iter_timer.seconds();
       if (options.record_history) result.history.back().seconds = iterate.seconds;
-      record_iteration_span(iterate);
+      record_iteration_span(iterate, 0.0);
       if (control.observer) control.observer(iterate);
       break;
     }
 
     // A4 + A5: multiplier step, ρ_k = step0 / sqrt(k) (ρ_k → 0, Σ ρ_k = ∞),
     // then nonnegativity + flow conservation.
-    const double rho = options.step0 / std::sqrt(static_cast<double>(k));
+    const double rho = step0 / std::sqrt(static_cast<double>(k));
     dual_ascent_step(circuit, coupling, bounds, options, arrivals, x, cap, noise,
                      rho, scales, multipliers);
 
     iterate.seconds = iter_timer.seconds();
     if (options.record_history) result.history.back().seconds = iterate.seconds;
-    record_iteration_span(iterate);
+    record_iteration_span(iterate, rho);
     if (control.observer) control.observer(iterate);
     util::log_debug() << "ogws k=" << k << " area=" << area << " gap=" << cert_gap
                       << " viol=" << max_violation;

@@ -5,7 +5,8 @@
 //   A1. initialize multipliers (λ flow-conserving, β = γ = 0)
 //   A2. μ_i = Σ_{j∈input(i)} λ_ji
 //   A3. run LRS; compute arrival times a
-//   A4. subgradient step with ρ_k = step0/√k (ρ_k → 0, Σ ρ_k = ∞):
+//   A4. subgradient step with ρ_k = step0/√k (ρ_k → 0, Σ ρ_k = ∞; 3× that
+//       when the multipliers were seeded, see OgwsWarmStart):
 //         λ_jm += ρ_k (a_j − A0)                    [sink edges]
 //         λ_ji += ρ_k (a_j + D_i − a_i)             [component edges]
 //         λ_0i += ρ_k (D_i − a_i)                   [driver edges]
@@ -55,7 +56,10 @@ struct OgwsOptions {
   /// Allowed relative constraint violation for an iterate to count feasible.
   double feas_tol = 0.01;
   /// ρ_k = step0 / sqrt(k). The multiplicative rule tolerates (and wants)
-  /// aggressive steps; the additive subgradient rule prefers ~0.25.
+  /// aggressive steps; the additive subgradient rule prefers ~0.25. A run
+  /// seeded with multipliers (OgwsWarmStart::seeds_multipliers) steps at 3×
+  /// this schedule under either rule: its constraint ratios start near 1, so
+  /// the cold step would barely move it (core/ogws.cpp, kSeededStepFactor).
   double step0 = 4.0;
   StepRule step_rule = StepRule::kMultiplicative;
   LrsOptions lrs;
@@ -108,6 +112,12 @@ void dual_ascent_step(const netlist::Circuit& circuit,
 /// certificate pair, so re-sizing under identical options re-converges in
 /// one or two iterations, and under tweaked options it starts from the
 /// converged neighborhood instead of the default multipliers.
+///
+/// Only the multipliers steer the run: LRS minimizes the relaxed Lagrangian
+/// for the current (λ, β, γ), so a seed of sizes alone only adds an
+/// incumbent and otherwise reproduces the cold run. A seed with λ steps at
+/// 3·step0/√k (OgwsOptions::step0), which is what makes warm and ECO seeds
+/// converge in fewer iterations than a cold start.
 struct OgwsWarmStart {
   /// Initial iterate, indexed by NodeId. Also evaluated up front as the
   /// incumbent primal candidate (feasibility + area under the *current*
@@ -122,6 +132,8 @@ struct OgwsWarmStart {
   std::vector<double> gamma_net;
 
   bool empty() const { return sizes.empty() && lambda.empty(); }
+  /// True when the seed carries multipliers, i.e. the run steps seeded.
+  bool seeds_multipliers() const { return !lambda.empty(); }
 };
 
 /// Out-of-band controls for a run — everything that is not part of the
@@ -145,10 +157,11 @@ struct OgwsControl {
   /// paper-reproduction benches opt out in bench_common.hpp.
   bool capture_warm_start = false;
   /// Flow tracing (obs/trace.hpp): one span per OGWS iteration — with dual
-  /// value, max KKT violation and nodes-moved metadata — and per LRS pass,
-  /// recorded into this session. nullptr (the default) disables tracing at
-  /// the cost of one pointer test per iteration; the optimization trajectory
-  /// is bit-identical either way (tracing only reads iterate state).
+  /// value, max KKT violation, nodes-moved and step (`rho`) metadata — and
+  /// per LRS pass, recorded into this session. nullptr (the default)
+  /// disables tracing at the cost of one pointer test per iteration; the
+  /// optimization trajectory is bit-identical either way (tracing only reads
+  /// iterate state).
   obs::TraceSession* trace = nullptr;
 };
 

@@ -1,10 +1,12 @@
 // The ECO subsystem end to end (docs/ECO.md): incremental re-sizing against
 // a cached base converges in a fraction of the cold iteration count at the
-// same KKT tolerance, index/seed round-trips reuse everything on an
+// same KKT tolerance, every seeded request kind takes no more iterations
+// than cold, index/seed round-trips reuse everything on an
 // unedited netlist, and the repeater-insertion pre-pass produces netlists
 // that re-parse, re-hash stably, and size feasibly.
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -137,6 +139,79 @@ TEST(IncrementalSizer, OnePercentEditConvergesInAThirdOfColdIterations) {
   // committed bench/BENCH_eco.json).
   EXPECT_LE(3 * eco.summary.iterations, cold.iterations + 2)
       << "eco " << eco.summary.iterations << " vs cold " << cold.iterations;
+}
+
+// A seed pays for every request kind the cache serves. Over a small
+// generated family, the same circuit under a looser noise bound (seeded from
+// the previous bound's result) and 1% op-flip revisions (seeded from the
+// base) each take no more iterations than cold in total. No request takes
+// more than 1.5x its cold count or stops at the cap where cold converges,
+// and every seeded result converges feasibly. Seeded multipliers step at
+// 3x the cold schedule (core/ogws.cpp); at the cold step the warm 0.11 and
+// ECO totals of this family exceed their cold totals.
+TEST(IncrementalSizer, SeededRunsTakeNoMoreIterationsThanColdForEveryKind) {
+  struct Kind {
+    const char* name;
+    int seeded = 0;
+    int cold = 0;
+  };
+  Kind warm11{"warm 0.11"}, warm12{"warm 0.12"}, eco{"ECO 1%"};
+  const auto options_at = [](double noise) {
+    core::FlowOptions options = eco_flow_options();
+    options.bound_factors.noise = noise;
+    return options;
+  };
+  // Seeds `netlist` from `index`, runs it cold too, and checks the pair.
+  const auto compare = [](Kind& kind, const std::string& what,
+                          const LogicNetlist& netlist,
+                          const core::FlowOptions& options,
+                          const runtime::EcoIndex& index) {
+    const core::FlowSummary cold = run_cold(netlist, options);
+    eco::IncrementalSizer::Result seeded;
+    EXPECT_TRUE(eco::IncrementalSizer(index, options).resize(netlist, &seeded).ok());
+    kind.seeded += seeded.summary.iterations;
+    kind.cold += cold.iterations;
+    const std::string label = std::string(kind.name) + " " + what;
+    EXPECT_LE(2 * seeded.summary.iterations, 3 * cold.iterations)
+        << label << ": seeded " << seeded.summary.iterations << " vs cold "
+        << cold.iterations;
+    EXPECT_TRUE(seeded.summary.converged) << label;
+    EXPECT_LE(seeded.summary.max_violation, options.ogws.feas_tol) << label;
+    return seeded;
+  };
+
+  for (int c = 0; c < 4; ++c) {
+    netlist::GeneratorSpec spec;
+    spec.num_gates = 300 + 60 * c;
+    spec.num_wires = spec.num_gates * 9 / 5;
+    spec.num_inputs = 24;
+    spec.num_outputs = 16;
+    spec.depth = 24;
+    spec.seed = 201 + static_cast<std::uint64_t>(c);
+    const LogicNetlist base = netlist::generate_circuit(spec);
+    const std::string name = "g" + std::to_string(c);
+
+    api::SizingSession session(base, options_at(0.10));
+    ASSERT_TRUE(session.run_all().ok());
+    const runtime::EcoIndex base_index =
+        eco::build_eco_index(base, session.take_result());
+
+    const eco::IncrementalSizer::Result at_011 =
+        compare(warm11, name, base, options_at(0.11), base_index);
+    ASSERT_TRUE(at_011.flow.has_value());
+    compare(warm12, name, base, options_at(0.12),
+            eco::build_eco_index(base, *at_011.flow));
+    for (std::uint64_t j = 0; j < 3; ++j) {
+      const LogicNetlist revised =
+          flip_ops(base, 0.01, 100 * static_cast<std::uint64_t>(c) + j + 1);
+      compare(eco, name + "e" + std::to_string(j), revised, options_at(0.10),
+              base_index);
+    }
+  }
+  for (const Kind& kind : {warm11, warm12, eco}) {
+    EXPECT_LE(kind.seeded, kind.cold)
+        << kind.name << ": " << kind.seeded << " seeded vs " << kind.cold << " cold";
+  }
 }
 
 TEST(IncrementalSizer, UneditedNetlistReusesEverything) {

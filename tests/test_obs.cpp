@@ -3,7 +3,8 @@
 // exposition 0.0.4 (escaping, value formatting, cumulative buckets, a golden
 // scrape of a hand-built registry), the HTTP/1.1 request parser's defensive
 // posture, and trace-event JSON — including the contract that tracing never
-// perturbs the flow (FlowResult bit-identical with tracing on vs off).
+// perturbs the flow (FlowResult bit-identical with tracing on vs off) and
+// the step each OGWS iteration span reports.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +13,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/session.hpp"
@@ -448,6 +450,61 @@ TEST(ObsTrace, FlowTracingCoversStagesIterationsAndPasses) {
   EXPECT_EQ(iterations, static_cast<std::size_t>(result.ogws.iterations));
   EXPECT_TRUE(iteration_has_metadata);
   EXPECT_GE(passes, iterations);
+}
+
+/// Arg `key` of the first span named `name`; NaN when absent.
+double first_span_arg(const obs::TraceSession& trace, const std::string& name,
+                      const std::string& key) {
+  for (const auto& span : trace.spans()) {
+    if (span.name != name) continue;
+    for (const auto& [k, value] : span.args) {
+      if (k == key) return value;
+    }
+    break;
+  }
+  return std::numeric_limits<double>::quiet_NaN();
+}
+
+// Each iteration span names the step applied after it. A run seeded with
+// multipliers takes 3·step0 first; a cold run and a sizes-only seed take
+// step0. The size span says whether the multipliers were seeded.
+TEST(ObsTrace, IterationSpansCarryTheStepAndSeededRunsStepAtThreeTimesCold) {
+  const auto logic = traced_test_circuit();
+  const core::FlowOptions options;
+  const double step0 = options.ogws.step0;
+  core::FlowOptions looser = options;
+  looser.bound_factors.noise = 0.11;
+
+  obs::TraceSession cold_trace;
+  api::SizingSession cold(logic, options);
+  cold.set_trace(&cold_trace);
+  ASSERT_TRUE(cold.run_all().ok());
+  ASSERT_GT(cold.result().ogws.iterations, 1);
+  EXPECT_EQ(first_span_arg(cold_trace, "ogws_iteration", "rho"), step0);
+  EXPECT_EQ(first_span_arg(cold_trace, "size", "seeded"), 0.0);
+
+  obs::TraceSession seeded_trace;
+  api::SizingSession seeded(logic, looser);
+  seeded.set_trace(&seeded_trace);
+  ASSERT_TRUE(seeded.warm_start_from(cold.result()).ok());
+  ASSERT_TRUE(seeded.run_all().ok());
+  ASSERT_GT(seeded.result().ogws.iterations, 1);
+  EXPECT_EQ(first_span_arg(seeded_trace, "ogws_iteration", "rho"), 3.0 * step0);
+  EXPECT_EQ(first_span_arg(seeded_trace, "size", "seeded"), 1.0);
+
+  api::WarmSeed sizes_only;
+  const netlist::Circuit& sized = cold.result().circuit;
+  for (netlist::NodeId v = sized.first_component(); v < sized.end_component(); ++v) {
+    sizes_only.sizes.emplace_back(v, sized.size(v));
+  }
+  obs::TraceSession sizes_trace;
+  api::SizingSession sizes_seeded(logic, looser);
+  sizes_seeded.set_trace(&sizes_trace);
+  ASSERT_TRUE(sizes_seeded.warm_start(std::move(sizes_only)).ok());
+  ASSERT_TRUE(sizes_seeded.run_all().ok());
+  ASSERT_GT(sizes_seeded.result().ogws.iterations, 1);
+  EXPECT_EQ(first_span_arg(sizes_trace, "ogws_iteration", "rho"), step0);
+  EXPECT_EQ(first_span_arg(sizes_trace, "size", "seeded"), 0.0);
 }
 
 TEST(ObsTrace, TracingDoesNotPerturbTheFlowBitIdentically) {

@@ -112,9 +112,11 @@ options:
                     result sharing the most output cones with the request:
                     the same circuit under other bounds reuses every size
                     and the multipliers, an edited revision its clean cones
-                    (docs/ECO.md). Faster, but not bit-identical to a cold
-                    run. Requests naming "eco_base" use their named base
-                    even without this flag.
+                    (docs/ECO.md). Faster: seeded multipliers step at 3x
+                    the cold schedule and converge in fewer iterations than
+                    a cold run, but not bit-identically to it. Requests
+                    naming "eco_base" use their named base even without
+                    this flag.
   --cache-max-entries N  keep at most N completed results in the cache,
                     LRU-evicted (and unlinked from --cache-dir); 0 disables
                     result storage (default: unlimited)
