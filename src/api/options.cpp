@@ -101,19 +101,20 @@ Status validate_options(const core::FlowOptions& options) {
   if (options.neighbors.fringe_per_um < 0.0)
     return invalid("neighbors.fringe_per_um", ">= 0", options.neighbors.fringe_per_um);
 
+  // Written as !(f >= floor) so that NaN is refused too.
   const core::BoundFactors& factors = options.bound_factors;
-  if (factors.delay <= 0.0)
-    return invalid("bound_factors.delay", "> 0 (A0 = delay x initial delay)",
+  if (!(factors.delay >= kMinBoundFactor))
+    return invalid("bound_factors.delay", ">= 1e-150 (A0 = delay x initial delay)",
                    factors.delay);
-  if (factors.power <= 0.0)
-    return invalid("bound_factors.power", "> 0 (P0 = power x initial cap)",
+  if (!(factors.power >= kMinBoundFactor))
+    return invalid("bound_factors.power", ">= 1e-150 (P0 = power x initial cap)",
                    factors.power);
-  if (factors.noise <= 0.0)
-    return invalid("bound_factors.noise", "> 0 (X0 = noise x initial noise)",
+  if (!(factors.noise >= kMinBoundFactor))
+    return invalid("bound_factors.noise", ">= 1e-150 (X0 = noise x initial noise)",
                    factors.noise);
-  if (factors.per_net_noise < 0.0)
-    return invalid("bound_factors.per_net_noise", ">= 0 (0 disables per-net bounds)",
-                   factors.per_net_noise);
+  if (factors.per_net_noise != 0.0 && !(factors.per_net_noise >= kMinBoundFactor))
+    return invalid("bound_factors.per_net_noise",
+                   "0 (disables per-net bounds) or >= 1e-150", factors.per_net_noise);
 
   if (options.initial_size <= 0.0)
     return invalid("initial_size", "> 0", options.initial_size);

@@ -275,6 +275,7 @@ Status SizingSession::size() {
   span.arg("iterations", static_cast<double>(ogws.iterations));
   span.arg("converged", ogws.converged ? 1.0 : 0.0);
   span.arg("seeded", warm.has_value() && warm->seeds_multipliers() ? 1.0 : 0.0);
+  span.arg("infeasible", ogws.proved_infeasible ? 1.0 : 0.0);
   circuit.mutable_sizes() = ogws.sizes;
   const timing::Metrics final_metrics = timing::compute_metrics(
       circuit, *coupling_, circuit.sizes(), options_.ogws.lrs.mode);

@@ -22,17 +22,33 @@ double relative_violation(double value, double bound) {
   return (value - bound) / bound;
 }
 
+/// A4's step at iteration k: ρ_k = step0/k^¼, which keeps Figure 9's two
+/// conditions, ρ_k → 0 and Σρ_k = ∞. A √k decay spends its tail proving,
+/// not improving: under it c6288's area moved 1.2% between k = 50 and the
+/// cap of 500, where it stopped uncertified. OGWS iterations over the ten
+/// Table-1 profiles at default options (generator seed 1) by decay
+/// exponent p: ½ 1279 (c6288 capped), 0.35 580, 0.3 474, ¼ 395 (all ten
+/// certified), 0.2 337, 0 (constant) 204. Over generator seeds 1-5, ¼ took
+/// 0.31-0.33× the √k iterations with every area within 0.2%. A constant
+/// step fails the c17 end-to-end tests, and at 0.2 a seeded request took
+/// over 1.5× its cold count at both seeded factors tried (2 and 2.5); ¼ is
+/// the smallest exponent tried that keeps both.
+double step_size(double step0, int k) {
+  return step0 / std::sqrt(std::sqrt(static_cast<double>(k)));
+}
+
 /// Step factor of a run that starts from seeded multipliers: ρ_k =
-/// kSeededStepFactor · step0/√k, which keeps ρ_k → 0 and Σρ_k = ∞. A seed
+/// kSeededStepFactor · step0/k^¼, which keeps ρ_k → 0 and Σρ_k = ∞. A seed
 /// starts with every constraint ratio within a few percent of 1, so at the
 /// cold ρ the multiplicative step barely moves log λ (a cold run's ratios
 /// start clamped at 20). Measured over perfbench's 12 serve_mix base
-/// circuits, with two warm and three 1% op-flip ECO requests each: seeded
-/// iterations at factors 1 / 2 / 3 / 4 / 8 were 2058 / 650 / 334 / 225 / 675
-/// for warm 0.11 and 5901 / 1769 / 1057 / 1107 / 4004 for ECO, against 1493
-/// and 3226 cold. At 3 every seeded request took fewer iterations than its
-/// cold run.
-constexpr double kSeededStepFactor = 3.0;
+/// circuits, with two warm and three 1% op-flip ECO requests each (warm 0.11
+/// / warm 0.12 / ECO iterations; cold runs 500 / 341 / 1200): factor 2 gave
+/// 283 / 31 / 797, 2.5 gave 228 / 27 / 682 and 3 gave 289 / 71 / 751 with
+/// one ECO request above 1.5× its cold count. On the ten Table-1 profiles as
+/// bases (cold 472 / 342 / 1272), 2 and 3 each left one request above 1.5×
+/// cold and 2.5 none.
+constexpr double kSeededStepFactor = 2.5;
 
 }  // namespace
 
@@ -144,12 +160,18 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
   const OgwsWarmStart* warm = control.warm_start;
   if (warm != nullptr && warm->empty()) warm = nullptr;
   // A4's step size. Seeded multipliers step larger (kSeededStepFactor);
-  // cold runs and sizes-only seeds keep the Figure-9 schedule.
+  // cold runs and sizes-only seeds step at step0/k^¼.
   const double step0 = warm != nullptr && warm->seeds_multipliers()
                            ? kSeededStepFactor * options.step0
                            : options.step0;
 
   const double area_ref = std::max(timing::total_area(circuit, circuit.sizes()), 1e-12);
+  // Σ α_i·U_i: the area with every component at its upper size bound, the
+  // most any sizing in the box can cost.
+  double area_max = 0.0;
+  for (netlist::NodeId v = circuit.first_component(); v < circuit.end_component(); ++v) {
+    area_max += circuit.area_weight(v) * circuit.upper_bound(v);
+  }
 
   // Normalization scales: multipliers live at (objective / constraint-unit)
   // magnitude, subgradients are used in bound-relative form.
@@ -249,7 +271,7 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
   // One span per iteration, closing at the same points the observer fires.
   // The iteration metadata mirrors the observer's iterate plus the traced
   // nodes-moved count (x vs. the pre-LRS snapshot) and `rho`, the step
-  // applied after the iteration (0 on the converging one, which takes none).
+  // applied after the iteration (0 on a stopping one, which takes none).
   auto record_iteration_span = [&](const OgwsIterate& it, double rho) {
     if (control.trace == nullptr) return;
     std::size_t moved = 0;
@@ -383,25 +405,28 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
     if (options.record_history) result.history.push_back(iterate);
 
     // A7: stop when the primal/dual certificates agree.
-    if (cert_gap <= options.gap_tol) {
-      result.converged = true;
-      iterate.seconds = iter_timer.seconds();
-      if (options.record_history) result.history.back().seconds = iterate.seconds;
-      record_iteration_span(iterate, 0.0);
-      if (control.observer) control.observer(iterate);
-      break;
-    }
+    result.converged = cert_gap <= options.gap_tol;
+    // Weak duality (Theorem 4): every dual value is at most the least area
+    // of a sizing that meets A0/P0/X0, and no sizing in the box costs more
+    // than area_max. A dual above area_max therefore proves the bounds
+    // unreachable; stop before the growing multipliers overflow. (A run with
+    // a feasible iterate never gets here: its clamped gap is 0 and A7 fired.)
+    result.proved_infeasible = !result.converged && best_dual > area_max;
 
-    // A4 + A5: multiplier step, ρ_k = step0 / sqrt(k) (ρ_k → 0, Σ ρ_k = ∞),
-    // then nonnegativity + flow conservation.
-    const double rho = step0 / std::sqrt(static_cast<double>(k));
-    dual_ascent_step(circuit, coupling, bounds, options, arrivals, x, cap, noise,
-                     rho, scales, multipliers);
+    // A4 + A5: multiplier step, ρ_k = step0/k^¼, then nonnegativity + flow
+    // conservation. A stopping iteration takes none.
+    const bool stopping = result.converged || result.proved_infeasible;
+    const double rho = stopping ? 0.0 : step_size(step0, k);
+    if (!stopping) {
+      dual_ascent_step(circuit, coupling, bounds, options, arrivals, x, cap, noise,
+                       rho, scales, multipliers);
+    }
 
     iterate.seconds = iter_timer.seconds();
     if (options.record_history) result.history.back().seconds = iterate.seconds;
     record_iteration_span(iterate, rho);
     if (control.observer) control.observer(iterate);
+    if (stopping) break;
     util::log_debug() << "ogws k=" << k << " area=" << area << " gap=" << cert_gap
                       << " viol=" << max_violation;
   }

@@ -5,7 +5,7 @@
 //   A1. initialize multipliers (λ flow-conserving, β = γ = 0)
 //   A2. μ_i = Σ_{j∈input(i)} λ_ji
 //   A3. run LRS; compute arrival times a
-//   A4. subgradient step with ρ_k = step0/√k (ρ_k → 0, Σ ρ_k = ∞; 3× that
+//   A4. subgradient step with ρ_k = step0/k^¼ (ρ_k → 0, Σ ρ_k = ∞; 2.5× that
 //       when the multipliers were seeded, see OgwsWarmStart):
 //         λ_jm += ρ_k (a_j − A0)                    [sink edges]
 //         λ_ji += ρ_k (a_j + D_i − a_i)             [component edges]
@@ -14,7 +14,9 @@
 //         γ    += ρ_k (X(x) − X0)
 //   A5. clamp at 0 and project λ onto flow conservation (Theorem 3)
 //   A7. stop when the duality gap Σ α_i x_i − L(x) is within the error
-//       bound and the iterate is feasible within tolerance
+//       bound and the iterate is feasible within tolerance; stop unconverged
+//       once the best dual exceeds Σ α_i U_i, which by weak duality
+//       (Theorem 4) proves A0/P0/X0 unreachable inside the size box
 //
 // Normalization (docs/ARCHITECTURE.md, decision D3): the raw subgradients mix seconds, farads
 // and µm²; each update is scaled by (A_ref / bound) / bound where A_ref is
@@ -55,9 +57,10 @@ struct OgwsOptions {
   double gap_tol = 0.01;
   /// Allowed relative constraint violation for an iterate to count feasible.
   double feas_tol = 0.01;
-  /// ρ_k = step0 / sqrt(k). The multiplicative rule tolerates (and wants)
+  /// ρ_k = step0 / k^¼ (core/ogws.cpp, step_size, gives the measurement
+  /// behind the exponent). The multiplicative rule tolerates (and wants)
   /// aggressive steps; the additive subgradient rule prefers ~0.25. A run
-  /// seeded with multipliers (OgwsWarmStart::seeds_multipliers) steps at 3×
+  /// seeded with multipliers (OgwsWarmStart::seeds_multipliers) steps at 2.5×
   /// this schedule under either rule: its constraint ratios start near 1, so
   /// the cold step would barely move it (core/ogws.cpp, kSeededStepFactor).
   double step0 = 4.0;
@@ -116,7 +119,7 @@ void dual_ascent_step(const netlist::Circuit& circuit,
 /// Only the multipliers steer the run: LRS minimizes the relaxed Lagrangian
 /// for the current (λ, β, γ), so a seed of sizes alone only adds an
 /// incumbent and otherwise reproduces the cold run. A seed with λ steps at
-/// 3·step0/√k (OgwsOptions::step0), which is what makes warm and ECO seeds
+/// 2.5·step0/k^¼ (OgwsOptions::step0), which is what makes warm and ECO seeds
 /// converge in fewer iterations than a cold start.
 struct OgwsWarmStart {
   /// Initial iterate, indexed by NodeId. Also evaluated up front as the
@@ -173,6 +176,11 @@ struct OgwsResult {
   /// Cancellation observed via OgwsControl::stop; `sizes` and the metric
   /// fields still describe the best iterate seen before the interrupt.
   bool cancelled = false;
+  /// The run stopped because the best dual exceeded Σ α_i U_i, the area
+  /// with every component at its upper size bound. By weak duality no
+  /// sizing in the box meets A0/P0/X0; `sizes` is the least-violating
+  /// iterate and `converged` is false.
+  bool proved_infeasible = false;
   int iterations = 0;
   double area = 0.0;     ///< area of the returned sizes
   double dual = 0.0;     ///< best dual lower bound seen

@@ -78,10 +78,19 @@ std::string hex16(std::uint64_t v) {
   return out;
 }
 
+/// Revision of the solver behind the sized outputs, a constant and not an
+/// option. Bump it whenever sized outputs change under unchanged options:
+/// every key moves with it, so an entry an older server persisted under
+/// --cache-dir misses once and is re-sized instead of replaying an answer
+/// this solver would not give. 1: the step0/k^¼ step and the stop on a dual
+/// above the box's maximum area (0.14).
+constexpr std::int64_t kSolverRevision = 1;
+
 }  // namespace
 
 Json canonical_options_json(const core::FlowOptions& o) {
   Json j = elab_canon(o);
+  j.set("solver_revision", kSolverRevision);
   Json sim = Json::object();
   sim.set("vector_period", static_cast<std::int64_t>(o.sim.vector_period));
   sim.set("gate_delay", static_cast<std::int64_t>(o.sim.gate_delay));

@@ -51,7 +51,9 @@ namespace lrsizer::runtime {
 
 /// Canonical JSON form of every outcome-affecting FlowOptions field, in a
 /// fixed key order with shortest-round-trip numbers — byte-equal canon means
-/// flow-equivalent options. The ignored `threads` field is excluded.
+/// flow-equivalent options. The ignored `threads` field is excluded. A
+/// `solver_revision` constant rides along and changes whenever sized outputs
+/// change for unchanged options.
 Json canonical_options_json(const core::FlowOptions& options);
 
 /// The cache key for (netlist, options):

@@ -135,7 +135,7 @@ TEST(IncrementalSizer, OnePercentEditConvergesInAThirdOfColdIterations) {
   // Same KKT tolerance as the cold run: the converged flag already implies
   // feasibility within ogws.feas_tol, asserted explicitly for clarity.
   EXPECT_LE(eco.summary.max_violation, options.ogws.feas_tol);
-  // <= 1/3 of cold, with 2 iterations of slack (measured 1 vs 9 — see the
+  // <= 1/3 of cold, with 2 iterations of slack (measured 2 vs 6 — see the
   // committed bench/BENCH_eco.json).
   EXPECT_LE(3 * eco.summary.iterations, cold.iterations + 2)
       << "eco " << eco.summary.iterations << " vs cold " << cold.iterations;
@@ -147,7 +147,7 @@ TEST(IncrementalSizer, OnePercentEditConvergesInAThirdOfColdIterations) {
 // base) each take no more iterations than cold in total. No request takes
 // more than 1.5x its cold count or stops at the cap where cold converges,
 // and every seeded result converges feasibly. Seeded multipliers step at
-// 3x the cold schedule (core/ogws.cpp); at the cold step the warm 0.11 and
+// 2.5x the cold schedule (core/ogws.cpp); at the cold step the warm 0.11 and
 // ECO totals of this family exceed their cold totals.
 TEST(IncrementalSizer, SeededRunsTakeNoMoreIterationsThanColdForEveryKind) {
   struct Kind {

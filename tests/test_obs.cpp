@@ -452,11 +452,13 @@ TEST(ObsTrace, FlowTracingCoversStagesIterationsAndPasses) {
   EXPECT_GE(passes, iterations);
 }
 
-/// Arg `key` of the first span named `name`; NaN when absent.
-double first_span_arg(const obs::TraceSession& trace, const std::string& name,
-                      const std::string& key) {
+/// Arg `key` of the span named `name` with index `nth` among those spans;
+/// NaN when absent.
+double span_arg(const obs::TraceSession& trace, const std::string& name,
+                std::size_t nth, const std::string& key) {
   for (const auto& span : trace.spans()) {
     if (span.name != name) continue;
+    if (nth-- > 0) continue;
     for (const auto& [k, value] : span.args) {
       if (k == key) return value;
     }
@@ -465,13 +467,16 @@ double first_span_arg(const obs::TraceSession& trace, const std::string& name,
   return std::numeric_limits<double>::quiet_NaN();
 }
 
-// Each iteration span names the step applied after it. A run seeded with
-// multipliers takes 3·step0 first; a cold run and a sizes-only seed take
-// step0. The size span says whether the multipliers were seeded.
-TEST(ObsTrace, IterationSpansCarryTheStepAndSeededRunsStepAtThreeTimesCold) {
+// Each iteration span names the step applied after it: ρ_k = step0/k^¼ for
+// a cold run and a sizes-only seed, 2.5× that for a run seeded with
+// multipliers. The first two spans pin both the factor and the exponent.
+// The size span says whether the multipliers were seeded.
+TEST(ObsTrace, IterationSpansCarryTheStepAndSeededRunsStepLargerThanCold) {
   const auto logic = traced_test_circuit();
   const core::FlowOptions options;
   const double step0 = options.ogws.step0;
+  const double seeded_step0 = 2.5 * step0;
+  const double quarter_root_2 = std::sqrt(std::sqrt(2.0));
   core::FlowOptions looser = options;
   looser.bound_factors.noise = 0.11;
 
@@ -479,18 +484,22 @@ TEST(ObsTrace, IterationSpansCarryTheStepAndSeededRunsStepAtThreeTimesCold) {
   api::SizingSession cold(logic, options);
   cold.set_trace(&cold_trace);
   ASSERT_TRUE(cold.run_all().ok());
-  ASSERT_GT(cold.result().ogws.iterations, 1);
-  EXPECT_EQ(first_span_arg(cold_trace, "ogws_iteration", "rho"), step0);
-  EXPECT_EQ(first_span_arg(cold_trace, "size", "seeded"), 0.0);
+  ASSERT_GT(cold.result().ogws.iterations, 2);
+  EXPECT_EQ(span_arg(cold_trace, "ogws_iteration", 0, "rho"), step0);
+  EXPECT_DOUBLE_EQ(span_arg(cold_trace, "ogws_iteration", 1, "rho"),
+                   step0 / quarter_root_2);
+  EXPECT_EQ(span_arg(cold_trace, "size", 0, "seeded"), 0.0);
 
   obs::TraceSession seeded_trace;
   api::SizingSession seeded(logic, looser);
   seeded.set_trace(&seeded_trace);
   ASSERT_TRUE(seeded.warm_start_from(cold.result()).ok());
   ASSERT_TRUE(seeded.run_all().ok());
-  ASSERT_GT(seeded.result().ogws.iterations, 1);
-  EXPECT_EQ(first_span_arg(seeded_trace, "ogws_iteration", "rho"), 3.0 * step0);
-  EXPECT_EQ(first_span_arg(seeded_trace, "size", "seeded"), 1.0);
+  ASSERT_GT(seeded.result().ogws.iterations, 2);
+  EXPECT_EQ(span_arg(seeded_trace, "ogws_iteration", 0, "rho"), seeded_step0);
+  EXPECT_DOUBLE_EQ(span_arg(seeded_trace, "ogws_iteration", 1, "rho"),
+                   seeded_step0 / quarter_root_2);
+  EXPECT_EQ(span_arg(seeded_trace, "size", 0, "seeded"), 1.0);
 
   api::WarmSeed sizes_only;
   const netlist::Circuit& sized = cold.result().circuit;
@@ -502,9 +511,11 @@ TEST(ObsTrace, IterationSpansCarryTheStepAndSeededRunsStepAtThreeTimesCold) {
   sizes_seeded.set_trace(&sizes_trace);
   ASSERT_TRUE(sizes_seeded.warm_start(std::move(sizes_only)).ok());
   ASSERT_TRUE(sizes_seeded.run_all().ok());
-  ASSERT_GT(sizes_seeded.result().ogws.iterations, 1);
-  EXPECT_EQ(first_span_arg(sizes_trace, "ogws_iteration", "rho"), step0);
-  EXPECT_EQ(first_span_arg(sizes_trace, "size", "seeded"), 0.0);
+  ASSERT_GT(sizes_seeded.result().ogws.iterations, 2);
+  EXPECT_EQ(span_arg(sizes_trace, "ogws_iteration", 0, "rho"), step0);
+  EXPECT_DOUBLE_EQ(span_arg(sizes_trace, "ogws_iteration", 1, "rho"),
+                   step0 / quarter_root_2);
+  EXPECT_EQ(span_arg(sizes_trace, "size", 0, "seeded"), 0.0);
 }
 
 TEST(ObsTrace, TracingDoesNotPerturbTheFlowBitIdentically) {

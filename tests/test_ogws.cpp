@@ -3,8 +3,12 @@
 
 #include <cmath>
 
+#include "api/session.hpp"
 #include "core/ogws.hpp"
 #include "core/problem.hpp"
+#include "netlist/generator.hpp"
+#include "netlist/iscas_profiles.hpp"
+#include "obs/trace.hpp"
 #include "test_helpers.hpp"
 #include "timing/metrics.hpp"
 
@@ -181,6 +185,69 @@ TEST(Ogws, DualNeverExceedsFinalAreaMuch) {
   auto p = fig1_problem(core::BoundFactors{});
   const auto result = core::run_ogws(p.circuit, p.coupling, p.bounds);
   EXPECT_LE(result.dual, result.area * 1.02);
+}
+
+/// Σ α_i·U_i: the area with every component at its upper size bound.
+double box_max_area(const netlist::Circuit& circuit) {
+  double area = 0.0;
+  for (netlist::NodeId v = circuit.first_component(); v < circuit.end_component(); ++v) {
+    area += circuit.area_weight(v) * circuit.upper_bound(v);
+  }
+  return area;
+}
+
+TEST(Ogws, DualAboveTheBoxMaximumAreaStopsAnUnreachableBound) {
+  // A delay bound of 1% of c432's initial delay is out of reach of any
+  // sizing, and without a stop its multipliers grow toward overflow. Once
+  // the best dual passes the box's maximum area, weak duality proves the
+  // bound unreachable, and the run stops unconverged long before the cap.
+  core::FlowOptions options;
+  options.bound_factors.delay = 0.01;
+  options.ogws.max_iterations = 2000;
+  api::SizingSession session(netlist::generate_circuit(netlist::spec_for_profile("c432")),
+                             options);
+  int events = 0;
+  session.set_observer([&events](const core::OgwsIterate&) { ++events; });
+  obs::TraceSession trace;
+  session.set_trace(&trace);
+  ASSERT_TRUE(session.run_all().ok());
+  const core::OgwsResult& ogws = session.result().ogws;
+  EXPECT_TRUE(ogws.proved_infeasible);
+  EXPECT_FALSE(ogws.converged);
+  EXPECT_FALSE(ogws.cancelled);
+  EXPECT_LE(ogws.iterations, 5);
+  // The stopping iteration reports like every other exit: one observer
+  // event and one iteration span per iteration, and the size span says why.
+  EXPECT_EQ(events, ogws.iterations);
+  int iteration_spans = 0;
+  double infeasible_arg = -1.0;
+  for (const auto& span : trace.spans()) {
+    if (span.name == "ogws_iteration") ++iteration_spans;
+    if (span.name != "size") continue;
+    for (const auto& [key, value] : span.args) {
+      if (key == "infeasible") infeasible_arg = value;
+    }
+  }
+  EXPECT_EQ(iteration_spans, ogws.iterations);
+  EXPECT_EQ(infeasible_arg, 1.0);
+  EXPECT_TRUE(std::isfinite(ogws.dual));
+  EXPECT_GT(ogws.dual, box_max_area(session.result().circuit));
+  EXPECT_GT(ogws.max_violation, options.ogws.feas_tol);
+}
+
+TEST(Ogws, TableOneProfilesConvergeWithoutTheInfeasibilityStop) {
+  // The stop only ever fires on a bound no sizing meets: at default options
+  // every Table-1 profile converges, with its dual below the box maximum.
+  for (const auto& profile : netlist::iscas85_profiles()) {
+    api::SizingSession session(
+        netlist::generate_circuit(netlist::spec_for_profile(profile.name)), {});
+    ASSERT_TRUE(session.run_all().ok()) << profile.name;
+    const core::OgwsResult& ogws = session.result().ogws;
+    EXPECT_TRUE(ogws.converged) << profile.name;
+    EXPECT_FALSE(ogws.proved_infeasible) << profile.name;
+    EXPECT_LT(ogws.iterations, core::OgwsOptions{}.max_iterations) << profile.name;
+    EXPECT_LT(ogws.dual, box_max_area(session.result().circuit)) << profile.name;
+  }
 }
 
 }  // namespace

@@ -775,6 +775,28 @@ std::string size_request(const std::string& id, const std::string& profile,
          profile + R"("},"options":{"vectors":8})" + extra + "}";
 }
 
+TEST(CacheKey, SolverRevisionMovesTheKeysThePreviousReleasePersisted) {
+  // 0.14 changed the sized outputs of unchanged options (the step0/k^¼ step
+  // and the weak-duality stop). An entry a 0.13 server persisted under
+  // --cache-dir must miss, or a hit would replay an answer this solver does
+  // not give. The circuit parts of the key stay; the options part carries
+  // the solver revision and moves.
+  Collector collector;
+  serve::ServerOptions options;
+  options.jobs = 1;
+  serve::Server server(options, collector.sink());
+  ASSERT_TRUE(server.handle_line(R"({"type":"size","id":"a","input":{"profile":"c17"}})"));
+  server.drain();
+  const auto accepted = collector.of_type("accepted");
+  ASSERT_EQ(accepted.size(), 1u);
+  const std::string key = accepted[0].at("key").as_string();
+  const std::string key_0_13 = "n0bca2e6c9d14d0d5-e35d65159b012b322-oc14f9a43d7c4bebf";
+  EXPECT_EQ(key.substr(0, key.rfind("-o")), key_0_13.substr(0, key_0_13.rfind("-o")));
+  EXPECT_NE(key, key_0_13);
+  EXPECT_NE(runtime::canonical_options_json(core::FlowOptions{}).find("solver_revision"),
+            nullptr);
+}
+
 TEST(Server, JsonlRoundTripMatchesADirectRun) {
   Collector collector;
   serve::ServerOptions options;
@@ -1209,14 +1231,25 @@ TEST(Server, DeadlineCutsAJobToAPartialResultMarkedTimeout) {
   options.jobs = 1;
   serve::Server server(options, collector.sink());
   server.hello();
-  // c6288 at 256 vectors runs well past any 600 ms deadline. Where the
-  // deadline lands depends on machine speed: mid-OGWS (the common case,
-  // answered with a timeout-marked partial result) or still in elaboration
-  // under heavy slowdown (answered with a "deadline" error). Both shapes
-  // are the contract; both tally as a timeout, never as a cancellation.
+  // A generated 4.8k-gate circuit of logic depth 1000 at 16 vectors: in a
+  // Release build on a 4-core x86 VM, its OGWS loop starts ~0.07 s after
+  // admission and converges after 1361 iterations at ~3.9 s, 6.6x the
+  // deadline. Where the deadline lands depends on machine speed: mid-OGWS
+  // (the common case, answered with a timeout-marked partial result) or
+  // still in elaboration under heavy slowdown (answered with a "deadline"
+  // error). Both shapes are the contract; both tally as a timeout, never as
+  // a cancellation.
+  netlist::GeneratorSpec spec;
+  spec.num_gates = 4832;
+  spec.num_wires = 9600;
+  spec.num_inputs = 32;
+  spec.num_outputs = 32;
+  spec.depth = 1000;
+  Json input = Json::object();
+  input.set("bench", netlist::to_bench_string(netlist::generate_circuit(spec)));
   ASSERT_TRUE(server.handle_line(
-      R"({"type":"size","id":"x","input":{"profile":"c6288"},)"
-      R"("options":{"vectors":256},"deadline_ms":600})"));
+      R"({"type":"size","id":"x","input":)" + input.dump() +
+      R"(,"options":{"vectors":16,"max_iterations":2000},"deadline_ms":600})"));
   server.drain();
 
   const auto results = collector.of_type("result");

@@ -19,7 +19,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <map>
+#include <mutex>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -51,16 +54,24 @@ struct FuzzHarness {
   serve::Server server;
   std::atomic<std::size_t> responses{0};
   std::atomic<std::size_t> malformed{0};
+  std::mutex mutex;
+  std::vector<Json> terminals;  ///< every well-formed result and error
 
   FuzzHarness()
       : server(make_options(), [this](const std::string& line) {
           ++responses;
           try {
-            const Json j = Json::parse(line);
+            Json j = Json::parse(line);
             if (!j.is_object() || j.find("type") == nullptr ||
                 !j.at("type").is_string() ||
                 !known_response_type(j.at("type").as_string())) {
               ++malformed;
+              return;
+            }
+            const std::string& type = j.at("type").as_string();
+            if (type == "result" || type == "error") {
+              const std::lock_guard<std::mutex> lock(mutex);
+              terminals.push_back(std::move(j));
             }
           } catch (const std::exception&) {
             ++malformed;
@@ -264,6 +275,127 @@ TEST(ServeFuzz, RandomStructuredRequestsKeepTheServerResponsive) {
       R"({"type":"size","id":"canary","input":{"profile":"c17"},"options":{"vectors":8}})");
   harness.finish();
   EXPECT_GE(harness.server.stats().completed, 1u);
+}
+
+// ---- Option values ----------------------------------------------------------
+
+/// Request option -> the FlowOptions field its validation error names.
+const std::vector<std::pair<std::string, std::string>>& bound_options() {
+  static const std::vector<std::pair<std::string, std::string>> kOptions = {
+      {"delay_bound", "bound_factors.delay"},
+      {"power_bound", "bound_factors.power"},
+      {"noise_bound", "bound_factors.noise"},
+      {"per_net_noise_bound", "bound_factors.per_net_noise"},
+  };
+  return kOptions;
+}
+
+std::string bound_request(const std::string& id, const std::string& profile,
+                          const std::string& option, const std::string& value,
+                          int max_iterations) {
+  return R"({"type":"size","id":")" + id + R"(","input":{"profile":")" + profile +
+         R"("},"options":{")" + option + "\":" + value +
+         R"(,"max_iterations":)" + std::to_string(max_iterations) +
+         R"(},"report":{"sizes":false}})";
+}
+
+/// Drains the server and checks that each of the fed `requests` (id -> the
+/// field its error must name) answered exactly one terminal: a result with a
+/// finite dual (a non-finite one serializes as null) or an error whose
+/// message names its field. Then the same server must still size c17.
+void expect_finite_or_field_error(
+    FuzzHarness& harness, const std::map<std::string, std::string>& requests) {
+  harness.server.drain();
+  std::map<std::string, int> answered;
+  {
+    const std::lock_guard<std::mutex> lock(harness.mutex);
+    for (const Json& terminal : harness.terminals) {
+      const std::string& id = terminal.at("id").as_string();
+      const auto request = requests.find(id);
+      ASSERT_NE(request, requests.end()) << terminal.dump();
+      ++answered[id];
+      if (terminal.at("type").as_string() == "error") {
+        EXPECT_NE(terminal.at("message").as_string().find(request->second),
+                  std::string::npos)
+            << terminal.dump();
+      } else {
+        const Json& dual = terminal.at("job").at("dual");
+        EXPECT_TRUE(dual.is_number() && std::isfinite(dual.as_number()))
+            << terminal.dump();
+      }
+    }
+    harness.terminals.clear();
+  }
+  EXPECT_EQ(answered.size(), requests.size());
+  for (const auto& [id, count] : answered) EXPECT_EQ(count, 1) << id;
+
+  harness.feed(
+      R"({"type":"size","id":"canary","input":{"profile":"c17"},"report":{"sizes":false}})");
+  harness.finish();
+  const std::lock_guard<std::mutex> lock(harness.mutex);
+  ASSERT_EQ(harness.terminals.size(), 1u);
+  EXPECT_EQ(harness.terminals[0].at("type").as_string(), "result");
+  EXPECT_TRUE(std::isfinite(harness.terminals[0].at("job").at("dual").as_number()));
+}
+
+TEST(ServeFuzzOptions, BoundFactorsBelowTheFloorAnswerAFieldNamingError) {
+  // Factors this small used to overflow OGWS's normalization scales: the
+  // server aborted on an LRS assert or answered a null dual.
+  FuzzHarness harness;
+  std::map<std::string, std::string> requests;
+  for (const auto& [option, field] : bound_options()) {
+    for (const char* value : {"1e-300", "1e-295"}) {
+      const std::string id = option + "=" + value;
+      harness.feed(bound_request(id, "c17", option, value, 500));
+      requests.emplace(id, field);
+    }
+  }
+  harness.server.drain();
+  {
+    const std::lock_guard<std::mutex> lock(harness.mutex);
+    EXPECT_EQ(harness.terminals.size(), requests.size());
+    for (const Json& terminal : harness.terminals) {
+      EXPECT_EQ(terminal.at("type").as_string(), "error") << terminal.dump();
+    }
+  }
+  EXPECT_EQ(harness.server.stats().accepted, 0u);
+  expect_finite_or_field_error(harness, requests);
+}
+
+TEST(ServeFuzzOptions, BoundFactorGridAnswersAFiniteDualOrAFieldNamingError) {
+  // Every bound factor from the representable edge to a loose bound, at a
+  // short and a long iteration cap, on c17 and c432. An unreachable bound
+  // must end at the weak-duality stop with a finite dual, not run its
+  // multipliers into overflow (a null dual, or an abort that takes the
+  // whole server down).
+  FuzzHarness harness;
+  std::map<std::string, std::string> requests;
+  const std::vector<std::string> values = {"1e-300", "1e-200", "1e-100",
+                                           "1e-30",  "1e-3",   "0.01",
+                                           "0.1",    "0.5",    "0.8"};
+  for (const char* profile : {"c17", "c432"}) {
+    for (const auto& [option, field] : bound_options()) {
+      for (const std::string& value : values) {
+        for (int max_iterations : {500, 2000}) {
+          const std::string id = std::string(profile) + "/" + option + "=" + value +
+                                 "/" + std::to_string(max_iterations);
+          harness.feed(bound_request(id, profile, option, value, max_iterations));
+          requests.emplace(id, field);
+        }
+      }
+    }
+  }
+  // The tail between 1e-293 and 1e-305, where the weak-duality stop alone
+  // still aborted.
+  for (const auto& [option, field] : bound_options()) {
+    for (int exponent = 293; exponent <= 305; ++exponent) {
+      const std::string value = "1e-" + std::to_string(exponent);
+      const std::string id = "c17/" + option + "=" + value;
+      harness.feed(bound_request(id, "c17", option, value, 500));
+      requests.emplace(id, field);
+    }
+  }
+  expect_finite_or_field_error(harness, requests);
 }
 
 // ---- TCP front-end fuzzing --------------------------------------------------

@@ -409,7 +409,7 @@ def run_chaos_client(index, port, jobs, failures, tallies, lock):
                 "id": job_id,
                 "seed": k + 1,
                 "input": {"profile": "c6288" if slow else "c17"},
-                "options": {"vectors": 64 if slow else 8},
+                "options": {"vectors": 2048 if slow else 8},
             }
             payload = (json.dumps(request) + "\n").encode()
             attempt = 0
