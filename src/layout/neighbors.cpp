@@ -47,43 +47,6 @@ CouplingSet::CouplingSet(netlist::NodeId num_nodes, std::vector<Pair> pairs)
   }
 }
 
-std::span<const std::int32_t> CouplingSet::owned_pairs(netlist::NodeId v) const {
-  if (owner_offset_.empty()) return {};
-  const auto i = static_cast<std::size_t>(v);
-  LRSIZER_ASSERT(i + 1 < owner_offset_.size());
-  return {owner_pairs_.data() + owner_offset_[i],
-          static_cast<std::size_t>(owner_offset_[i + 1] - owner_offset_[i])};
-}
-
-double CouplingSet::owned_noise_linear(netlist::NodeId v,
-                                       const std::vector<double>& x) const {
-  double total = 0.0;
-  for (std::int32_t p : owned_pairs(v)) {
-    const auto& pr = pairs_[static_cast<std::size_t>(p)];
-    total += pair_c_hat(p) * (x[static_cast<std::size_t>(pr.a)] +
-                              x[static_cast<std::size_t>(pr.b)]);
-  }
-  return total;
-}
-
-std::span<const CouplingSet::Neighbor> CouplingSet::neighbors(netlist::NodeId v) const {
-  if (offset_.empty()) return {};
-  const auto i = static_cast<std::size_t>(v);
-  LRSIZER_ASSERT(i + 1 < offset_.size());
-  return {entries_.data() + offset_[i],
-          static_cast<std::size_t>(offset_[i + 1] - offset_[i])};
-}
-
-double CouplingSet::pair_c_hat(std::int32_t p) const {
-  const auto& pr = pairs_[static_cast<std::size_t>(p)];
-  return pr.miller * pr.geom.c_hat();
-}
-
-double CouplingSet::pair_c_tilde(std::int32_t p) const {
-  const auto& pr = pairs_[static_cast<std::size_t>(p)];
-  return pr.miller * pr.geom.c_tilde();
-}
-
 double CouplingSet::noise_linear(const std::vector<double>& x) const {
   double total = 0.0;
   for (std::int32_t p = 0; p < static_cast<std::int32_t>(pairs_.size()); ++p) {

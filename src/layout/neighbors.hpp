@@ -20,6 +20,7 @@
 
 #include "layout/coupling.hpp"
 #include "netlist/circuit.hpp"
+#include "util/assert.hpp"
 #include "util/memtrack.hpp"
 
 namespace lrsizer::layout {
@@ -45,20 +46,51 @@ class CouplingSet {
   CouplingSet(netlist::NodeId num_nodes, std::vector<Pair> pairs);
 
   const std::vector<Pair>& pairs() const { return pairs_; }
-  std::span<const Neighbor> neighbors(netlist::NodeId v) const;
+
+  // The per-node accessors below are defined in this header: LRS, the load
+  // pass and the per-net dual step call them once per node per pass.
+
+  /// N(v): v's coupling neighbors.
+  std::span<const Neighbor> neighbors(netlist::NodeId v) const {
+    if (offset_.empty()) return {};
+    const auto i = static_cast<std::size_t>(v);
+    LRSIZER_ASSERT(i + 1 < offset_.size());
+    return {entries_.data() + offset_[i],
+            static_cast<std::size_t>(offset_[i + 1] - offset_[i])};
+  }
 
   /// Pairs *owned* by wire v, i.e. { (v, j) : j ∈ I(v) } — the per-wire
   /// slice of the noise double sum (each pair is owned by its smaller node).
-  std::span<const std::int32_t> owned_pairs(netlist::NodeId v) const;
+  std::span<const std::int32_t> owned_pairs(netlist::NodeId v) const {
+    if (owner_offset_.empty()) return {};
+    const auto i = static_cast<std::size_t>(v);
+    LRSIZER_ASSERT(i + 1 < owner_offset_.size());
+    return {owner_pairs_.data() + owner_offset_[i],
+            static_cast<std::size_t>(owner_offset_[i + 1] - owner_offset_[i])};
+  }
 
   /// Σ_{j∈I(v)} ĉ_vj (x_v + x_j): wire v's own share of the noise metric
   /// (the left side of a distributed per-net crosstalk constraint).
-  double owned_noise_linear(netlist::NodeId v, const std::vector<double>& x) const;
+  double owned_noise_linear(netlist::NodeId v, const std::vector<double>& x) const {
+    double total = 0.0;
+    for (std::int32_t p : owned_pairs(v)) {
+      const auto& pr = pairs_[static_cast<std::size_t>(p)];
+      total += pair_c_hat(p) * (x[static_cast<std::size_t>(pr.a)] +
+                                x[static_cast<std::size_t>(pr.b)]);
+    }
+    return total;
+  }
 
   /// Effective ĉ_ij of pair p (Miller folded).
-  double pair_c_hat(std::int32_t p) const;
+  double pair_c_hat(std::int32_t p) const {
+    const auto& pr = pairs_[static_cast<std::size_t>(p)];
+    return pr.miller * pr.geom.c_hat();
+  }
   /// Effective c̃_ij of pair p (Miller folded).
-  double pair_c_tilde(std::int32_t p) const;
+  double pair_c_tilde(std::int32_t p) const {
+    const auto& pr = pairs_[static_cast<std::size_t>(p)];
+    return pr.miller * pr.geom.c_tilde();
+  }
 
   /// Σ_{i∈W} Σ_{j∈I(i)} ĉ_ij (x_i + x_j) — the sizing-dependent noise the
   /// paper's Table 1 reports and the modified crosstalk constraint bounds.

@@ -15,7 +15,7 @@ DenseWeights::DenseWeights(std::int32_t n, std::vector<double> values)
                  static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
 }
 
-double ordering_cost(const WeightView& weights, const std::vector<std::int32_t>& order) {
+double ordering_cost(const DenseWeights& weights, const std::vector<std::int32_t>& order) {
   double cost = 0.0;
   for (std::size_t k = 1; k < order.size(); ++k) {
     cost += weights.at(order[k - 1], order[k]);
@@ -23,7 +23,7 @@ double ordering_cost(const WeightView& weights, const std::vector<std::int32_t>&
   return cost;
 }
 
-std::vector<std::int32_t> woss_ordering(const WeightView& weights) {
+std::vector<std::int32_t> woss_ordering(const DenseWeights& weights) {
   const std::int32_t n = weights.size();
   if (n == 0) return {};
   if (n == 1) return {0};
@@ -66,7 +66,7 @@ std::vector<std::int32_t> woss_ordering(const WeightView& weights) {
   return order;
 }
 
-std::vector<std::int32_t> optimal_ordering_bruteforce(const WeightView& weights) {
+std::vector<std::int32_t> optimal_ordering_bruteforce(const DenseWeights& weights) {
   const std::int32_t n = weights.size();
   LRSIZER_ASSERT_MSG(n <= 16, "exact ordering is exponential; use n <= 16");
   if (n == 0) return {};

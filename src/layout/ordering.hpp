@@ -16,21 +16,13 @@
 
 namespace lrsizer::layout {
 
-/// Dense symmetric weight accessor: anything with `double at(i, j)` and
-/// `int32_t size()`. Kept as a simple interface to avoid copying matrices.
-class WeightView {
- public:
-  virtual ~WeightView() = default;
-  virtual std::int32_t size() const = 0;
-  virtual double at(std::int32_t a, std::int32_t b) const = 0;
-};
-
-/// Adapter over a row-major dense matrix.
-class DenseWeights final : public WeightView {
+/// Dense symmetric weight matrix, row-major. The only weight type: the
+/// O(n²) loops below read at() inline.
+class DenseWeights {
  public:
   DenseWeights(std::int32_t n, std::vector<double> values);
-  std::int32_t size() const override { return n_; }
-  double at(std::int32_t a, std::int32_t b) const override {
+  std::int32_t size() const { return n_; }
+  double at(std::int32_t a, std::int32_t b) const {
     return values_[static_cast<std::size_t>(a) * static_cast<std::size_t>(n_) +
                    static_cast<std::size_t>(b)];
   }
@@ -41,13 +33,13 @@ class DenseWeights final : public WeightView {
 };
 
 /// Σ of adjacent-pair weights along `order`.
-double ordering_cost(const WeightView& weights, const std::vector<std::int32_t>& order);
+double ordering_cost(const DenseWeights& weights, const std::vector<std::int32_t>& order);
 
 /// Paper Figure 7 (WOSS): greedy chain growth from the minimum-weight edge.
-std::vector<std::int32_t> woss_ordering(const WeightView& weights);
+std::vector<std::int32_t> woss_ordering(const DenseWeights& weights);
 
 /// Exhaustive minimum over all orderings; n <= 12.
-std::vector<std::int32_t> optimal_ordering_bruteforce(const WeightView& weights);
+std::vector<std::int32_t> optimal_ordering_bruteforce(const DenseWeights& weights);
 
 /// Seeded shuffle baseline.
 std::vector<std::int32_t> random_ordering(std::int32_t n, std::uint64_t seed);

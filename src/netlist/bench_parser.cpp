@@ -1,10 +1,11 @@
 #include "netlist/bench_parser.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <map>
+#include <iterator>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace lrsizer::netlist {
@@ -29,73 +30,90 @@ const char* const kIscas85C17 =
 
 namespace {
 
-std::string strip(const std::string& s) {
+bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
+
+std::string_view strip(std::string_view s) {
   std::size_t b = 0;
   std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  while (b < e && is_space(s[b])) ++b;
+  while (e > b && is_space(s[e - 1])) --e;
   return s.substr(b, e - b);
 }
 
-std::string upper(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
-  return s;
+/// Case-insensitive (ASCII) test that `s` starts with the upper-case `prefix`.
+bool starts_with_upper(std::string_view s, std::string_view prefix) {
+  if (s.size() < prefix.size()) return false;
+  for (std::size_t k = 0; k < prefix.size(); ++k) {
+    if (std::toupper(static_cast<unsigned char>(s[k])) != prefix[k]) return false;
+  }
+  return true;
 }
 
-LogicOp op_from_name(const std::string& name, int line) {
-  const std::string u = upper(name);
-  if (u == "AND") return LogicOp::kAnd;
-  if (u == "NAND") return LogicOp::kNand;
-  if (u == "OR") return LogicOp::kOr;
-  if (u == "NOR") return LogicOp::kNor;
-  if (u == "NOT" || u == "INV") return LogicOp::kNot;
-  if (u == "BUF" || u == "BUFF") return LogicOp::kBuf;
-  if (u == "XOR") return LogicOp::kXor;
-  if (u == "XNOR") return LogicOp::kXnor;
-  throw BenchParseError(line, "unknown gate type '" + name + "'");
+LogicOp op_from_name(std::string_view name, int line) {
+  static constexpr std::pair<std::string_view, LogicOp> kOps[] = {
+      {"AND", LogicOp::kAnd}, {"NAND", LogicOp::kNand}, {"OR", LogicOp::kOr},
+      {"NOR", LogicOp::kNor}, {"NOT", LogicOp::kNot},   {"INV", LogicOp::kNot},
+      {"BUF", LogicOp::kBuf}, {"BUFF", LogicOp::kBuf},  {"XOR", LogicOp::kXor},
+      {"XNOR", LogicOp::kXnor}};
+  for (const auto& [op_name, op] : kOps) {
+    if (name.size() == op_name.size() && starts_with_upper(name, op_name)) return op;
+  }
+  throw BenchParseError(line, "unknown gate type '" + std::string(name) + "'");
 }
+
+std::string quoted(std::string_view name) { return "'" + std::string(name) + "'"; }
 
 struct PendingGate {
-  std::string name;
+  std::string_view name;
   LogicOp op;
-  std::vector<std::string> fanin_names;
+  std::vector<std::string_view> fanin_names;
   int line;
 };
 
-}  // namespace
+/// A declared signal: where it is defined, which pending gate drives it (-1
+/// for a primary input), and its LogicNetlist index once emitted (-1 before).
+struct Signal {
+  int line = 0;
+  std::int32_t pending = -1;
+  std::int32_t id = -1;
+};
 
-LogicNetlist parse_bench(std::istream& in) {
-  std::vector<std::string> input_names;
-  std::vector<std::string> output_names;
+/// Parse `text`. Names are views into it, so it must outlive the call.
+LogicNetlist parse_bench_text(std::string_view text) {
+  std::vector<std::string_view> input_names;
+  std::vector<std::string_view> output_names;
   std::vector<PendingGate> pending;
-  std::map<std::string, int> defined_at;  // signal -> defining line
+  std::unordered_map<std::string_view, Signal> signals;
 
-  std::string raw;
+  // One line per '\n'-terminated segment, plus an unterminated last one —
+  // the lines std::getline would yield.
   int line_no = 0;
-  while (std::getline(in, raw)) {
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t nl = text.find('\n', pos);
+    const std::string_view raw =
+        text.substr(pos, nl == std::string_view::npos ? std::string_view::npos : nl - pos);
+    pos = nl == std::string_view::npos ? text.size() : nl + 1;
     ++line_no;
-    std::string line = strip(raw);
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
+    std::string_view line = strip(raw);
+    if (const auto hash = line.find('#'); hash != std::string_view::npos) {
       line = strip(line.substr(0, hash));
     }
     if (line.empty()) continue;
 
-    const std::string u = upper(line);
-    if (u.rfind("INPUT", 0) == 0 || u.rfind("OUTPUT", 0) == 0) {
-      const bool is_input = u.rfind("INPUT", 0) == 0;
+    const bool is_input = starts_with_upper(line, "INPUT");
+    if (is_input || starts_with_upper(line, "OUTPUT")) {
       const auto open = line.find('(');
       const auto close = line.rfind(')');
-      if (open == std::string::npos || close == std::string::npos || close <= open) {
+      if (open == std::string_view::npos || close == std::string_view::npos ||
+          close <= open) {
         throw BenchParseError(line_no, "malformed INPUT/OUTPUT declaration");
       }
-      const std::string name = strip(line.substr(open + 1, close - open - 1));
+      const std::string_view name = strip(line.substr(open + 1, close - open - 1));
       if (name.empty()) throw BenchParseError(line_no, "empty signal name");
       if (is_input) {
-        if (defined_at.count(name) != 0) {
-          throw BenchParseError(line_no, "signal '" + name + "' defined twice");
+        if (!signals.try_emplace(name, Signal{line_no}).second) {
+          throw BenchParseError(line_no, "signal " + quoted(name) + " defined twice");
         }
-        defined_at[name] = line_no;
         input_names.push_back(name);
       } else {
         output_names.push_back(name);
@@ -104,35 +122,48 @@ LogicNetlist parse_bench(std::istream& in) {
     }
 
     const auto eq = line.find('=');
-    if (eq == std::string::npos) {
+    if (eq == std::string_view::npos) {
       throw BenchParseError(line_no, "expected 'name = OP(args)'");
     }
-    const std::string name = strip(line.substr(0, eq));
-    const std::string rhs = strip(line.substr(eq + 1));
+    const std::string_view name = strip(line.substr(0, eq));
+    const std::string_view rhs = strip(line.substr(eq + 1));
     const auto open = rhs.find('(');
     const auto close = rhs.rfind(')');
-    if (name.empty() || open == std::string::npos || close == std::string::npos ||
-        close <= open) {
+    if (name.empty() || open == std::string_view::npos ||
+        close == std::string_view::npos || close <= open) {
       throw BenchParseError(line_no, "malformed gate definition");
     }
-    if (defined_at.count(name) != 0) {
-      throw BenchParseError(line_no, "signal '" + name + "' defined twice");
+    if (!signals
+             .try_emplace(name,
+                          Signal{line_no, static_cast<std::int32_t>(pending.size())})
+             .second) {
+      throw BenchParseError(line_no, "signal " + quoted(name) + " defined twice");
     }
-    defined_at[name] = line_no;
 
     PendingGate gate;
     gate.name = name;
-    gate.op = op_from_name(strip(rhs.substr(0, open)), line_no);
+    const std::string_view op_name = strip(rhs.substr(0, open));
+    gate.op = op_from_name(op_name, line_no);
     gate.line = line_no;
-    std::stringstream args(rhs.substr(open + 1, close - open - 1));
-    std::string arg;
-    while (std::getline(args, arg, ',')) {
-      arg = strip(arg);
+    // Comma-separated fanins; like std::getline, a trailing ',' adds none.
+    const std::string_view args = rhs.substr(open + 1, close - open - 1);
+    for (std::size_t start = 0; start < args.size();) {
+      const auto comma = args.find(',', start);
+      const std::string_view arg = strip(args.substr(
+          start, comma == std::string_view::npos ? std::string_view::npos : comma - start));
       if (arg.empty()) throw BenchParseError(line_no, "empty fanin name");
       gate.fanin_names.push_back(arg);
+      if (comma == std::string_view::npos) break;
+      start = comma + 1;
     }
     if (gate.fanin_names.empty()) {
       throw BenchParseError(line_no, "gate with no fanin");
+    }
+    if (!logic_op_is_multi_input(gate.op) && gate.fanin_names.size() != 1) {
+      throw BenchParseError(line_no, "gate " + quoted(name) + ": " +
+                                         std::string(op_name) +
+                                         " takes exactly one input, got " +
+                                         std::to_string(gate.fanin_names.size()));
     }
     pending.push_back(std::move(gate));
   }
@@ -140,16 +171,16 @@ LogicNetlist parse_bench(std::istream& in) {
   if (input_names.empty()) throw BenchParseError(line_no, "no INPUT declarations");
   if (output_names.empty()) throw BenchParseError(line_no, "no OUTPUT declarations");
 
-  // The format allows any definition order; topologically order the gates.
-  std::map<std::string, std::int32_t> index_of_pending;
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    index_of_pending[pending[i].name] = static_cast<std::int32_t>(i);
+  LogicNetlist netlist;
+  std::vector<int> defined_at;  // by netlist index: the defining line
+  defined_at.reserve(signals.size());
+  for (const std::string_view name : input_names) {
+    Signal& signal = signals.find(name)->second;
+    signal.id = netlist.add_input(std::string(name));
+    defined_at.push_back(signal.line);
   }
 
-  LogicNetlist netlist;
-  std::map<std::string, std::int32_t> netlist_id;
-  for (const auto& name : input_names) netlist_id[name] = netlist.add_input(name);
-
+  // The format allows any definition order; topologically order the gates.
   // DFS from every gate to emit fanins first; detects cycles.
   std::vector<int> state(pending.size(), 0);  // 0 = new, 1 = visiting, 2 = done
   std::vector<std::int32_t> stack;
@@ -164,28 +195,28 @@ LogicNetlist parse_bench(std::istream& in) {
       }
       bool ready = true;
       state[g] = 1;
-      for (const auto& fname : pending[g].fanin_names) {
-        if (netlist_id.count(fname) != 0) continue;  // input or emitted gate
-        const auto it = index_of_pending.find(fname);
-        if (it == index_of_pending.end()) {
+      for (const std::string_view fname : pending[g].fanin_names) {
+        const auto it = signals.find(fname);
+        if (it == signals.end()) {
           throw BenchParseError(pending[g].line,
-                                "undefined signal '" + fname + "'");
+                                "undefined signal " + quoted(fname));
         }
-        const auto dep = static_cast<std::size_t>(it->second);
+        if (it->second.id >= 0) continue;  // input or emitted gate
+        const auto dep = static_cast<std::size_t>(it->second.pending);
         if (state[dep] == 1) {
           throw BenchParseError(pending[g].line,
-                                "combinational cycle through '" + fname + "'");
+                                "combinational cycle through " + quoted(fname));
         }
         if (state[dep] == 0) {
-          stack.push_back(it->second);
+          stack.push_back(it->second.pending);
           ready = false;
         }
       }
       if (!ready) continue;
       std::vector<std::int32_t> fanin;
       fanin.reserve(pending[g].fanin_names.size());
-      for (const auto& fname : pending[g].fanin_names) {
-        fanin.push_back(netlist_id.at(fname));
+      for (const std::string_view fname : pending[g].fanin_names) {
+        fanin.push_back(signals.find(fname)->second.id);
       }
       // The .bench format writes NAND(a, a) occasionally via duplicated
       // names; LogicNetlist accepts duplicate fanins (they become separate
@@ -197,28 +228,53 @@ LogicNetlist parse_bench(std::istream& in) {
                  ? LogicOp::kNot
                  : LogicOp::kBuf;
       }
-      netlist_id[pending[g].name] = netlist.add_gate(pending[g].name, op, std::move(fanin));
+      signals.find(pending[g].name)->second.id =
+          netlist.add_gate(std::string(pending[g].name), op, std::move(fanin));
+      defined_at.push_back(pending[g].line);
       state[g] = 2;
       stack.pop_back();
     }
   }
 
-  for (const auto& name : output_names) {
-    const auto it = netlist_id.find(name);
-    if (it == netlist_id.end()) {
-      throw BenchParseError(0, "OUTPUT references undefined signal '" + name + "'");
+  std::vector<char> read(defined_at.size(), 0);
+  for (const std::string_view name : output_names) {
+    const auto it = signals.find(name);
+    if (it == signals.end()) {
+      throw BenchParseError(0, "OUTPUT references undefined signal " + quoted(name));
     }
-    netlist.mark_output(it->second);
+    netlist.mark_output(it->second.id);
+    read[static_cast<std::size_t>(it->second.id)] = 1;
+  }
+
+  // LogicNetlist::finalize requires every net to be read; name the
+  // earliest-defined one that is not.
+  for (const auto& gate : netlist.gates()) {
+    for (std::int32_t f : gate.fanin) read[static_cast<std::size_t>(f)] = 1;
+  }
+  std::size_t unread = read.size();
+  for (std::size_t g = 0; g < read.size(); ++g) {
+    if (read[g] == 0 && (unread == read.size() || defined_at[g] < defined_at[unread])) {
+      unread = g;
+    }
+  }
+  if (unread < read.size()) {
+    throw BenchParseError(defined_at[unread],
+                          "signal " + quoted(netlist.gates()[unread].name) +
+                              " is never read and is not an OUTPUT");
   }
 
   netlist.finalize();
   return netlist;
 }
 
-LogicNetlist parse_bench_string(const std::string& text) {
-  std::istringstream in(text);
-  return parse_bench(in);
+}  // namespace
+
+LogicNetlist parse_bench(std::istream& in) {
+  const std::string text{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  return parse_bench_text(text);
 }
+
+LogicNetlist parse_bench_string(const std::string& text) { return parse_bench_text(text); }
 
 std::vector<std::pair<std::int32_t, double>> read_size_annotations(std::istream& in) {
   std::vector<std::pair<std::int32_t, double>> sizes;

@@ -8,8 +8,10 @@
 //
 // Supported ops: AND, NAND, OR, NOR, NOT, BUF/BUFF, XOR, XNOR. Forward
 // references are resolved (the format does not require definition order).
-// Errors (unknown op, undefined signal, double definition, syntax) raise
-// BenchParseError with a line number.
+// Errors (unknown op, undefined signal, double definition, syntax, a
+// BUF/NOT with other than one input, a signal that is neither read nor an
+// OUTPUT) raise BenchParseError with a line number, so no text reaches an
+// assertion inside LogicNetlist.
 #pragma once
 
 #include <cstdint>

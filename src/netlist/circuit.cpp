@@ -13,30 +13,6 @@ void Circuit::set_uniform_size(double x) {
   }
 }
 
-std::span<const NodeId> Circuit::outputs(NodeId v) const {
-  const auto i = static_cast<std::size_t>(v);
-  return {out_nodes_.data() + out_offset_[i],
-          static_cast<std::size_t>(out_offset_[i + 1] - out_offset_[i])};
-}
-
-std::span<const NodeId> Circuit::inputs(NodeId v) const {
-  const auto i = static_cast<std::size_t>(v);
-  return {in_nodes_.data() + in_offset_[i],
-          static_cast<std::size_t>(in_offset_[i + 1] - in_offset_[i])};
-}
-
-std::span<const EdgeId> Circuit::output_edges(NodeId v) const {
-  const auto i = static_cast<std::size_t>(v);
-  return {out_edges_.data() + out_offset_[i],
-          static_cast<std::size_t>(out_offset_[i + 1] - out_offset_[i])};
-}
-
-std::span<const EdgeId> Circuit::input_edges(NodeId v) const {
-  const auto i = static_cast<std::size_t>(v);
-  return {in_edges_.data() + in_offset_[i],
-          static_cast<std::size_t>(in_offset_[i + 1] - in_offset_[i])};
-}
-
 void Circuit::account_memory(util::MemoryTracker& tracker) const {
   std::size_t node_bytes = util::vector_bytes(kind_) + util::vector_bytes(unit_res_) +
                            util::vector_bytes(unit_cap_) + util::vector_bytes(fringe_cap_) +

@@ -95,14 +95,26 @@ class Circuit {
 
   // ---- adjacency -------------------------------------------------------------
 
+  // Defined here, not in circuit.cpp: every per-node loop of the sizing
+  // path (LRS, loads, upstream, arrivals, the dual step, flow projection)
+  // calls these, and an out-of-line call per node costs more than the span.
+
   /// Fanout nodes of v, i.e. output(v) in the paper.
-  std::span<const NodeId> outputs(NodeId v) const;
+  std::span<const NodeId> outputs(NodeId v) const {
+    return csr_span(out_nodes_, out_offset_, v);
+  }
   /// Fanin nodes of v, i.e. input(v) in the paper.
-  std::span<const NodeId> inputs(NodeId v) const;
+  std::span<const NodeId> inputs(NodeId v) const {
+    return csr_span(in_nodes_, in_offset_, v);
+  }
   /// Edge ids of v's out-edges, parallel to outputs(v).
-  std::span<const EdgeId> output_edges(NodeId v) const;
+  std::span<const EdgeId> output_edges(NodeId v) const {
+    return csr_span(out_edges_, out_offset_, v);
+  }
   /// Edge ids of v's in-edges, parallel to inputs(v).
-  std::span<const EdgeId> input_edges(NodeId v) const;
+  std::span<const EdgeId> input_edges(NodeId v) const {
+    return csr_span(in_edges_, in_offset_, v);
+  }
 
   NodeId edge_from(EdgeId e) const { return edge_from_[static_cast<std::size_t>(e)]; }
   NodeId edge_to(EdgeId e) const { return edge_to_[static_cast<std::size_t>(e)]; }
@@ -121,6 +133,14 @@ class Circuit {
  private:
   friend class CircuitBuilder;
   Circuit() = default;
+
+  /// Row v of a CSR array: values[offset[v] .. offset[v+1]).
+  template <class T>
+  static std::span<const T> csr_span(const std::vector<T>& values,
+                                     const std::vector<std::int32_t>& offset, NodeId v) {
+    const auto i = static_cast<std::size_t>(v);
+    return {values.data() + offset[i], static_cast<std::size_t>(offset[i + 1] - offset[i])};
+  }
 
   TechParams tech_;
   NodeId num_drivers_ = 0;

@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <deque>
 
 #include "util/assert.hpp"
@@ -31,36 +32,52 @@ SimResult simulate(const netlist::LogicNetlist& netlist,
     LRSIZER_ASSERT_MSG(v.size() == pis.size(), "vector width != #primary inputs");
   }
 
-  // Fanout lists (consumer gate indices per net).
-  std::vector<std::vector<std::int32_t>> fanouts(static_cast<std::size_t>(n));
+  // CSR views of the netlist, built once per call: each gate's op, its
+  // fanin nets, and each net's consumer gates in ascending gate order. Gate
+  // evaluation then reads value[] through these flat arrays in place.
+  const auto nn = static_cast<std::size_t>(n);
+  std::vector<netlist::LogicOp> op(nn);
+  std::vector<std::int32_t> fanin_offset(nn + 1, 0);
+  std::vector<std::int32_t> fanout_offset(nn + 1, 0);
   for (std::int32_t g = 0; g < n; ++g) {
-    for (std::int32_t f : netlist.gate(g).fanin) {
-      fanouts[static_cast<std::size_t>(f)].push_back(g);
+    const auto& gate = netlist.gate(g);
+    const auto gi = static_cast<std::size_t>(g);
+    op[gi] = gate.op;
+    fanin_offset[gi + 1] = fanin_offset[gi] + static_cast<std::int32_t>(gate.fanin.size());
+    for (std::int32_t f : gate.fanin) ++fanout_offset[static_cast<std::size_t>(f) + 1];
+  }
+  for (std::size_t i = 1; i <= nn; ++i) fanout_offset[i] += fanout_offset[i - 1];
+  std::vector<std::int32_t> fanin(static_cast<std::size_t>(fanin_offset[nn]));
+  std::vector<std::int32_t> fanout(fanin.size());
+  std::vector<std::int32_t> fanout_cursor(fanout_offset.begin(), fanout_offset.end() - 1);
+  for (std::int32_t g = 0; g < n; ++g) {
+    const auto& in = netlist.gate(g).fanin;
+    std::copy(in.begin(), in.end(), fanin.begin() + fanin_offset[static_cast<std::size_t>(g)]);
+    for (std::int32_t f : in) {
+      fanout[static_cast<std::size_t>(fanout_cursor[static_cast<std::size_t>(f)]++)] = g;
     }
   }
 
   // Settle to vector 0 with zero delay (definition order is topological).
-  std::vector<int> value(static_cast<std::size_t>(n), 0);
+  std::vector<int> value(nn, 0);
   for (std::size_t i = 0; i < pis.size(); ++i) {
     value[static_cast<std::size_t>(pis[i])] = vectors[0][i];
   }
-  std::vector<int> scratch;
   auto eval_gate = [&](std::int32_t g) {
-    const auto& gate = netlist.gate(g);
-    scratch.clear();
-    for (std::int32_t f : gate.fanin) {
-      scratch.push_back(value[static_cast<std::size_t>(f)]);
-    }
-    return netlist::eval_logic_op(gate.op, scratch);
+    const auto gi = static_cast<std::size_t>(g);
+    const std::int32_t* in = fanin.data() + fanin_offset[gi];
+    return netlist::eval_logic_op(
+        op[gi], static_cast<std::size_t>(fanin_offset[gi + 1] - fanin_offset[gi]),
+        [&](std::size_t k) { return value[static_cast<std::size_t>(in[k])]; });
   };
   for (std::int32_t g : netlist.topo_order()) {
-    if (netlist.gate(g).op != netlist::LogicOp::kInput) {
+    if (op[static_cast<std::size_t>(g)] != netlist::LogicOp::kInput) {
       value[static_cast<std::size_t>(g)] = eval_gate(g);
     }
   }
 
   SimResult result;
-  result.waveforms.reserve(static_cast<std::size_t>(n));
+  result.waveforms.reserve(nn);
   for (std::int32_t g = 0; g < n; ++g) {
     result.waveforms.emplace_back(value[static_cast<std::size_t>(g)]);
   }
@@ -72,7 +89,7 @@ SimResult simulate(const netlist::LogicNetlist& netlist,
   // Input changes are applied at each vector boundary.
   std::deque<Event> events;
   std::vector<int> last_scheduled = value;
-  std::vector<SimTime> dirty_mark(static_cast<std::size_t>(n), -1);
+  std::vector<SimTime> dirty_mark(nn, -1);
   std::vector<std::int32_t> dirty;
 
   // Within one tick a net changes at most once (an input once per vector, a
@@ -83,7 +100,8 @@ SimResult simulate(const netlist::LogicNetlist& netlist,
     if (value[g] == v) return;
     value[g] = v;
     result.waveforms[g].add_toggle(t);
-    for (std::int32_t consumer : fanouts[g]) {
+    for (std::int32_t k = fanout_offset[g]; k < fanout_offset[g + 1]; ++k) {
+      const std::int32_t consumer = fanout[static_cast<std::size_t>(k)];
       if (dirty_mark[static_cast<std::size_t>(consumer)] != t) {
         dirty_mark[static_cast<std::size_t>(consumer)] = t;
         dirty.push_back(consumer);

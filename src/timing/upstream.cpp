@@ -4,23 +4,6 @@
 
 namespace lrsizer::timing {
 
-// The per-node body, shared verbatim by the full sweep and the incremental
-// path so both are bit-identical. Writes r_up[v] only; reads the parents'
-// r_up (smaller indices).
-void compute_node_upstream(const netlist::Circuit& circuit,
-                           const std::vector<double>& x,
-                           const std::vector<double>& mu,
-                           std::vector<double>& r_up, netlist::NodeId v) {
-  double acc = 0.0;
-  for (netlist::NodeId p : circuit.inputs(v)) {
-    if (p == circuit.source()) continue;  // drivers: nothing upstream
-    const auto pi = static_cast<std::size_t>(p);
-    acc += mu[pi] * circuit.resistance(p, x[pi]);
-    if (circuit.is_wire(p)) acc += r_up[pi];
-  }
-  r_up[static_cast<std::size_t>(v)] = acc;
-}
-
 void compute_weighted_upstream(const netlist::Circuit& circuit,
                                const std::vector<double>& x,
                                const std::vector<double>& mu,

@@ -32,10 +32,20 @@ void compute_weighted_upstream(const netlist::Circuit& circuit,
 /// bit-identical to a full sweep: same pure function, same inputs. The
 /// worklist LRS sweep uses this for incremental upstream maintenance, the
 /// twin of compute_node_loads. `r_up` must be sized and v's wire fanins'
-/// entries must be final.
-void compute_node_upstream(const netlist::Circuit& circuit,
-                           const std::vector<double>& x,
-                           const std::vector<double>& mu,
-                           std::vector<double>& r_up, netlist::NodeId v);
+/// entries must be final. Writes r_up[v] only. Inline because both callers
+/// run it once per node per pass.
+inline void compute_node_upstream(const netlist::Circuit& circuit,
+                                  const std::vector<double>& x,
+                                  const std::vector<double>& mu,
+                                  std::vector<double>& r_up, netlist::NodeId v) {
+  double acc = 0.0;
+  for (netlist::NodeId p : circuit.inputs(v)) {
+    if (p == circuit.source()) continue;  // drivers: nothing upstream
+    const auto pi = static_cast<std::size_t>(p);
+    acc += mu[pi] * circuit.resistance(p, x[pi]);
+    if (circuit.is_wire(p)) acc += r_up[pi];
+  }
+  r_up[static_cast<std::size_t>(v)] = acc;
+}
 
 }  // namespace lrsizer::timing

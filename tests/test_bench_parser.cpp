@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "netlist/bench_parser.hpp"
 #include "netlist/logic_netlist.hpp"
@@ -124,6 +125,65 @@ TEST(BenchParser, ErrorReportsLineNumber) {
     FAIL() << "expected BenchParseError";
   } catch (const netlist::BenchParseError& e) {
     EXPECT_EQ(e.line(), 3);
+  }
+}
+
+/// Parse `text`, expecting a BenchParseError at `line` whose message names
+/// `signal` and contains `what`.
+void expect_parse_error(const std::string& text, int line, const std::string& signal,
+                        const std::string& what) {
+  try {
+    netlist::parse_bench_string(text);
+    ADD_FAILURE() << "expected BenchParseError for:\n" << text;
+  } catch (const netlist::BenchParseError& e) {
+    const std::string message = e.what();
+    EXPECT_EQ(e.line(), line) << message;
+    EXPECT_NE(message.find("'" + signal + "'"), std::string::npos) << message;
+    EXPECT_NE(message.find(what), std::string::npos) << message;
+  }
+}
+
+// Each of these used to reach a LogicNetlist assertion and abort the
+// process (a shared server included); the parser now rejects them.
+TEST(BenchParser, ErrorNotOrBufWithTwoInputs) {
+  expect_parse_error("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n", 4, "y",
+                     "NOT takes exactly one input, got 2");
+  expect_parse_error("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = BUFF(a, b)\n", 4, "y",
+                     "BUFF takes exactly one input, got 2");
+}
+
+TEST(BenchParser, ErrorUnreadInput) {
+  expect_parse_error("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a)\n", 2, "b",
+                     "is never read and is not an OUTPUT");
+}
+
+TEST(BenchParser, ErrorUnreadGate) {
+  expect_parse_error("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\nz = AND(a, b)\n", 5,
+                     "z", "is never read and is not an OUTPUT");
+}
+
+TEST(BenchParser, ErrorSingleInputXorLeavesAnInputUnread) {
+  // XOR(a) degenerates to a buffer of a, so b is read by nothing.
+  expect_parse_error("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = XOR(a)\n", 2, "b",
+                     "is never read and is not an OUTPUT");
+}
+
+TEST(BenchParser, ErrorNamesTheEarliestUnreadSignal) {
+  expect_parse_error("INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nz = OR(a, b)\ny = NOT(a)\n",
+                     3, "c", "is never read");
+}
+
+TEST(BenchParser, TrailingCommaAddsNoFaninAndStreamsParseAlike) {
+  // Like std::getline, a trailing ',' ends the list without an empty name.
+  const auto n = netlist::parse_bench_string("INPUT(a)\nOUTPUT(y)\ny = AND(a,)");
+  EXPECT_EQ(n.gate(1).op, LogicOp::kBuf);
+  std::istringstream in(netlist::kIscas85C17);
+  const auto streamed = netlist::parse_bench(in);
+  const auto direct = netlist::parse_bench_string(netlist::kIscas85C17);
+  ASSERT_EQ(streamed.num_gates_logic(), direct.num_gates_logic());
+  for (std::int32_t g = 0; g < direct.num_gates_logic(); ++g) {
+    EXPECT_EQ(streamed.gate(g).name, direct.gate(g).name);
+    EXPECT_EQ(streamed.gate(g).fanin, direct.gate(g).fanin);
   }
 }
 

@@ -2,13 +2,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "api/session.hpp"
 #include "core/ogws.hpp"
 #include "core/problem.hpp"
+#include "netlist/bench_parser.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/iscas_profiles.hpp"
 #include "obs/trace.hpp"
+#include "sim/patterns.hpp"
+#include "sim/simulator.hpp"
 #include "test_helpers.hpp"
 #include "timing/metrics.hpp"
 
@@ -248,6 +255,86 @@ TEST(Ogws, TableOneProfilesConvergeWithoutTheInfeasibilityStop) {
     EXPECT_LT(ogws.iterations, core::OgwsOptions{}.max_iterations) << profile.name;
     EXPECT_LT(ogws.dual, box_max_area(session.result().circuit)) << profile.name;
   }
+}
+
+/// One row of the work ledger: the work a default-options run does on one
+/// circuit, counted, and the bits of its answer.
+struct LedgerRow {
+  std::string circuit;
+  int iterations = 0;
+  long long lrs_passes = 0;  ///< summed over OgwsResult::history
+  long long lrs_nodes = 0;   ///< LRS node evaluations, likewise
+  long long sim_events = 0;  ///< sim::simulate's total_events
+  std::string area;          ///< returned area, as a hex double
+  std::string dual;          ///< best dual, as a hex double
+};
+
+std::string hex_double(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", value);
+  return buf;
+}
+
+/// The row as C++ source, so a mismatch prints rows ready to paste.
+std::string ledger_line(const LedgerRow& r) {
+  return "      {\"" + r.circuit + "\", " + std::to_string(r.iterations) + ", " +
+         std::to_string(r.lrs_passes) + ", " + std::to_string(r.lrs_nodes) + ", " +
+         std::to_string(r.sim_events) + ", \"" + r.area + "\", \"" + r.dual + "\"},\n";
+}
+
+// The work ledger: real c17 (which ends at the weak-duality stop) and the ten
+// Table-1 profiles at generator seed 1, sized at default options. Every
+// count here is deterministic, so a change that keeps each row did the same
+// work and returned the same bits; any drift is an algorithmic change, never
+// noise. A change that alters the work on purpose pastes the regenerated
+// rows below over these and says why.
+TEST(Ogws, WorkLedgerMatchesTheRecordedRows) {
+  const std::vector<LedgerRow> expected = {
+      // circuit, iterations, LRS passes, LRS node evaluations, sim events,
+      // area, best dual
+      {"c17", 67, 398, 5121, 250, "0x1.89fff7874fd6bp+9", "0x1.6f7e049f1f388p+12"},
+      {"c1355", 18, 73, 69996, 11440, "0x1.2efb0b6ed7f7p+12", "0x1.2c1e282e96014p+12"},
+      {"c1908", 26, 97, 125956, 24252, "0x1.c501e26da6defp+12", "0x1.c08577c04355cp+12"},
+      {"c2670", 40, 175, 251337, 34826, "0x1.980bf8b90686dp+13", "0x1.adb69155d9744p+13"},
+      {"c3540", 27, 195, 298790, 82962, "0x1.e1cec8c0cc562p+13", "0x1.dd99c51cd4c2p+13"},
+      {"c432", 25, 149, 39854, 5241, "0x1.20d49023c6fa2p+11", "0x1.2cfe320570678p+11"},
+      {"c499", 23, 122, 86815, 11016, "0x1.8e10bde9d3cf9p+12", "0x1.d8967fe9e9914p+12"},
+      {"c5315", 56, 197, 649012, 112017, "0x1.570a4cf7f9894p+14", "0x1.53ade9150e0bdp+14"},
+      {"c6288", 112, 314, 1260695, 289228, "0x1.53569e6747e72p+14", "0x1.4ff46bd28cc58p+14"},
+      {"c7552", 47, 210, 862107, 146032, "0x1.02e0251ef3e24p+15", "0x1.00586e931a883p+15"},
+      {"c880", 21, 90, 55680, 8076, "0x1.c1d2f1700ec96p+11", "0x1.bdaad455cb206p+11"},
+  };
+  std::vector<std::pair<std::string, netlist::LogicNetlist>> circuits;
+  circuits.emplace_back("c17", netlist::parse_bench_string(netlist::kIscas85C17));
+  for (const auto& profile : netlist::iscas85_profiles()) {
+    circuits.emplace_back(profile.name,
+                          netlist::generate_circuit(netlist::spec_for_profile(profile.name)));
+  }
+  std::string want;
+  for (const LedgerRow& row : expected) want += ledger_line(row);
+  std::string got;
+  for (auto& [name, netlist] : circuits) {
+    const core::FlowOptions options;
+    // The session's own stage-1 simulation, repeated to count its events.
+    const auto vectors = sim::random_vectors(
+        static_cast<std::int32_t>(netlist.primary_inputs().size()), options.num_vectors,
+        options.pattern_seed);
+    LedgerRow row;
+    row.circuit = name;
+    row.sim_events = sim::simulate(netlist, vectors, options.sim).total_events;
+    api::SizingSession session(std::move(netlist), options);
+    ASSERT_TRUE(session.run_all().ok()) << name;
+    const core::OgwsResult& ogws = session.result().ogws;
+    row.iterations = ogws.iterations;
+    for (const core::OgwsIterate& it : ogws.history) {
+      row.lrs_passes += it.lrs_passes;
+      row.lrs_nodes += it.lrs_nodes_processed;
+    }
+    row.area = hex_double(ogws.area);
+    row.dual = hex_double(ogws.dual);
+    got += ledger_line(row);
+  }
+  EXPECT_EQ(got, want) << "regenerated ledger rows:\n" << got;
 }
 
 }  // namespace

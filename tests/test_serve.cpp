@@ -769,6 +769,42 @@ struct Collector {
   }
 };
 
+/// A Collector whose sink parks the worker that delivers its first
+/// `progress` line until release(): the job emitting it stays in flight,
+/// mid-OGWS, for exactly as long as the test needs, however fast it would
+/// converge. Server::emit holds the client's mutex while it calls the sink,
+/// so nothing else reaches this client while the worker is parked. A line
+/// that needs an answer must come from another client; a cancel of an active
+/// job answers nothing, so it may come from this one. With jobs = 1 the
+/// parked worker also keeps every later job queued, as long as the parked
+/// job's circuit differs from theirs (an identical job would dedupe onto the
+/// parked run as a follower instead).
+struct HoldingCollector : Collector {
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool holding = false;  // a worker has parked (set once)
+  bool released = false;
+
+  serve::Server::Sink sink() {
+    return [this, record = Collector::sink()](const std::string& line) {
+      record(line);
+      if (Json::parse(line).at("type").as_string() != "progress") return;
+      std::unique_lock<std::mutex> lock(gate_mutex);
+      if (holding) return;
+      holding = true;
+      // Bounded, so a test that fails before release() cannot hang.
+      gate_cv.wait_for(lock, std::chrono::seconds(60), [&] { return released; });
+    };
+  }
+
+  /// Let the parked worker go on (and any later progress line pass).
+  void release() {
+    const std::lock_guard<std::mutex> lock(gate_mutex);
+    released = true;
+    gate_cv.notify_all();
+  }
+};
+
 std::string size_request(const std::string& id, const std::string& profile,
                          const std::string& extra = "") {
   return R"({"type":"size","id":")" + id + R"(","input":{"profile":")" +
@@ -1079,16 +1115,18 @@ TEST(Server, WithoutCacheWarmTheSameCircuitRunsCold) {
 }
 
 TEST(Server, CancelMidJobYieldsACancelledResponse) {
-  Collector collector;
+  HoldingCollector collector;
   serve::ServerOptions options;
   options.jobs = 1;
   serve::Server server(options, collector.sink());
   server.hello();
-  // c432 runs hundreds of OGWS iterations; progress every iteration gives a
-  // deterministic "the job is mid-OGWS now" signal to cancel on.
+  // The job parks in its first progress line, mid-OGWS, so the cancel lands
+  // before it can converge (c432 takes ~25 iterations). Cancelling an active
+  // job answers nothing, so it may come from the parked client.
   ASSERT_TRUE(server.handle_line(size_request("x", "c432", R"(,"progress":1)")));
   ASSERT_TRUE(collector.wait_for("progress", 1)) << "job never started";
   ASSERT_TRUE(server.handle_line(R"({"type":"cancel","id":"x"})"));
+  collector.release();
   server.drain();
 
   const auto cancelled = collector.of_type("cancelled");
@@ -1141,14 +1179,18 @@ TEST(Server, MalformedAndUnknownRequestsGetErrorResponses) {
 
 TEST(Server, BackpressureRejectsBeyondMaxPending) {
   Collector collector;
+  HoldingCollector holder;
   serve::ServerOptions options;
   options.jobs = 1;
   options.max_pending = 1;
   serve::Server server(options, collector.sink());
   server.hello();
-  // First job occupies the single pending slot while it runs...
-  ASSERT_TRUE(server.handle_line(size_request("a", "c432", R"(,"progress":1)")));
-  ASSERT_TRUE(collector.wait_for("progress", 1));
+  // First job occupies the single pending slot, parked mid-OGWS on another
+  // client so that this client's rejection can be emitted...
+  const auto held = server.add_client(holder.sink());
+  ASSERT_TRUE(
+      server.handle_line(held, size_request("a", "c432", R"(,"progress":1)")));
+  ASSERT_TRUE(holder.wait_for("progress", 1));
   // ...so the second is rejected with a backpressure error.
   ASSERT_TRUE(server.handle_line(size_request("b", "c17")));
   const auto errors = collector.of_type("error");
@@ -1161,7 +1203,8 @@ TEST(Server, BackpressureRejectsBeyondMaxPending) {
   EXPECT_EQ(errors[0].at("code").as_string(), "overloaded");
   EXPECT_GE(errors[0].at("retry_after_ms").as_number(), 50.0);
   EXPECT_LE(errors[0].at("retry_after_ms").as_number(), 10000.0);
-  ASSERT_TRUE(server.handle_line(R"({"type":"cancel","id":"a"})"));
+  ASSERT_TRUE(server.handle_line(held, R"({"type":"cancel","id":"a"})"));
+  holder.release();
   server.drain();
   // Shed jobs are tallied separately from ordinary errors.
   EXPECT_EQ(server.stats().shed, 1u);
@@ -1172,14 +1215,20 @@ TEST(Server, PerClientCapShedsTheGreedyClientNotItsNeighbor) {
   serve::ServerOptions options;
   options.jobs = 1;
   options.max_pending_per_client = 1;
-  serve::Server server(options);
+  HoldingCollector parked;
   Collector greedy, modest;
+  serve::Server server(options);
+  const auto cp = server.add_client(parked.sink());
   const auto cg = server.add_client(greedy.sink());
   const auto cm = server.add_client(modest.sink());
-  // The greedy client fills its one slot with a long job...
+  // A third client's job parks the only worker, so every job below stays
+  // pending. (The greedy client's own job cannot be the parked one: its
+  // shed answer needs the client's sink.)
   ASSERT_TRUE(
-      server.handle_line(cg, size_request("a", "c432", R"(,"progress":1)")));
-  ASSERT_TRUE(greedy.wait_for("progress", 1)) << "job never started";
+      server.handle_line(cp, size_request("p", "c880", R"(,"progress":1)")));
+  ASSERT_TRUE(parked.wait_for("progress", 1)) << "job never started";
+  // The greedy client fills its one slot...
+  ASSERT_TRUE(server.handle_line(cg, size_request("a", "c432")));
   // ...so its second request is shed, while the other client's request is
   // admitted even though the global queue is not empty.
   ASSERT_TRUE(server.handle_line(cg, size_request("b", "c17")));
@@ -1191,8 +1240,9 @@ TEST(Server, PerClientCapShedsTheGreedyClientNotItsNeighbor) {
   EXPECT_TRUE(modest.of_type("error").empty());
   ASSERT_EQ(modest.of_type("accepted").size(), 1u);
   ASSERT_TRUE(server.handle_line(cg, R"({"type":"cancel","id":"a"})"));
+  parked.release();
   server.drain();
-  // With the long job gone the greedy client's slot is free again.
+  // With the pending job gone the greedy client's slot is free again.
   ASSERT_TRUE(server.handle_line(cg, size_request("c", "c17")));
   server.drain();
   ASSERT_EQ(greedy.of_type("result").size(), 1u);
@@ -1206,12 +1256,16 @@ TEST(Server, QueueCostBudgetAdmitsByNodeCountNotJobCount) {
   // first request (otherwise big jobs could never run at all), and the
   // budget then sheds everything behind it.
   options.max_queue_cost = 1;
-  serve::Server server(options);
+  HoldingCollector holder;
   Collector collector;
+  serve::Server server(options);
+  const auto held = server.add_client(holder.sink());
   const auto client = server.add_client(collector.sink());
+  // The first job parks mid-OGWS on another client, so that this client's
+  // rejection can be emitted while it is in flight.
   ASSERT_TRUE(
-      server.handle_line(client, size_request("a", "c432", R"(,"progress":1)")));
-  ASSERT_TRUE(collector.wait_for("progress", 1)) << "job never started";
+      server.handle_line(held, size_request("a", "c432", R"(,"progress":1)")));
+  ASSERT_TRUE(holder.wait_for("progress", 1)) << "job never started";
   ASSERT_TRUE(server.handle_line(client, size_request("b", "c17")));
   const auto errors = collector.of_type("error");
   ASSERT_EQ(errors.size(), 1u);
@@ -1220,25 +1274,17 @@ TEST(Server, QueueCostBudgetAdmitsByNodeCountNotJobCount) {
   EXPECT_NE(errors[0].at("message").as_string().find("cost"),
             std::string::npos);
   EXPECT_GT(errors[0].at("retry_after_ms").as_number(), 0.0);
-  ASSERT_TRUE(server.handle_line(client, R"({"type":"cancel","id":"a"})"));
+  ASSERT_TRUE(server.handle_line(held, R"({"type":"cancel","id":"a"})"));
+  holder.release();
   server.drain();
   EXPECT_EQ(server.stats().shed, 1u);
 }
 
-TEST(Server, DeadlineCutsAJobToAPartialResultMarkedTimeout) {
-  Collector collector;
-  serve::ServerOptions options;
-  options.jobs = 1;
-  serve::Server server(options, collector.sink());
-  server.hello();
-  // A generated 4.8k-gate circuit of logic depth 1000 at 16 vectors: in a
-  // Release build on a 4-core x86 VM, its OGWS loop starts ~0.07 s after
-  // admission and converges after 1361 iterations at ~3.9 s, 6.6x the
-  // deadline. Where the deadline lands depends on machine speed: mid-OGWS
-  // (the common case, answered with a timeout-marked partial result) or
-  // still in elaboration under heavy slowdown (answered with a "deadline"
-  // error). Both shapes are the contract; both tally as a timeout, never as
-  // a cancellation.
+/// A size request for a generated 4.8k-gate circuit of logic depth 1000 at
+/// 16 vectors, which runs for seconds: in a Release build on a 4-core x86
+/// VM it converges after 1361 OGWS iterations at ~2.7–3.0 s. `extra` is
+/// appended inside the request object.
+std::string long_deep_request(const std::string& id, const std::string& extra = "") {
   netlist::GeneratorSpec spec;
   spec.num_gates = 4832;
   spec.num_wires = 9600;
@@ -1247,9 +1293,22 @@ TEST(Server, DeadlineCutsAJobToAPartialResultMarkedTimeout) {
   spec.depth = 1000;
   Json input = Json::object();
   input.set("bench", netlist::to_bench_string(netlist::generate_circuit(spec)));
-  ASSERT_TRUE(server.handle_line(
-      R"({"type":"size","id":"x","input":)" + input.dump() +
-      R"(,"options":{"vectors":16,"max_iterations":2000},"deadline_ms":600})"));
+  return R"({"type":"size","id":")" + id + R"(","input":)" + input.dump() +
+         R"(,"options":{"vectors":16,"max_iterations":2000})" + extra + "}";
+}
+
+TEST(Server, DeadlineCutsAJobToAPartialResultMarkedTimeout) {
+  Collector collector;
+  serve::ServerOptions options;
+  options.jobs = 1;
+  serve::Server server(options, collector.sink());
+  server.hello();
+  // The deep circuit runs ~4.5-5x the deadline. Where the deadline lands
+  // depends on machine speed: mid-OGWS (the common case, answered with a
+  // timeout-marked partial result) or still in elaboration under heavy
+  // slowdown (answered with a "deadline" error). Both shapes are the
+  // contract; both tally as a timeout, never as a cancellation.
+  ASSERT_TRUE(server.handle_line(long_deep_request("x", R"(,"deadline_ms":600)")));
   server.drain();
 
   const auto results = collector.of_type("result");
@@ -1293,9 +1352,9 @@ TEST(Server, DefaultDeadlineAppliesWhenTheRequestNamesNone) {
   options.default_deadline_ms = 300;
   serve::Server server(options, collector.sink());
   server.hello();
-  ASSERT_TRUE(server.handle_line(
-      R"({"type":"size","id":"x","input":{"profile":"c6288"},)"
-      R"("options":{"vectors":256}})"));
+  // The deep circuit runs ~9x the default deadline. (c6288 at 256 vectors,
+  // used before, now converges in ~0.3 s and raced the deadline.)
+  ASSERT_TRUE(server.handle_line(long_deep_request("x")));
   server.drain();
   // Timeout-marked partial or deadline error — either way the server
   // default cut the job and tallied it (see DeadlineCutsAJob... above).
@@ -1352,6 +1411,7 @@ TEST(Server, DrainRefusesNewWorkFinishesInFlightAndReportsState) {
 }
 
 TEST(Server, ErrorCodesIdentifyTheFailureClass) {
+  HoldingCollector parked;
   Collector collector;
   serve::ServerOptions options;
   options.jobs = 1;
@@ -1359,12 +1419,17 @@ TEST(Server, ErrorCodesIdentifyTheFailureClass) {
   server.hello();
   ASSERT_TRUE(server.handle_line("this is not json"));
   ASSERT_TRUE(server.handle_line(R"({"type":"cancel","id":"ghost"})"));
-  // Hold "dup" in flight (c432 runs for seconds) so its id collision is
-  // deterministic, not a race against completion.
-  ASSERT_TRUE(server.handle_line(size_request("dup", "c432", R"(,"progress":1)")));
-  ASSERT_TRUE(collector.wait_for("progress", 1)) << "job never started";
+  // Another client's job parks the only worker, so "dup" stays pending and
+  // its id collision is deterministic, not a race against completion.
+  const auto cp = server.add_client(parked.sink());
+  ASSERT_TRUE(
+      server.handle_line(cp, size_request("p", "c880", R"(,"progress":1)")));
+  ASSERT_TRUE(parked.wait_for("progress", 1)) << "job never started";
+  ASSERT_TRUE(server.handle_line(size_request("dup", "c432")));
   ASSERT_TRUE(server.handle_line(size_request("dup", "c17")));
   ASSERT_TRUE(server.handle_line(R"({"type":"cancel","id":"dup"})"));
+  ASSERT_TRUE(server.handle_line(cp, R"({"type":"cancel","id":"p"})"));
+  parked.release();
   server.drain();
   const auto errors = collector.of_type("error");
   ASSERT_EQ(errors.size(), 3u);
@@ -1522,8 +1587,9 @@ TEST(Server, TraceOptInAttachesATraceToColdResultsOnly) {
 TEST(Server, ClientsHaveIndependentIdNamespaces) {
   serve::ServerOptions options;
   options.jobs = 2;
-  serve::Server server(options);
+  HoldingCollector parked1, parked2;
   Collector a, b;
+  serve::Server server(options);
   const auto ca = server.add_client(a.sink());
   const auto cb = server.add_client(b.sink());
   EXPECT_EQ(server.active_clients(), 2u);
@@ -1539,24 +1605,40 @@ TEST(Server, ClientsHaveIndependentIdNamespaces) {
   EXPECT_EQ(b.of_type("result").size(), 1u);
   EXPECT_TRUE(a.of_type("error").empty());
   EXPECT_TRUE(b.of_type("error").empty());
-  // Same-client reuse of an id while active is still rejected.
+  // Same-client reuse of an id while active is still rejected. Two other
+  // clients' jobs (distinct circuits, so neither dedupes onto the other)
+  // park both workers, so the first "y" stays pending.
+  const auto cp1 = server.add_client(parked1.sink());
+  const auto cp2 = server.add_client(parked2.sink());
+  ASSERT_TRUE(
+      server.handle_line(cp1, size_request("p", "c880", R"(,"progress":1)")));
+  ASSERT_TRUE(
+      server.handle_line(cp2, size_request("p", "c499", R"(,"progress":1)")));
+  ASSERT_TRUE(parked1.wait_for("progress", 1)) << "job never started";
+  ASSERT_TRUE(parked2.wait_for("progress", 1)) << "job never started";
   ASSERT_TRUE(server.handle_line(ca, size_request("y", "c432")));
   ASSERT_TRUE(server.handle_line(ca, size_request("y", "c17")));
   ASSERT_TRUE(a.wait_for("error", 1));
   ASSERT_TRUE(server.handle_line(ca, R"({"type":"cancel","id":"y"})"));
+  parked1.release();
+  parked2.release();
   server.drain();
   server.remove_client(ca);
   server.remove_client(cb);
+  server.remove_client(cp1);
+  server.remove_client(cp2);
   EXPECT_EQ(server.active_clients(), 0u);
 }
 
 TEST(Server, CancelIsScopedToTheRequestingClient) {
   serve::ServerOptions options;
   options.jobs = 1;
+  HoldingCollector a;
+  Collector b;
   serve::Server server(options);
-  Collector a, b;
   const auto ca = server.add_client(a.sink());
   const auto cb = server.add_client(b.sink());
+  // A's job parks mid-OGWS until both cancels below have been handled.
   ASSERT_TRUE(
       server.handle_line(ca, size_request("x", "c432", R"(,"progress":1)")));
   ASSERT_TRUE(a.wait_for("progress", 1)) << "job never started";
@@ -1566,6 +1648,7 @@ TEST(Server, CancelIsScopedToTheRequestingClient) {
   EXPECT_TRUE(a.of_type("cancelled").empty());
   // A cancelling its own job works as before.
   ASSERT_TRUE(server.handle_line(ca, R"({"type":"cancel","id":"x"})"));
+  a.release();
   server.drain();
   EXPECT_EQ(a.of_type("cancelled").size(), 1u);
   EXPECT_TRUE(b.of_type("cancelled").empty());
@@ -1574,16 +1657,25 @@ TEST(Server, CancelIsScopedToTheRequestingClient) {
 TEST(Server, RemoveClientCancelsItsJobsAndDropsItsResponses) {
   serve::ServerOptions options;
   options.jobs = 1;
-  serve::Server server(options);
+  HoldingCollector parked;
   Collector a;
+  serve::Server server(options);
+  const auto cp = server.add_client(parked.sink());
   const auto ca = server.add_client(a.sink());
+  // Another client's job parks the only worker, so A's job is still pending
+  // when A goes away. (A's own job cannot be the parked one: remove_client
+  // takes A's mutex, which a parked emit to A would hold.)
+  ASSERT_TRUE(
+      server.handle_line(cp, size_request("p", "c880", R"(,"progress":1)")));
+  ASSERT_TRUE(parked.wait_for("progress", 1)) << "job never started";
   ASSERT_TRUE(
       server.handle_line(ca, size_request("x", "c432", R"(,"progress":1)")));
-  ASSERT_TRUE(a.wait_for("progress", 1)) << "job never started";
   server.remove_client(ca);
-  // The orphaned job was cancelled, so drain() returns promptly instead of
-  // waiting out hundreds of OGWS iterations.
+  parked.release();
+  // The orphaned job was cancelled before it ran, so drain() waits only for
+  // the parked client's job, which completes.
   server.drain();
+  server.remove_client(cp);
   EXPECT_EQ(server.active_clients(), 0u);
   EXPECT_EQ(server.stats().cancelled, 1u);
   // No response of any kind reached the removed client's sink.
@@ -1901,12 +1993,10 @@ TEST(ServeTcp, MidJobDisconnectCancelsTheJobAndServesOtherClients) {
     TcpClient doomed(ts.port.load());
     ASSERT_TRUE(doomed.ok());
     ASSERT_TRUE(doomed.read_until("hello").has_value());
-    // c6288 at 64 vectors runs for many seconds: the abrupt close below
-    // reliably lands mid-job (a c17-sized job would finish before the
-    // server could even notice the EOF).
-    doomed.send_line(
-        R"({"type":"size","id":"x","input":{"profile":"c6288"},)"
-        R"("options":{"vectors":64},"progress":1})");
+    // The deep circuit runs for seconds: the abrupt close below reliably
+    // lands mid-job (a c17-sized job would finish before the server could
+    // even notice the EOF).
+    doomed.send_line(long_deep_request("x", R"(,"progress":1)"));
     // The job is mid-OGWS (progress is flowing) when the client vanishes:
     // pending responses hit a closed socket — the server must survive (no
     // SIGPIPE) and cancel the orphaned job.
@@ -2059,11 +2149,9 @@ TEST(ServeTcp, DrainTurnsHealthz503RefusesNewClientsAndExitsCleanly) {
   TcpClient client(ts.port.load());
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client.read_until("hello").has_value());
-  // c6288 at 64 vectors runs for roughly a second — a wide-open drain
-  // window (a small job would finish before the probes below get a look).
-  client.send_line(
-      R"({"type":"size","id":"x","input":{"profile":"c6288"},)"
-      R"("options":{"vectors":64},"progress":1})");
+  // The deep circuit runs for seconds — a wide-open drain window (a small
+  // job would finish before the probes below get a look).
+  client.send_line(long_deep_request("x", R"(,"progress":1)"));
   ASSERT_TRUE(client.read_until("progress").has_value());
 
   // Drain mid-job: the SIGTERM path minus the signal.

@@ -17,6 +17,7 @@
 #include <cerrno>
 #endif
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -227,10 +228,36 @@ TEST(ServeFuzz, AdversarialPayloadsNeverCrashTheServer) {
       "{\"unterminated\":\"",
       std::string(4096, '{'),
   };
+  // Bench text that once reached a LogicNetlist assertion and aborted the
+  // whole server: a two-input NOT/BUFF, and signals nothing reads.
+  const std::vector<std::string> bench_witnesses = {
+      R"(INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n)",
+      R"(INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = BUFF(a, b)\n)",
+      R"(INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a)\n)",
+      R"(INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\nz = AND(a, b)\n)",
+      R"(INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = XOR(a)\n)",
+  };
   for (const std::string& line : nasties) harness.feed(line);
+  for (std::size_t i = 0; i < bench_witnesses.size(); ++i) {
+    harness.feed(R"({"type":"size","id":"w)" + std::to_string(i) +
+                 R"(","input":{"bench":")" + bench_witnesses[i] + R"("}})");
+  }
   harness.server.drain();
   // Every line above was rejected: nothing may have been accepted or run.
   EXPECT_EQ(harness.server.stats().accepted, 0u);
+  for (std::size_t i = 0; i < bench_witnesses.size(); ++i) {
+    const std::string id = "w" + std::to_string(i);
+    const std::lock_guard<std::mutex> lock(harness.mutex);
+    const auto answer =
+        std::find_if(harness.terminals.begin(), harness.terminals.end(),
+                     [&](const Json& j) {
+                       return j.find("id") != nullptr && j.at("id").is_string() &&
+                              j.at("id").as_string() == id;
+                     });
+    ASSERT_NE(answer, harness.terminals.end()) << id;
+    EXPECT_EQ(answer->at("type").as_string(), "error") << id;
+    EXPECT_EQ(answer->at("code").as_string(), "parse") << id;
+  }
   // Ids are opaque byte strings to the protocol: invalid UTF-8 is not
   // malformed, just ugly. This must be *accepted*, run to completion, and
   // still produce well-formed responses (the sink validation) rather than

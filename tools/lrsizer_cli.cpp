@@ -112,7 +112,7 @@ options:
                     result sharing the most output cones with the request:
                     the same circuit under other bounds reuses every size
                     and the multipliers, an edited revision its clean cones
-                    (docs/ECO.md). Faster: seeded multipliers step at 3x
+                    (docs/ECO.md). Faster: seeded multipliers step at 2.5x
                     the cold schedule and converge in fewer iterations than
                     a cold run, but not bit-identically to it. Requests
                     naming "eco_base" use their named base even without
