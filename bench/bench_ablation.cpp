@@ -31,9 +31,7 @@ struct RunResult {
 
 RunResult run(const core::FlowOptions& options) {
   util::WallTimer timer;
-  const auto spec = netlist::spec_for_profile("c432", 1);
-  const auto logic = netlist::generate_circuit(spec);
-  const auto flow = core::run_two_stage_flow(logic, options);
+  const auto flow = bench::run_profile("c432", 1, options);
   double passes = 0.0;
   for (const auto& it : flow.ogws.history) passes += it.lrs_passes;
   return RunResult{flow.final_metrics, flow.ogws.iterations,
@@ -107,9 +105,7 @@ int main() {
 
   // TILOS greedy baseline at the same delay bound (delay-only by nature).
   {
-    const auto spec2 = netlist::spec_for_profile("c432", 1);
-    const auto logic2 = netlist::generate_circuit(spec2);
-    const auto flow2 = core::run_two_stage_flow(logic2, bench::paper_flow_options());
+    const auto flow2 = bench::run_profile("c432");
     util::WallTimer timer;
     const auto tilos = core::run_tilos(flow2.circuit, flow2.coupling,
                                        flow2.bounds.delay_s);
@@ -124,9 +120,7 @@ int main() {
 
   // Posynomial order: evaluate the noise model error at the final sizes.
   std::printf("\nposynomial order (noise model at final sizes of the full flow):\n\n");
-  const auto spec = netlist::spec_for_profile("c432", 1);
-  const auto logic = netlist::generate_circuit(spec);
-  const auto flow = core::run_two_stage_flow(logic, base_options);
+  const auto flow = bench::run_profile("c432", 1, base_options);
   const auto& x = flow.circuit.sizes();
   const double exact = flow.coupling.noise_exact(x);
   util::TextTable posy({"k", "noise(fF)", "err vs exact %"});

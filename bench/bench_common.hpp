@@ -28,8 +28,8 @@ inline core::FlowOptions paper_flow_options() {
   return options;
 }
 
-/// Run the full two-stage flow for one paper profile through the staged
-/// session API (the same pipeline run_two_stage_flow shims over).
+/// Run the full two-stage flow for one paper profile through
+/// api::SizingSession::run_all.
 inline core::FlowResult run_profile(const std::string& name, std::uint64_t seed = 1,
                                     const core::FlowOptions& options =
                                         paper_flow_options()) {

@@ -4,8 +4,9 @@
 // seeded op-flip edits of increasing size (0.5% .. 5% of the gates; flips
 // stay within the AND/OR, NAND/NOR, XOR/XNOR pairs so arity and the
 // elaborated structure are unchanged) and re-sizes every revision twice:
-// cold, and ECO-warm-started from the base run through
-// eco::IncrementalSizer. The committed bench/BENCH_eco.json
+// cold, and ECO-warm-started from the base run the way the serve loop
+// seeds a cache miss (eco::seed_from_index, then runtime::run_job with the
+// seed as BatchJob::warm). The committed bench/BENCH_eco.json
 // (lrsizer-bench-eco-v1) records the iteration and wall-clock trajectory;
 // CI's eco-smoke job re-generates and uploads it, and test_eco asserts the
 // 1%-edit row's contract (ECO iterations <= 1/3 cold, same KKT tolerance)
@@ -28,6 +29,7 @@
 
 #include "bench_common.hpp"
 #include "eco/incremental.hpp"
+#include "runtime/batch.hpp"
 #include "runtime/json.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -107,6 +109,30 @@ Run run_cold(const netlist::LogicNetlist& netlist,
   return run;
 }
 
+/// A revision re-sized from a base snapshot: the seed's reuse accounting
+/// (its warm part moved into the job) and the run's outcome.
+struct Seeded {
+  eco::EcoSeed seed;
+  runtime::JobOutcome outcome;
+};
+
+/// Seed `netlist` from `index` and size it, as the serve loop does on a
+/// cache miss. A seed with nothing reusable leaves the run cold.
+Seeded run_seeded(const netlist::LogicNetlist& netlist,
+                  const core::FlowOptions& options,
+                  const runtime::EcoIndex& index) {
+  Seeded seeded;
+  seeded.seed = eco::seed_from_index(netlist, options, index);
+  runtime::BatchJob job;
+  job.name = "eco";
+  job.netlist = netlist;
+  job.options = options;
+  job.warm = std::move(seeded.seed.warm);
+  seeded.outcome = runtime::run_job(std::move(job));
+  LRSIZER_ASSERT_MSG(seeded.outcome.ok, seeded.outcome.error.c_str());
+  return seeded;
+}
+
 /// One seeded request of the deep block and its cold twin: `netlist` sized
 /// cold and seeded from `index` under `options`, printed into `table`.
 /// `seeded_flow` receives the seeded run's result when non-null.
@@ -115,10 +141,8 @@ runtime::Json deep_row(const char* kind, const netlist::LogicNetlist& netlist,
                        const runtime::EcoIndex& index, util::TextTable& table,
                        std::optional<core::FlowResult>* seeded_flow = nullptr) {
   const Run cold = run_cold(netlist, options);
-  eco::IncrementalSizer::Result seeded;
-  const api::Status status = eco::IncrementalSizer(index, options).resize(netlist, &seeded);
-  LRSIZER_ASSERT_MSG(status.ok(), status.to_string().c_str());
-  const core::FlowSummary& warm = seeded.summary;
+  Seeded seeded = run_seeded(netlist, options, index);
+  const core::FlowSummary& warm = seeded.outcome.summary;
   table.add_row({kind, util::TextTable::num(options.bound_factors.noise, 2),
                  util::TextTable::integer(cold.summary.iterations),
                  util::TextTable::integer(warm.iterations),
@@ -135,7 +159,7 @@ runtime::Json deep_row(const char* kind, const netlist::LogicNetlist& netlist,
   row.set("seeded_max_violation", warm.max_violation);
   row.set("cold_area_um2", cold.summary.area_um2);
   row.set("seeded_area_um2", warm.area_um2);
-  if (seeded_flow != nullptr) *seeded_flow = std::move(seeded.flow);
+  if (seeded_flow != nullptr) *seeded_flow = std::move(seeded.outcome.flow);
   return row;
 }
 
@@ -230,7 +254,7 @@ int main(int argc, char** argv) {
   LRSIZER_ASSERT_MSG(base_result.circuit.num_nodes() >= 5000,
                      "acceptance wants a >=5k-node circuit");
 
-  const eco::IncrementalSizer incremental(base, options, base_result);
+  const runtime::EcoIndex base_index = eco::build_eco_index(base, base_result);
 
   runtime::Json rows = runtime::Json::array();
   util::TextTable table({"edit%", "edited", "dirty", "reused", "cold ite",
@@ -244,22 +268,20 @@ int main(int argc, char** argv) {
     const Run cold = run_cold(revised, options);
 
     util::WallTimer eco_timer;
-    eco::IncrementalSizer::Result eco;
-    const api::Status status = incremental.resize(revised, &eco);
-    LRSIZER_ASSERT_MSG(status.ok(), status.to_string().c_str());
+    const Seeded eco = run_seeded(revised, options, base_index);
     const double eco_seconds = eco_timer.seconds();
 
     const double ratio =
         cold.summary.iterations > 0
-            ? static_cast<double>(eco.summary.iterations) /
+            ? static_cast<double>(eco.outcome.summary.iterations) /
                   static_cast<double>(cold.summary.iterations)
             : 0.0;
     table.add_row({util::TextTable::num(100.0 * fraction, 1),
                    util::TextTable::integer(static_cast<long long>(edited)),
-                   util::TextTable::integer(eco.dirty_gates),
-                   util::TextTable::integer(static_cast<long long>(eco.reused_nodes)),
+                   util::TextTable::integer(eco.seed.dirty_gates),
+                   util::TextTable::integer(static_cast<long long>(eco.seed.reused_nodes)),
                    util::TextTable::integer(cold.summary.iterations),
-                   util::TextTable::integer(eco.summary.iterations),
+                   util::TextTable::integer(eco.outcome.summary.iterations),
                    util::TextTable::num(ratio, 3),
                    util::TextTable::num(cold.seconds, 2),
                    util::TextTable::num(eco_seconds, 2),
@@ -269,16 +291,16 @@ int main(int argc, char** argv) {
     runtime::Json row = runtime::Json::object();
     row.set("edit_fraction", fraction);
     row.set("edited_gates", static_cast<std::int64_t>(edited));
-    row.set("dirty_gates", static_cast<std::int64_t>(eco.dirty_gates));
-    row.set("clean_gates", static_cast<std::int64_t>(eco.clean_gates));
-    row.set("reused_nodes", eco.reused_nodes);
+    row.set("dirty_gates", static_cast<std::int64_t>(eco.seed.dirty_gates));
+    row.set("clean_gates", static_cast<std::int64_t>(eco.seed.clean_gates));
+    row.set("reused_nodes", eco.seed.reused_nodes);
     row.set("cold_iterations", static_cast<std::int64_t>(cold.summary.iterations));
-    row.set("eco_iterations", static_cast<std::int64_t>(eco.summary.iterations));
+    row.set("eco_iterations", static_cast<std::int64_t>(eco.outcome.summary.iterations));
     row.set("iteration_ratio", ratio);
     row.set("cold_seconds", cold.seconds);
     row.set("eco_seconds", eco_seconds);
     row.set("cold_max_violation", cold.summary.max_violation);
-    row.set("eco_max_violation", eco.summary.max_violation);
+    row.set("eco_max_violation", eco.outcome.summary.max_violation);
     rows.push_back(row);
   }
   table.print(std::cout);

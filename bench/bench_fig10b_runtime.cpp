@@ -101,10 +101,9 @@ int main() {
                              : 0.0;
   std::printf(
       "\nparallel batch (large profiles %s+%s+%s+%s, 4 workers):\n"
-      "  sequential %.2f s -> batch wall %.2f s, speedup %.2fx, steals %lld\n",
+      "  sequential %.2f s -> batch wall %.2f s, speedup %.2fx\n",
       large[0].c_str(), large[1].c_str(), large[2].c_str(), large[3].c_str(),
-      sequential_seconds, parallel.wall_seconds, speedup,
-      static_cast<long long>(parallel.steals));
+      sequential_seconds, parallel.wall_seconds, speedup);
   std::printf("target > 2x at 4 workers: %s\n",
               speedup > 2.0
                   ? "PASS"

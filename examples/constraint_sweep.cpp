@@ -7,11 +7,27 @@
 //
 // Run: build/examples/constraint_sweep
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 
-#include "core/flow.hpp"
+#include "api/session.hpp"
 #include "netlist/generator.hpp"
 #include "util/table.hpp"
+
+namespace {
+
+/// One full sizing run; exits with the session's message if it fails.
+lrsizer::core::FlowResult size(const lrsizer::netlist::LogicNetlist& logic,
+                               const lrsizer::core::FlowOptions& options) {
+  lrsizer::api::SizingSession session(logic, options);
+  if (const lrsizer::api::Status status = session.run_all(); !status.ok()) {
+    std::fprintf(stderr, "%s\n", status.to_string().c_str());
+    std::exit(1);
+  }
+  return session.take_result();
+}
+
+}  // namespace
 
 int main() {
   using namespace lrsizer;
@@ -34,7 +50,7 @@ int main() {
   for (const double f : {0.80, 0.90, 1.00, 1.10, 1.25, 1.50}) {
     core::FlowOptions options;
     options.bound_factors.delay = f;
-    const core::FlowResult flow = core::run_two_stage_flow(logic, options);
+    const core::FlowResult flow = size(logic, options);
     delay_table.add_row({util::TextTable::num(f),
                          util::TextTable::num(flow.final_metrics.area_um2, 0),
                          util::TextTable::num(flow.final_metrics.delay_s * 1e12, 1),
@@ -50,7 +66,7 @@ int main() {
   for (const double f : {0.05, 0.10, 0.20, 0.40, 0.80}) {
     core::FlowOptions options;
     options.bound_factors.noise = f;
-    const core::FlowResult flow = core::run_two_stage_flow(logic, options);
+    const core::FlowResult flow = size(logic, options);
     noise_table.add_row({util::TextTable::num(f),
                          util::TextTable::num(flow.final_metrics.area_um2, 0),
                          util::TextTable::num(flow.final_metrics.delay_s * 1e12, 1),

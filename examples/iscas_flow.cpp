@@ -9,8 +9,9 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <utility>
 
-#include "core/flow.hpp"
+#include "api/session.hpp"
 #include "core/kkt.hpp"
 #include "netlist/bench_parser.hpp"
 #include "util/table.hpp"
@@ -48,7 +49,12 @@ int main(int argc, char** argv) {
   // wire resistance alone busts a 1.00x delay bound); keep a little slack.
   options.bound_factors.delay = 1.15;
   options.bound_factors.noise = 0.12;
-  const core::FlowResult flow = core::run_two_stage_flow(logic, options);
+  api::SizingSession session(std::move(logic), options);
+  if (const api::Status status = session.run_all(); !status.ok()) {
+    std::fprintf(stderr, "%s\n", status.to_string().c_str());
+    return 1;
+  }
+  const core::FlowResult flow = session.take_result();
 
   std::printf("circuit graph: %d gates + %d wires = %d components, %d edges\n",
               flow.circuit.num_gates(), flow.circuit.num_wires(),

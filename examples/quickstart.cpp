@@ -7,8 +7,8 @@
 // the unit-size metrics and run OGWS. Output: a before/after metric table
 // plus the per-component sizes.
 //
-// Act 2 — api::SizingSession on ISCAS85 c17: validated options through
-// FlowOptionsBuilder, the four pipeline stages run individually, a
+// Act 2 — api::SizingSession on ISCAS85 c17: options checked by
+// validate_options, the four pipeline stages run individually, a
 // per-iteration progress observer, and a warm-started re-size that skips
 // the converged work.
 //
@@ -144,23 +144,22 @@ int main(int argc, char** argv) {
   {
     std::printf("\nsession demo: staged sizing of ISCAS85 c17\n");
 
-    // Options through the validating builder (c17 is so shallow that the
-    // Table-1 factors are infeasible; these are the feasible ones).
+    // Plain fields, checked up front (every stage checks them again). c17
+    // is so shallow that the Table-1 factors are infeasible; these are the
+    // feasible ones.
     core::FlowOptions options;
-    const api::Status built = api::FlowOptionsBuilder()
-                                  .vectors(16)
-                                  .delay_bound(1.15)
-                                  .noise_bound(0.12)
-                                  .build(options);
-    std::printf("  options: %s\n", built.to_string().c_str());
+    options.num_vectors = 16;
+    options.bound_factors.delay = 1.15;
+    options.bound_factors.noise = 0.12;
+    std::printf("  options: %s\n", api::validate_options(options).to_string().c_str());
 
     api::SizingSession session(netlist::parse_bench_string(netlist::kIscas85C17),
                                options);
     int iterations_seen = 0;
     session.set_observer([&](const core::OgwsIterate&) { ++iterations_seen; });
 
-    // The same pipeline run_two_stage_flow() chains, one stage at a time —
-    // a server or notebook can checkpoint, report or abort between stages.
+    // The same pipeline run_all() chains, one stage at a time — a server
+    // or notebook can checkpoint, report or abort between stages.
     std::printf("  elaborate:          %s\n", session.elaborate().to_string().c_str());
     std::printf("  simulate_and_order: %s\n",
                 session.simulate_and_order().to_string().c_str());

@@ -11,7 +11,7 @@
 #include <fstream>
 #include <iostream>
 
-#include "core/flow.hpp"
+#include "api/session.hpp"
 #include "netlist/generator.hpp"
 #include "sim/patterns.hpp"
 #include "sim/simulator.hpp"
@@ -33,8 +33,12 @@ int main(int argc, char** argv) {
   spec.seed = 21;
   const auto logic = netlist::generate_circuit(spec);
 
-  core::FlowOptions options;
-  const auto flow = core::run_two_stage_flow(logic, options);
+  api::SizingSession session(logic, core::FlowOptions{});
+  if (const api::Status status = session.run_all(); !status.ok()) {
+    std::fprintf(stderr, "%s\n", status.to_string().c_str());
+    return 1;
+  }
+  const core::FlowResult flow = session.take_result();
   const auto& circuit = flow.circuit;
 
   // Re-run the analyses at the final sizes.

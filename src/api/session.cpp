@@ -352,23 +352,3 @@ netlist::LogicNetlist SizingSession::release_netlist() {
 }
 
 }  // namespace lrsizer::api
-
-namespace lrsizer::core {
-
-FlowResult run_two_stage_flow(const netlist::LogicNetlist& logic,
-                              const FlowOptions& options) {
-  // Compatibility shim over the staged session (declared in core/flow.hpp,
-  // defined here so core/ never includes upward into the api layer). It
-  // preserves the historical contract — bad input dies loudly, see
-  // util/assert.hpp — by promoting any stage Status to a checked-assert
-  // failure. The session owns its inputs, so this copies the netlist once:
-  // one O(V+E) copy against the hundreds of O(V+E) optimizer passes a run
-  // performs, kept in preference to a lifetime-sensitive borrowing
-  // constructor.
-  api::SizingSession session(logic, options);
-  const api::Status status = session.run_all();
-  LRSIZER_ASSERT_MSG(status.ok(), status.to_string().c_str());
-  return session.take_result();
-}
-
-}  // namespace lrsizer::core

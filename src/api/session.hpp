@@ -1,10 +1,9 @@
 // SizingSession — the staged flow API.
 //
 // The paper's flow is explicitly staged (§1): elaboration → simulation/WOSS
-// ordering → bounds → LR-based OGWS. core::run_two_stage_flow() runs all of
-// it in one opaque call; SizingSession exposes the same pipeline as four
-// individually runnable stages with observable progress, cooperative
-// cancellation and warm-starting:
+// ordering → bounds → LR-based OGWS. SizingSession runs that pipeline as
+// four individually runnable stages, or all of them through run_all(), with
+// observable progress, cooperative cancellation and warm-starting:
 //
 //   api::SizingSession session(netlist, options);
 //   session.set_observer([](const core::OgwsIterate& it) { ... });  // progress
@@ -21,8 +20,9 @@
 //     kFailedPrecondition and leave the session untouched.
 //   * A session runs its pipeline once (one-shot); build a new session to
 //     re-size, seeding it with warm_start_from() to skip converged work.
-//   * Results are bit-identical to run_two_stage_flow() with the same
-//     netlist and options — the free function is a shim over this class.
+//   * Stage-by-stage calls and run_all() give bit-identical results for the
+//     same netlist and options; run_all() just runs the remaining stages in
+//     order.
 //   * Cancellation: every stage checks the stop token on entry (returning
 //     kCancelled without running), and size() additionally polls it once
 //     per OGWS iteration. A size() interrupted mid-OGWS still finishes its
@@ -43,6 +43,7 @@
 
 #include "api/status.hpp"
 #include "core/flow.hpp"
+#include "netlist/logic_netlist.hpp"
 
 namespace lrsizer::obs {
 class TraceSession;

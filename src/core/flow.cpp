@@ -2,10 +2,6 @@
 
 namespace lrsizer::core {
 
-// run_two_stage_flow() is declared here but defined in api/session.cpp: it
-// is a shim over api::SizingSession, and defining it up there keeps core/
-// free of upward includes into the api layer.
-
 FlowSummary summarize_flow(const FlowResult& result) {
   FlowSummary s;
   s.num_gates = result.circuit.num_gates();

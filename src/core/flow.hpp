@@ -5,11 +5,10 @@
 //            ordering per channel -> coupling pairs N(i)/I(i)
 //   stage 2  bounds derivation -> OGWS (LR sizing)
 //
-// The staged implementation lives in api::SizingSession (api/session.hpp),
-// which adds progress observation, cooperative cancellation and
-// warm-starting. run_two_stage_flow() below is a thin compatibility shim
-// over a session; new code that needs more than fire-and-forget should use
-// the session directly.
+// This header holds the flow's option, result and summary types. The flow
+// itself runs in api::SizingSession (api/session.hpp), stage by stage or
+// through run_all(), with progress observation, cooperative cancellation
+// and warm-starting.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +19,6 @@
 #include "layout/channels.hpp"
 #include "layout/neighbors.hpp"
 #include "netlist/elaborator.hpp"
-#include "netlist/logic_netlist.hpp"
 #include "sim/simulator.hpp"
 #include "timing/metrics.hpp"
 
@@ -95,12 +93,5 @@ struct FlowSummary {
 };
 
 FlowSummary summarize_flow(const FlowResult& result);
-
-/// Compatibility shim: runs every stage of an api::SizingSession in order
-/// and returns its result. Identical output to the staged API; invalid
-/// inputs abort via the checked-assert contract (the session returns a
-/// readable Status instead — prefer it at trust boundaries).
-FlowResult run_two_stage_flow(const netlist::LogicNetlist& netlist,
-                              const FlowOptions& options = FlowOptions{});
 
 }  // namespace lrsizer::core

@@ -1,7 +1,6 @@
 #include "eco/incremental.hpp"
 
 #include <unordered_map>
-#include <utility>
 
 #include "netlist/cone_hash.hpp"
 #include "netlist/elaborator.hpp"
@@ -96,33 +95,6 @@ EcoSeed seed_from_index(const netlist::LogicNetlist& revised,
     seed.warm.multipliers.gamma_net = index.gamma_net;
   }
   return seed;
-}
-
-IncrementalSizer::IncrementalSizer(const netlist::LogicNetlist& base,
-                                   core::FlowOptions options,
-                                   const core::FlowResult& base_result)
-    : index_(build_eco_index(base, base_result)), options_(std::move(options)) {}
-
-IncrementalSizer::IncrementalSizer(runtime::EcoIndex index, core::FlowOptions options)
-    : index_(std::move(index)), options_(std::move(options)) {}
-
-api::Status IncrementalSizer::resize(netlist::LogicNetlist revised,
-                                     Result* out) const {
-  LRSIZER_ASSERT(out != nullptr);
-  EcoSeed seed = seed_from_index(revised, options_, index_);
-  api::SizingSession session(std::move(revised), options_);
-  if (!seed.empty()) {
-    if (api::Status st = session.warm_start(std::move(seed.warm)); !st.ok()) {
-      return st;
-    }
-  }
-  if (api::Status st = session.run_all(); !st.ok()) return st;
-  out->summary = session.summary();
-  out->flow = session.take_result();
-  out->reused_nodes = seed.reused_nodes;
-  out->dirty_gates = seed.dirty_gates;
-  out->clean_gates = seed.clean_gates;
-  return api::Status::Ok();
 }
 
 }  // namespace lrsizer::eco

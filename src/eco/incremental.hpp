@@ -21,18 +21,15 @@
 // `serve --cache-warm` does on a miss. A seeded run converges to an equally
 // valid but not bit-identical solution trajectory versus a cold run.
 //
-// IncrementalSizer bundles 2+3 for CLI/bench use; the serve loop instead
-// stores the index inside runtime::ResultCache entries and matches bases by
-// output-cone fingerprint (runtime/cache.hpp).
+// Callers run step 3 through runtime::run_job with the seed as
+// BatchJob::warm, as the serve loop does; it keeps each index inside its
+// runtime::ResultCache entry and matches bases by output-cone fingerprint
+// (runtime/cache.hpp).
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <utility>
-#include <vector>
 
 #include "api/session.hpp"
-#include "api/status.hpp"
 #include "core/flow.hpp"
 #include "netlist/logic_netlist.hpp"
 #include "runtime/cache.hpp"
@@ -69,36 +66,5 @@ struct EcoSeed {
 EcoSeed seed_from_index(const netlist::LogicNetlist& revised,
                         const core::FlowOptions& options,
                         const runtime::EcoIndex& index);
-
-/// Convenience driver for CLI/bench flows: hold a base solution, re-size
-/// revisions against it.
-class IncrementalSizer {
- public:
-  /// Snapshot `base_result` (a completed run of `base` under `options`).
-  IncrementalSizer(const netlist::LogicNetlist& base, core::FlowOptions options,
-                   const core::FlowResult& base_result);
-  /// Adopt a prebuilt snapshot (e.g. out of a runtime::ResultCache entry).
-  IncrementalSizer(runtime::EcoIndex index, core::FlowOptions options);
-
-  struct Result {
-    /// Engaged on success (FlowResult is not default-constructible).
-    std::optional<core::FlowResult> flow;
-    core::FlowSummary summary;
-    std::int64_t reused_nodes = 0;
-    std::int32_t dirty_gates = 0;
-    std::int32_t clean_gates = 0;
-  };
-
-  /// Size `revised` (finalized), warm-started from the snapshot. Falls back
-  /// to a plain cold run when nothing is reusable. On success `*out` holds
-  /// the flow result plus the reuse accounting.
-  api::Status resize(netlist::LogicNetlist revised, Result* out) const;
-
-  const runtime::EcoIndex& index() const { return index_; }
-
- private:
-  runtime::EcoIndex index_;
-  core::FlowOptions options_;
-};
 
 }  // namespace lrsizer::eco

@@ -3,7 +3,7 @@
 // Instruments (Counter, Gauge, Histogram) are created once through the
 // registry and then written through stable pointers: the hot path is one
 // relaxed atomic op per event, no lock, no allocation — cheap enough to sit
-// inside the serve loop's admission path and the pool's steal counter.
+// inside the serve loop's admission path.
 // snapshot() assembles one coherent picture under a single mutex; the
 // Prometheus renderer (obs/prometheus.hpp) and the serve stats surface both
 // read from it, so the two can never disagree about a counter's value.

@@ -16,6 +16,7 @@
 #include "eco/incremental.hpp"
 #include "netlist/generator.hpp"
 #include "obs/registry.hpp"
+#include "runtime/pool.hpp"
 #include "util/logging.hpp"
 #include "util/timer.hpp"
 
@@ -149,11 +150,10 @@ JobOutcome outcome_from_cache(BatchJob&& job,
 
 }  // namespace
 
-BatchResult run_batch(std::vector<BatchJob> jobs, ThreadPool& pool,
-                      const BatchOptions& options) {
+BatchResult run_batch(std::vector<BatchJob> jobs, const BatchOptions& options) {
+  ThreadPool pool(options.jobs);  // 0 = hardware concurrency
   BatchResult result;
   result.num_workers = pool.num_workers();
-  const std::int64_t steals_before = pool.steal_count();
 
   util::WallTimer wall;
 
@@ -217,7 +217,6 @@ BatchResult run_batch(std::vector<BatchJob> jobs, ThreadPool& pool,
     }
   }
   result.wall_seconds = wall.seconds();
-  result.steals = pool.steal_count() - steals_before;
 
   for (const auto& outcome : result.jobs) {
     result.total_job_seconds += outcome.seconds;
@@ -244,11 +243,6 @@ BatchResult run_batch(std::vector<BatchJob> jobs, ThreadPool& pool,
         ->inc(result.num_cache_hits());
   }
   return result;
-}
-
-BatchResult run_batch(std::vector<BatchJob> jobs, const BatchOptions& options) {
-  ThreadPool pool(options.jobs);  // 0 = hardware concurrency
-  return run_batch(std::move(jobs), pool, options);
 }
 
 // ---- report serialization ---------------------------------------------------
@@ -351,7 +345,7 @@ core::FlowSummary summary_from_json(const Json& j) {
 
 Json batch_json(const BatchResult& result) {
   Json j = Json::object();
-  j.set("schema", "lrsizer-batch-v1");
+  j.set("schema", "lrsizer-batch-v2");
   if (result.shard_count > 0) {
     // Present only in shard reports; merge_batch_reports consumes it and
     // the merged report drops it — matching an unsharded report's shape.
@@ -366,7 +360,6 @@ Json batch_json(const BatchResult& result) {
   j.set("speedup", result.speedup());
   j.set("total_memory_bytes", result.total_memory_bytes);
   j.set("peak_memory_bytes", result.peak_memory_bytes);
-  j.set("steals", result.steals);
   j.set("failed", result.num_failed());
   j.set("cancelled", result.num_cancelled());
   j.set("cache_hits", result.num_cache_hits());
@@ -386,8 +379,8 @@ Json merge_batch_reports(const std::vector<Json>& shards) {
   std::vector<const Json*> by_index(count, nullptr);
   for (const Json& report : shards) {
     if (!report.is_object() || !report.find("schema") ||
-        report.at("schema").as_string() != "lrsizer-batch-v1") {
-      throw std::invalid_argument("merge: input is not a lrsizer-batch-v1 report");
+        report.at("schema").as_string() != "lrsizer-batch-v2") {
+      throw std::invalid_argument("merge: input is not a lrsizer-batch-v2 report");
     }
     const Json* shard = report.find("shard");
     if (!shard) {
@@ -438,29 +431,26 @@ Json merge_batch_reports(const std::vector<Json>& shards) {
     return v && v->is_number() ? v->as_number() : 0.0;
   };
   double workers = 0.0, wall = 0.0, job_seconds = 0.0, total_mem = 0.0,
-         peak_mem = 0.0, steals = 0.0, failed = 0.0, cancelled = 0.0,
-         cache_hits = 0.0;
+         peak_mem = 0.0, failed = 0.0, cancelled = 0.0, cache_hits = 0.0;
   for (const Json* report : by_index) {
     workers = std::max(workers, num(*report, "workers"));
     wall = std::max(wall, num(*report, "wall_seconds"));
     job_seconds += num(*report, "total_job_seconds");
     total_mem += num(*report, "total_memory_bytes");
     peak_mem = std::max(peak_mem, num(*report, "peak_memory_bytes"));
-    steals += num(*report, "steals");
     failed += num(*report, "failed");
     cancelled += num(*report, "cancelled");
     cache_hits += num(*report, "cache_hits");
   }
 
   Json j = Json::object();
-  j.set("schema", "lrsizer-batch-v1");
+  j.set("schema", "lrsizer-batch-v2");
   j.set("workers", workers);
   j.set("wall_seconds", wall);
   j.set("total_job_seconds", job_seconds);
   j.set("speedup", wall > 0.0 ? job_seconds / wall : 0.0);
   j.set("total_memory_bytes", total_mem);
   j.set("peak_memory_bytes", peak_mem);
-  j.set("steals", steals);
   j.set("failed", failed);
   j.set("cancelled", cancelled);
   j.set("cache_hits", cache_hits);

@@ -3,7 +3,8 @@
 //
 // Each job is fully deterministic given its netlist and options — jobs share
 // no mutable state, so a batch produces bit-identical per-job results
-// whether it runs on 1 worker or 8 (test_runtime asserts this). The rollup
+// whether it runs on 1 worker or 8, and a report that differs only in its
+// wall-clock fields and worker count (test_runtime asserts this). The rollup
 // records both the batch wall clock and the summed per-job seconds; their
 // ratio is the observed parallel speedup the benches report.
 #pragma once
@@ -22,7 +23,6 @@
 #include "netlist/logic_netlist.hpp"
 #include "runtime/cache.hpp"
 #include "runtime/json.hpp"
-#include "runtime/pool.hpp"
 
 namespace lrsizer::obs {
 class Registry;
@@ -138,7 +138,6 @@ struct BatchResult {
   double total_job_seconds = 0.0;      ///< Σ per-job seconds
   std::size_t total_memory_bytes = 0;  ///< Σ per-job memory_bytes
   std::size_t peak_memory_bytes = 0;   ///< max per-job memory_bytes
-  std::int64_t steals = 0;             ///< pool work-steal count
   /// Sweep-shard annotation (`--shard k/N`): this batch ran the global job
   /// list's indices ≡ shard_index (mod shard_count). Set by the caller
   /// after run_batch; shard_count == 0 means unsharded. batch_json emits a
@@ -164,11 +163,6 @@ struct BatchResult {
 BatchResult run_batch(std::vector<BatchJob> jobs,
                       const BatchOptions& options = BatchOptions{});
 
-/// Run every job on an existing pool (the pool may be shared with other
-/// work; the rollup still only counts this batch's jobs).
-BatchResult run_batch(std::vector<BatchJob> jobs, ThreadPool& pool,
-                      const BatchOptions& options = BatchOptions{});
-
 // ---- report serialization ---------------------------------------------------
 
 /// One job as a JSON object (name, seed, ok/error, and the FlowSummary
@@ -179,7 +173,7 @@ Json job_json(const JobOutcome& outcome);
 /// and downstream report consumers. Throws std::out_of_range on missing keys.
 core::FlowSummary summary_from_json(const Json& j);
 
-/// Whole batch: {"schema": "lrsizer-batch-v1", "workers": N, rollups,
+/// Whole batch: {"schema": "lrsizer-batch-v2", "workers": N, rollups,
 /// "jobs": [...]}; a "shard" object after "schema" when shard_count > 0.
 Json batch_json(const BatchResult& result);
 
@@ -187,13 +181,12 @@ Json batch_json(const BatchResult& result);
 std::string batch_csv(const BatchResult& result);
 
 /// Merge N shard reports (each batch_json'd with `shard: {index, count}`)
-/// back into one unsharded `lrsizer-batch-v1` report: jobs re-interleaved
+/// back into one unsharded `lrsizer-batch-v2` report: jobs re-interleaved
 /// into the global submit order (global index g lives in shard g mod N),
 /// additive rollups summed, wall clock and worker count taken as the max
 /// across shards (shards run concurrently on separate processes/machines).
-/// Apart from scheduling-dependent fields (wall-clock numbers, and the
-/// steal counter when jobs > 1), the merged report is byte-identical
-/// to the report an unsharded run of the same job list would produce —
+/// Apart from wall-clock fields, the merged report is byte-identical to
+/// the report an unsharded run of the same job list would produce —
 /// provided the global list has no byte-identical duplicate jobs (cache
 /// dedupe is per-process, so a duplicate landing on a different shard than
 /// its twin re-runs there and the cache_hit/cache_hits markers differ; the

@@ -507,13 +507,13 @@ std::shared_ptr<const CachedEntry> ResultCache::load_from_disk(
       entry.eco.num_nodes = static_cast<std::int64_t>(eco->at("num_nodes").as_number());
       entry.eco.num_edges = static_cast<std::int64_t>(eco->at("num_edges").as_number());
     }
-    // Entries written since the checksum landed carry one over the payload;
-    // verify before serving. Files from older builds lack the field and are
-    // accepted as-is (back-compatible read).
-    if (const Json* checksum = doc.find("checksum")) {
-      if (checksum->as_string() != entry_checksum(key, entry)) {
-        throw std::runtime_error("checksum mismatch");
-      }
+    // Every entry carries a checksum over its payload; verify before
+    // serving. A file without one is corrupt like any other: no key this
+    // build computes can name a file written before the checksum existed.
+    const Json* checksum = doc.find("checksum");
+    if (!checksum) throw std::runtime_error("missing checksum");
+    if (checksum->as_string() != entry_checksum(key, entry)) {
+      throw std::runtime_error("checksum mismatch");
     }
     auto shared = std::make_shared<const CachedEntry>(std::move(entry));
     // Promote to memory within the budget (mutex_ held by caller). Reads
@@ -550,8 +550,8 @@ void ResultCache::persist(const std::string& key, const CachedEntry& entry) {
   std::filesystem::create_directories(disk_dir_, ec);
   Json doc = Json::object();
   doc.set("schema", "lrsizer-cache-v1");
-  // Verified on load. Placed before the payload it covers; still schema v1
-  // (older readers never looked for it, older files load without it).
+  // Verified on load, and required there. Placed before the payload it
+  // covers; still schema v1 (older readers never looked for it).
   doc.set("checksum", entry_checksum(key, entry));
   doc.set("key", key);
   doc.set("job", entry.job);

@@ -140,13 +140,13 @@ class ResultCache {
  public:
   /// Memory-only cache. With a non-empty `disk_dir`, completed entries are
   /// additionally persisted as `<disk_dir>/<key>.json` (schema
-  /// `lrsizer-cache-v1`, carrying an fnv1a checksum over the payload;
-  /// checksum-less files from older builds still load) and misses fall back
-  /// to disk, so the cache survives across processes. The directory is
-  /// created on first store. A file that fails to parse or whose checksum
-  /// does not match is quarantined: renamed to `<disk_dir>/<key>.corrupt`
-  /// (outside the eviction namespace, so it survives for post-mortems),
-  /// counted in stats().corrupt, and served as a miss.
+  /// `lrsizer-cache-v1`, carrying an fnv1a checksum over the payload) and
+  /// misses fall back to disk, so the cache survives across processes. The
+  /// directory is created on first store. A file that fails to parse, lacks
+  /// a checksum or whose checksum does not match is quarantined: renamed to
+  /// `<disk_dir>/<key>.corrupt` (outside the eviction namespace, so it
+  /// survives for post-mortems), counted in stats().corrupt, and served as a
+  /// miss.
   ///
   /// `limits` bounds the completed entries this instance holds, LRU-evicted
   /// (least recently stored/looked-up first). When disk-backed, evicting an

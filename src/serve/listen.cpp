@@ -223,14 +223,6 @@ void serve_stdin(Server& server, const std::stop_token& stop) {
   server.drain();
 }
 
-int listen_and_serve(std::uint16_t port, Server& server,
-                     std::atomic<std::uint16_t>* bound_port) {
-  ListenOptions options;
-  options.port = port;
-  options.bound_port = bound_port;
-  return listen_and_serve(options, server);
-}
-
 int listen_and_serve(const ListenOptions& listen_options, Server& server) {
   const std::stop_token stop = server.options().stop;
   const std::size_t max_line = server.options().max_line_bytes;
@@ -460,14 +452,10 @@ int listen_and_serve(const ListenOptions& listen_options, Server& server) {
 
 bool listen_available() { return false; }
 
-int listen_and_serve(std::uint16_t, Server&, std::atomic<std::uint16_t>*) {
+int listen_and_serve(const ListenOptions&, Server&) {
   util::log_error() << "serve: --listen is unavailable on this platform "
                        "(no BSD sockets); use stdin-jsonl mode";
   return 1;
-}
-
-int listen_and_serve(const ListenOptions&, Server& server) {
-  return listen_and_serve(0, server, nullptr);
 }
 
 void serve_stdin(Server& server, const std::stop_token&) {

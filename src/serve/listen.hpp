@@ -51,10 +51,6 @@ struct ListenOptions {
 /// Server and can read stats after return.
 int listen_and_serve(const ListenOptions& options, Server& server);
 
-/// jsonl-only convenience overload (no metrics endpoint).
-int listen_and_serve(std::uint16_t port, Server& server,
-                     std::atomic<std::uint16_t>* bound_port = nullptr);
-
 /// The stdin counterpart of the TCP loop: hello + read request lines from
 /// fd 0 + drain, with POSIX poll-gated reads so a stop request (Ctrl-C) is
 /// noticed within ~500 ms even while stdin is idle. On platforms without

@@ -93,7 +93,6 @@ Status apply_request_options(const Json& overrides, core::FlowOptions* options) 
   if (!overrides.is_object()) {
     return Status::InvalidArgument("\"options\" must be an object");
   }
-  api::FlowOptionsBuilder builder(*options);
   for (const auto& [key, value] : overrides.as_object()) {
     const bool is_number = value.is_number();
     const bool is_bool = value.is_bool();
@@ -104,24 +103,24 @@ Status apply_request_options(const Json& overrides, core::FlowOptions* options) 
     const bool is_i32 =
         is_number && checked_integer(value, -kMaxInt32 - 1, kMaxInt32, &integer);
     if (key == "vectors" && is_i32) {
-      builder.vectors(static_cast<std::int32_t>(integer));
+      options->num_vectors = static_cast<std::int32_t>(integer);
     } else if (key == "use_woss" && is_bool) {
-      builder.use_woss(value.as_bool());
+      options->use_woss = value.as_bool();
     } else if (key == "delay_bound" && is_number) {
-      builder.delay_bound(value.as_number());
+      options->bound_factors.delay = value.as_number();
     } else if (key == "power_bound" && is_number) {
-      builder.power_bound(value.as_number());
+      options->bound_factors.power = value.as_number();
     } else if (key == "noise_bound" && is_number) {
-      builder.noise_bound(value.as_number());
+      options->bound_factors.noise = value.as_number();
     } else if (key == "per_net_noise_bound" && is_number) {
-      builder.per_net_noise_bound(value.as_number());
+      options->bound_factors.per_net_noise = value.as_number();
     } else if (key == "initial_size" && is_number) {
-      builder.initial_size(value.as_number());
+      options->initial_size = value.as_number();
     } else if (key == "threads" && is_i32) {
       // Accepted and ignored: jobs size serially. Protocol v3 clients may
       // still send it.
     } else if (key == "max_iterations" && is_i32) {
-      builder.max_iterations(static_cast<int>(integer));
+      options->ogws.max_iterations = static_cast<int>(integer);
     } else if (key == "sweep" && value.is_string()) {
       const auto mode = core::sweep_mode_from_name(value.as_string());
       if (!mode) {
@@ -129,14 +128,14 @@ Status apply_request_options(const Json& overrides, core::FlowOptions* options) 
             "option \"sweep\" must be \"dense\" or \"worklist\", got \"" +
             value.as_string() + "\"");
       }
-      builder.sweep_mode(*mode);
+      options->ogws.lrs.sweep = *mode;
     } else {
       return Status::InvalidArgument(
           "unknown, mistyped or out-of-range option \"" + key +
           "\": " + value.dump());
     }
   }
-  return builder.build(*options);
+  return api::validate_options(*options);
 }
 
 Status parse_request(const std::string& line, const core::FlowOptions& base,

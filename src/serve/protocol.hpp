@@ -85,7 +85,8 @@ api::Status parse_request(const std::string& line,
 /// Seeds are NOT an options key — the request-level "seed" field is the one
 /// seed knob (it covers generation and elaboration together, so two
 /// requests with equal seeds always mean the same circuit). Unknown keys
-/// are errors; the result is re-validated via api::validate_options.
+/// are errors; the result is re-validated via api::validate_options. On an
+/// error `options` may hold part of the overrides; callers discard it.
 api::Status apply_request_options(const runtime::Json& overrides,
                                   core::FlowOptions* options);
 

@@ -178,10 +178,6 @@ void Server::register_metrics() {
         [point] { return static_cast<double>(fault::injected_count(point)); },
         this);
   }
-  reg.counter_fn(
-      "lrsizer_pool_steals_total",
-      "Tasks a pool worker stole from a sibling's deque.", {},
-      [this] { return static_cast<double>(pool_.steal_count()); }, this);
 }
 
 Server::ClientId Server::add_client(Sink sink) {
@@ -247,18 +243,6 @@ void Server::hello(ClientId client) {
 }
 
 void Server::hello() { hello(default_client_); }
-
-Server::Stats Server::stats() const {
-  Stats s;
-  s.accepted = accepted_total_->value();
-  s.completed = results_total_->value();
-  s.cache_hits = cache_hits_total_->value();
-  s.cancelled = cancelled_total_->value();
-  s.timeouts = timeouts_total_->value();
-  s.errors = errors_total_->value();
-  s.shed = shed_total_->value();
-  return s;
-}
 
 StatsSnapshot Server::stats_snapshot() const {
   StatsSnapshot s;

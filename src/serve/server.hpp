@@ -192,21 +192,10 @@ class Server {
   /// /metrics endpoint renders registry().snapshot().
   obs::Registry& registry() const { return *registry_; }
 
-  /// Job counters, re-read from the registry instruments (the registry is
-  /// the single source of truth; this struct is the legacy in-process view).
-  struct Stats {
-    std::size_t accepted = 0;   ///< size requests admitted
-    std::size_t completed = 0;  ///< result responses (hit or cold)
-    std::size_t cache_hits = 0; ///< results answered without running
-    std::size_t cancelled = 0;  ///< cancelled responses
-    std::size_t timeouts = 0;   ///< jobs cut by their deadline
-    std::size_t errors = 0;     ///< error responses (parse + job failures)
-    std::size_t shed = 0;       ///< jobs rejected by admission control
-  };
-  Stats stats() const;
-
   /// Everything the stats response carries: job counters, queue depth,
-  /// client count, cache counters, and p50/p99 job latency.
+  /// client count, cache counters, and p50/p99 job latency. The job
+  /// counters are re-read from the registry instruments, the single source
+  /// of truth.
   StatsSnapshot stats_snapshot() const;
 
  private:

@@ -28,7 +28,7 @@ TEST(BuildSanity, TwoStageFlowRunsEndToEnd) {
   options.num_vectors = 8;
   options.bound_factors.delay = 1.2;
   options.bound_factors.noise = 0.5;
-  const auto flow = core::run_two_stage_flow(logic, options);
+  const auto flow = test_support::run_flow(logic, options);
 
   EXPECT_EQ(flow.circuit.num_gates(), 3);
   EXPECT_GT(flow.circuit.num_wires(), 0);

@@ -24,6 +24,7 @@
 #include "netlist/hash.hpp"
 #include "netlist/iscas_profiles.hpp"
 #include "netlist/logic_netlist.hpp"
+#include "runtime/batch.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -101,7 +102,32 @@ core::FlowSummary run_cold(const LogicNetlist& netlist,
   return session.summary();
 }
 
-// The ISSUE acceptance contract: on a seeded >=5k-node generator circuit
+/// A revision re-sized from a base snapshot: the seed's reuse accounting
+/// (its warm part moved into the job) and the run's outcome.
+struct Seeded {
+  eco::EcoSeed seed;
+  runtime::JobOutcome outcome;
+};
+
+/// Seed `netlist` from `index` and size it — the serve loop's path for a
+/// cache miss with a base (Server::schedule, then execute): seed_from_index,
+/// then run_job with the seed as BatchJob::warm.
+Seeded run_seeded(const LogicNetlist& netlist, const core::FlowOptions& options,
+                  const runtime::EcoIndex& index) {
+  Seeded seeded;
+  seeded.seed = eco::seed_from_index(netlist, options, index);
+  runtime::BatchJob job;
+  job.name = "eco";
+  job.netlist = netlist;
+  job.options = options;
+  job.warm = std::move(seeded.seed.warm);
+  seeded.outcome = runtime::run_job(std::move(job));
+  return seeded;
+}
+
+// IncrementalSizer.*: incremental re-sizing, seeded through run_seeded.
+
+// The acceptance contract: on a seeded >=5k-node generator circuit
 // with a 1% gate edit, the ECO path converges in at most a third of the
 // cold iterations (small slack for platform drift) with the max KKT
 // violation inside the same feasibility tolerance.
@@ -125,20 +151,21 @@ TEST(IncrementalSizer, OnePercentEditConvergesInAThirdOfColdIterations) {
   const core::FlowSummary cold = run_cold(revised, options);
   ASSERT_TRUE(cold.converged);
 
-  const eco::IncrementalSizer incremental(base, options, base_result);
-  eco::IncrementalSizer::Result eco;
-  ASSERT_TRUE(incremental.resize(revised, &eco).ok());
+  const Seeded eco =
+      run_seeded(revised, options, eco::build_eco_index(base, base_result));
+  ASSERT_TRUE(eco.outcome.ok) << eco.outcome.error;
+  const core::FlowSummary& summary = eco.outcome.summary;
 
-  EXPECT_GT(eco.reused_nodes, 0);
-  EXPECT_GT(eco.dirty_gates, 0);
-  EXPECT_TRUE(eco.summary.converged);
+  EXPECT_GT(eco.seed.reused_nodes, 0);
+  EXPECT_GT(eco.seed.dirty_gates, 0);
+  EXPECT_TRUE(summary.converged);
   // Same KKT tolerance as the cold run: the converged flag already implies
   // feasibility within ogws.feas_tol, asserted explicitly for clarity.
-  EXPECT_LE(eco.summary.max_violation, options.ogws.feas_tol);
+  EXPECT_LE(summary.max_violation, options.ogws.feas_tol);
   // <= 1/3 of cold, with 2 iterations of slack (measured 2 vs 6 — see the
   // committed bench/BENCH_eco.json).
-  EXPECT_LE(3 * eco.summary.iterations, cold.iterations + 2)
-      << "eco " << eco.summary.iterations << " vs cold " << cold.iterations;
+  EXPECT_LE(3 * summary.iterations, cold.iterations + 2)
+      << "eco " << summary.iterations << " vs cold " << cold.iterations;
 }
 
 // A seed pays for every request kind the cache serves. Over a small
@@ -167,16 +194,17 @@ TEST(IncrementalSizer, SeededRunsTakeNoMoreIterationsThanColdForEveryKind) {
                           const core::FlowOptions& options,
                           const runtime::EcoIndex& index) {
     const core::FlowSummary cold = run_cold(netlist, options);
-    eco::IncrementalSizer::Result seeded;
-    EXPECT_TRUE(eco::IncrementalSizer(index, options).resize(netlist, &seeded).ok());
-    kind.seeded += seeded.summary.iterations;
+    Seeded seeded = run_seeded(netlist, options, index);
+    EXPECT_TRUE(seeded.outcome.ok) << seeded.outcome.error;
+    const core::FlowSummary& summary = seeded.outcome.summary;
+    kind.seeded += summary.iterations;
     kind.cold += cold.iterations;
     const std::string label = std::string(kind.name) + " " + what;
-    EXPECT_LE(2 * seeded.summary.iterations, 3 * cold.iterations)
-        << label << ": seeded " << seeded.summary.iterations << " vs cold "
+    EXPECT_LE(2 * summary.iterations, 3 * cold.iterations)
+        << label << ": seeded " << summary.iterations << " vs cold "
         << cold.iterations;
-    EXPECT_TRUE(seeded.summary.converged) << label;
-    EXPECT_LE(seeded.summary.max_violation, options.ogws.feas_tol) << label;
+    EXPECT_TRUE(summary.converged) << label;
+    EXPECT_LE(summary.max_violation, options.ogws.feas_tol) << label;
     return seeded;
   };
 
@@ -196,11 +224,10 @@ TEST(IncrementalSizer, SeededRunsTakeNoMoreIterationsThanColdForEveryKind) {
     const runtime::EcoIndex base_index =
         eco::build_eco_index(base, session.take_result());
 
-    const eco::IncrementalSizer::Result at_011 =
-        compare(warm11, name, base, options_at(0.11), base_index);
-    ASSERT_TRUE(at_011.flow.has_value());
+    const Seeded at_011 = compare(warm11, name, base, options_at(0.11), base_index);
+    ASSERT_TRUE(at_011.outcome.flow.has_value());
     compare(warm12, name, base, options_at(0.12),
-            eco::build_eco_index(base, *at_011.flow));
+            eco::build_eco_index(base, *at_011.outcome.flow));
     for (std::uint64_t j = 0; j < 3; ++j) {
       const LogicNetlist revised =
           flip_ops(base, 0.01, 100 * static_cast<std::uint64_t>(c) + j + 1);
@@ -237,13 +264,12 @@ TEST(IncrementalSizer, UneditedNetlistReusesEverything) {
   EXPECT_EQ(seed.reused_nodes, static_cast<std::int64_t>(seed.warm.sizes.size()));
   EXPECT_GT(seed.reused_nodes, 0);
 
-  eco::IncrementalSizer incremental(index, options);
-  eco::IncrementalSizer::Result eco;
-  ASSERT_TRUE(incremental.resize(base, &eco).ok());
-  EXPECT_TRUE(eco.summary.converged);
+  const Seeded eco = run_seeded(base, options, index);
+  ASSERT_TRUE(eco.outcome.ok) << eco.outcome.error;
+  EXPECT_TRUE(eco.outcome.summary.converged);
   // Restarting from the converged state re-certifies almost immediately.
-  EXPECT_LE(eco.summary.iterations, 2);
-  EXPECT_LT(eco.summary.iterations, cold.iterations);
+  EXPECT_LE(eco.outcome.summary.iterations, 2);
+  EXPECT_LT(eco.outcome.summary.iterations, cold.iterations);
 }
 
 // Acceptance: --buffer-long-wires output re-parses, re-hashes stably, and

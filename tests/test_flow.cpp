@@ -4,6 +4,7 @@
 #include "core/flow.hpp"
 #include "netlist/bench_parser.hpp"
 #include "netlist/generator.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -17,7 +18,7 @@ TEST(Flow, C17EndToEnd) {
   // make the instance infeasible; use slightly looser, feasible bounds.
   options.bound_factors.delay = 1.15;
   options.bound_factors.noise = 0.12;
-  const auto flow = core::run_two_stage_flow(logic, options);
+  const auto flow = test_support::run_flow(logic, options);
 
   EXPECT_EQ(flow.circuit.num_gates(), 6);
   EXPECT_GT(flow.circuit.num_wires(), 6);
@@ -34,7 +35,7 @@ TEST(Flow, InfeasibleBoundsReturnLeastViolatingIterate) {
   // flow must not crash, must report non-convergence, and must return the
   // least-violating sizes it saw.
   const auto logic = netlist::parse_bench_string(netlist::kIscas85C17);
-  const auto flow = core::run_two_stage_flow(logic, {});
+  const auto flow = test_support::run_flow(logic, {});
   EXPECT_LE(flow.ogws.max_violation, 0.05);  // within a few % of feasible
   EXPECT_GT(flow.final_metrics.area_um2, 0.0);
 }
@@ -49,7 +50,7 @@ TEST(Flow, GeneratedCircuitEndToEnd) {
   spec.seed = 5;
   const auto logic = netlist::generate_circuit(spec);
   core::FlowOptions options;
-  const auto flow = core::run_two_stage_flow(logic, options);
+  const auto flow = test_support::run_flow(logic, options);
 
   EXPECT_EQ(flow.circuit.num_gates(), 150);
   EXPECT_EQ(flow.circuit.num_wires(), 320);
@@ -68,7 +69,7 @@ TEST(Flow, WossReducesEffectiveLoading) {
   spec.seed = 9;
   const auto logic = netlist::generate_circuit(spec);
   core::FlowOptions options;
-  const auto flow = core::run_two_stage_flow(logic, options);
+  const auto flow = test_support::run_flow(logic, options);
   EXPECT_LE(flow.ordering_cost_woss, flow.ordering_cost_initial);
 }
 
@@ -80,7 +81,7 @@ TEST(Flow, DisablingWossKeepsInitialOrder) {
   const auto logic = netlist::generate_circuit(spec);
   core::FlowOptions options;
   options.use_woss = false;
-  const auto flow = core::run_two_stage_flow(logic, options);
+  const auto flow = test_support::run_flow(logic, options);
   EXPECT_DOUBLE_EQ(flow.ordering_cost_woss, flow.ordering_cost_initial);
 }
 
@@ -90,8 +91,8 @@ TEST(Flow, DeterministicEndToEnd) {
   spec.num_wires = 140;
   spec.seed = 8;
   const auto logic = netlist::generate_circuit(spec);
-  const auto a = core::run_two_stage_flow(logic, {});
-  const auto b = core::run_two_stage_flow(logic, {});
+  const auto a = test_support::run_flow(logic, {});
+  const auto b = test_support::run_flow(logic, {});
   EXPECT_DOUBLE_EQ(a.final_metrics.area_um2, b.final_metrics.area_um2);
   EXPECT_DOUBLE_EQ(a.final_metrics.noise_f, b.final_metrics.noise_f);
   EXPECT_EQ(a.ogws.iterations, b.ogws.iterations);
@@ -102,7 +103,7 @@ TEST(Flow, MemoryAccountingAboveBaseAndGrowsWithSize) {
   small_spec.num_gates = 50;
   small_spec.num_wires = 120;
   const auto small_flow =
-      core::run_two_stage_flow(netlist::generate_circuit(small_spec), {});
+      test_support::run_flow(netlist::generate_circuit(small_spec), {});
 
   netlist::GeneratorSpec big_spec;
   big_spec.num_gates = 400;
@@ -110,7 +111,7 @@ TEST(Flow, MemoryAccountingAboveBaseAndGrowsWithSize) {
   big_spec.num_inputs = 40;
   big_spec.num_outputs = 25;
   const auto big_flow =
-      core::run_two_stage_flow(netlist::generate_circuit(big_spec), {});
+      test_support::run_flow(netlist::generate_circuit(big_spec), {});
 
   EXPECT_GT(small_flow.memory_bytes, util::MemoryTracker::kBaseBytes);
   EXPECT_GT(big_flow.memory_bytes, small_flow.memory_bytes);
@@ -126,15 +127,15 @@ TEST(Flow, MillerFoldingChangesCoupling) {
   with.neighbors.fold_miller = true;
   core::FlowOptions without;
   without.neighbors.fold_miller = false;
-  const auto a = core::run_two_stage_flow(logic, with);
-  const auto b = core::run_two_stage_flow(logic, without);
+  const auto a = test_support::run_flow(logic, with);
+  const auto b = test_support::run_flow(logic, without);
   // Folding m_ij <= 2 rescales the noise metric; the runs must differ.
   EXPECT_NE(a.init_metrics.noise_f, b.init_metrics.noise_f);
 }
 
 TEST(Flow, StageTimesRecorded) {
   const auto logic = netlist::parse_bench_string(netlist::kIscas85C17);
-  const auto flow = core::run_two_stage_flow(logic, {});
+  const auto flow = test_support::run_flow(logic, {});
   EXPECT_GE(flow.stage1_seconds, 0.0);
   EXPECT_GT(flow.stage2_seconds, 0.0);
 }

@@ -1,14 +1,27 @@
 // Shared fixtures for the test suite: small hand-built circuits with known
-// structure, used across the timing/core tests.
+// structure, used across the timing/core tests, and the one-call flow run.
 #pragma once
 
+#include <stdexcept>
 #include <vector>
 
+#include "api/session.hpp"
 #include "layout/neighbors.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/circuit.hpp"
 
 namespace lrsizer::test_support {
+
+/// Size `logic` through api::SizingSession::run_all. A non-OK Status throws,
+/// which fails the calling test with the session's message.
+inline core::FlowResult run_flow(const netlist::LogicNetlist& logic,
+                                 const core::FlowOptions& options = core::FlowOptions{}) {
+  api::SizingSession session(logic, options);
+  if (const api::Status status = session.run_all(); !status.ok()) {
+    throw std::runtime_error("run_flow: " + status.to_string());
+  }
+  return session.take_result();
+}
 
 /// driver -> wire -> gate -> wire(PO). The smallest end-to-end chain:
 /// exercises every node kind once.

@@ -92,13 +92,13 @@ TEST(OgwsVariants, FlowWithDifferentiatedGates) {
   const auto logic = netlist::generate_circuit(spec);
   core::FlowOptions options;
   options.elab.differentiate_gate_types = true;
-  const auto flow = core::run_two_stage_flow(logic, options);
+  const auto flow = test_support::run_flow(logic, options);
   EXPECT_LE(flow.ogws.max_violation, 0.03);
   EXPECT_LT(flow.final_metrics.area_um2, flow.init_metrics.area_um2);
   // Differentiated gates are heavier on average than the uniform model.
   core::FlowOptions uniform = options;
   uniform.elab.differentiate_gate_types = false;
-  const auto base = core::run_two_stage_flow(logic, uniform);
+  const auto base = test_support::run_flow(logic, uniform);
   EXPECT_GT(flow.init_metrics.area_um2, base.init_metrics.area_um2);
 }
 

@@ -91,11 +91,11 @@ TEST(PerNet, DistributedBoundsAreStricterThanTotal) {
 
   core::FlowOptions total_only;
   total_only.bound_factors.noise = 0.2;
-  const auto a = core::run_two_stage_flow(logic, total_only);
+  const auto a = test_support::run_flow(logic, total_only);
 
   core::FlowOptions distributed = total_only;
   distributed.bound_factors.per_net_noise = 0.2;
-  const auto b = core::run_two_stage_flow(logic, distributed);
+  const auto b = test_support::run_flow(logic, distributed);
 
   EXPECT_GE(b.final_metrics.area_um2, a.final_metrics.area_um2 * 0.98);
   // And the distributed run satisfies the per-net bounds.
@@ -120,7 +120,7 @@ TEST(PerNet, FlowRunsEndToEndWithDistributedBounds) {
   core::FlowOptions options;
   options.bound_factors.noise = 0.5;
   options.bound_factors.per_net_noise = 0.25;
-  const auto flow = core::run_two_stage_flow(logic, options);
+  const auto flow = test_support::run_flow(logic, options);
   EXPECT_LE(flow.ogws.max_violation, 0.03);
   EXPECT_LT(flow.final_metrics.area_um2, flow.init_metrics.area_um2);
 }

@@ -11,6 +11,7 @@
 #include "sim/patterns.hpp"
 #include "sim/similarity.hpp"
 #include "sim/simulator.hpp"
+#include "test_helpers.hpp"
 #include "timing/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -50,7 +51,7 @@ TEST_P(FlowProperty, ConstraintsAndImprovementHold) {
   spec.depth = p.depth;
   spec.seed = p.seed;
   const auto logic = netlist::generate_circuit(spec);
-  const auto flow = core::run_two_stage_flow(logic, {});
+  const auto flow = test_support::run_flow(logic, {});
 
   // Structure matches the spec exactly.
   EXPECT_EQ(flow.circuit.num_gates(), p.gates);

@@ -142,7 +142,7 @@ TEST_P(FlowStress, InvariantsHoldUnderRandomOptions) {
   options.ogws.lrs.warm_start = rng.bernoulli(0.3);
 
   const auto logic = netlist::generate_circuit(spec);
-  const auto flow = core::run_two_stage_flow(logic, options);
+  const auto flow = test_support::run_flow(logic, options);
 
   // Structural invariants.
   EXPECT_EQ(flow.circuit.num_gates(), spec.num_gates);
@@ -309,7 +309,7 @@ void write_file(const std::filesystem::path& path, const std::string& text) {
   out << text;
 }
 
-TEST(CacheIntegrity, ChecksummedEntriesRoundTripAndOldFilesStillLoad) {
+TEST(CacheIntegrity, ChecksummedEntriesRoundTripAndChecksumlessFilesAreQuarantined) {
   FaultGuard guard;
   ScratchDir dir("roundtrip");
   const std::string key = "nA-eB-o1";
@@ -329,9 +329,9 @@ TEST(CacheIntegrity, ChecksummedEntriesRoundTripAndOldFilesStillLoad) {
     EXPECT_EQ(cache.corrupt(), 0u);
   }
 
-  // Back-compat: a pre-checksum file (the field stripped wholesale) is
-  // accepted as-is, not quarantined — v3 readers serve caches written by
-  // older builds.
+  // The checksum is mandatory: a file with the field stripped wholesale is
+  // unverifiable, so it is quarantined like any other corrupt file rather
+  // than served (a client-named eco_base could otherwise seed from it).
   const std::size_t line_at = text.find("  \"checksum\"");
   ASSERT_NE(line_at, std::string::npos);
   const std::size_t line_end = text.find('\n', line_at);
@@ -339,10 +339,10 @@ TEST(CacheIntegrity, ChecksummedEntriesRoundTripAndOldFilesStillLoad) {
   stripped.erase(line_at, line_end - line_at + 1);
   write_file(file, stripped);
   runtime::ResultCache cache(dir.path.string());
-  const auto hit = cache.lookup(key);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->job.at("name").as_string(), "keep");
-  EXPECT_EQ(cache.corrupt(), 0u);
+  EXPECT_EQ(cache.lookup(key), nullptr);
+  EXPECT_EQ(cache.corrupt(), 1u);
+  EXPECT_FALSE(std::filesystem::exists(file));
+  EXPECT_TRUE(std::filesystem::exists(dir.path / (key + ".corrupt")));
 }
 
 TEST(CacheIntegrity, BitRotFailsTheChecksumAndQuarantinesTheFile) {
@@ -486,7 +486,7 @@ TEST(RobustServe, AllocationFailureFailsTheJobNotTheServer) {
   const auto results = collector.of_type("result");
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].at("id").as_string(), "next");
-  EXPECT_EQ(server.stats().errors, 1u);
+  EXPECT_EQ(server.stats_snapshot().errors, 1u);
 }
 
 TEST(RobustServe, InjectedParseFailureEchoesTheRequestId) {

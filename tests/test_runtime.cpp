@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <latch>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -17,6 +19,7 @@
 #include "runtime/batch.hpp"
 #include "runtime/json.hpp"
 #include "runtime/pool.hpp"
+#include "test_helpers.hpp"
 #include "util/memtrack.hpp"
 
 namespace lrsizer {
@@ -76,9 +79,7 @@ TEST(ThreadPool, SubmitFromInsideATaskCompletes) {
 }
 
 TEST(ThreadPool, UnevenTasksAllComplete) {
-  // A few slow tasks next to many fast ones: with per-worker FIFO deques the
-  // fast tasks land behind slow ones and only stealing lets siblings drain
-  // them; everything must still complete promptly.
+  // A few slow tasks next to many fast ones: everything must still complete.
   runtime::ThreadPool pool(4);
   std::atomic<int> done{0};
   for (int i = 0; i < 32; ++i) {
@@ -89,7 +90,41 @@ TEST(ThreadPool, UnevenTasksAllComplete) {
   }
   pool.wait_idle();
   EXPECT_EQ(done.load(), 32);
-  EXPECT_GE(pool.steal_count(), 0);
+}
+
+TEST(ThreadPool, QueuedTasksStartInSubmitOrder) {
+  // Both workers are held on a blocking task while four more tasks queue up.
+  // Releasing one worker must start the queued tasks oldest first, so the
+  // oldest admitted serve request is always the next to run.
+  runtime::ThreadPool pool(2);
+  std::latch running(2);
+  std::promise<void> release_first;
+  std::promise<void> release_second;
+  auto held = [&running](std::shared_future<void> release) {
+    return [&running, release] {
+      running.count_down();
+      release.wait();
+    };
+  };
+  auto first = pool.submit(held(release_first.get_future().share()));
+  auto second = pool.submit(held(release_second.get_future().share()));
+  running.wait();
+
+  std::mutex mutex;
+  std::vector<int> started;
+  std::vector<std::future<void>> queued;
+  for (int i = 1; i <= 4; ++i) {
+    queued.push_back(pool.submit([&mutex, &started, i] {
+      const std::lock_guard<std::mutex> lock(mutex);
+      started.push_back(i);
+    }));
+  }
+  release_second.set_value();
+  for (auto& f : queued) f.get();  // one free worker runs them all
+  release_first.set_value();
+  first.get();
+  second.get();
+  EXPECT_EQ(started, (std::vector<int>{1, 2, 3, 4}));
 }
 
 TEST(ThreadPool, DestructorWaitsForQueuedTasks) {
@@ -174,7 +209,8 @@ TEST(Batch, ResultsStayInSubmitOrder) {
 
 TEST(Batch, DeterministicAcrossWorkerCounts) {
   // The headline contract: per-job results are bit-identical whether the
-  // batch runs sequentially or on 8 oversubscribed workers.
+  // batch runs sequentially or on 8 oversubscribed workers, and so is the
+  // whole report once its wall-clock fields and worker count are nulled.
   auto sequential = runtime::run_batch(small_jobs(6), batch_options(1));
   auto parallel = runtime::run_batch(small_jobs(6), batch_options(8));
   ASSERT_EQ(sequential.jobs.size(), parallel.jobs.size());
@@ -191,15 +227,23 @@ TEST(Batch, DeterministicAcrossWorkerCounts) {
     EXPECT_EQ(a.summary.final_metrics.delay_s, b.summary.final_metrics.delay_s);
     EXPECT_EQ(a.summary.final_metrics.noise_f, b.summary.final_metrics.noise_f);
     EXPECT_EQ(a.summary.final_metrics.area_um2, b.summary.final_metrics.area_um2);
-    // The serialized report (timings excluded) must also match byte for byte.
-    auto strip_timing = [](runtime::Json j) {
-      j.set("seconds", 0);
-      j.set("stage1_seconds", 0);
-      j.set("stage2_seconds", 0);
-      return j.dump();
-    };
-    EXPECT_EQ(strip_timing(runtime::job_json(a)), strip_timing(runtime::job_json(b)));
   }
+  auto without_clocks = [](const runtime::BatchResult& batch) {
+    runtime::Json report = runtime::batch_json(batch);
+    for (const char* key : {"workers", "wall_seconds", "total_job_seconds", "speedup"}) {
+      report.set(key, nullptr);
+    }
+    runtime::Json jobs = runtime::Json::array();
+    for (runtime::Json job : report.at("jobs").as_array()) {
+      for (const char* key : {"seconds", "stage1_seconds", "stage2_seconds"}) {
+        job.set(key, nullptr);
+      }
+      jobs.push_back(job);
+    }
+    report.set("jobs", jobs);
+    return report.dump();
+  };
+  EXPECT_EQ(without_clocks(sequential), without_clocks(parallel));
 }
 
 TEST(Batch, RollupsAggregatePerJobNumbers) {
@@ -248,7 +292,7 @@ TEST(Batch, ProfileJobMatchesDirectFlowRun) {
   options.num_vectors = 8;
   const auto logic =
       netlist::generate_circuit(netlist::spec_for_profile("c432", 1));
-  const auto direct = core::run_two_stage_flow(logic, options);
+  const auto direct = test_support::run_flow(logic, options);
 
   std::vector<runtime::BatchJob> jobs;
   jobs.push_back(runtime::make_profile_job("c432", 1, options));
@@ -321,7 +365,8 @@ TEST(Json, ParseHandlesEscapesAndWhitespace) {
 TEST(Json, BatchReportSchemaRoundTrips) {
   auto batch = runtime::run_batch(small_jobs(2), batch_options(2));
   const runtime::Json report = runtime::batch_json(batch);
-  EXPECT_EQ(report.at("schema").as_string(), "lrsizer-batch-v1");
+  EXPECT_EQ(report.at("schema").as_string(), "lrsizer-batch-v2");
+  EXPECT_EQ(report.find("steals"), nullptr);  // removed in v2
   EXPECT_EQ(report.at("workers").as_number(), 2.0);
   EXPECT_EQ(report.at("jobs").size(), 2u);
 

@@ -1136,7 +1136,7 @@ TEST(Server, CancelMidJobYieldsACancelledResponse) {
   ASSERT_NE(cancelled[0].find("job"), nullptr);
   EXPECT_TRUE(cancelled[0].at("job").at("cancelled").as_bool());
   EXPECT_TRUE(collector.of_type("result").empty());
-  EXPECT_EQ(server.stats().cancelled, 1u);
+  EXPECT_EQ(server.stats_snapshot().cancelled, 1u);
 }
 
 TEST(Server, ShutdownStopsReadingFurtherRequests) {
@@ -1207,8 +1207,8 @@ TEST(Server, BackpressureRejectsBeyondMaxPending) {
   holder.release();
   server.drain();
   // Shed jobs are tallied separately from ordinary errors.
-  EXPECT_EQ(server.stats().shed, 1u);
-  EXPECT_EQ(server.stats().errors, 1u);
+  EXPECT_EQ(server.stats_snapshot().shed, 1u);
+  EXPECT_EQ(server.stats_snapshot().errors, 1u);
 }
 
 TEST(Server, PerClientCapShedsTheGreedyClientNotItsNeighbor) {
@@ -1277,7 +1277,7 @@ TEST(Server, QueueCostBudgetAdmitsByNodeCountNotJobCount) {
   ASSERT_TRUE(server.handle_line(held, R"({"type":"cancel","id":"a"})"));
   holder.release();
   server.drain();
-  EXPECT_EQ(server.stats().shed, 1u);
+  EXPECT_EQ(server.stats_snapshot().shed, 1u);
 }
 
 /// A size request for a generated 4.8k-gate circuit of logic depth 1000 at
@@ -1330,8 +1330,8 @@ TEST(Server, DeadlineCutsAJobToAPartialResultMarkedTimeout) {
     EXPECT_EQ(errors[0].at("code").as_string(), "deadline");
   }
   EXPECT_TRUE(collector.of_type("cancelled").empty());
-  EXPECT_EQ(server.stats().timeouts, 1u);
-  EXPECT_EQ(server.stats().cancelled, 0u);
+  EXPECT_EQ(server.stats_snapshot().timeouts, 1u);
+  EXPECT_EQ(server.stats_snapshot().cancelled, 0u);
 
   // The server is fully alive afterwards — and the partial was never
   // cached, so the same job re-runs rather than serving a truncated
@@ -1366,7 +1366,7 @@ TEST(Server, DefaultDeadlineAppliesWhenTheRequestNamesNone) {
     ASSERT_EQ(errors.size(), 1u);
     EXPECT_EQ(errors[0].at("code").as_string(), "deadline");
   }
-  EXPECT_EQ(server.stats().timeouts, 1u);
+  EXPECT_EQ(server.stats_snapshot().timeouts, 1u);
 
   // An explicit "deadline_ms": 0 opts out of the server default: c17
   // completes normally well within any deadline race.
@@ -1677,7 +1677,7 @@ TEST(Server, RemoveClientCancelsItsJobsAndDropsItsResponses) {
   server.drain();
   server.remove_client(cp);
   EXPECT_EQ(server.active_clients(), 0u);
-  EXPECT_EQ(server.stats().cancelled, 1u);
+  EXPECT_EQ(server.stats_snapshot().cancelled, 1u);
   // No response of any kind reached the removed client's sink.
   EXPECT_TRUE(a.of_type("cancelled").empty());
   EXPECT_TRUE(a.of_type("result").empty());
@@ -2252,10 +2252,10 @@ TEST(Merge, RejectsOutOfRangeShardFields) {
   // Hand-edited/corrupt shard fields must reject readably, not cast
   // undefined doubles to size_t.
   Json bad = Json::parse(
-      R"({"schema":"lrsizer-batch-v1","shard":{"index":-1,"count":2},"jobs":[]})");
+      R"({"schema":"lrsizer-batch-v2","shard":{"index":-1,"count":2},"jobs":[]})");
   EXPECT_THROW(runtime::merge_batch_reports({bad, bad}), std::invalid_argument);
   Json huge = Json::parse(
-      R"({"schema":"lrsizer-batch-v1","shard":{"index":0,"count":1e18},"jobs":[]})");
+      R"({"schema":"lrsizer-batch-v2","shard":{"index":0,"count":1e18},"jobs":[]})");
   EXPECT_THROW(runtime::merge_batch_reports({huge}), std::invalid_argument);
 }
 

@@ -244,7 +244,7 @@ TEST(ServeFuzz, AdversarialPayloadsNeverCrashTheServer) {
   }
   harness.server.drain();
   // Every line above was rejected: nothing may have been accepted or run.
-  EXPECT_EQ(harness.server.stats().accepted, 0u);
+  EXPECT_EQ(harness.server.stats_snapshot().accepted, 0u);
   for (std::size_t i = 0; i < bench_witnesses.size(); ++i) {
     const std::string id = "w" + std::to_string(i);
     const std::lock_guard<std::mutex> lock(harness.mutex);
@@ -266,8 +266,8 @@ TEST(ServeFuzz, AdversarialPayloadsNeverCrashTheServer) {
       "{\"type\":\"size\",\"id\":\"\xff\xfe\x80\",\"input\":{\"profile\":"
       "\"c17\"},\"options\":{\"vectors\":8}}");
   harness.finish();
-  EXPECT_EQ(harness.server.stats().accepted, 1u);
-  EXPECT_EQ(harness.server.stats().completed, 1u);
+  EXPECT_EQ(harness.server.stats_snapshot().accepted, 1u);
+  EXPECT_EQ(harness.server.stats_snapshot().completed, 1u);
 }
 
 TEST(ServeFuzz, RandomStructuredRequestsKeepTheServerResponsive) {
@@ -301,7 +301,7 @@ TEST(ServeFuzz, RandomStructuredRequestsKeepTheServerResponsive) {
   harness.feed(
       R"({"type":"size","id":"canary","input":{"profile":"c17"},"options":{"vectors":8}})");
   harness.finish();
-  EXPECT_GE(harness.server.stats().completed, 1u);
+  EXPECT_GE(harness.server.stats_snapshot().completed, 1u);
 }
 
 // ---- Option values ----------------------------------------------------------
@@ -385,7 +385,7 @@ TEST(ServeFuzzOptions, BoundFactorsBelowTheFloorAnswerAFieldNamingError) {
       EXPECT_EQ(terminal.at("type").as_string(), "error") << terminal.dump();
     }
   }
-  EXPECT_EQ(harness.server.stats().accepted, 0u);
+  EXPECT_EQ(harness.server.stats_snapshot().accepted, 0u);
   expect_finite_or_field_error(harness, requests);
 }
 
@@ -485,7 +485,9 @@ TEST(ServeFuzzTcp, RandomGarbageStreamsNeverKillTheEventLoop) {
   std::atomic<std::uint16_t> port{0};
   std::atomic<bool> done{false};
   std::thread loop([&] {
-    serve::listen_and_serve(0, server, &port);
+    serve::ListenOptions listen;
+    listen.bound_port = &port;
+    serve::listen_and_serve(listen, server);
     done.store(true);
   });
   while (port.load() == 0 && !done.load()) {

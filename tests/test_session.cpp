@@ -1,6 +1,6 @@
 // Tests for the staged session API (api/session.hpp): stage-by-stage
-// equivalence with the one-shot shim, option validation, progress
-// observation, cooperative cancellation, and warm-starting.
+// equivalence with run_all(), option validation, progress observation,
+// cooperative cancellation, and warm-starting.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +13,7 @@
 #include "core/flow.hpp"
 #include "netlist/bench_parser.hpp"
 #include "netlist/generator.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -45,7 +46,7 @@ netlist::LogicNetlist small_generated(std::uint64_t seed = 3) {
 
 TEST(Session, StageByStageMatchesOneShotBitIdentically) {
   const auto logic = small_generated();
-  const auto one_shot = core::run_two_stage_flow(logic, {});
+  const auto one_shot = test_support::run_flow(logic);
 
   api::SizingSession session(logic, {});
   EXPECT_EQ(session.next_stage(), api::SizingSession::Stage::kElaborate);
@@ -124,55 +125,42 @@ TEST(Session, InvalidOptionsAreAStatusNotACrash) {
   EXPECT_NE(status.message().find("bound_factors.noise"), std::string::npos);
 }
 
-// ---- options builder --------------------------------------------------------
+// ---- option validation ------------------------------------------------------
 
-TEST(OptionsBuilder, BuildsValidatedOptions) {
-  core::FlowOptions options;
-  const api::Status status = api::FlowOptionsBuilder()
-                                 .vectors(16)
-                                 .delay_bound(1.15)
-                                 .noise_bound(0.12)
-                                 .use_woss(false)
-                                 .build(options);
-  ASSERT_TRUE(status.ok()) << status.to_string();
-  EXPECT_EQ(options.num_vectors, 16);
-  EXPECT_DOUBLE_EQ(options.bound_factors.delay, 1.15);
-  EXPECT_DOUBLE_EQ(options.bound_factors.noise, 0.12);
-  EXPECT_FALSE(options.use_woss);
-}
-
+// OptionsBuilder.*: validate_options and its field-naming messages.
 TEST(OptionsBuilder, RejectsInconsistentParamsWithReadableMessages) {
-  core::FlowOptions out;
-
-  const api::Status bad_noise = api::FlowOptionsBuilder().noise_bound(0.0).build(out);
+  core::FlowOptions bad_noise_options;
+  bad_noise_options.bound_factors.noise = 0.0;
+  const api::Status bad_noise = api::validate_options(bad_noise_options);
   EXPECT_EQ(bad_noise.code(), api::StatusCode::kInvalidArgument);
   EXPECT_NE(bad_noise.message().find("bound_factors.noise"), std::string::npos);
   EXPECT_NE(bad_noise.message().find("got 0"), std::string::npos);
 
-  netlist::TechParams inverted_box;
-  inverted_box.min_size = 5.0;
-  inverted_box.max_size = 1.0;
-  const api::Status bad_box = api::FlowOptionsBuilder().tech(inverted_box).build(out);
+  core::FlowOptions bad_box_options;
+  bad_box_options.tech.min_size = 5.0;
+  bad_box_options.tech.max_size = 1.0;
+  const api::Status bad_box = api::validate_options(bad_box_options);
   EXPECT_EQ(bad_box.code(), api::StatusCode::kInvalidArgument);
   EXPECT_NE(bad_box.message().find("size box"), std::string::npos);
 
-  const api::Status bad_vectors = api::FlowOptionsBuilder().vectors(0).build(out);
+  core::FlowOptions bad_vectors_options;
+  bad_vectors_options.num_vectors = 0;
+  const api::Status bad_vectors = api::validate_options(bad_vectors_options);
   EXPECT_EQ(bad_vectors.code(), api::StatusCode::kInvalidArgument);
   EXPECT_NE(bad_vectors.message().find("num_vectors"), std::string::npos);
 
   // A zero gate delay used to pass validation and abort inside sim::simulate.
-  sim::SimOptions zero_delay;
-  zero_delay.gate_delay = 0;
-  const api::Status bad_delay = api::FlowOptionsBuilder().sim(zero_delay).build(out);
+  core::FlowOptions bad_delay_options;
+  bad_delay_options.sim.gate_delay = 0;
+  const api::Status bad_delay = api::validate_options(bad_delay_options);
   EXPECT_EQ(bad_delay.code(), api::StatusCode::kInvalidArgument);
   EXPECT_NE(bad_delay.message().find("sim.gate_delay"), std::string::npos);
 
-  const api::Status bad_init = api::FlowOptionsBuilder().initial_size(50.0).build(out);
+  core::FlowOptions bad_init_options;
+  bad_init_options.initial_size = 50.0;
+  const api::Status bad_init = api::validate_options(bad_init_options);
   EXPECT_EQ(bad_init.code(), api::StatusCode::kInvalidArgument);
   EXPECT_NE(bad_init.message().find("initial_size"), std::string::npos);
-
-  // A failed build leaves the output untouched.
-  EXPECT_EQ(out.num_vectors, core::FlowOptions{}.num_vectors);
 }
 
 // ---- progress observation ---------------------------------------------------
@@ -349,13 +337,13 @@ TEST(Session, SparseWarmSizesSeedTheRun) {
   EXPECT_NE(status.message().find("99999"), std::string::npos);
 }
 
-// ---- shim -------------------------------------------------------------------
+// ---- one-shot run -----------------------------------------------------------
 
-TEST(Session, ShimSummaryCarriesNoCancellation) {
-  const auto flow = core::run_two_stage_flow(c17(), c17_options());
+TEST(Session, RunAllSummaryCarriesNoCancellation) {
+  const auto flow = test_support::run_flow(c17(), c17_options());
   EXPECT_FALSE(flow.ogws.cancelled);
   EXPECT_FALSE(core::summarize_flow(flow).cancelled);
-  // The shim's result feeds warm starts like any session result.
+  // A taken result feeds warm starts like one read in place.
   api::SizingSession warm(c17(), c17_options());
   EXPECT_TRUE(warm.warm_start_from(flow).ok());
 }

@@ -640,10 +640,9 @@ void print_batch_table(const runtime::BatchResult& batch) {
   table.print(std::cout);
   std::printf(
       "\n%zu job(s), %d worker(s): wall %.2f s, cpu %.2f s, speedup %.2fx, "
-      "steals %lld, peak mem %zu KB\n",
+      "peak mem %zu KB\n",
       batch.jobs.size(), batch.num_workers, batch.wall_seconds,
-      batch.total_job_seconds, batch.speedup(),
-      static_cast<long long>(batch.steals), batch.peak_memory_bytes / 1024);
+      batch.total_job_seconds, batch.speedup(), batch.peak_memory_bytes / 1024);
   if (batch.num_cancelled() > 0) {
     std::printf("%zu job(s) cancelled — partial results above/in the reports\n",
                 batch.num_cancelled());
@@ -903,7 +902,7 @@ int cmd_serve(const CliOptions& cli) {
   drain_target.store(&server, std::memory_order_release);
   serve::serve_stdin(server, options.stop);
   stop_watcher();
-  const serve::Server::Stats stats = server.stats();
+  const serve::StatsSnapshot stats = server.stats_snapshot();
   std::fprintf(stderr,
                "lrsizer serve: %zu accepted, %zu completed (%zu from cache), "
                "%zu cancelled, %zu errors\n",
