@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/assert.hpp"
+
 namespace lrsizer::netlist {
 
 bool logic_op_is_multi_input(LogicOp op) {
@@ -19,6 +21,38 @@ bool logic_op_is_multi_input(LogicOp op) {
       return false;
   }
   return false;
+}
+
+int eval_logic_op(LogicOp op, const std::vector<int>& inputs) {
+  LRSIZER_ASSERT(!inputs.empty());
+  switch (op) {
+    case LogicOp::kInput:
+      LRSIZER_ASSERT_MSG(false, "primary inputs are not evaluable");
+      return 0;
+    case LogicOp::kBuf:
+      return inputs[0];
+    case LogicOp::kNot:
+      return 1 - inputs[0];
+    case LogicOp::kAnd:
+    case LogicOp::kNand: {
+      int v = 1;
+      for (int bit : inputs) v &= bit;
+      return op == LogicOp::kAnd ? v : 1 - v;
+    }
+    case LogicOp::kOr:
+    case LogicOp::kNor: {
+      int v = 0;
+      for (int bit : inputs) v |= bit;
+      return op == LogicOp::kOr ? v : 1 - v;
+    }
+    case LogicOp::kXor:
+    case LogicOp::kXnor: {
+      int v = 0;
+      for (int bit : inputs) v ^= bit;
+      return op == LogicOp::kXor ? v : 1 - v;
+    }
+  }
+  return 0;
 }
 
 const char* logic_op_name(LogicOp op) {

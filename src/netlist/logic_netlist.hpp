@@ -1,7 +1,7 @@
 // Gate-level logical view of a circuit (before physical elaboration).
 //
 // This is what the ISCAS85 `.bench` parser and the synthetic generator
-// produce, what the event-driven logic simulator executes, and what the
+// produce, what the logic simulator executes, and what the
 // elaborator turns into a physical Circuit (drivers + gates + wire
 // segments). Nets are identified with the gate/input that drives them.
 #pragma once
@@ -10,8 +10,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "util/assert.hpp"
 
 namespace lrsizer::netlist {
 
@@ -30,47 +28,10 @@ enum class LogicOp : std::uint8_t {
 /// True if the op is implemented for arbitrary fanin >= 2 (AND/OR/XOR family).
 bool logic_op_is_multi_input(LogicOp op);
 
-/// Evaluate `op` over `n` input bits (each 0/1), the k-th read as `bit(k)`.
-/// kInput is not evaluable. A header template so that the simulator
-/// evaluates each gate in place over its fanin array, with no call and no
-/// gathered copy of the inputs.
-template <class Bit>
-int eval_logic_op(LogicOp op, std::size_t n, const Bit& bit) {
-  LRSIZER_ASSERT(n > 0);
-  switch (op) {
-    case LogicOp::kInput:
-      LRSIZER_ASSERT_MSG(false, "primary inputs are not evaluable");
-      return 0;
-    case LogicOp::kBuf:
-      return bit(0);
-    case LogicOp::kNot:
-      return 1 - bit(0);
-    case LogicOp::kAnd:
-    case LogicOp::kNand: {
-      int v = 1;
-      for (std::size_t k = 0; k < n; ++k) v &= bit(k);
-      return op == LogicOp::kAnd ? v : 1 - v;
-    }
-    case LogicOp::kOr:
-    case LogicOp::kNor: {
-      int v = 0;
-      for (std::size_t k = 0; k < n; ++k) v |= bit(k);
-      return op == LogicOp::kOr ? v : 1 - v;
-    }
-    case LogicOp::kXor:
-    case LogicOp::kXnor: {
-      int v = 0;
-      for (std::size_t k = 0; k < n; ++k) v ^= bit(k);
-      return op == LogicOp::kXor ? v : 1 - v;
-    }
-  }
-  return 0;
-}
-
-/// Evaluate `op` over `inputs` (each 0/1). kInput is not evaluable.
-inline int eval_logic_op(LogicOp op, const std::vector<int>& inputs) {
-  return eval_logic_op(op, inputs.size(), [&](std::size_t k) { return inputs[k]; });
-}
+/// Evaluate `op` over `inputs` (each 0/1). kInput is not evaluable. The
+/// per-bit truth the word-parallel simulator's row ops must reproduce (its
+/// test oracle evaluates gates with it).
+int eval_logic_op(LogicOp op, const std::vector<int>& inputs);
 
 const char* logic_op_name(LogicOp op);
 

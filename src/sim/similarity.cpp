@@ -8,8 +8,6 @@ namespace lrsizer::sim {
 
 namespace {
 
-constexpr SimTime kTicksPerWord = 64;
-
 /// Write `w`'s values over [0, horizon) into the zeroed `bits`, one tick per
 /// bit (bit t % 64 of word t / 64); bits at and past the horizon stay 0 so
 /// they never count as disagreement. Each toggle inside the window marks its
@@ -41,41 +39,22 @@ void fill_bits(const Waveform& w, SimTime horizon, std::span<std::uint64_t> bits
   }
 }
 
-/// Set bits of a ^ b over `words` words: the ticks where two bitsets
-/// disagree. Counted by SWAR arithmetic, since a portable build has no
-/// popcount instruction and std::popcount would call into libgcc per word.
-std::int64_t count_disagree(const std::uint64_t* a, const std::uint64_t* b,
-                            std::size_t words) {
-  std::int64_t total = 0;
-  for (std::size_t k = 0; k < words; ++k) {
-    std::uint64_t x = a[k] ^ b[k];
-    x -= (x >> 1) & 0x5555555555555555ULL;
-    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
-    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
-    total += static_cast<std::int64_t>((x * 0x0101010101010101ULL) >> 56);
-  }
-  return total;
-}
-
-/// Pairwise similarities, word-parallel: with both waveforms as bitsets over
-/// [0, T), the ticks where they disagree are popcount(a ^ b), and
-/// similarity = (T − 2·disagree) / T — the same two integers the merged
-/// toggle sweep of Waveform::similarity accumulates, so the same double.
-std::vector<double> pairwise(const std::vector<const Waveform*>& w, SimTime horizon) {
+/// Pairwise similarities, word-parallel: with every signal a row of bits
+/// over [0, T) (zero past T), the ticks where two disagree are
+/// popcount(a ^ b), and similarity = (T − 2·disagree) / T — the same two
+/// integers the merged toggle sweep of Waveform::similarity accumulates, so
+/// the same double.
+std::vector<double> pairwise(const std::vector<const std::uint64_t*>& rows,
+                             std::size_t words, SimTime horizon) {
   LRSIZER_ASSERT(horizon > 0);
-  const auto n = w.size();
+  const auto n = rows.size();
   std::vector<double> values(n * n, 1.0);
-  if (n < 2) return values;
-  const auto words = static_cast<std::size_t>((horizon + kTicksPerWord - 1) / kTicksPerWord);
-  std::vector<std::uint64_t> bits(n * words);
   for (std::size_t a = 0; a < n; ++a) {
-    fill_bits(*w[a], horizon, std::span(bits).subspan(a * words, words));
-  }
-  for (std::size_t a = 0; a < n; ++a) {
-    const std::uint64_t* wa = bits.data() + a * words;
+    const std::uint64_t* ra = rows[a];
     for (std::size_t b = a + 1; b < n; ++b) {
-      const std::uint64_t* wb = bits.data() + b * words;
-      const std::int64_t disagree = count_disagree(wa, wb, words);
+      const std::uint64_t* rb = rows[b];
+      std::int64_t disagree = 0;
+      for (std::size_t k = 0; k < words; ++k) disagree += popcount64(ra[k] ^ rb[k]);
       const double s =
           static_cast<double>(horizon - 2 * disagree) / static_cast<double>(horizon);
       values[a * n + b] = s;
@@ -90,21 +69,25 @@ std::vector<double> pairwise(const std::vector<const Waveform*>& w, SimTime hori
 SimilarityMatrix::SimilarityMatrix(const SimResult& sim,
                                    const std::vector<std::int32_t>& nets)
     : n_(static_cast<std::int32_t>(nets.size())) {
-  std::vector<const Waveform*> w;
-  w.reserve(nets.size());
-  for (std::int32_t net : nets) {
-    w.push_back(&sim.waveforms[static_cast<std::size_t>(net)]);
-  }
-  values_ = pairwise(w, sim.horizon);
+  std::vector<const std::uint64_t*> rows;
+  rows.reserve(nets.size());
+  for (std::int32_t net : nets) rows.push_back(sim.row(net).data());
+  values_ = pairwise(rows, sim.words_per_row, sim.horizon);
 }
 
 SimilarityMatrix::SimilarityMatrix(const std::vector<Waveform>& waveforms,
                                    SimTime horizon)
     : n_(static_cast<std::int32_t>(waveforms.size())) {
-  std::vector<const Waveform*> w;
-  w.reserve(waveforms.size());
-  for (const auto& wf : waveforms) w.push_back(&wf);
-  values_ = pairwise(w, horizon);
+  LRSIZER_ASSERT(horizon > 0);
+  const auto words = static_cast<std::size_t>((horizon + kTicksPerWord - 1) / kTicksPerWord);
+  std::vector<std::uint64_t> bits(waveforms.size() * words);
+  std::vector<const std::uint64_t*> rows;
+  rows.reserve(waveforms.size());
+  for (std::size_t a = 0; a < waveforms.size(); ++a) {
+    fill_bits(waveforms[a], horizon, std::span(bits).subspan(a * words, words));
+    rows.push_back(bits.data() + a * words);
+  }
+  values_ = pairwise(rows, words, horizon);
 }
 
 }  // namespace lrsizer::sim

@@ -19,10 +19,12 @@ namespace lrsizer::sim {
 /// Dense symmetric similarity matrix over a set of nets.
 class SimilarityMatrix {
  public:
-  /// Compute pairwise similarities of `nets` (indices into sim.waveforms).
+  /// Pairwise similarities of `nets` (net indices of `sim`), counted
+  /// straight from the simulator's rows.
   SimilarityMatrix(const SimResult& sim, const std::vector<std::int32_t>& nets);
 
-  /// Pairwise similarities of explicitly given waveforms over [0, horizon).
+  /// Pairwise similarities of explicitly given waveforms over [0, horizon),
+  /// each first written into a row of bits like the simulator's.
   SimilarityMatrix(const std::vector<Waveform>& waveforms, SimTime horizon);
 
   std::int32_t size() const { return n_; }

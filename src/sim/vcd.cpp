@@ -25,8 +25,7 @@ std::string vcd_id(std::int32_t index) {
 void write_vcd(const netlist::LogicNetlist& netlist, const SimResult& result,
                std::ostream& out, const std::string& timescale) {
   LRSIZER_ASSERT(netlist.finalized());
-  LRSIZER_ASSERT(result.waveforms.size() ==
-                 static_cast<std::size_t>(netlist.num_gates_logic()));
+  LRSIZER_ASSERT(result.num_nets() == netlist.num_gates_logic());
 
   out << "$date lrsizer simulation $end\n";
   out << "$version lrsizer 1.0 $end\n";
@@ -38,25 +37,18 @@ void write_vcd(const netlist::LogicNetlist& netlist, const SimResult& result,
   }
   out << "$upscope $end\n$enddefinitions $end\n";
 
+  // Dump each net's initial value, and merge its toggles (all inside
+  // [0, horizon)) into one time-ordered stream.
+  std::vector<int> value(static_cast<std::size_t>(n));
+  std::map<SimTime, std::vector<std::int32_t>> events;
   out << "#0\n$dumpvars\n";
   for (std::int32_t g = 0; g < n; ++g) {
-    out << result.waveforms[static_cast<std::size_t>(g)].initial_value() << vcd_id(g)
-        << "\n";
+    const Waveform waveform = result.waveform(g);
+    value[static_cast<std::size_t>(g)] = waveform.initial_value();
+    out << waveform.initial_value() << vcd_id(g) << "\n";
+    for (SimTime t : waveform.toggles()) events[t].push_back(g);
   }
   out << "$end\n";
-
-  // Merge all transition lists into one time-ordered stream.
-  std::map<SimTime, std::vector<std::int32_t>> events;
-  for (std::int32_t g = 0; g < n; ++g) {
-    for (SimTime t : result.waveforms[static_cast<std::size_t>(g)].toggles()) {
-      if (t < result.horizon) events[t].push_back(g);
-    }
-  }
-  std::vector<int> value(static_cast<std::size_t>(n));
-  for (std::int32_t g = 0; g < n; ++g) {
-    value[static_cast<std::size_t>(g)] =
-        result.waveforms[static_cast<std::size_t>(g)].initial_value();
-  }
   for (const auto& [t, nets] : events) {
     out << "#" << t << "\n";
     for (std::int32_t g : nets) {

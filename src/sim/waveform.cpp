@@ -6,6 +6,17 @@
 
 namespace lrsizer::sim {
 
+void Waveform::add_toggle(SimTime t) {
+  LRSIZER_ASSERT_MSG(toggles_.empty() || t >= toggles_.back(),
+                     "toggles must be appended in time order");
+  if (!toggles_.empty() && toggles_.back() == t) {
+    // Zero-width glitch: a double toggle at the same instant is a no-op.
+    toggles_.pop_back();
+    return;
+  }
+  toggles_.push_back(t);
+}
+
 int Waveform::value_at(SimTime t) const {
   // Toggles at times <= t have taken effect.
   const auto k = std::upper_bound(toggles_.begin(), toggles_.end(), t) - toggles_.begin();

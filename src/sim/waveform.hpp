@@ -8,8 +8,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/assert.hpp"
-
 namespace lrsizer::sim {
 
 /// Simulation time in arbitrary integer ticks (one input vector per
@@ -25,17 +23,7 @@ class Waveform {
 
   /// Record a toggle at time t. Times must be appended non-decreasing; two
   /// toggles at the same time cancel (glitch suppression at zero width).
-  /// Inline: the simulator calls it once per net change.
-  void add_toggle(SimTime t) {
-    LRSIZER_ASSERT_MSG(toggles_.empty() || t >= toggles_.back(),
-                       "toggles must be appended in time order");
-    if (!toggles_.empty() && toggles_.back() == t) {
-      // Zero-width glitch: a double toggle at the same instant is a no-op.
-      toggles_.pop_back();
-      return;
-    }
-    toggles_.push_back(t);
-  }
+  void add_toggle(SimTime t);
 
   const std::vector<SimTime>& toggles() const { return toggles_; }
 

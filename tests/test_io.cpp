@@ -41,11 +41,8 @@ TEST(BenchWriter, GeneratedCircuitRoundTripPreservesSimulation) {
   const auto vectors = sim::random_vectors(12, 24, 99);
   const auto sim_a = sim::simulate(original, vectors);
   const auto sim_b = sim::simulate(reparsed, vectors);
-  ASSERT_EQ(sim_a.waveforms.size(), sim_b.waveforms.size());
-  for (std::size_t i = 0; i < sim_a.waveforms.size(); ++i) {
-    EXPECT_EQ(sim_a.waveforms[i].initial_value(), sim_b.waveforms[i].initial_value());
-    EXPECT_EQ(sim_a.waveforms[i].toggles(), sim_b.waveforms[i].toggles());
-  }
+  EXPECT_EQ(sim_a.words_per_row, sim_b.words_per_row);
+  EXPECT_EQ(sim_a.rows, sim_b.rows);
 }
 
 TEST(BenchWriter, HeaderCommentEmitted) {

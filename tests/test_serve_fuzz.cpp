@@ -389,6 +389,17 @@ TEST(ServeFuzzOptions, BoundFactorsBelowTheFloorAnswerAFieldNamingError) {
   expect_finite_or_field_error(harness, requests);
 }
 
+TEST(ServeFuzzOptions, VectorCountsPastTheRowBudgetAnswerAFieldNamingError) {
+  // Stage 1 allocates in proportion to "vectors": the int32 edge would ask
+  // for ~190 GB of simulation rows on c17 (and ~120 GB of vectors before
+  // them). It is refused by name, and the same server then sizes c17.
+  FuzzHarness harness;
+  harness.feed(
+      R"({"type":"size","id":"huge","input":{"profile":"c17"},)"
+      R"("options":{"vectors":2147483647},"report":{"sizes":false}})");
+  expect_finite_or_field_error(harness, {{"huge", "num_vectors"}});
+}
+
 TEST(ServeFuzzOptions, BoundFactorGridAnswersAFiniteDualOrAFieldNamingError) {
   // Every bound factor from the representable edge to a loose bound, at a
   // short and a long iteration cap, on c17 and c432. An unreachable bound

@@ -125,6 +125,33 @@ TEST(Session, InvalidOptionsAreAStatusNotACrash) {
   EXPECT_NE(status.message().find("bound_factors.noise"), std::string::npos);
 }
 
+TEST(Session, SimulationRowsPastTheBudgetAreRefusedBeforeAllocation) {
+  // Stage 1 keeps nets × ⌈T/64⌉ words; these windows would need far more
+  // than its fixed budget, and one of them (2^62 ticks × 4 vectors) would
+  // overflow T itself. Each is refused by name before any vector exists.
+  struct Window {
+    std::int32_t num_vectors;
+    sim::SimTime vector_period;
+  };
+  for (const Window window : {Window{2147483647, 64}, Window{1, sim::SimTime{1} << 40},
+                              Window{4, sim::SimTime{1} << 62}}) {
+    core::FlowOptions options = c17_options();
+    options.num_vectors = window.num_vectors;
+    options.sim.vector_period = window.vector_period;
+    api::SizingSession session(c17(), options);
+    ASSERT_TRUE(session.elaborate().ok());
+    const api::Status status = session.simulate_and_order();
+    EXPECT_EQ(status.code(), api::StatusCode::kInvalidArgument) << window.num_vectors;
+    EXPECT_NE(status.message().find("num_vectors"), std::string::npos) << status.message();
+  }
+  // A window inside the budget still runs: c17's 11 nets at 4096 vectors.
+  core::FlowOptions options = c17_options();
+  options.num_vectors = 4096;
+  api::SizingSession session(c17(), options);
+  ASSERT_TRUE(session.elaborate().ok());
+  EXPECT_TRUE(session.simulate_and_order().ok());
+}
+
 // ---- option validation ------------------------------------------------------
 
 // OptionsBuilder.*: validate_options and its field-naming messages.

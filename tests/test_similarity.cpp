@@ -67,8 +67,8 @@ TEST(SimilarityMatrix, WaveformConstructorMatchesSimResultPath) {
   const auto logic = netlist::parse_bench_string(netlist::kIscas85C17);
   const auto result = sim::simulate(logic, sim::random_vectors(5, 16, 4));
   const sim::SimilarityMatrix from_result(result, {1, 3, 5});
-  const std::vector<sim::Waveform> waves = {result.waveforms[1], result.waveforms[3],
-                                            result.waveforms[5]};
+  const std::vector<sim::Waveform> waves = {result.waveform(1), result.waveform(3),
+                                            result.waveform(5)};
   const sim::SimilarityMatrix from_waves(waves, result.horizon);
   for (std::int32_t a = 0; a < 3; ++a) {
     for (std::int32_t b = 0; b < 3; ++b) {
@@ -107,6 +107,24 @@ std::vector<sim::Waveform> random_waveforms(sim::SimTime horizon, std::uint64_t 
   return waves;
 }
 
+/// A SimResult whose rows hold `waves` over [0, horizon), written tick by
+/// tick from Waveform::value_at.
+sim::SimResult rows_of(const std::vector<sim::Waveform>& waves, sim::SimTime horizon) {
+  sim::SimResult result;
+  result.horizon = horizon;
+  result.words_per_row = static_cast<std::size_t>((horizon + 63) / 64);
+  result.rows.assign(waves.size() * result.words_per_row, 0);
+  for (std::size_t a = 0; a < waves.size(); ++a) {
+    for (sim::SimTime t = 0; t < horizon; ++t) {
+      if (waves[a].value_at(t) != 0) {
+        result.rows[a * result.words_per_row + static_cast<std::size_t>(t / 64)] |=
+            std::uint64_t{1} << (t % 64);
+      }
+    }
+  }
+  return result;
+}
+
 TEST(SimilarityMatrix, MatchesPairwiseWaveformSimilarityExactly) {
   // Horizons on both sides of the 64-tick word boundary, and the default
   // stage-1 window (32 vectors x 64 ticks) and one tick past it.
@@ -120,9 +138,7 @@ TEST(SimilarityMatrix, MatchesPairwiseWaveformSimilarityExactly) {
     const sim::SimilarityMatrix from_waves(waves, horizon);
     // The SimResult constructor over a subset of the nets, in a shuffled
     // order with one net repeated.
-    sim::SimResult result;
-    result.waveforms = waves;
-    result.horizon = horizon;
+    const sim::SimResult result = rows_of(waves, horizon);
     const std::vector<std::int32_t> nets = {5, 0, n - 1, 12, 7, 13, 5, 14, 2, n - 2, 9};
     const sim::SimilarityMatrix from_result(result, nets);
 
@@ -138,8 +154,8 @@ TEST(SimilarityMatrix, MatchesPairwiseWaveformSimilarityExactly) {
       for (std::size_t b = 0; b < nets.size(); ++b) {
         const double expected =
             a == b ? 1.0
-                   : sim::Waveform::similarity(result.waveforms[static_cast<std::size_t>(nets[a])],
-                                               result.waveforms[static_cast<std::size_t>(nets[b])],
+                   : sim::Waveform::similarity(waves[static_cast<std::size_t>(nets[a])],
+                                               waves[static_cast<std::size_t>(nets[b])],
                                                horizon);
         EXPECT_EQ(from_result.at(static_cast<std::int32_t>(a), static_cast<std::int32_t>(b)),
                   expected)

@@ -125,15 +125,12 @@ TEST(Vcd, InitialValuesAndTogglesRoundTrip) {
   std::int64_t total_toggles = 0;
   for (std::int32_t g = 0; g < logic.num_gates_logic(); ++g) {
     const auto& id = vcd.ids[static_cast<std::size_t>(g)];
-    const auto& waveform = result.waveforms[static_cast<std::size_t>(g)];
+    const sim::Waveform waveform = result.waveform(g);
     ASSERT_TRUE(vcd.initial.count(id)) << "missing initial value for " << id;
     EXPECT_EQ(vcd.initial.at(id), waveform.initial_value());
 
-    // Expected: exactly the waveform's toggles inside [0, horizon).
-    std::vector<sim::SimTime> expected;
-    for (sim::SimTime t : waveform.toggles()) {
-      if (t < result.horizon) expected.push_back(t);
-    }
+    // Expected: exactly the waveform's toggles, all inside [0, horizon).
+    const std::vector<sim::SimTime>& expected = waveform.toggles();
     const auto it = vcd.toggles.find(id);
     const std::vector<sim::SimTime> actual =
         it == vcd.toggles.end() ? std::vector<sim::SimTime>{} : it->second;

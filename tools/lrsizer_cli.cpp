@@ -19,6 +19,7 @@
 // reports are still written (exit code 130).
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -28,6 +29,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -250,15 +252,22 @@ double parse_double(const std::string& flag, const std::string& value) {
   }
 }
 
-long parse_long(const std::string& flag, const std::string& value) {
-  try {
-    std::size_t end = 0;
-    const long v = std::stol(value, &end);
-    if (end != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
+/// `value` as a whole number of the flag's field type. A value the type
+/// cannot hold is refused by name, never narrowed into range.
+template <class Int>
+Int parse_int(const std::string& flag, const std::string& value) {
+  Int v{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec == std::errc::result_out_of_range) {
+    fail(flag + " expects an integer in [" +
+         std::to_string(std::numeric_limits<Int>::min()) + ", " +
+         std::to_string(std::numeric_limits<Int>::max()) + "], got '" + value + "'");
+  }
+  if (ec != std::errc{} || ptr != end) {
     fail("expected an integer after " + flag + ", got '" + value + "'");
   }
+  return v;
 }
 
 CliOptions parse_args(int argc, char** argv) {
@@ -285,7 +294,7 @@ CliOptions parse_args(int argc, char** argv) {
     if (arg == "--profiles") cli.profiles = next_value(i);
     else if (arg == "--profile") cli.sweep_profile = next_value(i);
     else if (arg == "--noise") cli.sweep_range = next_value(i);
-    else if (arg == "--jobs") cli.jobs = static_cast<int>(parse_long(arg, next_value(i)));
+    else if (arg == "--jobs") cli.jobs = parse_int<int>(arg, next_value(i));
     else if (arg == "--sweep") {
       const auto mode = core::sweep_mode_from_name(next_value(i));
       if (!mode) fail("--sweep must be dense or worklist");
@@ -295,8 +304,8 @@ CliOptions parse_args(int argc, char** argv) {
       const std::string value = next_value(i);
       const std::size_t slash = value.find('/');
       if (slash == std::string::npos) fail("--shard expects K/N");
-      cli.shard_index = static_cast<int>(parse_long(arg, value.substr(0, slash)));
-      cli.shard_count = static_cast<int>(parse_long(arg, value.substr(slash + 1)));
+      cli.shard_index = parse_int<int>(arg, value.substr(0, slash));
+      cli.shard_count = parse_int<int>(arg, value.substr(slash + 1));
       if (cli.shard_count < 1 || cli.shard_index < 0 ||
           cli.shard_index >= cli.shard_count) {
         fail("--shard K/N needs 0 <= K < N");
@@ -323,50 +332,50 @@ CliOptions parse_args(int argc, char** argv) {
     }
     else if (arg == "--shielded") cli.shielded = true;
     else if (arg == "--cache-max-entries") {
-      const long v = parse_long(arg, next_value(i));
+      const auto v = parse_int<std::int64_t>(arg, next_value(i));
       if (v < 0) fail("--cache-max-entries must be >= 0");
       cli.cache_max_entries = static_cast<std::size_t>(v);
     }
     else if (arg == "--cache-max-bytes") {
-      const long v = parse_long(arg, next_value(i));
+      const auto v = parse_int<std::int64_t>(arg, next_value(i));
       if (v < 0) fail("--cache-max-bytes must be >= 0");
       cli.cache_max_bytes = static_cast<std::size_t>(v);
     }
     else if (arg == "--stats-dump") cli.stats_dump = true;
     else if (arg == "--listen") {
-      cli.listen_port = static_cast<int>(parse_long(arg, next_value(i)));
+      cli.listen_port = parse_int<int>(arg, next_value(i));
       if (cli.listen_port < 0 || cli.listen_port > 65535) {
         fail("--listen expects a port in 0..65535 (0 = ephemeral)");
       }
     }
     else if (arg == "--metrics-port") {
-      cli.metrics_port = static_cast<int>(parse_long(arg, next_value(i)));
+      cli.metrics_port = parse_int<int>(arg, next_value(i));
       if (cli.metrics_port < 0 || cli.metrics_port > 65535) {
         fail("--metrics-port expects a port in 0..65535 (0 = ephemeral)");
       }
     }
     else if (arg == "--trace") cli.trace_path = next_value(i);
     else if (arg == "--max-pending") {
-      cli.max_pending = static_cast<int>(parse_long(arg, next_value(i)));
+      cli.max_pending = parse_int<int>(arg, next_value(i));
       if (cli.max_pending < 0) fail("--max-pending must be >= 0");
     }
     else if (arg == "--max-pending-per-client") {
-      cli.max_pending_per_client = static_cast<int>(parse_long(arg, next_value(i)));
+      cli.max_pending_per_client = parse_int<int>(arg, next_value(i));
       if (cli.max_pending_per_client < 0) {
         fail("--max-pending-per-client must be >= 0");
       }
     }
     else if (arg == "--max-queue-cost") {
-      cli.max_queue_cost = parse_long(arg, next_value(i));
+      cli.max_queue_cost = parse_int<std::int64_t>(arg, next_value(i));
       if (cli.max_queue_cost < 0) fail("--max-queue-cost must be >= 0");
     }
     else if (arg == "--default-deadline-ms") {
-      cli.default_deadline_ms = parse_long(arg, next_value(i));
+      cli.default_deadline_ms = parse_int<std::int64_t>(arg, next_value(i));
       if (cli.default_deadline_ms < 0) fail("--default-deadline-ms must be >= 0");
     }
     else if (arg == "--fault-inject") cli.fault_specs.push_back(next_value(i));
-    else if (arg == "--seed") cli.seed = static_cast<std::uint64_t>(parse_long(arg, next_value(i)));
-    else if (arg == "--vectors") cli.vectors = static_cast<std::int32_t>(parse_long(arg, next_value(i)));
+    else if (arg == "--seed") cli.seed = parse_int<std::uint64_t>(arg, next_value(i));
+    else if (arg == "--vectors") cli.vectors = parse_int<std::int32_t>(arg, next_value(i));
     else if (arg == "--no-woss") cli.use_woss = false;
     else if (arg == "--progress") cli.progress = true;
     else if (arg == "--warm-start") cli.warm_start_path = next_value(i);

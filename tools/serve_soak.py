@@ -389,6 +389,31 @@ def chaos_terminal(reader, job_id):
         return response
 
 
+def deep_bench(width=32, depth=150):
+    """`.bench` text of a mesh `depth` gates deep: 4800 two-input gates at
+    the defaults, each level reading two gates of the level below. Sized at
+    16 vectors it is slow because OGWS is: on a 4-core x86 VM (Release) it
+    converges after ~935 iterations in ~1.5 s, of which stage 1 is ~7 ms.
+    A slow job built from simulator work (c6288 at many vectors) would get
+    fast whenever the simulator does."""
+    lines = ["INPUT(i%d)" % j for j in range(width)]
+    lines += ["OUTPUT(g%d_%d)" % (depth - 1, j) for j in range(width)]
+    prev = ["i%d" % j for j in range(width)]
+    ops = ("NAND", "NOR", "AND", "OR")
+    for level in range(depth):
+        cur = ["g%d_%d" % (level, j) for j in range(width)]
+        for j in range(width):
+            lines.append("%s = %s(%s, %s)" % (
+                cur[j], ops[(level + j) % 4], prev[j],
+                prev[(j + 1 + level) % width]))
+        prev = cur
+    return "\n".join(lines) + "\n"
+
+
+SLOW_INPUT = {"bench": deep_bench()}
+SLOW_OPTIONS = {"vectors": 16, "max_iterations": 2000}
+
+
 def run_chaos_client(index, port, jobs, failures, tallies, lock):
     """Sequential requests, one terminal per job, under armed faults: an
     injected parse error is resent (the id is echoed), an overloaded shed
@@ -408,8 +433,8 @@ def run_chaos_client(index, port, jobs, failures, tallies, lock):
                 "type": "size",
                 "id": job_id,
                 "seed": k + 1,
-                "input": {"profile": "c6288" if slow else "c17"},
-                "options": {"vectors": 2048 if slow else 8},
+                "input": SLOW_INPUT if slow else {"profile": "c17"},
+                "options": SLOW_OPTIONS if slow else {"vectors": 8},
             }
             payload = (json.dumps(request) + "\n").encode()
             attempt = 0
@@ -470,9 +495,9 @@ def run_chaos(args):
                          daemon=True).start()
         probe_healthz(metrics_port)
 
-        # Phase 1: chaos load. Every 4th job is slow enough that the 400 ms
-        # default deadline cuts it; every 7th request line hits an injected
-        # parse fault; every 2nd disk-cache persist is dropped.
+        # Phase 1: chaos load. Every 4th job is the deep mesh, which the
+        # 400 ms default deadline cuts mid-OGWS; every 7th request line hits
+        # an injected parse fault; every 2nd disk-cache persist is dropped.
         failures, lock = [], threading.Lock()
         tallies = {"completed": 0, "timeouts": 0, "parse_retries": 0,
                    "shed": 0}
@@ -495,15 +520,16 @@ def run_chaos(args):
         assert tallies["parse_retries"] >= 1, tallies
         assert tallies["timeouts"] >= 1, tallies
 
-        # Phase 2: anchor a slow job (deadline_ms: 0 opts out of the server
-        # default) so the drain window below stays open.
+        # Phase 2: anchor the deep mesh (deadline_ms: 0 opts out of the
+        # server default) so the drain window below stays open.
         anchor = socket.create_connection(("127.0.0.1", port), timeout=120)
         anchor.settimeout(120)
         reader = anchor.makefile("rb")
         json.loads(reader.readline())  # hello
-        request = (b'{"type":"size","id":"anchor","seed":991,'
-                   b'"input":{"profile":"c6288"},"options":{"vectors":256},'
-                   b'"progress":1,"deadline_ms":0}\n')
+        request = (json.dumps({
+            "type": "size", "id": "anchor", "seed": 991,
+            "input": SLOW_INPUT, "options": SLOW_OPTIONS,
+            "progress": 1, "deadline_ms": 0}) + "\n").encode()
         started = False
         while not started:
             anchor.sendall(request)
