@@ -5,14 +5,12 @@
 //
 // One row per kernel, ns/op: stage 1's logic simulation and its channel
 // similarity matrices, the load, upstream and arrival passes, a full LRS
-// solve, the OGWS dual update A4+A5, the flow projection and the noise
-// metric. Two rows compare the LRS sweep modes on a steady-state re-solve
-// (perturb ~1% of μ, re-solve from the fixpoint): "lrs_sweep_dense" vs
-// "lrs_sweep_worklist". A last row times one OGWS iteration's analysis
-// sequence ("ogws_iteration", the multiplier update excluded). Every row
-// that runs LRS names its sweep mode explicitly, so a change of the library
-// default leaves the rows' meaning alone: lrs_solve and ogws_iteration time
-// the dense Figure-8 sweep.
+// solve from the lower bounds, the OGWS dual update A4+A5, the flow
+// projection and the noise metric. "lrs_sweep_resolve" times a steady-state
+// re-solve (perturb ~1% of μ, re-solve from the fixpoint), the shape of an
+// OGWS iteration's LRS call. A last row times one OGWS iteration's analysis
+// sequence ("ogws_iteration", the multiplier update excluded) around a solve
+// from the lower bounds.
 //
 // --json writes the machine-readable BENCH_kernels.json (schema
 // lrsizer-bench-kernels-v2: git SHA, per-kernel ns) that CI uploads as a
@@ -135,7 +133,6 @@ Instance make_instance(const std::string& profile) {
   core::OgwsOptions warmup;
   warmup.max_iterations = 8;
   warmup.record_history = false;
-  warmup.lrs.sweep = core::SweepMode::kDense;  // the snapshot every row starts from
   core::OgwsControl control;
   control.capture_warm_start = true;
   const auto warm = core::run_ogws(elab.circuit, coupling, bounds, warmup, control);
@@ -253,13 +250,19 @@ int main(int argc, char** argv) {
     timing::compute_arrivals(circuit, circuit.sizes(), loads, arrivals);
   });
 
+  // A solve from S1's lower bounds. run_lrs resumes a reused workspace from
+  // the x it is handed, so each op hands it L (a copy, not an allocation).
   core::LrsWorkspace lrs_ws;
-  core::LrsOptions lrs_options;
-  lrs_options.sweep = core::SweepMode::kDense;
+  const core::LrsOptions lrs_options;
   const double beta = inst.multipliers.beta;
   const core::NoiseMultipliers gamma(inst.multipliers.gamma);
-  std::vector<double> x = circuit.sizes();
+  std::vector<double> x_lower = circuit.sizes();
+  for (netlist::NodeId v = circuit.first_component(); v < circuit.end_component(); ++v) {
+    x_lower[static_cast<std::size_t>(v)] = circuit.lower_bound(v);
+  }
+  std::vector<double> x = x_lower;
   bench("lrs_solve", [&] {
+    x = x_lower;
     core::run_lrs(circuit, inst.coupling, inst.mu, beta, gamma, lrs_options, x, lrs_ws);
   });
 
@@ -296,38 +299,29 @@ int main(int argc, char** argv) {
   inst.multipliers.beta = beta0;
   inst.multipliers.gamma = gamma0;
 
-  // ---- worklist vs dense LRS sweeps (steady-state re-solve) ----
+  // ---- steady-state LRS re-solve ----
   //
-  // The scenario worklist mode exists for: a converged solve whose μ vector
-  // is then perturbed a little, as one OGWS dual step does. Each op scales
-  // ~1% of the μ entries by ×1.01 — alternating with ÷1.01 so repeats stay
-  // bounded — and re-solves from the previous fixpoint. Dense warm-starts
-  // but still prices every component each pass; worklist re-processes only
-  // the seeded frontier.
-  auto bench_sweep = [&](const std::string& kernel, core::SweepMode sweep_mode) {
-    core::LrsOptions opts;
-    opts.warm_start = true;
-    opts.sweep = sweep_mode;
+  // A converged solve whose μ vector is then perturbed a little, as one OGWS
+  // dual step does. Each op scales ~1% of the μ entries by ×1.01 —
+  // alternating with ÷1.01 so repeats stay bounded — and re-solves on the
+  // same workspace from the previous fixpoint, whose loads it reuses.
+  {
     std::vector<double> mu_local = inst.mu;
-    std::vector<double> x_local = circuit.sizes();
+    std::vector<double> x_local = x_lower;
     core::LrsWorkspace ws;
-    core::LrsOptions cold = opts;  // converge once: ops then measure the
-    cold.warm_start = false;       // incremental regime, not the first solve
-    core::run_lrs(circuit, inst.coupling, mu_local, beta, gamma, cold, x_local,
-                  ws);
+    // Converge once: ops then measure the re-solve, not the first solve.
+    core::run_lrs(circuit, inst.coupling, mu_local, beta, gamma, lrs_options, x_local, ws);
     std::int64_t toggle = 0;
-    return bench(kernel, [&] {
+    bench("lrs_sweep_resolve", [&] {
       const double f = (toggle++ % 2 == 0) ? 1.01 : 1.0 / 1.01;
       for (std::size_t i = 7; i < mu_local.size(); i += 97) {
         mu_local[i] *= f;
       }
-      core::run_lrs(circuit, inst.coupling, mu_local, beta, gamma, opts, x_local, ws);
+      core::run_lrs(circuit, inst.coupling, mu_local, beta, gamma, lrs_options, x_local,
+                    ws);
       g_bench_sink = x_local[x_local.size() / 2];
     });
-  };
-  const double dense_sweep_ns = bench_sweep("lrs_sweep_dense", core::SweepMode::kDense);
-  const double worklist_sweep_ns =
-      bench_sweep("lrs_sweep_worklist", core::SweepMode::kWorklist);
+  }
 
   // ---- reference kernels (Figure 10b linearity set) ----
 
@@ -342,6 +336,7 @@ int main(int argc, char** argv) {
   const double mu_sink = inst.multipliers.sink_mu(circuit);
   bench("ogws_iteration", [&] {
     inst.multipliers.compute_mu(circuit, inst.mu);  // A2
+    x = x_lower;
     core::run_lrs(circuit, inst.coupling, inst.mu, beta, gamma, lrs_options, x,
                   lrs_ws);
     timing::compute_arrivals(circuit, x, lrs_ws.loads, arrivals);
@@ -361,8 +356,6 @@ int main(int argc, char** argv) {
     table.add_row({row.kernel, util::TextTable::num(row.ns_per_op, 0)});
   }
   table.print(std::cout);
-  std::printf("worklist sweep: %.2fx over dense on the same re-solve\n",
-              dense_sweep_ns / worklist_sweep_ns);
 
   if (!args.json_path.empty()) {
     runtime::Json j = runtime::Json::object();

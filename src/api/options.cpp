@@ -1,6 +1,9 @@
 #include "api/options.hpp"
 
+#include <algorithm>
 #include <sstream>
+
+#include "sim/simulator.hpp"
 
 namespace lrsizer::api {
 
@@ -127,6 +130,19 @@ Status validate_options(const core::FlowOptions& options) {
     return Status::InvalidArgument(out.str());
   }
   return Status::Ok();
+}
+
+Status check_sim_rows(const netlist::LogicNetlist& netlist, const core::FlowOptions& options) {
+  const std::int64_t nets = std::max<std::int64_t>(netlist.num_gates_logic(), 1);
+  const std::int64_t max_vectors =
+      sim::max_vectors_within(kMaxSimRowBytes, nets, options.sim.vector_period);
+  if (options.num_vectors <= max_vectors) return Status::Ok();
+  std::ostringstream out;
+  out << "num_vectors (" << options.num_vectors << ") would need more than "
+      << (kMaxSimRowBytes >> 20) << " MiB of simulation rows for " << nets
+      << " nets at sim.vector_period " << options.sim.vector_period << "; at most "
+      << max_vectors << " vectors fit";
+  return Status::InvalidArgument(out.str());
 }
 
 }  // namespace lrsizer::api

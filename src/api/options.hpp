@@ -8,8 +8,11 @@
 // directly and may call it themselves to fail early.
 #pragma once
 
+#include <cstdint>
+
 #include "api/status.hpp"
 #include "core/flow.hpp"
+#include "netlist/logic_netlist.hpp"
 
 namespace lrsizer::api {
 
@@ -28,5 +31,17 @@ inline constexpr double kMinBoundFactor = 1e-150;
 /// everything the flow can actually run; otherwise kInvalidArgument with a
 /// message naming the field, the offending value, and the constraint.
 Status validate_options(const core::FlowOptions& options);
+
+/// Stage 1 holds one row of ⌈T/64⌉ words per net (sim::SimResult), so its
+/// memory grows with num_vectors. This is the most it may hold.
+inline constexpr std::int64_t kMaxSimRowBytes = std::int64_t{256} << 20;
+
+/// kInvalidArgument naming num_vectors when stage 1's rows for `netlist`'s
+/// nets at `options.num_vectors` vectors would pass kMaxSimRowBytes; OK
+/// otherwise. SizingSession::simulate_and_order checks it before it
+/// allocates any of them, and serve::parse_request at admission, so a
+/// server refuses such a request before answering `accepted`. `options`
+/// must pass validate_options.
+Status check_sim_rows(const netlist::LogicNetlist& netlist, const core::FlowOptions& options);
 
 }  // namespace lrsizer::api

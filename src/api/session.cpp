@@ -18,15 +18,6 @@
 
 namespace lrsizer::api {
 
-namespace {
-
-/// Stage 1 holds one row of ⌈T/64⌉ words per net (sim::SimResult), so its
-/// memory grows with num_vectors. A request whose rows would pass this is
-/// refused before any of it is allocated.
-constexpr std::int64_t kMaxSimRowBytes = std::int64_t{256} << 20;
-
-}  // namespace
-
 SizingSession::SizingSession(netlist::LogicNetlist netlist, core::FlowOptions options)
     : netlist_(std::move(netlist)), options_(std::move(options)) {}
 
@@ -116,17 +107,7 @@ Status SizingSession::simulate_and_order() {
       !st.ok()) {
     return st;
   }
-  const std::int64_t nets = netlist_.num_gates_logic();
-  const std::int64_t max_vectors =
-      sim::max_vectors_within(kMaxSimRowBytes, nets, options_.sim.vector_period);
-  if (options_.num_vectors > max_vectors) {
-    std::ostringstream out;
-    out << "num_vectors (" << options_.num_vectors << ") would need more than "
-        << (kMaxSimRowBytes >> 20) << " MiB of simulation rows for " << nets
-        << " nets at sim.vector_period " << options_.sim.vector_period << "; at most "
-        << max_vectors << " vectors fit";
-    return Status::InvalidArgument(out.str());
-  }
+  if (Status st = check_sim_rows(netlist_, options_); !st.ok()) return st;
 
   const netlist::Circuit& circuit = elab_->circuit;
   util::WallTimer stage1_timer;

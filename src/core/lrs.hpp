@@ -12,14 +12,19 @@
 //
 //   S5. repeat S2–S4 until no improvement.
 //
-// Because the transformed problem is convex with a unique optimum, this
-// coordinate-greedy scheme converges to the subproblem's global minimum
+// One pass fuses S3 and S4 into a forward walk: R_i depends only on the
+// fanins (lower indices), so the walk computes it from the sizes this pass
+// already set and resizes component i at once; a reverse load pass (S2)
+// closes the pass. Under kLocalOnly loads C'_i reads only higher-index sizes,
+// which the walk has not reached, so every resize is the exact minimizer of
+// L over x_i with every other size fixed (docs/ARCHITECTURE.md §One-sweep
+// LRS). Because the transformed problem is convex with a unique optimum,
+// this coordinate-greedy scheme converges to the subproblem's global minimum
 // (Theorem on page 4); tests verify stationarity against numeric gradients.
 #pragma once
 
-#include <functional>
-#include <optional>
-#include <string_view>
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "core/multipliers.hpp"
@@ -56,55 +61,30 @@ struct NoiseMultipliers {
   }
 };
 
-/// Sweep strategy for S4 (docs/ARCHITECTURE.md §Worklist LRS).
-enum class SweepMode {
-  /// Paper Figure 8: every pass re-evaluates every component. The bit-exact
-  /// reference and the oracle of the worklist's differential tests; select
-  /// it explicitly (`--sweep dense`, serve "sweep":"dense").
-  kDense,
-  /// Worklist (Galois-style) mode, the default: each pass evaluates only
-  /// components whose resize inputs — numerator term μ_i·r̂_i·C'_i,
-  /// denominator (β + R_i) terms, or a coupling neighbor's size — drifted
-  /// more than tol/8 since the node was last evaluated; dirtiness propagates
-  /// to coupling neighbors. Converges to the same fixpoint within tolerance
-  /// (the seeding step re-checks every component whose inputs moved, so an
-  /// empty frontier certifies ε-stationarity and stops the sweep) but skips
-  /// clean nodes, so iterates are NOT bit-identical to kDense. Worklist runs persist x and the
-  /// snapshot state across calls via LrsWorkspace, so successive OGWS
-  /// iterations re-process only what the multiplier step perturbed, and a
-  /// pass after a small sweep repairs the loads and upstream resistances
-  /// instead of recomputing them.
-  kWorklist,
-};
-
-/// Canonical lowercase name ("dense" / "worklist") — cache canon, CLI, serve.
-const char* sweep_mode_name(SweepMode mode);
-/// Inverse of sweep_mode_name; nullopt for any other string.
-std::optional<SweepMode> sweep_mode_from_name(std::string_view name);
-
 struct LrsOptions {
   int max_passes = 100;
   /// Fixpoint tolerance: stop when max_i |Δx_i|/x_i falls below this.
   double tol = 1e-4;
-  /// Paper S1 resets x to the lower bounds every call; warm start reuses
-  /// the incoming x (ablation A1 measures the difference).
+  /// Paper S1 starts a fresh workspace's first call at the lower bounds;
+  /// warm start keeps the incoming x instead (ablation A1 measures the
+  /// difference). Later calls on the same workspace always resume from the
+  /// incoming x.
   bool warm_start = false;
   timing::CouplingLoadMode mode = timing::CouplingLoadMode::kLocalOnly;
-  SweepMode sweep = SweepMode::kWorklist;
 };
 
 struct LrsStats {
   int passes = 0;
   double max_rel_change = 0.0;  ///< at the last pass
-  /// Component evaluations summed over the passes (dense: components ×
-  /// passes; worklist: only frontier nodes). The <25%-reprocessed
-  /// acceptance metric divides this by passes × components.
+  /// Component evaluations summed over the passes: every pass resizes every
+  /// component, so this is passes × components.
   long long nodes_processed = 0;
 };
 
-/// Scratch buffers reused across calls (the OGWS loop calls LRS every
-/// iteration; reusing keeps allocation out of the per-iteration cost).
+/// State reused across calls (the OGWS loop calls LRS every iteration;
+/// reusing keeps allocation and a load pass out of the per-iteration cost).
 struct LrsWorkspace {
+  /// Loads at the x the last call returned (the hand-back contract below).
   timing::LoadAnalysis loads;
   std::vector<double> r_up;
   /// Pass-invariant per-node terms of Theorem 5's opt_i, hoisted out of the
@@ -114,94 +94,42 @@ struct LrsWorkspace {
   /// exact order optimal_resize uses, so the hoist is bit-neutral.
   std::vector<double> mu_res;
   std::vector<double> gamma_coef;
-
-  // --- Worklist-mode state (SweepMode::kWorklist). Persists across run_lrs
-  // calls on the same circuit so successive OGWS iterations seed their
-  // frontier from what actually changed; run_lrs (re)initializes it whenever
-  // `worklist_valid` is false or the circuit size changed, and any dense run
-  // invalidates it (a dense sweep rewrites x without maintaining snapshots).
-  /// Frontier flag per NodeId: 1 = evaluate on the next pass.
-  std::vector<unsigned char> pending;
-  /// μ_i·r̂_i·C'_i at the node's last evaluation (numerator drift check).
-  std::vector<double> snap_num;
-  /// Full Theorem-5 denominator at the node's last evaluation.
-  std::vector<double> snap_den;
-  /// x_i when the node last flagged its coupling neighbors; comparing
-  /// against the *flag-time* size (not last pass's) makes the neighbor
-  /// dirtiness test cumulative, so slow sub-eps drift cannot accumulate
-  /// unnoticed.
-  std::vector<double> snap_x;
-  /// Per-pass scratch: which components the sweep evaluated (only
-  /// maintained when LrsRuntime::probe is set).
-  std::vector<unsigned char> processed;
-  /// Nodes whose load entries must be recomputed (exact, bit-driven — not
-  /// the eps-thresholded `pending`): a resize that changed x_i bit-wise
-  /// marks i and its coupling neighbors; the incremental load pass then
-  /// propagates along changed load_in values to fanins. Keeping `loads`
-  /// maintained this way is bit-identical to a full compute_loads pass (see
-  /// timing::compute_node_loads) at a fraction of the per-pass cost.
-  std::vector<unsigned char> loads_dirty;
-  /// Components whose x changed bit-wise in a sweep since the last upstream
-  /// pass; the upstream repair turns each into its fanouts'
-  /// `upstream_dirty` flags.
-  std::vector<unsigned char> x_moved;
-  /// Nodes whose r_up the upstream repair must recompute (exact,
-  /// bit-driven): a moved fanin, or a wire fanin whose r_up changed. The
-  /// repair keeps r_up bit-identical to a full compute_weighted_upstream
-  /// (see timing::compute_node_upstream).
-  std::vector<unsigned char> upstream_dirty;
-  /// Components whose cap_prime or r_up a repair changed since the last
-  /// seeding step — the only resize inputs that move within a call, so a
-  /// repaired pass re-checks just these.
-  std::vector<netlist::NodeId> reseed;
-  /// x as this workspace's last worklist run left it. A resumed run diffs
-  /// the incoming x against it (callers may legally hand back a modified x)
-  /// and marks any externally changed node dirty + pending instead of
-  /// recomputing the loads from scratch.
+  /// The x the last call returned, empty on a fresh workspace. A call whose
+  /// incoming x equals it bit for bit (under the same load mode) reuses
+  /// `loads` instead of starting with a load pass; any other x — a caller
+  /// may hand back an edited one — gets a fresh pass.
   std::vector<double> exit_x;
-  /// CouplingLoadMode (as int) the persisted loads were computed under; a
-  /// mode switch forces a cold start.
-  int loads_mode = -1;
-  bool worklist_valid = false;
+  timing::CouplingLoadMode exit_mode = timing::CouplingLoadMode::kLocalOnly;
 };
 
-/// Test-only observation hooks for the worklist sweep; the dirty-set
-/// property tests replay skipped nodes against the frozen pass-start state
-/// and check the repaired analyses and frontier against full recomputation.
-/// Both fire in worklist mode only.
-struct LrsProbe {
-  /// After frontier seeding, before the sweep of (0-based) `pass`: the state
-  /// the sweep will read and the frontier it will honor.
-  std::function<void(int pass, const std::vector<double>& x,
-                     const timing::LoadAnalysis& loads,
-                     const std::vector<double>& r_up,
-                     const std::vector<unsigned char>& pending)>
-      on_pass_begin;
-  /// After the sweep: which components it actually evaluated.
-  std::function<void(int pass, const std::vector<unsigned char>& processed)>
-      on_pass_end;
-};
-
-/// Out-of-band observation hooks for run_lrs — nothing in here changes the
-/// result.
-struct LrsRuntime {
-  /// Flow tracing: one span per LRS pass (sweep) when set. nullptr (the
-  /// default) costs a single pointer test per pass — see obs/trace.hpp.
-  obs::TraceSession* trace = nullptr;
-  /// Worklist observation hooks (tests only); nullptr disables.
-  const LrsProbe* probe = nullptr;
-};
+/// Theorem 5's resize with its box clamp: min(U, max(L, √(max(num, 0)/den))).
+/// A numerator at or below L²·den·(1 − 1e-12) gives L without the sqrt and
+/// the divide. The rounding of those products and of the sqrt path adds up
+/// to a few ulp, far inside the 1e-12 margin, so the shortcut returns L only
+/// where √(num/den) < L: the result is bit-identical to the sqrt path. The
+/// margin argument needs L² and the product in the normal range, which the
+/// two isnormal tests keep true. Most evaluations in a solve end pinned at
+/// L, which is what makes the shortcut pay. `denominator` must be positive.
+inline double clamped_resize(double numerator, double denominator, double lower,
+                             double upper) {
+  const double lower_sq = lower * lower;
+  const double floor = lower_sq * denominator * (1.0 - 1e-12);
+  if (numerator <= floor && std::isnormal(lower_sq) && std::isnormal(floor)) return lower;
+  return std::clamp(std::sqrt(std::max(numerator, 0.0) / denominator), lower, upper);
+}
 
 /// Minimize L_{λ,β,γ}(x) over the size box; x is in/out (indexed by NodeId).
 ///
 /// Hand-back contract: on return, `workspace.loads` holds the load analysis
-/// at the returned x (each pass refreshes it *after* the resize sweep), so
-/// the caller's post-LRS timing (OGWS step A3's arrival pass) reuses it
-/// instead of recomputing — one full load pass saved per OGWS iteration.
+/// at the returned x (each pass ends with the load pass), so the caller's
+/// post-LRS timing (OGWS step A3's arrival pass) reuses it instead of
+/// recomputing, and a next call handed that x back unchanged starts without
+/// one. Callers read `workspace.loads` and never write it. `trace` records
+/// one "lrs_pass" span per pass when set; it never changes the result.
 LrsStats run_lrs(const netlist::Circuit& circuit, const layout::CouplingSet& coupling,
                  const std::vector<double>& mu, double beta, const NoiseMultipliers& gamma,
                  const LrsOptions& options, std::vector<double>& x,
-                 LrsWorkspace& workspace, const LrsRuntime& runtime = LrsRuntime{});
+                 LrsWorkspace& workspace, obs::TraceSession* trace = nullptr);
 
 /// Theorem 5's opt_i for one component given current analyses; exposed for
 /// tests (stationarity checks) and diagnostics.

@@ -217,9 +217,6 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
   LrsWorkspace workspace;
   timing::ArrivalAnalysis arrivals;
 
-  LrsRuntime lrs_runtime;
-  lrs_runtime.trace = control.trace;
-
   // Max relative violation over every relaxed constraint at iterate `xs`.
   auto max_rel_violation = [&](const std::vector<double>& xs, double delay,
                                double cap, double noise) -> double {
@@ -239,11 +236,12 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
                      relative_violation(noise, bounds.noise_f), viol_per_net, 0.0});
   };
 
-  // Area + max violation of `xs`, refreshing the workspace analyses (reused
-  // buffers — no allocation after the first call).
+  // Area + max violation of `xs`. The loads are its own: workspace.loads
+  // belongs to run_lrs, which reuses them when handed its last x back.
   auto evaluate_sizes = [&](const std::vector<double>& xs) {
-    timing::compute_loads(circuit, coupling, xs, options.lrs.mode, workspace.loads);
-    timing::compute_arrivals(circuit, xs, workspace.loads, arrivals);
+    timing::LoadAnalysis loads;
+    timing::compute_loads(circuit, coupling, xs, options.lrs.mode, loads);
+    timing::compute_arrivals(circuit, xs, loads, arrivals);
     const double area = timing::total_area(circuit, xs);
     const double violation =
         max_rel_violation(xs, arrivals.critical_delay, timing::total_cap(circuit, xs),
@@ -337,7 +335,7 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
     // pass here.
     const LrsStats lrs_stats =
         run_lrs(circuit, coupling, mu, multipliers.beta, noise_duals(),
-                options.lrs, x, workspace, lrs_runtime);
+                options.lrs, x, workspace, control.trace);
     timing::compute_arrivals(circuit, x, workspace.loads, arrivals);
 
     // Metrics of this iterate. The dual reuses the arrival analysis's Elmore

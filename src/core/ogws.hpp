@@ -80,8 +80,7 @@ struct OgwsIterate {
   double max_violation = 0.0;  ///< max relative constraint violation
   int lrs_passes = 0;
   /// Node evaluations the inner LRS solver performed this iteration (summed
-  /// over its passes). Dense sweeps evaluate every component each pass;
-  /// worklist sweeps (LrsOptions::sweep) evaluate only the dirty frontier.
+  /// over its passes; every pass evaluates every component).
   long long lrs_nodes_processed = 0;
   double seconds = 0.0;     ///< wall time of this iteration
 };

@@ -83,8 +83,8 @@ std::string hex16(std::uint64_t v) {
 /// every key moves with it, so an entry an older server persisted under
 /// --cache-dir misses once and is re-sized instead of replaying an answer
 /// this solver would not give. 1: the step0/k^¼ step and the stop on a dual
-/// above the box's maximum area (0.14).
-constexpr std::int64_t kSolverRevision = 1;
+/// above the box's maximum area (0.14). 2: the one-sweep LRS (0.16).
+constexpr std::int64_t kSolverRevision = 2;
 
 }  // namespace
 
@@ -125,9 +125,6 @@ Json canonical_options_json(const core::FlowOptions& o) {
   lrs.set("tol", o.ogws.lrs.tol);
   lrs.set("warm_start", o.ogws.lrs.warm_start);
   lrs.set("mode", load_mode_name(o.ogws.lrs.mode));
-  // Sweep strategy splits the cache: worklist results are
-  // tolerance-equivalent to dense, not bit-identical.
-  lrs.set("sweep", core::sweep_mode_name(o.ogws.lrs.sweep));
   ogws.set("lrs", lrs);
   ogws.set("record_history", o.ogws.record_history);
   j.set("ogws", ogws);

@@ -121,14 +121,10 @@ Status apply_request_options(const Json& overrides, core::FlowOptions* options) 
       // still send it.
     } else if (key == "max_iterations" && is_i32) {
       options->ogws.max_iterations = static_cast<int>(integer);
-    } else if (key == "sweep" && value.is_string()) {
-      const auto mode = core::sweep_mode_from_name(value.as_string());
-      if (!mode) {
-        return Status::InvalidArgument(
-            "option \"sweep\" must be \"dense\" or \"worklist\", got \"" +
-            value.as_string() + "\"");
-      }
-      options->ogws.lrs.sweep = *mode;
+    } else if (key == "sweep" && value.is_string() &&
+               (value.as_string() == "dense" || value.as_string() == "worklist")) {
+      // Accepted and ignored: LRS has one sweep since 0.16. Clients written
+      // against 0.10-0.15 may still send either of the two old values.
     } else {
       return Status::InvalidArgument(
           "unknown, mistyped or out-of-range option \"" + key +
@@ -232,6 +228,12 @@ Status parse_request(const std::string& line, const core::FlowOptions& base,
   if (!input) return Status::InvalidArgument("size request needs \"input\"");
   if (const Status st =
           parse_input(*input, request.size.job.seed, &request.size.job);
+      !st.ok()) {
+    return st;
+  }
+  // The netlist fixes the net count, so stage 1's row budget is known here:
+  // a request past it is refused before `accepted`, like any option error.
+  if (const Status st = api::check_sim_rows(request.size.job.netlist, request.size.job.options);
       !st.ok()) {
     return st;
   }

@@ -54,15 +54,10 @@ void compute_loads(const netlist::Circuit& circuit, const layout::CouplingSet& c
                    const std::vector<double>& x, CouplingLoadMode mode,
                    LoadAnalysis& out);
 
-/// Recompute node v's three load entries in place. This is the exact
-/// per-node body of compute_loads (the full sweep calls it), so selectively
-/// re-running it over any superset of the nodes whose inputs (own/neighbor
-/// sizes, children's load_in) changed — in descending node order — yields
-/// loads bit-identical to a full sweep: same pure function, same inputs.
-/// The worklist LRS sweep uses this for incremental load maintenance.
-/// `out` must be sized and v's children's load_in entries must be final.
-/// Writes only node v's slots. Inline because both callers run it once per
-/// node per pass.
+/// Recompute node v's three load entries in place: the per-node body of
+/// compute_loads, which runs it once per node in descending order. `out`
+/// must be sized and v's children's load_in entries must be final. Writes
+/// only node v's slots. Inline so the sweep makes no call per node.
 inline void compute_node_loads(const netlist::Circuit& circuit,
                                const layout::CouplingSet& coupling,
                                const std::vector<double>& x, CouplingLoadMode mode,

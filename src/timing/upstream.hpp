@@ -25,15 +25,12 @@ void compute_weighted_upstream(const netlist::Circuit& circuit,
                                const std::vector<double>& mu,
                                std::vector<double>& r_up);
 
-/// Recompute node v's r_up entry in place. This is the exact per-node body
-/// of compute_weighted_upstream (the full sweep calls it), so re-running it
-/// over any superset of the nodes whose inputs (fanin sizes and μ, wire
-/// fanins' r_up) changed — in ascending node order — yields r_up
-/// bit-identical to a full sweep: same pure function, same inputs. The
-/// worklist LRS sweep uses this for incremental upstream maintenance, the
-/// twin of compute_node_loads. `r_up` must be sized and v's wire fanins'
-/// entries must be final. Writes r_up[v] only. Inline because both callers
-/// run it once per node per pass.
+/// Recompute node v's r_up entry in place: the per-node body of
+/// compute_weighted_upstream. LRS's forward walk calls it for each
+/// component just before resizing it, from the sizes its fanins got earlier
+/// in the same pass. `r_up` must be sized and v's wire fanins' entries must
+/// be final. Writes r_up[v] only. Inline because both callers run it once
+/// per node per pass.
 inline void compute_node_upstream(const netlist::Circuit& circuit,
                                   const std::vector<double>& x,
                                   const std::vector<double>& mu,

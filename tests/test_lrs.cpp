@@ -51,15 +51,14 @@ TEST(Lrs, ZeroMuCollapsesToLowerBounds) {
 }
 
 TEST(Lrs, ConvergesToFixpoint) {
-  // Figure 8's S5 rule: the dense sweep stops once a whole pass moves every
-  // size by less than tol.
+  // Figure 8's S5 rule: the sweep stops once a whole pass moves every size
+  // by less than tol.
   auto f = Fig1Circuit::make();
   const auto coupling = f.make_coupling();
   const auto mu = make_mu(f.circuit, 1e13);
   auto x = f.circuit.sizes();
   core::LrsWorkspace ws;
   core::LrsOptions options;
-  options.sweep = core::SweepMode::kDense;
   const auto stats = core::run_lrs(f.circuit, coupling, mu, 0.0, 0.0, options, x, ws);
   EXPECT_LT(stats.max_rel_change, options.tol);
   EXPECT_LT(stats.passes, options.max_passes);

@@ -288,53 +288,98 @@ std::string ledger_line(const LedgerRow& r) {
 // work and returned the same bits; any drift is an algorithmic change, never
 // noise. A change that alters the work on purpose pastes the regenerated
 // rows below over these and says why.
-TEST(Ogws, WorkLedgerMatchesTheRecordedRows) {
-  const std::vector<LedgerRow> expected = {
+const std::vector<LedgerRow>& recorded_ledger() {
+  static const std::vector<LedgerRow> kRows = {
       // circuit, iterations, LRS passes, LRS node evaluations, sim events,
       // area, best dual
-      {"c17", 67, 398, 5121, 250, "0x1.89fff7874fd6bp+9", "0x1.6f7e049f1f388p+12"},
-      {"c1355", 18, 73, 69996, 11440, "0x1.2efb0b6ed7f7p+12", "0x1.2c1e282e96014p+12"},
-      {"c1908", 26, 97, 125956, 24252, "0x1.c501e26da6defp+12", "0x1.c08577c04355cp+12"},
-      {"c2670", 40, 175, 251337, 34826, "0x1.980bf8b90686dp+13", "0x1.adb69155d9744p+13"},
-      {"c3540", 27, 195, 298790, 82962, "0x1.e1cec8c0cc562p+13", "0x1.dd99c51cd4c2p+13"},
-      {"c432", 25, 149, 39854, 5241, "0x1.20d49023c6fa2p+11", "0x1.2cfe320570678p+11"},
-      {"c499", 23, 122, 86815, 11016, "0x1.8e10bde9d3cf9p+12", "0x1.d8967fe9e9914p+12"},
-      {"c5315", 56, 197, 649012, 112017, "0x1.570a4cf7f9894p+14", "0x1.53ade9150e0bdp+14"},
-      {"c6288", 112, 314, 1260695, 289034, "0x1.53569e6747e72p+14", "0x1.4ff46bd28cc58p+14"},
-      {"c7552", 47, 210, 862107, 146032, "0x1.02e0251ef3e24p+15", "0x1.00586e931a883p+15"},
-      {"c880", 21, 90, 55680, 8076, "0x1.c1d2f1700ec96p+11", "0x1.bdaad455cb206p+11"},
+      {"c17", 67, 242, 4840, 250, "0x1.8a001c0f79f8fp+9", "0x1.6f7e08063509p+12"},
+      {"c1355", 18, 54, 86940, 11440, "0x1.2efb09a0487d7p+12", "0x1.2c1e2806876dep+12"},
+      {"c1908", 26, 83, 197374, 24252, "0x1.c501e1c673f07p+12", "0x1.c085775e6cd2ep+12"},
+      {"c2670", 40, 136, 444584, 34826, "0x1.980c087c09d82p+13", "0x1.adb6a3621f88cp+13"},
+      {"c3540", 27, 111, 511488, 82962, "0x1.e1cecb72c556ap+13", "0x1.dd99c99f1ab2ap+13"},
+      {"c432", 25, 89, 56960, 5241, "0x1.20d493610acf2p+11", "0x1.2cfe374dad419p+11"},
+      {"c499", 23, 84, 121128, 11016, "0x1.8e10d34bebcbfp+12", "0x1.d896a57c4762cp+12"},
+      {"c5315", 56, 164, 1097652, 112017, "0x1.570a498d9dc12p+14", "0x1.53ade8786e05fp+14"},
+      {"c6288", 112, 254, 1832864, 289034, "0x1.53569d9f3c714p+14", "0x1.4ff46b5f8b36dp+14"},
+      {"c7552", 47, 156, 1506336, 146032, "0x1.02e024bd47354p+15", "0x1.00586ee2e70dep+15"},
+      {"c880", 21, 63, 70056, 8076, "0x1.c1d2f152f8878p+11", "0x1.bdaad42b44538p+11"},
   };
+  return kRows;
+}
+
+/// The ledger's circuits, in recorded_ledger() order.
+std::vector<std::pair<std::string, netlist::LogicNetlist>> ledger_circuits() {
   std::vector<std::pair<std::string, netlist::LogicNetlist>> circuits;
   circuits.emplace_back("c17", netlist::parse_bench_string(netlist::kIscas85C17));
   for (const auto& profile : netlist::iscas85_profiles()) {
     circuits.emplace_back(profile.name,
                           netlist::generate_circuit(netlist::spec_for_profile(profile.name)));
   }
+  return circuits;
+}
+
+/// Size one ledger circuit at default options (traced into `trace` when
+/// set) and count its OGWS and LRS work. `sim_events` stays 0.
+LedgerRow size_ledger_row(const std::string& name, netlist::LogicNetlist netlist,
+                          obs::TraceSession* trace) {
+  LedgerRow row;
+  row.circuit = name;
+  api::SizingSession session(std::move(netlist), core::FlowOptions{});
+  session.set_trace(trace);
+  EXPECT_TRUE(session.run_all().ok()) << name;
+  if (!session.has_result()) return row;
+  const core::OgwsResult& ogws = session.result().ogws;
+  row.iterations = ogws.iterations;
+  for (const core::OgwsIterate& it : ogws.history) {
+    row.lrs_passes += it.lrs_passes;
+    row.lrs_nodes += it.lrs_nodes_processed;
+  }
+  row.area = hex_double(ogws.area);
+  row.dual = hex_double(ogws.dual);
+  return row;
+}
+
+TEST(Ogws, WorkLedgerMatchesTheRecordedRows) {
   std::string want;
-  for (const LedgerRow& row : expected) want += ledger_line(row);
+  for (const LedgerRow& row : recorded_ledger()) want += ledger_line(row);
   std::string got;
-  for (auto& [name, netlist] : circuits) {
+  for (auto& [name, netlist] : ledger_circuits()) {
     const core::FlowOptions options;
     // The session's own stage-1 simulation, repeated to count its events.
     const auto vectors = sim::random_vectors(
         static_cast<std::int32_t>(netlist.primary_inputs().size()), options.num_vectors,
         options.pattern_seed);
-    LedgerRow row;
-    row.circuit = name;
-    row.sim_events = sim::simulate(netlist, vectors, options.sim).total_events;
-    api::SizingSession session(std::move(netlist), options);
-    ASSERT_TRUE(session.run_all().ok()) << name;
-    const core::OgwsResult& ogws = session.result().ogws;
-    row.iterations = ogws.iterations;
-    for (const core::OgwsIterate& it : ogws.history) {
-      row.lrs_passes += it.lrs_passes;
-      row.lrs_nodes += it.lrs_nodes_processed;
-    }
-    row.area = hex_double(ogws.area);
-    row.dual = hex_double(ogws.dual);
+    const long long sim_events = sim::simulate(netlist, vectors, options.sim).total_events;
+    LedgerRow row = size_ledger_row(name, std::move(netlist), nullptr);
+    row.sim_events = sim_events;
     got += ledger_line(row);
   }
   EXPECT_EQ(got, want) << "regenerated ledger rows:\n" << got;
+}
+
+TEST(Ogws, TracingLeavesTheWorkLedgerUnchanged) {
+  // Tracing only reads optimizer state: every ledger circuit sized with a
+  // TraceSession attached must do the recorded work and return the recorded
+  // bits, with one lrs_pass span per counted LRS pass and one ogws_iteration
+  // span per iteration.
+  const std::vector<LedgerRow>& recorded = recorded_ledger();
+  auto circuits = ledger_circuits();
+  ASSERT_EQ(circuits.size(), recorded.size());
+  for (std::size_t c = 0; c < circuits.size(); ++c) {
+    auto& [name, netlist] = circuits[c];
+    obs::TraceSession trace;
+    LedgerRow row = size_ledger_row(name, std::move(netlist), &trace);
+    row.sim_events = recorded[c].sim_events;  // stage 1 is not traced work
+    EXPECT_EQ(ledger_line(row), ledger_line(recorded[c]));
+    long long passes = 0;
+    int iterations = 0;
+    for (const obs::TraceSession::Span& span : trace.spans()) {
+      passes += span.name == "lrs_pass";
+      iterations += span.name == "ogws_iteration";
+    }
+    EXPECT_EQ(passes, row.lrs_passes) << name;
+    EXPECT_EQ(iterations, row.iterations) << name;
+  }
 }
 
 }  // namespace

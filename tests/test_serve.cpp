@@ -112,19 +112,25 @@ TEST(CacheKey, AnyOtherOptionInvalidatesTheKey) {
   EXPECT_NE(circuit_part(runtime::cache_key(nl, reelab)), circuit_part(base));
 }
 
-TEST(CacheKey, SweepModesKeepSeparateEntries) {
-  // Worklist (the default) and dense results are tolerance-equivalent, not
-  // bit-identical, so a dense request must never be answered from a
-  // worklist entry or vice versa.
-  const auto nl = netlist::generate_circuit(tiny_spec(1));
-  core::FlowOptions dense = fast_options();
-  dense.ogws.lrs.sweep = core::SweepMode::kDense;
-  const auto worklist_key = runtime::cache_key(nl, fast_options());
-  const auto dense_key = runtime::cache_key(nl, dense);
-  EXPECT_NE(worklist_key, dense_key);
-  EXPECT_EQ(runtime::canonical_options_json(fast_options())
-                .at("ogws").at("lrs").at("sweep").as_string(),
-            "worklist");
+TEST(CacheKey, SweepOptionIsAcceptedIgnoredAndLeavesTheKeyAlone) {
+  // LRS has one sweep since 0.16, and the canon has no sweep key. A request
+  // that still carries either old "sweep" value shares its cache entry with
+  // one that omits it.
+  const std::string prefix = R"({"type":"size","id":"a","input":{"profile":"c17"})";
+  serve::Request plain;
+  ASSERT_TRUE(serve::parse_request(prefix + "}", core::FlowOptions{}, &plain).ok());
+  const std::string key = runtime::cache_key(plain.size.job.netlist, plain.size.job.options);
+  for (const std::string mode : {"dense", "worklist"}) {
+    serve::Request request;
+    ASSERT_TRUE(serve::parse_request(prefix + R"(,"options":{"sweep":")" + mode + R"("}})",
+                                     core::FlowOptions{}, &request)
+                    .ok())
+        << mode;
+    EXPECT_EQ(runtime::cache_key(request.size.job.netlist, request.size.job.options), key)
+        << mode;
+  }
+  EXPECT_EQ(runtime::canonical_options_json(core::FlowOptions{}).at("ogws").at("lrs").find("sweep"),
+            nullptr);
 }
 
 // ---- ResultCache ------------------------------------------------------------
@@ -541,18 +547,26 @@ TEST(Protocol, ParsesASizeRequestWithOverrides) {
   EXPECT_GT(request.size.job.netlist.num_gates_logic(), 0);
 }
 
-TEST(Protocol, SweepOptionSelectsDenseOverTheWorklistDefault) {
-  serve::Request request;
+TEST(Protocol, SweepOptionIsAcceptedAndIgnoredAndOtherValuesAreRefused) {
+  // A client written against 0.10-0.15 may still send "sweep": either old
+  // value parses to the options of a request without it. Any other value is
+  // still refused, naming the option.
   const std::string prefix = R"({"type":"size","id":"a","input":{"profile":"c17"})";
-  ASSERT_TRUE(serve::parse_request(prefix + "}", core::FlowOptions{}, &request).ok());
-  EXPECT_EQ(request.size.job.options.ogws.lrs.sweep, core::SweepMode::kWorklist);
-  ASSERT_TRUE(serve::parse_request(prefix + R"(,"options":{"sweep":"dense"}})",
-                                   core::FlowOptions{}, &request)
-                  .ok());
-  EXPECT_EQ(request.size.job.options.ogws.lrs.sweep, core::SweepMode::kDense);
-  EXPECT_FALSE(serve::parse_request(prefix + R"(,"options":{"sweep":"sparse"}})",
-                                    core::FlowOptions{}, &request)
-                   .ok());
+  serve::Request plain;
+  ASSERT_TRUE(serve::parse_request(prefix + "}", core::FlowOptions{}, &plain).ok());
+  const Json options = runtime::canonical_options_json(plain.size.job.options);
+  for (const std::string mode : {"dense", "worklist"}) {
+    serve::Request request;
+    const api::Status st = serve::parse_request(
+        prefix + R"(,"options":{"sweep":")" + mode + R"("}})", core::FlowOptions{}, &request);
+    ASSERT_TRUE(st.ok()) << mode << ": " << st.to_string();
+    EXPECT_EQ(runtime::canonical_options_json(request.size.job.options), options) << mode;
+  }
+  serve::Request request;
+  const api::Status refused = serve::parse_request(
+      prefix + R"(,"options":{"sweep":"sparse"}})", core::FlowOptions{}, &request);
+  EXPECT_FALSE(refused.ok());
+  EXPECT_NE(refused.message().find("\"sweep\""), std::string::npos) << refused.message();
 }
 
 TEST(Protocol, DefaultSeedFollowsTheServersElabSeed) {
@@ -813,10 +827,10 @@ std::string size_request(const std::string& id, const std::string& profile,
 
 TEST(CacheKey, SolverRevisionMovesTheKeysThePreviousReleasePersisted) {
   // 0.14 changed the sized outputs of unchanged options (the step0/k^¼ step
-  // and the weak-duality stop). An entry a 0.13 server persisted under
-  // --cache-dir must miss, or a hit would replay an answer this solver does
-  // not give. The circuit parts of the key stay; the options part carries
-  // the solver revision and moves.
+  // and the weak-duality stop), and 0.16 did again (the one-sweep LRS). An
+  // entry an older server persisted under --cache-dir must miss, or a hit
+  // would replay an answer this solver does not give. The circuit parts of
+  // the key stay; the options part carries the solver revision and moves.
   Collector collector;
   serve::ServerOptions options;
   options.jobs = 1;
@@ -827,8 +841,11 @@ TEST(CacheKey, SolverRevisionMovesTheKeysThePreviousReleasePersisted) {
   ASSERT_EQ(accepted.size(), 1u);
   const std::string key = accepted[0].at("key").as_string();
   const std::string key_0_13 = "n0bca2e6c9d14d0d5-e35d65159b012b322-oc14f9a43d7c4bebf";
-  EXPECT_EQ(key.substr(0, key.rfind("-o")), key_0_13.substr(0, key_0_13.rfind("-o")));
-  EXPECT_NE(key, key_0_13);
+  const std::string key_0_15 = "n0bca2e6c9d14d0d5-e35d65159b012b322-o22872c6d9630f031";
+  for (const std::string& old_key : {key_0_13, key_0_15}) {
+    EXPECT_EQ(key.substr(0, key.rfind("-o")), old_key.substr(0, old_key.rfind("-o")));
+    EXPECT_NE(key, old_key);
+  }
   EXPECT_NE(runtime::canonical_options_json(core::FlowOptions{}).find("solver_revision"),
             nullptr);
 }

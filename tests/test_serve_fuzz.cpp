@@ -57,6 +57,7 @@ struct FuzzHarness {
   std::atomic<std::size_t> malformed{0};
   std::mutex mutex;
   std::vector<Json> terminals;  ///< every well-formed result and error
+  std::vector<std::string> accepted;  ///< the id of every `accepted` line
 
   FuzzHarness()
       : server(make_options(), [this](const std::string& line) {
@@ -73,6 +74,9 @@ struct FuzzHarness {
             if (type == "result" || type == "error") {
               const std::lock_guard<std::mutex> lock(mutex);
               terminals.push_back(std::move(j));
+            } else if (type == "accepted") {
+              const std::lock_guard<std::mutex> lock(mutex);
+              accepted.push_back(j.at("id").as_string());
             }
           } catch (const std::exception&) {
             ++malformed;
@@ -392,11 +396,22 @@ TEST(ServeFuzzOptions, BoundFactorsBelowTheFloorAnswerAFieldNamingError) {
 TEST(ServeFuzzOptions, VectorCountsPastTheRowBudgetAnswerAFieldNamingError) {
   // Stage 1 allocates in proportion to "vectors": the int32 edge would ask
   // for ~190 GB of simulation rows on c17 (and ~120 GB of vectors before
-  // them). It is refused by name, and the same server then sizes c17.
+  // them). Like every other option error it is refused at admission, as a
+  // `parse` error naming the field with no `accepted` line before it, and
+  // the same server then sizes c17.
   FuzzHarness harness;
   harness.feed(
       R"({"type":"size","id":"huge","input":{"profile":"c17"},)"
       R"("options":{"vectors":2147483647},"report":{"sizes":false}})");
+  harness.server.drain();
+  {
+    const std::lock_guard<std::mutex> lock(harness.mutex);
+    EXPECT_TRUE(harness.accepted.empty()) << harness.accepted.front();
+    ASSERT_EQ(harness.terminals.size(), 1u);
+    EXPECT_EQ(harness.terminals[0].at("type").as_string(), "error");
+    EXPECT_EQ(harness.terminals[0].at("code").as_string(), "parse")
+        << harness.terminals[0].dump();
+  }
   expect_finite_or_field_error(harness, {{"huge", "num_vectors"}});
 }
 

@@ -86,11 +86,6 @@ options:
                     congruent to K mod N; the JSON report is annotated so
                     `lrsizer merge` can reassemble the full sweep
   --jobs N          concurrent jobs, each sized serially (default: cores)
-  --sweep MODE      LRS sweep strategy: worklist (the default; frontier-
-                    driven incremental passes that skip nodes whose resize
-                    inputs did not move) or dense (the paper-exact Figure-8
-                    reference; same solution within tolerance, but not
-                    bit-identical to worklist)
   --seed N          generator/elaboration seed (default 1)
   --vectors N       stage-1 simulation vectors (default 32)
   --no-woss         keep the initial track order (skip stage-1 WOSS)
@@ -193,7 +188,6 @@ struct CliOptions {
   double power_bound = 0.15;
   double noise_bound = 0.10;
   int jobs = 0;
-  core::SweepMode sweep = core::SweepMode::kWorklist;
   int shard_index = 0;
   int shard_count = 0;   ///< 0 = unsharded
   int listen_port = -1;  ///< -1 = stdin/stdout; 0 = ephemeral TCP port
@@ -295,11 +289,6 @@ CliOptions parse_args(int argc, char** argv) {
     else if (arg == "--profile") cli.sweep_profile = next_value(i);
     else if (arg == "--noise") cli.sweep_range = next_value(i);
     else if (arg == "--jobs") cli.jobs = parse_int<int>(arg, next_value(i));
-    else if (arg == "--sweep") {
-      const auto mode = core::sweep_mode_from_name(next_value(i));
-      if (!mode) fail("--sweep must be dense or worklist");
-      cli.sweep = *mode;
-    }
     else if (arg == "--shard") {
       const std::string value = next_value(i);
       const std::size_t slash = value.find('/');
@@ -409,7 +398,6 @@ core::FlowOptions flow_options(const CliOptions& cli) {
   options.bound_factors.delay = cli.delay_bound;
   options.bound_factors.power = cli.power_bound;
   options.bound_factors.noise = cli.noise_bound;
-  options.ogws.lrs.sweep = cli.sweep;
   return options;
 }
 
