@@ -13,7 +13,7 @@
 // with slack.
 //
 // That circuit converges cold in ~10 iterations, the easy case. The `deep`
-// block adds a depth-40 circuit that takes ~60 cold iterations and sizes
+// block adds a c6288-shaped circuit that takes >= 60 cold iterations and sizes
 // each request kind the serve cache seeds: the same circuit under noise
 // bound 0.11 (seeded from the 0.10 base) and 0.12 (seeded from the 0.11
 // result), and three 1% op flips seeded from the base. CI requires each
@@ -163,17 +163,12 @@ runtime::Json deep_row(const char* kind, const netlist::LogicNetlist& netlist,
   return row;
 }
 
-/// The deep block: a depth-40, 1.5k-gate circuit (generator seed 137, the
-/// first seed after serve_mix's 101-112 whose cold run takes >= 60
-/// iterations), sized cold and seeded for every request kind.
+/// The deep block: c6288's Table-1 shape (2416 gates, depth 124) at
+/// generator seed 126, the first seed after serve_mix's 101-112 whose cold
+/// run takes >= 60 iterations, sized cold and seeded for every request kind.
 runtime::Json deep_block() {
-  netlist::GeneratorSpec spec;
-  spec.num_gates = 1500;
-  spec.num_wires = 2700;
-  spec.num_inputs = 60;
-  spec.num_outputs = 40;
-  spec.depth = 40;
-  spec.seed = 137;
+  const char* const profile = "c6288";
+  const netlist::GeneratorSpec spec = netlist::spec_for_profile(profile, 126);
   const netlist::LogicNetlist base = netlist::generate_circuit(spec);
   const auto options_at = [](double noise) {
     core::FlowOptions options = bench::paper_flow_options();
@@ -187,8 +182,9 @@ runtime::Json deep_block() {
   const core::FlowSummary base_summary = session.summary();
   const core::FlowResult base_result = session.take_result();
   const runtime::EcoIndex base_index = eco::build_eco_index(base, base_result);
-  std::printf("\ndeep: #G=%d depth %d, %lld circuit nodes, base %d iterations\n\n",
-              base_summary.num_gates, spec.depth,
+  std::printf("\ndeep: %s shape, #G=%d depth %d, %lld circuit nodes, "
+              "base %d iterations\n\n",
+              profile, base_summary.num_gates, spec.depth,
               static_cast<long long>(base_result.circuit.num_nodes()),
               base_summary.iterations);
 
@@ -207,6 +203,7 @@ runtime::Json deep_block() {
   table.print(std::cout);
 
   runtime::Json circuit = runtime::Json::object();
+  circuit.set("profile", profile);
   circuit.set("generator_seed", static_cast<std::int64_t>(spec.seed));
   circuit.set("gates", static_cast<std::int64_t>(base_summary.num_gates));
   circuit.set("wires", static_cast<std::int64_t>(base_summary.num_wires));

@@ -129,23 +129,16 @@ Status SizingSession::simulate_and_order() {
   std::vector<std::vector<netlist::NodeId>> orders;
   orders.reserve(channels.channels.size());
   for (const auto& tracks : channels.channels) {
-    // Per-channel similarity matrix over the wires' nets.
+    // Per-channel similarity matrix over the wires' nets, turned in place
+    // into the channel's WOSS weight matrix.
     std::vector<std::int32_t> nets;
     nets.reserve(tracks.size());
     for (netlist::NodeId w : tracks) {
       nets.push_back(elab_->net_of_node[static_cast<std::size_t>(w)]);
     }
-    const sim::SimilarityMatrix sim_matrix(simulated, nets);
-
-    const auto n = static_cast<std::int32_t>(tracks.size());
-    std::vector<double> weights(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-    for (std::int32_t a = 0; a < n; ++a) {
-      for (std::int32_t b = 0; b < n; ++b) {
-        weights[static_cast<std::size_t>(a) * static_cast<std::size_t>(n) +
-                static_cast<std::size_t>(b)] = sim_matrix.miller_weight(a, b);
-      }
-    }
-    const layout::DenseWeights view(n, std::move(weights));
+    sim::SimilarityMatrix sim_matrix(simulated, nets);
+    const std::int32_t n = sim_matrix.size();
+    const layout::DenseWeights view(n, std::move(sim_matrix).take_miller_weights());
 
     std::vector<std::int32_t> identity(static_cast<std::size_t>(n));
     for (std::int32_t i = 0; i < n; ++i) identity[static_cast<std::size_t>(i)] = i;

@@ -22,17 +22,21 @@ double relative_violation(double value, double bound) {
   return (value - bound) / bound;
 }
 
-/// A4's step at iteration k: ρ_k = step0/k^¼, which keeps Figure 9's two
-/// conditions, ρ_k → 0 and Σρ_k = ∞. A √k decay spends its tail proving,
-/// not improving: under it c6288's area moved 1.2% between k = 50 and the
-/// cap of 500, where it stopped uncertified. OGWS iterations over the ten
-/// Table-1 profiles at default options (generator seed 1) by decay
-/// exponent p: ½ 1279 (c6288 capped), 0.35 580, 0.3 474, ¼ 395 (all ten
-/// certified), 0.2 337, 0 (constant) 204. Over generator seeds 1-5, ¼ took
-/// 0.31-0.33× the √k iterations with every area within 0.2%. A constant
-/// step fails the c17 end-to-end tests, and at 0.2 a seeded request took
-/// over 1.5× its cold count at both seeded factors tried (2 and 2.5); ¼ is
-/// the smallest exponent tried that keeps both.
+/// A4's base step at iteration k: step0/k^¼, which keeps Figure 9's two
+/// conditions, ρ_k → 0 and Σρ_k = ∞; run_ogws multiplies it by the run's
+/// step scale (kStepGrowth). A √k decay spends its tail proving, not
+/// improving: under it c6288's area moved 1.2% between k = 50 and the cap
+/// of 500, where it stopped uncertified. OGWS iterations over the ten
+/// Table-1 profiles at default options (generator seed 1) with the scale
+/// held at 1, by decay exponent p: ½ 1279 (c6288 capped), 0.35
+/// 580, 0.3 474, ¼ 395 (all ten certified), 0.2 337, 0 (constant) 204.
+/// Over generator seeds 1-5, ¼ took 0.31-0.33× the √k iterations with every
+/// area within 0.2%. A constant step fails the c17 end-to-end tests. With s
+/// held at 1, 0.2 left a seeded request above 1.5× its cold count at both
+/// seeded factors tried (2 and 2.5) and ¼ none. With the step scale ¼ takes
+/// 230 and 0.2 208, but over the 110 seeded requests kSeededStepFactor is
+/// measured on 0.2 takes 1756 iterations to ¼'s 1702 and leaves two above
+/// 1.5× cold to ¼'s one, so ¼ stays.
 double step_size(double step0, int k) {
   return step0 / std::sqrt(std::sqrt(static_cast<double>(k)));
 }
@@ -50,16 +54,33 @@ double step_size(double step0, int k) {
 /// cold and 2.5 none.
 constexpr double kSeededStepFactor = 2.5;
 
+/// The per-run step scale s behind ρ_k = s·step0/k^¼ (seeded runs keep
+/// kSeededStepFactor on top). s starts at 1; after each iteration from the
+/// second on it grows by kStepGrowth while that iteration's dual is above
+/// the previous iteration's and shrinks by kStepShrink otherwise, clamped to
+/// [kMinStepScale, kMaxStepScale]. Because s stays inside that interval,
+/// ρ_k → 0 and Σρ_k = ∞ still hold. A climbing dual says the step is short
+/// of the ascent direction's reach, a falling one that it overshoots; a
+/// fixed schedule cannot see either. Over the ten Table-1 profiles at
+/// default options (generator seed 1) the rule cuts OGWS iterations from
+/// 395 to 230 (c6288 112 → 54) with every profile still certified
+/// (docs/ARCHITECTURE.md, decision D6).
+constexpr double kStepGrowth = 1.05;
+constexpr double kStepShrink = 0.7;
+constexpr double kMinStepScale = 0.1;
+constexpr double kMaxStepScale = 2.0;
+
 }  // namespace
 
-void dual_ascent_step(const netlist::Circuit& circuit,
-                      const layout::CouplingSet& coupling, const Bounds& bounds,
-                      const OgwsOptions& options,
-                      const timing::ArrivalAnalysis& arrivals,
-                      const std::vector<double>& x, double cap, double noise,
-                      double rho, const DualScales& scales,
-                      MultiplierState& multipliers) {
+long long dual_ascent_step(const netlist::Circuit& circuit,
+                           const layout::CouplingSet& coupling, const Bounds& bounds,
+                           const OgwsOptions& options,
+                           const timing::ArrivalAnalysis& arrivals,
+                           const std::vector<double>& x, double cap, double noise,
+                           double rho, const DualScales& scales,
+                           MultiplierState& multipliers) {
   const bool per_net = bounds.per_net_enabled();
+  long long pow_calls = 0;
 
   if (options.step_rule == StepRule::kSubgradient) {
     for (netlist::NodeId v = 1; v < circuit.num_nodes(); ++v) {
@@ -101,7 +122,8 @@ void dual_ascent_step(const netlist::Circuit& circuit,
     // so the skip keeps every bit. It holds on every driver edge and on each
     // node's critical fanin (a_i is computed as a_j + D_i), which is most
     // edges.
-    auto pow_clamped = [rho](double ratio) {
+    auto pow_clamped = [rho, &pow_calls](double ratio) {
+      ++pow_calls;
       return std::pow(std::clamp(ratio, 0.05, 20.0), rho);
     };
     for (netlist::NodeId v = 1; v < circuit.num_nodes(); ++v) {
@@ -151,6 +173,7 @@ void dual_ascent_step(const netlist::Circuit& circuit,
   // A5: nonnegativity + flow conservation.
   multipliers.clamp_nonnegative();
   multipliers.project_flow(circuit);
+  return pow_calls;
 }
 
 OgwsResult run_ogws(const netlist::Circuit& circuit,
@@ -160,7 +183,7 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
   const OgwsWarmStart* warm = control.warm_start;
   if (warm != nullptr && warm->empty()) warm = nullptr;
   // A4's step size. Seeded multipliers step larger (kSeededStepFactor);
-  // cold runs and sizes-only seeds step at step0/k^¼.
+  // cold runs and sizes-only seeds step at s·step0/k^¼, s the step scale.
   const double step0 = warm != nullptr && warm->seeds_multipliers()
                            ? kSeededStepFactor * options.step0
                            : options.step0;
@@ -259,6 +282,9 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
   double best_dual = -std::numeric_limits<double>::infinity();
   double best_violation = std::numeric_limits<double>::infinity();
   bool evaluated_initial = false;
+  // A4's step scale (kStepGrowth) and the dual it compares against.
+  double step_scale = 1.0;
+  double previous_dual = 0.0;
 
   // Traced runs snapshot x before each LRS call so the iteration span can
   // report how many nodes the sweep moved. The buffer lives outside the loop
@@ -268,8 +294,9 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
   std::uint64_t span_begin_us = 0;
   // One span per iteration, closing at the same points the observer fires.
   // The iteration metadata mirrors the observer's iterate plus the traced
-  // nodes-moved count (x vs. the pre-LRS snapshot) and `rho`, the step
-  // applied after the iteration (0 on a stopping one, which takes none).
+  // nodes-moved count (x vs. the pre-LRS snapshot), `rho`, the step applied
+  // after the iteration (0 on a stopping one, which takes none), and
+  // `step_scale`, the s behind it.
   auto record_iteration_span = [&](const OgwsIterate& it, double rho) {
     if (control.trace == nullptr) return;
     std::size_t moved = 0;
@@ -284,7 +311,8 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
                            {"nodes_moved", static_cast<double>(moved)},
                            {"lrs_passes", static_cast<double>(it.lrs_passes)},
                            {"rel_gap", it.rel_gap},
-                           {"rho", rho}});
+                           {"rho", rho},
+                           {"step_scale", step_scale}});
   };
 
   if (warm != nullptr && !warm->sizes.empty()) {
@@ -411,13 +439,18 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
     // a feasible iterate never gets here: its clamped gap is 0 and A7 fired.)
     result.proved_infeasible = !result.converged && best_dual > area_max;
 
-    // A4 + A5: multiplier step, ρ_k = step0/k^¼, then nonnegativity + flow
+    // A4 + A5: multiplier step, ρ_k = s·step0/k^¼, then nonnegativity + flow
     // conservation. A stopping iteration takes none.
+    if (k > 1) {
+      step_scale = dual > previous_dual ? std::min(kStepGrowth * step_scale, kMaxStepScale)
+                                        : std::max(kStepShrink * step_scale, kMinStepScale);
+    }
+    previous_dual = dual;
     const bool stopping = result.converged || result.proved_infeasible;
-    const double rho = stopping ? 0.0 : step_size(step0, k);
+    const double rho = stopping ? 0.0 : step_scale * step_size(step0, k);
     if (!stopping) {
-      dual_ascent_step(circuit, coupling, bounds, options, arrivals, x, cap, noise,
-                       rho, scales, multipliers);
+      result.pow_calls += dual_ascent_step(circuit, coupling, bounds, options, arrivals, x,
+                                           cap, noise, rho, scales, multipliers);
     }
 
     iterate.seconds = iter_timer.seconds();
@@ -437,6 +470,9 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
                                 util::vector_bytes(workspace.loads.cap_prime) +
                                 util::vector_bytes(workspace.loads.load_in) +
                                 util::vector_bytes(workspace.r_up));
+  tracker.add("ogws/lrs", util::vector_bytes(workspace.mu_res) +
+                              util::vector_bytes(workspace.gamma_coef) +
+                              util::vector_bytes(workspace.exit_x));
   tracker.add("ogws/arrivals", util::vector_bytes(arrivals.delay) +
                                    util::vector_bytes(arrivals.arrival));
   result.workspace_bytes = tracker.tracked_bytes();

@@ -5,8 +5,11 @@
 //   A1. initialize multipliers (λ flow-conserving, β = γ = 0)
 //   A2. μ_i = Σ_{j∈input(i)} λ_ji
 //   A3. run LRS; compute arrival times a
-//   A4. subgradient step with ρ_k = step0/k^¼ (ρ_k → 0, Σ ρ_k = ∞; 2.5× that
-//       when the multipliers were seeded, see OgwsWarmStart):
+//   A4. subgradient step with ρ_k = s·step0/k^¼, where the run's step scale
+//       s starts at 1 and after each later iteration grows 1.05× (to at most
+//       2) if that iteration's dual rose and shrinks 0.7× (to at least 0.1)
+//       otherwise; s ∈ [0.1, 2] keeps ρ_k → 0 and Σ ρ_k = ∞. 2.5× that when
+//       the multipliers were seeded, see OgwsWarmStart:
 //         λ_jm += ρ_k (a_j − A0)                    [sink edges]
 //         λ_ji += ρ_k (a_j + D_i − a_i)             [component edges]
 //         λ_0i += ρ_k (D_i − a_i)                   [driver edges]
@@ -57,12 +60,14 @@ struct OgwsOptions {
   double gap_tol = 0.01;
   /// Allowed relative constraint violation for an iterate to count feasible.
   double feas_tol = 0.01;
-  /// ρ_k = step0 / k^¼ (core/ogws.cpp, step_size, gives the measurement
-  /// behind the exponent). The multiplicative rule tolerates (and wants)
-  /// aggressive steps; the additive subgradient rule prefers ~0.25. A run
-  /// seeded with multipliers (OgwsWarmStart::seeds_multipliers) steps at 2.5×
-  /// this schedule under either rule: its constraint ratios start near 1, so
-  /// the cold step would barely move it (core/ogws.cpp, kSeededStepFactor).
+  /// ρ_k = s·step0 / k^¼ (core/ogws.cpp: step_size gives the measurement
+  /// behind the exponent, kStepGrowth the rule for the run's step scale s ∈
+  /// [0.1, 2], which follows the dual up and down). The multiplicative rule
+  /// tolerates (and wants) aggressive steps; the additive subgradient rule
+  /// prefers ~0.25. A run seeded with multipliers
+  /// (OgwsWarmStart::seeds_multipliers) steps at 2.5× this schedule under
+  /// either rule: its constraint ratios start near 1, so the cold step would
+  /// barely move it (core/ogws.cpp, kSeededStepFactor).
   double step0 = 4.0;
   StepRule step_rule = StepRule::kMultiplicative;
   LrsOptions lrs;
@@ -100,13 +105,15 @@ struct DualScales {
 /// clamp at 0 and re-project λ onto flow conservation. `arrivals` and the
 /// scalar totals `cap`/`noise` must describe the iterate `x`. Exposed
 /// separately from run_ogws so the kernel bench can time it in isolation.
-void dual_ascent_step(const netlist::Circuit& circuit,
-                      const layout::CouplingSet& coupling, const Bounds& bounds,
-                      const OgwsOptions& options,
-                      const timing::ArrivalAnalysis& arrivals,
-                      const std::vector<double>& x, double cap, double noise,
-                      double rho, const DualScales& scales,
-                      MultiplierState& multipliers);
+/// Returns the pow() calls the step made (the multiplicative rule's; a ratio
+/// of exactly 1 skips its call, and the subgradient rule makes none).
+long long dual_ascent_step(const netlist::Circuit& circuit,
+                           const layout::CouplingSet& coupling, const Bounds& bounds,
+                           const OgwsOptions& options,
+                           const timing::ArrivalAnalysis& arrivals,
+                           const std::vector<double>& x, double cap, double noise,
+                           double rho, const DualScales& scales,
+                           MultiplierState& multipliers);
 
 /// Restartable OGWS state: the sizes of a prior run's returned iterate plus
 /// the multiplier vector at its best dual. Seeding a fresh run with this
@@ -118,8 +125,8 @@ void dual_ascent_step(const netlist::Circuit& circuit,
 /// Only the multipliers steer the run: LRS minimizes the relaxed Lagrangian
 /// for the current (λ, β, γ), so a seed of sizes alone only adds an
 /// incumbent and otherwise reproduces the cold run. A seed with λ steps at
-/// 2.5·step0/k^¼ (OgwsOptions::step0), which is what makes warm and ECO seeds
-/// converge in fewer iterations than a cold start.
+/// 2.5·s·step0/k^¼ (OgwsOptions::step0), which is what makes warm and ECO
+/// seeds converge in fewer iterations than a cold start.
 struct OgwsWarmStart {
   /// Initial iterate, indexed by NodeId. Also evaluated up front as the
   /// incumbent primal candidate (feasibility + area under the *current*
@@ -159,11 +166,11 @@ struct OgwsControl {
   /// paper-reproduction benches opt out in bench_common.hpp.
   bool capture_warm_start = false;
   /// Flow tracing (obs/trace.hpp): one span per OGWS iteration — with dual
-  /// value, max KKT violation, nodes-moved and step (`rho`) metadata — and
-  /// per LRS pass, recorded into this session. nullptr (the default)
-  /// disables tracing at the cost of one pointer test per iteration; the
-  /// optimization trajectory is bit-identical either way (tracing only reads
-  /// iterate state).
+  /// value, max KKT violation, nodes-moved and step (`rho`, `step_scale`)
+  /// metadata — and per LRS pass, recorded into this session. nullptr (the
+  /// default) disables tracing at the cost of one pointer test per
+  /// iteration; the optimization trajectory is bit-identical either way
+  /// (tracing only reads iterate state).
   obs::TraceSession* trace = nullptr;
 };
 
@@ -186,7 +193,11 @@ struct OgwsResult {
   double rel_gap = 0.0;  ///< (area − dual) / area at termination
   double max_violation = 0.0;  ///< violation of the returned sizes
   std::vector<OgwsIterate> history;
-  std::size_t workspace_bytes = 0;  ///< multiplier + analysis working set
+  /// pow() calls of the dual steps (dual_ascent_step's count, summed).
+  long long pow_calls = 0;
+  /// Multiplier, LRS and analysis working set: every per-node and per-edge
+  /// vector the run keeps.
+  std::size_t workspace_bytes = 0;
   /// Snapshot for re-seeding a later run (sizes = the returned iterate,
   /// multipliers = the state that produced the best dual).
   OgwsWarmStart warm;

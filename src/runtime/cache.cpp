@@ -83,8 +83,9 @@ std::string hex16(std::uint64_t v) {
 /// every key moves with it, so an entry an older server persisted under
 /// --cache-dir misses once and is re-sized instead of replaying an answer
 /// this solver would not give. 1: the step0/k^¼ step and the stop on a dual
-/// above the box's maximum area (0.14). 2: the one-sweep LRS (0.16).
-constexpr std::int64_t kSolverRevision = 2;
+/// above the box's maximum area (0.14). 2: the one-sweep LRS (0.16). 3: the
+/// step scale that follows the dual (0.17).
+constexpr std::int64_t kSolverRevision = 3;
 
 }  // namespace
 

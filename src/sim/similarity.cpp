@@ -1,6 +1,7 @@
 #include "sim/similarity.hpp"
 
 #include <span>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -88,6 +89,11 @@ SimilarityMatrix::SimilarityMatrix(const std::vector<Waveform>& waveforms,
     rows.push_back(bits.data() + a * words);
   }
   values_ = pairwise(rows, words, horizon);
+}
+
+std::vector<double> SimilarityMatrix::take_miller_weights() && {
+  for (double& value : values_) value = 1.0 - value;
+  return std::move(values_);
 }
 
 }  // namespace lrsizer::sim

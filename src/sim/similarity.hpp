@@ -37,6 +37,11 @@ class SimilarityMatrix {
 
   double miller_weight(std::int32_t a, std::int32_t b) const { return 1.0 - at(a, b); }
 
+  /// Consumes the matrix: turns every value into its Miller weight 1 − s in
+  /// place and hands back the n × n row-major array, so a caller that wants
+  /// the weights needs no second matrix.
+  std::vector<double> take_miller_weights() &&;
+
  private:
   std::int32_t n_;
   std::vector<double> values_;

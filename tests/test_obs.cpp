@@ -7,9 +7,11 @@
 // the step each OGWS iteration span reports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -467,18 +469,66 @@ double span_arg(const obs::TraceSession& trace, const std::string& name,
   return std::numeric_limits<double>::quiet_NaN();
 }
 
-// Each iteration span names the step applied after it: ρ_k = step0/k^¼ for
-// a cold run and a sizes-only seed, 2.5× that for a run seeded with
-// multipliers. The first two spans pin both the factor and the exponent.
+/// Replays the step-scale rule from a run's ogws_iteration spans and checks
+/// each span's `step_scale` and `rho` against it: s starts at 1 and, from the
+/// second iteration on, becomes min(1.05·s, 2) when the span's dual is above
+/// the previous span's and max(0.7·s, 0.1) otherwise; ρ_k =
+/// factor·s_k·step0/k^¼, and 0 on a stopping iteration. Returns how many
+/// iterations grew s and how many shrank it.
+std::pair<int, int> expect_steps_follow_the_dual(const obs::TraceSession& trace,
+                                                 const core::OgwsResult& ogws,
+                                                 double factor, double step0) {
+  std::vector<std::map<std::string, double>> spans;
+  for (const auto& span : trace.spans()) {
+    if (span.name != "ogws_iteration") continue;
+    spans.emplace_back(span.args.begin(), span.args.end());
+  }
+  EXPECT_EQ(spans.size(), static_cast<std::size_t>(ogws.iterations));
+  const bool stopped = ogws.converged || ogws.proved_infeasible;
+  double s = 1.0;
+  double previous_dual = 0.0;
+  int grew = 0;
+  int shrank = 0;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const int k = static_cast<int>(i) + 1;
+    const double dual = spans[i].at("dual");
+    if (k > 1) {
+      const double before = s;
+      s = dual > previous_dual ? std::min(1.05 * s, 2.0) : std::max(0.7 * s, 0.1);
+      grew += s > before;
+      shrank += s < before;
+    }
+    previous_dual = dual;
+    EXPECT_GE(s, 0.1) << "k " << k;
+    EXPECT_LE(s, 2.0) << "k " << k;
+    EXPECT_EQ(spans[i].at("step_scale"), s) << "k " << k;
+    const double rho = spans[i].at("rho");
+    if (stopped && i + 1 == spans.size()) {
+      EXPECT_EQ(rho, 0.0) << "k " << k;
+    } else {
+      EXPECT_DOUBLE_EQ(rho, factor * s * step0 / std::sqrt(std::sqrt(static_cast<double>(k))))
+          << "k " << k;
+    }
+  }
+  return {grew, shrank};
+}
+
+// Each iteration span names the step applied after it and the step scale
+// behind it: ρ_k = s_k·step0/k^¼ for a cold run and a sizes-only seed, 2.5×
+// that for a run seeded with multipliers, where s_k follows the spans' duals.
 // The size span says whether the multipliers were seeded.
 TEST(ObsTrace, IterationSpansCarryTheStepAndSeededRunsStepLargerThanCold) {
   const auto logic = traced_test_circuit();
   const core::FlowOptions options;
   const double step0 = options.ogws.step0;
-  const double seeded_step0 = 2.5 * step0;
-  const double quarter_root_2 = std::sqrt(std::sqrt(2.0));
   core::FlowOptions looser = options;
   looser.bound_factors.noise = 0.11;
+  int grew = 0;
+  int shrank = 0;
+  auto tally = [&](std::pair<int, int> moves) {
+    grew += moves.first;
+    shrank += moves.second;
+  };
 
   obs::TraceSession cold_trace;
   api::SizingSession cold(logic, options);
@@ -486,8 +536,7 @@ TEST(ObsTrace, IterationSpansCarryTheStepAndSeededRunsStepLargerThanCold) {
   ASSERT_TRUE(cold.run_all().ok());
   ASSERT_GT(cold.result().ogws.iterations, 2);
   EXPECT_EQ(span_arg(cold_trace, "ogws_iteration", 0, "rho"), step0);
-  EXPECT_DOUBLE_EQ(span_arg(cold_trace, "ogws_iteration", 1, "rho"),
-                   step0 / quarter_root_2);
+  tally(expect_steps_follow_the_dual(cold_trace, cold.result().ogws, 1.0, step0));
   EXPECT_EQ(span_arg(cold_trace, "size", 0, "seeded"), 0.0);
 
   obs::TraceSession seeded_trace;
@@ -496,9 +545,8 @@ TEST(ObsTrace, IterationSpansCarryTheStepAndSeededRunsStepLargerThanCold) {
   ASSERT_TRUE(seeded.warm_start_from(cold.result()).ok());
   ASSERT_TRUE(seeded.run_all().ok());
   ASSERT_GT(seeded.result().ogws.iterations, 2);
-  EXPECT_EQ(span_arg(seeded_trace, "ogws_iteration", 0, "rho"), seeded_step0);
-  EXPECT_DOUBLE_EQ(span_arg(seeded_trace, "ogws_iteration", 1, "rho"),
-                   seeded_step0 / quarter_root_2);
+  EXPECT_EQ(span_arg(seeded_trace, "ogws_iteration", 0, "rho"), 2.5 * step0);
+  tally(expect_steps_follow_the_dual(seeded_trace, seeded.result().ogws, 2.5, step0));
   EXPECT_EQ(span_arg(seeded_trace, "size", 0, "seeded"), 1.0);
 
   api::WarmSeed sizes_only;
@@ -513,9 +561,12 @@ TEST(ObsTrace, IterationSpansCarryTheStepAndSeededRunsStepLargerThanCold) {
   ASSERT_TRUE(sizes_seeded.run_all().ok());
   ASSERT_GT(sizes_seeded.result().ogws.iterations, 2);
   EXPECT_EQ(span_arg(sizes_trace, "ogws_iteration", 0, "rho"), step0);
-  EXPECT_DOUBLE_EQ(span_arg(sizes_trace, "ogws_iteration", 1, "rho"),
-                   step0 / quarter_root_2);
+  tally(expect_steps_follow_the_dual(sizes_trace, sizes_seeded.result().ogws, 1.0, step0));
   EXPECT_EQ(span_arg(sizes_trace, "size", 0, "seeded"), 0.0);
+
+  // Not vacuous: the runs take both branches of the rule.
+  EXPECT_GT(grew, 0);
+  EXPECT_GT(shrank, 0);
 }
 
 TEST(ObsTrace, TracingDoesNotPerturbTheFlowBitIdentically) {

@@ -187,6 +187,30 @@ TEST(Ogws, HistoryRecordsEveryIteration) {
   EXPECT_GT(result.workspace_bytes, 0u);
 }
 
+TEST(Ogws, WorkspaceBytesCoverEveryPerNodeVectorTheRunKeeps) {
+  // workspace_bytes feeds Table 1's mem column, Figure 10(a) and every
+  // report's memory_bytes. Per node the run keeps eleven doubles: x and μ;
+  // the LRS workspace's loads (cap_delay, cap_prime, load_in), r_up, mu_res,
+  // gamma_coef and exit_x; and the arrival analysis's delay and arrival.
+  // Per edge it keeps λ, and per node once more γ_net when per-net noise
+  // bounds are on. The count must cover all of them, and no vector twice.
+  for (const double per_net : {0.0, 0.5}) {
+    core::FlowOptions options;
+    options.bound_factors.per_net_noise = per_net;
+    api::SizingSession session(netlist::generate_circuit(netlist::spec_for_profile("c432")),
+                               options);
+    ASSERT_TRUE(session.run_all().ok());
+    const netlist::Circuit& circuit = session.result().circuit;
+    const std::size_t per_node = per_net > 0.0 ? 12 : 11;
+    const std::size_t kept =
+        sizeof(double) * (per_node * static_cast<std::size_t>(circuit.num_nodes()) +
+                          static_cast<std::size_t>(circuit.num_edges()));
+    const std::size_t counted = session.result().ogws.workspace_bytes;
+    EXPECT_GE(counted, kept) << "per_net " << per_net;
+    EXPECT_LT(counted, kept + kept / 8) << "per_net " << per_net;
+  }
+}
+
 TEST(Ogws, DualNeverExceedsFinalAreaMuch) {
   // Weak duality at the returned iterate (gap tolerance applies).
   auto p = fig1_problem(core::BoundFactors{});
@@ -264,6 +288,7 @@ struct LedgerRow {
   int iterations = 0;
   long long lrs_passes = 0;  ///< summed over OgwsResult::history
   long long lrs_nodes = 0;   ///< LRS node evaluations, likewise
+  long long pow_calls = 0;   ///< dual-step pow() calls (OgwsResult::pow_calls)
   long long sim_events = 0;  ///< sim::simulate's total_events (t < T)
   std::string area;          ///< returned area, as a hex double
   std::string dual;          ///< best dual, as a hex double
@@ -279,7 +304,8 @@ std::string hex_double(double value) {
 std::string ledger_line(const LedgerRow& r) {
   return "      {\"" + r.circuit + "\", " + std::to_string(r.iterations) + ", " +
          std::to_string(r.lrs_passes) + ", " + std::to_string(r.lrs_nodes) + ", " +
-         std::to_string(r.sim_events) + ", \"" + r.area + "\", \"" + r.dual + "\"},\n";
+         std::to_string(r.pow_calls) + ", " + std::to_string(r.sim_events) + ", \"" +
+         r.area + "\", \"" + r.dual + "\"},\n";
 }
 
 // The work ledger: real c17 (which ends at the weak-duality stop) and the ten
@@ -290,19 +316,19 @@ std::string ledger_line(const LedgerRow& r) {
 // rows below over these and says why.
 const std::vector<LedgerRow>& recorded_ledger() {
   static const std::vector<LedgerRow> kRows = {
-      // circuit, iterations, LRS passes, LRS node evaluations, sim events,
-      // area, best dual
-      {"c17", 67, 242, 4840, 250, "0x1.8a001c0f79f8fp+9", "0x1.6f7e08063509p+12"},
-      {"c1355", 18, 54, 86940, 11440, "0x1.2efb09a0487d7p+12", "0x1.2c1e2806876dep+12"},
-      {"c1908", 26, 83, 197374, 24252, "0x1.c501e1c673f07p+12", "0x1.c085775e6cd2ep+12"},
-      {"c2670", 40, 136, 444584, 34826, "0x1.980c087c09d82p+13", "0x1.adb6a3621f88cp+13"},
-      {"c3540", 27, 111, 511488, 82962, "0x1.e1cecb72c556ap+13", "0x1.dd99c99f1ab2ap+13"},
-      {"c432", 25, 89, 56960, 5241, "0x1.20d493610acf2p+11", "0x1.2cfe374dad419p+11"},
-      {"c499", 23, 84, 121128, 11016, "0x1.8e10d34bebcbfp+12", "0x1.d896a57c4762cp+12"},
-      {"c5315", 56, 164, 1097652, 112017, "0x1.570a498d9dc12p+14", "0x1.53ade8786e05fp+14"},
-      {"c6288", 112, 254, 1832864, 289034, "0x1.53569d9f3c714p+14", "0x1.4ff46b5f8b36dp+14"},
-      {"c7552", 47, 156, 1506336, 146032, "0x1.02e024bd47354p+15", "0x1.00586ee2e70dep+15"},
-      {"c880", 21, 63, 70056, 8076, "0x1.c1d2f152f8878p+11", "0x1.bdaad42b44538p+11"},
+      // circuit, iterations, LRS passes, LRS node evaluations, pow() calls,
+      // sim events, area, best dual
+      {"c17", 34, 147, 2940, 330, 250, "0x1.862e2b46de71bp+9", "0x1.6c71a1e1a6c4p+12"},
+      {"c1355", 13, 44, 70840, 6240, 11440, "0x1.2f03723fb1941p+12", "0x1.2c0af66e8ac5fp+12"},
+      {"c1908", 17, 58, 137924, 9888, 24252, "0x1.c502212db4eddp+12", "0x1.c086c8a92f1cep+12"},
+      {"c2670", 23, 84, 274596, 19470, 34826, "0x1.983209816365ep+13", "0x1.adae4e3da492p+13"},
+      {"c3540", 18, 85, 391680, 21624, 82962, "0x1.e1ab6eee148e4p+13", "0x1.de754c6fb2cc2p+13"},
+      {"c432", 17, 66, 42240, 3424, 5241, "0x1.211a28f0af97p+11", "0x1.2d6ee66d0c2f1p+11"},
+      {"c499", 16, 63, 90846, 6210, 11016, "0x1.8e7b6475a9b33p+12", "0x1.da1a9e2971df4p+12"},
+      {"c5315", 30, 100, 669300, 60349, 112017, "0x1.570c8c320dbd8p+14", "0x1.53acd6528d02p+14"},
+      {"c6288", 54, 137, 988592, 126352, 289034, "0x1.53550d9846025p+14", "0x1.4ffc2e5c1a6p+14"},
+      {"c7552", 27, 96, 926976, 68484, 146032, "0x1.02ce3b1980569p+15", "0x1.007dc61ff2cebp+15"},
+      {"c880", 15, 51, 56712, 4872, 8076, "0x1.c1bcfc896080ep+11", "0x1.bdd09ef3250d2p+11"},
   };
   return kRows;
 }
@@ -330,6 +356,7 @@ LedgerRow size_ledger_row(const std::string& name, netlist::LogicNetlist netlist
   if (!session.has_result()) return row;
   const core::OgwsResult& ogws = session.result().ogws;
   row.iterations = ogws.iterations;
+  row.pow_calls = ogws.pow_calls;
   for (const core::OgwsIterate& it : ogws.history) {
     row.lrs_passes += it.lrs_passes;
     row.lrs_nodes += it.lrs_nodes_processed;

@@ -827,8 +827,9 @@ std::string size_request(const std::string& id, const std::string& profile,
 
 TEST(CacheKey, SolverRevisionMovesTheKeysThePreviousReleasePersisted) {
   // 0.14 changed the sized outputs of unchanged options (the step0/k^¼ step
-  // and the weak-duality stop), and 0.16 did again (the one-sweep LRS). An
-  // entry an older server persisted under --cache-dir must miss, or a hit
+  // and the weak-duality stop), 0.16 did again (the one-sweep LRS), and so
+  // did 0.17 (the step scale that follows the dual). An entry an older
+  // server persisted under --cache-dir must miss, or a hit
   // would replay an answer this solver does not give. The circuit parts of
   // the key stay; the options part carries the solver revision and moves.
   Collector collector;
@@ -842,7 +843,8 @@ TEST(CacheKey, SolverRevisionMovesTheKeysThePreviousReleasePersisted) {
   const std::string key = accepted[0].at("key").as_string();
   const std::string key_0_13 = "n0bca2e6c9d14d0d5-e35d65159b012b322-oc14f9a43d7c4bebf";
   const std::string key_0_15 = "n0bca2e6c9d14d0d5-e35d65159b012b322-o22872c6d9630f031";
-  for (const std::string& old_key : {key_0_13, key_0_15}) {
+  const std::string key_0_16 = "n0bca2e6c9d14d0d5-e35d65159b012b322-o24419d11ef3d275f";
+  for (const std::string& old_key : {key_0_13, key_0_15, key_0_16}) {
     EXPECT_EQ(key.substr(0, key.rfind("-o")), old_key.substr(0, old_key.rfind("-o")));
     EXPECT_NE(key, old_key);
   }

@@ -38,11 +38,16 @@ TEST(SimilarityMatrix, MillerWeightComplementsSimilarity) {
   const auto logic = netlist::parse_bench_string(netlist::kIscas85C17);
   const auto result = sim::simulate(logic, sim::random_vectors(5, 16, 3));
   const sim::SimilarityMatrix m(result, {0, 1, 2});
+  // The consuming form hands back the same weights, row-major, bit for bit.
+  const std::vector<double> taken =
+      sim::SimilarityMatrix(result, {0, 1, 2}).take_miller_weights();
+  ASSERT_EQ(taken.size(), 9u);
   for (std::int32_t a = 0; a < 3; ++a) {
     for (std::int32_t b = 0; b < 3; ++b) {
       EXPECT_DOUBLE_EQ(m.miller_weight(a, b), 1.0 - m.at(a, b));
       EXPECT_GE(m.miller_weight(a, b), 0.0);
       EXPECT_LE(m.miller_weight(a, b), 2.0);
+      EXPECT_EQ(taken[static_cast<std::size_t>(a * 3 + b)], m.miller_weight(a, b));
     }
   }
 }
