@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "util/memtrack.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -28,7 +29,7 @@ int main() {
     const auto flow = bench::run_profile(profile.name, 1, options);
     const double total = profile.num_gates + profile.num_wires;
     const auto tracked =
-        static_cast<double>(flow.memory_bytes - util::MemoryTracker::kBaseBytes);
+        static_cast<double>(flow.memory_bytes - util::kMemoryBaseBytes);
     sizes.push_back(total);
     bytes.push_back(static_cast<double>(flow.memory_bytes));
     table.add_row({profile.name, util::TextTable::integer(static_cast<long long>(total)),

@@ -290,11 +290,8 @@ Status SizingSession::size() {
                           {}};
   result.net_of_node = std::move(elab_->net_of_node);
 
-  util::MemoryTracker tracker;
-  result.circuit.account_memory(tracker);
-  result.coupling.account_memory(tracker);
-  tracker.add("ogws/workspace", result.ogws.workspace_bytes);
-  result.memory_bytes = tracker.total_bytes();
+  result.memory_bytes = util::kMemoryBaseBytes + result.circuit.memory_bytes() +
+                        result.coupling.memory_bytes() + result.ogws.workspace_bytes;
 
   result_ = std::move(result);
   elab_.reset();

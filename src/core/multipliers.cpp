@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/assert.hpp"
+#include "util/memtrack.hpp"
 
 namespace lrsizer::core {
 
@@ -91,9 +92,8 @@ double MultiplierState::flow_residual(const netlist::Circuit& circuit) const {
   return worst;
 }
 
-void MultiplierState::account_memory(util::MemoryTracker& tracker) const {
-  tracker.add("multipliers/lambda",
-              util::vector_bytes(lambda) + util::vector_bytes(gamma_net));
+std::size_t MultiplierState::memory_bytes() const {
+  return util::vector_bytes(lambda) + util::vector_bytes(gamma_net);
 }
 
 }  // namespace lrsizer::core

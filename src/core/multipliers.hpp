@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "netlist/circuit.hpp"
-#include "util/memtrack.hpp"
 
 namespace lrsizer::core {
 
@@ -57,7 +56,8 @@ class MultiplierState {
   /// project_flow up to roundoff. Used by tests/diagnostics.
   double flow_residual(const netlist::Circuit& circuit) const;
 
-  void account_memory(util::MemoryTracker& tracker) const;
+  /// Bytes held by the edge and per-net multiplier arrays.
+  std::size_t memory_bytes() const;
 };
 
 }  // namespace lrsizer::core

@@ -10,7 +10,7 @@
 #include "timing/arrival.hpp"
 #include "timing/metrics.hpp"
 #include "util/assert.hpp"
-#include "util/logging.hpp"
+#include "util/memtrack.hpp"
 #include "util/timer.hpp"
 
 namespace lrsizer::core {
@@ -458,24 +458,17 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
     record_iteration_span(iterate, rho);
     if (control.observer) control.observer(iterate);
     if (stopping) break;
-    util::log_debug() << "ogws k=" << k << " area=" << area << " gap=" << cert_gap
-                      << " viol=" << max_violation;
   }
 
   // Working-set accounting for the Table 1 "mem" column / Figure 10(a).
-  util::MemoryTracker tracker;
-  multipliers.account_memory(tracker);
-  tracker.add("ogws/x+mu", util::vector_bytes(x) + util::vector_bytes(mu));
-  tracker.add("ogws/loads", util::vector_bytes(workspace.loads.cap_delay) +
-                                util::vector_bytes(workspace.loads.cap_prime) +
-                                util::vector_bytes(workspace.loads.load_in) +
-                                util::vector_bytes(workspace.r_up));
-  tracker.add("ogws/lrs", util::vector_bytes(workspace.mu_res) +
-                              util::vector_bytes(workspace.gamma_coef) +
-                              util::vector_bytes(workspace.exit_x));
-  tracker.add("ogws/arrivals", util::vector_bytes(arrivals.delay) +
-                                   util::vector_bytes(arrivals.arrival));
-  result.workspace_bytes = tracker.tracked_bytes();
+  result.workspace_bytes =
+      multipliers.memory_bytes() + util::vector_bytes(x) + util::vector_bytes(mu) +
+      util::vector_bytes(workspace.loads.cap_delay) +
+      util::vector_bytes(workspace.loads.cap_prime) +
+      util::vector_bytes(workspace.loads.load_in) + util::vector_bytes(workspace.r_up) +
+      util::vector_bytes(workspace.mu_res) + util::vector_bytes(workspace.gamma_coef) +
+      util::vector_bytes(workspace.exit_x) + util::vector_bytes(arrivals.delay) +
+      util::vector_bytes(arrivals.arrival);
   if (control.capture_warm_start) result.warm.sizes = result.sizes;
   return result;
 }

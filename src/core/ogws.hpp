@@ -39,7 +39,6 @@
 #include "layout/neighbors.hpp"
 #include "netlist/circuit.hpp"
 #include "timing/arrival.hpp"
-#include "util/memtrack.hpp"
 
 namespace lrsizer::core {
 

@@ -28,7 +28,7 @@ std::mutex& rules_mutex() {
   return mutex;
 }
 
-// Ordered so armed_points()/injected_counts() list deterministically.
+// Ordered so armed_points() lists deterministically.
 std::map<std::string, Rule>& rules() {
   static std::map<std::string, Rule> map;
   return map;
@@ -174,15 +174,10 @@ bool arm(const std::string& spec, std::string* error) {
   if (!parse_trigger(spec.substr(colon + 1), &rule, error)) {
     return false;
   }
-#if defined(LRSIZER_NO_FAULT_INJECTION)
-  return fail_with(error,
-                   "this build was compiled with LRSIZER_NO_FAULT_INJECTION");
-#else
   const std::lock_guard<std::mutex> lock(rules_mutex());
   rules()[point] = rule;
   detail::g_armed.store(true, std::memory_order_relaxed);
   return true;
-#endif
 }
 
 int arm_from_env(std::string* error) {
@@ -227,16 +222,6 @@ std::uint64_t injected_count(const std::string& point) {
   const std::lock_guard<std::mutex> lock(rules_mutex());
   const auto it = rules().find(point);
   return it == rules().end() ? 0U : it->second.injected;
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> injected_counts() {
-  const std::lock_guard<std::mutex> lock(rules_mutex());
-  std::vector<std::pair<std::string, std::uint64_t>> counts;
-  counts.reserve(rules().size());
-  for (const auto& [point, rule] : rules()) {
-    counts.emplace_back(point, rule.injected);
-  }
-  return counts;
 }
 
 }  // namespace lrsizer::fault

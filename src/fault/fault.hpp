@@ -27,15 +27,11 @@
 // Thread safety: every function is safe to call concurrently; should_fail
 // serializes per-process on one mutex, which is fine because armed runs are
 // test/chaos runs by definition.
-//
-// Building with -DLRSIZER_NO_FAULT_INJECTION compiles every point to a
-// constant false (arm() then fails at runtime).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace lrsizer::fault {
@@ -54,12 +50,8 @@ inline bool armed() {
 /// single load. Unarmed points return false (their hits are not counted).
 bool should_fail(const char* point);
 
-#if defined(LRSIZER_NO_FAULT_INJECTION)
-#define LRSIZER_FAULT_POINT(point) false
-#else
 #define LRSIZER_FAULT_POINT(point) \
   (::lrsizer::fault::armed() && ::lrsizer::fault::should_fail(point))
-#endif
 
 /// Every point name the codebase defines (sorted). arm() rejects names not
 /// in this list.
@@ -86,8 +78,5 @@ std::vector<std::string> armed_points();
 /// Monotonic until reset(); the lrsizer_fault_injected_total{point} metric
 /// reads this.
 std::uint64_t injected_count(const std::string& point);
-
-/// (point, injected) for every armed point, sorted by point.
-std::vector<std::pair<std::string, std::uint64_t>> injected_counts();
 
 }  // namespace lrsizer::fault

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/assert.hpp"
+#include "util/memtrack.hpp"
 
 namespace lrsizer::layout {
 
@@ -83,11 +84,9 @@ double CouplingSet::noise_exact(const std::vector<double>& x) const {
   return total;
 }
 
-void CouplingSet::account_memory(util::MemoryTracker& tracker) const {
-  tracker.add("coupling/pairs", util::vector_bytes(pairs_));
-  tracker.add("coupling/adjacency",
-              util::vector_bytes(offset_) + util::vector_bytes(entries_) +
-                  util::vector_bytes(owner_offset_) + util::vector_bytes(owner_pairs_));
+std::size_t CouplingSet::memory_bytes() const {
+  return util::vector_bytes(pairs_) + util::vector_bytes(offset_) + util::vector_bytes(entries_) +
+         util::vector_bytes(owner_offset_) + util::vector_bytes(owner_pairs_);
 }
 
 CouplingSet build_coupling_set(const netlist::Circuit& circuit,

@@ -21,7 +21,6 @@
 #include "layout/coupling.hpp"
 #include "netlist/circuit.hpp"
 #include "util/assert.hpp"
-#include "util/memtrack.hpp"
 
 namespace lrsizer::layout {
 
@@ -103,7 +102,8 @@ class CouplingSet {
   /// the posynomial order-4 value (geometrically impossible region).
   double noise_exact(const std::vector<double>& x) const;
 
-  void account_memory(util::MemoryTracker& tracker) const;
+  /// Bytes held by the pair list and its adjacency arrays.
+  std::size_t memory_bytes() const;
 
  private:
   std::vector<Pair> pairs_;

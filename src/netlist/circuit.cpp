@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/assert.hpp"
+#include "util/memtrack.hpp"
 
 namespace lrsizer::netlist {
 
@@ -13,18 +14,18 @@ void Circuit::set_uniform_size(double x) {
   }
 }
 
-void Circuit::account_memory(util::MemoryTracker& tracker) const {
-  std::size_t node_bytes = util::vector_bytes(kind_) + util::vector_bytes(unit_res_) +
-                           util::vector_bytes(unit_cap_) + util::vector_bytes(fringe_cap_) +
-                           util::vector_bytes(area_weight_) + util::vector_bytes(pin_load_) +
-                           util::vector_bytes(lower_) + util::vector_bytes(upper_) +
-                           util::vector_bytes(length_) + util::vector_bytes(size_);
-  std::size_t edge_bytes = util::vector_bytes(edge_from_) + util::vector_bytes(edge_to_) +
-                           util::vector_bytes(out_offset_) + util::vector_bytes(out_nodes_) +
-                           util::vector_bytes(out_edges_) + util::vector_bytes(in_offset_) +
-                           util::vector_bytes(in_nodes_) + util::vector_bytes(in_edges_);
-  tracker.add("circuit/nodes", node_bytes);
-  tracker.add("circuit/edges", edge_bytes);
+std::size_t Circuit::memory_bytes() const {
+  const std::size_t node_bytes =
+      util::vector_bytes(kind_) + util::vector_bytes(unit_res_) + util::vector_bytes(unit_cap_) +
+      util::vector_bytes(fringe_cap_) + util::vector_bytes(area_weight_) +
+      util::vector_bytes(pin_load_) + util::vector_bytes(lower_) + util::vector_bytes(upper_) +
+      util::vector_bytes(length_) + util::vector_bytes(size_);
+  const std::size_t edge_bytes =
+      util::vector_bytes(edge_from_) + util::vector_bytes(edge_to_) +
+      util::vector_bytes(out_offset_) + util::vector_bytes(out_nodes_) +
+      util::vector_bytes(out_edges_) + util::vector_bytes(in_offset_) +
+      util::vector_bytes(in_nodes_) + util::vector_bytes(in_edges_);
+  return node_bytes + edge_bytes;
 }
 
 void Circuit::validate() const {

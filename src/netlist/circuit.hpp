@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "netlist/types.hpp"
-#include "util/memtrack.hpp"
 
 namespace lrsizer::netlist {
 
@@ -123,8 +122,8 @@ class Circuit {
 
   const TechParams& tech() const { return tech_; }
 
-  /// Register this circuit's data-structure footprint with `tracker`.
-  void account_memory(util::MemoryTracker& tracker) const;
+  /// Bytes held by this circuit's per-node and per-edge arrays.
+  std::size_t memory_bytes() const;
 
   /// Internal consistency check (index contract, CSR symmetry, acyclicity by
   /// construction). Aborts on violation; used by tests and the builder.

@@ -15,7 +15,6 @@
 #include "api/session.hpp"
 #include "eco/incremental.hpp"
 #include "netlist/generator.hpp"
-#include "obs/registry.hpp"
 #include "runtime/pool.hpp"
 #include "util/logging.hpp"
 #include "util/timer.hpp"
@@ -131,7 +130,6 @@ JobOutcome run_one(BatchJob&& job, const BatchOptions& options,
     entry.eco = eco::build_eco_index(outcome.netlist, *outcome.flow);
     options.cache->store(*key, std::move(entry));
   }
-  if (!options.keep_flow_results) outcome.flow.reset();
   return outcome;
 }
 
@@ -226,21 +224,6 @@ BatchResult run_batch(std::vector<BatchJob> jobs, const BatchOptions& options) {
         result.peak_memory_bytes = outcome.summary.memory_bytes;
       }
     }
-  }
-  if (options.registry) {
-    obs::Registry& reg = *options.registry;
-    const char* help = "Batch jobs finished, by outcome.";
-    const std::size_t cancelled = result.num_cancelled();
-    const std::size_t failed = result.num_failed();
-    reg.counter("lrsizer_batch_jobs_total", help, {{"outcome", "ok"}})
-        ->inc(result.jobs.size() - cancelled - failed);
-    reg.counter("lrsizer_batch_jobs_total", help, {{"outcome", "cancelled"}})
-        ->inc(cancelled);
-    reg.counter("lrsizer_batch_jobs_total", help, {{"outcome", "failed"}})
-        ->inc(failed);
-    reg.counter("lrsizer_batch_cache_hits_total",
-                "Batch jobs answered from the result cache or in-batch dedupe.")
-        ->inc(result.num_cache_hits());
   }
   return result;
 }

@@ -25,7 +25,6 @@
 #include "runtime/json.hpp"
 
 namespace lrsizer::obs {
-class Registry;
 class TraceSession;
 }
 
@@ -61,8 +60,7 @@ struct JobOutcome {
   bool cache_hit = false;
   std::string error;              ///< failure/cancellation text when !ok
   netlist::LogicNetlist netlist;  ///< the job's input, handed back
-  /// Full flow result; engaged when ok unless the batch ran with
-  /// keep_flow_results = false.
+  /// Full flow result; engaged when ok.
   std::optional<core::FlowResult> flow;
   core::FlowSummary summary;
   double seconds = 0.0;           ///< this job's wall time inside its worker
@@ -102,10 +100,6 @@ struct BatchOptions {
   /// Concurrent jobs (pool workers); each job runs serially on its worker.
   /// 0 = auto: hardware concurrency. An explicit value is taken as-is.
   int jobs = 0;
-  /// Drop each job's full FlowResult (circuit/coupling/history) after
-  /// summarizing, keeping only JobOutcome::summary. Saves memory on large
-  /// sweeps where only the report matters.
-  bool keep_flow_results = true;
   /// Cooperative batch-wide cancellation: in-flight jobs stop at the next
   /// OGWS iteration (keeping their partial result), queued jobs return
   /// immediately as cancelled. Default token: never cancelled.
@@ -125,10 +119,6 @@ struct BatchOptions {
   /// per-thread tids, so concurrent jobs interleave cleanly in one trace.
   /// nullptr: no tracing.
   obs::TraceSession* trace = nullptr;
-  /// Telemetry registry (borrowed). When set, run_batch publishes
-  /// lrsizer_batch_jobs_total{outcome="ok"|"cancelled"|"failed"} and
-  /// lrsizer_batch_cache_hits_total at rollup. nullptr: no telemetry.
-  obs::Registry* registry = nullptr;
 };
 
 struct BatchResult {

@@ -408,36 +408,6 @@ void ResultCache::abandon(const std::string& key) {
   for (auto& fn : followers) fn(nullptr);
 }
 
-std::size_t ResultCache::hits() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::size_t ResultCache::misses() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
-}
-
-std::size_t ResultCache::entries() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-std::size_t ResultCache::bytes() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return bytes_;
-}
-
-std::size_t ResultCache::evictions() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return evictions_;
-}
-
-std::size_t ResultCache::corrupt() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return corrupt_;
-}
-
 CacheStats ResultCache::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   CacheStats s;

@@ -122,8 +122,7 @@ struct CacheLimits {
   std::size_t max_bytes = kUnlimited;
 };
 
-/// Point-in-time cache counters (see the accessors below for semantics).
-/// `hits` counts exact-key answers only: finding a base that seeds another
+/// Point-in-time cache counters. `hits` counts exact-key answers only: finding a base that seeds another
 /// job is not a hit (the serve loop counts applied seeds itself), and a
 /// request that misses its exact key but is seeded still counts one
 /// `misses`.
@@ -210,13 +209,8 @@ class ResultCache {
   /// True when a disk directory backs this cache (entries survive restarts).
   bool disk_backed() const { return !disk_dir_.empty(); }
 
-  std::size_t hits() const;    ///< lookup/acquire answered from a completed entry
-  std::size_t misses() const;  ///< lookups that found nothing completed
-  std::size_t entries() const;    ///< completed entries currently held
-  std::size_t bytes() const;      ///< Σ accounted bytes of those entries
-  std::size_t evictions() const;  ///< entries evicted/rejected for budget
-  std::size_t corrupt() const;    ///< disk entries quarantined as corrupt
-  CacheStats stats() const;       ///< all of the above, one lock
+  /// Every counter, read under one lock.
+  CacheStats stats() const;
 
  private:
   /// One completed entry plus its LRU bookkeeping.

@@ -15,7 +15,8 @@ ThreadPool::ThreadPool(int num_workers) {
 }
 
 ThreadPool::~ThreadPool() {
-  wait_idle();
+  // Workers keep popping until the queue is empty, so every task submitted
+  // before this point (or by a task still running) runs before the join.
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
@@ -39,18 +40,11 @@ void ThreadPool::worker_loop() {
     if (queue_.empty()) return;  // stop_ with nothing left to run
     std::function<void()> task = std::move(queue_.front());
     queue_.pop_front();
-    ++active_;
     lock.unlock();
     task();
     task = nullptr;  // destroy its captures outside the lock
     lock.lock();
-    if (--active_ == 0 && queue_.empty()) idle_cv_.notify_all();
   }
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
 }  // namespace lrsizer::runtime

@@ -50,22 +50,16 @@ class ThreadPool {
     return future;
   }
 
-  /// Block until every task submitted so far has finished executing.
-  void wait_idle();
-
  private:
   void enqueue(std::function<void()> task);
   void worker_loop();
 
   std::vector<std::thread> workers_;
 
-  // Guarded by mutex_. `active_` counts tasks currently executing, so
-  // wait_idle() returns only once the queue is empty and nothing runs.
+  // Guarded by mutex_.
   std::mutex mutex_;
   std::condition_variable work_cv_;
-  std::condition_variable idle_cv_;
   std::deque<std::function<void()>> queue_;
-  int active_ = 0;
   bool stop_ = false;
 };
 

@@ -1,7 +1,6 @@
 #include "serve/listen.hpp"
 
 #include <cstdio>
-#include <iostream>
 
 #include "obs/http.hpp"
 #include "obs/prometheus.hpp"
@@ -32,19 +31,21 @@ namespace lrsizer::serve {
 
 namespace {
 
-/// Write one response line (plus newline) to a socket, whole or not at all
-/// from the caller's perspective: EINTR is retried, any other short write
-/// means the client is gone — false tells the caller to stop writing, and
-/// the event loop reaps the connection. MSG_NOSIGNAL because a
-/// disconnected client must surface as a write error, not a
-/// process-killing SIGPIPE — this is a long-lived server (per-fd
-/// SO_NOSIGPIPE covers platforms without the flag).
-bool write_all_fd(int fd, const std::string& out) {
-  if (LRSIZER_FAULT_POINT("socket.write")) return false;
+/// Write `out` to `fd` whole, or report failure: EINTR is retried, any
+/// other short write means the peer is gone — false tells the caller to
+/// stop writing, and the event loop reaps the connection. Sockets take
+/// send(MSG_NOSIGNAL) because a disconnected client must surface as a write
+/// error, not a process-killing SIGPIPE — this is a long-lived server
+/// (per-fd SO_NOSIGPIPE covers platforms without the flag). stdout is not a
+/// socket and takes write(2).
+bool write_all_fd(int fd, const std::string& out, bool socket = true) {
+  if (socket && LRSIZER_FAULT_POINT("socket.write")) return false;
   std::size_t off = 0;
   while (off < out.size()) {
 #if defined(MSG_NOSIGNAL)
-    const ssize_t n = ::send(fd, out.data() + off, out.size() - off, MSG_NOSIGNAL);
+    const ssize_t n =
+        socket ? ::send(fd, out.data() + off, out.size() - off, MSG_NOSIGNAL)
+               : ::write(fd, out.data() + off, out.size() - off);
 #else
     const ssize_t n = ::write(fd, out.data() + off, out.size() - off);
 #endif
@@ -55,68 +56,14 @@ bool write_all_fd(int fd, const std::string& out) {
   return true;
 }
 
-bool write_line_fd(int fd, const std::string& line) {
-  std::string out = line;
-  out.push_back('\n');
-  return write_all_fd(fd, out);
-}
-
-/// Read lines from one connected fd (the stdin transport). Reads are
-/// poll-gated so a stop request (Ctrl-C) is noticed within ~500 ms even
-/// while the peer is idle.
-class LineReader {
- public:
-  explicit LineReader(int fd) : fd_(fd) {}
-
-  /// False on EOF, error, or stop request; strips the trailing newline
-  /// like std::getline.
-  bool read_line(std::string& line, const std::stop_token& stop) {
-    while (true) {
-      const std::size_t newline = buffer_.find('\n', pos_);
-      if (newline != std::string::npos) {
-        line.assign(buffer_, pos_, newline - pos_);
-        pos_ = newline + 1;
-        return true;
-      }
-      buffer_.erase(0, pos_);
-      pos_ = 0;
-      if (!fill(stop)) {
-        // EOF with a final unterminated line still hands it over.
-        if (buffer_.empty()) return false;
-        line = std::move(buffer_);
-        buffer_.clear();
-        return true;
-      }
-    }
-  }
-
- private:
-  /// Append at least one byte to the buffer; false on EOF/error/stop.
-  bool fill(const std::stop_token& stop) {
-    while (true) {
-      pollfd pfd{fd_, POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, 500);
-      if (stop.stop_requested()) return false;
-      if (ready < 0 && errno != EINTR) return false;
-      if (ready <= 0) continue;
-      char chunk[4096];
-      const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-      if (n <= 0) return false;
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-      return true;
-    }
-  }
-
-  int fd_;
-  std::string buffer_;
-  std::size_t pos_ = 0;
-};
-
-/// One accepted connection in the event loop: its fd, its Server client
+/// One connection in the event loop: the fd it reads, its Server client
 /// handle, and the bytes received that do not yet form a complete line.
 struct Conn {
   int fd = -1;
   Server::ClientId client = 0;  ///< jsonl connections only (0 = none)
+  /// The stdin transport: reads fd 0, answers on fd 1, neither of which the
+  /// loop owns; EOF ends the service instead of disconnecting the client.
+  bool stdio = false;
   /// Set by the response sink (worker threads) when a write fails; the
   /// event loop reaps the connection on its next pass. shared_ptr because
   /// the sink closure outlives Conn vector reallocations.
@@ -210,26 +157,20 @@ void respond_http(Conn& conn, Server& server) {
 
 }  // namespace
 
-bool listen_available() { return true; }
-
-void serve_stdin(Server& server, const std::stop_token& stop) {
-  server.hello();
-  LineReader input(0);
-  std::string line;
-  while (!stop.stop_requested() && !server.draining() &&
-         input.read_line(line, stop)) {
-    if (!server.handle_line(line)) break;
-  }
-  server.drain();
-}
-
 int listen_and_serve(const ListenOptions& listen_options, Server& server) {
   const std::stop_token stop = server.options().stop;
   const std::size_t max_line = server.options().max_line_bytes;
+  const std::string too_long =
+      "request line exceeds " + std::to_string(max_line) + " bytes";
+  const bool stdio = listen_options.port < 0;
 
+  int listener = -1;
   std::uint16_t actual_port = 0;
-  const int listener = open_listener(listen_options.port, "jsonl", &actual_port);
-  if (listener < 0) return 1;
+  if (!stdio) {
+    listener = open_listener(static_cast<std::uint16_t>(listen_options.port),
+                             "jsonl", &actual_port);
+    if (listener < 0) return 1;
+  }
   int metrics_listener = -1;
   std::uint16_t metrics_port = 0;
   if (listen_options.metrics_port >= 0) {
@@ -237,7 +178,7 @@ int listen_and_serve(const ListenOptions& listen_options, Server& server) {
         open_listener(static_cast<std::uint16_t>(listen_options.metrics_port),
                       "metrics", &metrics_port);
     if (metrics_listener < 0) {
-      ::close(listener);
+      if (listener >= 0) ::close(listener);
       return 1;
     }
   }
@@ -248,35 +189,59 @@ int listen_and_serve(const ListenOptions& listen_options, Server& server) {
   // Announced unconditionally (not through the leveled logger): tooling
   // that launches `serve --listen 0` parses these lines for the actual
   // ports.
-  std::fprintf(stderr, "lrsizer serve: listening on 127.0.0.1:%u\n",
-               static_cast<unsigned>(actual_port));
+  if (listener >= 0) {
+    std::fprintf(stderr, "lrsizer serve: listening on 127.0.0.1:%u\n",
+                 static_cast<unsigned>(actual_port));
+  }
   if (metrics_listener >= 0) {
     std::fprintf(stderr, "lrsizer serve: metrics on 127.0.0.1:%u\n",
                  static_cast<unsigned>(metrics_port));
   }
   std::fflush(stderr);
 
-  const int one = 1;
-  // pfds layout: jsonl listener, then the metrics listener (when enabled),
-  // then one slot per connection.
-  const std::size_t conn_base = metrics_listener >= 0 ? 2 : 1;
   std::vector<Conn> conns;
+  // Attach a jsonl client that reads `fd` and answers on the same socket,
+  // or on fd 1 for the stdin transport.
+  const auto attach = [&server, &conns](int fd, bool from_stdin) {
+    Conn conn;
+    conn.fd = fd;
+    conn.stdio = from_stdin;
+    conn.broken = std::make_shared<std::atomic<bool>>(false);
+    const int out = from_stdin ? 1 : fd;
+    conn.client = server.add_client(
+        [out, socket = !from_stdin, broken = conn.broken](const std::string& line) {
+          // Once one write fails the peer is gone; swallow the rest of its
+          // responses instead of hammering a dead fd.
+          if (broken->load(std::memory_order_relaxed)) return;
+          if (!write_all_fd(out, line + '\n', socket)) {
+            broken->store(true, std::memory_order_relaxed);
+          }
+        });
+    server.hello(conn.client);
+    conns.push_back(std::move(conn));
+  };
+  if (stdio) attach(0, true);
+
+  const int one = 1;
+  // pfds layout: the jsonl listener, the metrics listener (fd -1, which
+  // poll skips, when either is off), then one slot per connection.
+  constexpr std::size_t kConnBase = 2;
   bool shutdown_requested = false;
   while (!shutdown_requested && !stop.stop_requested()) {
-    // The 500 ms timeout bounds how long a stop request (Ctrl-C) can go
-    // unnoticed while every fd is idle.
+    // The 500 ms timeout bounds how long a stop request (Ctrl-C) or a drain
+    // can go unnoticed while every fd is idle.
     std::vector<pollfd> pfds;
-    pfds.reserve(conns.size() + conn_base);
+    pfds.reserve(conns.size() + kConnBase);
     pfds.push_back({listener, POLLIN, 0});
-    if (metrics_listener >= 0) pfds.push_back({metrics_listener, POLLIN, 0});
+    pfds.push_back({metrics_listener, POLLIN, 0});
     for (const Conn& conn : conns) pfds.push_back({conn.fd, POLLIN, 0});
     const int ready = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 500);
     if (stop.stop_requested()) break;
     // Graceful drain (SIGTERM): new jobs are already being refused with a
     // "shutdown" error by the Server; leave the loop once the last
     // in-flight job has flushed its terminal response. Until then keep
-    // polling so those responses reach their clients and /metrics and
-    // /healthz keep answering (503) for the ops side.
+    // reading, so clients get those refusals and their responses, and
+    // /metrics and /healthz keep answering (503) for the ops side.
     if (server.draining() && server.idle()) break;
     if (ready < 0 && errno != EINTR) break;
     if (ready <= 0) continue;
@@ -285,8 +250,8 @@ int listen_and_serve(const ListenOptions& listen_options, Server& server) {
     // cannot starve connected clients of reads.
     for (std::size_t i = 0; i < conns.size() && !shutdown_requested; ++i) {
       Conn& conn = conns[i];
-      const short revents = pfds[i + conn_base].revents;
-      if ((revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+      const short revents = pfds[i + kConnBase].revents;
+      if ((revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL)) == 0) continue;
       if (conn.http) {
         // Metrics connection: feed the parser; answer (or reject) once it
         // settles. A peer that dribbles partial headers and stops
@@ -321,28 +286,42 @@ int listen_and_serve(const ListenOptions& listen_options, Server& server) {
       const ssize_t n = ::read(conn.fd, chunk, sizeof(chunk));
       if (n <= 0) {
         if (n < 0 && errno == EINTR) continue;
-        // EOF (or error): a final unterminated line still counts, matching
-        // the stdin transport.
+        // EOF (or error): a final unterminated line still counts.
         if (!conn.buffer.empty() && !conn.discarding) {
           if (!server.handle_line(conn.client, conn.buffer)) {
             shutdown_requested = true;
           }
         }
-        conn.dead = true;
+        // A TCP peer that hangs up is gone, and so are its jobs. The end of
+        // stdin instead ends the service the way shutdown does: the client
+        // stays attached, so every job it submitted still answers.
+        if (conn.stdio) {
+          shutdown_requested = true;
+        } else {
+          conn.dead = true;
+        }
         continue;
       }
+      // Bytes before this read hold no newline: the last pass consumed
+      // every complete line.
+      std::size_t scan = conn.buffer.size();
       conn.buffer.append(chunk, static_cast<std::size_t>(n));
       std::size_t start = 0;
       for (;;) {
-        const std::size_t newline = conn.buffer.find('\n', start);
+        const std::size_t newline = conn.buffer.find('\n', scan);
         if (newline == std::string::npos) break;
-        std::string line = conn.buffer.substr(start, newline - start);
-        start = newline + 1;
+        const std::size_t begin = start;
+        start = scan = newline + 1;
         if (conn.discarding) {
           // The tail of an already-rejected oversized line.
           conn.discarding = false;
           continue;
         }
+        if (newline - begin > max_line) {
+          server.reject(conn.client, too_long);
+          continue;
+        }
+        std::string line = conn.buffer.substr(begin, newline - begin);
         if (!line.empty() && line.back() == '\r') line.pop_back();
         if (!server.handle_line(conn.client, line)) {
           shutdown_requested = true;
@@ -355,9 +334,7 @@ int listen_and_serve(const ListenOptions& listen_options, Server& server) {
         // bounding per-connection memory against a peer that never sends
         // a newline.
         if (!conn.discarding) {
-          server.reject(conn.client,
-                        "request line exceeds " + std::to_string(max_line) +
-                            " bytes");
+          server.reject(conn.client, too_long);
           conn.discarding = true;
         }
         conn.buffer.clear();
@@ -375,33 +352,18 @@ int listen_and_serve(const ListenOptions& listen_options, Server& server) {
           ::close(fd);
         } else {
 #if defined(SO_NOSIGPIPE)
-          // BSD/macOS counterpart of MSG_NOSIGNAL in write_line_fd.
+          // BSD/macOS counterpart of MSG_NOSIGNAL in write_all_fd.
           ::setsockopt(fd, SOL_SOCKET, SO_NOSIGPIPE, &one, sizeof(one));
 #endif
           // Responses are small lines written back to back (accepted, then
           // result); with Nagle's algorithm on, the second waits for the
           // client's delayed ACK of the first — ~40 ms on every cache hit.
           ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-          Conn conn;
-          conn.fd = fd;
-          conn.broken = std::make_shared<std::atomic<bool>>(false);
-          const std::shared_ptr<std::atomic<bool>> broken = conn.broken;
-          conn.client =
-              server.add_client([fd, broken](const std::string& line) {
-                // Once one write fails the peer is gone; swallow the rest
-                // of its responses instead of hammering a dead socket.
-                if (broken->load(std::memory_order_relaxed)) return;
-                if (!write_line_fd(fd, line)) {
-                  broken->store(true, std::memory_order_relaxed);
-                }
-              });
-          server.hello(conn.client);
-          conns.push_back(std::move(conn));
+          attach(fd, false);
         }
       }
     }
-    if (!shutdown_requested && metrics_listener >= 0 &&
-        (pfds[1].revents & POLLIN) != 0) {
+    if (!shutdown_requested && (pfds[1].revents & POLLIN) != 0) {
       const int fd = ::accept(metrics_listener, nullptr, nullptr);
       if (fd >= 0) {
 #if defined(SO_NOSIGPIPE)
@@ -419,7 +381,8 @@ int listen_and_serve(const ListenOptions& listen_options, Server& server) {
     // responses before the fd closes, so no write ever hits a closed fd.
     // A failed response write (broken sink) is the same condition observed
     // from the other direction — reap those too; the server itself
-    // survives the loss of any client.
+    // survives the loss of any client. Nobody is left to serve once stdout
+    // breaks.
     for (std::size_t i = 0; i < conns.size();) {
       if (conns[i].broken &&
           conns[i].broken->load(std::memory_order_relaxed)) {
@@ -430,36 +393,34 @@ int listen_and_serve(const ListenOptions& listen_options, Server& server) {
         continue;
       }
       if (conns[i].client != 0) server.remove_client(conns[i].client);
-      ::close(conns[i].fd);
+      if (conns[i].stdio) {
+        shutdown_requested = true;
+      } else {
+        ::close(conns[i].fd);
+      }
       conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i));
     }
   }
 
   // Drain before detaching sinks: in-flight jobs (cancelled by the stop
-  // token on Ctrl-C, or running to completion on client shutdown) flush
-  // their terminal responses to clients that are still connected.
+  // token on Ctrl-C, or running to completion on shutdown and at the end
+  // of stdin) flush their terminal responses to clients that are still
+  // connected.
   server.drain();
   for (const Conn& conn : conns) {
     if (conn.client != 0) server.remove_client(conn.client);
-    ::close(conn.fd);
+    if (!conn.stdio) ::close(conn.fd);
   }
-  ::close(listener);
+  if (listener >= 0) ::close(listener);
   if (metrics_listener >= 0) ::close(metrics_listener);
   return 0;
 }
 
 #else  // !LRSIZER_HAVE_SOCKETS
 
-bool listen_available() { return false; }
-
 int listen_and_serve(const ListenOptions&, Server&) {
-  util::log_error() << "serve: --listen is unavailable on this platform "
-                       "(no BSD sockets); use stdin-jsonl mode";
+  util::log_error() << "serve: unavailable on this platform (no BSD sockets)";
   return 1;
-}
-
-void serve_stdin(Server& server, const std::stop_token&) {
-  server.serve_stream(std::cin);
 }
 
 #endif

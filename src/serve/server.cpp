@@ -28,21 +28,10 @@ Server::Server(ServerOptions options)
   if (options_.cache) {
     cache_ = options_.cache;
   } else {
-    owned_cache_ = std::make_unique<ResultCache>("", options_.cache_limits);
+    owned_cache_ = std::make_unique<ResultCache>();
     cache_ = owned_cache_.get();
   }
-  if (options_.registry) {
-    registry_ = options_.registry;
-  } else {
-    owned_registry_ = std::make_unique<obs::Registry>();
-    registry_ = owned_registry_.get();
-  }
   register_metrics();
-}
-
-Server::Server(ServerOptions options, Sink sink)
-    : Server(std::move(options)) {
-  default_client_ = add_client(std::move(sink));
 }
 
 Server::~Server() {
@@ -55,8 +44,7 @@ Server::~Server() {
   watchdog_cv_.notify_all();
   if (watchdog_.joinable()) watchdog_.join();
   // Callback metrics read through `this` (cache_, pool_, in_flight_); drop
-  // them before any member dies. Owned counters stay — on a borrowed
-  // registry they simply stop moving, which is the right scrape semantics.
+  // them before any member dies.
   registry_->remove_owner(this);
 }
 
@@ -242,8 +230,6 @@ void Server::hello(ClientId client) {
                           cache_->disk_backed() ? "disk" : "memory"));
 }
 
-void Server::hello() { hello(default_client_); }
-
 StatsSnapshot Server::stats_snapshot() const {
   StatsSnapshot s;
   s.version = options_.version;
@@ -316,21 +302,6 @@ void Server::begin_drain() {
 bool Server::idle() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return in_flight_ == 0;
-}
-
-int Server::serve_stream(std::istream& in) {
-  hello();
-  std::string line;
-  while (!options_.stop.stop_requested() && !draining() &&
-         std::getline(in, line)) {
-    if (!handle_line(line)) break;
-  }
-  drain();
-  return 0;
-}
-
-bool Server::handle_line(const std::string& line) {
-  return handle_line(default_client_, line);
 }
 
 void Server::reject(ClientId client, const std::string& message) {

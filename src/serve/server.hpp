@@ -36,7 +36,8 @@
 // is invoked from read threads and pool workers, one complete line per
 // call, serialized per client by an internal mutex — it only needs to
 // write and flush. drain() blocks until every accepted job has emitted its
-// terminal response.
+// terminal response. serve/listen.hpp reads requests for both transports
+// (stdin and TCP); tests drive a Server directly through add_client.
 #pragma once
 
 #include <atomic>
@@ -45,7 +46,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <istream>
 #include <memory>
 #include <mutex>
 #include <queue>
@@ -70,12 +70,9 @@ struct ServerOptions {
   /// Defaults for every job; request "options" objects override per job.
   core::FlowOptions base_options;
   /// Result cache (borrowed, must outlive the server; may be shared with
-  /// run_batch or other servers). nullptr: the server owns a memory-only
-  /// cache.
+  /// run_batch or other servers). nullptr: the server owns an unbounded
+  /// memory-only cache.
   runtime::ResultCache* cache = nullptr;
-  /// Budget for the owned cache (ignored when `cache` is supplied — a
-  /// borrowed cache brings its own limits).
-  runtime::CacheLimits cache_limits;
   /// On a cache miss, seed the job from the cached base sharing the most
   /// output cones with the request's netlist (ResultCache::lookup_eco +
   /// eco::seed_from_index): sizes for the clean cones, plus the base's
@@ -104,9 +101,9 @@ struct ServerOptions {
   /// admission). A request's "deadline_ms" overrides, including 0 = none.
   /// 0 here = no default deadline.
   std::int64_t default_deadline_ms = 0;
-  /// A request line longer than this is rejected with an error response
-  /// instead of being buffered without bound (enforced by the TCP
-  /// front-end, which is the one reading from untrusted peers).
+  /// A request line longer than this is rejected with an `oversized` error
+  /// instead of being buffered without bound (enforced by listen_and_serve
+  /// on both transports).
   std::size_t max_line_bytes = 8u << 20;
   /// Server-wide cooperative shutdown (e.g. SIGINT): running jobs are
   /// cancelled mid-OGWS and answer `cancelled`.
@@ -114,15 +111,6 @@ struct ServerOptions {
   /// Reported in the hello message, the stats response and the
   /// lrsizer_build_info metric.
   std::string version;
-  /// Telemetry registry (borrowed, must outlive the server). The server
-  /// publishes every counter it keeps — job admissions, terminal responses,
-  /// cache traffic, queue depth, job latency — into it; stats_snapshot()
-  /// reads the same instruments back, so the jsonl stats response and a
-  /// /metrics scrape can never disagree. nullptr: the server owns a private
-  /// registry (reachable via registry()). Sharing one registry between
-  /// servers merges their series — intended for a registry shared with
-  /// run_batch, not for two servers.
-  obs::Registry* registry = nullptr;
 };
 
 class Server {
@@ -133,11 +121,8 @@ class Server {
   /// Handle for one attached client; scopes job ids and owns one sink.
   using ClientId = std::uint64_t;
 
-  /// Multi-client server: attach clients with add_client().
+  /// Attach clients with add_client().
   explicit Server(ServerOptions options);
-  /// Single-client convenience: `sink` becomes the default client that the
-  /// id-less hello()/handle_line() overloads talk to.
-  Server(ServerOptions options, Sink sink);
   /// Drains in-flight jobs (equivalent to drain()).
   ~Server();
 
@@ -153,16 +138,14 @@ class Server {
 
   /// Emit the hello line (schema, version, workers, cache mode).
   void hello(ClientId client);
-  void hello();  ///< default client
 
   /// Handle one request line for this client (empty/blank lines are
   /// ignored). Returns false when the line was a shutdown request — the
   /// caller should stop reading and drain().
   bool handle_line(ClientId client, const std::string& line);
-  bool handle_line(const std::string& line);  ///< default client
 
-  /// Emit an error response to this client without parsing anything — the
-  /// TCP front-end's path for lines it refuses to buffer (oversized).
+  /// Emit an `oversized` error to this client without parsing anything —
+  /// the request reader's path for lines it refuses to buffer.
   void reject(ClientId client, const std::string& message);
 
   /// Block until every accepted job has emitted its terminal response.
@@ -181,15 +164,13 @@ class Server {
   /// with draining(), the front-end's "drain complete, exit now" signal.
   bool idle() const;
 
-  /// hello + read lines until EOF or shutdown + drain (default client).
-  /// Returns 0.
-  int serve_stream(std::istream& in);
-
   const ServerOptions& options() const { return options_; }
 
-  /// The telemetry registry this server publishes into — the caller's
-  /// (ServerOptions::registry) or the server-owned default. The HTTP
-  /// /metrics endpoint renders registry().snapshot().
+  /// The telemetry registry this server publishes every counter it keeps
+  /// into — job admissions, terminal responses, cache traffic, queue
+  /// depth, job latency. stats_snapshot() reads the same instruments back
+  /// and the HTTP /metrics endpoint renders registry().snapshot(), so the
+  /// two can never disagree.
   obs::Registry& registry() const { return *registry_; }
 
   /// Everything the stats response carries: job counters, queue depth,
@@ -260,8 +241,7 @@ class Server {
   ServerOptions options_;
   std::unique_ptr<runtime::ResultCache> owned_cache_;
   runtime::ResultCache* cache_ = nullptr;
-  std::unique_ptr<obs::Registry> owned_registry_;
-  obs::Registry* registry_ = nullptr;
+  std::unique_ptr<obs::Registry> registry_ = std::make_unique<obs::Registry>();
 
   // Owned instruments (stable pointers into registry_). Counter writes are
   // lock-free, so the job counters no longer live under mutex_.
@@ -290,7 +270,6 @@ class Server {
   mutable std::mutex clients_mutex_;
   std::unordered_map<ClientId, std::shared_ptr<Client>> clients_;
   ClientId next_client_ = 1;
-  ClientId default_client_ = 0;  ///< 0 = none (multi-client ctor)
 
   /// Set by begin_drain(); read lock-free on the request path.
   std::atomic<bool> draining_{false};

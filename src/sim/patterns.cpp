@@ -18,23 +18,4 @@ std::vector<std::vector<int>> random_vectors(std::int32_t num_inputs,
   return vectors;
 }
 
-std::vector<std::vector<int>> biased_vectors(std::int32_t num_inputs,
-                                             std::int32_t num_vectors,
-                                             double toggle_probability,
-                                             std::uint64_t seed) {
-  LRSIZER_ASSERT(num_inputs > 0 && num_vectors > 0);
-  LRSIZER_ASSERT(toggle_probability >= 0.0 && toggle_probability <= 1.0);
-  util::Rng rng(seed);
-  std::vector<std::vector<int>> vectors(static_cast<std::size_t>(num_vectors));
-  std::vector<int> state(static_cast<std::size_t>(num_inputs));
-  for (auto& bit : state) bit = rng.bernoulli(0.5) ? 1 : 0;
-  for (auto& row : vectors) {
-    for (auto& bit : state) {
-      if (rng.bernoulli(toggle_probability)) bit = 1 - bit;
-    }
-    row = state;
-  }
-  return vectors;
-}
-
 }  // namespace lrsizer::sim

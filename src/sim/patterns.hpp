@@ -13,11 +13,4 @@ std::vector<std::vector<int>> random_vectors(std::int32_t num_inputs,
                                              std::int32_t num_vectors,
                                              std::uint64_t seed);
 
-/// Vectors where each input toggles with its own probability — produces
-/// correlated/anticorrelated signal groups, useful for similarity tests.
-std::vector<std::vector<int>> biased_vectors(std::int32_t num_inputs,
-                                             std::int32_t num_vectors,
-                                             double toggle_probability,
-                                             std::uint64_t seed);
-
 }  // namespace lrsizer::sim

@@ -1,16 +1,17 @@
 // Minimal leveled logger writing to stderr.
 //
-// The library itself logs sparingly (convergence traces at kDebug); benches
-// and examples raise the level for progress reporting. No global mutable
-// state other than the level, which is process-wide by design (it is a
-// diagnostic knob, not program data).
+// The library itself logs sparingly (one line per batch job at kDebug,
+// which `--verbose` shows; per-iteration lines are the observer's job).
+// No global mutable state other than the level, which is process-wide by
+// design (it is a diagnostic knob, not program data).
 //
 // Thread safety: the level is atomic and the sink is a single mutex-guarded
 // fprintf, so concurrent batch jobs (runtime/batch) emit whole lines without
-// interleaving. The level check happens before the lock is taken, so
-// filtered-out messages never contend.
+// interleaving. The level check happens before anything is formatted, so a
+// disabled level costs one relaxed load and never contends.
 #pragma once
 
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -27,28 +28,34 @@ void log_line(LogLevel level, const std::string& message);
 
 namespace detail {
 
+/// Formats one line, or nothing at all: the level is tested once, at
+/// construction, and a filtered-out stream neither builds a buffer nor
+/// formats its operands.
 class LogStream {
  public:
-  explicit LogStream(LogLevel level) : level_(level) {}
+  explicit LogStream(LogLevel level) : level_(level) {
+    if (static_cast<int>(level) >= static_cast<int>(log_level())) stream_.emplace();
+  }
   LogStream(const LogStream&) = delete;
   LogStream& operator=(const LogStream&) = delete;
-  ~LogStream() { log_line(level_, stream_.str()); }
+  ~LogStream() {
+    if (stream_) log_line(level_, stream_->str());
+  }
 
   template <typename T>
   LogStream& operator<<(const T& value) {
-    stream_ << value;
+    if (stream_) *stream_ << value;
     return *this;
   }
 
  private:
   LogLevel level_;
-  std::ostringstream stream_;
+  std::optional<std::ostringstream> stream_;
 };
 
 }  // namespace detail
 
 inline detail::LogStream log_debug() { return detail::LogStream(LogLevel::kDebug); }
-inline detail::LogStream log_info() { return detail::LogStream(LogLevel::kInfo); }
 inline detail::LogStream log_warn() { return detail::LogStream(LogLevel::kWarn); }
 inline detail::LogStream log_error() { return detail::LogStream(LogLevel::kError); }
 

@@ -3,63 +3,20 @@
 //
 // The paper reports the process footprint of a C program on a 1996 SPARC.
 // We reproduce the *shape* (base + linear-in-|V|+|E| growth) by summing the
-// actual byte footprint of every major data structure through an explicit
-// tracker object, plus a fixed base representing the process/runtime
-// overhead. Callers register named categories; `total_bytes()` is what the
-// benches report.
-//
-// Thread safety: every accessor is guarded by an internal mutex, so one
-// tracker can be shared across concurrent batch jobs (runtime/batch). The
-// cheaper pattern — one tracker per job, merged into a rollup afterwards
-// via merge() — is what the batch runtime itself uses; both are correct.
+// actual byte footprint of every major data structure — each reports its
+// own through a memory_bytes() member built on vector_bytes() — plus a fixed
+// base representing the process/runtime overhead. api::SizingSession::size
+// adds them up into FlowResult::memory_bytes, which the benches report.
 #pragma once
 
 #include <cstddef>
-#include <mutex>
-#include <string>
-#include <utility>
 #include <vector>
 
 namespace lrsizer::util {
 
-class MemoryTracker {
- public:
-  /// Fixed overhead charged to every report; mirrors the ~0.9 MB base the
-  /// paper's Figure 10(a) shows at tiny circuit sizes.
-  static constexpr std::size_t kBaseBytes = 900 * 1024;
-
-  MemoryTracker() = default;
-  // The mutex makes the tracker non-copyable; per-job trackers are cheap to
-  // create and merge instead.
-  MemoryTracker(const MemoryTracker&) = delete;
-  MemoryTracker& operator=(const MemoryTracker&) = delete;
-
-  /// Add `bytes` under `category`, creating the category if needed.
-  void add(const std::string& category, std::size_t bytes);
-
-  /// Fold every category of `other` into this tracker (batch rollups).
-  void merge(const MemoryTracker& other);
-
-  /// Bytes accumulated for one category (0 if absent).
-  std::size_t category_bytes(const std::string& category) const;
-
-  /// Sum over categories plus the fixed base.
-  std::size_t total_bytes() const;
-
-  /// Sum over categories only (no base); useful for linearity fits.
-  std::size_t tracked_bytes() const;
-
-  /// Snapshot of the (category, bytes) pairs in insertion order.
-  std::vector<std::pair<std::string, std::size_t>> categories() const;
-
-  void clear();
-
- private:
-  void add_locked(const std::string& category, std::size_t bytes);
-
-  mutable std::mutex mutex_;
-  std::vector<std::pair<std::string, std::size_t>> categories_;
-};
+/// Fixed overhead charged to every report; mirrors the ~0.9 MB base the
+/// paper's Figure 10(a) shows at tiny circuit sizes.
+inline constexpr std::size_t kMemoryBaseBytes = 900 * 1024;
 
 /// Byte footprint of a vector's heap allocation.
 template <typename T>

@@ -1,7 +1,5 @@
 #include "util/stats.hpp"
 
-#include <cmath>
-
 #include "util/assert.hpp"
 
 namespace lrsizer::util {
@@ -11,14 +9,6 @@ double mean(const std::vector<double>& xs) {
   double sum = 0.0;
   for (double x : xs) sum += x;
   return sum / static_cast<double>(xs.size());
-}
-
-double stddev(const std::vector<double>& xs) {
-  LRSIZER_ASSERT(xs.size() >= 2);
-  const double m = mean(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(xs.size() - 1));
 }
 
 LinearFit fit_line(const std::vector<double>& xs, const std::vector<double>& ys) {

@@ -2,13 +2,11 @@
 // paper's linearity claims (least-squares fit + R²) and by tests.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace lrsizer::util {
 
 double mean(const std::vector<double>& xs);
-double stddev(const std::vector<double>& xs);
 
 /// Least-squares line y = slope * x + intercept.
 struct LinearFit {

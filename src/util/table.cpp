@@ -74,14 +74,4 @@ void TextTable::print(std::ostream& os) const {
   for (const auto& row : rows_) emit_row(row);
 }
 
-void TextTable::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      os << row[c] << (c + 1 == row.size() ? "\n" : ",");
-    }
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-}
-
 }  // namespace lrsizer::util

@@ -2,11 +2,9 @@
 //
 // The benches print paper-style tables (Table 1, the Figure 10 series) to
 // stdout; this class handles column sizing and alignment so every bench
-// produces consistent, diff-able output. A CSV emitter is included for
-// downstream plotting.
+// produces consistent, diff-able output.
 #pragma once
 
-#include <cstddef>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -26,11 +24,6 @@ class TextTable {
 
   /// Render with a header underline; numeric-looking cells right-aligned.
   void print(std::ostream& os) const;
-
-  /// Comma-separated form (headers + rows), for machine consumption.
-  void print_csv(std::ostream& os) const;
-
-  std::size_t row_count() const { return rows_.size(); }
 
  private:
   std::vector<std::string> headers_;

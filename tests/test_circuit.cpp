@@ -4,7 +4,6 @@
 #include "netlist/builder.hpp"
 #include "netlist/circuit.hpp"
 #include "test_helpers.hpp"
-#include "util/memtrack.hpp"
 
 namespace {
 
@@ -112,12 +111,9 @@ TEST(Circuit, PinLoadOnPrimaryOutput) {
 }
 
 TEST(Circuit, MemoryAccountingIsPositiveAndGrows) {
-  util::MemoryTracker small_t;
-  ChainCircuit::make().circuit.account_memory(small_t);
-  util::MemoryTracker big_t;
-  Fig1Circuit::make().circuit.account_memory(big_t);
-  EXPECT_GT(small_t.tracked_bytes(), 0u);
-  EXPECT_GT(big_t.tracked_bytes(), small_t.tracked_bytes());
+  const std::size_t small = ChainCircuit::make().circuit.memory_bytes();
+  EXPECT_GT(small, 0u);
+  EXPECT_GT(Fig1Circuit::make().circuit.memory_bytes(), small);
 }
 
 TEST(CircuitBuilder, TopologicalRenumberingHandlesShuffledInsertion) {

@@ -5,6 +5,7 @@
 #include "netlist/bench_parser.hpp"
 #include "netlist/generator.hpp"
 #include "test_helpers.hpp"
+#include "util/memtrack.hpp"
 
 namespace {
 
@@ -113,7 +114,7 @@ TEST(Flow, MemoryAccountingAboveBaseAndGrowsWithSize) {
   const auto big_flow =
       test_support::run_flow(netlist::generate_circuit(big_spec), {});
 
-  EXPECT_GT(small_flow.memory_bytes, util::MemoryTracker::kBaseBytes);
+  EXPECT_GT(small_flow.memory_bytes, util::kMemoryBaseBytes);
   EXPECT_GT(big_flow.memory_bytes, small_flow.memory_bytes);
 }
 

@@ -42,6 +42,7 @@
 #include "sim/simulator.hpp"
 #include "test_helpers.hpp"
 #include "timing/loads.hpp"
+#include "util/memtrack.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -159,7 +160,7 @@ TEST_P(FlowStress, InvariantsHoldUnderRandomOptions) {
   EXPECT_LE(flow.ogws.max_violation, 0.10);
   EXPECT_LE(flow.final_metrics.area_um2, flow.init_metrics.area_um2 * 1.001);
   EXPECT_LE(flow.ordering_cost_woss, flow.ordering_cost_initial + 1e-12);
-  EXPECT_GT(flow.memory_bytes, util::MemoryTracker::kBaseBytes);
+  EXPECT_GT(flow.memory_bytes, util::kMemoryBaseBytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowStress,
@@ -326,7 +327,7 @@ TEST(CacheIntegrity, ChecksummedEntriesRoundTripAndChecksumlessFilesAreQuarantin
     const auto hit = cache.lookup(key);
     ASSERT_NE(hit, nullptr);
     EXPECT_EQ(hit->job.at("name").as_string(), "keep");
-    EXPECT_EQ(cache.corrupt(), 0u);
+    EXPECT_EQ(cache.stats().corrupt, 0u);
   }
 
   // The checksum is mandatory: a file with the field stripped wholesale is
@@ -340,7 +341,7 @@ TEST(CacheIntegrity, ChecksummedEntriesRoundTripAndChecksumlessFilesAreQuarantin
   write_file(file, stripped);
   runtime::ResultCache cache(dir.path.string());
   EXPECT_EQ(cache.lookup(key), nullptr);
-  EXPECT_EQ(cache.corrupt(), 1u);
+  EXPECT_EQ(cache.stats().corrupt, 1u);
   EXPECT_FALSE(std::filesystem::exists(file));
   EXPECT_TRUE(std::filesystem::exists(dir.path / (key + ".corrupt")));
 }
@@ -364,13 +365,13 @@ TEST(CacheIntegrity, BitRotFailsTheChecksumAndQuarantinesTheFile) {
 
   runtime::ResultCache cache(dir.path.string());
   EXPECT_EQ(cache.lookup(key), nullptr);
-  EXPECT_EQ(cache.corrupt(), 1u);
+  EXPECT_EQ(cache.stats().corrupt, 1u);
   EXPECT_FALSE(std::filesystem::exists(file));
   EXPECT_TRUE(std::filesystem::exists(dir.path / (key + ".corrupt")));
   // The quarantined file is out of the way: a repeat lookup is a plain
   // miss, not a second quarantine.
   EXPECT_EQ(cache.lookup(key), nullptr);
-  EXPECT_EQ(cache.corrupt(), 1u);
+  EXPECT_EQ(cache.stats().corrupt, 1u);
   // And a re-store simply writes a fresh good entry alongside the corpse.
   cache.store(key, make_entry("fresh"));
   runtime::ResultCache reopened(dir.path.string());
@@ -393,7 +394,7 @@ TEST(CacheIntegrity, TornRenameIsQuarantinedOnTheNextRead) {
 
   runtime::ResultCache cache(dir.path.string());
   EXPECT_EQ(cache.lookup(key), nullptr);
-  EXPECT_EQ(cache.corrupt(), 1u);
+  EXPECT_EQ(cache.stats().corrupt, 1u);
   EXPECT_FALSE(std::filesystem::exists(file));
   EXPECT_TRUE(std::filesystem::exists(dir.path / (key + ".corrupt")));
 }
@@ -413,7 +414,7 @@ TEST(CacheIntegrity, WriteFailureSkipsPersistenceWithoutFailingTheStore) {
   // A restart sees a plain miss, never a truncated entry.
   runtime::ResultCache restarted(dir.path.string());
   EXPECT_EQ(restarted.lookup(key), nullptr);
-  EXPECT_EQ(restarted.corrupt(), 0u);
+  EXPECT_EQ(restarted.stats().corrupt, 0u);
 }
 
 TEST(CacheIntegrity, TruncatedReadIsQuarantined) {
@@ -427,7 +428,7 @@ TEST(CacheIntegrity, TruncatedReadIsQuarantined) {
   ASSERT_TRUE(fault::arm("cache.read:always"));
   runtime::ResultCache cache(dir.path.string());
   EXPECT_EQ(cache.lookup(key), nullptr);
-  EXPECT_EQ(cache.corrupt(), 1u);
+  EXPECT_EQ(cache.stats().corrupt, 1u);
   EXPECT_TRUE(std::filesystem::exists(dir.path / (key + ".corrupt")));
 }
 
@@ -467,12 +468,13 @@ TEST(RobustServe, AllocationFailureFailsTheJobNotTheServer) {
   Collector collector;
   serve::ServerOptions options;
   options.jobs = 1;
-  serve::Server server(options, collector.sink());
-  server.hello();
+  serve::Server server(options);
+  const auto client = server.add_client(collector.sink());
+  server.hello(client);
   // The first elaboration throws bad_alloc (the big-allocation site a
   // 10^6-node job would really hit); the job fails cleanly...
   ASSERT_TRUE(fault::arm("session.alloc:nth=1"));
-  ASSERT_TRUE(server.handle_line(size_request("oom", "c17")));
+  ASSERT_TRUE(server.handle_line(client, size_request("oom", "c17")));
   server.drain();
   const auto errors = collector.of_type("error");
   ASSERT_EQ(errors.size(), 1u);
@@ -481,7 +483,7 @@ TEST(RobustServe, AllocationFailureFailsTheJobNotTheServer) {
   EXPECT_NE(errors[0].at("message").as_string().find("alloc"),
             std::string::npos);
   // ...and the server keeps serving.
-  ASSERT_TRUE(server.handle_line(size_request("next", "c17")));
+  ASSERT_TRUE(server.handle_line(client, size_request("next", "c17")));
   server.drain();
   const auto results = collector.of_type("result");
   ASSERT_EQ(results.size(), 1u);
@@ -494,10 +496,11 @@ TEST(RobustServe, InjectedParseFailureEchoesTheRequestId) {
   Collector collector;
   serve::ServerOptions options;
   options.jobs = 1;
-  serve::Server server(options, collector.sink());
-  server.hello();
+  serve::Server server(options);
+  const auto client = server.add_client(collector.sink());
+  server.hello(client);
   ASSERT_TRUE(fault::arm("json.parse:always"));
-  ASSERT_TRUE(server.handle_line(size_request("p1", "c17")));
+  ASSERT_TRUE(server.handle_line(client, size_request("p1", "c17")));
   fault::reset();
   const auto errors = collector.of_type("error");
   ASSERT_EQ(errors.size(), 1u);
@@ -505,7 +508,7 @@ TEST(RobustServe, InjectedParseFailureEchoesTheRequestId) {
   // The point sits after id extraction, so chaos clients can match the
   // injected error back to their request and retry it.
   EXPECT_EQ(errors[0].at("id").as_string(), "p1");
-  ASSERT_TRUE(server.handle_line(size_request("p2", "c17")));
+  ASSERT_TRUE(server.handle_line(client, size_request("p2", "c17")));
   server.drain();
   ASSERT_EQ(collector.of_type("result").size(), 1u);
 }
@@ -518,12 +521,13 @@ TEST(RobustServe, PersistFailureStillAnswersTheJob) {
   serve::ServerOptions options;
   options.jobs = 1;
   options.cache = &cache;
-  serve::Server server(options, collector.sink());
-  server.hello();
+  serve::Server server(options);
+  const auto client = server.add_client(collector.sink());
+  server.hello(client);
   // The disk fills up exactly when the result would persist: the client
   // still gets its result; only the cross-process cache entry is lost.
   ASSERT_TRUE(fault::arm("cache.write:always"));
-  ASSERT_TRUE(server.handle_line(size_request("a", "c17")));
+  ASSERT_TRUE(server.handle_line(client, size_request("a", "c17")));
   server.drain();
   fault::reset();
   const auto results = collector.of_type("result");

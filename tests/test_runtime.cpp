@@ -20,7 +20,6 @@
 #include "runtime/json.hpp"
 #include "runtime/pool.hpp"
 #include "test_helpers.hpp"
-#include "util/memtrack.hpp"
 
 namespace lrsizer {
 namespace {
@@ -56,39 +55,45 @@ TEST(ThreadPool, PropagatesExceptionsThroughFutures) {
 }
 
 TEST(ThreadPool, WaitIdleDrainsAllSubmittedWork) {
+  // A caller that keeps the pool waits for a batch by waiting on its futures;
+  // every submitted task has run once the last one is ready.
   runtime::ThreadPool pool(3);
   std::atomic<int> done{0};
+  std::vector<std::future<void>> futures;
   for (int i = 0; i < 100; ++i) {
-    pool.submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
+    futures.push_back(
+        pool.submit([&done] { done.fetch_add(1, std::memory_order_relaxed); }));
   }
-  pool.wait_idle();
+  for (auto& f : futures) f.get();
   EXPECT_EQ(done.load(), 100);
 }
 
 TEST(ThreadPool, SubmitFromInsideATaskCompletes) {
-  runtime::ThreadPool pool(2);
   std::atomic<int> done{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&pool, &done] {
-      pool.submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-      done.fetch_add(1, std::memory_order_relaxed);
-    });
+  {
+    runtime::ThreadPool pool(2);
+    for (int i = 0; i < 8; ++i) {
+      pool.submit([&pool, &done] {
+        pool.submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
+        done.fetch_add(1, std::memory_order_relaxed);
+      });
+    }
   }
-  pool.wait_idle();
   EXPECT_EQ(done.load(), 16);
 }
 
 TEST(ThreadPool, UnevenTasksAllComplete) {
   // A few slow tasks next to many fast ones: everything must still complete.
-  runtime::ThreadPool pool(4);
   std::atomic<int> done{0};
-  for (int i = 0; i < 32; ++i) {
-    pool.submit([&done, i] {
-      if (i % 8 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      done.fetch_add(1, std::memory_order_relaxed);
-    });
+  {
+    runtime::ThreadPool pool(4);
+    for (int i = 0; i < 32; ++i) {
+      pool.submit([&done, i] {
+        if (i % 8 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        done.fetch_add(1, std::memory_order_relaxed);
+      });
+    }
   }
-  pool.wait_idle();
   EXPECT_EQ(done.load(), 32);
 }
 
@@ -128,6 +133,8 @@ TEST(ThreadPool, QueuedTasksStartInSubmitOrder) {
 }
 
 TEST(ThreadPool, DestructorWaitsForQueuedTasks) {
+  // The destructor runs every submitted task before joining: letting the
+  // pool go out of scope is how a caller waits for fire-and-forget work.
   std::atomic<int> done{0};
   {
     runtime::ThreadPool pool(2);
@@ -136,30 +143,6 @@ TEST(ThreadPool, DestructorWaitsForQueuedTasks) {
     }
   }
   EXPECT_EQ(done.load(), 50);
-}
-
-TEST(ThreadPool, SharedMemoryTrackerStaysConsistent) {
-  // The memtrack satellite: concurrent adds to one tracker must not lose
-  // updates or corrupt the category list.
-  util::MemoryTracker tracker;
-  runtime::ThreadPool pool(4);
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&tracker] {
-      tracker.add("shared", 10);
-      tracker.add("other", 1);
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(tracker.category_bytes("shared"), 2000u);
-  EXPECT_EQ(tracker.category_bytes("other"), 200u);
-  EXPECT_EQ(tracker.tracked_bytes(), 2200u);
-  EXPECT_EQ(tracker.categories().size(), 2u);
-
-  util::MemoryTracker rollup;
-  rollup.add("other", 5);
-  rollup.merge(tracker);
-  EXPECT_EQ(rollup.category_bytes("other"), 205u);
-  EXPECT_EQ(rollup.tracked_bytes(), 2205u);
 }
 
 // ---- batch flow -------------------------------------------------------------
@@ -175,10 +158,9 @@ netlist::GeneratorSpec small_spec(std::uint64_t seed) {
   return spec;
 }
 
-runtime::BatchOptions batch_options(int jobs, bool keep_flow_results = true) {
+runtime::BatchOptions batch_options(int jobs) {
   runtime::BatchOptions options;
   options.jobs = jobs;
-  options.keep_flow_results = keep_flow_results;
   return options;
 }
 
@@ -276,14 +258,6 @@ TEST(Batch, FailedJobIsReportedNotFatal) {
   EXPECT_NE(batch.jobs[2].error.find("not finalized"), std::string::npos);
   const runtime::Json report = runtime::batch_json(batch);
   EXPECT_EQ(report.at("failed").as_number(), 1.0);
-}
-
-TEST(Batch, KeepFlowResultsFalseDropsHeavyState) {
-  auto batch = runtime::run_batch(small_jobs(1), batch_options(1, false));
-  ASSERT_TRUE(batch.jobs[0].ok);
-  EXPECT_FALSE(batch.jobs[0].flow.has_value());
-  // The summary survives.
-  EXPECT_GT(batch.jobs[0].summary.iterations, 0);
 }
 
 TEST(Batch, ProfileJobMatchesDirectFlowRun) {

@@ -148,7 +148,7 @@ TEST(ResultCache, StoreLookupAndWarmLookup) {
   const std::string key = "nA-eB-o1";
 
   EXPECT_EQ(cache.lookup(key), nullptr);
-  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
   runtime::CachedEntry entry = make_entry("first");
   entry.eco.nets.push_back({10, {1.0}});
   entry.eco.output_cones = {10, 20};
@@ -157,7 +157,7 @@ TEST(ResultCache, StoreLookupAndWarmLookup) {
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->job.at("name").as_string(), "first");
   EXPECT_EQ(hit->sizes.size(), 2u);
-  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
 
   // A warm lookup is the output-cone probe: the same circuit under other
   // options (a sibling key, every cone shared) finds the entry; the entry's
@@ -167,7 +167,7 @@ TEST(ResultCache, StoreLookupAndWarmLookup) {
   EXPECT_EQ(base_key, key);
   EXPECT_EQ(cache.lookup_eco({10, 20}, key), nullptr);
   EXPECT_EQ(cache.lookup_eco({30, 40}, "nC-eD-o1"), nullptr);
-  EXPECT_EQ(cache.hits(), 1u);  // finding a seed is not an exact hit
+  EXPECT_EQ(cache.stats().hits, 1u);  // finding a seed is not an exact hit
 }
 
 TEST(ResultCache, EcoLookupsVoteOnConeOverlapAndCountNoHits) {
@@ -286,12 +286,12 @@ TEST(CacheEviction, LruEvictsOldestFirstAndLookupRefreshes) {
   const std::string k3 = "nC-eC-o1";
   cache.store(k1, make_entry("one"));
   cache.store(k2, make_entry("two"));
-  EXPECT_EQ(cache.entries(), 2u);
+  EXPECT_EQ(cache.stats().entries, 2u);
   // Touch k1: it becomes most-recent, so the third store evicts k2.
   ASSERT_NE(cache.lookup(k1), nullptr);
   cache.store(k3, make_entry("three"));
-  EXPECT_EQ(cache.entries(), 2u);
-  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_NE(cache.lookup(k1), nullptr);
   EXPECT_EQ(cache.lookup(k2), nullptr) << "LRU entry must be the one evicted";
   EXPECT_NE(cache.lookup(k3), nullptr);
@@ -303,9 +303,9 @@ TEST(CacheEviction, MaxEntriesZeroStoresNothingButStillDedupes) {
   runtime::ResultCache cache("", limits);
   const std::string key = "nA-eA-o1";
   cache.store(key, make_entry("rejected"));
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.bytes(), 0u);
-  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().bytes, 0u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.lookup(key), nullptr);
 
   // In-flight dedupe is storage-free and must keep working at budget 0.
@@ -323,7 +323,7 @@ TEST(CacheEviction, MaxEntriesZeroStoresNothingButStillDedupes) {
   // The follower shares the owner's result even though nothing was stored.
   ASSERT_NE(shared, nullptr);
   EXPECT_EQ(shared->job.at("name").as_string(), "published");
-  EXPECT_EQ(cache.entries(), 0u);
+  EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.acquire(key, &hit, nullptr),
             runtime::ResultCache::Acquire::kOwner)
       << "nothing completed may linger at max_entries=0";
@@ -338,8 +338,8 @@ TEST(CacheEviction, MaxEntriesOneKeepsOnlyTheNewest) {
   const std::string k2 = "nB-eB-o1";
   cache.store(k1, make_entry("one"));
   cache.store(k2, make_entry("two"));
-  EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.lookup(k1), nullptr);
   ASSERT_NE(cache.lookup(k2), nullptr);
 }
@@ -355,7 +355,7 @@ TEST(CacheEviction, ByteBudgetEvictsOldestFirstAndRejectsOversized) {
   {
     runtime::ResultCache probe;
     probe.store(k1, make_entry("x"));
-    per_entry = probe.bytes();
+    per_entry = probe.stats().bytes;
     ASSERT_GT(per_entry, 0u);
   }
 
@@ -364,10 +364,10 @@ TEST(CacheEviction, ByteBudgetEvictsOldestFirstAndRejectsOversized) {
   runtime::ResultCache cache("", limits);
   cache.store(k1, make_entry("x"));
   cache.store(k2, make_entry("x"));
-  EXPECT_EQ(cache.entries(), 2u);
+  EXPECT_EQ(cache.stats().entries, 2u);
   cache.store(k3, make_entry("x"));
-  EXPECT_EQ(cache.entries(), 2u);
-  EXPECT_LE(cache.bytes(), limits.max_bytes);
+  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_LE(cache.stats().bytes, limits.max_bytes);
   EXPECT_EQ(cache.lookup(k1), nullptr) << "oldest entry pays for the third";
   EXPECT_NE(cache.lookup(k2), nullptr);
   EXPECT_NE(cache.lookup(k3), nullptr);
@@ -378,8 +378,8 @@ TEST(CacheEviction, ByteBudgetEvictsOldestFirstAndRejectsOversized) {
   tiny.max_bytes = per_entry - 1;
   runtime::ResultCache small("", tiny);
   small.store(k1, make_entry("x"));
-  EXPECT_EQ(small.entries(), 0u);
-  EXPECT_EQ(small.evictions(), 1u);
+  EXPECT_EQ(small.stats().entries, 0u);
+  EXPECT_EQ(small.stats().evictions, 1u);
   EXPECT_EQ(small.lookup(k1), nullptr);
 }
 
@@ -405,7 +405,7 @@ TEST(CacheEviction, InFlightRegistrationsSurviveEvictionPressure) {
   // Hammer the completed side hard enough to evict everything evictable.
   cache.store(k2, make_entry("two"));
   cache.store(k3, make_entry("three"));
-  EXPECT_GE(cache.evictions(), 1u);
+  EXPECT_GE(cache.stats().evictions, 1u);
 
   // The in-flight owner/follower pair is untouched: publishing still fires
   // the follower with the shared entry.
@@ -783,6 +783,17 @@ struct Collector {
   }
 };
 
+/// The stdin transport minus its fds, for one client: hello, one request per
+/// line of `in` until a shutdown, then drain.
+void serve_lines(serve::Server& server, serve::Server::ClientId client,
+                 std::istream& in) {
+  server.hello(client);
+  std::string line;
+  while (std::getline(in, line) && server.handle_line(client, line)) {
+  }
+  server.drain();
+}
+
 /// A Collector whose sink parks the worker that delivers its first
 /// `progress` line until release(): the job emitting it stays in flight,
 /// mid-OGWS, for exactly as long as the test needs, however fast it would
@@ -835,8 +846,9 @@ TEST(CacheKey, SolverRevisionMovesTheKeysThePreviousReleasePersisted) {
   Collector collector;
   serve::ServerOptions options;
   options.jobs = 1;
-  serve::Server server(options, collector.sink());
-  ASSERT_TRUE(server.handle_line(R"({"type":"size","id":"a","input":{"profile":"c17"}})"));
+  serve::Server server(options);
+  const auto client = server.add_client(collector.sink());
+  ASSERT_TRUE(server.handle_line(client, R"({"type":"size","id":"a","input":{"profile":"c17"}})"));
   server.drain();
   const auto accepted = collector.of_type("accepted");
   ASSERT_EQ(accepted.size(), 1u);
@@ -858,9 +870,10 @@ TEST(Server, JsonlRoundTripMatchesADirectRun) {
   options.jobs = 1;
   options.version = "test";
   {
-    serve::Server server(options, collector.sink());
+    serve::Server server(options);
+    const auto client = server.add_client(collector.sink());
     std::istringstream in(size_request("a", "c17") + "\n");
-    server.serve_stream(in);
+    serve_lines(server, client, in);
   }
   ASSERT_EQ(collector.of_type("hello").size(), 1u);
   EXPECT_EQ(collector.of_type("hello")[0].at("schema").as_string(),
@@ -894,13 +907,14 @@ TEST(Server, DuplicateJobsAnswerFromCacheByteIdentically) {
   serve::ServerOptions options;
   options.jobs = 1;
   {
-    serve::Server server(options, collector.sink());
+    serve::Server server(options);
+    const auto client = server.add_client(collector.sink());
     std::istringstream in(size_request("a", "c17", R"(,"sizes":true)") + "\n" +
                           size_request("b", "c17", R"(,"sizes":true)") + "\n" +
                           size_request("c", "c17",
                                        R"(,"sizes":true,"seed":9)") +
                           "\n");
-    server.serve_stream(in);
+    serve_lines(server, client, in);
   }
   const auto results = collector.of_type("result");
   ASSERT_EQ(results.size(), 3u);
@@ -929,10 +943,11 @@ TEST(Server, ThreadsOptionIsAcceptedAndIgnored) {
     serve::ServerOptions options;
     options.jobs = 1;
     {
-      serve::Server server(options, collector.sink());
+      serve::Server server(options);
+      const auto client = server.add_client(collector.sink());
       std::istringstream in(R"({"type":"size","id":"a","input":{"profile":"c17"},)"
                             R"("options":)" + request_options + "}\n");
-      server.serve_stream(in);
+      serve_lines(server, client, in);
     }
     EXPECT_TRUE(collector.of_type("error").empty());
     const auto accepted = collector.of_type("accepted");
@@ -1007,10 +1022,11 @@ TEST(Server, EcoBaseSeedsFromTheNamedBaseAndRepeatsAreByteIdentical) {
   Collector collector;
   serve::ServerOptions options;
   options.jobs = 1;
-  serve::Server server(options, collector.sink());
+  serve::Server server(options);
+  const auto client = server.add_client(collector.sink());
 
   // Cold base run; its accepted "key" is the handle ECO clients name.
-  ASSERT_TRUE(server.handle_line(bench_request("a", base)));
+  ASSERT_TRUE(server.handle_line(client, bench_request("a", base)));
   server.drain();
   const auto accepted = collector.of_type("accepted");
   ASSERT_EQ(accepted.size(), 1u);
@@ -1018,11 +1034,11 @@ TEST(Server, EcoBaseSeedsFromTheNamedBaseAndRepeatsAreByteIdentical) {
   ASSERT_FALSE(key.empty());
 
   // The revision, warm-started from the named base — then resubmitted.
-  ASSERT_TRUE(server.handle_line(bench_request("b", edited, key)));
+  ASSERT_TRUE(server.handle_line(client, bench_request("b", edited, key)));
   server.drain();
-  ASSERT_TRUE(server.handle_line(bench_request("c", edited, key)));
+  ASSERT_TRUE(server.handle_line(client, bench_request("c", edited, key)));
   server.drain();
-  ASSERT_TRUE(server.handle_line(R"({"type":"stats","id":"s"})"));
+  ASSERT_TRUE(server.handle_line(client, R"({"type":"stats","id":"s"})"));
   server.drain();
 
   const auto results = collector.of_type("result");
@@ -1075,11 +1091,12 @@ WarmScript run_warm_script(bool cache_warm) {
   serve::ServerOptions options;
   options.jobs = 1;
   options.cache_warm = cache_warm;
-  serve::Server server(options, collector.sink());
+  serve::Server server(options);
+  const auto client = server.add_client(collector.sink());
   for (const std::string& line :
        {bench_request("a", c17), bench_request("b", c17, "", 0.2),
         bench_request("c", c17, "", 0.2), std::string(R"({"type":"stats","id":"s"})")}) {
-    EXPECT_TRUE(server.handle_line(line));
+    EXPECT_TRUE(server.handle_line(client, line));
     server.drain();
   }
   WarmScript script;
@@ -1137,14 +1154,15 @@ TEST(Server, CancelMidJobYieldsACancelledResponse) {
   HoldingCollector collector;
   serve::ServerOptions options;
   options.jobs = 1;
-  serve::Server server(options, collector.sink());
-  server.hello();
+  serve::Server server(options);
+  const auto client = server.add_client(collector.sink());
+  server.hello(client);
   // The job parks in its first progress line, mid-OGWS, so the cancel lands
   // before it can converge (c432 takes ~25 iterations). Cancelling an active
   // job answers nothing, so it may come from the parked client.
-  ASSERT_TRUE(server.handle_line(size_request("x", "c432", R"(,"progress":1)")));
+  ASSERT_TRUE(server.handle_line(client, size_request("x", "c432", R"(,"progress":1)")));
   ASSERT_TRUE(collector.wait_for("progress", 1)) << "job never started";
-  ASSERT_TRUE(server.handle_line(R"({"type":"cancel","id":"x"})"));
+  ASSERT_TRUE(server.handle_line(client, R"({"type":"cancel","id":"x"})"));
   collector.release();
   server.drain();
 
@@ -1163,11 +1181,12 @@ TEST(Server, ShutdownStopsReadingFurtherRequests) {
   serve::ServerOptions options;
   options.jobs = 1;
   {
-    serve::Server server(options, collector.sink());
+    serve::Server server(options);
+    const auto client = server.add_client(collector.sink());
     std::istringstream in(size_request("a", "c17") + "\n" +
                           R"({"type":"shutdown"})" + "\n" +
                           size_request("late", "c17") + "\n");
-    server.serve_stream(in);
+    serve_lines(server, client, in);
   }
   // "a" completes (shutdown drains in-flight work); "late" is never read.
   ASSERT_EQ(collector.of_type("result").size(), 1u);
@@ -1179,11 +1198,12 @@ TEST(Server, MalformedAndUnknownRequestsGetErrorResponses) {
   serve::ServerOptions options;
   options.jobs = 1;
   {
-    serve::Server server(options, collector.sink());
+    serve::Server server(options);
+    const auto client = server.add_client(collector.sink());
     std::istringstream in(std::string("this is not json\n") +
                           R"({"type":"cancel","id":"ghost"})" + "\n" +
                           size_request("a", "c9999") + "\n");
-    server.serve_stream(in);
+    serve_lines(server, client, in);
   }
   const auto errors = collector.of_type("error");
   ASSERT_EQ(errors.size(), 3u);
@@ -1202,8 +1222,9 @@ TEST(Server, BackpressureRejectsBeyondMaxPending) {
   serve::ServerOptions options;
   options.jobs = 1;
   options.max_pending = 1;
-  serve::Server server(options, collector.sink());
-  server.hello();
+  serve::Server server(options);
+  const auto client = server.add_client(collector.sink());
+  server.hello(client);
   // First job occupies the single pending slot, parked mid-OGWS on another
   // client so that this client's rejection can be emitted...
   const auto held = server.add_client(holder.sink());
@@ -1211,7 +1232,7 @@ TEST(Server, BackpressureRejectsBeyondMaxPending) {
       server.handle_line(held, size_request("a", "c432", R"(,"progress":1)")));
   ASSERT_TRUE(holder.wait_for("progress", 1));
   // ...so the second is rejected with a backpressure error.
-  ASSERT_TRUE(server.handle_line(size_request("b", "c17")));
+  ASSERT_TRUE(server.handle_line(client, size_request("b", "c17")));
   const auto errors = collector.of_type("error");
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_EQ(errors[0].at("id").as_string(), "b");
@@ -1320,14 +1341,15 @@ TEST(Server, DeadlineCutsAJobToAPartialResultMarkedTimeout) {
   Collector collector;
   serve::ServerOptions options;
   options.jobs = 1;
-  serve::Server server(options, collector.sink());
-  server.hello();
+  serve::Server server(options);
+  const auto client = server.add_client(collector.sink());
+  server.hello(client);
   // The deep circuit runs ~4.5-5x the deadline. Where the deadline lands
   // depends on machine speed: mid-OGWS (the common case, answered with a
   // timeout-marked partial result) or still in elaboration under heavy
   // slowdown (answered with a "deadline" error). Both shapes are the
   // contract; both tally as a timeout, never as a cancellation.
-  ASSERT_TRUE(server.handle_line(long_deep_request("x", R"(,"deadline_ms":600)")));
+  ASSERT_TRUE(server.handle_line(client, long_deep_request("x", R"(,"deadline_ms":600)")));
   server.drain();
 
   const auto results = collector.of_type("result");
@@ -1355,7 +1377,7 @@ TEST(Server, DeadlineCutsAJobToAPartialResultMarkedTimeout) {
   // The server is fully alive afterwards — and the partial was never
   // cached, so the same job re-runs rather than serving a truncated
   // answer.
-  ASSERT_TRUE(server.handle_line(size_request("y", "c17")));
+  ASSERT_TRUE(server.handle_line(client, size_request("y", "c17")));
   server.drain();
   const auto after = collector.of_type("result");
   ASSERT_FALSE(after.empty());
@@ -1369,11 +1391,12 @@ TEST(Server, DefaultDeadlineAppliesWhenTheRequestNamesNone) {
   serve::ServerOptions options;
   options.jobs = 1;
   options.default_deadline_ms = 300;
-  serve::Server server(options, collector.sink());
-  server.hello();
+  serve::Server server(options);
+  const auto client = server.add_client(collector.sink());
+  server.hello(client);
   // The deep circuit runs ~9x the default deadline. (c6288 at 256 vectors,
   // used before, now converges in ~0.3 s and raced the deadline.)
-  ASSERT_TRUE(server.handle_line(long_deep_request("x")));
+  ASSERT_TRUE(server.handle_line(client, long_deep_request("x")));
   server.drain();
   // Timeout-marked partial or deadline error — either way the server
   // default cut the job and tallied it (see DeadlineCutsAJob... above).
@@ -1389,7 +1412,7 @@ TEST(Server, DefaultDeadlineAppliesWhenTheRequestNamesNone) {
 
   // An explicit "deadline_ms": 0 opts out of the server default: c17
   // completes normally well within any deadline race.
-  ASSERT_TRUE(server.handle_line(size_request("y", "c17", R"(,"deadline_ms":0)")));
+  ASSERT_TRUE(server.handle_line(client, size_request("y", "c17", R"(,"deadline_ms":0)")));
   server.drain();
   const auto after = collector.of_type("result");
   ASSERT_FALSE(after.empty());
@@ -1401,15 +1424,16 @@ TEST(Server, DrainRefusesNewWorkFinishesInFlightAndReportsState) {
   Collector collector;
   serve::ServerOptions options;
   options.jobs = 1;
-  serve::Server server(options, collector.sink());
-  server.hello();
-  ASSERT_TRUE(server.handle_line(size_request("a", "c17")));
+  serve::Server server(options);
+  const auto client = server.add_client(collector.sink());
+  server.hello(client);
+  ASSERT_TRUE(server.handle_line(client, size_request("a", "c17")));
   EXPECT_FALSE(server.draining());
   server.begin_drain();
   EXPECT_TRUE(server.draining());
   // Post-drain requests are refused with the machine-readable shutdown
   // code; the in-flight job still runs to completion.
-  ASSERT_TRUE(server.handle_line(size_request("late", "c17", R"(,"seed":9)")));
+  ASSERT_TRUE(server.handle_line(client, size_request("late", "c17", R"(,"seed":9)")));
   server.drain();
   EXPECT_TRUE(server.idle());
   const auto errors = collector.of_type("error");
@@ -1420,7 +1444,7 @@ TEST(Server, DrainRefusesNewWorkFinishesInFlightAndReportsState) {
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].at("id").as_string(), "a");
   // The stats surface says so, for both pollers and --stats-dump readers.
-  ASSERT_TRUE(server.handle_line(R"({"type":"stats","id":"s"})"));
+  ASSERT_TRUE(server.handle_line(client, R"({"type":"stats","id":"s"})"));
   const auto stats = collector.of_type("stats");
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].at("server").at("state").as_string(), "draining");
@@ -1434,19 +1458,20 @@ TEST(Server, ErrorCodesIdentifyTheFailureClass) {
   Collector collector;
   serve::ServerOptions options;
   options.jobs = 1;
-  serve::Server server(options, collector.sink());
-  server.hello();
-  ASSERT_TRUE(server.handle_line("this is not json"));
-  ASSERT_TRUE(server.handle_line(R"({"type":"cancel","id":"ghost"})"));
+  serve::Server server(options);
+  const auto client = server.add_client(collector.sink());
+  server.hello(client);
+  ASSERT_TRUE(server.handle_line(client, "this is not json"));
+  ASSERT_TRUE(server.handle_line(client, R"({"type":"cancel","id":"ghost"})"));
   // Another client's job parks the only worker, so "dup" stays pending and
   // its id collision is deterministic, not a race against completion.
   const auto cp = server.add_client(parked.sink());
   ASSERT_TRUE(
       server.handle_line(cp, size_request("p", "c880", R"(,"progress":1)")));
   ASSERT_TRUE(parked.wait_for("progress", 1)) << "job never started";
-  ASSERT_TRUE(server.handle_line(size_request("dup", "c432")));
-  ASSERT_TRUE(server.handle_line(size_request("dup", "c17")));
-  ASSERT_TRUE(server.handle_line(R"({"type":"cancel","id":"dup"})"));
+  ASSERT_TRUE(server.handle_line(client, size_request("dup", "c432")));
+  ASSERT_TRUE(server.handle_line(client, size_request("dup", "c17")));
+  ASSERT_TRUE(server.handle_line(client, R"({"type":"cancel","id":"dup"})"));
   ASSERT_TRUE(server.handle_line(cp, R"({"type":"cancel","id":"p"})"));
   parked.release();
   server.drain();
@@ -1463,15 +1488,16 @@ TEST(Server, StatsRequestReportsReconcilableCountersAndLatency) {
   serve::ServerOptions options;
   options.jobs = 1;
   options.version = "test";
-  serve::Server server(options, collector.sink());
-  server.hello();
+  serve::Server server(options);
+  const auto client = server.add_client(collector.sink());
+  server.hello(client);
   // Two identical jobs: one runs, its twin answers from the cache (as a
   // direct hit or an in-flight follower, depending on timing — either way
   // it counts as a cache-served completion).
-  ASSERT_TRUE(server.handle_line(size_request("a", "c17")));
-  ASSERT_TRUE(server.handle_line(size_request("b", "c17")));
+  ASSERT_TRUE(server.handle_line(client, size_request("a", "c17")));
+  ASSERT_TRUE(server.handle_line(client, size_request("b", "c17")));
   server.drain();
-  ASSERT_TRUE(server.handle_line(R"({"type":"stats","id":"s1"})"));
+  ASSERT_TRUE(server.handle_line(client, R"({"type":"stats","id":"s1"})"));
 
   const auto stats = collector.of_type("stats");
   ASSERT_EQ(stats.size(), 1u);
@@ -1508,18 +1534,18 @@ double registry_value(const obs::Registry& registry, const std::string& name,
 
 TEST(Server, StatsCarryServerIdentityAndDeriveFromTheRegistry) {
   Collector collector;
-  obs::Registry registry;
   serve::ServerOptions options;
   options.jobs = 1;
   options.version = "test 1.2.3";
-  options.registry = &registry;
-  serve::Server server(options, collector.sink());
-  server.hello();
-  ASSERT_TRUE(server.handle_line(size_request("a", "c17")));
-  ASSERT_TRUE(server.handle_line(size_request("b", "c17")));
-  ASSERT_TRUE(server.handle_line("{not json"));  // one parse error
+  serve::Server server(options);
+  const obs::Registry& registry = server.registry();
+  const auto client = server.add_client(collector.sink());
+  server.hello(client);
+  ASSERT_TRUE(server.handle_line(client, size_request("a", "c17")));
+  ASSERT_TRUE(server.handle_line(client, size_request("b", "c17")));
+  ASSERT_TRUE(server.handle_line(client, "{not json"));  // one parse error
   server.drain();
-  ASSERT_TRUE(server.handle_line(R"({"type":"stats","id":"s"})"));
+  ASSERT_TRUE(server.handle_line(client, R"({"type":"stats","id":"s"})"));
 
   const auto stats = collector.of_type("stats");
   ASSERT_EQ(stats.size(), 1u);
@@ -1560,16 +1586,17 @@ TEST(Server, TraceOptInAttachesATraceToColdResultsOnly) {
   serve::ServerOptions options;
   options.jobs = 1;
   {
-    serve::Server server(options, collector.sink());
+    serve::Server server(options);
+    const auto client = server.add_client(collector.sink());
     // Two identical traced jobs: the first runs cold and carries a trace,
     // the twin answers from the cache (stored report — no trace), and an
     // untraced request never grows one.
     ASSERT_TRUE(
-        server.handle_line(size_request("a", "c17", R"(,"trace":true)")));
+        server.handle_line(client, size_request("a", "c17", R"(,"trace":true)")));
     ASSERT_TRUE(
-        server.handle_line(size_request("b", "c17", R"(,"trace":true)")));
+        server.handle_line(client, size_request("b", "c17", R"(,"trace":true)")));
     ASSERT_TRUE(
-        server.handle_line(size_request("c", "c17", R"(,"seed":9)")));
+        server.handle_line(client, size_request("c", "c17", R"(,"seed":9)")));
     server.drain();
   }
   const auto results = collector.of_type("result");
@@ -1852,7 +1879,10 @@ TEST(ServeTcp, MultiClientStressMatchesSerialRunsAndStatsReconcile) {
   options.version = "test";
   // A deliberately tight cache: eviction churns underneath the concurrent
   // clients, and results must still be byte-identical to serial runs.
-  options.cache_limits.max_entries = 2;
+  runtime::CacheLimits limits;
+  limits.max_entries = 2;
+  runtime::ResultCache cache("", limits);
+  options.cache = &cache;
   TcpServer ts(options);
   ASSERT_NE(ts.port.load(), 0);
 
@@ -2002,6 +2032,12 @@ TEST(ServeTcp, OversizedLineIsRejectedWithoutBufferingOrDisconnect) {
   const auto result = client.read_until("result");
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->at("id").as_string(), "after");
+  // A whole line just over the cap, newline included, is refused the same
+  // way: answered `oversized`, never parsed.
+  client.send_raw(std::string(300, 'y') + "\n");
+  const auto whole = client.read_until("error");
+  ASSERT_TRUE(whole.has_value());
+  EXPECT_EQ(whole->at("code").as_string(), "oversized");
 }
 
 TEST(ServeTcp, MidJobDisconnectCancelsTheJobAndServesOtherClients) {

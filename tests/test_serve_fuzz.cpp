@@ -52,36 +52,38 @@ bool known_response_type(const std::string& type) {
 /// every emitted line must parse as JSON with a known "type". Violations
 /// are counted rather than asserted inline (sinks run on pool threads).
 struct FuzzHarness {
-  serve::Server server;
+  serve::Server server{make_options()};
+  serve::Server::ClientId client = 0;
   std::atomic<std::size_t> responses{0};
   std::atomic<std::size_t> malformed{0};
   std::mutex mutex;
   std::vector<Json> terminals;  ///< every well-formed result and error
   std::vector<std::string> accepted;  ///< the id of every `accepted` line
 
-  FuzzHarness()
-      : server(make_options(), [this](const std::string& line) {
-          ++responses;
-          try {
-            Json j = Json::parse(line);
-            if (!j.is_object() || j.find("type") == nullptr ||
-                !j.at("type").is_string() ||
-                !known_response_type(j.at("type").as_string())) {
-              ++malformed;
-              return;
-            }
-            const std::string& type = j.at("type").as_string();
-            if (type == "result" || type == "error") {
-              const std::lock_guard<std::mutex> lock(mutex);
-              terminals.push_back(std::move(j));
-            } else if (type == "accepted") {
-              const std::lock_guard<std::mutex> lock(mutex);
-              accepted.push_back(j.at("id").as_string());
-            }
-          } catch (const std::exception&) {
-            ++malformed;
-          }
-        }) {}
+  FuzzHarness() {
+    client = server.add_client([this](const std::string& line) {
+      ++responses;
+      try {
+        Json j = Json::parse(line);
+        if (!j.is_object() || j.find("type") == nullptr ||
+            !j.at("type").is_string() ||
+            !known_response_type(j.at("type").as_string())) {
+          ++malformed;
+          return;
+        }
+        const std::string& type = j.at("type").as_string();
+        if (type == "result" || type == "error") {
+          const std::lock_guard<std::mutex> lock(mutex);
+          terminals.push_back(std::move(j));
+        } else if (type == "accepted") {
+          const std::lock_guard<std::mutex> lock(mutex);
+          accepted.push_back(j.at("id").as_string());
+        }
+      } catch (const std::exception&) {
+        ++malformed;
+      }
+    });
+  }
 
   static serve::ServerOptions make_options() {
     serve::ServerOptions options;
@@ -93,7 +95,7 @@ struct FuzzHarness {
   /// Feed one line; handle_line returning false (shutdown) is fine, the
   /// harness just keeps feeding a fresh logical stream.
   void feed(const std::string& line) {
-    (void)server.handle_line(line);
+    (void)server.handle_line(client, line);
   }
 
   void finish() {

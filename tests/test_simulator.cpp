@@ -329,15 +329,4 @@ TEST(Patterns, RandomVectorsShapeAndDeterminism) {
   EXPECT_LT(ones, 120);
 }
 
-TEST(Patterns, BiasedVectorsToggleRarely) {
-  const auto rows = sim::biased_vectors(4, 100, 0.05, 17);
-  int toggles = 0;
-  for (std::size_t k = 1; k < rows.size(); ++k) {
-    for (std::size_t i = 0; i < rows[k].size(); ++i) {
-      toggles += rows[k][i] != rows[k - 1][i] ? 1 : 0;
-    }
-  }
-  EXPECT_LT(toggles, 60);  // 400 opportunities at 5%
-}
-
 }  // namespace

@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "core/flow.hpp"
-#include "core/report.hpp"
 #include "eco/buffering.hpp"
 #include "fault/fault.hpp"
 #include "netlist/bench_parser.hpp"
@@ -850,63 +849,38 @@ int cmd_serve(const CliOptions& cli) {
   // still cut a drain short.
   std::stop_source serve_stop;
   options.stop = serve_stop.get_token();
+  serve::Server server(options);
   std::atomic<bool> serving{true};
-  std::atomic<serve::Server*> drain_target{nullptr};
-  std::thread watcher([&serve_stop, &serving, &drain_target] {
+  std::thread watcher([&serve_stop, &serving, &server] {
     while (serving.load(std::memory_order_relaxed)) {
       if (g_stop.stop_requested()) {
         serve_stop.request_stop();
         break;
       }
-      if (g_drain.load(std::memory_order_relaxed)) {
-        serve::Server* server = drain_target.load(std::memory_order_acquire);
-        if (server != nullptr) server->begin_drain();  // idempotent
-      }
+      if (g_drain.load(std::memory_order_relaxed)) server.begin_drain();  // idempotent
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
   });
-  const auto stop_watcher = [&serving, &drain_target, &watcher] {
-    serving.store(false, std::memory_order_relaxed);
-    drain_target.store(nullptr, std::memory_order_release);
-    watcher.join();
-  };
 
-  const auto dump_stats = [&cli](const serve::Server& server) {
-    if (!cli.stats_dump) return;
-    const std::string text = serve::format_stats_text(server.stats_snapshot());
-    std::fwrite(text.data(), 1, text.size(), stderr);
-    std::fflush(stderr);
-  };
-
-  if (cli.listen_port >= 0) {
-    serve::Server server(options);
-    drain_target.store(&server, std::memory_order_release);
-    serve::ListenOptions listen;
-    listen.port = static_cast<std::uint16_t>(cli.listen_port);
-    listen.metrics_port = cli.metrics_port;
-    const int rc = serve::listen_and_serve(listen, server);
-    stop_watcher();
-    dump_stats(server);
-    // A completed drain is a clean exit (0); only a hard stop maps to 130.
-    return g_stop.stop_requested() ? 130 : rc;
-  }
-
-  serve::Server server(options, [](const std::string& line) {
-    std::fwrite(line.data(), 1, line.size(), stdout);
-    std::fputc('\n', stdout);
-    std::fflush(stdout);
-  });
-  drain_target.store(&server, std::memory_order_release);
-  serve::serve_stdin(server, options.stop);
-  stop_watcher();
+  serve::ListenOptions listen;
+  listen.port = cli.listen_port;  // -1: stdin/stdout
+  listen.metrics_port = cli.metrics_port;
+  const int rc = serve::listen_and_serve(listen, server);
+  serving.store(false, std::memory_order_relaxed);
+  watcher.join();
   const serve::StatsSnapshot stats = server.stats_snapshot();
   std::fprintf(stderr,
                "lrsizer serve: %zu accepted, %zu completed (%zu from cache), "
                "%zu cancelled, %zu errors\n",
                stats.accepted, stats.completed, stats.cache_hits,
                stats.cancelled, stats.errors);
-  dump_stats(server);
-  return g_stop.stop_requested() ? 130 : 0;
+  if (cli.stats_dump) {
+    const std::string text = serve::format_stats_text(stats);
+    std::fwrite(text.data(), 1, text.size(), stderr);
+    std::fflush(stderr);
+  }
+  // A completed drain is a clean exit (0); only a hard stop maps to 130.
+  return g_stop.stop_requested() ? 130 : rc;
 }
 
 int cmd_merge(const CliOptions& cli) {
