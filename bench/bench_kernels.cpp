@@ -333,6 +333,8 @@ int main(int argc, char** argv) {
   //
   // A2, the LRS solve (whose loads arrivals reuse), the arrival pass, the
   // scalar metrics and the dual; the multiplier update A4/A5 is excluded.
+  // run_ogws now takes A2 from the previous dual step's walk; the row keeps
+  // its compute_mu so that it measures the same work as earlier records.
   const double mu_sink = inst.multipliers.sink_mu(circuit);
   bench("ogws_iteration", [&] {
     inst.multipliers.compute_mu(circuit, inst.mu);  // A2

@@ -88,7 +88,8 @@ KktResiduals check_kkt(const netlist::Circuit& circuit,
   res.primal_power = std::max(0.0, (cap - bounds.cap_f) / bounds.cap_f);
   res.primal_noise = std::max(0.0, (noise - bounds.noise_f) / bounds.noise_f);
 
-  // (4) holds by construction after clamp_nonnegative(); assert anyway.
+  // (4) holds by construction after a dual step, which clamps every
+  // multiplier at 0; assert anyway.
   for (double l : multipliers.lambda) LRSIZER_ASSERT(l >= 0.0);
   LRSIZER_ASSERT(multipliers.beta >= 0.0 && multipliers.gamma >= 0.0);
 

@@ -132,9 +132,17 @@ LrsStats run_lrs(const netlist::Circuit& circuit, const layout::CouplingSet& cou
       x[i] = next;
     }
 
-    // S2 at the post-sweep x: the next pass's loads and, on exit, the
-    // caller's (the hand-back contract in lrs.hpp).
-    timing::compute_loads(circuit, coupling, x, options.mode, workspace.loads);
+    // S2 at the post-sweep x. The walk has already decided S5, so a pass
+    // that closes the call writes all three load fields (the hand-back
+    // contract in lrs.hpp) and any other writes what the next walk reads:
+    // C'_i and the load_in it sums. kPropagateUpstream's load_in carries the
+    // coupling terms, so it always takes the full pass.
+    const bool closing = max_rel_change < options.tol || pass + 1 == options.max_passes;
+    if (closing || options.mode != timing::CouplingLoadMode::kLocalOnly) {
+      timing::compute_loads(circuit, coupling, x, options.mode, workspace.loads);
+    } else {
+      timing::compute_prime_loads(circuit, coupling, x, workspace.loads);
+    }
 
     stats.passes = pass + 1;
     stats.max_rel_change = max_rel_change;
@@ -143,7 +151,7 @@ LrsStats run_lrs(const netlist::Circuit& circuit, const layout::CouplingSet& cou
     span.arg("max_rel_change", max_rel_change);
     span.arg("nodes_processed", static_cast<double>(num_components));
     // S5: "repeat until no improvement".
-    if (max_rel_change < options.tol) break;
+    if (closing) break;
   }
   workspace.exit_x = x;
   workspace.exit_mode = options.mode;

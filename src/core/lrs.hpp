@@ -15,7 +15,8 @@
 // One pass fuses S3 and S4 into a forward walk: R_i depends only on the
 // fanins (lower indices), so the walk computes it from the sizes this pass
 // already set and resizes component i at once; a reverse load pass (S2)
-// closes the pass. Under kLocalOnly loads C'_i reads only higher-index sizes,
+// closes the pass, writing only C'_i and load_in unless the pass closes the
+// call. Under kLocalOnly loads C'_i reads only higher-index sizes,
 // which the walk has not reached, so every resize is the exact minimizer of
 // L over x_i with every other size fixed (docs/ARCHITECTURE.md §One-sweep
 // LRS). Because the transformed problem is convex with a unique optimum,
@@ -121,7 +122,9 @@ inline double clamped_resize(double numerator, double denominator, double lower,
 /// Minimize L_{λ,β,γ}(x) over the size box; x is in/out (indexed by NodeId).
 ///
 /// Hand-back contract: on return, `workspace.loads` holds the load analysis
-/// at the returned x (each pass ends with the load pass), so the caller's
+/// at the returned x (the call's last pass, S5 met or max_passes reached,
+/// ends with the full load pass; earlier kLocalOnly passes refresh only
+/// what the next walk reads, C'_i and load_in), so the caller's
 /// post-LRS timing (OGWS step A3's arrival pass) reuses it instead of
 /// recomputing, and a next call handed that x back unchanged starts without
 /// one. Callers read `workspace.loads` and never write it. `trace` records

@@ -29,26 +29,7 @@ void MultiplierState::clamp_nonnegative() {
 }
 
 void MultiplierState::project_flow(const netlist::Circuit& circuit) {
-  // Reverse topological order = descending node index (index contract). Each
-  // node rescales only its in-edges and reads only its out-edges, which are
-  // in-edges of higher-index nodes and so already final (sink edges are never
-  // rescaled).
-  for (netlist::NodeId v = circuit.sink() - 1; v >= 1; --v) {
-    double out_sum = 0.0;
-    for (netlist::EdgeId e : circuit.output_edges(v)) {
-      out_sum += lambda[static_cast<std::size_t>(e)];
-    }
-    const auto in_edges = circuit.input_edges(v);
-    double in_sum = 0.0;
-    for (netlist::EdgeId e : in_edges) in_sum += lambda[static_cast<std::size_t>(e)];
-    if (in_sum > 0.0) {
-      const double scale = out_sum / in_sum;
-      for (netlist::EdgeId e : in_edges) lambda[static_cast<std::size_t>(e)] *= scale;
-    } else {
-      const double share = out_sum / static_cast<double>(in_edges.size());
-      for (netlist::EdgeId e : in_edges) lambda[static_cast<std::size_t>(e)] = share;
-    }
-  }
+  step_and_project(circuit, [](netlist::NodeId, netlist::NodeId, double&) {}, nullptr);
 }
 
 void MultiplierState::compute_mu(const netlist::Circuit& circuit,

@@ -78,29 +78,32 @@ long long dual_ascent_step(const netlist::Circuit& circuit,
                            const timing::ArrivalAnalysis& arrivals,
                            const std::vector<double>& x, double cap, double noise,
                            double rho, const DualScales& scales,
-                           MultiplierState& multipliers) {
+                           MultiplierState& multipliers, std::vector<double>* mu) {
   const bool per_net = bounds.per_net_enabled();
+  const netlist::NodeId sink = circuit.sink();
+  const auto& arrival = arrivals.arrival;
+  const auto& delay = arrivals.delay;
   long long pow_calls = 0;
 
+  // λ: A4's step inside the reverse walk that also clamps, projects (A5) and
+  // sums μ (A2); a node's step reads only the arrival analysis.
   if (options.step_rule == StepRule::kSubgradient) {
-    for (netlist::NodeId v = 1; v < circuit.num_nodes(); ++v) {
-      const auto in_nodes = circuit.inputs(v);
-      const auto in_edges = circuit.input_edges(v);
-      for (std::size_t idx = 0; idx < in_edges.size(); ++idx) {
-        const auto j = static_cast<std::size_t>(in_nodes[idx]);
-        const auto i = static_cast<std::size_t>(v);
-        double slack = 0.0;  // in seconds
-        if (v == circuit.sink()) {
-          slack = arrivals.arrival[j] - bounds.delay_s;
-        } else if (circuit.is_driver(v)) {
-          slack = arrivals.delay[i] - arrivals.arrival[i];
-        } else {
-          slack = arrivals.arrival[j] + arrivals.delay[i] - arrivals.arrival[i];
-        }
-        multipliers.lambda[static_cast<std::size_t>(in_edges[idx])] +=
-            rho * scales.lambda_scale * (slack / bounds.delay_s);
-      }
-    }
+    multipliers.step_and_project(
+        circuit,
+        [&](netlist::NodeId v, netlist::NodeId from, double& lambda) {
+          const auto i = static_cast<std::size_t>(v);
+          const auto j = static_cast<std::size_t>(from);
+          double slack = 0.0;  // in seconds
+          if (v == sink) {
+            slack = arrival[j] - bounds.delay_s;
+          } else if (circuit.is_driver(v)) {
+            slack = delay[i] - arrival[i];
+          } else {
+            slack = arrival[j] + delay[i] - arrival[i];
+          }
+          lambda += rho * scales.lambda_scale * (slack / bounds.delay_s);
+        },
+        mu);
     multipliers.beta += rho * scales.beta_scale * relative_violation(cap, bounds.cap_f);
     multipliers.gamma +=
         rho * scales.gamma_scale * relative_violation(noise, bounds.noise_f);
@@ -121,30 +124,27 @@ long long dual_ascent_step(const netlist::Circuit& circuit,
     // A ratio of exactly 1 skips pow(): pow(1, ρ) is exactly 1 and λ·1 = λ,
     // so the skip keeps every bit. It holds on every driver edge and on each
     // node's critical fanin (a_i is computed as a_j + D_i), which is most
-    // edges.
+    // edges; there the numerator equals the denominator, so the divide is
+    // skipped too (a finite nonzero y/y is exactly 1).
     auto pow_clamped = [rho, &pow_calls](double ratio) {
       ++pow_calls;
       return std::pow(std::clamp(ratio, 0.05, 20.0), rho);
     };
-    for (netlist::NodeId v = 1; v < circuit.num_nodes(); ++v) {
-      const auto in_nodes = circuit.inputs(v);
-      const auto in_edges = circuit.input_edges(v);
-      for (std::size_t idx = 0; idx < in_edges.size(); ++idx) {
-        const auto j = static_cast<std::size_t>(in_nodes[idx]);
-        const auto i = static_cast<std::size_t>(v);
-        double ratio = 1.0;
-        if (v == circuit.sink()) {
-          ratio = arrivals.arrival[j] / bounds.delay_s;
-        } else if (!circuit.is_driver(v)) {
-          ratio = (arrivals.arrival[j] + arrivals.delay[i]) /
-                  std::max(arrivals.arrival[i], 1e-30);
-        }
-        if (ratio != 1.0) {
-          multipliers.lambda[static_cast<std::size_t>(in_edges[idx])] *=
-              pow_clamped(ratio);
-        }
-      }
-    }
+    multipliers.step_and_project(
+        circuit,
+        [&](netlist::NodeId v, netlist::NodeId from, double& lambda) {
+          const auto j = static_cast<std::size_t>(from);
+          if (v == sink) {
+            const double ratio = arrival[j] / bounds.delay_s;
+            if (ratio != 1.0) lambda *= pow_clamped(ratio);
+          } else if (!circuit.is_driver(v)) {
+            const auto i = static_cast<std::size_t>(v);
+            const double reach = arrival[j] + delay[i];
+            const double arrival_i = std::max(arrival[i], 1e-30);
+            if (reach != arrival_i) lambda *= pow_clamped(reach / arrival_i);
+          }
+        },
+        mu);
     // β and γ start at 0; seed them from their scale the first time their
     // constraint is violated, then update multiplicatively.
     const double cap_ratio = cap / bounds.cap_f;
@@ -170,9 +170,10 @@ long long dual_ascent_step(const netlist::Circuit& circuit,
     }
   }
 
-  // A5: nonnegativity + flow conservation.
-  multipliers.clamp_nonnegative();
-  multipliers.project_flow(circuit);
+  // Nonnegativity of the rest (the walk clamped λ).
+  multipliers.beta = std::max(multipliers.beta, 0.0);
+  multipliers.gamma = std::max(multipliers.gamma, 0.0);
+  for (double& g : multipliers.gamma_net) g = std::max(g, 0.0);
   return pow_calls;
 }
 
@@ -236,7 +237,9 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
   std::vector<double> x = (warm != nullptr && !warm->sizes.empty()) ? warm->sizes
                                                                     : circuit.sizes();
   LRSIZER_ASSERT(x.size() == static_cast<std::size_t>(circuit.num_nodes()));
+  // A2 for the first iteration; each dual step's walk sums the next μ.
   std::vector<double> mu;
+  multipliers.compute_mu(circuit, mu);
   LrsWorkspace workspace;
   timing::ArrivalAnalysis arrivals;
 
@@ -354,9 +357,6 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
       x_traced = x;
     }
 
-    // A2: node weights from edge multipliers.
-    multipliers.compute_mu(circuit, mu);
-
     // A3: inner minimization + arrival times of the sized circuit. run_lrs
     // hands back workspace.loads at the final x (hand-back contract in
     // lrs.hpp), so the arrival pass runs directly on it — no fresh load
@@ -450,7 +450,7 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
     const double rho = stopping ? 0.0 : step_scale * step_size(step0, k);
     if (!stopping) {
       result.pow_calls += dual_ascent_step(circuit, coupling, bounds, options, arrivals, x,
-                                           cap, noise, rho, scales, multipliers);
+                                           cap, noise, rho, scales, multipliers, &mu);
     }
 
     iterate.seconds = iter_timer.seconds();

@@ -15,7 +15,8 @@
 //         λ_0i += ρ_k (D_i − a_i)                   [driver edges]
 //         β    += ρ_k (Σ c_i − P0)
 //         γ    += ρ_k (X(x) − X0)
-//   A5. clamp at 0 and project λ onto flow conservation (Theorem 3)
+//   A5. clamp at 0 and project λ onto flow conservation (Theorem 3); λ's
+//       A4 step, A5 and the next iteration's A2 run as one reverse walk
 //   A7. stop when the duality gap Σ α_i x_i − L(x) is within the error
 //       bound and the iterate is feasible within tolerance; stop unconverged
 //       once the best dual exceeds Σ α_i U_i, which by weak duality
@@ -101,18 +102,21 @@ struct DualScales {
 
 /// One OGWS dual step (A4 + A5): update every multiplier from the iterate's
 /// constraint residuals under `options.step_rule` with step size `rho`, then
-/// clamp at 0 and re-project λ onto flow conservation. `arrivals` and the
-/// scalar totals `cap`/`noise` must describe the iterate `x`. Exposed
-/// separately from run_ogws so the kernel bench can time it in isolation.
-/// Returns the pow() calls the step made (the multiplicative rule's; a ratio
-/// of exactly 1 skips its call, and the subgradient rule makes none).
+/// clamp at 0 and re-project λ onto flow conservation. λ's update, clamp and
+/// projection are one reverse walk (MultiplierState::step_and_project), which
+/// also writes the next iteration's μ (A2) into `mu` when it is set.
+/// `arrivals` and the scalar totals `cap`/`noise` must describe the iterate
+/// `x`. Exposed separately from run_ogws so the kernel bench can time it in
+/// isolation. Returns the pow() calls the step made (the multiplicative
+/// rule's; a ratio of exactly 1 skips its call, and the subgradient rule
+/// makes none).
 long long dual_ascent_step(const netlist::Circuit& circuit,
                            const layout::CouplingSet& coupling, const Bounds& bounds,
                            const OgwsOptions& options,
                            const timing::ArrivalAnalysis& arrivals,
                            const std::vector<double>& x, double cap, double noise,
                            double rho, const DualScales& scales,
-                           MultiplierState& multipliers);
+                           MultiplierState& multipliers, std::vector<double>* mu = nullptr);
 
 /// Restartable OGWS state: the sizes of a prior run's returned iterate plus
 /// the multiplier vector at its best dual. Seeding a fresh run with this

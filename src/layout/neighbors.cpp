@@ -33,6 +33,12 @@ CouplingSet::CouplingSet(netlist::NodeId num_nodes, std::vector<Pair> pairs)
     entries_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(pr.b)]++)] =
         Neighbor{pr.a, c_hat, c_tilde, p};
   }
+  c_tilde_sum_.resize(static_cast<std::size_t>(num_nodes));
+  for (netlist::NodeId v = 0; v < num_nodes; ++v) {
+    double sum = 0.0;
+    for (const auto& nb : neighbors(v)) sum += nb.c_tilde;
+    c_tilde_sum_[static_cast<std::size_t>(v)] = sum;
+  }
 
   // Owner CSR: pair p belongs to I(pair.a).
   owner_offset_.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
@@ -86,7 +92,8 @@ double CouplingSet::noise_exact(const std::vector<double>& x) const {
 
 std::size_t CouplingSet::memory_bytes() const {
   return util::vector_bytes(pairs_) + util::vector_bytes(offset_) + util::vector_bytes(entries_) +
-         util::vector_bytes(owner_offset_) + util::vector_bytes(owner_pairs_);
+         util::vector_bytes(c_tilde_sum_) + util::vector_bytes(owner_offset_) +
+         util::vector_bytes(owner_pairs_);
 }
 
 CouplingSet build_coupling_set(const netlist::Circuit& circuit,

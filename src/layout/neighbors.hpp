@@ -58,6 +58,13 @@ class CouplingSet {
             static_cast<std::size_t>(offset_[i + 1] - offset_[i])};
   }
 
+  /// Σ_{j∈N(v)} c̃_vj (effective), summed in neighbors(v) order from 0, so
+  /// a load pass reads the same double it would accumulate from the list.
+  double c_tilde_sum(netlist::NodeId v) const {
+    if (c_tilde_sum_.empty()) return 0.0;
+    return c_tilde_sum_[static_cast<std::size_t>(v)];
+  }
+
   /// Pairs *owned* by wire v, i.e. { (v, j) : j ∈ I(v) } — the per-wire
   /// slice of the noise double sum (each pair is owned by its smaller node).
   std::span<const std::int32_t> owned_pairs(netlist::NodeId v) const {
@@ -102,13 +109,15 @@ class CouplingSet {
   /// the posynomial order-4 value (geometrically impossible region).
   double noise_exact(const std::vector<double>& x) const;
 
-  /// Bytes held by the pair list and its adjacency arrays.
+  /// Bytes held by the pair list, its adjacency arrays and the per-node
+  /// Σ c̃ array.
   std::size_t memory_bytes() const;
 
  private:
   std::vector<Pair> pairs_;
   std::vector<std::int32_t> offset_;
   std::vector<Neighbor> entries_;
+  std::vector<double> c_tilde_sum_;
   std::vector<std::int32_t> owner_offset_;
   std::vector<std::int32_t> owner_pairs_;
 };

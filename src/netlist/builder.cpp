@@ -1,7 +1,7 @@
 #include "netlist/builder.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <cstddef>
 
 #include "util/assert.hpp"
 
@@ -74,27 +74,47 @@ void CircuitBuilder::set_bounds(Handle component, double lower, double upper) {
   upper_[static_cast<std::size_t>(component)] = upper;
 }
 
+namespace {
+
+/// Row starts of a CSR array from per-row counts: counts[r + 1] holds row r's
+/// count on entry and its one-past-end offset on return (counts[0] == 0).
+void prefix_sum(std::vector<std::int32_t>& counts) {
+  for (std::size_t i = 1; i < counts.size(); ++i) counts[i] += counts[i - 1];
+}
+
+}  // namespace
+
 Circuit CircuitBuilder::finalize() {
   const std::int32_t h_count = num_handles();
+  const auto handles = static_cast<std::size_t>(h_count);
   LRSIZER_ASSERT_MSG(h_count > 0, "empty circuit");
 
-  // Kahn topological sort over handles, drivers first (they have no fanin).
-  std::vector<std::vector<Handle>> fanout(static_cast<std::size_t>(h_count));
-  std::vector<std::int32_t> fanin_count(static_cast<std::size_t>(h_count), 0);
+  // Fanout CSR over handles, each row in connection order.
+  std::vector<std::int32_t> fanout_offset(handles + 1, 0);
+  std::vector<std::int32_t> fanin_count(handles, 0);
   for (const auto& [from, to] : connections_) {
-    fanout[static_cast<std::size_t>(from)].push_back(to);
+    ++fanout_offset[static_cast<std::size_t>(from) + 1];
     ++fanin_count[static_cast<std::size_t>(to)];
   }
+  prefix_sum(fanout_offset);
+  std::vector<Handle> fanout(connections_.size());
+  {
+    std::vector<std::int32_t> cursor(fanout_offset.begin(), fanout_offset.end() - 1);
+    for (const auto& [from, to] : connections_) {
+      fanout[static_cast<std::size_t>(cursor[static_cast<std::size_t>(from)]++)] = to;
+    }
+  }
 
+  // Kahn topological sort over handles, FIFO, seeded with the drivers in
+  // insertion order (they have no fanin); a zero-fanin non-driver is an
+  // undriven component. `order` is the queue itself: every handle enters it
+  // once, and its pops read it front to back.
   std::vector<Handle> order;
-  order.reserve(static_cast<std::size_t>(h_count));
-  // Seed with drivers (in insertion order for determinism), then any
-  // zero-fanin non-driver would be an error (undriven component).
-  std::queue<Handle> ready;
+  order.reserve(handles);
   std::int32_t driver_count = 0;
   for (Handle h = 0; h < h_count; ++h) {
     if (kind_[static_cast<std::size_t>(h)] == NodeKind::kDriver) {
-      ready.push(h);
+      order.push_back(h);
       ++driver_count;
       LRSIZER_ASSERT_MSG(fanin_count[static_cast<std::size_t>(h)] == 0,
                          "driver with fanin");
@@ -105,12 +125,11 @@ Circuit CircuitBuilder::finalize() {
   }
   LRSIZER_ASSERT_MSG(driver_count > 0, "circuit needs at least one driver");
 
-  while (!ready.empty()) {
-    const Handle h = ready.front();
-    ready.pop();
-    order.push_back(h);
-    for (Handle succ : fanout[static_cast<std::size_t>(h)]) {
-      if (--fanin_count[static_cast<std::size_t>(succ)] == 0) ready.push(succ);
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const auto h = static_cast<std::size_t>(order[head]);
+    for (std::int32_t k = fanout_offset[h]; k < fanout_offset[h + 1]; ++k) {
+      const Handle succ = fanout[static_cast<std::size_t>(k)];
+      if (--fanin_count[static_cast<std::size_t>(succ)] == 0) order.push_back(succ);
     }
   }
   LRSIZER_ASSERT_MSG(static_cast<std::int32_t>(order.size()) == h_count,
@@ -119,7 +138,9 @@ Circuit CircuitBuilder::finalize() {
   // Handles -> NodeIds. Drivers were emitted first by construction, so the
   // contract "drivers are 1..s" holds; components follow in topological order.
   const NodeId total_nodes = h_count + 2;
-  handle_to_node_.assign(static_cast<std::size_t>(h_count), kInvalidNode);
+  const auto nodes = static_cast<std::size_t>(total_nodes);
+  const NodeId sink = total_nodes - 1;
+  handle_to_node_.assign(handles, kInvalidNode);
   for (std::int32_t pos = 0; pos < h_count; ++pos) {
     handle_to_node_[static_cast<std::size_t>(order[static_cast<std::size_t>(pos)])] =
         pos + 1;
@@ -128,17 +149,17 @@ Circuit CircuitBuilder::finalize() {
   Circuit c;
   c.tech_ = tech_;
   c.num_drivers_ = driver_count;
-  c.kind_.assign(static_cast<std::size_t>(total_nodes), NodeKind::kSource);
-  c.unit_res_.assign(static_cast<std::size_t>(total_nodes), 0.0);
-  c.unit_cap_.assign(static_cast<std::size_t>(total_nodes), 0.0);
-  c.fringe_cap_.assign(static_cast<std::size_t>(total_nodes), 0.0);
-  c.area_weight_.assign(static_cast<std::size_t>(total_nodes), 0.0);
-  c.pin_load_.assign(static_cast<std::size_t>(total_nodes), 0.0);
-  c.lower_.assign(static_cast<std::size_t>(total_nodes), 0.0);
-  c.upper_.assign(static_cast<std::size_t>(total_nodes), 0.0);
-  c.length_.assign(static_cast<std::size_t>(total_nodes), 0.0);
-  c.size_.assign(static_cast<std::size_t>(total_nodes), 0.0);
-  c.kind_[static_cast<std::size_t>(total_nodes - 1)] = NodeKind::kSink;
+  c.kind_.assign(nodes, NodeKind::kSource);
+  c.unit_res_.assign(nodes, 0.0);
+  c.unit_cap_.assign(nodes, 0.0);
+  c.fringe_cap_.assign(nodes, 0.0);
+  c.area_weight_.assign(nodes, 0.0);
+  c.pin_load_.assign(nodes, 0.0);
+  c.lower_.assign(nodes, 0.0);
+  c.upper_.assign(nodes, 0.0);
+  c.length_.assign(nodes, 0.0);
+  c.size_.assign(nodes, 0.0);
+  c.kind_[static_cast<std::size_t>(sink)] = NodeKind::kSink;
 
   c.num_gates_ = 0;
   for (Handle h = 0; h < h_count; ++h) {
@@ -157,64 +178,58 @@ Circuit CircuitBuilder::finalize() {
     if (kind_[src] == NodeKind::kGate) ++c.num_gates_;
   }
 
-  // Edge list: source->drivers, user connections, primary outputs->sink.
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  edges.reserve(connections_.size() + static_cast<std::size_t>(driver_count) + 8);
-  for (NodeId v = 1; v <= driver_count; ++v) edges.emplace_back(0, v);
-  for (const auto& [from, to] : connections_) {
-    edges.emplace_back(handle_to_node_[static_cast<std::size_t>(from)],
-                       handle_to_node_[static_cast<std::size_t>(to)]);
+  // Edges: source->drivers, user connections (duplicates kept), primary
+  // outputs->sink, numbered in (from, to) order so edge ids are canonical.
+  // Counting by `from` gives each node's out-edge range; its targets then
+  // need only a sort within the range.
+  c.out_offset_.assign(nodes + 1, 0);
+  c.out_offset_[1] = driver_count;
+  for (const auto& connection : connections_) {
+    ++c.out_offset_[static_cast<std::size_t>(node_of(connection.first)) + 1];
   }
   std::int32_t primary_outputs = 0;
   for (Handle h = 0; h < h_count; ++h) {
     if (pin_load_[static_cast<std::size_t>(h)] > 0.0) {
-      edges.emplace_back(handle_to_node_[static_cast<std::size_t>(h)], total_nodes - 1);
+      ++c.out_offset_[static_cast<std::size_t>(node_of(h)) + 1];
       ++primary_outputs;
     }
   }
   LRSIZER_ASSERT_MSG(primary_outputs > 0, "circuit needs at least one primary output");
+  prefix_sum(c.out_offset_);
 
-  // Sort edges by (from, to) so CSR construction and edge ids are canonical.
-  std::sort(edges.begin(), edges.end());
-
-  const auto e_count = static_cast<EdgeId>(edges.size());
-  c.edge_from_.resize(edges.size());
-  c.edge_to_.resize(edges.size());
-  for (EdgeId e = 0; e < e_count; ++e) {
-    c.edge_from_[static_cast<std::size_t>(e)] = edges[static_cast<std::size_t>(e)].first;
-    c.edge_to_[static_cast<std::size_t>(e)] = edges[static_cast<std::size_t>(e)].second;
-  }
-
-  // CSR (out): edges are sorted by from, so offsets come from counting.
-  c.out_offset_.assign(static_cast<std::size_t>(total_nodes) + 1, 0);
-  for (EdgeId e = 0; e < e_count; ++e) {
-    ++c.out_offset_[static_cast<std::size_t>(c.edge_from_[static_cast<std::size_t>(e)]) + 1];
-  }
-  for (std::size_t i = 1; i < c.out_offset_.size(); ++i) {
-    c.out_offset_[i] += c.out_offset_[i - 1];
-  }
-  c.out_nodes_.resize(edges.size());
-  c.out_edges_.resize(edges.size());
+  const auto edges = static_cast<std::size_t>(c.out_offset_.back());
+  c.edge_from_.resize(edges);
+  c.edge_to_.resize(edges);
   {
     std::vector<std::int32_t> cursor(c.out_offset_.begin(), c.out_offset_.end() - 1);
-    for (EdgeId e = 0; e < e_count; ++e) {
-      const auto from = static_cast<std::size_t>(c.edge_from_[static_cast<std::size_t>(e)]);
-      const auto slot = static_cast<std::size_t>(cursor[from]++);
-      c.out_nodes_[slot] = c.edge_to_[static_cast<std::size_t>(e)];
-      c.out_edges_[slot] = e;
+    auto add = [&](NodeId from, NodeId to) {
+      c.edge_to_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(from)]++)] = to;
+    };
+    for (NodeId v = 1; v <= driver_count; ++v) add(0, v);
+    for (const auto& [from, to] : connections_) add(node_of(from), node_of(to));
+    for (Handle h = 0; h < h_count; ++h) {
+      if (pin_load_[static_cast<std::size_t>(h)] > 0.0) add(node_of(h), sink);
     }
   }
+  for (NodeId v = 0; v < total_nodes; ++v) {
+    const std::ptrdiff_t begin = c.out_offset_[static_cast<std::size_t>(v)];
+    const std::ptrdiff_t end = c.out_offset_[static_cast<std::size_t>(v) + 1];
+    std::sort(c.edge_to_.begin() + begin, c.edge_to_.begin() + end);
+    std::fill(c.edge_from_.begin() + begin, c.edge_from_.begin() + end, v);
+  }
+  const auto e_count = static_cast<EdgeId>(edges);
 
-  // CSR (in).
-  c.in_offset_.assign(static_cast<std::size_t>(total_nodes) + 1, 0);
-  for (EdgeId e = 0; e < e_count; ++e) {
-    ++c.in_offset_[static_cast<std::size_t>(c.edge_to_[static_cast<std::size_t>(e)]) + 1];
-  }
-  for (std::size_t i = 1; i < c.in_offset_.size(); ++i) {
-    c.in_offset_[i] += c.in_offset_[i - 1];
-  }
-  c.in_nodes_.resize(edges.size());
-  c.in_edges_.resize(edges.size());
+  // CSR (out): the edge list itself, grouped by `from`.
+  c.out_nodes_ = c.edge_to_;
+  c.out_edges_.resize(edges);
+  for (EdgeId e = 0; e < e_count; ++e) c.out_edges_[static_cast<std::size_t>(e)] = e;
+
+  // CSR (in): counting by `to`, filled in ascending edge id.
+  c.in_offset_.assign(nodes + 1, 0);
+  for (NodeId to : c.edge_to_) ++c.in_offset_[static_cast<std::size_t>(to) + 1];
+  prefix_sum(c.in_offset_);
+  c.in_nodes_.resize(edges);
+  c.in_edges_.resize(edges);
   {
     std::vector<std::int32_t> cursor(c.in_offset_.begin(), c.in_offset_.end() - 1);
     for (EdgeId e = 0; e < e_count; ++e) {

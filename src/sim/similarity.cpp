@@ -40,13 +40,30 @@ void fill_bits(const Waveform& w, SimTime horizon, std::span<std::uint64_t> bits
   }
 }
 
+/// The portable count: popcount64's SWAR sequence, for any CPU.
+struct PortableCount {
+  static int count(std::uint64_t word) { return popcount64(word); }
+};
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define LRSIZER_HARDWARE_POPCOUNT 1
+/// The hardware count: one POPCNT instruction once inlined into a function
+/// compiled for it (the default x86-64 target has no such instruction).
+struct HardwareCount {
+  [[gnu::always_inline]] static int count(std::uint64_t word) {
+    return __builtin_popcountll(word);
+  }
+};
+#endif
+
 /// Pairwise similarities, word-parallel: with every signal a row of bits
 /// over [0, T) (zero past T), the ticks where two disagree are
 /// popcount(a ^ b), and similarity = (T − 2·disagree) / T — the same two
 /// integers the merged toggle sweep of Waveform::similarity accumulates, so
-/// the same double.
-std::vector<double> pairwise(const std::vector<const std::uint64_t*>& rows,
-                             std::size_t words, SimTime horizon) {
+/// the same double whichever Count counts them.
+template <class Count>
+[[gnu::always_inline]] inline std::vector<double> pairwise_loop(
+    std::span<const std::uint64_t* const> rows, std::size_t words, SimTime horizon) {
   LRSIZER_ASSERT(horizon > 0);
   const auto n = rows.size();
   std::vector<double> values(n * n, 1.0);
@@ -55,7 +72,7 @@ std::vector<double> pairwise(const std::vector<const std::uint64_t*>& rows,
     for (std::size_t b = a + 1; b < n; ++b) {
       const std::uint64_t* rb = rows[b];
       std::int64_t disagree = 0;
-      for (std::size_t k = 0; k < words; ++k) disagree += popcount64(ra[k] ^ rb[k]);
+      for (std::size_t k = 0; k < words; ++k) disagree += Count::count(ra[k] ^ rb[k]);
       const double s =
           static_cast<double>(horizon - 2 * disagree) / static_cast<double>(horizon);
       values[a * n + b] = s;
@@ -65,7 +82,40 @@ std::vector<double> pairwise(const std::vector<const std::uint64_t*>& rows,
   return values;
 }
 
+#ifdef LRSIZER_HARDWARE_POPCOUNT
+/// The same loop compiled for CPUs with POPCNT.
+[[gnu::target("popcnt")]] std::vector<double> pairwise_hardware(
+    std::span<const std::uint64_t* const> rows, std::size_t words, SimTime horizon) {
+  return pairwise_loop<HardwareCount>(rows, words, horizon);
+}
+#endif
+
 }  // namespace
+
+BitCount native_bit_count() {
+#ifdef LRSIZER_HARDWARE_POPCOUNT
+  static const BitCount native =
+      __builtin_cpu_supports("popcnt") ? BitCount::kHardware : BitCount::kPortable;
+  return native;
+#else
+  return BitCount::kPortable;
+#endif
+}
+
+std::vector<double> pairwise_similarities(std::span<const std::uint64_t* const> rows,
+                                          std::size_t words, SimTime horizon,
+                                          BitCount count) {
+#ifdef LRSIZER_HARDWARE_POPCOUNT
+  if (count == BitCount::kHardware) {
+    LRSIZER_ASSERT_MSG(native_bit_count() == BitCount::kHardware,
+                       "this CPU has no POPCNT instruction");
+    return pairwise_hardware(rows, words, horizon);
+  }
+#else
+  LRSIZER_ASSERT_MSG(count == BitCount::kPortable, "hardware popcount is x86-64 only");
+#endif
+  return pairwise_loop<PortableCount>(rows, words, horizon);
+}
 
 SimilarityMatrix::SimilarityMatrix(const SimResult& sim,
                                    const std::vector<std::int32_t>& nets)
@@ -73,7 +123,7 @@ SimilarityMatrix::SimilarityMatrix(const SimResult& sim,
   std::vector<const std::uint64_t*> rows;
   rows.reserve(nets.size());
   for (std::int32_t net : nets) rows.push_back(sim.row(net).data());
-  values_ = pairwise(rows, sim.words_per_row, sim.horizon);
+  values_ = pairwise_similarities(rows, sim.words_per_row, sim.horizon, native_bit_count());
 }
 
 SimilarityMatrix::SimilarityMatrix(const std::vector<Waveform>& waveforms,
@@ -88,7 +138,7 @@ SimilarityMatrix::SimilarityMatrix(const std::vector<Waveform>& waveforms,
     fill_bits(waveforms[a], horizon, std::span(bits).subspan(a * words, words));
     rows.push_back(bits.data() + a * words);
   }
-  values_ = pairwise(rows, words, horizon);
+  values_ = pairwise_similarities(rows, words, horizon, native_bit_count());
 }
 
 std::vector<double> SimilarityMatrix::take_miller_weights() && {

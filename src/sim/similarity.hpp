@@ -9,12 +9,31 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/simulator.hpp"
 #include "sim/waveform.hpp"
 
 namespace lrsizer::sim {
+
+/// The two instantiations of the pairwise count loop. They count the same
+/// integers, so they give the same similarities bit for bit.
+enum class BitCount {
+  kPortable,  ///< popcount64's SWAR sequence; any CPU
+  kHardware,  ///< the POPCNT instruction; x86-64 CPUs that have it
+};
+
+/// The instantiation SimilarityMatrix uses, picked once per process:
+/// kHardware on an x86-64 CPU with POPCNT (GCC/Clang builds), else kPortable.
+BitCount native_bit_count();
+
+/// Row-major n × n similarities of `rows` (each `words` words of a bit row
+/// over [0, horizon), zero past it), counted by `count`'s instantiation.
+/// kHardware needs native_bit_count() == kHardware.
+std::vector<double> pairwise_similarities(std::span<const std::uint64_t* const> rows,
+                                          std::size_t words, SimTime horizon,
+                                          BitCount count);
 
 /// Dense symmetric similarity matrix over a set of nets.
 class SimilarityMatrix {

@@ -54,64 +54,15 @@ void compute_loads(const netlist::Circuit& circuit, const layout::CouplingSet& c
                    const std::vector<double>& x, CouplingLoadMode mode,
                    LoadAnalysis& out);
 
-/// Recompute node v's three load entries in place: the per-node body of
-/// compute_loads, which runs it once per node in descending order. `out`
-/// must be sized and v's children's load_in entries must be final. Writes
-/// only node v's slots. Inline so the sweep makes no call per node.
-inline void compute_node_loads(const netlist::Circuit& circuit,
-                               const layout::CouplingSet& coupling,
-                               const std::vector<double>& x, CouplingLoadMode mode,
-                               LoadAnalysis& out, netlist::NodeId v) {
-  using netlist::NodeId;
-  using netlist::NodeKind;
-  const NodeId sink = circuit.sink();
-  const auto i = static_cast<std::size_t>(v);
-
-  double child_sum = circuit.pin_load(v);  // C_L attached at this output
-  for (NodeId child : circuit.outputs(v)) {
-    if (child == sink) continue;  // the sink edge itself carries no cap
-    child_sum += out.load_in[static_cast<std::size_t>(child)];
-  }
-
-  switch (circuit.kind(v)) {
-    case NodeKind::kGate: {
-      // A gate drives its fanout stage; its own input cap faces upstream.
-      out.cap_delay[i] = child_sum;
-      out.cap_prime[i] = child_sum;
-      out.load_in[i] = circuit.unit_cap(v) * x[i];
-      break;
-    }
-    case NodeKind::kWire: {
-      const double half = 0.5 * (circuit.unit_cap(v) * x[i] + circuit.fringe_cap(v));
-      double couple_const = 0.0;  // Σ c̃_ij (effective)
-      double couple_own = 0.0;    // Σ ĉ_ij x_i
-      double couple_nbr = 0.0;    // Σ ĉ_ij x_j
-      for (const auto& nb : coupling.neighbors(v)) {
-        couple_const += nb.c_tilde;
-        couple_own += nb.c_hat * x[i];
-        couple_nbr += nb.c_hat * x[static_cast<std::size_t>(nb.other)];
-      }
-      out.cap_delay[i] = half + couple_const + couple_own + couple_nbr + child_sum;
-      out.cap_prime[i] = 0.5 * circuit.fringe_cap(v) + couple_const + child_sum;
-      // Parent sees both π halves plus the downstream subtree; coupling is
-      // included only in propagate mode.
-      const double ground_down = half + child_sum;
-      out.load_in[i] = half + ground_down;
-      if (mode == CouplingLoadMode::kPropagateUpstream) {
-        out.load_in[i] += couple_const + couple_own + couple_nbr;
-      }
-      break;
-    }
-    case NodeKind::kDriver: {
-      out.cap_delay[i] = child_sum;
-      out.cap_prime[i] = child_sum;
-      out.load_in[i] = 0.0;  // drivers are roots; nothing is upstream
-      break;
-    }
-    case NodeKind::kSource:
-    case NodeKind::kSink:
-      break;
-  }
-}
+/// compute_loads' kLocalOnly sweep without C_i: writes cap_prime and load_in
+/// — all that a forward LRS walk and the next sweep read — bit for bit as
+/// compute_loads writes them, and leaves cap_delay as it was. A wire's C'_i
+/// takes Σ c̃_ij from CouplingSet::c_tilde_sum, so the sweep reads no
+/// neighbor list; O(|V| + |E|). `out` must be sized (LoadAnalysis::resize).
+/// kPropagateUpstream has no such sweep: its load_in carries the coupling
+/// terms.
+void compute_prime_loads(const netlist::Circuit& circuit,
+                         const layout::CouplingSet& coupling,
+                         const std::vector<double>& x, LoadAnalysis& out);
 
 }  // namespace lrsizer::timing

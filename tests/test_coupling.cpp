@@ -102,6 +102,13 @@ TEST(CouplingSet, NeighborsSymmetricWithSharedCoefficients) {
       n2[0].other == f.wires[0] ? n2[0] : n2[1];
   EXPECT_DOUBLE_EQ(from_w2.c_hat, n1[0].c_hat);
   EXPECT_DOUBLE_EQ(from_w2.c_tilde, n1[0].c_tilde);
+  // Each node's Σ c̃ is its neighbor list summed in list order, bit for bit.
+  for (netlist::NodeId v = 0; v < f.circuit.num_nodes(); ++v) {
+    double sum = 0.0;
+    for (const auto& nb : coupling.neighbors(v)) sum += nb.c_tilde;
+    EXPECT_EQ(coupling.c_tilde_sum(v), sum) << "node " << v;
+  }
+  EXPECT_GT(coupling.c_tilde_sum(f.wires[1]), coupling.c_tilde_sum(f.wires[0]));
 }
 
 TEST(CouplingSet, GatesHaveNoNeighbors) {
@@ -165,6 +172,8 @@ TEST(CouplingSet, EmptySetBehaves) {
   EXPECT_DOUBLE_EQ(coupling.noise_linear(x), 0.0);
   EXPECT_DOUBLE_EQ(coupling.noise_exact(x), 0.0);
   EXPECT_TRUE(coupling.neighbors(f.wires[0]).empty());
+  EXPECT_EQ(coupling.c_tilde_sum(f.wires[0]), 0.0);
+  EXPECT_EQ(layout::CouplingSet().c_tilde_sum(f.wires[0]), 0.0);
 }
 
 }  // namespace

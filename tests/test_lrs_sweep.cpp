@@ -1,10 +1,12 @@
 // The one-sweep LRS (core::run_lrs, docs/ARCHITECTURE.md §One-sweep LRS):
 // each pass walks the components forward, computing R_i from sizes set
 // earlier in the same pass and resizing at once, and a reverse load pass
-// closes it. The workspace carries the loads of the x a call returned into
-// the next call. These tests pin down what that promises:
-//   - the loads handed back equal a fresh load pass bit for bit, and a call
-//     that reuses them returns exactly what a fresh workspace would;
+// closes it (C' alone unless the pass closes the call). The workspace
+// carries the loads of the x a call returned into the next call. These
+// tests pin down what that promises:
+//   - the loads handed back equal a fresh load pass bit for bit, a call
+//     that reuses them returns exactly what a fresh workspace would, and
+//     every call returns what a full load pass after every walk returns;
 //   - at the returned x every component is stationary within tol against
 //     fresh analyses, under both coupling-load modes and per-net γ;
 //   - a call handed an edited x re-converges to the same fixpoint;
@@ -88,12 +90,64 @@ void nudge(std::vector<double>& mu, int round) {
   for (std::size_t i = static_cast<std::size_t>(2 + round); i < mu.size(); i += 37) mu[i] *= f;
 }
 
+/// run_lrs with a full compute_loads after every forward walk, as the 0.18
+/// build ran it: the reference for the passes that write only C'. Starts
+/// from the lower bounds unless `options.warm_start`, as a fresh workspace
+/// does.
+core::LrsStats full_load_pass_lrs(const Problem& p, const std::vector<double>& mu, double beta,
+                                  const core::NoiseMultipliers& gamma,
+                                  const core::LrsOptions& options, std::vector<double>& x) {
+  const netlist::Circuit& circuit = p.circuit;
+  std::vector<double> mu_res(x.size(), 0.0);
+  std::vector<double> gamma_coef(x.size(), 0.0);
+  for (netlist::NodeId v = circuit.first_component(); v < circuit.end_component(); ++v) {
+    const auto i = static_cast<std::size_t>(v);
+    if (!options.warm_start) x[i] = circuit.lower_bound(v);
+    mu_res[i] = mu[i] * circuit.unit_res(v);
+    for (const auto& nb : p.coupling.neighbors(v)) {
+      gamma_coef[i] +=
+          gamma.for_owner(p.coupling.pairs()[static_cast<std::size_t>(nb.pair)].a) * nb.c_hat;
+    }
+  }
+  timing::LoadAnalysis loads;
+  timing::compute_loads(circuit, p.coupling, x, options.mode, loads);
+  std::vector<double> r_up(x.size(), 0.0);
+  core::LrsStats stats;
+  for (int pass = 0; pass < options.max_passes; ++pass) {
+    double max_rel_change = 0.0;
+    for (netlist::NodeId v = circuit.first_component(); v < circuit.end_component(); ++v) {
+      const auto i = static_cast<std::size_t>(v);
+      timing::compute_node_upstream(circuit, x, mu, r_up, v);
+      double couple_nbr = 0.0;
+      for (const auto& nb : p.coupling.neighbors(v)) {
+        couple_nbr += nb.c_hat * x[static_cast<std::size_t>(nb.other)];
+      }
+      const double next = core::clamped_resize(
+          mu_res[i] * (loads.cap_prime[i] + couple_nbr),
+          circuit.area_weight(v) + (beta + r_up[i]) * circuit.unit_cap(v) + gamma_coef[i],
+          circuit.lower_bound(v), circuit.upper_bound(v));
+      max_rel_change = std::max(max_rel_change, std::abs(next - x[i]) / x[i]);
+      x[i] = next;
+    }
+    timing::compute_loads(circuit, p.coupling, x, options.mode, loads);
+    stats.passes = pass + 1;
+    stats.max_rel_change = max_rel_change;
+    if (max_rel_change < options.tol) break;
+  }
+  return stats;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
 TEST(LrsSweep, HandedBackLoadsAreFreshAndResumedCallsMatchAFreshWorkspace) {
-  // After every call of a sequence (a cold one, then μ nudges), the loads the
-  // workspace hands back equal a fresh compute_loads at the returned x, bit
-  // for bit. A resumed call starts from those loads instead of a load pass,
-  // so it must return exactly what a fresh workspace warm-started from the
-  // same x returns: same sizes, same pass count.
+  // After every call of a sequence (a cold one cut by max_passes, then μ
+  // nudges), the loads the workspace hands back equal a fresh compute_loads
+  // at the returned x, bit for bit, although only a call's last pass writes
+  // C_i. A resumed call starts from those loads instead of a load pass, so
+  // it must return exactly what a fresh workspace warm-started from the
+  // same x returns: same sizes, same pass count. Every call also returns
+  // what a full load pass after every walk returns: same sizes, passes and
+  // max_rel_change.
   for (const auto mode : {kLocal, kUpstream}) {
     SCOPED_TRACE(mode == kLocal ? "local" : "upstream");
     const Problem p = build_problem("c499", 1);
@@ -110,15 +164,31 @@ TEST(LrsSweep, HandedBackLoadsAreFreshAndResumedCallsMatchAFreshWorkspace) {
     for (int round = 0; round < 5; ++round) {
       SCOPED_TRACE("call " + std::to_string(round));
       if (round > 0) nudge(mu, round);
+      core::LrsOptions call = options;
+      call.max_passes = round == 0 ? 3 : options.max_passes;
       const std::vector<double> x_in = x;
-      const auto stats = core::run_lrs(p.circuit, p.coupling, mu, 0.25, gamma, options, x, ws);
+      const auto stats = core::run_lrs(p.circuit, p.coupling, mu, 0.25, gamma, call, x, ws);
       EXPECT_GE(stats.passes, 1);
+      if (round == 0) {  // the cut: the last pass did not meet S5
+        EXPECT_EQ(stats.passes, 3);
+        EXPECT_GE(stats.max_rel_change, options.tol);
+      }
 
       timing::LoadAnalysis fresh;
       timing::compute_loads(p.circuit, p.coupling, x, mode, fresh);
       EXPECT_EQ(ws.loads.cap_delay, fresh.cap_delay);
       EXPECT_EQ(ws.loads.cap_prime, fresh.cap_prime);
       EXPECT_EQ(ws.loads.load_in, fresh.load_in);
+
+      core::LrsOptions reference = call;
+      reference.warm_start = round > 0;  // the cold call starts at L
+      std::vector<double> x_reference = x_in;
+      const auto reference_stats =
+          full_load_pass_lrs(p, mu, 0.25, gamma, reference, x_reference);
+      EXPECT_EQ(x_reference, x);
+      EXPECT_EQ(reference_stats.passes, stats.passes);
+      EXPECT_TRUE(same_bits(reference_stats.max_rel_change, stats.max_rel_change))
+          << reference_stats.max_rel_change << " vs " << stats.max_rel_change;
 
       if (round == 0) continue;  // the cold call starts at L, not at x_in
       core::LrsWorkspace fresh_ws;
@@ -303,8 +373,6 @@ TEST(LrsSweep, OgwsRunsMatchTheRecordedRowsAcrossProfilesModesAndBounds) {
 double sqrt_path(double numerator, double denominator, double lower, double upper) {
   return std::clamp(std::sqrt(std::max(numerator, 0.0) / denominator), lower, upper);
 }
-
-bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
 TEST(LrsSweep, ClampShortcutAgreesWithTheSqrtPath) {
   // clamped_resize returns L without the sqrt when the numerator is at or

@@ -1,7 +1,7 @@
 // OGWS variants: the literal additive subgradient rule, coupling-load
 // modes, differentiated gates, a bound-factor sweep against exhaustive
 // grid search on the chain circuit, and the dual step's bit-equality with a
-// step that calls pow() on every multiplier.
+// step that calls pow() on every multiplier and projects in separate passes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -159,16 +159,45 @@ INSTANTIATE_TEST_SUITE_P(DelayFactors, ChainBruteForce,
 
 double relative_violation(double value, double bound) { return (value - bound) / bound; }
 
+/// A5 as separate passes over every edge: clamp λ, β, γ and γ_net at 0,
+/// then rescale each node's in-edges onto its out-edges, nodes from the
+/// sink side.
+void clamp_then_project(const netlist::Circuit& circuit, core::MultiplierState& m) {
+  for (double& v : m.lambda) v = std::max(v, 0.0);
+  m.beta = std::max(m.beta, 0.0);
+  m.gamma = std::max(m.gamma, 0.0);
+  for (double& v : m.gamma_net) v = std::max(v, 0.0);
+  for (netlist::NodeId v = circuit.sink() - 1; v >= 1; --v) {
+    double out_sum = 0.0;
+    for (netlist::EdgeId e : circuit.output_edges(v)) {
+      out_sum += m.lambda[static_cast<std::size_t>(e)];
+    }
+    const auto in_edges = circuit.input_edges(v);
+    double in_sum = 0.0;
+    for (netlist::EdgeId e : in_edges) in_sum += m.lambda[static_cast<std::size_t>(e)];
+    if (in_sum > 0.0) {
+      const double scale = out_sum / in_sum;
+      for (netlist::EdgeId e : in_edges) m.lambda[static_cast<std::size_t>(e)] *= scale;
+    } else {
+      const double share = out_sum / static_cast<double>(in_edges.size());
+      for (netlist::EdgeId e : in_edges) m.lambda[static_cast<std::size_t>(e)] = share;
+    }
+  }
+}
+
 /// core::dual_ascent_step before the multiplicative rule skipped pow() on
-/// ratios of exactly 1: every multiplier goes through pow. The oracle of the
-/// bit-equality test below; returns how many λ edges had a ratio of 1.
+/// ratios of exactly 1 and before the λ step, clamp and projection became
+/// one walk: every multiplier goes through pow (or the additive step) over
+/// every edge, then A5 runs as separate passes. The oracle of the
+/// bit-equality test below; returns how many λ edges had a ratio of 1 and
+/// counts in `negative` the λ the step took below 0.
 int pow_everywhere_dual_step(const netlist::Circuit& circuit,
                              const layout::CouplingSet& coupling,
                              const core::Bounds& bounds, const core::OgwsOptions& options,
                              const timing::ArrivalAnalysis& arrivals,
                              const std::vector<double>& x, double cap, double noise,
                              double rho, const core::DualScales& scales,
-                             core::MultiplierState& m) {
+                             core::MultiplierState& m, int& negative) {
   int unit_ratios = 0;
   const bool per_net = bounds.per_net_enabled();
   if (options.step_rule == core::StepRule::kSubgradient) {
@@ -240,8 +269,9 @@ int pow_everywhere_dual_step(const netlist::Circuit& circuit,
       }
     }
   }
-  m.clamp_nonnegative();
-  m.project_flow(circuit);
+  negative = static_cast<int>(
+      std::count_if(m.lambda.begin(), m.lambda.end(), [](double v) { return v < 0.0; }));
+  clamp_then_project(circuit, m);
   return unit_ratios;
 }
 
@@ -308,24 +338,39 @@ TEST(OgwsVariants, DualStepMatchesPowEverywhereBitForBit) {
       const double cap = timing::total_cap(circuit, x);
       const double noise = coupling.noise_linear(x);
 
+      int stepped_negative = 0;
       for (int k = 7; k <= 10; ++k) {
         const double rho = options.step0 / std::sqrt(static_cast<double>(k));
         core::MultiplierState expected = state;
-        const int unit_ratios = pow_everywhere_dual_step(
-            circuit, coupling, bounds, options, arrivals, x, cap, noise, rho, scales, expected);
+        int negative = 0;
+        const int unit_ratios =
+            pow_everywhere_dual_step(circuit, coupling, bounds, options, arrivals, x, cap,
+                                     noise, rho, scales, expected, negative);
+        stepped_negative += negative;
+        // The walk's μ (A2 of the next iteration) against compute_mu on the
+        // reference state; every entry is written, whatever it held.
+        std::vector<double> mu(static_cast<std::size_t>(circuit.num_nodes()), -1.0);
         core::dual_ascent_step(circuit, coupling, bounds, options, arrivals, x, cap, noise,
-                               rho, scales, state);
+                               rho, scales, state, &mu);
+        std::vector<double> expected_mu;
+        expected.compute_mu(circuit, expected_mu);
         if (rule == core::StepRule::kMultiplicative) {
           // Both paths are exercised: most edges have a ratio of exactly 1.
           EXPECT_GT(unit_ratios, circuit.num_edges() / 2);
           EXPECT_LT(unit_ratios, circuit.num_edges());
         }
         EXPECT_EQ(differing_bits(state.lambda, expected.lambda), 0) << "step " << k;
+        EXPECT_EQ(differing_bits(mu, expected_mu), 0) << "step " << k;
         EXPECT_EQ(std::bit_cast<std::uint64_t>(state.beta),
                   std::bit_cast<std::uint64_t>(expected.beta));
         EXPECT_EQ(std::bit_cast<std::uint64_t>(state.gamma),
                   std::bit_cast<std::uint64_t>(expected.gamma));
         EXPECT_EQ(differing_bits(state.gamma_net, expected.gamma_net), 0) << "step " << k;
+      }
+      // The additive rule's steps take some λ below 0, so the clamp is
+      // exercised.
+      if (rule == core::StepRule::kSubgradient) {
+        EXPECT_GT(stepped_negative, 0);
       }
     }
   }

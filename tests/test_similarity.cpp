@@ -132,7 +132,14 @@ sim::SimResult rows_of(const std::vector<sim::Waveform>& waves, sim::SimTime hor
 
 TEST(SimilarityMatrix, MatchesPairwiseWaveformSimilarityExactly) {
   // Horizons on both sides of the 64-tick word boundary, and the default
-  // stage-1 window (32 vectors x 64 ticks) and one tick past it.
+  // stage-1 window (32 vectors x 64 ticks) and one tick past it. The
+  // matrices count with the CPU's native instantiation; the raw pairwise
+  // loop runs under each instantiation the CPU has, so the portable count
+  // stays tested where SimilarityMatrix uses POPCNT.
+  std::vector<sim::BitCount> counts = {sim::BitCount::kPortable};
+  if (sim::native_bit_count() == sim::BitCount::kHardware) {
+    counts.push_back(sim::BitCount::kHardware);
+  }
   const sim::SimTime horizons[] = {1, 63, 64, 65, 2048, 2049};
   std::uint64_t seed = 40;
   for (const sim::SimTime horizon : horizons) {
@@ -165,6 +172,21 @@ TEST(SimilarityMatrix, MatchesPairwiseWaveformSimilarityExactly) {
         EXPECT_EQ(from_result.at(static_cast<std::int32_t>(a), static_cast<std::int32_t>(b)),
                   expected)
             << "nets " << nets[a] << ", " << nets[b];
+      }
+    }
+
+    std::vector<const std::uint64_t*> rows;
+    for (std::int32_t a = 0; a < n; ++a) rows.push_back(result.row(a).data());
+    for (const sim::BitCount count : counts) {
+      SCOPED_TRACE(count == sim::BitCount::kHardware ? "hardware count" : "portable count");
+      const std::vector<double> values =
+          sim::pairwise_similarities(rows, result.words_per_row, horizon, count);
+      ASSERT_EQ(values.size(), static_cast<std::size_t>(n * n));
+      for (std::int32_t a = 0; a < n; ++a) {
+        for (std::int32_t b = 0; b < n; ++b) {
+          EXPECT_EQ(values[static_cast<std::size_t>(a * n + b)], from_waves.at(a, b))
+              << "rows " << a << ", " << b;
+        }
       }
     }
   }
