@@ -65,7 +65,6 @@ Status SizingSession::warm_start(WarmSeed seed) {
     return Status::InvalidArgument(
         "warm_start() got neither size entries nor multipliers");
   }
-  seed.multipliers.sizes.clear();  // by contract, sizes travel sparse
   seed_ = std::move(seed);
   return Status::Ok();
 }

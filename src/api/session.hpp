@@ -61,8 +61,9 @@ struct WarmSeed {
   /// (circuit NodeId, size) entries; unlisted components keep the initial
   /// size.
   std::vector<std::pair<std::int32_t, double>> sizes;
-  /// λ, β, γ and per-net γ of the run the sizes came from; the dense `sizes`
-  /// member is ignored. Empty λ: the multipliers start as in a cold run.
+  /// λ, β, γ and per-net γ of the run the sizes came from; size() replaces
+  /// the dense `sizes` member with the circuit's sizes overlaid by `sizes`
+  /// above. Empty λ: the multipliers start as in a cold run.
   /// They only fit a circuit with the same node/edge counts.
   core::OgwsWarmStart multipliers;
 
@@ -162,6 +163,14 @@ class SizingSession {
   netlist::LogicNetlist release_netlist();
 
   const core::FlowOptions& options() const { return options_; }
+  /// The input netlist (until release_netlist()).
+  const netlist::LogicNetlist& netlist() const { return netlist_; }
+  /// The elaborated circuit and its net map, between elaborate() and size()
+  /// (which moves them into the result); nullptr otherwise. A warm start
+  /// resolved against them (eco::seed_from_index) still applies to size().
+  const netlist::ElabResult* elaboration() const {
+    return elab_.has_value() ? &*elab_ : nullptr;
+  }
 
  private:
   /// Common stage prologue: options valid, pipeline at `expected`, not

@@ -21,13 +21,6 @@ void MultiplierState::init_default(const netlist::Circuit& circuit) {
   gamma = 0.0;
 }
 
-void MultiplierState::clamp_nonnegative() {
-  for (double& v : lambda) v = std::max(v, 0.0);
-  beta = std::max(beta, 0.0);
-  gamma = std::max(gamma, 0.0);
-  for (double& v : gamma_net) v = std::max(v, 0.0);
-}
-
 void MultiplierState::project_flow(const netlist::Circuit& circuit) {
   step_and_project(circuit, [](netlist::NodeId, netlist::NodeId, double&) {}, nullptr);
 }

@@ -42,9 +42,6 @@ class MultiplierState {
   /// (KCL holds by construction); β, γ small positive values.
   void init_default(const netlist::Circuit& circuit);
 
-  /// Clamp λ, β, γ at 0 (condition (4) of Theorem 6).
-  void clamp_nonnegative();
-
   /// A5: restore flow conservation (see header comment): step_and_project
   /// without a step. λ must be >= 0.
   void project_flow(const netlist::Circuit& circuit);

@@ -469,7 +469,6 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
       util::vector_bytes(workspace.mu_res) + util::vector_bytes(workspace.gamma_coef) +
       util::vector_bytes(workspace.exit_x) + util::vector_bytes(arrivals.delay) +
       util::vector_bytes(arrivals.arrival);
-  if (control.capture_warm_start) result.warm.sizes = result.sizes;
   return result;
 }
 

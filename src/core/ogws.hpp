@@ -201,8 +201,9 @@ struct OgwsResult {
   /// Multiplier, LRS and analysis working set: every per-node and per-edge
   /// vector the run keeps.
   std::size_t workspace_bytes = 0;
-  /// Snapshot for re-seeding a later run (sizes = the returned iterate,
-  /// multipliers = the state that produced the best dual).
+  /// Snapshot for re-seeding a later run: the multipliers that produced the
+  /// best dual. Its `sizes` stay empty; a reseed takes them from `sizes`
+  /// above (api::SizingSession::warm_start_from).
   OgwsWarmStart warm;
 };
 

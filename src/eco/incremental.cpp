@@ -3,7 +3,6 @@
 #include <unordered_map>
 
 #include "netlist/cone_hash.hpp"
-#include "netlist/elaborator.hpp"
 #include "util/assert.hpp"
 
 namespace lrsizer::eco {
@@ -31,17 +30,14 @@ runtime::EcoIndex build_eco_index(const netlist::LogicNetlist& netlist,
     if (net < 0) continue;
     index.nets[static_cast<std::size_t>(net)].sizes.push_back(circuit.size(v));
   }
-  index.lambda = result.ogws.warm.lambda;
-  index.beta = result.ogws.warm.beta;
-  index.gamma = result.ogws.warm.gamma;
-  index.gamma_net = result.ogws.warm.gamma_net;
+  index.multipliers = result.ogws.warm;
   index.num_nodes = circuit.num_nodes();
   index.num_edges = circuit.num_edges();
   return index;
 }
 
 EcoSeed seed_from_index(const netlist::LogicNetlist& revised,
-                        const core::FlowOptions& options,
+                        const netlist::ElabResult& elab,
                         const runtime::EcoIndex& index) {
   LRSIZER_ASSERT_MSG(revised.finalized(), "seed_from_index needs a finalized netlist");
   EcoSeed seed;
@@ -53,9 +49,7 @@ EcoSeed seed_from_index(const netlist::LogicNetlist& revised,
     base_of_cone.emplace(index.nets[b].cone, static_cast<std::int32_t>(b));
   }
 
-  // Preview elaboration: which circuit nodes carry each revised net.
-  const netlist::ElabResult elab =
-      netlist::elaborate(revised, options.tech, options.elab);
+  // Which circuit nodes carry each revised net.
   const auto n = static_cast<std::size_t>(revised.num_gates_logic());
   std::vector<std::vector<netlist::NodeId>> nodes_of_net(n);
   for (netlist::NodeId v = elab.circuit.first_component();
@@ -71,7 +65,6 @@ EcoSeed seed_from_index(const netlist::LogicNetlist& revised,
       ++seed.dirty_gates;
       continue;
     }
-    ++seed.clean_gates;
     const runtime::EcoIndex::Net& base = index.nets[static_cast<std::size_t>(it->second)];
     const std::vector<netlist::NodeId>& nodes = nodes_of_net[g];
     // A clean cone guarantees an identical fanin side, not an identical
@@ -87,12 +80,10 @@ EcoSeed seed_from_index(const netlist::LogicNetlist& revised,
   // The multiplier state is tied to the circuit's node/edge indexing, so it
   // transfers only when the revision kept the exact shape (op-only edits —
   // the elaborated structure does not depend on gate ops by default).
-  if (!index.lambda.empty() && index.num_nodes == elab.circuit.num_nodes() &&
+  if (index.multipliers.seeds_multipliers() &&
+      index.num_nodes == elab.circuit.num_nodes() &&
       index.num_edges == elab.circuit.num_edges()) {
-    seed.warm.multipliers.lambda = index.lambda;
-    seed.warm.multipliers.beta = index.beta;
-    seed.warm.multipliers.gamma = index.gamma;
-    seed.warm.multipliers.gamma_net = index.gamma_net;
+    seed.warm.multipliers = index.multipliers;
   }
   return seed;
 }

@@ -7,11 +7,12 @@
 //      gate's fanin-cone hash (netlist/cone_hash.hpp) plus the final sizes
 //      of the net's circuit nodes, and the run's best-dual multiplier state.
 //   2. seed_from_index() diffs a revised netlist against the snapshot by
-//      cone hash: every clean net (identical transitive fanin cone, same
-//      node count after elaboration) contributes its cached sizes as sparse
-//      warm-start entries; when the revised circuit keeps the base's exact
-//      node/edge counts — e.g. op-only edits, which do not change the
-//      elaborated structure — the multipliers transfer verbatim too.
+//      cone hash, on the revision's own elaboration: every clean net
+//      (identical transitive fanin cone, same node count after elaboration)
+//      contributes its cached sizes as sparse warm-start entries; when the
+//      revised circuit keeps the base's exact node/edge counts — e.g.
+//      op-only edits, which do not change the elaborated structure — the
+//      multipliers transfer verbatim too.
 //   3. api::SizingSession::warm_start() consumes the seed; OGWS starts in
 //      the converged neighborhood and re-converges in a fraction of the
 //      cold iteration count (bench/bench_eco.cpp commits the trajectory).
@@ -21,16 +22,18 @@
 // `serve --cache-warm` does on a miss. A seeded run converges to an equally
 // valid but not bit-identical solution trajectory versus a cold run.
 //
-// Callers run step 3 through runtime::run_job with the seed as
-// BatchJob::warm, as the serve loop does; it keeps each index inside its
-// runtime::ResultCache entry and matches bases by output-cone fingerprint
-// (runtime/cache.hpp).
+// runtime::run_job runs steps 2 and 3 for a job that names its base
+// (BatchJob::eco_index), between the session's elaborate() and its later
+// stages, so a seeded job is elaborated once. The serve loop picks the base
+// (runtime::ResultCache keeps each index inside its entry and matches bases
+// by output-cone fingerprint) and hands it to the job.
 #pragma once
 
 #include <cstdint>
 
 #include "api/session.hpp"
 #include "core/flow.hpp"
+#include "netlist/elaborator.hpp"
 #include "netlist/logic_netlist.hpp"
 #include "runtime/cache.hpp"
 
@@ -52,19 +55,19 @@ struct EcoSeed {
   /// Circuit nodes seeded from the snapshot (= warm.sizes.size()).
   std::int64_t reused_nodes = 0;
   /// Revised gates with no cone match in the base — the edits plus their
-  /// fan-out cone.
+  /// fan-out cone. The other gates are clean.
   std::int32_t dirty_gates = 0;
-  std::int32_t clean_gates = 0;
 
   bool empty() const { return warm.empty(); }
 };
 
 /// Diff `revised` against the snapshot and collect the reusable solution
-/// state. Runs one preview elaboration of `revised` under `options` to map
-/// nets to circuit nodes; a clean net whose node count differs from the
-/// base's (its fanout changed) is skipped rather than mis-seeded.
+/// state. `elab` is the revision's elaboration (the sizing session's own,
+/// api::SizingSession::elaboration); it maps nets to circuit nodes. A clean
+/// net whose node count differs from the base's (its fanout changed) is
+/// skipped rather than mis-seeded.
 EcoSeed seed_from_index(const netlist::LogicNetlist& revised,
-                        const core::FlowOptions& options,
+                        const netlist::ElabResult& elab,
                         const runtime::EcoIndex& index);
 
 }  // namespace lrsizer::eco

@@ -8,32 +8,11 @@ namespace lrsizer::netlist {
 
 namespace {
 
-// Same byte-level mixing discipline as netlist_hash (hash.cpp): FNV-1a with
-// fixed little-endian integer encoding so cone hashes are platform-stable.
-
-std::uint64_t mix_byte(std::uint64_t h, unsigned char b) {
-  return (h ^ b) * kFnvPrime;
-}
-
 std::uint64_t mix_u64(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h = mix_byte(h, static_cast<unsigned char>(v & 0xff));
     v >>= 8;
   }
-  return h;
-}
-
-std::uint64_t mix_i32(std::uint64_t h, std::int32_t v) {
-  const auto u = static_cast<std::uint32_t>(v);
-  h = mix_byte(h, static_cast<unsigned char>(u & 0xff));
-  h = mix_byte(h, static_cast<unsigned char>((u >> 8) & 0xff));
-  h = mix_byte(h, static_cast<unsigned char>((u >> 16) & 0xff));
-  return mix_byte(h, static_cast<unsigned char>((u >> 24) & 0xff));
-}
-
-std::uint64_t mix_string(std::uint64_t h, std::string_view s) {
-  h = mix_i32(h, static_cast<std::int32_t>(s.size()));
-  for (const char c : s) h = mix_byte(h, static_cast<unsigned char>(c));
   return h;
 }
 

@@ -12,8 +12,7 @@
 // a gate in the new netlist whose cone hash also appears in the old one is
 // "clean" (its whole fanin cone is untouched), and by the Merkle property
 // every gate downstream of an edit is automatically dirty — the dirty set
-// is exactly the edited nodes plus their fan-out cone (eco/delta.hpp builds
-// on this).
+// is exactly the edited nodes plus their fan-out cone.
 #pragma once
 
 #include <cstdint>

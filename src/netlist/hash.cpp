@@ -4,29 +4,6 @@
 
 namespace lrsizer::netlist {
 
-namespace {
-
-std::uint64_t mix_byte(std::uint64_t h, unsigned char b) {
-  return (h ^ b) * kFnvPrime;
-}
-
-std::uint64_t mix_i32(std::uint64_t h, std::int32_t v) {
-  // Fixed little-endian byte order so the hash is platform-stable.
-  const auto u = static_cast<std::uint32_t>(v);
-  h = mix_byte(h, static_cast<unsigned char>(u & 0xff));
-  h = mix_byte(h, static_cast<unsigned char>((u >> 8) & 0xff));
-  h = mix_byte(h, static_cast<unsigned char>((u >> 16) & 0xff));
-  return mix_byte(h, static_cast<unsigned char>((u >> 24) & 0xff));
-}
-
-std::uint64_t mix_string(std::uint64_t h, std::string_view s) {
-  h = mix_i32(h, static_cast<std::int32_t>(s.size()));
-  for (const char c : s) h = mix_byte(h, static_cast<unsigned char>(c));
-  return h;
-}
-
-}  // namespace
-
 std::uint64_t fnv1a(std::string_view bytes, std::uint64_t h) {
   for (const char c : bytes) h = mix_byte(h, static_cast<unsigned char>(c));
   return h;

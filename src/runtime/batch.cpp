@@ -1,6 +1,7 @@
 #include "runtime/batch.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <exception>
 #include <future>
@@ -9,6 +10,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <stop_token>
 #include <unordered_map>
 #include <utility>
 
@@ -63,21 +65,50 @@ JobOutcome run_job(BatchJob job, const JobControls& controls) {
   // The session owns the netlist for the run and hands it back afterwards —
   // constructed outside the try so the hand-back survives a throwing stage.
   api::SizingSession session(std::move(job.netlist), job.options);
-  try {
-    session.set_stop_token(controls.stop);
-    session.set_trace(controls.trace);
-    if (controls.observer) {
-      session.set_observer(
-          [&observer = controls.observer, &name = outcome.name](
-              const core::OgwsIterate& iterate) { observer(name, iterate); });
+  // The session stops on the caller's token, or once the deadline passed.
+  std::stop_source stop;
+  const std::stop_callback link(controls.stop, [&stop] { stop.request_stop(); });
+  bool deadline_passed = false;
+  const auto check_deadline = [&] {
+    if (!deadline_passed && std::chrono::steady_clock::now() >= controls.deadline) {
+      deadline_passed = true;
+      stop.request_stop();
     }
-    if (!job.warm.empty()) {
-      if (const api::Status st = session.warm_start(std::move(job.warm)); !st.ok()) {
+  };
+  try {
+    session.set_stop_token(stop.get_token());
+    session.set_trace(controls.trace);
+    session.set_observer([&](const core::OgwsIterate& iterate) {
+      if (controls.observer) controls.observer(outcome.name, iterate);
+      check_deadline();  // the next iteration's stop poll sees it
+    });
+    const auto warm_start = [&](api::WarmSeed seed) {
+      if (const api::Status st = session.warm_start(std::move(seed)); !st.ok()) {
         throw std::invalid_argument("batch job '" + job.name + "': " + st.to_string());
       }
+    };
+    if (!job.warm.empty()) warm_start(std::move(job.warm));
+    check_deadline();
+    api::Status status = session.elaborate();
+    if (status.ok() && job.eco_index) {
+      eco::EcoSeed seed =
+          eco::seed_from_index(session.netlist(), *session.elaboration(), *job.eco_index);
+      if (!seed.empty()) {
+        warm_start(std::move(seed.warm));
+        outcome.eco_base = std::move(job.eco_base);
+        outcome.eco_reused_nodes = seed.reused_nodes;
+        outcome.eco_dirty_gates = seed.dirty_gates;
+      }
     }
-    const api::Status status = session.run_all();
+    for (const auto stage : {&api::SizingSession::simulate_and_order,
+                             &api::SizingSession::derive_bounds,
+                             &api::SizingSession::size}) {
+      if (!status.ok()) break;
+      check_deadline();
+      status = (session.*stage)();
+    }
     outcome.cancelled = session.cancelled();
+    outcome.timed_out = outcome.cancelled && deadline_passed;
     if (session.has_result()) {
       // Completed, or cancelled mid-OGWS — either way a usable (partial)
       // result exists and the summary reports it (summary.cancelled flags
@@ -114,6 +145,24 @@ std::vector<std::pair<std::int32_t, double>> sparse_sizes(
   return sizes;
 }
 
+CachedEntry cached_entry(const JobOutcome& outcome) {
+  CachedEntry entry;
+  entry.job = job_json(outcome);
+  // The "eco" block lives inside the job object (not a serve response's
+  // wrapper) so an exact cache hit, served from entry.job verbatim, stays
+  // byte-identical to the seeded run's first response.
+  if (!outcome.eco_base.empty()) {
+    Json eco = Json::object();
+    eco.set("base_hash", outcome.eco_base);
+    eco.set("dirty_nodes", static_cast<std::int64_t>(outcome.eco_dirty_gates));
+    eco.set("reused_nodes", outcome.eco_reused_nodes);
+    entry.job.set("eco", eco);
+  }
+  entry.sizes = sparse_sizes(*outcome.flow);
+  entry.eco = eco::build_eco_index(outcome.netlist, *outcome.flow);
+  return entry;
+}
+
 namespace {
 
 JobOutcome run_one(BatchJob&& job, const BatchOptions& options,
@@ -123,12 +172,8 @@ JobOutcome run_one(BatchJob&& job, const BatchOptions& options,
   // Publish completed cold runs; cancelled/failed outcomes never enter the
   // cache (their bits depend on where the interrupt landed). Entries carry
   // the per-net ECO index so later revisions can warm-start from them.
-  if (key && outcome.ok && !outcome.cancelled && outcome.flow) {
-    CachedEntry entry;
-    entry.job = job_json(outcome);
-    entry.sizes = sparse_sizes(*outcome.flow);
-    entry.eco = eco::build_eco_index(outcome.netlist, *outcome.flow);
-    options.cache->store(*key, std::move(entry));
+  if (key && outcome.ok && !outcome.cancelled) {
+    options.cache->store(*key, cached_entry(outcome));
   }
   return outcome;
 }
@@ -168,7 +213,7 @@ BatchResult run_batch(std::vector<BatchJob> jobs, const BatchOptions& options) {
   if (options.cache) {
     std::unordered_map<std::string, std::size_t> owner_of;
     for (std::size_t i = 0; i < n; ++i) {
-      if (!jobs[i].warm.empty()) continue;
+      if (!jobs[i].warm.empty() || jobs[i].eco_index) continue;
       keys[i] = cache_key(jobs[i].netlist, jobs[i].options);
       cacheable[i] = 1;
       if ((hit[i] = options.cache->lookup(keys[i]))) continue;

@@ -9,9 +9,11 @@
 // ratio is the observed parallel speedup the benches report.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <stop_token>
 #include <string>
@@ -36,9 +38,17 @@ struct BatchJob {
   core::FlowOptions options;
   std::uint64_t seed = 1;          ///< generator seed (0 for parsed inputs)
   /// Warm start applied through api::SizingSession::warm_start — e.g. the
-  /// `# size` annotations of a previously sized .bench, or an ECO/cache
-  /// seed (eco::seed_from_index). Empty: cold start.
+  /// `# size` annotations of a previously sized .bench. Empty: cold start.
   api::WarmSeed warm;
+  /// Cached base to seed from (docs/ECO.md): run_job diffs its index against
+  /// the job's own elaboration (eco::seed_from_index) and warm-starts from
+  /// whatever it reuses. The shared_ptr keeps the index alive if the cache
+  /// evicts its entry meanwhile. nullptr: no base. Set at most one of
+  /// `warm` and a base.
+  std::shared_ptr<const EcoIndex> eco_index;
+  /// The base's cache key (set whenever eco_index is), reported back as
+  /// JobOutcome::eco_base.
+  std::string eco_base;
 };
 
 /// Build a job from one of the paper's Table-1 profiles (synthesizes the
@@ -53,8 +63,11 @@ struct JobOutcome {
   /// stop arrived mid-OGWS, the session finishes its bookkeeping and the
   /// summary describes the best partial solution (summary.cancelled set).
   bool ok = false;
-  /// The batch's stop token interrupted this job (before or during sizing).
+  /// A stop interrupted this job (before or during sizing): the caller's
+  /// token, or a passed deadline.
   bool cancelled = false;
+  /// JobControls::deadline passed and cut this run (cancelled is set too).
+  bool timed_out = false;
   /// This outcome was served without running the flow: answered from the
   /// result cache, or deduped against an identical job in the same batch.
   bool cache_hit = false;
@@ -64,6 +77,13 @@ struct JobOutcome {
   std::optional<core::FlowResult> flow;
   core::FlowSummary summary;
   double seconds = 0.0;           ///< this job's wall time inside its worker
+  /// The seed run_job resolved from BatchJob::eco_index, when it applied
+  /// one: the base's key, the circuit nodes it seeded and the gates with no
+  /// cone match in the base. eco_base empty: the job was not seeded from a
+  /// base.
+  std::string eco_base;
+  std::int64_t eco_reused_nodes = 0;
+  std::int32_t eco_dirty_gates = 0;
 };
 
 /// Per-iteration progress callback: (job name, OGWS iteration summary).
@@ -71,9 +91,9 @@ struct JobOutcome {
 using BatchObserver =
     std::function<void(const std::string& job, const core::OgwsIterate& iterate)>;
 
-/// Per-job controls for run_job(): the stop token and progress observer one
-/// sizing run honors. A default-constructed JobControls means "run to
-/// completion, silently".
+/// Per-job controls for run_job(): the stop token, progress observer and
+/// deadline one sizing run honors. A default-constructed JobControls means
+/// "run to completion, silently".
 struct JobControls {
   std::stop_token stop;
   BatchObserver observer;
@@ -81,9 +101,16 @@ struct JobControls {
   /// and LRS-pass spans recorded via api::SizingSession::set_trace. The
   /// sizing trajectory is bit-identical either way. nullptr: no tracing.
   obs::TraceSession* trace = nullptr;
+  /// Absolute deadline. run_job reads the clock before each stage and after
+  /// each OGWS iteration; once the deadline has passed it stops the run like
+  /// a cancel (a partial result when OGWS had started) and sets
+  /// JobOutcome::timed_out. time_point::max(): no deadline.
+  std::chrono::steady_clock::time_point deadline =
+      std::chrono::steady_clock::time_point::max();
 };
 
-/// Run one job through its own api::SizingSession on the calling thread.
+/// Run one job through its own api::SizingSession on the calling thread,
+/// stage by stage; a job with a base is seeded right after elaborate().
 /// Never throws: failures come back as !ok with the error text, and the
 /// input netlist is always handed back in the outcome. The full FlowResult
 /// is kept (callers drop it if they only want the summary). This is the
@@ -95,6 +122,11 @@ JobOutcome run_job(BatchJob job, const JobControls& controls = JobControls{});
 /// the currency of cache entries and warm starts.
 std::vector<std::pair<std::int32_t, double>> sparse_sizes(
     const core::FlowResult& flow);
+
+/// The cache entry of a completed outcome (ok, not cancelled): job_json
+/// plus, for a seeded job, an "eco" block as its last key (base_hash,
+/// dirty_nodes, reused_nodes), the sparse sizes and the run's ECO index.
+CachedEntry cached_entry(const JobOutcome& outcome);
 
 struct BatchOptions {
   /// Concurrent jobs (pool workers); each job runs serially on its worker.
@@ -110,9 +142,9 @@ struct BatchOptions {
   /// run_batch keys every job as netlist_hash × canonical(options) before
   /// submitting: completed entries answer without running, byte-identical
   /// in-batch duplicates run once and share the outcome, and every
-  /// completed cold run is stored back. Seeded jobs bypass the cache
-  /// (their outcome depends on the seed, not just the key). nullptr: no
-  /// caching.
+  /// completed cold run is stored back. Seeded jobs (a warm start or a
+  /// base) bypass the cache: their outcome depends on the seed, not just
+  /// the key. nullptr: no caching.
   ResultCache* cache = nullptr;
   /// Flow tracing shared by every job in the batch (borrowed; must outlive
   /// run_batch). TraceSession::record is thread-safe and spans carry dense

@@ -149,8 +149,9 @@ namespace {
 /// per sparse size pair and the EcoIndex payload (8 bytes per stored
 /// double/hash plus 16 per net for its bookkeeping).
 std::size_t entry_bytes(const std::string& key, const CachedEntry& entry) {
-  std::size_t eco = 8 * (entry.eco.output_cones.size() + entry.eco.lambda.size() +
-                         entry.eco.gamma_net.size());
+  const core::OgwsWarmStart& m = entry.eco.multipliers;
+  std::size_t eco =
+      8 * (entry.eco.output_cones.size() + m.lambda.size() + m.gamma_net.size());
   for (const EcoIndex::Net& net : entry.eco.nets) eco += 16 + 8 * net.sizes.size();
   return key.size() + entry.job.dump().size() + 16 * entry.sizes.size() + eco;
 }
@@ -188,12 +189,12 @@ Json eco_json(const EcoIndex& index) {
   for (const std::uint64_t c : index.output_cones) cones.push_back(hex16(c));
   eco.set("output_cones", cones);
   Json lambda = Json::array();
-  for (const double v : index.lambda) lambda.push_back(v);
+  for (const double v : index.multipliers.lambda) lambda.push_back(v);
   eco.set("lambda", lambda);
-  eco.set("beta", index.beta);
-  eco.set("gamma", index.gamma);
+  eco.set("beta", index.multipliers.beta);
+  eco.set("gamma", index.multipliers.gamma);
   Json gamma_net = Json::array();
-  for (const double v : index.gamma_net) gamma_net.push_back(v);
+  for (const double v : index.multipliers.gamma_net) gamma_net.push_back(v);
   eco.set("gamma_net", gamma_net);
   eco.set("num_nodes", index.num_nodes);
   eco.set("num_edges", index.num_edges);
@@ -464,13 +465,14 @@ std::shared_ptr<const CachedEntry> ResultCache::load_from_disk(
         entry.eco.output_cones.push_back(
             std::strtoull(cone.as_string().c_str(), nullptr, 16));
       }
+      core::OgwsWarmStart& m = entry.eco.multipliers;
       for (const Json& v : eco->at("lambda").as_array()) {
-        entry.eco.lambda.push_back(v.as_number());
+        m.lambda.push_back(v.as_number());
       }
-      entry.eco.beta = eco->at("beta").as_number();
-      entry.eco.gamma = eco->at("gamma").as_number();
+      m.beta = eco->at("beta").as_number();
+      m.gamma = eco->at("gamma").as_number();
       for (const Json& v : eco->at("gamma_net").as_array()) {
-        entry.eco.gamma_net.push_back(v.as_number());
+        m.gamma_net.push_back(v.as_number());
       }
       entry.eco.num_nodes = static_cast<std::int64_t>(eco->at("num_nodes").as_number());
       entry.eco.num_edges = static_cast<std::int64_t>(eco->at("num_edges").as_number());

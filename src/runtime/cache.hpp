@@ -82,12 +82,10 @@ struct EcoIndex {
   /// Output-cone fingerprint (netlist::output_cone_hashes) — the cache's
   /// ECO near-miss probe: a revision shares most of these with its base.
   std::vector<std::uint64_t> output_cones;
-  /// Best-dual multiplier state of the base run, reusable verbatim when the
-  /// revised circuit has the same node/edge counts (e.g. op-only edits).
-  std::vector<double> lambda;
-  double beta = 0.0;
-  double gamma = 0.0;
-  std::vector<double> gamma_net;
+  /// Best-dual multiplier state of the base run (its OgwsResult::warm; the
+  /// dense `sizes` member stays empty), reusable verbatim when the revised
+  /// circuit has the same node/edge counts (e.g. op-only edits).
+  core::OgwsWarmStart multipliers;
   /// Shape of the base run's elaborated circuit, for that validity check.
   std::int64_t num_nodes = 0;
   std::int64_t num_edges = 0;

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "eco/incremental.hpp"
 #include "fault/fault.hpp"
 #include "netlist/cone_hash.hpp"
 #include "netlist/logic_netlist.hpp"
@@ -17,6 +16,22 @@ namespace lrsizer::serve {
 using runtime::CachedEntry;
 using runtime::Json;
 using runtime::ResultCache;
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// `from` + `ms`, or no deadline (time_point::max()) when the clock cannot
+/// hold the sum: the protocol admits up to 2^53 ms, and converting that to
+/// the clock's int64 nanoseconds alone overflows.
+Clock::time_point deadline_after(Clock::time_point from, std::int64_t ms) {
+  const auto room =
+      std::chrono::duration_cast<std::chrono::milliseconds>(Clock::time_point::max() - from);
+  if (ms >= room.count()) return Clock::time_point::max();
+  return from + std::chrono::milliseconds(ms);
+}
+
+}  // namespace
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
@@ -36,13 +51,6 @@ Server::Server(ServerOptions options)
 
 Server::~Server() {
   drain();
-  // Stop the deadline watchdog (started lazily, so it may never have run).
-  {
-    const std::lock_guard<std::mutex> lock(watchdog_mutex_);
-    watchdog_exit_ = true;
-  }
-  watchdog_cv_.notify_all();
-  if (watchdog_.joinable()) watchdog_.join();
   // Callback metrics read through `this` (cache_, pool_, in_flight_); drop
   // them before any member dies.
   registry_->remove_owner(this);
@@ -452,15 +460,12 @@ void Server::handle_size(ClientId client, SizeRequest request) {
   }
   accepted_total_->inc();
   // Effective deadline: the request's own wins (0 = explicitly none),
-  // otherwise the server default. Armed from admission, so queue wait
+  // otherwise the server default. Counted from admission, so queue wait
   // counts against it.
   std::int64_t deadline_ms = pending->request.deadline_ms;
   if (deadline_ms < 0) deadline_ms = options_.default_deadline_ms;
   if (deadline_ms > 0) {
-    pending->has_deadline = true;
-    pending->deadline =
-        pending->accepted_at + std::chrono::milliseconds(deadline_ms);
-    arm_deadline(pending);
+    pending->deadline = deadline_after(pending->accepted_at, deadline_ms);
   }
   // Jobs with a client-supplied seed bypass the cache: their outcome
   // depends on the seed, not just the key.
@@ -485,65 +490,24 @@ std::int64_t Server::retry_after_ms(std::size_t depth) const {
       std::clamp(p50_s * 1e3 * turns, 50.0, 10000.0));
 }
 
-void Server::arm_deadline(const std::shared_ptr<Pending>& pending) {
-  {
-    const std::lock_guard<std::mutex> lock(watchdog_mutex_);
-    deadlines_.push(DeadlineEntry{pending->deadline, pending});
-    if (!watchdog_.joinable()) {
-      watchdog_ = std::thread([this] { watchdog_loop(); });
-    }
-  }
-  watchdog_cv_.notify_one();
-}
-
-void Server::watchdog_loop() {
-  std::unique_lock<std::mutex> lock(watchdog_mutex_);
-  while (!watchdog_exit_) {
-    if (deadlines_.empty()) {
-      watchdog_cv_.wait(
-          lock, [this] { return watchdog_exit_ || !deadlines_.empty(); });
-      continue;
-    }
-    const auto next = deadlines_.top().when;
-    // Wake early when an earlier deadline arrives; re-evaluate either way.
-    watchdog_cv_.wait_until(lock, next, [this, next] {
-      return watchdog_exit_ ||
-             (!deadlines_.empty() && deadlines_.top().when < next);
-    });
-    if (watchdog_exit_) break;
-    const auto now = std::chrono::steady_clock::now();
-    while (!deadlines_.empty() && deadlines_.top().when <= now) {
-      const std::shared_ptr<Pending> job = deadlines_.top().job.lock();
-      deadlines_.pop();
-      if (!job) continue;  // already finished; evaporate
-      // timed_out first, then stop: the terminal path reads timed_out only
-      // after observing the stop, so the order makes the flag reliable.
-      job->timed_out.store(true, std::memory_order_release);
-      lock.unlock();
-      job->stop.request_stop();
-      lock.lock();
-    }
-  }
-}
-
 void Server::schedule(std::shared_ptr<Pending> pending) {
   if (pending->cacheable) {
     std::shared_ptr<const CachedEntry> hit;
     // Fired exactly once by publish() (entry) or abandon() (nullptr) when
     // this job attaches as a follower of an identical in-flight run.
     auto on_done = [this, pending](std::shared_ptr<const CachedEntry> entry) {
+      if (std::chrono::steady_clock::now() >= pending->deadline) {
+        // A deduped follower has no partial of its own to answer with.
+        errors_total_->inc();
+        timeouts_total_->inc();
+        answer(pending, error_json(pending->request.id, "deadline",
+                                   "deadline exceeded while waiting on a "
+                                   "deduped identical job"));
+        return;
+      }
       if (pending->stop.get_token().stop_requested()) {
-        if (pending->timed_out.load(std::memory_order_acquire)) {
-          // A deduped follower has no partial of its own to answer with.
-          errors_total_->inc();
-          timeouts_total_->inc();
-          answer(pending, error_json(pending->request.id, "deadline",
-                                     "deadline exceeded while waiting on a "
-                                     "deduped identical job"));
-        } else {
-          cancelled_total_->inc();
-          answer(pending, cancelled_json(pending->request.id, nullptr));
-        }
+        cancelled_total_->inc();
+        answer(pending, cancelled_json(pending->request.id, nullptr));
         return;
       }
       if (entry) {
@@ -569,36 +533,24 @@ void Server::schedule(std::shared_ptr<Pending> pending) {
       case ResultCache::Acquire::kFollower:
         return;
       case ResultCache::Acquire::kOwner: {
+        // Seed base: a named ECO base wins; otherwise (with --cache-warm)
+        // the cached entry sharing the most output cones — the same circuit
+        // under other options shares all of them. run_job diffs it against
+        // the job's own elaboration; a named base that is gone, or a base
+        // with nothing reusable, just runs cold.
         runtime::BatchJob& job = pending->request.job;
-        // Seeding: a named ECO base wins; otherwise (with --cache-warm) probe
-        // for the cached entry sharing the most output cones — the same
-        // circuit under other options shares all of them. A named base that
-        // is gone, or a base with nothing reusable, just runs cold.
-        if (pending->eco_base.empty()) {
-          std::shared_ptr<const CachedEntry> base;
-          std::string base_key = pending->request.eco_base;
-          if (!base_key.empty()) {
-            base = cache_->lookup_eco_base(base_key);
-          } else if (options_.cache_warm) {
-            base = cache_->lookup_eco(netlist::output_cone_hashes(job.netlist),
-                                      pending->key, &base_key);
-          }
-          if (base && !base->eco.empty()) {
-            eco::EcoSeed seed =
-                eco::seed_from_index(job.netlist, job.options, base->eco);
-            if (!seed.empty()) {
-              pending->eco_base = base_key;
-              pending->eco_reused_nodes = seed.reused_nodes;
-              pending->eco_dirty_gates = seed.dirty_gates;
-              job.warm = std::move(seed.warm);
-              (seed.dirty_gates == 0 ? warm_seeds_total_ : eco_seeds_total_)->inc();
-              eco_jobs_total_->inc();
-              eco_reused_nodes_total_->inc(
-                  static_cast<std::uint64_t>(seed.reused_nodes));
-              eco_dirty_gates_total_->inc(
-                  static_cast<std::uint64_t>(seed.dirty_gates));
-            }
-          }
+        std::shared_ptr<const CachedEntry> base;
+        std::string base_key = pending->request.eco_base;
+        if (!base_key.empty()) {
+          base = cache_->lookup_eco_base(base_key);
+        } else if (options_.cache_warm) {
+          base = cache_->lookup_eco(netlist::output_cone_hashes(job.netlist),
+                                    pending->key, &base_key);
+        }
+        if (base && !base->eco.empty()) {
+          // Aliasing: the index keeps its whole entry alive.
+          job.eco_index = std::shared_ptr<const runtime::EcoIndex>(base, &base->eco);
+          job.eco_base = std::move(base_key);
         }
         break;
       }
@@ -613,6 +565,7 @@ void Server::execute(const std::shared_ptr<Pending>& pending) {
                           [&stop = pending->stop] { stop.request_stop(); });
   runtime::JobControls controls;
   controls.stop = pending->stop.get_token();
+  controls.deadline = pending->deadline;
   // Per-job trace opt-in: a private TraceSession for this run, serialized
   // into the result response. Only the cold run traces — the cached report a
   // hit or follower answers with has no trace by construction.
@@ -633,28 +586,18 @@ void Server::execute(const std::shared_ptr<Pending>& pending) {
 
   runtime::JobOutcome outcome =
       run_job(std::move(pending->request.job), controls);
+  if (!outcome.eco_base.empty()) {
+    (outcome.eco_dirty_gates == 0 ? warm_seeds_total_ : eco_seeds_total_)->inc();
+    eco_jobs_total_->inc();
+    eco_reused_nodes_total_->inc(static_cast<std::uint64_t>(outcome.eco_reused_nodes));
+    eco_dirty_gates_total_->inc(static_cast<std::uint64_t>(outcome.eco_dirty_gates));
+  }
 
   Json response;
   if (outcome.ok && !outcome.cancelled) {
-    CachedEntry entry;
-    entry.job = runtime::job_json(outcome);
-    entry.sizes = runtime::sparse_sizes(*outcome.flow);
-    // The "eco" block lives inside the job object (not the result wrapper)
-    // so a repeated identical submission — an exact cache hit served from
-    // entry.job verbatim — stays byte-identical to this first response.
-    if (!pending->eco_base.empty()) {
-      Json eco = Json::object();
-      eco.set("base_hash", pending->eco_base);
-      eco.set("dirty_nodes",
-              static_cast<std::int64_t>(pending->eco_dirty_gates));
-      eco.set("reused_nodes", pending->eco_reused_nodes);
-      entry.job.set("eco", eco);
-    }
-    // Snapshot the solution per net so this entry can serve as a future ECO
-    // base (named via its key, or auto-detected by output-cone overlap).
-    if (pending->cacheable) {
-      entry.eco = eco::build_eco_index(outcome.netlist, *outcome.flow);
-    }
+    // The entry's ECO index lets it seed a future job (named via its key,
+    // or found by output-cone overlap).
+    CachedEntry entry = runtime::cached_entry(outcome);
     std::optional<Json> trace_doc;
     if (trace) trace_doc = Json::parse(trace->dump_json());
     response = result_json(pending->request.id, false, entry.job,
@@ -664,7 +607,7 @@ void Server::execute(const std::shared_ptr<Pending>& pending) {
     if (pending->cacheable) cache_->publish(pending->key, std::move(entry));
   } else if (outcome.cancelled) {
     if (pending->cacheable) cache_->abandon(pending->key);
-    if (pending->timed_out.load(std::memory_order_acquire)) {
+    if (outcome.timed_out) {
       timeouts_total_->inc();
       if (outcome.ok) {
         // The deadline fired mid-OGWS: the best partial result (with its

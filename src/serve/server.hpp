@@ -9,8 +9,9 @@
 // accepted → progress* → terminal.
 //
 // Reliability (docs/RELIABILITY.md): jobs carry deadlines (request
-// "deadline_ms" or --default-deadline-ms) enforced by a watchdog thread
-// that fires the job's stop_source — the session yields its best partial
+// "deadline_ms" or --default-deadline-ms, counted from admission) that
+// runtime::run_job checks where the run already yields — before each stage
+// and after each OGWS iteration — so a cut session yields its best partial
 // result, answered as a result with "timeout": true. Admission control
 // layers a cost budget (Σ pending node counts) and a per-client fairness
 // cap on top of the flat max_pending; shed jobs get an `overloaded` error
@@ -48,12 +49,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <stop_token>
 #include <string>
-#include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "core/flow.hpp"
 #include "obs/registry.hpp"
@@ -74,13 +72,13 @@ struct ServerOptions {
   /// memory-only cache.
   runtime::ResultCache* cache = nullptr;
   /// On a cache miss, seed the job from the cached base sharing the most
-  /// output cones with the request's netlist (ResultCache::lookup_eco +
-  /// eco::seed_from_index): sizes for the clean cones, plus the base's
-  /// multipliers when the node and edge counts match (docs/ECO.md). The same
-  /// circuit under other bounds is the case with zero dirty gates. A request
-  /// naming "eco_base" uses its named base regardless of this flag. Off by
-  /// default: a seeded run converges to an equally valid but not
-  /// bit-identical solution.
+  /// output cones with the request's netlist (ResultCache::lookup_eco picks
+  /// it, runtime::run_job seeds from it): sizes for the clean cones, plus
+  /// the base's multipliers when the node and edge counts match
+  /// (docs/ECO.md). The same circuit under other bounds is the case with
+  /// zero dirty gates. A request naming "eco_base" uses its named base
+  /// regardless of this flag. Off by default: a seeded run converges to an
+  /// equally valid but not bit-identical solution.
   bool cache_warm = false;
   /// Backpressure: with > 0, a size request arriving while this many jobs
   /// are already accepted-but-unfinished is rejected with an `overloaded`
@@ -99,7 +97,8 @@ struct ServerOptions {
   std::int64_t max_queue_cost = 0;
   /// Deadline applied to jobs whose request names none (ms, from
   /// admission). A request's "deadline_ms" overrides, including 0 = none.
-  /// 0 here = no default deadline.
+  /// 0 here = no default deadline. A deadline past what the steady clock
+  /// can hold (about 292 years) means none.
   std::int64_t default_deadline_ms = 0;
   /// A request line longer than this is rejected with an `oversized` error
   /// instead of being buffered without bound (enforced by listen_and_serve
@@ -190,19 +189,12 @@ class Server {
     bool cacheable = false;
     std::stop_source stop;
     std::chrono::steady_clock::time_point accepted_at;
+    /// Absolute deadline, fixed at admission (runtime::JobControls::deadline);
+    /// time_point::max(): none.
+    std::chrono::steady_clock::time_point deadline =
+        std::chrono::steady_clock::time_point::max();
     /// Admission cost (logic node count), released by answer().
     std::int64_t cost = 0;
-    /// Deadline bookkeeping: armed at admission when the effective deadline
-    /// is > 0. The watchdog sets timed_out *before* firing stop, so the
-    /// terminal path can tell a deadline cut from a client cancel.
-    bool has_deadline = false;
-    std::chrono::steady_clock::time_point deadline{};
-    std::atomic<bool> timed_out{false};
-    /// Seed accounting (schedule() fills it, execute() embeds it as the
-    /// job's "eco" block). eco_base empty: the job was not seeded.
-    std::string eco_base;
-    std::int64_t eco_reused_nodes = 0;
-    std::int32_t eco_dirty_gates = 0;
   };
 
   /// One attached client. The mutex serializes its sink; a removed client
@@ -218,10 +210,12 @@ class Server {
   void register_metrics();
   void emit(ClientId client, const runtime::Json& response);
   /// Route through the cache (hit / follower / owner) or straight to the
-  /// pool. Safe to call from read threads and from follower callbacks.
+  /// pool; an owner picks its seed base here. Safe to call from read threads
+  /// and from follower callbacks.
   void schedule(std::shared_ptr<Pending> pending);
   /// Run the job on the current (worker) thread and emit its terminal
-  /// response; publishes/abandons the cache key for owners.
+  /// response; counts an applied seed and publishes/abandons the cache key
+  /// for owners.
   void execute(const std::shared_ptr<Pending>& pending);
   /// Emit `pending`'s terminal response. Callers bump the response counters
   /// (and publish to the cache) first, and the job leaves the queue before
@@ -231,9 +225,6 @@ class Server {
   void answer(const std::shared_ptr<Pending>& pending, const runtime::Json& response);
   void handle_size(ClientId client, SizeRequest request);
   void handle_cancel(ClientId client, const std::string& id);
-  /// Register `pending` with the deadline watchdog (lazily starting it).
-  void arm_deadline(const std::shared_ptr<Pending>& pending);
-  void watchdog_loop();
   /// Backoff hint for `overloaded` rejections: scaled from the p50 job
   /// latency and the queue depth, clamped to [50, 10000] ms.
   std::int64_t retry_after_ms(std::size_t depth) const;
@@ -288,24 +279,6 @@ class Server {
   /// Accepted-but-unfinished jobs per client (fairness cap); entries are
   /// erased when they reach zero.
   std::unordered_map<ClientId, int> client_pending_;
-
-  /// Deadline watchdog: a min-heap of (deadline, job) serviced by one
-  /// lazily-started thread that fires each job's stop_source on time.
-  /// weak_ptr so a finished job just evaporates from the heap.
-  struct DeadlineEntry {
-    std::chrono::steady_clock::time_point when;
-    std::weak_ptr<Pending> job;
-    bool operator>(const DeadlineEntry& other) const {
-      return when > other.when;
-    }
-  };
-  std::mutex watchdog_mutex_;
-  std::condition_variable watchdog_cv_;
-  std::priority_queue<DeadlineEntry, std::vector<DeadlineEntry>,
-                      std::greater<DeadlineEntry>>
-      deadlines_;
-  bool watchdog_exit_ = false;
-  std::thread watchdog_;  ///< joinable iff a deadline was ever armed
 
   runtime::ThreadPool pool_;  ///< last member: workers die before the rest
 };

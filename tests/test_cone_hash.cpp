@@ -3,12 +3,14 @@
 // exactly its fan-out cone — the contract eco::seed_from_index builds on.
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <queue>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "api/session.hpp"
 #include "core/flow.hpp"
 #include "eco/incremental.hpp"
 #include "netlist/cone_hash.hpp"
@@ -16,6 +18,7 @@
 #include "netlist/hash.hpp"
 #include "netlist/iscas_profiles.hpp"
 #include "netlist/logic_netlist.hpp"
+#include "runtime/batch.hpp"
 
 namespace {
 
@@ -176,8 +179,9 @@ TEST(ConeHash, OutputConeHashesFollowPrimaryOutputOrder) {
 }
 
 // The Merkle property on seeded generator circuits: flip one gate's op and
-// the changed cones are exactly the gate plus its transitive fan-out, and
-// seed_from_index splits the revision into the same dirty/clean partition.
+// the changed cones are exactly the gate plus its transitive fan-out, and a
+// job seeded from the base (runtime::run_job, the serve loop's path) splits
+// the revision into the same dirty/clean partition.
 TEST(ConeHash, SingleEditDirtiesExactlyTheFanoutConeOnGeneratedCircuits) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const LogicNetlist base =
@@ -209,19 +213,25 @@ TEST(ConeHash, SingleEditDirtiesExactlyTheFanoutConeOnGeneratedCircuits) {
     const std::set<std::int32_t> expected = fanout_closure(base, edit);
     EXPECT_EQ(changed_cones(base, revised), expected) << "seed " << seed;
 
-    // The ECO seed's cone match sees the same partition. An index holding
-    // only the base's cone hashes is enough: no sizing run is needed.
-    runtime::EcoIndex index;
-    for (const std::uint64_t cone : netlist::cone_hashes(base)) {
-      index.nets.push_back({cone, {}});
-    }
-    const eco::EcoSeed seed_of_revision =
-        eco::seed_from_index(revised, core::FlowOptions{}, index);
-    EXPECT_EQ(seed_of_revision.dirty_gates, static_cast<std::int32_t>(expected.size()))
+    // The ECO seed's cone match sees the same partition: the dirty gates are
+    // the expected set's size, every other gate is clean (and seeded).
+    core::FlowOptions options;
+    options.num_vectors = 32;
+    api::SizingSession session(base, options);
+    ASSERT_TRUE(session.run_all().ok()) << "seed " << seed;
+    runtime::BatchJob job;
+    job.name = "revision";
+    job.netlist = revised;
+    job.options = options;
+    job.eco_index = std::make_shared<const runtime::EcoIndex>(
+        eco::build_eco_index(base, session.take_result()));
+    job.eco_base = "base";
+    const runtime::JobOutcome outcome = runtime::run_job(std::move(job));
+    ASSERT_TRUE(outcome.ok) << "seed " << seed << ": " << outcome.error;
+    EXPECT_EQ(outcome.eco_base, "base") << "seed " << seed;
+    EXPECT_EQ(outcome.eco_dirty_gates, static_cast<std::int32_t>(expected.size()))
         << "seed " << seed;
-    EXPECT_EQ(seed_of_revision.clean_gates,
-              base.num_gates_logic() - static_cast<std::int32_t>(expected.size()))
-        << "seed " << seed;
+    EXPECT_GT(outcome.eco_reused_nodes, 0) << "seed " << seed;
   }
 }
 

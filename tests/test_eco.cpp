@@ -1,11 +1,13 @@
 // The ECO subsystem end to end (docs/ECO.md): incremental re-sizing against
 // a cached base converges in a fraction of the cold iteration count at the
 // same KKT tolerance, every seeded request kind takes no more iterations
-// than cold, index/seed round-trips reuse everything on an
+// than cold, a job's base seeds exactly like a seed resolved on a separate
+// elaboration, index/seed round-trips reuse everything on an
 // unedited netlist, and the repeater-insertion pre-pass produces netlists
 // that re-parse, re-hash stably, and size feasibly.
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -20,11 +22,13 @@
 #include "netlist/bench_parser.hpp"
 #include "netlist/bench_writer.hpp"
 #include "netlist/cone_hash.hpp"
+#include "netlist/elaborator.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/hash.hpp"
 #include "netlist/iscas_profiles.hpp"
 #include "netlist/logic_netlist.hpp"
 #include "runtime/batch.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -102,27 +106,25 @@ core::FlowSummary run_cold(const LogicNetlist& netlist,
   return session.summary();
 }
 
-/// A revision re-sized from a base snapshot: the seed's reuse accounting
-/// (its warm part moved into the job) and the run's outcome.
-struct Seeded {
-  eco::EcoSeed seed;
-  runtime::JobOutcome outcome;
-};
-
-/// Seed `netlist` from `index` and size it — the serve loop's path for a
-/// cache miss with a base (Server::schedule, then execute): seed_from_index,
-/// then run_job with the seed as BatchJob::warm.
-Seeded run_seeded(const LogicNetlist& netlist, const core::FlowOptions& options,
-                  const runtime::EcoIndex& index) {
-  Seeded seeded;
-  seeded.seed = eco::seed_from_index(netlist, options, index);
+/// Size `netlist` seeded from `index` the way the serve loop does for a
+/// cache miss with a base: the base rides on the job, and run_job seeds
+/// from it on the job's own elaboration. The outcome carries the seed's
+/// reuse accounting.
+runtime::JobOutcome run_seeded(const LogicNetlist& netlist,
+                               const core::FlowOptions& options,
+                               std::shared_ptr<const runtime::EcoIndex> index) {
   runtime::BatchJob job;
   job.name = "eco";
   job.netlist = netlist;
   job.options = options;
-  job.warm = std::move(seeded.seed.warm);
-  seeded.outcome = runtime::run_job(std::move(job));
-  return seeded;
+  job.eco_index = std::move(index);
+  job.eco_base = "base";
+  return runtime::run_job(std::move(job));
+}
+
+std::shared_ptr<const runtime::EcoIndex> index_of(const LogicNetlist& netlist,
+                                                  const core::FlowResult& result) {
+  return std::make_shared<const runtime::EcoIndex>(eco::build_eco_index(netlist, result));
 }
 
 // IncrementalSizer.*: incremental re-sizing, seeded through run_seeded.
@@ -151,13 +153,13 @@ TEST(IncrementalSizer, OnePercentEditConvergesInAThirdOfColdIterations) {
   const core::FlowSummary cold = run_cold(revised, options);
   ASSERT_TRUE(cold.converged);
 
-  const Seeded eco =
-      run_seeded(revised, options, eco::build_eco_index(base, base_result));
-  ASSERT_TRUE(eco.outcome.ok) << eco.outcome.error;
-  const core::FlowSummary& summary = eco.outcome.summary;
+  const runtime::JobOutcome eco =
+      run_seeded(revised, options, index_of(base, base_result));
+  ASSERT_TRUE(eco.ok) << eco.error;
+  const core::FlowSummary& summary = eco.summary;
 
-  EXPECT_GT(eco.seed.reused_nodes, 0);
-  EXPECT_GT(eco.seed.dirty_gates, 0);
+  EXPECT_GT(eco.eco_reused_nodes, 0);
+  EXPECT_GT(eco.eco_dirty_gates, 0);
   EXPECT_TRUE(summary.converged);
   // Same KKT tolerance as the cold run: the converged flag already implies
   // feasibility within ogws.feas_tol, asserted explicitly for clarity.
@@ -192,11 +194,11 @@ TEST(IncrementalSizer, SeededRunsTakeNoMoreIterationsThanColdForEveryKind) {
   const auto compare = [](Kind& kind, const std::string& what,
                           const LogicNetlist& netlist,
                           const core::FlowOptions& options,
-                          const runtime::EcoIndex& index) {
+                          std::shared_ptr<const runtime::EcoIndex> index) {
     const core::FlowSummary cold = run_cold(netlist, options);
-    Seeded seeded = run_seeded(netlist, options, index);
-    EXPECT_TRUE(seeded.outcome.ok) << seeded.outcome.error;
-    const core::FlowSummary& summary = seeded.outcome.summary;
+    runtime::JobOutcome seeded = run_seeded(netlist, options, std::move(index));
+    EXPECT_TRUE(seeded.ok) << seeded.error;
+    const core::FlowSummary& summary = seeded.summary;
     kind.seeded += summary.iterations;
     kind.cold += cold.iterations;
     const std::string label = std::string(kind.name) + " " + what;
@@ -221,13 +223,12 @@ TEST(IncrementalSizer, SeededRunsTakeNoMoreIterationsThanColdForEveryKind) {
 
     api::SizingSession session(base, options_at(0.10));
     ASSERT_TRUE(session.run_all().ok());
-    const runtime::EcoIndex base_index =
-        eco::build_eco_index(base, session.take_result());
+    const auto base_index = index_of(base, session.take_result());
 
-    const Seeded at_011 = compare(warm11, name, base, options_at(0.11), base_index);
-    ASSERT_TRUE(at_011.outcome.flow.has_value());
-    compare(warm12, name, base, options_at(0.12),
-            eco::build_eco_index(base, *at_011.outcome.flow));
+    const runtime::JobOutcome at_011 =
+        compare(warm11, name, base, options_at(0.11), base_index);
+    ASSERT_TRUE(at_011.flow.has_value());
+    compare(warm12, name, base, options_at(0.12), index_of(base, *at_011.flow));
     for (std::uint64_t j = 0; j < 3; ++j) {
       const LogicNetlist revised =
           flip_ops(base, 0.01, 100 * static_cast<std::uint64_t>(c) + j + 1);
@@ -241,6 +242,89 @@ TEST(IncrementalSizer, SeededRunsTakeNoMoreIterationsThanColdForEveryKind) {
   }
 }
 
+/// `base` plus one AND gate, a new primary output, reading the outputs of
+/// the first two logic gates: the circuit grows, and those two nets keep
+/// their cones but gain a sink (and with it routing-tree nodes).
+LogicNetlist add_output_gate(const LogicNetlist& base) {
+  LogicNetlist revised;
+  std::vector<std::int32_t> taps;
+  for (std::int32_t g = 0; g < base.num_gates_logic(); ++g) {
+    const netlist::LogicGate& gate = base.gate(g);
+    if (gate.op == LogicOp::kInput) {
+      revised.add_input(gate.name);
+    } else {
+      revised.add_gate(gate.name, gate.op, gate.fanin);
+      if (taps.size() < 2) taps.push_back(g);
+    }
+    if (base.is_primary_output(g)) revised.mark_output(g);
+  }
+  revised.mark_output(revised.add_gate("eco_tap", LogicOp::kAnd, taps));
+  revised.finalize();
+  return revised;
+}
+
+// A job that names its base is seeded by run_job on the job's own
+// elaboration, between elaborate() and the later stages. It must size
+// exactly like a seed resolved on a separate elaboration and handed in as
+// BatchJob::warm: for a c432 1% op flip, where the multipliers transfer,
+// and for an added output gate, which changes the circuit's shape (no
+// multipliers) and skips the clean nets whose node count it changed.
+TEST(IncrementalSizer, JobBaseSeedsLikeASeedFromASeparateElaboration) {
+  const LogicNetlist base =
+      netlist::generate_circuit(netlist::spec_for_profile("c432", 1));
+  const core::FlowOptions options = eco_flow_options();
+  api::SizingSession session(base, options);
+  ASSERT_TRUE(session.run_all().ok());
+  const auto index = index_of(base, session.take_result());
+  const std::vector<std::uint64_t> base_cones = netlist::cone_hashes(base);
+  const std::unordered_set<std::uint64_t> clean(base_cones.begin(), base_cones.end());
+
+  for (const bool op_flip : {true, false}) {
+    const LogicNetlist revised = op_flip ? flip_ops(base, 0.01, 1) : add_output_gate(base);
+    const netlist::ElabResult elab =
+        netlist::elaborate(revised, options.tech, options.elab);
+    const eco::EcoSeed seed = eco::seed_from_index(revised, elab, *index);
+    ASSERT_FALSE(seed.empty()) << op_flip;
+    EXPECT_EQ(seed.warm.multipliers.seeds_multipliers(), op_flip);
+    if (op_flip) {
+      EXPECT_GT(seed.dirty_gates, 0);
+    } else {
+      EXPECT_EQ(seed.dirty_gates, 1);
+      // Nodes of clean nets: more than the seed reused, because the two
+      // tapped nets kept their cones but not their node counts.
+      const std::vector<std::uint64_t> cones = netlist::cone_hashes(revised);
+      std::int64_t clean_nodes = 0;
+      for (netlist::NodeId v = elab.circuit.first_component();
+           v < elab.circuit.end_component(); ++v) {
+        const std::int32_t net = elab.net_of_node[static_cast<std::size_t>(v)];
+        if (net >= 0 && clean.count(cones[static_cast<std::size_t>(net)]) != 0) {
+          ++clean_nodes;
+        }
+      }
+      EXPECT_GT(clean_nodes, seed.reused_nodes);
+    }
+
+    runtime::BatchJob job;
+    job.name = "eco";
+    job.netlist = revised;
+    job.options = options;
+    job.warm = seed.warm;
+    const runtime::JobOutcome separate = runtime::run_job(std::move(job));
+    const runtime::JobOutcome via_base = run_seeded(revised, options, index);
+    ASSERT_TRUE(separate.ok) << separate.error;
+    ASSERT_TRUE(via_base.ok) << via_base.error;
+    EXPECT_EQ(test_support::untimed_job_json(via_base).dump(),
+              test_support::untimed_job_json(separate).dump())
+        << op_flip;
+    EXPECT_EQ(runtime::sparse_sizes(*via_base.flow),
+              runtime::sparse_sizes(*separate.flow))
+        << op_flip;
+    EXPECT_EQ(via_base.eco_base, "base");
+    EXPECT_EQ(via_base.eco_reused_nodes, seed.reused_nodes);
+    EXPECT_EQ(via_base.eco_dirty_gates, seed.dirty_gates);
+  }
+}
+
 TEST(IncrementalSizer, UneditedNetlistReusesEverything) {
   const LogicNetlist base =
       netlist::generate_circuit(netlist::spec_for_profile("c432", 1));
@@ -251,25 +335,27 @@ TEST(IncrementalSizer, UneditedNetlistReusesEverything) {
   const core::FlowSummary cold = session.summary();
   const core::FlowResult result = session.take_result();
 
-  const runtime::EcoIndex index = eco::build_eco_index(base, result);
-  EXPECT_FALSE(index.empty());
-  EXPECT_EQ(index.num_nodes, result.circuit.num_nodes());
+  const auto index = index_of(base, result);
+  EXPECT_FALSE(index->empty());
+  EXPECT_EQ(index->num_nodes, result.circuit.num_nodes());
 
   // Round trip: diffing the unedited netlist against its own snapshot finds
   // nothing dirty and recovers the full solution incl. multipliers.
-  const eco::EcoSeed seed = eco::seed_from_index(base, options, index);
+  const eco::EcoSeed seed = eco::seed_from_index(
+      base, netlist::elaborate(base, options.tech, options.elab), *index);
   EXPECT_EQ(seed.dirty_gates, 0);
-  EXPECT_EQ(seed.clean_gates, base.num_gates_logic());
   EXPECT_FALSE(seed.warm.multipliers.empty());
   EXPECT_EQ(seed.reused_nodes, static_cast<std::int64_t>(seed.warm.sizes.size()));
-  EXPECT_GT(seed.reused_nodes, 0);
+  EXPECT_EQ(seed.reused_nodes, result.circuit.end_component() - result.circuit.first_component());
 
-  const Seeded eco = run_seeded(base, options, index);
-  ASSERT_TRUE(eco.outcome.ok) << eco.outcome.error;
-  EXPECT_TRUE(eco.outcome.summary.converged);
+  const runtime::JobOutcome eco = run_seeded(base, options, index);
+  ASSERT_TRUE(eco.ok) << eco.error;
+  EXPECT_EQ(eco.eco_reused_nodes, seed.reused_nodes);
+  EXPECT_EQ(eco.eco_dirty_gates, 0);
+  EXPECT_TRUE(eco.summary.converged);
   // Restarting from the converged state re-certifies almost immediately.
-  EXPECT_LE(eco.outcome.summary.iterations, 2);
-  EXPECT_LT(eco.outcome.summary.iterations, cold.iterations);
+  EXPECT_LE(eco.summary.iterations, 2);
+  EXPECT_LT(eco.summary.iterations, cold.iterations);
 }
 
 // Acceptance: --buffer-long-wires output re-parses, re-hashes stably, and

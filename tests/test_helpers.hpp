@@ -1,5 +1,6 @@
 // Shared fixtures for the test suite: small hand-built circuits with known
-// structure, used across the timing/core tests, and the one-call flow run.
+// structure, used across the timing/core tests, the one-call flow run, and
+// a job report without its wall-clock fields.
 #pragma once
 
 #include <stdexcept>
@@ -9,6 +10,8 @@
 #include "layout/neighbors.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/circuit.hpp"
+#include "runtime/batch.hpp"
+#include "runtime/json.hpp"
 
 namespace lrsizer::test_support {
 
@@ -21,6 +24,16 @@ inline core::FlowResult run_flow(const netlist::LogicNetlist& logic,
     throw std::runtime_error("run_flow: " + status.to_string());
   }
   return session.take_result();
+}
+
+/// runtime::job_json with its wall-clock fields zeroed: what two runs of
+/// the same job must agree on bit for bit.
+inline runtime::Json untimed_job_json(const runtime::JobOutcome& outcome) {
+  runtime::Json job = runtime::job_json(outcome);
+  for (const char* key : {"stage1_seconds", "stage2_seconds", "seconds"}) {
+    job.set(key, 0.0);
+  }
+  return job;
 }
 
 /// driver -> wire -> gate -> wire(PO). The smallest end-to-end chain:

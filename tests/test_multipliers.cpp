@@ -100,18 +100,6 @@ TEST(Multipliers, ComputeMuSumsInEdges) {
   EXPECT_NEAR(m.sink_mu(f.circuit), 1.0, 1e-12);
 }
 
-TEST(Multipliers, ClampNonnegative) {
-  const auto c = ChainCircuit::make();
-  core::MultiplierState m(c.circuit);
-  m.lambda[0] = -5.0;
-  m.beta = -1.0;
-  m.gamma = -2.0;
-  m.clamp_nonnegative();
-  EXPECT_DOUBLE_EQ(m.lambda[0], 0.0);
-  EXPECT_DOUBLE_EQ(m.beta, 0.0);
-  EXPECT_DOUBLE_EQ(m.gamma, 0.0);
-}
-
 TEST(Multipliers, FlowConservationMeansMuInEqualsOut) {
   // After projection, μ_i = Σ out-edges for every component: Theorem 3.
   const auto f = Fig1Circuit::make();

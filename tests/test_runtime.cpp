@@ -1,5 +1,6 @@
 // Tests for the parallel batch-flow runtime: thread-pool scheduling,
-// batch determinism across worker counts, and JSON schema round-trips.
+// batch determinism across worker counts, run_job's deadline checks, and
+// JSON schema round-trips.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +17,7 @@
 
 #include "core/flow.hpp"
 #include "netlist/generator.hpp"
+#include "obs/trace.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/json.hpp"
 #include "runtime/pool.hpp"
@@ -467,6 +469,70 @@ TEST(Batch, WarmSizesFeedTheSessionWarmStart) {
   auto warm = runtime::run_batch(std::move(warm_jobs), batch_options(1));
   ASSERT_TRUE(warm.jobs[0].ok);
   EXPECT_LT(warm.jobs[0].summary.iterations, cold.jobs[0].summary.iterations);
+}
+
+// ---- run_job deadlines -------------------------------------------------------
+
+TEST(RunJob, DeadlineAlreadyPastAnswersBeforeElaborate) {
+  obs::TraceSession trace;  // every stage records a span when it runs
+  runtime::JobControls controls;
+  controls.trace = &trace;
+  controls.deadline = std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  const runtime::JobOutcome outcome = runtime::run_job(std::move(small_jobs(1)[0]), controls);
+  EXPECT_TRUE(outcome.timed_out);
+  EXPECT_TRUE(outcome.cancelled);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_FALSE(outcome.flow.has_value());
+  EXPECT_NE(outcome.error.find("cancelled before elaborate"), std::string::npos)
+      << outcome.error;
+  EXPECT_EQ(trace.span_count(), 0u);
+  EXPECT_GT(outcome.netlist.num_gates_logic(), 0);  // handed back all the same
+}
+
+TEST(RunJob, DeadlineLandingMidOgwsKeepsThePartialResult) {
+  // The observer holds iteration 2 until the deadline has passed; the check
+  // after it stops the run before iteration 3, as a timed-out partial. The
+  // deadline leaves stage 1 of this 40-gate job ample time.
+  runtime::JobControls controls;
+  controls.deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+  int last_iteration = 0;
+  controls.observer = [&](const std::string&, const core::OgwsIterate& it) {
+    last_iteration = it.k;
+    if (it.k == 2) std::this_thread::sleep_until(controls.deadline);
+  };
+  const runtime::JobOutcome outcome = runtime::run_job(std::move(small_jobs(1)[0]), controls);
+  EXPECT_TRUE(outcome.ok) << outcome.error;
+  EXPECT_TRUE(outcome.cancelled);
+  EXPECT_TRUE(outcome.timed_out);
+  EXPECT_TRUE(outcome.summary.cancelled);
+  EXPECT_EQ(outcome.summary.iterations, 2);
+  EXPECT_EQ(last_iteration, 2);
+  ASSERT_TRUE(outcome.flow.has_value());
+  EXPECT_GT(outcome.summary.final_metrics.area_um2, 0.0);
+}
+
+TEST(RunJob, NoDeadlineLeavesTheResultBitIdentical) {
+  const runtime::JobOutcome plain = runtime::run_job(std::move(small_jobs(1)[0]));
+  ASSERT_TRUE(plain.ok) << plain.error;
+  std::stop_source never;
+  runtime::JobControls controls;
+  controls.stop = never.get_token();
+  int iterations = 0;
+  controls.observer = [&](const std::string&, const core::OgwsIterate&) { ++iterations; };
+  for (const auto deadline : {std::chrono::steady_clock::time_point::max(),
+                              std::chrono::steady_clock::now() + std::chrono::hours(1)}) {
+    controls.deadline = deadline;
+    iterations = 0;
+    const runtime::JobOutcome controlled =
+        runtime::run_job(std::move(small_jobs(1)[0]), controls);
+    ASSERT_TRUE(controlled.ok) << controlled.error;
+    EXPECT_FALSE(controlled.cancelled);
+    EXPECT_FALSE(controlled.timed_out);
+    EXPECT_EQ(iterations, controlled.summary.iterations);
+    EXPECT_EQ(test_support::untimed_job_json(controlled).dump(),
+              test_support::untimed_job_json(plain).dump());
+    EXPECT_EQ(runtime::sparse_sizes(*controlled.flow), runtime::sparse_sizes(*plain.flow));
+  }
 }
 
 TEST(Batch, CsvHasOneRowPerJobPlusHeader) {

@@ -1420,6 +1420,33 @@ TEST(Server, DefaultDeadlineAppliesWhenTheRequestNamesNone) {
   EXPECT_EQ(after.back().find("timeout"), nullptr);
 }
 
+TEST(Server, DeadlinesPastTheClocksRangeMeanNone) {
+  // 1e13 ms and 2^53 ms are inside the protocol's [0, 2^53], but added to
+  // the steady clock's int64 nanoseconds they overflow. Per request and as
+  // the server default they mean no deadline: c17 answers a normal result.
+  for (const std::int64_t ms : {std::int64_t{10000000000000}, std::int64_t{1} << 53}) {
+    for (const bool as_default : {false, true}) {
+      Collector collector;
+      serve::ServerOptions options;
+      options.jobs = 1;
+      if (as_default) options.default_deadline_ms = ms;
+      serve::Server server(options);
+      const auto client = server.add_client(collector.sink());
+      const std::string extra =
+          as_default ? "" : R"(,"deadline_ms":)" + std::to_string(ms);
+      ASSERT_TRUE(server.handle_line(client, size_request("a", "c17", extra)));
+      server.drain();
+      const std::string label = std::to_string(ms) + (as_default ? " default" : "");
+      const auto results = collector.of_type("result");
+      ASSERT_EQ(results.size(), 1u) << label << ": "
+                                    << collector.of_type("error").front().dump();
+      EXPECT_EQ(results[0].find("timeout"), nullptr) << label;
+      EXPECT_FALSE(results[0].at("job").at("cancelled").as_bool()) << label;
+      EXPECT_EQ(server.stats_snapshot().timeouts, 0u) << label;
+    }
+  }
+}
+
 TEST(Server, DrainRefusesNewWorkFinishesInFlightAndReportsState) {
   Collector collector;
   serve::ServerOptions options;

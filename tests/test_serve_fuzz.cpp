@@ -453,6 +453,36 @@ TEST(ServeFuzzOptions, BoundFactorGridAnswersAFiniteDualOrAFieldNamingError) {
   expect_finite_or_field_error(harness, requests);
 }
 
+TEST(ServeFuzzOptions, DeadlinesAcrossTheProtocolRangeAnswerC17) {
+  // "deadline_ms" takes any integer in [0, 2^53]. 0 means none; 1 ms may
+  // cut the job (a deadline error or a timeout-marked result). From 2^31 up
+  // every value leaves c17 ample time, and 1e13 and 2^53 lie past what the
+  // steady clock can hold, so they mean none too. Distinct vector counts
+  // keep every job a cache miss that runs under its own deadline.
+  FuzzHarness harness;
+  const std::vector<std::string> values = {"0", "1", "2147483648", "10000000000000",
+                                           "9007199254740992"};
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    harness.feed(R"({"type":"size","id":")" + values[i] +
+                 R"(","input":{"profile":"c17"},"options":{"vectors":)" +
+                 std::to_string(8 + i) + R"(},"deadline_ms":)" + values[i] + "}");
+  }
+  harness.finish();
+  const std::lock_guard<std::mutex> lock(harness.mutex);
+  ASSERT_EQ(harness.terminals.size(), values.size());
+  for (const Json& terminal : harness.terminals) {
+    const std::string& id = terminal.at("id").as_string();
+    if (id == "1") {
+      if (terminal.at("type").as_string() == "error") {
+        EXPECT_EQ(terminal.at("code").as_string(), "deadline") << terminal.dump();
+      }
+      continue;
+    }
+    EXPECT_EQ(terminal.at("type").as_string(), "result") << terminal.dump();
+    EXPECT_EQ(terminal.find("timeout"), nullptr) << terminal.dump();
+  }
+}
+
 // ---- TCP front-end fuzzing --------------------------------------------------
 
 #if defined(__unix__) || defined(__APPLE__)
