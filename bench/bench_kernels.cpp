@@ -12,6 +12,10 @@
 // sequence ("ogws_iteration", the multiplier update excluded) around a solve
 // from the lower bounds.
 //
+// Kernels are timed round-robin (time_round_robin): each kernel's batch is
+// calibrated once, then every round times one batch of every kernel, and a
+// row is its kernel's best batch. --min-ms sets the calibration target.
+//
 // --json writes the machine-readable BENCH_kernels.json (schema
 // lrsizer-bench-kernels-v2: git SHA, per-kernel ns) that CI uploads as a
 // perf artifact; tools/bench_compare.py diffs two of them and flags >10%
@@ -23,7 +27,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -149,36 +155,51 @@ Instance make_instance(const std::string& profile) {
                   std::move(coupling), std::move(m), std::move(mu), bounds};
 }
 
-/// Seconds per call: calibrate a batch size that runs >= min_ms, then take
-/// the best of three batches (least-noise estimator).
-template <typename Fn>
-double seconds_per_op(double min_ms, Fn&& fn) {
-  fn();  // warm up caches and lazy allocations
+/// One timed kernel: `op` is one call, `batch` the calls per timed batch.
+struct Kernel {
+  std::string name;
+  std::function<void()> op;
+  std::int64_t batch = 1;
+  double best_seconds = std::numeric_limits<double>::infinity();  ///< per op
+};
+
+/// Rounds of time_round_robin, each timing one batch of every kernel.
+constexpr int kRounds = 6;
+
+/// The op count whose batch runs at least `batch_ms`, after one warm-up
+/// call (caches and lazy allocations).
+std::int64_t calibrate_batch(const std::function<void()>& op, double batch_ms) {
+  op();
   std::int64_t iters = 1;
   for (;;) {
     util::WallTimer timer;
-    for (std::int64_t i = 0; i < iters; ++i) fn();
+    for (std::int64_t i = 0; i < iters; ++i) op();
     const double elapsed = timer.seconds();
-    if (elapsed * 1e3 >= min_ms || iters > (std::int64_t{1} << 40)) {
-      double best = elapsed / static_cast<double>(iters);
-      for (int rep = 1; rep < 3; ++rep) {
-        util::WallTimer t2;
-        for (std::int64_t i = 0; i < iters; ++i) fn();
-        best = std::min(best, t2.seconds() / static_cast<double>(iters));
-      }
-      return best;
-    }
-    const double target = min_ms / 1e3;
+    if (elapsed * 1e3 >= batch_ms || iters > (std::int64_t{1} << 40)) return iters;
     iters = std::max(iters * 2,
                      static_cast<std::int64_t>(static_cast<double>(iters) *
-                                               (1.2 * target / std::max(elapsed, 1e-9))));
+                                               (1.2 * batch_ms / 1e3 / std::max(elapsed, 1e-9))));
   }
 }
 
-struct Row {
-  std::string kernel;
-  double ns_per_op = 0.0;
-};
+/// Calibrate every kernel's batch to min_ms/2 once, then time kRounds
+/// rounds that run one batch of each kernel in turn; each kernel keeps its
+/// best batch. A kernel's batches are spread over the whole run, so a
+/// stretch in which the CPU runs slow costs every kernel a round, where
+/// back-to-back batches of one kernel all landed in it together. Calibration
+/// plus rounds take about 4·min_ms per kernel, as three back-to-back
+/// batches of min_ms did.
+void time_round_robin(std::vector<Kernel>& kernels, double min_ms) {
+  for (Kernel& kernel : kernels) kernel.batch = calibrate_batch(kernel.op, min_ms / 2.0);
+  for (int round = 0; round < kRounds; ++round) {
+    for (Kernel& kernel : kernels) {
+      util::WallTimer timer;
+      for (std::int64_t i = 0; i < kernel.batch; ++i) kernel.op();
+      kernel.best_seconds = std::min(kernel.best_seconds,
+                                     timer.seconds() / static_cast<double>(kernel.batch));
+    }
+  }
+}
 
 /// Optimization barrier for benched values (file scope so -Wunused-but-set
 /// stays quiet).
@@ -202,10 +223,11 @@ int main(int argc, char** argv) {
               args.profile.c_str(), circuit.num_nodes(), circuit.num_edges(),
               inst.coupling.pairs().size(), git_sha());
 
-  std::vector<Row> rows;
-  auto bench = [&](const std::string& kernel, auto&& fn) {
-    rows.push_back({kernel, seconds_per_op(args.min_ms, fn) * 1e9});
-    return rows.back().ns_per_op;
+  // Every op below keeps its own state, or rewrites the same values each
+  // call, so no kernel's work depends on which kernels ran before it.
+  std::vector<Kernel> kernels;
+  auto bench = [&kernels](const std::string& name, std::function<void()> op) {
+    kernels.push_back({name, std::move(op)});
   };
 
   // ---- stage 1: logic simulation and the WOSS weight matrices ----
@@ -233,8 +255,13 @@ int main(int argc, char** argv) {
   });
 
   // ---- the per-iteration kernels ----
+  //
+  // The load, upstream and arrival passes at the uniform start sizes; the
+  // loads and arrivals they rewrite are the fixed analysis inputs of the
+  // dual step below.
 
   timing::LoadAnalysis loads;
+  timing::compute_loads(circuit, inst.coupling, circuit.sizes(), mode, loads);
   bench("loads", [&] {
     timing::compute_loads(circuit, inst.coupling, circuit.sizes(), mode, loads);
   });
@@ -244,8 +271,8 @@ int main(int argc, char** argv) {
     timing::compute_weighted_upstream(circuit, circuit.sizes(), inst.mu, r_up);
   });
 
-  timing::compute_loads(circuit, inst.coupling, circuit.sizes(), mode, loads);
   timing::ArrivalAnalysis arrivals;
+  timing::compute_arrivals(circuit, circuit.sizes(), loads, arrivals);
   bench("arrivals", [&] {
     timing::compute_arrivals(circuit, circuit.sizes(), loads, arrivals);
   });
@@ -268,13 +295,14 @@ int main(int argc, char** argv) {
 
   // ---- the OGWS dual step A4+A5 ----
   //
-  // Each op restores λ/β/γ from the warmup snapshot first: the
-  // multiplicative rule compounds, so unrestored repeats would walk the
-  // state away from the regime being measured. The restore is an O(|E|)
-  // copy timed with every op, a few percent of it; the rest is the per-edge
-  // ratios, pow() where a ratio is not exactly 1, and the flow projection.
-  // The arrivals/loads computed above (at the uniform start sizes) are the
-  // fixed analysis inputs; ρ is the warmup's steady-state step.
+  // On a copy of the multipliers, restored from the warmup snapshot at the
+  // start of each op: the multiplicative rule compounds, so unrestored
+  // repeats would walk the state away from the regime being measured. The
+  // restore is an O(|E|) copy timed with every op, a few percent of it; the
+  // rest is the per-edge ratios, pow() where a ratio is not exactly 1, and
+  // the flow projection. The arrivals/loads computed above (at the uniform
+  // start sizes) are the fixed analysis inputs; ρ is the warmup's
+  // steady-state step.
   const double area_ref =
       std::max(timing::total_area(circuit, circuit.sizes()), 1e-12);
   const core::DualScales dual_scales{area_ref, area_ref / inst.bounds.delay_s,
@@ -284,20 +312,15 @@ int main(int argc, char** argv) {
   const double dual_rho = dual_options.step0 / std::sqrt(8.0);
   const double cap_now = timing::total_cap(circuit, circuit.sizes());
   const double noise_now = inst.coupling.noise_linear(circuit.sizes());
-  const std::vector<double> lambda0 = inst.multipliers.lambda;
-  const double beta0 = inst.multipliers.beta;
-  const double gamma0 = inst.multipliers.gamma;
+  core::MultiplierState dual_state = inst.multipliers;
   bench("dual_update", [&] {
-    inst.multipliers.lambda = lambda0;
-    inst.multipliers.beta = beta0;
-    inst.multipliers.gamma = gamma0;
+    dual_state.lambda = inst.multipliers.lambda;
+    dual_state.beta = inst.multipliers.beta;
+    dual_state.gamma = inst.multipliers.gamma;
     core::dual_ascent_step(circuit, inst.coupling, inst.bounds, dual_options, arrivals,
                            circuit.sizes(), cap_now, noise_now, dual_rho, dual_scales,
-                           inst.multipliers);
+                           dual_state);
   });
-  inst.multipliers.lambda = lambda0;
-  inst.multipliers.beta = beta0;
-  inst.multipliers.gamma = gamma0;
 
   // ---- steady-state LRS re-solve ----
   //
@@ -305,27 +328,25 @@ int main(int argc, char** argv) {
   // dual step does. Each op scales ~1% of the μ entries by ×1.01 —
   // alternating with ÷1.01 so repeats stay bounded — and re-solves on the
   // same workspace from the previous fixpoint, whose loads it reuses.
-  {
-    std::vector<double> mu_local = inst.mu;
-    std::vector<double> x_local = x_lower;
-    core::LrsWorkspace ws;
-    // Converge once: ops then measure the re-solve, not the first solve.
-    core::run_lrs(circuit, inst.coupling, mu_local, beta, gamma, lrs_options, x_local, ws);
-    std::int64_t toggle = 0;
-    bench("lrs_sweep_resolve", [&] {
-      const double f = (toggle++ % 2 == 0) ? 1.01 : 1.0 / 1.01;
-      for (std::size_t i = 7; i < mu_local.size(); i += 97) {
-        mu_local[i] *= f;
-      }
-      core::run_lrs(circuit, inst.coupling, mu_local, beta, gamma, lrs_options, x_local,
-                    ws);
-      g_bench_sink = x_local[x_local.size() / 2];
-    });
-  }
+  std::vector<double> resolve_mu = inst.mu;
+  std::vector<double> resolve_x = x_lower;
+  core::LrsWorkspace resolve_ws;
+  // Converge once: ops then measure the re-solve, not the first solve.
+  core::run_lrs(circuit, inst.coupling, resolve_mu, beta, gamma, lrs_options, resolve_x,
+                resolve_ws);
+  std::int64_t toggle = 0;
+  bench("lrs_sweep_resolve", [&] {
+    const double f = (toggle++ % 2 == 0) ? 1.01 : 1.0 / 1.01;
+    for (std::size_t i = 7; i < resolve_mu.size(); i += 97) resolve_mu[i] *= f;
+    core::run_lrs(circuit, inst.coupling, resolve_mu, beta, gamma, lrs_options, resolve_x,
+                  resolve_ws);
+    g_bench_sink = resolve_x[resolve_x.size() / 2];
+  });
 
   // ---- reference kernels (Figure 10b linearity set) ----
 
-  bench("flow_projection", [&] { inst.multipliers.project_flow(circuit); });
+  core::MultiplierState projected = inst.multipliers;
+  bench("flow_projection", [&] { projected.project_flow(circuit); });
   bench("noise_metric",
         [&] { g_bench_sink = inst.coupling.noise_linear(circuit.sizes()); });
 
@@ -336,26 +357,30 @@ int main(int argc, char** argv) {
   // run_ogws now takes A2 from the previous dual step's walk; the row keeps
   // its compute_mu so that it measures the same work as earlier records.
   const double mu_sink = inst.multipliers.sink_mu(circuit);
+  std::vector<double> iteration_mu;
+  timing::ArrivalAnalysis iteration_arrivals;
   bench("ogws_iteration", [&] {
-    inst.multipliers.compute_mu(circuit, inst.mu);  // A2
+    inst.multipliers.compute_mu(circuit, iteration_mu);  // A2
     x = x_lower;
-    core::run_lrs(circuit, inst.coupling, inst.mu, beta, gamma, lrs_options, x,
+    core::run_lrs(circuit, inst.coupling, iteration_mu, beta, gamma, lrs_options, x,
                   lrs_ws);
-    timing::compute_arrivals(circuit, x, lrs_ws.loads, arrivals);
+    timing::compute_arrivals(circuit, x, lrs_ws.loads, iteration_arrivals);
     const double area = timing::total_area(circuit, x);
     const double cap = timing::total_cap(circuit, x);
     const double noise = inst.coupling.noise_linear(x);
     const double dual = core::lagrangian_value(
-        circuit, inst.coupling, x, inst.mu, mu_sink, beta, gamma, inst.bounds,
-        arrivals, core::LagrangianTerms{area, cap, noise});
-    g_bench_sink = dual + area + cap + noise + arrivals.critical_delay;
+        circuit, inst.coupling, x, iteration_mu, mu_sink, beta, gamma, inst.bounds,
+        iteration_arrivals, core::LagrangianTerms{area, cap, noise});
+    g_bench_sink = dual + area + cap + noise + iteration_arrivals.critical_delay;
   });
+
+  time_round_robin(kernels, args.min_ms);
 
   // ---- report ----
 
   util::TextTable table({"kernel", "ns/op"});
-  for (const auto& row : rows) {
-    table.add_row({row.kernel, util::TextTable::num(row.ns_per_op, 0)});
+  for (const Kernel& kernel : kernels) {
+    table.add_row({kernel.name, util::TextTable::num(kernel.best_seconds * 1e9, 0)});
   }
   table.print(std::cout);
 
@@ -370,14 +395,14 @@ int main(int argc, char** argv) {
     j.set("edges", static_cast<std::int64_t>(circuit.num_edges()));
     j.set("pairs", static_cast<std::int64_t>(inst.coupling.pairs().size()));
     j.set("min_ms", args.min_ms);
-    runtime::Json kernels = runtime::Json::array();
-    for (const auto& row : rows) {
+    runtime::Json rows = runtime::Json::array();
+    for (const Kernel& kernel : kernels) {
       runtime::Json entry = runtime::Json::object();
-      entry.set("kernel", row.kernel);
-      entry.set("ns_per_op", row.ns_per_op);
-      kernels.push_back(entry);
+      entry.set("kernel", kernel.name);
+      entry.set("ns_per_op", kernel.best_seconds * 1e9);
+      rows.push_back(entry);
     }
-    j.set("kernels", kernels);
+    j.set("kernels", rows);
 
     std::ofstream out(args.json_path);
     if (!out) {

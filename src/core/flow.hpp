@@ -83,7 +83,7 @@ struct FlowSummary {
   int iterations = 0;
   double area_um2 = 0.0;
   double dual = 0.0;
-  double rel_gap = 0.0;
+  double rel_gap = 0.0;  ///< signed, as OgwsResult::rel_gap
   double max_violation = 0.0;
   double ordering_cost_initial = 0.0;
   double ordering_cost_woss = 0.0;

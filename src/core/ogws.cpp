@@ -406,12 +406,14 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
       result.max_violation = max_violation;
     }
 
+    // The certificate gap, signed. It is negative when the best dual lies
+    // above the best feasible area: that iterate meets the bounds only within
+    // feas_tol, where area can undercut the true optimum.
     const bool have_feasible =
         best_feasible_area < std::numeric_limits<double>::infinity();
-    const double cert_gap =
-        have_feasible
-            ? std::max(best_feasible_area - best_dual, 0.0) / best_feasible_area
-            : std::numeric_limits<double>::infinity();
+    const double cert_gap = have_feasible
+                                ? (best_feasible_area - best_dual) / best_feasible_area
+                                : std::numeric_limits<double>::infinity();
 
     result.iterations = k;
     result.area = have_feasible ? best_feasible_area : area;
@@ -436,7 +438,7 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
     // of a sizing that meets A0/P0/X0, and no sizing in the box costs more
     // than area_max. A dual above area_max therefore proves the bounds
     // unreachable; stop before the growing multipliers overflow. (A run with
-    // a feasible iterate never gets here: its clamped gap is 0 and A7 fired.)
+    // a feasible iterate never gets here: its gap is negative and A7 fired.)
     result.proved_infeasible = !result.converged && best_dual > area_max;
 
     // A4 + A5: multiplier step, ρ_k = s·step0/k^¼, then nonnegativity + flow

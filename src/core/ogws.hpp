@@ -81,7 +81,9 @@ struct OgwsIterate {
   double cap = 0.0;
   double noise = 0.0;
   double dual = 0.0;        ///< L(x) — the dual lower bound at this iterate
-  double rel_gap = 0.0;     ///< certificate gap so far (best primal vs best dual)
+  /// Certificate gap so far, (best feasible area − best dual) / best
+  /// feasible area, signed as OgwsResult::rel_gap.
+  double rel_gap = 0.0;
   double max_violation = 0.0;  ///< max relative constraint violation
   int lrs_passes = 0;
   /// Node evaluations the inner LRS solver performed this iteration (summed
@@ -193,7 +195,10 @@ struct OgwsResult {
   int iterations = 0;
   double area = 0.0;     ///< area of the returned sizes
   double dual = 0.0;     ///< best dual lower bound seen
-  double rel_gap = 0.0;  ///< (area − dual) / area at termination
+  /// (area − dual) / area at termination, signed: negative when the best
+  /// dual lies above the returned area, which then meets the bounds only
+  /// within feas_tol. +inf while no iterate is feasible.
+  double rel_gap = 0.0;
   double max_violation = 0.0;  ///< violation of the returned sizes
   std::vector<OgwsIterate> history;
   /// pow() calls of the dual steps (dual_ascent_step's count, summed).

@@ -290,7 +290,7 @@ Json metrics_json(const timing::Metrics& m) {
 
 /// Non-finite values serialize as null; restore them as +inf (every nullable
 /// field in this schema — rel_gap, dual, violations — is a "no finite value
-/// yet" marker, never negative).
+/// yet" marker, never −inf; a finite rel_gap may be negative).
 double number_or_inf(const Json& j) {
   return j.is_null() ? std::numeric_limits<double>::infinity() : j.as_number();
 }

@@ -15,8 +15,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -229,13 +232,22 @@ int listen_and_serve(const ListenOptions& listen_options, Server& server) {
   bool shutdown_requested = false;
   while (!shutdown_requested && !stop.stop_requested()) {
     // The 500 ms timeout bounds how long a stop request (Ctrl-C) or a drain
-    // can go unnoticed while every fd is idle.
+    // can go unnoticed while every fd is idle. A deduped follower's deadline
+    // shortens it: the loop answers due followers on every wake and wakes by
+    // the earliest deadline still pending.
+    int timeout_ms = 500;
+    if (const auto next = server.expire_followers();
+        next != std::chrono::steady_clock::time_point::max()) {
+      const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+          next - std::chrono::steady_clock::now());
+      timeout_ms = static_cast<int>(std::clamp<std::int64_t>(wait.count(), 0, timeout_ms));
+    }
     std::vector<pollfd> pfds;
     pfds.reserve(conns.size() + kConnBase);
     pfds.push_back({listener, POLLIN, 0});
     pfds.push_back({metrics_listener, POLLIN, 0});
     for (const Conn& conn : conns) pfds.push_back({conn.fd, POLLIN, 0});
-    const int ready = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 500);
+    const int ready = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout_ms);
     if (stop.stop_requested()) break;
     // Graceful drain (SIGTERM): new jobs are already being refused with a
     // "shutdown" error by the Server; leave the loop once the last

@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -298,9 +299,45 @@ void Server::answer(const std::shared_ptr<Pending>& pending, const Json& respons
   if (--in_flight_ == 0) idle_cv_.notify_all();
 }
 
+void Server::answer_follower_deadline(const std::shared_ptr<Pending>& pending) {
+  // A deduped follower has no partial of its own to answer with.
+  errors_total_->inc();
+  timeouts_total_->inc();
+  answer(pending, error_json(pending->request.id, "deadline",
+                             "deadline exceeded while waiting on a deduped identical job"));
+}
+
+Clock::time_point Server::expire_followers() {
+  std::vector<FollowerWait> due;
+  Clock::time_point next = Clock::time_point::max();
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto end = followers_.upper_bound(Clock::now());
+    for (auto it = followers_.begin(); it != end; ++it) due.push_back(std::move(it->second));
+    followers_.erase(followers_.begin(), end);
+    if (!followers_.empty()) next = followers_.begin()->first;
+  }
+  for (const FollowerWait& wait : due) {
+    if (!wait.settled->exchange(true)) answer_follower_deadline(wait.pending);
+  }
+  return next;
+}
+
 void Server::drain() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
+  for (;;) {
+    const Clock::time_point next = expire_followers();
+    std::unique_lock<std::mutex> lock(mutex_);
+    // Idle, or a follower registered a deadline before `next`.
+    const auto woken = [this, next] {
+      return in_flight_ == 0 || (!followers_.empty() && followers_.begin()->first < next);
+    };
+    if (next == Clock::time_point::max()) {
+      idle_cv_.wait(lock, woken);
+    } else {
+      idle_cv_.wait_until(lock, next, woken);
+    }
+    if (in_flight_ == 0) return;
+  }
 }
 
 void Server::begin_drain() {
@@ -494,15 +531,24 @@ void Server::schedule(std::shared_ptr<Pending> pending) {
   if (pending->cacheable) {
     std::shared_ptr<const CachedEntry> hit;
     // Fired exactly once by publish() (entry) or abandon() (nullptr) when
-    // this job attaches as a follower of an identical in-flight run.
-    auto on_done = [this, pending](std::shared_ptr<const CachedEntry> entry) {
-      if (std::chrono::steady_clock::now() >= pending->deadline) {
-        // A deduped follower has no partial of its own to answer with.
-        errors_total_->inc();
-        timeouts_total_->inc();
-        answer(pending, error_json(pending->request.id, "deadline",
-                                   "deadline exceeded while waiting on a "
-                                   "deduped identical job"));
+    // this job attaches as a follower of an identical in-flight run. A
+    // follower with a deadline is also in followers_, and expire_followers()
+    // may answer it first; `settled` lets only one of the two answer.
+    auto settled = std::make_shared<std::atomic<bool>>(false);
+    auto on_done = [this, pending, settled](std::shared_ptr<const CachedEntry> entry) {
+      if (settled->exchange(true)) return;
+      {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        const auto [first, last] = followers_.equal_range(pending->deadline);
+        for (auto it = first; it != last; ++it) {
+          if (it->second.pending == pending) {
+            followers_.erase(it);
+            break;
+          }
+        }
+      }
+      if (Clock::now() >= pending->deadline) {
+        answer_follower_deadline(pending);
         return;
       }
       if (pending->stop.get_token().stop_requested()) {
@@ -531,6 +577,16 @@ void Server::schedule(std::shared_ptr<Pending> pending) {
                            pending->request.want_sizes ? &hit->sizes : nullptr));
         return;
       case ResultCache::Acquire::kFollower:
+        if (pending->deadline != Clock::time_point::max()) {
+          const std::lock_guard<std::mutex> lock(mutex_);
+          // on_done may already have run (and found nothing to erase).
+          if (!settled->load()) {
+            const bool earliest =
+                followers_.empty() || pending->deadline < followers_.begin()->first;
+            followers_.emplace(pending->deadline, FollowerWait{pending, settled});
+            if (earliest) idle_cv_.notify_all();
+          }
+        }
         return;
       case ResultCache::Acquire::kOwner: {
         // Seed base: a named ECO base wins; otherwise (with --cache-warm)

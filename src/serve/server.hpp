@@ -12,7 +12,8 @@
 // "deadline_ms" or --default-deadline-ms, counted from admission) that
 // runtime::run_job checks where the run already yields — before each stage
 // and after each OGWS iteration — so a cut session yields its best partial
-// result, answered as a result with "timeout": true. Admission control
+// result, answered as a result with "timeout": true. A deduped follower runs
+// nothing, so expire_followers() answers its deadline. Admission control
 // layers a cost budget (Σ pending node counts) and a per-client fairness
 // cap on top of the flat max_pending; shed jobs get an `overloaded` error
 // with a retry_after_ms hint. begin_drain() flips the server into drain
@@ -47,6 +48,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <stop_token>
@@ -148,7 +150,18 @@ class Server {
   void reject(ClientId client, const std::string& message);
 
   /// Block until every accepted job has emitted its terminal response.
+  /// While it waits it answers followers whose deadline passes, as
+  /// expire_followers() does.
   void drain();
+
+  /// Answer `deadline` to every deduped follower whose deadline has passed
+  /// while its owner still runs, and return the earliest follower deadline
+  /// still pending (time_point::max() when none). A follower's own run is
+  /// its owner's, which reads only the owner's deadline, so nothing else
+  /// answers it before the owner's result lands. listen_and_serve calls this
+  /// on every wake of its poll loop and wakes no later than the returned
+  /// deadline.
+  std::chrono::steady_clock::time_point expire_followers();
 
   /// Enter drain mode (idempotent, callable from any thread — including a
   /// signal-watcher): new size requests are rejected with code `shutdown`,
@@ -197,6 +210,15 @@ class Server {
     std::int64_t cost = 0;
   };
 
+  /// A deduped follower with a deadline, waiting on its owner's run.
+  /// `settled` is shared with the follower's cache callback: whichever of
+  /// the callback and expire_followers() flips it first answers the
+  /// follower, so it answers exactly once.
+  struct FollowerWait {
+    std::shared_ptr<Pending> pending;
+    std::shared_ptr<std::atomic<bool>> settled;
+  };
+
   /// One attached client. The mutex serializes its sink; a removed client
   /// keeps its (empty) slot alive through shared_ptrs held by in-flight
   /// emitters, which then find no sink and drop the line.
@@ -223,6 +245,8 @@ class Server {
   /// counted, its id free and an exact repeat answered from the cache. The
   /// drain guard (in_flight_) is released only after the write.
   void answer(const std::shared_ptr<Pending>& pending, const runtime::Json& response);
+  /// Answer a follower whose deadline passed with a `deadline` error.
+  void answer_follower_deadline(const std::shared_ptr<Pending>& pending);
   void handle_size(ClientId client, SizeRequest request);
   void handle_cancel(ClientId client, const std::string& id);
   /// Backoff hint for `overloaded` rejections: scaled from the p50 job
@@ -266,7 +290,9 @@ class Server {
   std::atomic<bool> draining_{false};
 
   mutable std::mutex mutex_;  ///< guards active_, in_flight_, queue_cost_,
-                              ///< client_pending_
+                              ///< client_pending_, followers_
+  /// Signalled when in_flight_ reaches 0, and when a follower deadline
+  /// earlier than every other one is registered (drain() waits for both).
   std::condition_variable idle_cv_;
   /// scoped_id -> job admitted but not yet answered (its size is the queue
   /// depth); ids live in per-client namespaces.
@@ -279,6 +305,9 @@ class Server {
   /// Accepted-but-unfinished jobs per client (fairness cap); entries are
   /// erased when they reach zero.
   std::unordered_map<ClientId, int> client_pending_;
+  /// Deduped followers that have a deadline, by deadline; each leaves when
+  /// it is answered.
+  std::multimap<std::chrono::steady_clock::time_point, FollowerWait> followers_;
 
   runtime::ThreadPool pool_;  ///< last member: workers die before the rest
 };

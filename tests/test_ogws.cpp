@@ -8,6 +8,9 @@
 #include <vector>
 
 #include "api/session.hpp"
+#include "core/lagrangian.hpp"
+#include "core/lrs.hpp"
+#include "core/multipliers.hpp"
 #include "core/ogws.hpp"
 #include "core/problem.hpp"
 #include "netlist/bench_parser.hpp"
@@ -318,17 +321,17 @@ const std::vector<LedgerRow>& recorded_ledger() {
   static const std::vector<LedgerRow> kRows = {
       // circuit, iterations, LRS passes, LRS node evaluations, pow() calls,
       // sim events, area, best dual
-      {"c17", 34, 147, 2940, 330, 250, "0x1.862e2b46de71bp+9", "0x1.6c71a1e1a6c4p+12"},
-      {"c1355", 13, 44, 70840, 6240, 11440, "0x1.2f03723fb1941p+12", "0x1.2c0af66e8ac5fp+12"},
-      {"c1908", 17, 58, 137924, 9888, 24252, "0x1.c502212db4eddp+12", "0x1.c086c8a92f1cep+12"},
-      {"c2670", 23, 84, 274596, 19470, 34826, "0x1.983209816365ep+13", "0x1.adae4e3da492p+13"},
-      {"c3540", 18, 85, 391680, 21624, 82962, "0x1.e1ab6eee148e4p+13", "0x1.de754c6fb2cc2p+13"},
-      {"c432", 17, 66, 42240, 3424, 5241, "0x1.211a28f0af97p+11", "0x1.2d6ee66d0c2f1p+11"},
-      {"c499", 16, 63, 90846, 6210, 11016, "0x1.8e7b6475a9b33p+12", "0x1.da1a9e2971df4p+12"},
-      {"c5315", 30, 100, 669300, 60349, 112017, "0x1.570c8c320dbd8p+14", "0x1.53acd6528d02p+14"},
-      {"c6288", 54, 137, 988592, 126352, 289034, "0x1.53550d9846025p+14", "0x1.4ffc2e5c1a6p+14"},
-      {"c7552", 27, 96, 926976, 68484, 146032, "0x1.02ce3b1980569p+15", "0x1.007dc61ff2cebp+15"},
-      {"c880", 15, 51, 56712, 4872, 8076, "0x1.c1bcfc896080ep+11", "0x1.bdd09ef3250d2p+11"},
+      {"c17", 34, 88, 1760, 330, 250, "0x1.861ca9bab2dadp+9", "0x1.6c529c98e1fcp+12"},
+      {"c1355", 13, 31, 49910, 6240, 11440, "0x1.2f036c0ed27d6p+12", "0x1.2c0afa9b2db93p+12"},
+      {"c1908", 17, 40, 95120, 9888, 24252, "0x1.c50220af5f605p+12", "0x1.c086c89d93118p+12"},
+      {"c2670", 23, 58, 189602, 19470, 34826, "0x1.982e1a9d22279p+13", "0x1.adaab1a15eeacp+13"},
+      {"c3540", 18, 49, 225792, 21624, 82962, "0x1.e1aab88178dd4p+13", "0x1.de74bc184affcp+13"},
+      {"c432", 17, 43, 27520, 3424, 5241, "0x1.21199ef723f92p+11", "0x1.2d6e3034fb274p+11"},
+      {"c499", 16, 44, 63448, 6210, 11016, "0x1.8e763bb6b0cecp+12", "0x1.da0f7fee3613cp+12"},
+      {"c5315", 30, 68, 455124, 60349, 112017, "0x1.570c8c008454dp+14", "0x1.53acd63e43c9dp+14"},
+      {"c6288", 54, 105, 757680, 126352, 289034, "0x1.53550e61c30ebp+14", "0x1.4ffc2eabc7ce9p+14"},
+      {"c7552", 27, 65, 627640, 68484, 146032, "0x1.02cd998d4424ep+15", "0x1.007da62dda4d3p+15"},
+      {"c880", 15, 38, 42256, 4872, 8076, "0x1.c1bcabdee4cdcp+11", "0x1.bdd09a0170c5p+11"},
   };
   return kRows;
 }
@@ -406,6 +409,43 @@ TEST(Ogws, TracingLeavesTheWorkLedgerUnchanged) {
     }
     EXPECT_EQ(passes, row.lrs_passes) << name;
     EXPECT_EQ(iterations, row.iterations) << name;
+  }
+}
+
+TEST(Ogws, ReportedBestDualIsTheExactDualAtItsMultipliers) {
+  // LRS stops at S5's tolerance, so each iteration's dual is L at a
+  // near-minimizer, which can only sit above the exact dual min_x L. For
+  // every ledger circuit, re-solve LRS at the best dual's multipliers from
+  // the lower bounds to 1e-12 and evaluate L there: the reported best dual
+  // must agree with that exact dual to a thousandth of the certificate's
+  // own tolerance, so the inexact solve can never close a gap on its own.
+  const core::OgwsOptions defaults;
+  for (auto& [name, netlist] : ledger_circuits()) {
+    api::SizingSession session(std::move(netlist), core::FlowOptions{});
+    ASSERT_TRUE(session.run_all().ok()) << name;
+    const core::FlowResult& flow = session.result();
+    const core::OgwsWarmStart& warm = flow.ogws.warm;
+    ASSERT_TRUE(warm.seeds_multipliers()) << name;
+    core::MultiplierState m(flow.circuit);
+    m.lambda = warm.lambda;
+    m.beta = warm.beta;
+    m.gamma = warm.gamma;
+    std::vector<double> mu;
+    m.compute_mu(flow.circuit, mu);
+
+    core::LrsOptions exact;
+    exact.tol = 1e-12;
+    exact.max_passes = 1000;
+    core::LrsWorkspace workspace;
+    std::vector<double> x = flow.circuit.sizes();
+    const core::LrsStats stats = core::run_lrs(flow.circuit, flow.coupling, mu, m.beta,
+                                               m.gamma, exact, x, workspace);
+    ASSERT_LT(stats.max_rel_change, exact.tol) << name;
+    const double dual =
+        core::lagrangian_value(flow.circuit, flow.coupling, x, mu, m.sink_mu(flow.circuit),
+                               m.beta, m.gamma, flow.bounds, defaults.lrs.mode);
+    EXPECT_LE(std::abs(flow.ogws.dual - dual), 1e-3 * defaults.gap_tol * flow.ogws.area)
+        << name << ": reported " << flow.ogws.dual << ", exact " << dual;
   }
 }
 

@@ -367,6 +367,28 @@ TEST(Json, BatchReportSchemaRoundTrips) {
   EXPECT_EQ(restored.cancelled, original.cancelled);
 }
 
+TEST(Json, NegativeCertificateGapSurvivesTheJobObject) {
+  // c499 at default options returns sizes that meet the bounds only within
+  // feas_tol, with an area below the run's own best dual. The gap is
+  // reported signed, (area − dual) / area < 0, not clamped at 0; the run
+  // still counts as converged, and the job object carries the gap through a
+  // parse bit for bit.
+  std::vector<runtime::BatchJob> jobs;
+  jobs.push_back(runtime::make_profile_job("c499", 1, core::FlowOptions{}));
+  auto batch = runtime::run_batch(std::move(jobs), batch_options(1));
+  ASSERT_TRUE(batch.jobs[0].ok);
+  const core::FlowSummary& s = batch.jobs[0].summary;
+  EXPECT_TRUE(s.converged);
+  EXPECT_EQ(s.rel_gap, (s.area_um2 - s.dual) / s.area_um2);
+  EXPECT_LT(s.rel_gap, -0.1);
+
+  const runtime::Json job = runtime::Json::parse(runtime::job_json(batch.jobs[0]).dump());
+  const core::FlowSummary restored = runtime::summary_from_json(job);
+  EXPECT_EQ(restored.rel_gap, s.rel_gap);
+  EXPECT_EQ(restored.area_um2, s.area_um2);
+  EXPECT_EQ(restored.dual, s.dual);
+}
+
 // ---- cancellation + progress ------------------------------------------------
 
 TEST(Batch, PreCancelledTokenDrainsEveryJobAsCancelled) {

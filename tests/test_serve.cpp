@@ -839,7 +839,8 @@ std::string size_request(const std::string& id, const std::string& profile,
 TEST(CacheKey, SolverRevisionMovesTheKeysThePreviousReleasePersisted) {
   // 0.14 changed the sized outputs of unchanged options (the step0/k^¼ step
   // and the weak-duality stop), 0.16 did again (the one-sweep LRS), and so
-  // did 0.17 (the step scale that follows the dual). An entry an older
+  // did 0.17 (the step scale that follows the dual) and 0.21 (the LRS
+  // tolerance and the signed certificate gap). An entry an older
   // server persisted under --cache-dir must miss, or a hit
   // would replay an answer this solver does not give. The circuit parts of
   // the key stay; the options part carries the solver revision and moves.
@@ -856,7 +857,8 @@ TEST(CacheKey, SolverRevisionMovesTheKeysThePreviousReleasePersisted) {
   const std::string key_0_13 = "n0bca2e6c9d14d0d5-e35d65159b012b322-oc14f9a43d7c4bebf";
   const std::string key_0_15 = "n0bca2e6c9d14d0d5-e35d65159b012b322-o22872c6d9630f031";
   const std::string key_0_16 = "n0bca2e6c9d14d0d5-e35d65159b012b322-o24419d11ef3d275f";
-  for (const std::string& old_key : {key_0_13, key_0_15, key_0_16}) {
+  const std::string key_0_20 = "n0bca2e6c9d14d0d5-e35d65159b012b322-oc4b3eaf4257f7ffa";
+  for (const std::string& old_key : {key_0_13, key_0_15, key_0_16, key_0_20}) {
     EXPECT_EQ(key.substr(0, key.rfind("-o")), old_key.substr(0, old_key.rfind("-o")));
     EXPECT_NE(key, old_key);
   }
@@ -1320,17 +1322,18 @@ TEST(Server, QueueCostBudgetAdmitsByNodeCountNotJobCount) {
   EXPECT_EQ(server.stats_snapshot().shed, 1u);
 }
 
-/// A size request for a generated 4.8k-gate circuit of logic depth 1000 at
+/// A size request for a generated 4.8k-gate circuit of logic depth 2000 at
 /// 16 vectors, which runs for seconds: in a Release build on a 4-core x86
-/// VM it converges after 1361 OGWS iterations at ~2.7–3.0 s. `extra` is
-/// appended inside the request object.
+/// VM it converges after 1603 OGWS iterations at ~2.3 s. (Depth 1000 took
+/// ~1.1 s at LRS tol 1e-4 and ~0.6 s at 1e-2, too close to the deadlines
+/// below.) `extra` is appended inside the request object.
 std::string long_deep_request(const std::string& id, const std::string& extra = "") {
   netlist::GeneratorSpec spec;
   spec.num_gates = 4832;
   spec.num_wires = 9600;
   spec.num_inputs = 32;
   spec.num_outputs = 32;
-  spec.depth = 1000;
+  spec.depth = 2000;
   Json input = Json::object();
   input.set("bench", netlist::to_bench_string(netlist::generate_circuit(spec)));
   return R"({"type":"size","id":")" + id + R"(","input":)" + input.dump() +
@@ -1445,6 +1448,93 @@ TEST(Server, DeadlinesPastTheClocksRangeMeanNone) {
       EXPECT_EQ(server.stats_snapshot().timeouts, 0u) << label;
     }
   }
+}
+
+/// Seconds from construction at which each response line of one client
+/// arrived, with the line.
+struct TimedLines {
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::vector<std::pair<double, Json>> lines;
+  std::chrono::steady_clock::time_point start = std::chrono::steady_clock::now();
+
+  serve::Server::Sink sink() {
+    return [this](const std::string& line) {
+      const double at =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+      const std::lock_guard<std::mutex> lock(mutex);
+      lines.emplace_back(at, Json::parse(line));
+      cv.notify_all();
+    };
+  }
+
+  /// Arrival time of the first line of `type` for job `id`; -1 if none.
+  double at(const std::string& type, const std::string& id) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    return first(type, id);
+  }
+
+  /// Wait up to 60 s for a line of `type` for job `id`.
+  void wait_for(const std::string& type, const std::string& id) {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait_for(lock, std::chrono::seconds(60), [&] { return first(type, id) >= 0.0; });
+  }
+
+ private:
+  double first(const std::string& type, const std::string& id) const {
+    for (const auto& [seconds, line] : lines) {
+      if (line.at("type").as_string() == type && line.at("id").as_string() == id) {
+        return seconds;
+      }
+    }
+    return -1.0;
+  }
+};
+
+TEST(Server, DrainAnswersAFollowerAtItsDeadlineWhileItsOwnerRuns) {
+  // A deduped follower shares its owner's run, which reads only the owner's
+  // deadline. drain(), where an ended stdin waits, answers the follower
+  // `deadline` once its own 100 ms pass, while the owner is still in flight:
+  // queued behind a blocker that holds the only worker until it is
+  // cancelled, which happens only after the follower has answered. The
+  // owner then runs and answers its result.
+  serve::ServerOptions options;
+  options.jobs = 1;
+  serve::Server server(options);
+  TimedLines timed;
+  const auto client = server.add_client(timed.sink());
+  ASSERT_TRUE(server.handle_line(client, long_deep_request("blocker")));
+  ASSERT_TRUE(server.handle_line(client, size_request("owner", "c432")));
+  ASSERT_TRUE(
+      server.handle_line(client, size_request("follower", "c432", R"(,"deadline_ms":100)")));
+  std::thread canceller([&] {
+    timed.wait_for("error", "follower");
+    server.handle_line(client, R"({"type":"cancel","id":"blocker"})");
+  });
+  server.drain();
+  canceller.join();
+
+  const double admitted_at = timed.at("accepted", "follower");
+  const double follower_at = timed.at("error", "follower");
+  const double owner_at = timed.at("result", "owner");
+  ASSERT_GE(admitted_at, 0.0);
+  ASSERT_GE(follower_at, 0.0) << "the follower never answered";
+  ASSERT_GE(owner_at, 0.0);
+  EXPECT_LT(follower_at - admitted_at, 0.6);
+  EXPECT_GT(owner_at, follower_at);
+  EXPECT_GE(timed.at("cancelled", "blocker"), follower_at);
+  std::vector<std::string> follower_lines;
+  const std::lock_guard<std::mutex> lock(timed.mutex);
+  for (const auto& [seconds, line] : timed.lines) {
+    if (line.at("id").as_string() == "follower") {
+      follower_lines.push_back(line.at("type").as_string());
+    }
+  }
+  EXPECT_EQ(follower_lines, (std::vector<std::string>{"accepted", "error"}));
+  const serve::StatsSnapshot stats = server.stats_snapshot();
+  EXPECT_EQ(stats.timeouts, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.cancelled, 1u);
 }
 
 TEST(Server, DrainRefusesNewWorkFinishesInFlightAndReportsState) {
@@ -2102,6 +2192,66 @@ TEST(ServeTcp, MidJobDisconnectCancelsTheJobAndServesOtherClients) {
     if (!cancelled) std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
   EXPECT_TRUE(cancelled);
+}
+
+TEST(ServeTcp, FollowerDeadlineAnswersWhileItsOwnerRuns) {
+  // The poll loop wakes at a deduped follower's deadline and answers it
+  // `deadline` there, while the owner whose run the follower shares is
+  // still in flight: queued behind a blocker that holds the only worker
+  // until the test cancels it. The owner then answers its result, once,
+  // and it is cached: an exact repeat is a cache hit.
+  serve::ServerOptions options;
+  options.jobs = 1;
+  TcpServer tcp(options);
+  ASSERT_NE(tcp.port.load(), 0);
+  TcpClient client(tcp.port.load());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.read_until("hello"));
+  client.send_line(long_deep_request("blocker"));
+  ASSERT_TRUE(client.read_until("accepted"));
+  client.send_line(size_request("owner", "c432"));
+  ASSERT_TRUE(client.read_until("accepted"));
+  client.send_line(size_request("follower", "c432", R"(,"deadline_ms":100)"));
+  const auto accepted = client.read_until("accepted");
+  ASSERT_TRUE(accepted);
+  EXPECT_EQ(accepted->at("id").as_string(), "follower");
+  // Timed from the follower's admission: parsing its request line, which
+  // comes first, is slow under sanitizers.
+  const auto admitted = std::chrono::steady_clock::now();
+  const auto line = client.read_line();
+  const double follower_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - admitted).count();
+  ASSERT_TRUE(line);
+  const Json error = Json::parse(*line);
+  EXPECT_EQ(error.at("type").as_string(), "error");
+  EXPECT_EQ(error.at("id").as_string(), "follower");
+  EXPECT_EQ(error.at("code").as_string(), "deadline");
+  EXPECT_LT(follower_s, 0.6);
+
+  // Free the worker: the blocker answers `cancelled`, the owner runs and
+  // answers; the follower, already answered, gets nothing more.
+  client.send_line(R"({"type":"cancel","id":"blocker"})");
+  std::vector<std::string> answered;
+  for (;;) {
+    const auto next = client.read_line();
+    ASSERT_TRUE(next) << "server closed before the owner answered";
+    const Json j = Json::parse(*next);
+    answered.push_back(j.at("type").as_string() + " " + j.at("id").as_string());
+    if (j.at("type").as_string() != "result") continue;
+    EXPECT_FALSE(j.at("cache_hit").as_bool());
+    EXPECT_EQ(j.find("timeout"), nullptr);
+    break;
+  }
+  EXPECT_EQ(answered, (std::vector<std::string>{"cancelled blocker", "result owner"}));
+
+  client.send_line(size_request("repeat", "c432"));
+  const auto repeat = client.read_until("result");
+  ASSERT_TRUE(repeat);
+  EXPECT_EQ(repeat->at("id").as_string(), "repeat");
+  EXPECT_TRUE(repeat->at("cache_hit").as_bool());
+  const serve::StatsSnapshot stats = tcp.server->stats_snapshot();
+  EXPECT_EQ(stats.timeouts, 1u);
+  EXPECT_EQ(stats.completed, 2u);
 }
 
 TEST(ServeTcp, ShutdownFromOneClientStopsTheWholeService) {

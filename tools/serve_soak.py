@@ -389,11 +389,11 @@ def chaos_terminal(reader, job_id):
         return response
 
 
-def deep_bench(width=32, depth=150):
-    """`.bench` text of a mesh `depth` gates deep: 4800 two-input gates at
+def deep_bench(width=32, depth=250):
+    """`.bench` text of a mesh `depth` gates deep: 8000 two-input gates at
     the defaults, each level reading two gates of the level below. Sized at
     16 vectors it is slow because OGWS is: on a 4-core x86 VM (Release) it
-    converges after ~935 iterations in ~1.5 s, of which stage 1 is ~7 ms.
+    converges after ~800 iterations in ~1.6 s, of which stage 1 is ~11 ms.
     A slow job built from simulator work (c6288 at many vectors) would get
     fast whenever the simulator does."""
     lines = ["INPUT(i%d)" % j for j in range(width)]
