@@ -4,9 +4,10 @@
 //   1. noise constraint on vs off (off = reference [3], delay-only LR)
 //   2. stage-1 WOSS ordering on vs off
 //   3. Miller weighting of the noise constraint on vs off
-//   4. coupling load mode: victim-local (Theorem 5 exact) vs propagated
-//   5. LRS cold start (paper S1) vs warm start
-//   6. posynomial order k for the noise metric at the final sizes
+//   4. per-net (distributed) noise bounds instead of the total bound
+//   5. additive subgradient step instead of the multiplicative update
+//   6. the TILOS greedy baseline at the same delay bound
+//   7. posynomial order k for the noise metric at the final sizes
 #include <cstdio>
 #include <iostream>
 
@@ -82,16 +83,6 @@ int main() {
   }
   {
     auto o = base_options;
-    o.ogws.lrs.mode = timing::CouplingLoadMode::kPropagateUpstream;
-    add_row(table, "coupling loads upstream", run(o));
-  }
-  {
-    auto o = base_options;
-    o.ogws.lrs.warm_start = true;
-    add_row(table, "LRS warm start", run(o));
-  }
-  {
-    auto o = base_options;
     o.bound_factors.per_net_noise = 0.10;  // distributed bounds (§4.1 note)
     add_row(table, "per-net noise bounds", run(o));
   }
@@ -110,8 +101,7 @@ int main() {
     const auto tilos = core::run_tilos(flow2.circuit, flow2.coupling,
                                        flow2.bounds.delay_s);
     std::vector<double> x = tilos.sizes;
-    const auto m = timing::compute_metrics(flow2.circuit, flow2.coupling, x,
-                                           timing::CouplingLoadMode::kLocalOnly);
+    const auto m = timing::compute_metrics(flow2.circuit, flow2.coupling, x);
     std::printf("\nTILOS greedy baseline (delay bound only): area %.0f um2, "
                 "delay %.1f ps, noise %.1f fF (%.2f x X0), %d moves, %.2f s\n",
                 m.area_um2, m.delay_s * 1e12, m.noise_f * 1e15,

@@ -129,9 +129,8 @@ Instance make_instance(const std::string& profile) {
     }
   }
 
-  const auto bounds =
-      core::derive_bounds(elab.circuit, coupling, elab.circuit.sizes(),
-                          timing::CouplingLoadMode::kLocalOnly, core::BoundFactors{});
+  const auto bounds = core::derive_bounds(elab.circuit, coupling, elab.circuit.sizes(),
+                                          core::BoundFactors{});
 
   // Realistic steady-state multipliers: snapshot a short real OGWS run (the
   // iteration-1 transient has ~3x the LRS pass count of steady state, which
@@ -217,7 +216,6 @@ int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
   Instance inst = make_instance(args.profile);
   const auto& circuit = inst.circuit;
-  const auto mode = timing::CouplingLoadMode::kLocalOnly;
 
   std::printf("bench_kernels: profile %s — %d nodes, %d edges, %zu pairs (git %s)\n",
               args.profile.c_str(), circuit.num_nodes(), circuit.num_edges(),
@@ -261,9 +259,9 @@ int main(int argc, char** argv) {
   // dual step below.
 
   timing::LoadAnalysis loads;
-  timing::compute_loads(circuit, inst.coupling, circuit.sizes(), mode, loads);
+  timing::compute_loads(circuit, inst.coupling, circuit.sizes(), loads);
   bench("loads", [&] {
-    timing::compute_loads(circuit, inst.coupling, circuit.sizes(), mode, loads);
+    timing::compute_loads(circuit, inst.coupling, circuit.sizes(), loads);
   });
 
   std::vector<double> r_up;

@@ -92,19 +92,17 @@ int main(int argc, char** argv) {
 
   // ---- bounds from the unit-size starting point ----------------------------
   circuit.set_uniform_size(1.0);
-  const auto mode = timing::CouplingLoadMode::kLocalOnly;
   const timing::Metrics init =
-      timing::compute_metrics(circuit, coupling, circuit.sizes(), mode);
+      timing::compute_metrics(circuit, coupling, circuit.sizes());
 
   core::BoundFactors factors;  // delay 1.0x, power 0.15x, noise 0.10x
   const core::Bounds bounds =
-      core::derive_bounds(circuit, coupling, circuit.sizes(), mode, factors);
+      core::derive_bounds(circuit, coupling, circuit.sizes(), factors);
 
   // ---- optimize -------------------------------------------------------------
   const core::OgwsResult sized = core::run_ogws(circuit, coupling, bounds);
   circuit.mutable_sizes() = sized.sizes;
-  const timing::Metrics fin =
-      timing::compute_metrics(circuit, coupling, circuit.sizes(), mode);
+  const timing::Metrics fin = timing::compute_metrics(circuit, coupling, circuit.sizes());
 
   // ---- report ---------------------------------------------------------------
   std::printf("OGWS: %s after %d iterations (gap %.3f%%, violation %.3f%%)\n\n",

@@ -43,8 +43,7 @@ int main(int argc, char** argv) {
 
   // Re-run the analyses at the final sizes.
   timing::LoadAnalysis loads;
-  timing::compute_loads(circuit, flow.coupling, circuit.sizes(),
-                        timing::CouplingLoadMode::kLocalOnly, loads);
+  timing::compute_loads(circuit, flow.coupling, circuit.sizes(), loads);
   timing::ArrivalAnalysis arrivals;
   timing::compute_arrivals(circuit, circuit.sizes(), loads, arrivals);
   timing::SlackAnalysis slacks;

@@ -187,10 +187,9 @@ Status SizingSession::derive_bounds() {
   util::WallTimer timer;
   obs::ScopedSpan span(trace_, "derive_bounds", "session");
   circuit.set_uniform_size(options_.initial_size);
-  init_metrics_ = timing::compute_metrics(circuit, *coupling_, circuit.sizes(),
-                                          options_.ogws.lrs.mode);
+  init_metrics_ = timing::compute_metrics(circuit, *coupling_, circuit.sizes());
   bounds_ = core::derive_bounds(circuit, *coupling_, circuit.sizes(),
-                                options_.ogws.lrs.mode, options_.bound_factors);
+                                options_.bound_factors);
   stage2_seconds_ = timer.seconds();
   if (bounds_.delay_s <= 0.0 || bounds_.cap_f <= 0.0 || bounds_.noise_f <= 0.0) {
     std::ostringstream out;
@@ -271,8 +270,8 @@ Status SizingSession::size() {
   span.arg("seeded", warm.has_value() && warm->seeds_multipliers() ? 1.0 : 0.0);
   span.arg("infeasible", ogws.proved_infeasible ? 1.0 : 0.0);
   circuit.mutable_sizes() = ogws.sizes;
-  const timing::Metrics final_metrics = timing::compute_metrics(
-      circuit, *coupling_, circuit.sizes(), options_.ogws.lrs.mode);
+  const timing::Metrics final_metrics =
+      timing::compute_metrics(circuit, *coupling_, circuit.sizes());
   stage2_seconds_ += stage2_timer.seconds();
 
   core::FlowResult result{std::move(elab_->circuit),

@@ -29,23 +29,21 @@ std::vector<double> uniform_sizes(const netlist::Circuit& circuit, double size) 
 namespace {
 
 double delay_at_uniform(const netlist::Circuit& circuit,
-                        const layout::CouplingSet& coupling, double size,
-                        timing::CouplingLoadMode mode) {
+                        const layout::CouplingSet& coupling, double size) {
   const std::vector<double> x = uniform_sizes(circuit, size);
-  return timing::compute_metrics(circuit, coupling, x, mode).delay_s;
+  return timing::compute_metrics(circuit, coupling, x).delay_s;
 }
 
 }  // namespace
 
 std::vector<double> size_uniform_for_delay(const netlist::Circuit& circuit,
                                            const layout::CouplingSet& coupling,
-                                           double delay_bound_s,
-                                           timing::CouplingLoadMode mode) {
+                                           double delay_bound_s) {
   LRSIZER_ASSERT(delay_bound_s > 0.0);
   const double lo_size = circuit.tech().min_size;
   const double hi_size = circuit.tech().max_size;
 
-  if (delay_at_uniform(circuit, coupling, lo_size, mode) <= delay_bound_s) {
+  if (delay_at_uniform(circuit, coupling, lo_size) <= delay_bound_s) {
     return uniform_sizes(circuit, lo_size);
   }
 
@@ -59,7 +57,7 @@ std::vector<double> size_uniform_for_delay(const netlist::Circuit& circuit,
   for (int k = 1; k < kGridSteps; ++k) {
     const double s = lo_size * std::pow(hi_size / lo_size,
                                         static_cast<double>(k) / (kGridSteps - 1));
-    if (delay_at_uniform(circuit, coupling, s, mode) <= delay_bound_s) {
+    if (delay_at_uniform(circuit, coupling, s) <= delay_bound_s) {
       feasible = s;
       break;
     }
@@ -68,11 +66,11 @@ std::vector<double> size_uniform_for_delay(const netlist::Circuit& circuit,
   if (feasible < 0.0) {
     // Even the best uniform size misses the bound; return the grid minimum.
     double best_s = hi_size;
-    double best_d = delay_at_uniform(circuit, coupling, hi_size, mode);
+    double best_d = delay_at_uniform(circuit, coupling, hi_size);
     for (int k = 0; k < kGridSteps; ++k) {
       const double s = lo_size * std::pow(hi_size / lo_size,
                                           static_cast<double>(k) / (kGridSteps - 1));
-      const double d = delay_at_uniform(circuit, coupling, s, mode);
+      const double d = delay_at_uniform(circuit, coupling, s);
       if (d < best_d) {
         best_d = d;
         best_s = s;
@@ -84,7 +82,7 @@ std::vector<double> size_uniform_for_delay(const netlist::Circuit& circuit,
   double hi = feasible;   // feasible side
   for (int iter = 0; iter < 50; ++iter) {
     const double mid = 0.5 * (lo + hi);
-    if (delay_at_uniform(circuit, coupling, mid, mode) <= delay_bound_s) {
+    if (delay_at_uniform(circuit, coupling, mid) <= delay_bound_s) {
       hi = mid;
     } else {
       lo = mid;

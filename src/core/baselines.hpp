@@ -27,8 +27,7 @@ std::vector<double> uniform_sizes(const netlist::Circuit& circuit, double size);
 /// maximum uniform size misses the bound, returns that maximum.
 std::vector<double> size_uniform_for_delay(const netlist::Circuit& circuit,
                                            const layout::CouplingSet& coupling,
-                                           double delay_bound_s,
-                                           timing::CouplingLoadMode mode);
+                                           double delay_bound_s);
 
 /// Reference [3]: simultaneous gate/wire sizing under the delay bound only.
 OgwsResult run_delay_only_lr(const netlist::Circuit& circuit,

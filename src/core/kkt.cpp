@@ -18,8 +18,7 @@ double KktResiduals::max_residual() const {
 KktResiduals check_kkt(const netlist::Circuit& circuit,
                        const layout::CouplingSet& coupling,
                        const MultiplierState& multipliers, const Bounds& bounds,
-                       const std::vector<double>& x,
-                       timing::CouplingLoadMode mode) {
+                       const std::vector<double>& x) {
   KktResiduals res;
 
   // (1) flow conservation.
@@ -29,7 +28,7 @@ KktResiduals check_kkt(const netlist::Circuit& circuit,
   std::vector<double> mu;
   multipliers.compute_mu(circuit, mu);
   timing::LoadAnalysis loads;
-  timing::compute_loads(circuit, coupling, x, mode, loads);
+  timing::compute_loads(circuit, coupling, x, loads);
   std::vector<double> r_up;
   timing::compute_weighted_upstream(circuit, x, mu, r_up);
   timing::ArrivalAnalysis arrivals;

@@ -36,7 +36,6 @@ struct KktResiduals {
 KktResiduals check_kkt(const netlist::Circuit& circuit,
                        const layout::CouplingSet& coupling,
                        const MultiplierState& multipliers, const Bounds& bounds,
-                       const std::vector<double>& x,
-                       timing::CouplingLoadMode mode);
+                       const std::vector<double>& x);
 
 }  // namespace lrsizer::core

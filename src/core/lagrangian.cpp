@@ -42,12 +42,12 @@ double lagrangian_value(const netlist::Circuit& circuit,
                         const layout::CouplingSet& coupling,
                         const std::vector<double>& x, const std::vector<double>& mu,
                         double mu_sink, double beta, const NoiseMultipliers& gamma,
-                        const Bounds& bounds, timing::CouplingLoadMode mode) {
+                        const Bounds& bounds) {
   // Standalone evaluation: one fresh load pass, delays folded in on the fly,
   // scalar terms derived here. The OGWS hot loop uses the ArrivalAnalysis
   // overload instead and skips all of it.
   timing::LoadAnalysis loads;
-  timing::compute_loads(circuit, coupling, x, mode, loads);
+  timing::compute_loads(circuit, coupling, x, loads);
   const LagrangianTerms terms{timing::total_area(circuit, x),
                               timing::total_cap(circuit, x),
                               coupling.noise_linear(x)};

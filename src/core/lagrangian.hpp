@@ -30,7 +30,7 @@ double lagrangian_value(const netlist::Circuit& circuit,
                         const layout::CouplingSet& coupling,
                         const std::vector<double>& x, const std::vector<double>& mu,
                         double mu_sink, double beta, const NoiseMultipliers& gamma,
-                        const Bounds& bounds, timing::CouplingLoadMode mode);
+                        const Bounds& bounds);
 
 /// Precomputed scalar terms of L at `x`: exactly timing::total_area(x),
 /// timing::total_cap(x) and coupling.noise_linear(x). The OGWS loop already

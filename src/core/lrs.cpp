@@ -53,23 +53,23 @@ LrsStats run_lrs(const netlist::Circuit& circuit, const layout::CouplingSet& cou
   LRSIZER_ASSERT(x.size() == static_cast<std::size_t>(circuit.num_nodes()));
   LRSIZER_ASSERT(mu.size() == x.size());
 
-  // S1: a fresh workspace's first call starts from the lower bounds (or the
-  // caller's x when warm); a later call resumes from the incoming x — the
-  // convex subproblem has a unique optimum reachable from any positive
-  // start, and re-solving from the previous solution is what keeps an OGWS
-  // iteration's solve short. The S5 relative-change test divides by the
-  // previous size, so the start point must be positive — lower bounds are
-  // (asserted by Circuit::validate) and kept sizes are checked here.
+  // S1: a fresh workspace's first call starts from the lower bounds; a
+  // later call resumes from the incoming x — the convex subproblem has a
+  // unique optimum reachable from any positive start, and re-solving from
+  // the previous solution is what keeps an OGWS iteration's solve short.
+  // The S5 relative-change test divides by the previous size, so the start
+  // point must be positive — lower bounds are (asserted by
+  // Circuit::validate) and kept sizes are checked here.
   const bool fresh = workspace.exit_x.size() != x.size();
   for (netlist::NodeId v = circuit.first_component(); v < circuit.end_component();
        ++v) {
     const auto i = static_cast<std::size_t>(v);
-    if (fresh && !options.warm_start) {
+    if (fresh) {
       LRSIZER_ASSERT_MSG(circuit.lower_bound(v) > 0.0,
                          "LRS needs positive lower bounds");
       x[i] = circuit.lower_bound(v);
     } else {
-      LRSIZER_ASSERT_MSG(x[i] > 0.0, "LRS warm start needs positive sizes");
+      LRSIZER_ASSERT_MSG(x[i] > 0.0, "LRS resume needs positive sizes");
     }
   }
 
@@ -92,8 +92,8 @@ LrsStats run_lrs(const netlist::Circuit& circuit, const layout::CouplingSet& cou
 
   // S2 at the start point, unless the workspace's loads already describe it:
   // they are the loads of the x the last call returned (see exit_x).
-  if (fresh || workspace.exit_mode != options.mode || x != workspace.exit_x) {
-    timing::compute_loads(circuit, coupling, x, options.mode, workspace.loads);
+  if (fresh || x != workspace.exit_x) {
+    timing::compute_loads(circuit, coupling, x, workspace.loads);
   }
   // Drivers' entries stay 0: nothing is upstream of an input driver.
   if (workspace.r_up.size() != x.size()) workspace.r_up.assign(x.size(), 0.0);
@@ -106,8 +106,8 @@ LrsStats run_lrs(const netlist::Circuit& circuit, const layout::CouplingSet& cou
 
     // S3 + S4 in one forward walk, components in index order. R_i reads the
     // fanins (lower indices), already resized this pass; C'_i in the loads
-    // reads only higher indices under kLocalOnly, not yet resized, so it is
-    // still exact; the coupling term reads the neighbors' current sizes.
+    // reads only higher indices, not yet resized, so it is still exact; the
+    // coupling term reads the neighbors' current sizes.
     // Each resize is Theorem 5's closed form (the hoisted twin of
     // optimal_resize — tests assert the fixpoint against the public function).
     double max_rel_change = 0.0;
@@ -135,11 +135,10 @@ LrsStats run_lrs(const netlist::Circuit& circuit, const layout::CouplingSet& cou
     // S2 at the post-sweep x. The walk has already decided S5, so a pass
     // that closes the call writes all three load fields (the hand-back
     // contract in lrs.hpp) and any other writes what the next walk reads:
-    // C'_i and the load_in it sums. kPropagateUpstream's load_in carries the
-    // coupling terms, so it always takes the full pass.
+    // C'_i and the load_in it sums.
     const bool closing = max_rel_change < options.tol || pass + 1 == options.max_passes;
-    if (closing || options.mode != timing::CouplingLoadMode::kLocalOnly) {
-      timing::compute_loads(circuit, coupling, x, options.mode, workspace.loads);
+    if (closing) {
+      timing::compute_loads(circuit, coupling, x, workspace.loads);
     } else {
       timing::compute_prime_loads(circuit, coupling, x, workspace.loads);
     }
@@ -154,7 +153,6 @@ LrsStats run_lrs(const netlist::Circuit& circuit, const layout::CouplingSet& cou
     if (closing) break;
   }
   workspace.exit_x = x;
-  workspace.exit_mode = options.mode;
   return stats;
 }
 

@@ -16,12 +16,13 @@
 // fanins (lower indices), so the walk computes it from the sizes this pass
 // already set and resizes component i at once; a reverse load pass (S2)
 // closes the pass, writing only C'_i and load_in unless the pass closes the
-// call. Under kLocalOnly loads C'_i reads only higher-index sizes,
-// which the walk has not reached, so every resize is the exact minimizer of
-// L over x_i with every other size fixed (docs/ARCHITECTURE.md §One-sweep
-// LRS). Because the transformed problem is convex with a unique optimum,
-// this coordinate-greedy scheme converges to the subproblem's global minimum
-// (Theorem on page 4); tests verify stationarity against numeric gradients.
+// call. C'_i reads only higher-index sizes (coupling loads only its victim,
+// decision D4), which the walk has not reached, so every resize is the exact
+// minimizer of L over x_i with every other size fixed (docs/ARCHITECTURE.md
+// §One-sweep LRS). Because the transformed problem is convex with a unique
+// optimum, this coordinate-greedy scheme converges to the subproblem's global
+// minimum (Theorem on page 4); tests verify stationarity against numeric
+// gradients.
 #pragma once
 
 #include <algorithm>
@@ -76,11 +77,8 @@ struct LrsOptions {
   /// 0.1 changed 3 and 7 iteration counts and moved areas by up to 1.3e-3
   /// and 7.2e-3.
   double tol = 1e-2;
-  /// Paper S1 starts a fresh workspace's first call at the lower bounds;
-  /// warm start keeps the incoming x instead (ablation A1 measures the
-  /// difference). Later calls on the same workspace always resume from the
-  /// incoming x.
-  bool warm_start = false;
+  /// Holds only kLocalOnly and is read by nothing in the solver; kept only
+  /// for perfbench/driver.cpp (see timing::CouplingLoadMode).
   timing::CouplingLoadMode mode = timing::CouplingLoadMode::kLocalOnly;
 };
 
@@ -106,11 +104,10 @@ struct LrsWorkspace {
   std::vector<double> mu_res;
   std::vector<double> gamma_coef;
   /// The x the last call returned, empty on a fresh workspace. A call whose
-  /// incoming x equals it bit for bit (under the same load mode) reuses
-  /// `loads` instead of starting with a load pass; any other x — a caller
-  /// may hand back an edited one — gets a fresh pass.
+  /// incoming x equals it bit for bit reuses `loads` instead of starting
+  /// with a load pass; any other x — a caller may hand back an edited one —
+  /// gets a fresh pass.
   std::vector<double> exit_x;
-  timing::CouplingLoadMode exit_mode = timing::CouplingLoadMode::kLocalOnly;
 };
 
 /// Theorem 5's resize with its box clamp: min(U, max(L, √(max(num, 0)/den))).
@@ -130,12 +127,14 @@ inline double clamped_resize(double numerator, double denominator, double lower,
 }
 
 /// Minimize L_{λ,β,γ}(x) over the size box; x is in/out (indexed by NodeId).
+/// S1: a fresh workspace's first call starts at the lower bounds; every
+/// later call on the same workspace resumes from the incoming x.
 ///
 /// Hand-back contract: on return, `workspace.loads` holds the load analysis
 /// at the returned x (the call's last pass, S5 met or max_passes reached,
-/// ends with the full load pass; earlier kLocalOnly passes refresh only
-/// what the next walk reads, C'_i and load_in), so the caller's
-/// post-LRS timing (OGWS step A3's arrival pass) reuses it instead of
+/// ends with the full load pass; earlier passes refresh only what the next
+/// walk reads, C'_i and load_in), so the caller's post-LRS timing (OGWS
+/// step A3's arrival pass) reuses it instead of
 /// recomputing, and a next call handed that x back unchanged starts without
 /// one. Callers read `workspace.loads` and never write it. `trace` records
 /// one "lrs_pass" span per pass when set; it never changes the result.

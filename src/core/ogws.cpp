@@ -266,7 +266,7 @@ OgwsResult run_ogws(const netlist::Circuit& circuit,
   // belongs to run_lrs, which reuses them when handed its last x back.
   auto evaluate_sizes = [&](const std::vector<double>& xs) {
     timing::LoadAnalysis loads;
-    timing::compute_loads(circuit, coupling, xs, options.lrs.mode, loads);
+    timing::compute_loads(circuit, coupling, xs, loads);
     timing::compute_arrivals(circuit, xs, loads, arrivals);
     const double area = timing::total_area(circuit, xs);
     const double violation =

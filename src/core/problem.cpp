@@ -7,10 +7,9 @@ namespace lrsizer::core {
 
 Bounds derive_bounds(const netlist::Circuit& circuit,
                      const layout::CouplingSet& coupling,
-                     const std::vector<double>& x, timing::CouplingLoadMode mode,
-                     const BoundFactors& factors) {
+                     const std::vector<double>& x, const BoundFactors& factors) {
   LRSIZER_ASSERT(factors.delay > 0.0 && factors.power > 0.0 && factors.noise > 0.0);
-  const timing::Metrics m = timing::compute_metrics(circuit, coupling, x, mode);
+  const timing::Metrics m = timing::compute_metrics(circuit, coupling, x);
   Bounds bounds;
   bounds.delay_s = factors.delay * m.delay_s;
   bounds.cap_f = factors.power * m.cap_f;

@@ -39,7 +39,14 @@ struct BoundFactors {
 /// Bounds relative to the metrics at the circuit's current sizes.
 Bounds derive_bounds(const netlist::Circuit& circuit,
                      const layout::CouplingSet& coupling,
-                     const std::vector<double>& x, timing::CouplingLoadMode mode,
-                     const BoundFactors& factors);
+                     const std::vector<double>& x, const BoundFactors& factors);
+
+/// Forwards to derive_bounds; only perfbench/driver.cpp passes a mode.
+inline Bounds derive_bounds(const netlist::Circuit& circuit,
+                            const layout::CouplingSet& coupling,
+                            const std::vector<double>& x, timing::CouplingLoadMode,
+                            const BoundFactors& factors) {
+  return derive_bounds(circuit, coupling, x, factors);
+}
 
 }  // namespace lrsizer::core

@@ -11,9 +11,9 @@ namespace lrsizer::core {
 namespace {
 
 double delay_at(const netlist::Circuit& circuit, const layout::CouplingSet& coupling,
-                const std::vector<double>& x, timing::CouplingLoadMode mode,
-                timing::LoadAnalysis& loads, timing::ArrivalAnalysis& arrivals) {
-  timing::compute_loads(circuit, coupling, x, mode, loads);
+                const std::vector<double>& x, timing::LoadAnalysis& loads,
+                timing::ArrivalAnalysis& arrivals) {
+  timing::compute_loads(circuit, coupling, x, loads);
   timing::compute_arrivals(circuit, x, loads, arrivals);
   return arrivals.critical_delay;
 }
@@ -34,8 +34,7 @@ TilosResult run_tilos(const netlist::Circuit& circuit,
 
   timing::LoadAnalysis loads;
   timing::ArrivalAnalysis arrivals;
-  double delay =
-      delay_at(circuit, coupling, result.sizes, options.mode, loads, arrivals);
+  double delay = delay_at(circuit, coupling, result.sizes, loads, arrivals);
 
   while (delay > delay_bound_s && result.moves < options.max_moves) {
     const std::vector<netlist::NodeId> path = timing::critical_path(circuit, arrivals);
@@ -55,8 +54,8 @@ TilosResult run_tilos(const netlist::Circuit& circuit,
       result.sizes[i] = trial_size;
       timing::LoadAnalysis trial_loads;
       timing::ArrivalAnalysis trial_arrivals;
-      const double trial_delay = delay_at(circuit, coupling, result.sizes,
-                                          options.mode, trial_loads, trial_arrivals);
+      const double trial_delay =
+          delay_at(circuit, coupling, result.sizes, trial_loads, trial_arrivals);
       result.sizes[i] = saved;
 
       const double delay_gain = delay - trial_delay;
@@ -73,7 +72,7 @@ TilosResult run_tilos(const netlist::Circuit& circuit,
     if (best_node == netlist::kInvalidNode) break;  // no move helps: stuck
     result.sizes[static_cast<std::size_t>(best_node)] = best_size;
     ++result.moves;
-    delay = delay_at(circuit, coupling, result.sizes, options.mode, loads, arrivals);
+    delay = delay_at(circuit, coupling, result.sizes, loads, arrivals);
   }
 
   result.delay_s = delay;

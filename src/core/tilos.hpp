@@ -15,14 +15,12 @@
 
 #include "layout/neighbors.hpp"
 #include "netlist/circuit.hpp"
-#include "timing/loads.hpp"
 
 namespace lrsizer::core {
 
 struct TilosOptions {
   double bump = 1.3;      ///< multiplicative size step per accepted move
   int max_moves = 20000;  ///< hard stop
-  timing::CouplingLoadMode mode = timing::CouplingLoadMode::kLocalOnly;
 };
 
 struct TilosResult {

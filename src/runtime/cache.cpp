@@ -25,14 +25,6 @@ const char* step_rule_name(core::StepRule rule) {
   return "?";
 }
 
-const char* load_mode_name(timing::CouplingLoadMode mode) {
-  switch (mode) {
-    case timing::CouplingLoadMode::kLocalOnly: return "local";
-    case timing::CouplingLoadMode::kPropagateUpstream: return "propagate";
-  }
-  return "?";
-}
-
 /// tech + elab: everything that determines the elaborated circuit. Kept as
 /// its own object because the key's `e` component hashes it alone.
 Json elab_canon(const core::FlowOptions& o) {
@@ -125,13 +117,11 @@ Json canonical_options_json(const core::FlowOptions& o) {
   Json lrs = Json::object();
   lrs.set("max_passes", static_cast<std::int64_t>(o.ogws.lrs.max_passes));
   lrs.set("tol", o.ogws.lrs.tol);
-  lrs.set("warm_start", o.ogws.lrs.warm_start);
-  lrs.set("mode", load_mode_name(o.ogws.lrs.mode));
   ogws.set("lrs", lrs);
   ogws.set("record_history", o.ogws.record_history);
   j.set("ogws", ogws);
   j.set("initial_size", o.initial_size);
-  // FlowOptions::threads is ignored by the solver, so it stays out.
+  // FlowOptions::threads (ignored) and LrsOptions::mode (one value) stay out.
   return j;
 }
 

@@ -8,8 +8,8 @@
 //   netlist_hash(logic netlist)  ×  canonical(FlowOptions)
 //
 // where the canonical form covers every option that can change the flow's
-// outcome; `FlowOptions::threads`, which the solver ignores, is left out.
-// Any other option field invalidates the key.
+// outcome; `FlowOptions::threads` (ignored) and `LrsOptions::mode` (one
+// value) are left out. Any other option field invalidates the key.
 //
 // A cached entry stores the completed job's report JSON (the
 // `lrsizer-batch-v1` job object, served back verbatim so cache hits are
@@ -51,9 +51,9 @@ namespace lrsizer::runtime {
 
 /// Canonical JSON form of every outcome-affecting FlowOptions field, in a
 /// fixed key order with shortest-round-trip numbers — byte-equal canon means
-/// flow-equivalent options. The ignored `threads` field is excluded. A
-/// `solver_revision` constant rides along and changes whenever sized outputs
-/// change for unchanged options.
+/// flow-equivalent options. The ignored `threads` and one-valued `lrs.mode`
+/// fields are excluded. A `solver_revision` constant rides along and changes
+/// whenever sized outputs change for unchanged options.
 Json canonical_options_json(const core::FlowOptions& options);
 
 /// The cache key for (netlist, options):

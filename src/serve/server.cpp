@@ -299,12 +299,20 @@ void Server::answer(const std::shared_ptr<Pending>& pending, const Json& respons
   if (--in_flight_ == 0) idle_cv_.notify_all();
 }
 
-void Server::answer_follower_deadline(const std::shared_ptr<Pending>& pending) {
+bool Server::answer_stopped_follower(const std::shared_ptr<Pending>& pending) {
   // A deduped follower has no partial of its own to answer with.
-  errors_total_->inc();
-  timeouts_total_->inc();
-  answer(pending, error_json(pending->request.id, "deadline",
-                             "deadline exceeded while waiting on a deduped identical job"));
+  if (Clock::now() >= pending->deadline) {
+    errors_total_->inc();
+    timeouts_total_->inc();
+    answer(pending, error_json(pending->request.id, "deadline",
+                               "deadline exceeded while waiting on a deduped identical job"));
+  } else if (pending->stop.stop_requested()) {
+    cancelled_total_->inc();
+    answer(pending, cancelled_json(pending->request.id, nullptr));
+  } else {
+    return false;
+  }
+  return true;
 }
 
 Clock::time_point Server::expire_followers() {
@@ -312,13 +320,16 @@ Clock::time_point Server::expire_followers() {
   Clock::time_point next = Clock::time_point::max();
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto end = followers_.upper_bound(Clock::now());
-    for (auto it = followers_.begin(); it != end; ++it) due.push_back(std::move(it->second));
-    followers_.erase(followers_.begin(), end);
+    const Clock::time_point now = Clock::now();
+    std::erase_if(followers_, [&](const auto& entry) {
+      if (entry.first > now && !entry.second.pending->stop.stop_requested()) return false;
+      due.push_back(entry.second);
+      return true;
+    });
     if (!followers_.empty()) next = followers_.begin()->first;
   }
   for (const FollowerWait& wait : due) {
-    if (!wait.settled->exchange(true)) answer_follower_deadline(wait.pending);
+    if (!wait.settled->exchange(true)) answer_stopped_follower(wait.pending);
   }
   return next;
 }
@@ -399,8 +410,9 @@ void Server::handle_cancel(ClientId client, const std::string& id) {
     return;
   }
   // Cooperative: a running session stops at its next OGWS iteration; a
-  // deduped follower answers `cancelled` when its shared run completes.
+  // deduped follower, which runs nothing, answers `cancelled` here.
   pending->stop.request_stop();
+  expire_followers();
 }
 
 void Server::handle_size(ClientId client, SizeRequest request) {
@@ -531,9 +543,9 @@ void Server::schedule(std::shared_ptr<Pending> pending) {
   if (pending->cacheable) {
     std::shared_ptr<const CachedEntry> hit;
     // Fired exactly once by publish() (entry) or abandon() (nullptr) when
-    // this job attaches as a follower of an identical in-flight run. A
-    // follower with a deadline is also in followers_, and expire_followers()
-    // may answer it first; `settled` lets only one of the two answer.
+    // this job attaches as a follower of an identical in-flight run. Every
+    // follower is also in followers_, and expire_followers() may answer it
+    // first (deadline or cancel); `settled` lets only one of the two answer.
     auto settled = std::make_shared<std::atomic<bool>>(false);
     auto on_done = [this, pending, settled](std::shared_ptr<const CachedEntry> entry) {
       if (settled->exchange(true)) return;
@@ -547,15 +559,7 @@ void Server::schedule(std::shared_ptr<Pending> pending) {
           }
         }
       }
-      if (Clock::now() >= pending->deadline) {
-        answer_follower_deadline(pending);
-        return;
-      }
-      if (pending->stop.get_token().stop_requested()) {
-        cancelled_total_->inc();
-        answer(pending, cancelled_json(pending->request.id, nullptr));
-        return;
-      }
+      if (answer_stopped_follower(pending)) return;
       if (entry) {
         results_total_->inc();
         cache_hits_total_->inc();
@@ -576,18 +580,17 @@ void Server::schedule(std::shared_ptr<Pending> pending) {
                result_json(pending->request.id, true, hit->job,
                            pending->request.want_sizes ? &hit->sizes : nullptr));
         return;
-      case ResultCache::Acquire::kFollower:
-        if (pending->deadline != Clock::time_point::max()) {
-          const std::lock_guard<std::mutex> lock(mutex_);
-          // on_done may already have run (and found nothing to erase).
-          if (!settled->load()) {
-            const bool earliest =
-                followers_.empty() || pending->deadline < followers_.begin()->first;
-            followers_.emplace(pending->deadline, FollowerWait{pending, settled});
-            if (earliest) idle_cv_.notify_all();
-          }
+      case ResultCache::Acquire::kFollower: {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        // on_done may already have run (and found nothing to erase).
+        if (!settled->load()) {
+          const bool earliest =
+              followers_.empty() || pending->deadline < followers_.begin()->first;
+          followers_.emplace(pending->deadline, FollowerWait{pending, settled});
+          if (earliest) idle_cv_.notify_all();
         }
         return;
+      }
       case ResultCache::Acquire::kOwner: {
         // Seed base: a named ECO base wins; otherwise (with --cache-warm)
         // the cached entry sharing the most output cones — the same circuit

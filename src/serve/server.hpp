@@ -13,7 +13,7 @@
 // runtime::run_job checks where the run already yields — before each stage
 // and after each OGWS iteration — so a cut session yields its best partial
 // result, answered as a result with "timeout": true. A deduped follower runs
-// nothing, so expire_followers() answers its deadline. Admission control
+// nothing, so expire_followers() answers its deadline and its cancel. Admission control
 // layers a cost budget (Σ pending node counts) and a per-client fairness
 // cap on top of the flat max_pending; shed jobs get an `overloaded` error
 // with a retry_after_ms hint. begin_drain() flips the server into drain
@@ -155,12 +155,13 @@ class Server {
   void drain();
 
   /// Answer `deadline` to every deduped follower whose deadline has passed
-  /// while its owner still runs, and return the earliest follower deadline
+  /// while its owner still runs, and `cancelled` (with no job) to every one
+  /// whose cancel was requested, and return the earliest follower deadline
   /// still pending (time_point::max() when none). A follower's own run is
-  /// its owner's, which reads only the owner's deadline, so nothing else
-  /// answers it before the owner's result lands. listen_and_serve calls this
-  /// on every wake of its poll loop and wakes no later than the returned
-  /// deadline.
+  /// its owner's, which reads only the owner's deadline and stop, so nothing
+  /// else answers it before the owner's result lands. listen_and_serve calls
+  /// this on every wake of its poll loop and wakes no later than the
+  /// returned deadline; handle_cancel calls it after requesting the stop.
   std::chrono::steady_clock::time_point expire_followers();
 
   /// Enter drain mode (idempotent, callable from any thread — including a
@@ -210,7 +211,7 @@ class Server {
     std::int64_t cost = 0;
   };
 
-  /// A deduped follower with a deadline, waiting on its owner's run.
+  /// A deduped follower, waiting on its owner's run.
   /// `settled` is shared with the follower's cache callback: whichever of
   /// the callback and expire_followers() flips it first answers the
   /// follower, so it answers exactly once.
@@ -245,8 +246,10 @@ class Server {
   /// counted, its id free and an exact repeat answered from the cache. The
   /// drain guard (in_flight_) is released only after the write.
   void answer(const std::shared_ptr<Pending>& pending, const runtime::Json& response);
-  /// Answer a follower whose deadline passed with a `deadline` error.
-  void answer_follower_deadline(const std::shared_ptr<Pending>& pending);
+  /// Answer a follower that will not share its owner's result: a `deadline`
+  /// error once its deadline has passed, else `cancelled` (no job) once its
+  /// stop was requested. Returns false, answering nothing, otherwise.
+  bool answer_stopped_follower(const std::shared_ptr<Pending>& pending);
   void handle_size(ClientId client, SizeRequest request);
   void handle_cancel(ClientId client, const std::string& id);
   /// Backoff hint for `overloaded` rejections: scaled from the p50 job
@@ -305,8 +308,8 @@ class Server {
   /// Accepted-but-unfinished jobs per client (fairness cap); entries are
   /// erased when they reach zero.
   std::unordered_map<ClientId, int> client_pending_;
-  /// Deduped followers that have a deadline, by deadline; each leaves when
-  /// it is answered.
+  /// Deduped followers by deadline (time_point::max() when none); each
+  /// leaves when it is answered.
   std::multimap<std::chrono::steady_clock::time_point, FollowerWait> followers_;
 
   runtime::ThreadPool pool_;  ///< last member: workers die before the rest

@@ -10,11 +10,11 @@ namespace {
 /// once per node in descending order, so v's children's load_in entries are
 /// final. Writes only node v's slots. kWithDelay also writes cap_delay,
 /// which needs the coupling neighbors' sizes; without it the body reads no
-/// neighbor list and `mode` must be kLocalOnly.
+/// neighbor list.
 template <bool kWithDelay>
 inline void node_loads(const netlist::Circuit& circuit, const layout::CouplingSet& coupling,
-                       const std::vector<double>& x, CouplingLoadMode mode,
-                       LoadAnalysis& out, netlist::NodeId v) {
+                       const std::vector<double>& x, LoadAnalysis& out,
+                       netlist::NodeId v) {
   using netlist::NodeId;
   using netlist::NodeKind;
   const NodeId sink = circuit.sink();
@@ -38,8 +38,8 @@ inline void node_loads(const netlist::Circuit& circuit, const layout::CouplingSe
       const double half = 0.5 * (circuit.unit_cap(v) * x[i] + circuit.fringe_cap(v));
       const double couple_const = coupling.c_tilde_sum(v);  // Σ c̃_ij (effective)
       out.cap_prime[i] = 0.5 * circuit.fringe_cap(v) + couple_const + child_sum;
-      // Parent sees both π halves plus the downstream subtree; coupling is
-      // included only in propagate mode.
+      // Parent sees both π halves plus the downstream subtree; coupling
+      // stays on the victim (D4).
       const double ground_down = half + child_sum;
       out.load_in[i] = half + ground_down;
       if constexpr (kWithDelay) {
@@ -50,9 +50,6 @@ inline void node_loads(const netlist::Circuit& circuit, const layout::CouplingSe
           couple_nbr += nb.c_hat * x[static_cast<std::size_t>(nb.other)];
         }
         out.cap_delay[i] = half + couple_const + couple_own + couple_nbr + child_sum;
-        if (mode == CouplingLoadMode::kPropagateUpstream) {
-          out.load_in[i] += couple_const + couple_own + couple_nbr;
-        }
       }
       break;
     }
@@ -71,8 +68,7 @@ inline void node_loads(const netlist::Circuit& circuit, const layout::CouplingSe
 }  // namespace
 
 void compute_loads(const netlist::Circuit& circuit, const layout::CouplingSet& coupling,
-                   const std::vector<double>& x, CouplingLoadMode mode,
-                   LoadAnalysis& out) {
+                   const std::vector<double>& x, LoadAnalysis& out) {
   using netlist::NodeId;
 
   const auto n = static_cast<std::size_t>(circuit.num_nodes());
@@ -81,7 +77,7 @@ void compute_loads(const netlist::Circuit& circuit, const layout::CouplingSet& c
 
   // Reverse topological order = descending node index (index contract).
   for (NodeId v = circuit.sink() - 1; v >= 1; --v) {
-    node_loads<true>(circuit, coupling, x, mode, out, v);
+    node_loads<true>(circuit, coupling, x, out, v);
   }
 }
 
@@ -91,7 +87,7 @@ void compute_prime_loads(const netlist::Circuit& circuit,
   LRSIZER_ASSERT(x.size() == static_cast<std::size_t>(circuit.num_nodes()));
   LRSIZER_ASSERT(out.cap_prime.size() == x.size());
   for (netlist::NodeId v = circuit.sink() - 1; v >= 1; --v) {
-    node_loads<false>(circuit, coupling, x, CouplingLoadMode::kLocalOnly, out, v);
+    node_loads<false>(circuit, coupling, x, out, v);
   }
 }
 

@@ -12,11 +12,9 @@
 //                           (Theorem 5 adds that term explicitly).
 //   load_in[i]    = the capacitance component i presents to its parent.
 //
-// CouplingLoadMode selects whether a wire's coupling capacitance is charged
-// only to the victim wire's own delay (kLocalOnly — matches Theorem 5's
-// resize rule exactly) or also propagates into upstream loads
-// (kPropagateUpstream — physical ground-cap approximation; compared in
-// bench_ablation). See docs/ARCHITECTURE.md, decision D4.
+// A wire's coupling capacitance is charged only to the victim wire's own
+// delay, never to upstream loads: the victim-local model under which
+// Theorem 5's resize rule is exact (docs/ARCHITECTURE.md, decision D4).
 #pragma once
 
 #include <vector>
@@ -26,10 +24,10 @@
 
 namespace lrsizer::timing {
 
-enum class CouplingLoadMode {
-  kLocalOnly,
-  kPropagateUpstream,
-};
+/// The one coupling-load model. Kept only because perfbench/driver.cpp still
+/// passes LrsOptions::mode to compute_loads, compute_metrics and derive_bounds;
+/// it goes with their forwarding overloads and FlowOptions::threads.
+enum class CouplingLoadMode { kLocalOnly };
 
 struct LoadAnalysis {
   std::vector<double> cap_delay;
@@ -51,16 +49,21 @@ struct LoadAnalysis {
 
 /// One reverse-topological sweep; O(|V| + |E| + |pairs|).
 void compute_loads(const netlist::Circuit& circuit, const layout::CouplingSet& coupling,
-                   const std::vector<double>& x, CouplingLoadMode mode,
-                   LoadAnalysis& out);
+                   const std::vector<double>& x, LoadAnalysis& out);
 
-/// compute_loads' kLocalOnly sweep without C_i: writes cap_prime and load_in
-/// — all that a forward LRS walk and the next sweep read — bit for bit as
+/// Forwards to compute_loads; only perfbench/driver.cpp passes a mode.
+inline void compute_loads(const netlist::Circuit& circuit,
+                          const layout::CouplingSet& coupling,
+                          const std::vector<double>& x, CouplingLoadMode,
+                          LoadAnalysis& out) {
+  compute_loads(circuit, coupling, x, out);
+}
+
+/// compute_loads' sweep without C_i: writes cap_prime and load_in — all
+/// that a forward LRS walk and the next sweep read — bit for bit as
 /// compute_loads writes them, and leaves cap_delay as it was. A wire's C'_i
 /// takes Σ c̃_ij from CouplingSet::c_tilde_sum, so the sweep reads no
 /// neighbor list; O(|V| + |E|). `out` must be sized (LoadAnalysis::resize).
-/// kPropagateUpstream has no such sweep: its load_in carries the coupling
-/// terms.
 void compute_prime_loads(const netlist::Circuit& circuit,
                          const layout::CouplingSet& coupling,
                          const std::vector<double>& x, LoadAnalysis& out);

@@ -23,7 +23,7 @@ double total_cap(const netlist::Circuit& circuit, const std::vector<double>& x) 
 
 Metrics compute_metrics(const netlist::Circuit& circuit,
                         const layout::CouplingSet& coupling,
-                        const std::vector<double>& x, CouplingLoadMode mode) {
+                        const std::vector<double>& x) {
   LRSIZER_ASSERT(x.size() == static_cast<std::size_t>(circuit.num_nodes()));
   Metrics m;
   m.area_um2 = total_area(circuit, x);
@@ -33,7 +33,7 @@ Metrics compute_metrics(const netlist::Circuit& circuit,
   m.noise_exact_f = coupling.noise_exact(x);
 
   LoadAnalysis loads;
-  compute_loads(circuit, coupling, x, mode, loads);
+  compute_loads(circuit, coupling, x, loads);
   ArrivalAnalysis arrivals;
   compute_arrivals(circuit, x, loads, arrivals);
   m.delay_s = arrivals.critical_delay;

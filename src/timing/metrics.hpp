@@ -31,6 +31,13 @@ double total_cap(const netlist::Circuit& circuit, const std::vector<double>& x);
 /// Full metric bundle at sizes `x` (runs a load + arrival pass).
 Metrics compute_metrics(const netlist::Circuit& circuit,
                         const layout::CouplingSet& coupling,
-                        const std::vector<double>& x, CouplingLoadMode mode);
+                        const std::vector<double>& x);
+
+/// Forwards to compute_metrics; only perfbench/driver.cpp passes a mode.
+inline Metrics compute_metrics(const netlist::Circuit& circuit,
+                               const layout::CouplingSet& coupling,
+                               const std::vector<double>& x, CouplingLoadMode) {
+  return compute_metrics(circuit, coupling, x);
+}
 
 }  // namespace lrsizer::timing

@@ -38,8 +38,7 @@ TEST(Arrival, ChainSumsComponentDelays) {
   c.circuit.set_uniform_size(1.0);
   const auto coupling = test_support::no_coupling(c.circuit);
   timing::LoadAnalysis loads;
-  timing::compute_loads(c.circuit, coupling, c.circuit.sizes(),
-                        timing::CouplingLoadMode::kLocalOnly, loads);
+  timing::compute_loads(c.circuit, coupling, c.circuit.sizes(), loads);
   timing::ArrivalAnalysis a;
   timing::compute_arrivals(c.circuit, c.circuit.sizes(), loads, a);
 
@@ -60,8 +59,7 @@ TEST(Arrival, MatchesBruteForcePathEnumeration) {
   f.circuit.set_uniform_size(1.0);
   const auto coupling = f.make_coupling();
   timing::LoadAnalysis loads;
-  timing::compute_loads(f.circuit, coupling, f.circuit.sizes(),
-                        timing::CouplingLoadMode::kLocalOnly, loads);
+  timing::compute_loads(f.circuit, coupling, f.circuit.sizes(), loads);
   timing::ArrivalAnalysis a;
   timing::compute_arrivals(f.circuit, f.circuit.sizes(), loads, a);
   EXPECT_NEAR(a.critical_delay, brute_force_delay(f.circuit, a), 1e-18);
@@ -78,8 +76,7 @@ TEST(Arrival, MatchesBruteForceUnderRandomSizes) {
       x[static_cast<std::size_t>(v)] = rng.uniform(0.1, 10.0);
     }
     timing::LoadAnalysis loads;
-    timing::compute_loads(f.circuit, coupling, x,
-                          timing::CouplingLoadMode::kLocalOnly, loads);
+    timing::compute_loads(f.circuit, coupling, x, loads);
     timing::ArrivalAnalysis a;
     timing::compute_arrivals(f.circuit, x, loads, a);
     EXPECT_NEAR(a.critical_delay, brute_force_delay(f.circuit, a),
@@ -93,8 +90,7 @@ TEST(Arrival, ArrivalsAreEdgeConsistent) {
   f.circuit.set_uniform_size(2.0);
   const auto coupling = f.make_coupling();
   timing::LoadAnalysis loads;
-  timing::compute_loads(f.circuit, coupling, f.circuit.sizes(),
-                        timing::CouplingLoadMode::kLocalOnly, loads);
+  timing::compute_loads(f.circuit, coupling, f.circuit.sizes(), loads);
   timing::ArrivalAnalysis a;
   timing::compute_arrivals(f.circuit, f.circuit.sizes(), loads, a);
   for (netlist::NodeId v = 1; v < f.circuit.sink(); ++v) {
@@ -111,8 +107,7 @@ TEST(Arrival, CriticalPathIsConnectedAndCritical) {
   f.circuit.set_uniform_size(1.0);
   const auto coupling = f.make_coupling();
   timing::LoadAnalysis loads;
-  timing::compute_loads(f.circuit, coupling, f.circuit.sizes(),
-                        timing::CouplingLoadMode::kLocalOnly, loads);
+  timing::compute_loads(f.circuit, coupling, f.circuit.sizes(), loads);
   timing::ArrivalAnalysis a;
   timing::compute_arrivals(f.circuit, f.circuit.sizes(), loads, a);
   const auto path = timing::critical_path(f.circuit, a);
@@ -143,15 +138,13 @@ TEST(Arrival, UpsizingTheCriticalGateReducesItsDelay) {
   c.circuit.set_uniform_size(1.0);
   const auto coupling = test_support::no_coupling(c.circuit);
   timing::LoadAnalysis loads;
-  timing::compute_loads(c.circuit, coupling, c.circuit.sizes(),
-                        timing::CouplingLoadMode::kLocalOnly, loads);
+  timing::compute_loads(c.circuit, coupling, c.circuit.sizes(), loads);
   timing::ArrivalAnalysis before;
   timing::compute_arrivals(c.circuit, c.circuit.sizes(), loads, before);
 
   auto x = c.circuit.sizes();
   x[static_cast<std::size_t>(c.gate)] = 4.0;
-  timing::compute_loads(c.circuit, coupling, x,
-                        timing::CouplingLoadMode::kLocalOnly, loads);
+  timing::compute_loads(c.circuit, coupling, x, loads);
   timing::ArrivalAnalysis after;
   timing::compute_arrivals(c.circuit, x, loads, after);
   EXPECT_LT(after.delay[static_cast<std::size_t>(c.gate)],

@@ -49,14 +49,13 @@ TEST(BuildSanity, OgwsRunsOnChainFixture) {
   factors.delay = 1.2;
   factors.noise = 0.5;
   const auto bounds =
-      core::derive_bounds(chain.circuit, coupling, chain.circuit.sizes(),
-                          timing::CouplingLoadMode::kLocalOnly, factors);
+      core::derive_bounds(chain.circuit, coupling, chain.circuit.sizes(), factors);
   const auto result = core::run_ogws(chain.circuit, coupling, bounds);
 
   ASSERT_EQ(result.sizes.size(), chain.circuit.sizes().size());
   EXPECT_GT(result.sizes[static_cast<std::size_t>(chain.gate)], 0.0);
   const auto metrics = timing::compute_metrics(
-      chain.circuit, coupling, result.sizes, timing::CouplingLoadMode::kLocalOnly);
+      chain.circuit, coupling, result.sizes);
   EXPECT_LE(metrics.delay_s, bounds.delay_s * 1.02);
 }
 

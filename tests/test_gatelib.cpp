@@ -93,10 +93,8 @@ TEST(Elaborator, DifferentiationSlowsTheUnsizedCircuit) {
   b.circuit.set_uniform_size(1.0);
   const layout::CouplingSet none_a(a.circuit.num_nodes(), {});
   const layout::CouplingSet none_b(b.circuit.num_nodes(), {});
-  const auto ma = timing::compute_metrics(a.circuit, none_a, a.circuit.sizes(),
-                                          timing::CouplingLoadMode::kLocalOnly);
-  const auto mb = timing::compute_metrics(b.circuit, none_b, b.circuit.sizes(),
-                                          timing::CouplingLoadMode::kLocalOnly);
+  const auto ma = timing::compute_metrics(a.circuit, none_a, a.circuit.sizes());
+  const auto mb = timing::compute_metrics(b.circuit, none_b, b.circuit.sizes());
   EXPECT_GT(mb.delay_s, ma.delay_s);
   EXPECT_GT(mb.area_um2, ma.area_um2);
 }

@@ -11,18 +11,17 @@ namespace {
 using namespace lrsizer;
 using lrsizer::test_support::Fig1Circuit;
 
-constexpr auto kMode = timing::CouplingLoadMode::kLocalOnly;
 
 TEST(Kkt, FlowResidualZeroAfterProjection) {
   auto f = Fig1Circuit::make();
   f.circuit.set_uniform_size(1.0);
   const auto coupling = f.make_coupling();
-  const auto bounds = core::derive_bounds(f.circuit, coupling, f.circuit.sizes(),
-                                          kMode, core::BoundFactors{});
+  const auto bounds =
+      core::derive_bounds(f.circuit, coupling, f.circuit.sizes(), core::BoundFactors{});
   core::MultiplierState m(f.circuit);
   m.init_default(f.circuit);
   const auto res =
-      core::check_kkt(f.circuit, coupling, m, bounds, f.circuit.sizes(), kMode);
+      core::check_kkt(f.circuit, coupling, m, bounds, f.circuit.sizes());
   EXPECT_LT(res.flow, 1e-12);
 }
 
@@ -38,7 +37,7 @@ TEST(Kkt, DetectsPrimalViolations) {
   core::MultiplierState m(f.circuit);
   m.init_default(f.circuit);
   const auto res =
-      core::check_kkt(f.circuit, coupling, m, bounds, f.circuit.sizes(), kMode);
+      core::check_kkt(f.circuit, coupling, m, bounds, f.circuit.sizes());
   EXPECT_GT(res.primal_delay, 1.0);
   EXPECT_GT(res.primal_power, 1.0);
   EXPECT_GT(res.primal_noise, 1.0);
@@ -48,12 +47,12 @@ TEST(Kkt, DetectsNonStationarySizes) {
   auto f = Fig1Circuit::make();
   f.circuit.set_uniform_size(1.0);  // arbitrary point: not a fixpoint
   const auto coupling = f.make_coupling();
-  const auto bounds = core::derive_bounds(f.circuit, coupling, f.circuit.sizes(),
-                                          kMode, core::BoundFactors{});
+  const auto bounds =
+      core::derive_bounds(f.circuit, coupling, f.circuit.sizes(), core::BoundFactors{});
   core::MultiplierState m(f.circuit);
   m.init_default(f.circuit);
   const auto res =
-      core::check_kkt(f.circuit, coupling, m, bounds, f.circuit.sizes(), kMode);
+      core::check_kkt(f.circuit, coupling, m, bounds, f.circuit.sizes());
   EXPECT_GT(res.stationarity, 0.01);
 }
 
@@ -61,8 +60,8 @@ TEST(Kkt, SmallResidualsAtOgwsSolution) {
   auto f = Fig1Circuit::make();
   f.circuit.set_uniform_size(1.0);
   const auto coupling = f.make_coupling();
-  const auto bounds = core::derive_bounds(f.circuit, coupling, f.circuit.sizes(),
-                                          kMode, core::BoundFactors{});
+  const auto bounds =
+      core::derive_bounds(f.circuit, coupling, f.circuit.sizes(), core::BoundFactors{});
   const auto result = core::run_ogws(f.circuit, coupling, bounds);
   ASSERT_TRUE(result.converged);
 
@@ -70,8 +69,7 @@ TEST(Kkt, SmallResidualsAtOgwsSolution) {
   // here we verify the primal side: feasibility within tolerance.
   core::MultiplierState m(f.circuit);
   m.init_default(f.circuit);
-  const auto res = core::check_kkt(f.circuit, coupling, m, bounds, result.sizes,
-                                   kMode);
+  const auto res = core::check_kkt(f.circuit, coupling, m, bounds, result.sizes);
   EXPECT_LT(res.primal_delay, 0.02);
   EXPECT_LT(res.primal_power, 0.02);
   EXPECT_LT(res.primal_noise, 0.02);

@@ -16,7 +16,6 @@ namespace {
 using namespace lrsizer;
 using lrsizer::test_support::Fig1Circuit;
 
-constexpr auto kMode = timing::CouplingLoadMode::kLocalOnly;
 
 struct Harness {
   Fig1Circuit f = Fig1Circuit::make();
@@ -31,8 +30,7 @@ struct Harness {
     factors.delay = 1.1;
     factors.power = 0.5;
     factors.noise = 0.5;
-    bounds = core::derive_bounds(f.circuit, coupling, f.circuit.sizes(), kMode,
-                                 factors);
+    bounds = core::derive_bounds(f.circuit, coupling, f.circuit.sizes(), factors);
     multipliers.init_default(f.circuit);
     const double scale =
         timing::total_area(f.circuit, f.circuit.sizes()) / bounds.delay_s;
@@ -44,7 +42,7 @@ struct Harness {
                const core::NoiseMultipliers& gamma = 0.0) const {
     return core::lagrangian_value(f.circuit, coupling, x, mu,
                                   multipliers.sink_mu(f.circuit), beta, gamma,
-                                  bounds, kMode);
+                                  bounds);
   }
 };
 
@@ -53,7 +51,7 @@ TEST(Lagrangian, ReducesToAreaPlusWeightedDelayAtZeroBetaGamma) {
   const auto& x = s.f.circuit.sizes();
   // Compute the expected value by hand: Σαx + Σ μ_i D_i − μ_sink·A0.
   timing::LoadAnalysis loads;
-  timing::compute_loads(s.f.circuit, s.coupling, x, kMode, loads);
+  timing::compute_loads(s.f.circuit, s.coupling, x, loads);
   double expected = timing::total_area(s.f.circuit, x);
   for (netlist::NodeId v = 1; v < s.f.circuit.sink(); ++v) {
     const auto i = static_cast<std::size_t>(v);
@@ -124,7 +122,7 @@ TEST(Lagrangian, WeakDualityAgainstRandomFeasiblePoints) {
       x[static_cast<std::size_t>(v)] =
           std::exp(rng.uniform(std::log(0.1), std::log(4.0)));
     }
-    const auto m = timing::compute_metrics(s.f.circuit, s.coupling, x, kMode);
+    const auto m = timing::compute_metrics(s.f.circuit, s.coupling, x);
     if (m.delay_s > s.bounds.delay_s || m.cap_f > s.bounds.cap_f ||
         m.noise_f > s.bounds.noise_f) {
       continue;

@@ -1,10 +1,18 @@
-// Load passes: hand-computed π-model values on the chain circuit, coupling
-// attachment modes, C' exclusion rules.
+// Load passes: hand-computed π-model values on the chain circuit, where
+// coupling attaches (decision D4: on the victim only), C' exclusion rules.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <string>
+
+#include "layout/channels.hpp"
 #include "layout/neighbors.hpp"
+#include "netlist/elaborator.hpp"
+#include "netlist/generator.hpp"
 #include "test_helpers.hpp"
 #include "timing/loads.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -19,8 +27,7 @@ TEST(Loads, HandComputedChainAtUnitSizes) {
   const auto coupling = test_support::no_coupling(c.circuit);
 
   timing::LoadAnalysis loads;
-  timing::compute_loads(c.circuit, coupling, c.circuit.sizes(),
-                        timing::CouplingLoadMode::kLocalOnly, loads);
+  timing::compute_loads(c.circuit, coupling, c.circuit.sizes(), loads);
 
   // w2 (300 µm, PO with C_L): half-cap + load.
   const double c_w2 = tech.wire_cap_per_um * 300.0;
@@ -57,8 +64,7 @@ TEST(Loads, GateIsolatesDownstreamStage) {
   c.circuit.set_uniform_size(1.0);
   const auto coupling = test_support::no_coupling(c.circuit);
   timing::LoadAnalysis loads;
-  timing::compute_loads(c.circuit, coupling, c.circuit.sizes(),
-                        timing::CouplingLoadMode::kLocalOnly, loads);
+  timing::compute_loads(c.circuit, coupling, c.circuit.sizes(), loads);
   const auto i_d = static_cast<std::size_t>(c.driver);
   EXPECT_LT(loads.cap_delay[i_d], 6e-15);  // w1 caps + 0.16 fF, not 20 fF C_L
 }
@@ -70,15 +76,13 @@ TEST(Loads, CapPrimeExcludesOwnSizeTerms) {
   f.circuit.set_uniform_size(1.0);
   const auto coupling = f.make_coupling();
   timing::LoadAnalysis base;
-  timing::compute_loads(f.circuit, coupling, f.circuit.sizes(),
-                        timing::CouplingLoadMode::kLocalOnly, base);
+  timing::compute_loads(f.circuit, coupling, f.circuit.sizes(), base);
 
   const netlist::NodeId w = f.wires[3];  // coupled wire in channel 2
   auto x = f.circuit.sizes();
   x[static_cast<std::size_t>(w)] = 2.0;
   timing::LoadAnalysis bumped;
-  timing::compute_loads(f.circuit, coupling, x,
-                        timing::CouplingLoadMode::kLocalOnly, bumped);
+  timing::compute_loads(f.circuit, coupling, x, bumped);
 
   EXPECT_NEAR(bumped.cap_prime[static_cast<std::size_t>(w)],
               base.cap_prime[static_cast<std::size_t>(w)], 1e-24);
@@ -93,11 +97,9 @@ TEST(Loads, CouplingEntersVictimDelayCap) {
   const auto coupled = f.make_coupling();
 
   timing::LoadAnalysis without;
-  timing::compute_loads(f.circuit, uncoupled, f.circuit.sizes(),
-                        timing::CouplingLoadMode::kLocalOnly, without);
+  timing::compute_loads(f.circuit, uncoupled, f.circuit.sizes(), without);
   timing::LoadAnalysis with;
-  timing::compute_loads(f.circuit, coupled, f.circuit.sizes(),
-                        timing::CouplingLoadMode::kLocalOnly, with);
+  timing::compute_loads(f.circuit, coupled, f.circuit.sizes(), with);
 
   const auto i = static_cast<std::size_t>(f.wires[1]);  // w2: two neighbors
   double expected_extra = 0.0;
@@ -107,25 +109,61 @@ TEST(Loads, CouplingEntersVictimDelayCap) {
   EXPECT_NEAR(with.cap_delay[i] - without.cap_delay[i], expected_extra, 1e-21);
 }
 
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
 TEST(Loads, LocalOnlyHidesCouplingFromUpstream) {
-  auto f = Fig1Circuit::make();
-  f.circuit.set_uniform_size(1.0);
-  const auto coupling = f.make_coupling();
+  // Decision D4 as a property: coupling capacitance loads only the victim
+  // wire's own delay. Against a load pass with no coupling pairs at all, at
+  // random sizes in the box, every load_in and every gate's and driver's
+  // C_i and C'_i are the same bits, and a wire's C_i and C'_i differ by
+  // exactly its coupling terms: Σ c̃ + Σ ĉ (x_i + x_j) and Σ c̃.
+  for (const char* profile : {"c432", "c880"}) {
+    for (int seed = 1; seed <= 5; ++seed) {
+      SCOPED_TRACE(std::string(profile) + " seed " + std::to_string(seed));
+      const auto spec = netlist::spec_for_profile(profile, seed);
+      const auto logic = netlist::generate_circuit(spec);
+      const auto elab = netlist::elaborate(logic, netlist::TechParams{}, spec.elab);
+      const netlist::Circuit& circuit = elab.circuit;
+      const auto channels = layout::assign_channels(circuit, elab.net_of_node, logic);
+      const auto coupling = layout::build_coupling_set(circuit, channels.channels,
+                                                       layout::NeighborOptions{});
+      ASSERT_FALSE(coupling.pairs().empty());
 
-  timing::LoadAnalysis local;
-  timing::compute_loads(f.circuit, coupling, f.circuit.sizes(),
-                        timing::CouplingLoadMode::kLocalOnly, local);
-  timing::LoadAnalysis prop;
-  timing::compute_loads(f.circuit, coupling, f.circuit.sizes(),
-                        timing::CouplingLoadMode::kPropagateUpstream, prop);
+      util::Rng rng(static_cast<std::uint64_t>(seed));
+      std::vector<double> x(static_cast<std::size_t>(circuit.num_nodes()), 0.0);
+      for (netlist::NodeId v = circuit.first_component(); v < circuit.end_component(); ++v) {
+        const double lo = circuit.lower_bound(v);
+        x[static_cast<std::size_t>(v)] =
+            lo * std::pow(circuit.upper_bound(v) / lo, rng.next_double());
+      }
+      timing::LoadAnalysis coupled;
+      timing::compute_loads(circuit, coupling, x, coupled);
+      timing::LoadAnalysis bare;
+      timing::compute_loads(circuit, test_support::no_coupling(circuit), x, bare);
 
-  // w1 couples to w2; its parent is driver d1. In local mode the driver's
-  // load is coupling-free, in propagate mode it is strictly larger.
-  const auto i_d1 = static_cast<std::size_t>(f.drivers[0]);
-  EXPECT_GT(prop.cap_delay[i_d1], local.cap_delay[i_d1]);
-  // The victim's own delay cap is identical in both modes.
-  const auto i_w1 = static_cast<std::size_t>(f.wires[0]);
-  EXPECT_NEAR(prop.cap_delay[i_w1], local.cap_delay[i_w1], 1e-24);
+      for (netlist::NodeId v = 1; v < circuit.sink(); ++v) {
+        const auto i = static_cast<std::size_t>(v);
+        EXPECT_TRUE(same_bits(coupled.load_in[i], bare.load_in[i])) << "node " << v;
+        if (!circuit.is_wire(v)) {
+          EXPECT_TRUE(same_bits(coupled.cap_delay[i], bare.cap_delay[i])) << "node " << v;
+          EXPECT_TRUE(same_bits(coupled.cap_prime[i], bare.cap_prime[i])) << "node " << v;
+          continue;
+        }
+        double c_tilde = 0.0;  // Σ c̃_ij
+        double c_hat = 0.0;    // Σ ĉ_ij (x_i + x_j)
+        for (const auto& nb : coupling.neighbors(v)) {
+          c_tilde += nb.c_tilde;
+          c_hat += nb.c_hat * (x[i] + x[static_cast<std::size_t>(nb.other)]);
+        }
+        EXPECT_NEAR(coupled.cap_delay[i] - bare.cap_delay[i], c_tilde + c_hat,
+                    1e-12 * coupled.cap_delay[i])
+            << "wire " << v;
+        EXPECT_NEAR(coupled.cap_prime[i] - bare.cap_prime[i], c_tilde,
+                    1e-12 * coupled.cap_prime[i])
+            << "wire " << v;
+      }
+    }
+  }
 }
 
 TEST(Loads, NeighborSizeRaisesVictimLoad) {
@@ -133,14 +171,12 @@ TEST(Loads, NeighborSizeRaisesVictimLoad) {
   f.circuit.set_uniform_size(1.0);
   const auto coupling = f.make_coupling();
   timing::LoadAnalysis base;
-  timing::compute_loads(f.circuit, coupling, f.circuit.sizes(),
-                        timing::CouplingLoadMode::kLocalOnly, base);
+  timing::compute_loads(f.circuit, coupling, f.circuit.sizes(), base);
 
   auto x = f.circuit.sizes();
   x[static_cast<std::size_t>(f.wires[1])] = 4.0;  // fatten w2
   timing::LoadAnalysis bumped;
-  timing::compute_loads(f.circuit, coupling, x,
-                        timing::CouplingLoadMode::kLocalOnly, bumped);
+  timing::compute_loads(f.circuit, coupling, x, bumped);
 
   // w1's delay cap grows by ĉ_12 * Δx_2.
   const auto i_w1 = static_cast<std::size_t>(f.wires[0]);
@@ -155,8 +191,7 @@ TEST(Loads, FanoutSumsChildLoads) {
   f.circuit.set_uniform_size(1.0);
   const auto coupling = test_support::no_coupling(f.circuit);
   timing::LoadAnalysis loads;
-  timing::compute_loads(f.circuit, coupling, f.circuit.sizes(),
-                        timing::CouplingLoadMode::kLocalOnly, loads);
+  timing::compute_loads(f.circuit, coupling, f.circuit.sizes(), loads);
   // gate A drives w4 and w5: its delay cap is the sum of both wire loads.
   const auto i = static_cast<std::size_t>(f.gates[0]);
   EXPECT_NEAR(loads.cap_delay[i],

@@ -76,7 +76,7 @@ TEST(Lrs, FixpointSatisfiesTheorem5) {
   core::run_lrs(f.circuit, coupling, mu, 1e10, 1e10, options, x, ws);
 
   timing::LoadAnalysis loads;
-  timing::compute_loads(f.circuit, coupling, x, options.mode, loads);
+  timing::compute_loads(f.circuit, coupling, x, loads);
   std::vector<double> r_up;
   timing::compute_weighted_upstream(f.circuit, x, mu, r_up);
   for (netlist::NodeId v = f.circuit.first_component(); v < f.circuit.end_component();
@@ -107,7 +107,6 @@ TEST(Lrs, InteriorStationarityAgainstNumericGradient) {
   options.max_passes = 1000;
   core::run_lrs(f.circuit, coupling, mu, 1e9, 0.0, options, x, ws);
 
-  const auto mode = options.mode;
   for (netlist::NodeId v = f.circuit.first_component(); v < f.circuit.end_component();
        ++v) {
     const auto i = static_cast<std::size_t>(v);
@@ -119,12 +118,12 @@ TEST(Lrs, InteriorStationarityAgainstNumericGradient) {
     xp[i] += h;
     auto xm = x;
     xm[i] -= h;
-    const double lp = core::lagrangian_value(f.circuit, coupling, xp, mu, 1.0, 1e9,
-                                             0.0, bounds, mode);
-    const double lm = core::lagrangian_value(f.circuit, coupling, xm, mu, 1.0, 1e9,
-                                             0.0, bounds, mode);
-    const double l0 = core::lagrangian_value(f.circuit, coupling, x, mu, 1.0, 1e9,
-                                             0.0, bounds, mode);
+    const double lp =
+        core::lagrangian_value(f.circuit, coupling, xp, mu, 1.0, 1e9, 0.0, bounds);
+    const double lm =
+        core::lagrangian_value(f.circuit, coupling, xm, mu, 1.0, 1e9, 0.0, bounds);
+    const double l0 =
+        core::lagrangian_value(f.circuit, coupling, x, mu, 1.0, 1e9, 0.0, bounds);
     EXPECT_LT(std::abs(lp - lm) / (2.0 * h), 1e-4 * std::abs(l0) / x[i])
         << "gradient not ~0 at node " << v;
   }
@@ -143,8 +142,8 @@ TEST(Lrs, GlobalMinimumOfSubproblem) {
   options.tol = 1e-9;
   options.max_passes = 500;
   core::run_lrs(f.circuit, coupling, mu, 1e9, 0.0, options, x, ws);
-  const double l_opt = core::lagrangian_value(f.circuit, coupling, x, mu, 1.0, 1e9,
-                                              0.0, bounds, options.mode);
+  const double l_opt =
+      core::lagrangian_value(f.circuit, coupling, x, mu, 1.0, 1e9, 0.0, bounds);
 
   util::Rng rng(17);
   for (int trial = 0; trial < 200; ++trial) {
@@ -154,8 +153,8 @@ TEST(Lrs, GlobalMinimumOfSubproblem) {
       xr[static_cast<std::size_t>(v)] =
           std::exp(rng.uniform(std::log(0.1), std::log(10.0)));
     }
-    const double lr = core::lagrangian_value(f.circuit, coupling, xr, mu, 1.0, 1e9,
-                                             0.0, bounds, options.mode);
+    const double lr =
+        core::lagrangian_value(f.circuit, coupling, xr, mu, 1.0, 1e9, 0.0, bounds);
     EXPECT_GE(lr, l_opt - 1e-9 * std::abs(l_opt));
   }
 }
@@ -172,16 +171,16 @@ TEST(Lrs, WarmStartReachesSameFixpoint) {
   auto x_cold = f.circuit.sizes();
   core::run_lrs(f.circuit, coupling, mu, 0.0, 0.0, cold, x_cold, ws);
 
-  core::LrsOptions warm = cold;
-  warm.warm_start = true;
+  // Perturb, then re-solve on the same workspace: a later call resumes from
+  // the incoming x.
   auto x_warm = x_cold;
-  for (auto& v : x_warm) v *= 1.5;  // perturb, then re-solve warm
+  for (auto& v : x_warm) v *= 1.5;
   for (netlist::NodeId v = f.circuit.first_component(); v < f.circuit.end_component();
        ++v) {
     auto& xv = x_warm[static_cast<std::size_t>(v)];
     xv = std::clamp(xv, f.circuit.lower_bound(v), f.circuit.upper_bound(v));
   }
-  core::run_lrs(f.circuit, coupling, mu, 0.0, 0.0, warm, x_warm, ws);
+  core::run_lrs(f.circuit, coupling, mu, 0.0, 0.0, cold, x_warm, ws);
 
   for (std::size_t i = 0; i < x_cold.size(); ++i) {
     EXPECT_NEAR(x_warm[i], x_cold[i], 1e-4 * std::max(1.0, x_cold[i]));

@@ -8,11 +8,11 @@
 //     that reuses them returns exactly what a fresh workspace would, and
 //     every call returns what a full load pass after every walk returns;
 //   - at the returned x every component is stationary within tol against
-//     fresh analyses, under both coupling-load modes and per-net γ;
+//     fresh analyses, under the total and per-net γ;
 //   - a call handed an edited x re-converges to the same fixpoint;
 //   - the clamp shortcut returns what the sqrt path returns;
-//   - whole OGWS runs on it return what the dense sweep it replaced returned,
-//     across profiles, both coupling-load modes and both noise-bound shapes.
+//   - whole OGWS runs on it return the recorded rows, across profiles, noise
+//     bounds and both noise-bound shapes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,9 +38,6 @@ namespace {
 
 using namespace lrsizer;
 
-constexpr auto kLocal = timing::CouplingLoadMode::kLocalOnly;
-constexpr auto kUpstream = timing::CouplingLoadMode::kPropagateUpstream;
-
 struct Problem {
   netlist::Circuit circuit;
   layout::CouplingSet coupling;
@@ -58,12 +55,13 @@ Problem build_problem(const std::string& profile, int seed) {
   return Problem{std::move(elab.circuit), std::move(coupling)};
 }
 
-/// Bounds derived at the problem's uniform size 1, with a per-net noise
-/// share when `per_net` > 0.
-core::Bounds bounds_for(const Problem& p, timing::CouplingLoadMode mode, double per_net) {
+/// Bounds derived at the problem's uniform size 1 with noise factor
+/// `noise`, and a per-net noise share when `per_net` > 0.
+core::Bounds bounds_for(const Problem& p, double noise, double per_net) {
   core::BoundFactors factors;
+  factors.noise = noise;
   factors.per_net_noise = per_net;
-  return core::derive_bounds(p.circuit, p.coupling, p.circuit.sizes(), mode, factors);
+  return core::derive_bounds(p.circuit, p.coupling, p.circuit.sizes(), factors);
 }
 
 /// μ vector the way the OGWS loop produces it (flow-conserving default λ),
@@ -90,19 +88,33 @@ void nudge(std::vector<double>& mu, int round) {
   for (std::size_t i = static_cast<std::size_t>(2 + round); i < mu.size(); i += 37) mu[i] *= f;
 }
 
+/// A workspace whose next call resumes from the x it is handed: a fresh
+/// workspace's first call starts at the lower bounds, so one short call on a
+/// scratch x spends it.
+core::LrsWorkspace primed_workspace(const Problem& p) {
+  core::LrsWorkspace ws;
+  std::vector<double> scratch = p.circuit.sizes();
+  const std::vector<double> mu(scratch.size(), 0.0);
+  core::LrsOptions one_pass;
+  one_pass.max_passes = 1;
+  core::run_lrs(p.circuit, p.coupling, mu, 0.0, 0.0, one_pass, scratch, ws);
+  return ws;
+}
+
 /// run_lrs with a full compute_loads after every forward walk, as the 0.18
 /// build ran it: the reference for the passes that write only C'. Starts
-/// from the lower bounds unless `options.warm_start`, as a fresh workspace
-/// does.
+/// from the lower bounds when `cold`, as a fresh workspace's first call
+/// does, and from the incoming x otherwise.
 core::LrsStats full_load_pass_lrs(const Problem& p, const std::vector<double>& mu, double beta,
                                   const core::NoiseMultipliers& gamma,
-                                  const core::LrsOptions& options, std::vector<double>& x) {
+                                  const core::LrsOptions& options, bool cold,
+                                  std::vector<double>& x) {
   const netlist::Circuit& circuit = p.circuit;
   std::vector<double> mu_res(x.size(), 0.0);
   std::vector<double> gamma_coef(x.size(), 0.0);
   for (netlist::NodeId v = circuit.first_component(); v < circuit.end_component(); ++v) {
     const auto i = static_cast<std::size_t>(v);
-    if (!options.warm_start) x[i] = circuit.lower_bound(v);
+    if (cold) x[i] = circuit.lower_bound(v);
     mu_res[i] = mu[i] * circuit.unit_res(v);
     for (const auto& nb : p.coupling.neighbors(v)) {
       gamma_coef[i] +=
@@ -110,7 +122,7 @@ core::LrsStats full_load_pass_lrs(const Problem& p, const std::vector<double>& m
     }
   }
   timing::LoadAnalysis loads;
-  timing::compute_loads(circuit, p.coupling, x, options.mode, loads);
+  timing::compute_loads(circuit, p.coupling, x, loads);
   std::vector<double> r_up(x.size(), 0.0);
   core::LrsStats stats;
   for (int pass = 0; pass < options.max_passes; ++pass) {
@@ -129,7 +141,7 @@ core::LrsStats full_load_pass_lrs(const Problem& p, const std::vector<double>& m
       max_rel_change = std::max(max_rel_change, std::abs(next - x[i]) / x[i]);
       x[i] = next;
     }
-    timing::compute_loads(circuit, p.coupling, x, options.mode, loads);
+    timing::compute_loads(circuit, p.coupling, x, loads);
     stats.passes = pass + 1;
     stats.max_rel_change = max_rel_change;
     if (max_rel_change < options.tol) break;
@@ -144,60 +156,52 @@ TEST(LrsSweep, HandedBackLoadsAreFreshAndResumedCallsMatchAFreshWorkspace) {
   // nudges), the loads the workspace hands back equal a fresh compute_loads
   // at the returned x, bit for bit, although only a call's last pass writes
   // C_i. A resumed call starts from those loads instead of a load pass, so
-  // it must return exactly what a fresh workspace warm-started from the
-  // same x returns: same sizes, same pass count. Every call also returns
-  // what a full load pass after every walk returns: same sizes, passes and
+  // it must return exactly what another workspace resuming from the same x
+  // returns: same sizes, same pass count. Every call also returns what a
+  // full load pass after every walk returns: same sizes, passes and
   // max_rel_change.
-  for (const auto mode : {kLocal, kUpstream}) {
-    SCOPED_TRACE(mode == kLocal ? "local" : "upstream");
-    const Problem p = build_problem("c499", 1);
-    auto mu = default_mu(p.circuit);
-    const auto gamma_net = sparse_gamma_net(mu.size());
-    const core::NoiseMultipliers gamma(0.125, &gamma_net);
-    core::LrsOptions options;
-    options.mode = mode;
-    core::LrsOptions warm = options;
-    warm.warm_start = true;
+  const Problem p = build_problem("c499", 1);
+  auto mu = default_mu(p.circuit);
+  const auto gamma_net = sparse_gamma_net(mu.size());
+  const core::NoiseMultipliers gamma(0.125, &gamma_net);
+  core::LrsOptions options;
 
-    core::LrsWorkspace ws;
-    std::vector<double> x = p.circuit.sizes();
-    for (int round = 0; round < 5; ++round) {
-      SCOPED_TRACE("call " + std::to_string(round));
-      if (round > 0) nudge(mu, round);
-      core::LrsOptions call = options;
-      call.max_passes = round == 0 ? 3 : options.max_passes;
-      const std::vector<double> x_in = x;
-      const auto stats = core::run_lrs(p.circuit, p.coupling, mu, 0.25, gamma, call, x, ws);
-      EXPECT_GE(stats.passes, 1);
-      if (round == 0) {  // the cut: the last pass did not meet S5
-        EXPECT_EQ(stats.passes, 3);
-        EXPECT_GE(stats.max_rel_change, options.tol);
-      }
-
-      timing::LoadAnalysis fresh;
-      timing::compute_loads(p.circuit, p.coupling, x, mode, fresh);
-      EXPECT_EQ(ws.loads.cap_delay, fresh.cap_delay);
-      EXPECT_EQ(ws.loads.cap_prime, fresh.cap_prime);
-      EXPECT_EQ(ws.loads.load_in, fresh.load_in);
-
-      core::LrsOptions reference = call;
-      reference.warm_start = round > 0;  // the cold call starts at L
-      std::vector<double> x_reference = x_in;
-      const auto reference_stats =
-          full_load_pass_lrs(p, mu, 0.25, gamma, reference, x_reference);
-      EXPECT_EQ(x_reference, x);
-      EXPECT_EQ(reference_stats.passes, stats.passes);
-      EXPECT_TRUE(same_bits(reference_stats.max_rel_change, stats.max_rel_change))
-          << reference_stats.max_rel_change << " vs " << stats.max_rel_change;
-
-      if (round == 0) continue;  // the cold call starts at L, not at x_in
-      core::LrsWorkspace fresh_ws;
-      std::vector<double> x_fresh = x_in;
-      const auto fresh_stats =
-          core::run_lrs(p.circuit, p.coupling, mu, 0.25, gamma, warm, x_fresh, fresh_ws);
-      EXPECT_EQ(x_fresh, x);
-      EXPECT_EQ(fresh_stats.passes, stats.passes);
+  core::LrsWorkspace ws;
+  std::vector<double> x = p.circuit.sizes();
+  for (int round = 0; round < 5; ++round) {
+    SCOPED_TRACE("call " + std::to_string(round));
+    if (round > 0) nudge(mu, round);
+    core::LrsOptions call = options;
+    call.max_passes = round == 0 ? 3 : options.max_passes;
+    const std::vector<double> x_in = x;
+    const auto stats = core::run_lrs(p.circuit, p.coupling, mu, 0.25, gamma, call, x, ws);
+    EXPECT_GE(stats.passes, 1);
+    if (round == 0) {  // the cut: the last pass did not meet S5
+      EXPECT_EQ(stats.passes, 3);
+      EXPECT_GE(stats.max_rel_change, options.tol);
     }
+
+    timing::LoadAnalysis fresh;
+    timing::compute_loads(p.circuit, p.coupling, x, fresh);
+    EXPECT_EQ(ws.loads.cap_delay, fresh.cap_delay);
+    EXPECT_EQ(ws.loads.cap_prime, fresh.cap_prime);
+    EXPECT_EQ(ws.loads.load_in, fresh.load_in);
+
+    std::vector<double> x_reference = x_in;
+    const auto reference_stats = full_load_pass_lrs(p, mu, 0.25, gamma, call,
+                                                    /*cold=*/round == 0, x_reference);
+    EXPECT_EQ(x_reference, x);
+    EXPECT_EQ(reference_stats.passes, stats.passes);
+    EXPECT_TRUE(same_bits(reference_stats.max_rel_change, stats.max_rel_change))
+        << reference_stats.max_rel_change << " vs " << stats.max_rel_change;
+
+    if (round == 0) continue;  // the cold call starts at L, not at x_in
+    core::LrsWorkspace other_ws = primed_workspace(p);
+    std::vector<double> x_other = x_in;
+    const auto other_stats =
+        core::run_lrs(p.circuit, p.coupling, mu, 0.25, gamma, options, x_other, other_ws);
+    EXPECT_EQ(x_other, x);
+    EXPECT_EQ(other_stats.passes, stats.passes);
   }
 }
 
@@ -206,46 +210,42 @@ TEST(LrsSweep, EveryComponentIsStationaryOnRandomizedCircuits) {
   // fresh R moves no component by tol or more: the S5 stop certifies the
   // whole circuit, not only the components the last pass happened to move.
   for (const int seed : {3, 5, 9}) {
-    for (const auto mode : {kLocal, kUpstream}) {
-      for (const bool per_net : {false, true}) {
-        SCOPED_TRACE("generator seed " + std::to_string(seed) +
-                     (mode == kLocal ? " local" : " upstream") +
-                     (per_net ? " per-net" : " total"));
-        const Problem p = build_problem("c432", seed);
-        auto mu = default_mu(p.circuit);
-        const auto gamma_net = sparse_gamma_net(mu.size());
-        const core::NoiseMultipliers gamma =
-            per_net ? core::NoiseMultipliers(0.125, &gamma_net) : core::NoiseMultipliers(0.125);
-        core::LrsOptions options;
-        options.mode = mode;
-        core::LrsWorkspace ws;
-        std::vector<double> x = p.circuit.sizes();
-        for (int round = 0; round < 3; ++round) {
-          if (round > 0) nudge(mu, round);
-          const auto stats =
-              core::run_lrs(p.circuit, p.coupling, mu, 0.25, gamma, options, x, ws);
-          ASSERT_LT(stats.max_rel_change, options.tol) << "call " << round;
+    for (const bool per_net : {false, true}) {
+      SCOPED_TRACE("generator seed " + std::to_string(seed) +
+                   (per_net ? " per-net" : " total"));
+      const Problem p = build_problem("c432", seed);
+      auto mu = default_mu(p.circuit);
+      const auto gamma_net = sparse_gamma_net(mu.size());
+      const core::NoiseMultipliers gamma =
+          per_net ? core::NoiseMultipliers(0.125, &gamma_net) : core::NoiseMultipliers(0.125);
+      core::LrsOptions options;
+      core::LrsWorkspace ws;
+      std::vector<double> x = p.circuit.sizes();
+      for (int round = 0; round < 3; ++round) {
+        if (round > 0) nudge(mu, round);
+        const auto stats =
+            core::run_lrs(p.circuit, p.coupling, mu, 0.25, gamma, options, x, ws);
+        ASSERT_LT(stats.max_rel_change, options.tol) << "call " << round;
 
-          timing::LoadAnalysis loads;
-          timing::compute_loads(p.circuit, p.coupling, x, mode, loads);
-          std::vector<double> r_up;
-          timing::compute_weighted_upstream(p.circuit, x, mu, r_up);
-          long long interior = 0;
-          for (netlist::NodeId v = p.circuit.first_component();
-               v < p.circuit.end_component(); ++v) {
-            const auto i = static_cast<std::size_t>(v);
-            interior += x[i] > p.circuit.lower_bound(v) && x[i] < p.circuit.upper_bound(v);
-            const double target = std::clamp(
-                core::optimal_resize(p.circuit, p.coupling, mu, 0.25, gamma, x, loads, r_up, v),
-                p.circuit.lower_bound(v), p.circuit.upper_bound(v));
-            EXPECT_LT(std::abs(target - x[i]) / x[i], options.tol)
-                << "node " << v << " after call " << round << ": x " << x[i] << " -> "
-                << target;
-          }
-          // Not vacuous: a good share of the components sit off their bounds.
-          EXPECT_GT(interior * 10, static_cast<long long>(p.circuit.num_components()))
-              << interior << " of " << p.circuit.num_components() << " interior";
+        timing::LoadAnalysis loads;
+        timing::compute_loads(p.circuit, p.coupling, x, loads);
+        std::vector<double> r_up;
+        timing::compute_weighted_upstream(p.circuit, x, mu, r_up);
+        long long interior = 0;
+        for (netlist::NodeId v = p.circuit.first_component(); v < p.circuit.end_component();
+             ++v) {
+          const auto i = static_cast<std::size_t>(v);
+          interior += x[i] > p.circuit.lower_bound(v) && x[i] < p.circuit.upper_bound(v);
+          const double target = std::clamp(
+              core::optimal_resize(p.circuit, p.coupling, mu, 0.25, gamma, x, loads, r_up, v),
+              p.circuit.lower_bound(v), p.circuit.upper_bound(v));
+          EXPECT_LT(std::abs(target - x[i]) / x[i], options.tol)
+              << "node " << v << " after call " << round << ": x " << x[i] << " -> "
+              << target;
         }
+        // Not vacuous: a good share of the components sit off their bounds.
+        EXPECT_GT(interior * 10, static_cast<long long>(p.circuit.num_components()))
+            << interior << " of " << p.circuit.num_components() << " interior";
       }
     }
   }
@@ -254,8 +254,8 @@ TEST(LrsSweep, EveryComponentIsStationaryOnRandomizedCircuits) {
 TEST(LrsSweep, EditedSizesReconvergeToTheSameFixpoint) {
   // A caller may hand the workspace back an x it edited. The call cannot
   // reuse the loads of the x it returned, so it starts with a load pass at
-  // the edited x: it returns exactly what a fresh workspace warm-started
-  // there returns, and that is the fixpoint the unedited solve reached.
+  // the edited x: it returns exactly what another workspace resuming there
+  // returns, and that is the fixpoint the unedited solve reached.
   const Problem p = build_problem("c880", 2);
   const auto mu = default_mu(p.circuit);
   const core::NoiseMultipliers gamma(0.125);
@@ -278,16 +278,14 @@ TEST(LrsSweep, EditedSizesReconvergeToTheSameFixpoint) {
     size = std::clamp(size * rng.uniform(0.5, 2.0), p.circuit.lower_bound(v),
                       p.circuit.upper_bound(v));
   }
-  core::LrsOptions warm = options;
-  warm.warm_start = true;
-  core::LrsWorkspace fresh_ws;
-  std::vector<double> x_fresh = x;
+  core::LrsWorkspace other_ws = primed_workspace(p);
+  std::vector<double> x_other = x;
   const auto edited = core::run_lrs(p.circuit, p.coupling, mu, 0.25, gamma, options, x, ws);
-  const auto fresh =
-      core::run_lrs(p.circuit, p.coupling, mu, 0.25, gamma, warm, x_fresh, fresh_ws);
+  const auto other =
+      core::run_lrs(p.circuit, p.coupling, mu, 0.25, gamma, options, x_other, other_ws);
   EXPECT_GT(edited.passes, 1);
-  EXPECT_EQ(edited.passes, fresh.passes);
-  EXPECT_EQ(x, x_fresh);
+  EXPECT_EQ(edited.passes, other.passes);
+  EXPECT_EQ(x, x_other);
   for (netlist::NodeId v = p.circuit.first_component(); v < p.circuit.end_component(); ++v) {
     const auto i = static_cast<std::size_t>(v);
     EXPECT_NEAR(x[i], fixpoint[i], 1e-6 * fixpoint[i]) << "node " << v;
@@ -295,23 +293,25 @@ TEST(LrsSweep, EditedSizesReconvergeToTheSameFixpoint) {
 }
 
 TEST(LrsSweep, OgwsRunsMatchTheRecordedRowsAcrossProfilesModesAndBounds) {
-  // Whole OGWS runs on the one sweep, over ISCAS profiles under every
-  // (coupling mode × bound shape) combination plus seeded generator
-  // variants, pinned to rows recorded from the 0.17 build (the one sweep
-  // with the dual-following step scale): the same verdict, iteration counts
-  // within 5, area within 1e-4 and violation within 1e-3. Until 0.16 the rows
-  // were the dense Gauss-Seidel sweep's, which the one sweep matched within
-  // these tolerances. The three unconverged rows at generator seed 1 were
-  // re-recorded from the 0.21 build, whose LRS stops at tol 1e-2 instead of
-  // 1e-4: their areas moved 1.0-1.6e-4, their iteration counts not at all.
-  // The kLocalOnly bounds derived at uniform size 1 are out of reach, so
-  // those runs end at the weak-duality stop, unconverged. Every iteration's
-  // LRS evaluates every component on every pass, and a converged run's sizes
+  // Whole OGWS runs on the one sweep, over ISCAS profiles under two noise
+  // bounds (factor 0.1 and 0.2) and both bound shapes plus seeded generator
+  // variants, pinned to recorded rows: the same verdict, iteration counts
+  // within 5, area within 1e-4 and violation within 1e-3. The noise-0.1 rows
+  // were recorded from the 0.17 build (the one sweep with the
+  // dual-following step scale); until 0.16 they were the dense Gauss-Seidel
+  // sweep's, which the one sweep matched within these tolerances. The three
+  // unconverged rows at generator seed 1 were re-recorded from the 0.21
+  // build, whose LRS stops at tol 1e-2 instead of 1e-4: their areas moved
+  // 1.0-1.6e-4, their iteration counts not at all. The noise-0.1 bounds
+  // derived at uniform size 1 are out of reach, so those runs end at the
+  // weak-duality stop, unconverged. The noise-0.2 rows, recorded from the
+  // 0.21 build, converge, so the KKT check below runs. Every iteration's LRS
+  // evaluates every component on every pass, and a converged run's sizes
   // meet the KKT primal conditions under its own best-dual multipliers.
   struct Config {
     const char* profile;
     int seed;
-    timing::CouplingLoadMode mode;
+    double noise;
     double per_net;
     bool converged;
     int iterations;
@@ -319,24 +319,22 @@ TEST(LrsSweep, OgwsRunsMatchTheRecordedRowsAcrossProfilesModesAndBounds) {
     double max_violation;
   };
   const Config configs[] = {
-      {"c432", 1, kLocal, 0.0, false, 19, 13739.265900697534, 0.07268773487951527},
-      {"c432", 1, kLocal, 0.5, false, 19, 13841.582363882846, 0.071157052351417158},
-      {"c432", 1, kUpstream, 0.0, true, 20, 3613.2172853547795, 0.0057220635448668846},
-      {"c432", 1, kUpstream, 0.5, true, 20, 3613.2152643840768, 0.0057330952162790716},
-      {"c499", 1, kLocal, 0.0, false, 14, 30853.14485708651, 0.079227893765785595},
-      {"c499", 1, kUpstream, 0.5, true, 14, 7773.3351029138366, 0.0045261556778490187},
-      {"c432", 7, kUpstream, 0.0, true, 18, 3316.0545734820153, 0.0038370068708773477},
-      {"c499", 13, kLocal, 0.5, false, 20, 28248.087481692703, 0.056487142067366901},
+      {"c432", 1, 0.1, 0.0, false, 19, 13739.265900697534, 0.07268773487951527},
+      {"c432", 1, 0.1, 0.5, false, 19, 13841.582363882846, 0.071157052351417158},
+      {"c432", 1, 0.2, 0.0, true, 14, 3211.2281657842072, 0.0095584102085486591},
+      {"c432", 1, 0.2, 0.5, true, 13, 3197.1547106727858, 0.0089379101001062812},
+      {"c499", 1, 0.1, 0.0, false, 14, 30853.14485708651, 0.079227893765785595},
+      {"c499", 1, 0.2, 0.5, true, 47, 7332.3635951162987, 0.00095692367983859843},
+      {"c432", 7, 0.2, 0.0, true, 23, 2562.1446446428731, 0.0},
+      {"c499", 13, 0.1, 0.5, false, 20, 28248.087481692703, 0.056487142067366901},
   };
   for (const auto& cfg : configs) {
-    SCOPED_TRACE(std::string(cfg.profile) + " seed " + std::to_string(cfg.seed) +
-                 (cfg.mode == kLocal ? " local" : " upstream") + " per_net " +
-                 std::to_string(cfg.per_net));
+    SCOPED_TRACE(std::string(cfg.profile) + " seed " + std::to_string(cfg.seed) + " noise " +
+                 std::to_string(cfg.noise) + " per_net " + std::to_string(cfg.per_net));
     const Problem p = build_problem(cfg.profile, cfg.seed);
-    const core::Bounds bounds = bounds_for(p, cfg.mode, cfg.per_net);
+    const core::Bounds bounds = bounds_for(p, cfg.noise, cfg.per_net);
     core::OgwsOptions options;
     options.max_iterations = 60;
-    options.lrs.mode = cfg.mode;
     core::OgwsControl control;
     control.capture_warm_start = true;
     const auto result = core::run_ogws(p.circuit, p.coupling, bounds, options, control);
@@ -363,7 +361,7 @@ TEST(LrsSweep, OgwsRunsMatchTheRecordedRowsAcrossProfilesModesAndBounds) {
     m.beta = result.warm.beta;
     m.gamma = result.warm.gamma;
     m.gamma_net = result.warm.gamma_net;
-    const auto kkt = core::check_kkt(p.circuit, p.coupling, m, bounds, result.sizes, cfg.mode);
+    const auto kkt = core::check_kkt(p.circuit, p.coupling, m, bounds, result.sizes);
     EXPECT_LE(kkt.flow, 1e-9);
     EXPECT_LE(kkt.primal_delay, 0.011);
     EXPECT_LE(kkt.primal_power, 0.011);

@@ -44,8 +44,7 @@ TEST(Metrics, PowerIsVSquaredFTimesCap) {
   auto c = ChainCircuit::make(tech);
   c.circuit.set_uniform_size(1.0);
   const auto coupling = test_support::no_coupling(c.circuit);
-  const auto m = timing::compute_metrics(c.circuit, coupling, c.circuit.sizes(),
-                                         timing::CouplingLoadMode::kLocalOnly);
+  const auto m = timing::compute_metrics(c.circuit, coupling, c.circuit.sizes());
   EXPECT_NEAR(m.power_w, tech.power_per_farad() * m.cap_f, 1e-18);
   EXPECT_NEAR(m.power_w, 3.3 * 3.3 * 200e6 * m.cap_f, 1e-18);
 }
@@ -67,8 +66,7 @@ TEST(Metrics, NoiseMatchesCouplingSet) {
   auto f = Fig1Circuit::make();
   f.circuit.set_uniform_size(1.0);
   const auto coupling = f.make_coupling();
-  const auto m = timing::compute_metrics(f.circuit, coupling, f.circuit.sizes(),
-                                         timing::CouplingLoadMode::kLocalOnly);
+  const auto m = timing::compute_metrics(f.circuit, coupling, f.circuit.sizes());
   EXPECT_DOUBLE_EQ(m.noise_f, coupling.noise_linear(f.circuit.sizes()));
   EXPECT_DOUBLE_EQ(m.noise_exact_f, coupling.noise_exact(f.circuit.sizes()));
   EXPECT_GT(m.noise_exact_f, m.noise_f);  // exact includes the constant term
@@ -78,16 +76,14 @@ TEST(Metrics, DelayMatchesArrivalAnalysis) {
   auto f = Fig1Circuit::make();
   f.circuit.set_uniform_size(1.0);
   const auto coupling = f.make_coupling();
-  const auto m = timing::compute_metrics(f.circuit, coupling, f.circuit.sizes(),
-                                         timing::CouplingLoadMode::kLocalOnly);
+  const auto m = timing::compute_metrics(f.circuit, coupling, f.circuit.sizes());
   EXPECT_GT(m.delay_s, 0.0);
   // Uniform down-sizing to 0.1: ĉ·x products are scale-free (r up 10x,
   // sized caps down 10x), but the constant caps (fringing, coupling c̃,
   // output loads) now see 10x the resistance — delay grows by a bounded
   // factor, well under the naive 10x.
   f.circuit.set_uniform_size(0.1);
-  const auto m01 = timing::compute_metrics(f.circuit, coupling, f.circuit.sizes(),
-                                           timing::CouplingLoadMode::kLocalOnly);
+  const auto m01 = timing::compute_metrics(f.circuit, coupling, f.circuit.sizes());
   EXPECT_LT(m01.delay_s, 8.0 * m.delay_s);
   EXPECT_GT(m01.delay_s, 0.3 * m.delay_s);
 }
@@ -96,12 +92,10 @@ TEST(Metrics, CouplingRaisesDelay) {
   auto f = Fig1Circuit::make();
   f.circuit.set_uniform_size(1.0);
   const auto with = timing::compute_metrics(f.circuit, f.make_coupling(),
-                                            f.circuit.sizes(),
-                                            timing::CouplingLoadMode::kLocalOnly);
+                                            f.circuit.sizes());
   const auto without = timing::compute_metrics(f.circuit,
                                                test_support::no_coupling(f.circuit),
-                                               f.circuit.sizes(),
-                                               timing::CouplingLoadMode::kLocalOnly);
+                                               f.circuit.sizes());
   EXPECT_GT(with.delay_s, without.delay_s);
   EXPECT_DOUBLE_EQ(with.area_um2, without.area_um2);
   EXPECT_DOUBLE_EQ(with.cap_f, without.cap_f);

@@ -28,7 +28,6 @@ using namespace lrsizer;
 using lrsizer::test_support::ChainCircuit;
 using lrsizer::test_support::Fig1Circuit;
 
-constexpr auto kMode = timing::CouplingLoadMode::kLocalOnly;
 
 struct Problem {
   netlist::Circuit circuit;
@@ -41,7 +40,7 @@ Problem chain_problem(const core::BoundFactors& factors) {
   c.circuit.set_uniform_size(1.0);
   auto coupling = test_support::no_coupling(c.circuit);
   const auto bounds =
-      core::derive_bounds(c.circuit, coupling, c.circuit.sizes(), kMode, factors);
+      core::derive_bounds(c.circuit, coupling, c.circuit.sizes(), factors);
   return Problem{std::move(c.circuit), std::move(coupling), bounds};
 }
 
@@ -50,7 +49,7 @@ Problem fig1_problem(const core::BoundFactors& factors) {
   f.circuit.set_uniform_size(1.0);
   auto coupling = f.make_coupling();
   const auto bounds =
-      core::derive_bounds(f.circuit, coupling, f.circuit.sizes(), kMode, factors);
+      core::derive_bounds(f.circuit, coupling, f.circuit.sizes(), factors);
   return Problem{std::move(f.circuit), std::move(coupling), bounds};
 }
 
@@ -65,7 +64,7 @@ TEST(Ogws, ConvergesOnFig1) {
 TEST(Ogws, SolutionIsFeasible) {
   auto p = fig1_problem(core::BoundFactors{});
   const auto result = core::run_ogws(p.circuit, p.coupling, p.bounds);
-  const auto m = timing::compute_metrics(p.circuit, p.coupling, result.sizes, kMode);
+  const auto m = timing::compute_metrics(p.circuit, p.coupling, result.sizes);
   EXPECT_LE(m.delay_s, p.bounds.delay_s * 1.02);
   EXPECT_LE(m.cap_f, p.bounds.cap_f * 1.02);
   EXPECT_LE(m.noise_f, p.bounds.noise_f * 1.02);
@@ -107,7 +106,7 @@ TEST(Ogws, MatchesBruteForceOnChain) {
         x[static_cast<std::size_t>(c0)] = a;
         x[static_cast<std::size_t>(c0 + 1)] = b;
         x[static_cast<std::size_t>(c0 + 2)] = c;
-        const auto m = timing::compute_metrics(p.circuit, p.coupling, x, kMode);
+        const auto m = timing::compute_metrics(p.circuit, p.coupling, x);
         if (m.delay_s <= p.bounds.delay_s && m.cap_f <= p.bounds.cap_f) {
           best_area = std::min(best_area, m.area_um2);
         }
@@ -119,7 +118,7 @@ TEST(Ogws, MatchesBruteForceOnChain) {
   core::OgwsOptions options;
   options.max_iterations = 600;
   const auto result = core::run_ogws(p.circuit, p.coupling, p.bounds, options);
-  const auto m = timing::compute_metrics(p.circuit, p.coupling, result.sizes, kMode);
+  const auto m = timing::compute_metrics(p.circuit, p.coupling, result.sizes);
   EXPECT_LE(m.delay_s, p.bounds.delay_s * 1.02);
   // Within 10% of the exhaustive optimum (grid resolution + 1% tolerance).
   EXPECT_LE(m.area_um2, best_area * 1.10);
@@ -132,7 +131,7 @@ TEST(Ogws, NoiseConstraintIsActiveAtTenPercent) {
   // final noise sits at the bound.
   auto p = fig1_problem(core::BoundFactors{});
   const auto result = core::run_ogws(p.circuit, p.coupling, p.bounds);
-  const auto m = timing::compute_metrics(p.circuit, p.coupling, result.sizes, kMode);
+  const auto m = timing::compute_metrics(p.circuit, p.coupling, result.sizes);
   EXPECT_LE(m.noise_f, p.bounds.noise_f * 1.02);
   EXPECT_GE(m.noise_f, p.bounds.noise_f * 0.5);  // not far below: bound binds
 }
@@ -146,8 +145,8 @@ TEST(Ogws, LooserNoiseBoundNeverIncreasesArea) {
   auto pl = fig1_problem(loose);
   const auto rt = core::run_ogws(pt.circuit, pt.coupling, pt.bounds);
   const auto rl = core::run_ogws(pl.circuit, pl.coupling, pl.bounds);
-  const auto mt = timing::compute_metrics(pt.circuit, pt.coupling, rt.sizes, kMode);
-  const auto ml = timing::compute_metrics(pl.circuit, pl.coupling, rl.sizes, kMode);
+  const auto mt = timing::compute_metrics(pt.circuit, pt.coupling, rt.sizes);
+  const auto ml = timing::compute_metrics(pl.circuit, pl.coupling, rl.sizes);
   EXPECT_LE(ml.area_um2, mt.area_um2 * 1.05);
 }
 
@@ -160,8 +159,8 @@ TEST(Ogws, TighterDelayBoundCostsArea) {
   auto pt = fig1_problem(tight);
   const auto rr = core::run_ogws(pr.circuit, pr.coupling, pr.bounds);
   const auto rt = core::run_ogws(pt.circuit, pt.coupling, pt.bounds);
-  const auto mr = timing::compute_metrics(pr.circuit, pr.coupling, rr.sizes, kMode);
-  const auto mt = timing::compute_metrics(pt.circuit, pt.coupling, rt.sizes, kMode);
+  const auto mr = timing::compute_metrics(pr.circuit, pr.coupling, rr.sizes);
+  const auto mt = timing::compute_metrics(pt.circuit, pt.coupling, rt.sizes);
   EXPECT_GE(mt.area_um2, mr.area_um2 * 0.999);
 }
 
@@ -443,7 +442,7 @@ TEST(Ogws, ReportedBestDualIsTheExactDualAtItsMultipliers) {
     ASSERT_LT(stats.max_rel_change, exact.tol) << name;
     const double dual =
         core::lagrangian_value(flow.circuit, flow.coupling, x, mu, m.sink_mu(flow.circuit),
-                               m.beta, m.gamma, flow.bounds, defaults.lrs.mode);
+                               m.beta, m.gamma, flow.bounds);
     EXPECT_LE(std::abs(flow.ogws.dual - dual), 1e-3 * defaults.gap_tol * flow.ogws.area)
         << name << ": reported " << flow.ogws.dual << ", exact " << dual;
   }

@@ -1,5 +1,5 @@
-// OGWS variants: the literal additive subgradient rule, coupling-load
-// modes, differentiated gates, a bound-factor sweep against exhaustive
+// OGWS variants: the literal additive subgradient rule, differentiated
+// gates, a bound-factor sweep against exhaustive
 // grid search on the chain circuit, and the dual step's bit-equality with a
 // step that calls pow() on every multiplier and projects in separate passes.
 #include <gtest/gtest.h>
@@ -27,21 +27,20 @@ using namespace lrsizer;
 using lrsizer::test_support::ChainCircuit;
 using lrsizer::test_support::Fig1Circuit;
 
-constexpr auto kMode = timing::CouplingLoadMode::kLocalOnly;
 
 TEST(OgwsVariants, AdditiveSubgradientReachesFeasibility) {
   auto f = Fig1Circuit::make();
   f.circuit.set_uniform_size(1.0);
   const auto coupling = f.make_coupling();
-  const auto bounds = core::derive_bounds(f.circuit, coupling, f.circuit.sizes(),
-                                          kMode, core::BoundFactors{});
+  const auto bounds =
+      core::derive_bounds(f.circuit, coupling, f.circuit.sizes(), core::BoundFactors{});
   core::OgwsOptions options;
   options.step_rule = core::StepRule::kSubgradient;
   options.step0 = 0.25;
   options.max_iterations = 400;
   const auto result = core::run_ogws(f.circuit, coupling, bounds, options);
   EXPECT_LE(result.max_violation, 0.02);
-  const auto m = timing::compute_metrics(f.circuit, coupling, result.sizes, kMode);
+  const auto m = timing::compute_metrics(f.circuit, coupling, result.sizes);
   EXPECT_LE(m.noise_f, bounds.noise_f * 1.02);
 }
 
@@ -49,8 +48,8 @@ TEST(OgwsVariants, BothRulesAgreeOnTheOptimum) {
   auto f = Fig1Circuit::make();
   f.circuit.set_uniform_size(1.0);
   const auto coupling = f.make_coupling();
-  const auto bounds = core::derive_bounds(f.circuit, coupling, f.circuit.sizes(),
-                                          kMode, core::BoundFactors{});
+  const auto bounds =
+      core::derive_bounds(f.circuit, coupling, f.circuit.sizes(), core::BoundFactors{});
   core::OgwsOptions mult;
   core::OgwsOptions sub;
   sub.step_rule = core::StepRule::kSubgradient;
@@ -58,28 +57,11 @@ TEST(OgwsVariants, BothRulesAgreeOnTheOptimum) {
   sub.max_iterations = 500;
   const auto a = core::run_ogws(f.circuit, coupling, bounds, mult);
   const auto b = core::run_ogws(f.circuit, coupling, bounds, sub);
-  const auto ma = timing::compute_metrics(f.circuit, coupling, a.sizes, kMode);
-  const auto mb = timing::compute_metrics(f.circuit, coupling, b.sizes, kMode);
+  const auto ma = timing::compute_metrics(f.circuit, coupling, a.sizes);
+  const auto mb = timing::compute_metrics(f.circuit, coupling, b.sizes);
   // The convex problem has one optimum; both searches must land within the
   // combined tolerance of it.
   EXPECT_NEAR(ma.area_um2, mb.area_um2, 0.06 * ma.area_um2);
-}
-
-TEST(OgwsVariants, PropagateUpstreamModeConvergesAndIsFeasible) {
-  auto f = Fig1Circuit::make();
-  f.circuit.set_uniform_size(1.0);
-  const auto coupling = f.make_coupling();
-  core::BoundFactors factors;
-  factors.delay = 1.1;  // the heavier load model needs a little slack
-  core::OgwsOptions options;
-  options.lrs.mode = timing::CouplingLoadMode::kPropagateUpstream;
-  const auto bounds = core::derive_bounds(f.circuit, coupling, f.circuit.sizes(),
-                                          options.lrs.mode, factors);
-  const auto result = core::run_ogws(f.circuit, coupling, bounds, options);
-  EXPECT_LE(result.max_violation, 0.02);
-  const auto m = timing::compute_metrics(f.circuit, coupling, result.sizes,
-                                         options.lrs.mode);
-  EXPECT_LE(m.delay_s, bounds.delay_s * 1.02);
 }
 
 TEST(OgwsVariants, FlowWithDifferentiatedGates) {
@@ -114,7 +96,7 @@ TEST_P(ChainBruteForce, OgwsWithinTenPercentOfGridOptimum) {
   factors.delay = delay_factor;
   factors.power = 0.6;
   const auto bounds =
-      core::derive_bounds(c.circuit, coupling, c.circuit.sizes(), kMode, factors);
+      core::derive_bounds(c.circuit, coupling, c.circuit.sizes(), factors);
 
   const int steps = 20;
   std::vector<double> grid(steps);
@@ -131,7 +113,7 @@ TEST_P(ChainBruteForce, OgwsWithinTenPercentOfGridOptimum) {
         x[static_cast<std::size_t>(c0)] = a;
         x[static_cast<std::size_t>(c0 + 1)] = b;
         x[static_cast<std::size_t>(c0 + 2)] = d;
-        const auto m = timing::compute_metrics(c.circuit, coupling, x, kMode);
+        const auto m = timing::compute_metrics(c.circuit, coupling, x);
         if (m.delay_s <= bounds.delay_s && m.cap_f <= bounds.cap_f) {
           best = std::min(best, m.area_um2);
         }
@@ -143,7 +125,7 @@ TEST_P(ChainBruteForce, OgwsWithinTenPercentOfGridOptimum) {
   core::OgwsOptions options;
   options.max_iterations = 600;
   const auto result = core::run_ogws(c.circuit, coupling, bounds, options);
-  const auto m = timing::compute_metrics(c.circuit, coupling, result.sizes, kMode);
+  const auto m = timing::compute_metrics(c.circuit, coupling, result.sizes);
   EXPECT_LE(m.delay_s, bounds.delay_s * 1.02);
   EXPECT_LE(m.area_um2, best * 1.10);
 }
@@ -303,7 +285,7 @@ TEST(OgwsVariants, DualStepMatchesPowEverywhereBitForBit) {
       core::BoundFactors factors;
       factors.per_net_noise = per_net;
       const auto bounds =
-          core::derive_bounds(circuit, coupling, circuit.sizes(), kMode, factors);
+          core::derive_bounds(circuit, coupling, circuit.sizes(), factors);
       ASSERT_EQ(bounds.per_net_enabled(), per_net > 0.0);
 
       // A few real iterations give multipliers and sizes off the start point.
@@ -326,7 +308,7 @@ TEST(OgwsVariants, DualStepMatchesPowEverywhereBitForBit) {
       state.gamma_net = run.warm.gamma_net;
       const std::vector<double>& x = run.sizes;
       timing::LoadAnalysis loads;
-      timing::compute_loads(circuit, coupling, x, kMode, loads);
+      timing::compute_loads(circuit, coupling, x, loads);
       timing::ArrivalAnalysis arrivals;
       timing::compute_arrivals(circuit, x, loads, arrivals);
       // One rounding step off on every 7th node, so some ratios sit a single

@@ -42,8 +42,7 @@ std::vector<timing::TimedPath> all_paths(const netlist::Circuit& c,
 timing::ArrivalAnalysis analyze(const netlist::Circuit& c,
                                 const layout::CouplingSet& coupling) {
   timing::LoadAnalysis loads;
-  timing::compute_loads(c, coupling, c.sizes(), timing::CouplingLoadMode::kLocalOnly,
-                        loads);
+  timing::compute_loads(c, coupling, c.sizes(), loads);
   timing::ArrivalAnalysis a;
   timing::compute_arrivals(c, c.sizes(), loads, a);
   return a;

@@ -13,7 +13,6 @@ namespace {
 using namespace lrsizer;
 using lrsizer::test_support::Fig1Circuit;
 
-constexpr auto kMode = timing::CouplingLoadMode::kLocalOnly;
 
 TEST(PerNet, OwnedPairsPartitionThePairSet) {
   const auto f = Fig1Circuit::make();
@@ -46,7 +45,7 @@ TEST(PerNet, DeriveBoundsFillsOwnersOnly) {
   core::BoundFactors factors;
   factors.per_net_noise = 0.2;
   const auto bounds =
-      core::derive_bounds(f.circuit, coupling, f.circuit.sizes(), kMode, factors);
+      core::derive_bounds(f.circuit, coupling, f.circuit.sizes(), factors);
   ASSERT_TRUE(bounds.per_net_enabled());
   for (netlist::NodeId v = 0; v < f.circuit.num_nodes(); ++v) {
     const auto i = static_cast<std::size_t>(v);
@@ -67,7 +66,7 @@ TEST(PerNet, OgwsSatisfiesEveryNetBound) {
   factors.noise = 0.5;          // loose total bound
   factors.per_net_noise = 0.2;  // binding distributed bounds
   const auto bounds =
-      core::derive_bounds(f.circuit, coupling, f.circuit.sizes(), kMode, factors);
+      core::derive_bounds(f.circuit, coupling, f.circuit.sizes(), factors);
   const auto result = core::run_ogws(f.circuit, coupling, bounds);
   for (netlist::NodeId v = 0; v < f.circuit.num_nodes(); ++v) {
     const auto i = static_cast<std::size_t>(v);

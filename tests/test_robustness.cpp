@@ -71,8 +71,7 @@ TEST(FailureDeath, LoadsRejectWrongSizeVector) {
   const auto coupling = test_support::no_coupling(c.circuit);
   std::vector<double> wrong(3, 1.0);  // must be num_nodes() long
   timing::LoadAnalysis loads;
-  EXPECT_DEATH(timing::compute_loads(c.circuit, coupling, wrong,
-                                     timing::CouplingLoadMode::kLocalOnly, loads),
+  EXPECT_DEATH(timing::compute_loads(c.circuit, coupling, wrong, loads),
                "x.size");
 }
 
@@ -137,10 +136,6 @@ TEST_P(FlowStress, InvariantsHoldUnderRandomOptions) {
   if (rng.bernoulli(0.3)) {
     options.bound_factors.per_net_noise = rng.uniform(0.2, 0.8);
   }
-  options.ogws.lrs.mode = rng.bernoulli(0.25)
-                              ? timing::CouplingLoadMode::kPropagateUpstream
-                              : timing::CouplingLoadMode::kLocalOnly;
-  options.ogws.lrs.warm_start = rng.bernoulli(0.3);
 
   const auto logic = netlist::generate_circuit(spec);
   const auto flow = test_support::run_flow(logic, options);

@@ -129,8 +129,11 @@ TEST(CacheKey, SweepOptionIsAcceptedIgnoredAndLeavesTheKeyAlone) {
     EXPECT_EQ(runtime::cache_key(request.size.job.netlist, request.size.job.options), key)
         << mode;
   }
-  EXPECT_EQ(runtime::canonical_options_json(core::FlowOptions{}).at("ogws").at("lrs").find("sweep"),
-            nullptr);
+  // Nor has it the load-mode and LRS warm-start keys that 0.22 dropped.
+  const Json canon = runtime::canonical_options_json(core::FlowOptions{});
+  for (const char* gone : {"sweep", "mode", "warm_start"}) {
+    EXPECT_EQ(canon.at("ogws").at("lrs").find(gone), nullptr) << gone;
+  }
 }
 
 // ---- ResultCache ------------------------------------------------------------
@@ -799,8 +802,9 @@ void serve_lines(serve::Server& server, serve::Server::ClientId client,
 /// mid-OGWS, for exactly as long as the test needs, however fast it would
 /// converge. Server::emit holds the client's mutex while it calls the sink,
 /// so nothing else reaches this client while the worker is parked. A line
-/// that needs an answer must come from another client; a cancel of an active
-/// job answers nothing, so it may come from this one. With jobs = 1 the
+/// that needs an answer must come from another client; a cancel of a running
+/// job answers nothing, so it may come from this one (a cancelled deduped
+/// follower answers at once, so its cancel may not). With jobs = 1 the
 /// parked worker also keeps every later job queued, as long as the parked
 /// job's circuit differs from theirs (an identical job would dedupe onto the
 /// parked run as a follower instead).
@@ -858,7 +862,10 @@ TEST(CacheKey, SolverRevisionMovesTheKeysThePreviousReleasePersisted) {
   const std::string key_0_15 = "n0bca2e6c9d14d0d5-e35d65159b012b322-o22872c6d9630f031";
   const std::string key_0_16 = "n0bca2e6c9d14d0d5-e35d65159b012b322-o24419d11ef3d275f";
   const std::string key_0_20 = "n0bca2e6c9d14d0d5-e35d65159b012b322-oc4b3eaf4257f7ffa";
-  for (const std::string& old_key : {key_0_13, key_0_15, key_0_16, key_0_20}) {
+  // 0.22 sizes exactly as 0.21 did; its key moved because the canon dropped
+  // two keys (lrs.mode and lrs.warm_start), not because of a solver revision.
+  const std::string key_0_21 = "n0bca2e6c9d14d0d5-e35d65159b012b322-o7ca9948050f1bae3";
+  for (const std::string& old_key : {key_0_13, key_0_15, key_0_16, key_0_20, key_0_21}) {
     EXPECT_EQ(key.substr(0, key.rfind("-o")), old_key.substr(0, old_key.rfind("-o")));
     EXPECT_NE(key, old_key);
   }
@@ -1535,6 +1542,45 @@ TEST(Server, DrainAnswersAFollowerAtItsDeadlineWhileItsOwnerRuns) {
   EXPECT_EQ(stats.timeouts, 1u);
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.cancelled, 1u);
+}
+
+TEST(Server, CancelAnswersAFollowerWhileItsOwnerIsQueued) {
+  // A deduped follower runs nothing of its own, so a cancel answers it
+  // `cancelled` at once, with no job, while its owner still waits in the
+  // queue behind a blocker that holds the only worker until it is cancelled.
+  // The owner then runs and answers its result; the follower shares nothing.
+  serve::ServerOptions options;
+  options.jobs = 1;
+  serve::Server server(options);
+  TimedLines timed;
+  const auto client = server.add_client(timed.sink());
+  ASSERT_TRUE(server.handle_line(client, long_deep_request("blocker")));
+  ASSERT_TRUE(server.handle_line(client, size_request("owner", "c432")));
+  ASSERT_TRUE(server.handle_line(client, size_request("follower", "c432")));
+  ASSERT_TRUE(server.handle_line(client, R"({"type":"cancel","id":"follower"})"));
+  const double follower_at = timed.at("cancelled", "follower");
+  ASSERT_TRUE(server.handle_line(client, R"({"type":"cancel","id":"blocker"})"));
+  server.drain();
+
+  EXPECT_GE(follower_at, 0.0) << "the cancel did not answer the follower";
+  EXPECT_LT(follower_at, timed.at("cancelled", "blocker"));
+  EXPECT_LT(follower_at, timed.at("result", "owner"));
+  std::vector<std::string> follower_lines;
+  {
+    const std::lock_guard<std::mutex> lock(timed.mutex);
+    for (const auto& [seconds, line] : timed.lines) {
+      if (line.at("id").as_string() != "follower") continue;
+      follower_lines.push_back(line.at("type").as_string());
+      if (line.at("type").as_string() == "cancelled") {
+        EXPECT_EQ(line.find("job"), nullptr);
+      }
+    }
+  }
+  EXPECT_EQ(follower_lines, (std::vector<std::string>{"accepted", "cancelled"}));
+  const serve::StatsSnapshot stats = server.stats_snapshot();
+  EXPECT_EQ(stats.cancelled, 2u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.cache_hits, 0u);
 }
 
 TEST(Server, DrainRefusesNewWorkFinishesInFlightAndReportsState) {

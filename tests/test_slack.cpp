@@ -21,8 +21,7 @@ struct Analyzed {
 Analyzed analyze(const netlist::Circuit& circuit, const layout::CouplingSet& coupling,
                  double bound) {
   Analyzed a;
-  timing::compute_loads(circuit, coupling, circuit.sizes(),
-                        timing::CouplingLoadMode::kLocalOnly, a.loads);
+  timing::compute_loads(circuit, coupling, circuit.sizes(), a.loads);
   timing::compute_arrivals(circuit, circuit.sizes(), a.loads, a.arrivals);
   timing::compute_slacks(circuit, a.arrivals, bound, a.slacks);
   return a;

@@ -13,7 +13,6 @@ using namespace lrsizer;
 using lrsizer::test_support::ChainCircuit;
 using lrsizer::test_support::Fig1Circuit;
 
-constexpr auto kMode = timing::CouplingLoadMode::kLocalOnly;
 
 TEST(Tilos, TrivialBoundNeedsNoMoves) {
   auto c = ChainCircuit::make();
@@ -34,7 +33,7 @@ TEST(Tilos, MeetsAReachableBound) {
   // Bound: delay at uniform size 1 (reachable: min sizes are slower).
   f.circuit.set_uniform_size(1.0);
   const double bound =
-      timing::compute_metrics(f.circuit, coupling, f.circuit.sizes(), kMode).delay_s;
+      timing::compute_metrics(f.circuit, coupling, f.circuit.sizes()).delay_s;
   const auto result = core::run_tilos(f.circuit, coupling, bound);
   EXPECT_TRUE(result.met_bound);
   EXPECT_GT(result.moves, 0);
@@ -47,7 +46,7 @@ TEST(Tilos, SizesStayInBox) {
   f.circuit.set_uniform_size(1.0);
   const double bound =
       0.9 *
-      timing::compute_metrics(f.circuit, coupling, f.circuit.sizes(), kMode).delay_s;
+      timing::compute_metrics(f.circuit, coupling, f.circuit.sizes()).delay_s;
   const auto result = core::run_tilos(f.circuit, coupling, bound);
   for (netlist::NodeId v = f.circuit.first_component(); v < f.circuit.end_component();
        ++v) {
@@ -75,12 +74,12 @@ TEST(Tilos, LrMatchesOrBeatsTilosArea) {
   factors.power = 100.0;
   factors.noise = 100.0;
   const auto bounds =
-      core::derive_bounds(f.circuit, coupling, f.circuit.sizes(), kMode, factors);
+      core::derive_bounds(f.circuit, coupling, f.circuit.sizes(), factors);
 
   const auto tilos = core::run_tilos(f.circuit, coupling, bounds.delay_s);
   ASSERT_TRUE(tilos.met_bound);
   const auto lr = core::run_ogws(f.circuit, coupling, bounds);
-  const auto lr_metrics = timing::compute_metrics(f.circuit, coupling, lr.sizes, kMode);
+  const auto lr_metrics = timing::compute_metrics(f.circuit, coupling, lr.sizes);
   EXPECT_LE(lr_metrics.delay_s, bounds.delay_s * 1.02);
   EXPECT_LE(lr_metrics.area_um2, tilos.area_um2 * 1.02);
 }
@@ -90,7 +89,7 @@ TEST(Tilos, DeterministicAcrossRuns) {
   const auto coupling = f.make_coupling();
   f.circuit.set_uniform_size(1.0);
   const double bound =
-      timing::compute_metrics(f.circuit, coupling, f.circuit.sizes(), kMode).delay_s;
+      timing::compute_metrics(f.circuit, coupling, f.circuit.sizes()).delay_s;
   const auto a = core::run_tilos(f.circuit, coupling, bound);
   const auto b = core::run_tilos(f.circuit, coupling, bound);
   EXPECT_EQ(a.moves, b.moves);
